@@ -28,6 +28,10 @@ rate / per_s / speedup / retention / throughput) in two classes:
   order-of-magnitude collapse (an accidental O(n^2) path, a lock
   serializing everything) is a real regression no plausible runner-class
   gap produces, and ratios alone cannot see a uniform one.
+* *Cost* metrics (bench_table3_crypto's ``bas_verify_ms`` and
+  ``bas_verify_1000_ms``) are informational absolutes where lower is
+  better, recorded with ``"lower_is_better": true``: their collapse check
+  fails above 10x the recorded value instead of below a tenth of it.
 
 Both classes fail when a bench or metric present in the baseline is
 missing from the results: a silently dropped bench is not a passing
@@ -133,9 +137,17 @@ REFRESH_TOLERANCE = 0.9
 GOODPUT_FLOOR_RE = re.compile(r"^goodput_ratio_at_2x_capacity$")
 GOODPUT_FLOOR = 0.6
 
+# Cost metrics (bench_table3_crypto's BAS verify times): host-dependent
+# absolutes where LOWER is better. They are informational like the
+# throughput absolutes, but marked "lower_is_better" so their collapse
+# check runs the other way: fail only when the value grows past
+# 1/COLLAPSE_FRACTION (10x) of the recorded one.
+COST_RE = re.compile(r"^bas_verify(_1000)?_ms$")
+
 
 def is_gated(name):
-    return THROUGHPUT_RE.search(name) is not None
+    return (THROUGHPUT_RE.search(name) is not None
+            or COST_RE.match(name) is not None)
 
 
 def load_results(results_dir):
@@ -167,6 +179,8 @@ def write_baseline(path, results, threshold):
                 entry["tolerance"] = RETENTION_TOLERANCE
             else:
                 entry["informational"] = True
+            if COST_RE.match(name):
+                entry["lower_is_better"] = True
             if SCALING_FLOOR_RE.match(name):
                 entry["floor"] = SCALING_FLOOR
                 entry["tolerance"] = SCALING_TOLERANCE
@@ -229,18 +243,24 @@ def gate(doc, results, threshold, scale):
                 # failed only below the 10x collapse floor.
                 informational += 1
                 delta = (value / base - 1.0) * 100.0 if base else 0.0
-                floor = base * COLLAPSE_FRACTION
-                if value < floor:
+                if entry.get("lower_is_better"):
+                    limit = base / COLLAPSE_FRACTION
+                    collapsed = value > limit
+                    bound = f"above {limit:.4g}"
+                else:
+                    limit = base * COLLAPSE_FRACTION
+                    collapsed = value < limit
+                    bound = f"below {limit:.4g}"
+                if collapsed:
                     failures.append(
-                        f"{bench}.{name}: {value:.4g} < collapse floor "
-                        f"{floor:.4g} ({COLLAPSE_FRACTION:.0%} of recorded "
-                        f"{base:.4g})")
+                        f"{bench}.{name}: {value:.4g} is {bound}, the 10x "
+                        f"collapse limit of recorded {base:.4g}")
                     print(f"  {'COLLAPSE':>10}  {bench}.{name}: {value:.4g} "
                           f"vs recorded {base:.4g} ({delta:+.1f}%)")
                 else:
                     print(f"  {'info':>10}  {bench}.{name}: {value:.4g} "
                           f"vs recorded {base:.4g} ({delta:+.1f}%, gated "
-                          f"only below {floor:.4g})")
+                          f"only {bound})")
                 continue
             gated += 1
             tolerance = entry.get("tolerance", threshold)
@@ -372,6 +392,25 @@ def self_test(doc, threshold):
         return 1
     print(f"self-test ok: sub-floor refresh cost ratio (1.6 < "
           f"{REFRESH_FLOOR}) is rejected even inside the tolerance band")
+
+    # Cost-collapse mechanics: a lower-is-better informational metric
+    # fails when it grows past 10x its recorded value, and passes when it
+    # falls by the same factor (a faster verify is not a collapse).
+    cost_doc = {"benches": {"synthetic_cost": {
+        "bas_verify_ms":
+            {"value": 4.0, "informational": True, "lower_is_better": True},
+    }}}
+    if gate(cost_doc, {"synthetic_cost": {"bas_verify_ms": 50.0}},
+            threshold, 1.0) == 0:
+        print("SELF-TEST FAILED: a 12.5x growth of a lower-is-better cost "
+              "metric passed the gate", file=sys.stderr)
+        return 1
+    if gate(cost_doc, {"synthetic_cost": {"bas_verify_ms": 0.3}},
+            threshold, 1.0) != 0:
+        print("SELF-TEST FAILED: a 13x drop of a lower-is-better cost "
+              "metric failed the gate", file=sys.stderr)
+        return 1
+    print("self-test ok: lower-is-better cost metrics collapse upward only")
 
     # And the floors must actually be pinned: every scaling-contract,
     # overload-contract, crypto-contract, and refresh-contract ratio

@@ -188,35 +188,14 @@ BasSignature BasPrivateKey::Sign(Slice message,
 
 bool BasPublicKey::Verify(Slice message, const BasSignature& sig,
                           BasContext::HashMode mode) const {
-  const TatePairing& e = ctx_->pairing();
-  Fp2Elem lhs = e.Pair(sig.point, ctx_->generator());
-  Fp2Elem rhs = e.Pair(ctx_->HashToPoint(message, mode), pk_);
-  return e.Equal(lhs, rhs);
+  return VerifyAggregate({message}, sig, mode);
 }
 
 bool BasPublicKey::VerifyAggregate(const std::vector<Slice>& messages,
                                    const BasSignature& agg,
                                    BasContext::HashMode mode) const {
-  const CurveGroup& curve = ctx_->curve();
-  std::vector<ECPoint> hashed;
-  hashed.reserve(messages.size());
-  if (mode == BasContext::HashMode::kFast) {
-    // Batch-hash every message, sum exponents in Z_r, one fixed-base mult.
-    std::vector<BigInt> hs(messages.size());
-    ctx_->HashToScalarMany(messages.data(), messages.size(), hs.data());
-    BigInt sum;
-    for (const BigInt& h : hs)
-      sum = BigInt::Mod(BigInt::Add(sum, h), ctx_->order());
-    hashed.push_back(ctx_->FixedBaseMult(sum));
-  } else {
-    for (const Slice& m : messages)
-      hashed.push_back(ctx_->HashToPoint(m, mode));
-  }
-  ECPoint h_sum = curve.Sum(hashed);
-  const TatePairing& e = ctx_->pairing();
-  Fp2Elem lhs = e.Pair(agg.point, ctx_->generator());
-  Fp2Elem rhs = e.Pair(h_sum, pk_);
-  return e.Equal(lhs, rhs);
+  // A single check is a batch of one: one call site for the pairing check.
+  return VerifyAggregateBatch({BasAggregateClaim{messages, agg}}, mode)[0];
 }
 
 std::vector<bool> BasPublicKey::VerifyAggregateBatch(
@@ -254,11 +233,12 @@ std::vector<bool> BasPublicKey::VerifyAggregateBatch(
   // ONE Montgomery batch inversion across every claim's hash sum — the
   // client-side mirror of FinalizeBatch on the server.
   std::vector<ECPoint> h_sums = curve.ToAffineBatch(sums);
+  // e(sigma, G) == e(H, pk): sigma and the hash sum are the Miller points,
+  // so a sigma outside the order-r subgroup is rejected by the loop itself.
   const TatePairing& e = ctx_->pairing();
   for (size_t i = 0; i < claims.size(); ++i) {
-    Fp2Elem lhs = e.Pair(claims[i].agg.point, ctx_->generator());
-    Fp2Elem rhs = e.Pair(h_sums[i], pk_);
-    ok[i] = e.Equal(lhs, rhs);
+    ok[i] = e.PairingsEqual(claims[i].agg.point, ctx_->generator(), h_sums[i],
+                            pk_);
   }
   return ok;
 }

@@ -134,21 +134,24 @@ class BasPublicKey {
   BasPublicKey(std::shared_ptr<const BasContext> ctx, ECPoint pk)
       : ctx_(std::move(ctx)), pk_(std::move(pk)) {}
 
-  /// Verify one signature: e(sigma, G) == e(H(m), pk).
+  /// Verify one signature: e(sigma, G) == e(H(m), pk). A batch of one
+  /// message (VerifyAggregateBatch).
   bool Verify(Slice message, const BasSignature& sig,
               BasContext::HashMode mode = BasContext::HashMode::kSecure) const;
 
   /// Verify an aggregate signature over messages all signed by this key:
-  /// e(sigma_agg, G) == e(sum_i H(m_i), pk).
+  /// e(sigma_agg, G) == e(sum_i H(m_i), pk). A batch of one claim.
   bool VerifyAggregate(
       const std::vector<Slice>& messages, const BasSignature& agg,
       BasContext::HashMode mode = BasContext::HashMode::kSecure) const;
 
-  /// Verify many aggregate claims at once. Verdict-identical to calling
-  /// VerifyAggregate per claim, but all messages cross the multi-buffer
-  /// SHA front end in one pass (kFast) and the per-claim hash-sum points
-  /// are finalized with ONE shared Montgomery batch inversion — the
-  /// client-side mirror of BasContext::FinalizeBatch.
+  /// Verify many aggregate claims at once, each claim independently: all
+  /// messages cross the multi-buffer SHA front end in one pass (kFast),
+  /// the per-claim hash-sum points are finalized with ONE shared
+  /// Montgomery batch inversion — the client-side mirror of
+  /// BasContext::FinalizeBatch — and each claim then costs one
+  /// TatePairing::PairingsEqual. A signature point outside the order-r
+  /// subgroup (or off the curve) fails its claim.
   std::vector<bool> VerifyAggregateBatch(
       const std::vector<BasAggregateClaim>& claims,
       BasContext::HashMode mode = BasContext::HashMode::kSecure) const;

@@ -58,8 +58,9 @@ class CurveGroup {
   std::vector<uint8_t> Serialize(const ECPoint& pt) const;
   ECPoint Deserialize(const std::vector<uint8_t>& bytes) const;
 
-  // -- Jacobian internals, exposed for the pairing Miller loop and for bulk
-  //    accumulation. x = X/Z^2, y = Y/Z^3; Z=0 encodes infinity.
+  // -- Jacobian internals, exposed for bulk accumulation (the pairing's
+  //    Miller loop inlines the same formulas to reuse their intermediates
+  //    in its line values). x = X/Z^2, y = Y/Z^3; Z=0 encodes infinity.
   struct Jacobian {
     BigInt X, Y, Z;
   };

@@ -1,6 +1,6 @@
 #include "crypto/pairing.h"
 
-#include "common/logging.h"
+#include <utility>
 
 namespace authdb {
 
@@ -14,69 +14,94 @@ Fp2Elem TatePairing::FinalExponentiation(const Fp2Elem& f) const {
   return fp2_.Exp(g, curve_->cofactor());
 }
 
-Fp2Elem TatePairing::Pair(const ECPoint& p, const ECPoint& q) const {
-  if (p.infinity || q.infinity) return fp2_.One();
+bool TatePairing::MillerLoop(const ECPoint& p, const ECPoint& q,
+                             Fp2Elem* out) const {
+  *out = fp2_.One();
+  if (p.infinity || q.infinity) return true;
   const PrimeField& f = curve_->field();
+  if (BigInt::Compare(p.x, f.p()) >= 0 || BigInt::Compare(p.y, f.p()) >= 0 ||
+      !curve_->IsOnCurve(p))
+    return false;
 
-  // psi(Q) = (-xq, i*yq). Line values at psi(Q):
-  //   non-vertical line through (xt, yt) with slope lam:
-  //     l = i*yq - yt - lam*(-xq - xt)
-  //       = [lam*(xq + xt) - yt] + i*[yq]
-  // The imaginary part yq is nonzero (Q has odd prime order, so yq != 0),
-  // hence line values are never zero. Vertical lines evaluate into F_p and
-  // are skipped (denominator elimination, embedding degree 2).
+  // psi(Q) = (-xq, i*yq). With T = (X, Y, Z) Jacobian, the affine tangent
+  // line at psi(Q) is [lam*(xq + xt) - yt] + i*yq, lam = M / (2YZ),
+  // M = 3X^2 + aZ^4; scaled by 2YZ^3 it is
+  //   [M*(xq*Z^2 + X) - 2Y^2] + i*[yq * 2YZ * Z^2].
+  // The chord through T and P, lam = R / (Z*H) with H = xp*Z^2 - X and
+  // R = yp*Z^3 - Y, scaled by Z*H is
+  //   [R*(xq + xp) - yp*Z*H] + i*[yq * Z*H].
+  // The factors are nonzero while Y and H are, and lie in F_p.
   const BigInt& xq = q.x;
   const BigInt& yq = q.y;
-  const BigInt three = f.FromU64(3);
-
-  Fp2Elem acc = fp2_.One();
-  BigInt xt = p.x, yt = p.y;
-  bool t_infinity = false;
+  const BigInt xq_plus_xp = f.Add(xq, p.x);
   const BigInt& r = curve_->order();
 
+  Fp2Elem acc = fp2_.One();
+  BigInt X = p.x, Y = p.y, Z = f.One();
   for (int i = r.BitLength() - 2; i >= 0; --i) {
-    if (t_infinity) break;
-    // Doubling step. yt != 0 because the subgroup order is odd.
-    AUTHDB_DCHECK(!yt.IsZero());
-    BigInt lam = f.Mul(f.Add(f.Mul(three, f.Sqr(xt)), curve_->a_mont()),
-                       f.Inv(f.Dbl(yt)));
-    Fp2Elem line = fp2_.Make(f.Sub(f.Mul(lam, f.Add(xq, xt)), yt), yq);
+    // Doubling step; Y == 0 would make T a 2-torsion point.
+    if (Y.IsZero()) return false;
+    BigInt xx = f.Sqr(X);
+    BigInt yy = f.Sqr(Y);
+    BigInt zz = f.Sqr(Z);
+    BigInt m = f.Add(f.Add(f.Dbl(xx), xx), f.Mul(curve_->a_mont(), f.Sqr(zz)));
+    BigInt z3 = f.Mul(f.Dbl(Y), Z);
+    BigInt dbl_yy = f.Dbl(yy);
+    Fp2Elem line = fp2_.Make(f.Sub(f.Mul(m, f.Add(f.Mul(xq, zz), X)), dbl_yy),
+                             f.Mul(yq, f.Mul(z3, zz)));
     acc = fp2_.Mul(fp2_.Sqr(acc), line);
-    BigInt x2 = f.Sub(f.Sqr(lam), f.Dbl(xt));
-    yt = f.Sub(f.Mul(lam, f.Sub(xt, x2)), yt);
-    xt = x2;
+    BigInt s = f.Dbl(f.Dbl(f.Mul(X, yy)));  // 4*X*Y^2
+    X = f.Sub(f.Sqr(m), f.Dbl(s));
+    Y = f.Sub(f.Mul(m, f.Sub(s, X)), f.Dbl(f.Sqr(dbl_yy)));  // 8*Y^4
+    Z = std::move(z3);
 
-    if (r.Bit(i)) {
-      // Addition step: line through T and P.
-      if (f.Equal(xt, p.x)) {
-        if (f.Equal(yt, p.y)) {
-          // T == P: tangent doubling (cannot happen for prime r > 2, but
-          // handle defensively).
-          BigInt lam2 =
-              f.Mul(f.Add(f.Mul(three, f.Sqr(xt)), curve_->a_mont()),
-                    f.Inv(f.Dbl(yt)));
-          Fp2Elem l2 = fp2_.Make(f.Sub(f.Mul(lam2, f.Add(xq, xt)), yt), yq);
-          acc = fp2_.Mul(acc, l2);
-          BigInt x3 = f.Sub(f.Sqr(lam2), f.Dbl(xt));
-          yt = f.Sub(f.Mul(lam2, f.Sub(xt, x3)), yt);
-          xt = x3;
-        } else {
-          // T == -P: vertical line (an F_p value) — skip; T becomes O.
-          // This is the final addition of the loop (T = (r-1)P).
-          t_infinity = true;
-        }
-      } else {
-        BigInt lam2 = f.Mul(f.Sub(p.y, yt), f.Inv(f.Sub(p.x, xt)));
-        Fp2Elem line2 =
-            fp2_.Make(f.Sub(f.Mul(lam2, f.Add(xq, p.x)), p.y), yq);
-        acc = fp2_.Mul(acc, line2);
-        BigInt x3 = f.Sub(f.Sub(f.Sqr(lam2), xt), p.x);
-        yt = f.Sub(f.Mul(lam2, f.Sub(xt, x3)), yt);
-        xt = x3;
-      }
+    if (!r.Bit(i)) continue;
+    // Addition step: T + P.
+    BigInt zz2 = f.Sqr(Z);
+    BigInt zzz = f.Mul(Z, zz2);
+    BigInt h = f.Sub(f.Mul(p.x, zz2), X);
+    BigInt rr = f.Sub(f.Mul(p.y, zzz), Y);
+    if (i == 0) {
+      // r is odd, so the loop ends on an addition. T = (r-1)P must be -P
+      // (same x, opposite y): the vertical line through it lies in F_p and
+      // is skipped, and T + P = O. Any other T means rP != O.
+      if (!h.IsZero() || rr.IsZero()) return false;
+      break;
     }
+    // For an order-r P, T = kP with 1 < k < r-1 here, so T != +-P.
+    if (h.IsZero()) return false;
+    BigInt zh = f.Mul(Z, h);
+    Fp2Elem chord = fp2_.Make(f.Sub(f.Mul(rr, xq_plus_xp), f.Mul(p.y, zh)),
+                              f.Mul(yq, zh));
+    acc = fp2_.Mul(acc, chord);
+    BigInt hh = f.Sqr(h);
+    BigInt hhh = f.Mul(h, hh);
+    BigInt v = f.Mul(X, hh);
+    BigInt x3 = f.Sub(f.Sub(f.Sqr(rr), hhh), f.Dbl(v));
+    Y = f.Sub(f.Mul(rr, f.Sub(v, x3)), f.Mul(Y, hhh));
+    X = std::move(x3);
+    Z = std::move(zh);
   }
-  return FinalExponentiation(acc);
+  // The imaginary part of every line is yq times a nonzero factor, so the
+  // value vanishes only for yq == 0 (a Q outside the subgroup).
+  if (fp2_.IsZero(acc)) return false;
+  *out = std::move(acc);
+  return true;
+}
+
+bool TatePairing::PairingsEqual(const ECPoint& p1, const ECPoint& q1,
+                                const ECPoint& p2, const ECPoint& q2) const {
+  Fp2Elem a, b;
+  if (!MillerLoop(p1, q1, &a) || !MillerLoop(p2, q2, &b)) return false;
+  // FE(a) == FE(b) <=> Im((conj(a) * b)^c) == 0 (see the header).
+  Fp2Elem u = fp2_.Exp(fp2_.Mul(fp2_.Conj(a), b), curve_->cofactor());
+  return u.im.IsZero();
+}
+
+Fp2Elem TatePairing::Pair(const ECPoint& p, const ECPoint& q) const {
+  Fp2Elem f;
+  if (!MillerLoop(p, q, &f)) return fp2_.Zero();
+  return FinalExponentiation(f);
 }
 
 }  // namespace authdb

@@ -13,7 +13,7 @@ namespace authdb {
 /// Table 3. Measured once per process with real operations.
 struct CryptoCosts {
   double bas_sign = 0;            ///< one BLS signature (secure hash-to-point)
-  double bas_verify = 0;          ///< one signature: 2 pairings + hash
+  double bas_verify = 0;          ///< one signature: pairing check + hash
   double bas_aggregate_1000 = 0;  ///< aggregating 1000 signatures
   double bas_verify_1000 = 0;     ///< verifying a 1000-signature aggregate
   double point_add = 0;           ///< one EC point addition

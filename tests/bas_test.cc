@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "hostile_points.h"
+
 namespace authdb {
 namespace {
 
@@ -100,6 +102,33 @@ TEST_F(BasTest, VerifyAggregateBatchMatchesSequential) {
       EXPECT_EQ(got[c], want) << "mode=" << static_cast<int>(mode)
                               << " claim=" << c;
       EXPECT_EQ(want, c != 2) << "claim=" << c;
+    }
+  }
+}
+
+TEST_F(BasTest, HostileSignaturePointsAreRejectedNotFatal) {
+  // A server controls the signature point it ships. Points outside the
+  // order-r subgroup — (0,0) used to abort the Miller loop — must fail
+  // every verify entry point, and must not poison honest claims batched
+  // beside them.
+  const BasPublicKey& pub = key_->public_key();
+  for (HashMode mode : {HashMode::kSecure, HashMode::kFast}) {
+    std::vector<std::string> msgs = {"h-0", "h-1", "h-2"};
+    std::vector<BasSignature> sigs;
+    for (const auto& m : msgs) sigs.push_back(key_->Sign(Slice(m), mode));
+    std::vector<Slice> views(msgs.begin(), msgs.end());
+    BasAggregateClaim honest{views, (*ctx_)->Aggregate(sigs)};
+    ASSERT_TRUE(pub.VerifyAggregate(views, honest.agg, mode));
+    for (const NamedPoint& hostile :
+         HostilePoints((*ctx_)->curve(), honest.agg.point)) {
+      SCOPED_TRACE(hostile.name + " mode=" +
+                   std::to_string(static_cast<int>(mode)));
+      BasSignature bad{hostile.point};
+      EXPECT_FALSE(pub.Verify(views[0], bad, mode));
+      EXPECT_FALSE(pub.VerifyAggregate(views, bad, mode));
+      std::vector<bool> got =
+          pub.VerifyAggregateBatch({honest, {views, bad}, honest}, mode);
+      EXPECT_EQ(got, (std::vector<bool>{true, false, true}));
     }
   }
 }

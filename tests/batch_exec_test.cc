@@ -20,6 +20,7 @@
 
 #include "core/data_aggregator.h"
 #include "core/verifier.h"
+#include "hostile_points.h"
 #include "server/sharded_query_server.h"
 #include "server/update_stream.h"
 
@@ -273,6 +274,59 @@ TEST_F(BatchExecTest, BatchVerifyMatchesSequentialVerdictsFieldForField) {
     // Selections + projections fold into ONE shared-inversion pass.
     EXPECT_EQ(stats.aggregate_claims, 6u);
     EXPECT_EQ(stats.shared_inversions, 1u);
+  }
+}
+
+TEST_F(BatchExecTest, HostileAggregatePointsFailVerificationNotTheProcess) {
+  // A malicious server swaps each answer's aggregate for a point outside
+  // the order-r subgroup. (0,0) used to abort the client inside the Miller
+  // loop; every hostile point must instead fail its own answer with that
+  // kind's mismatch message, leaving the honest answers of the batch
+  // accepted.
+  Load(DefaultS());
+  std::vector<Query> plans = MixedPlans();
+  auto honest = server_->ExecuteBatch(PlanBatch::Of(plans));
+  for (const auto& r : honest) ASSERT_TRUE(r.ok());
+  auto agg_sig = [](QueryAnswer& a) -> BasSignature& {
+    switch (a.kind) {
+      case QueryKind::kSelect:
+        return a.selection.agg_sig;
+      case QueryKind::kProject:
+        return a.projection.agg_sig;
+      case QueryKind::kJoin:
+        break;
+    }
+    return a.join.agg_sig;
+  };
+  struct Target {
+    size_t plan;
+    const char* mismatch;
+  };
+  const std::vector<Target> targets = {
+      {0, "aggregate signature mismatch"},
+      {3, "projection aggregate mismatch"},
+      {6, "join aggregate signature mismatch"},
+  };
+  for (const Target& t : targets) {
+    const ECPoint sigma = agg_sig(honest[t.plan].value()).point;
+    for (const NamedPoint& hostile : HostilePoints((*ctx_)->curve(), sigma)) {
+      SCOPED_TRACE("plan " + std::to_string(t.plan) + " " + hostile.name);
+      auto answers = honest;
+      agg_sig(answers[t.plan].value()).point = hostile.point;
+      ClientVerifier v(&da_->public_key(), &codec_, HashMode::kFast);
+      std::vector<Status> got =
+          v.VerifyAnswerBatch(PlanBatch::Of(plans), answers, Now(), 0);
+      ASSERT_EQ(got.size(), plans.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        if (i == t.plan) {
+          EXPECT_EQ(got[i].code(), StatusCode::kVerificationFailed);
+          EXPECT_EQ(got[i].message(), t.mismatch);
+        } else {
+          EXPECT_TRUE(got[i].ok())
+              << "plan " << i << ": " << got[i].ToString();
+        }
+      }
+    }
   }
 }
 

@@ -2,13 +2,114 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "crypto/bas.h"
+#include "hostile_points.h"
 
 namespace authdb {
 namespace {
+
+// Reference pairing, independent of TatePairing's projective loop: the
+// textbook affine Miller loop (one field inversion per step, no subgroup
+// check) and the final exponentiation with an Fp2 inversion. Only ever
+// called on points of the order-r subgroup.
+Fp2Elem ReferencePair(const CurveGroup& curve, const Fp2Field& fp2,
+                      const ECPoint& p, const ECPoint& q) {
+  if (p.infinity || q.infinity) return fp2.One();
+  const PrimeField& f = curve.field();
+  const BigInt& xq = q.x;
+  const BigInt& yq = q.y;
+  const BigInt three = f.FromU64(3);
+
+  Fp2Elem acc = fp2.One();
+  BigInt xt = p.x, yt = p.y;
+  bool t_infinity = false;
+  const BigInt& r = curve.order();
+
+  for (int i = r.BitLength() - 2; i >= 0; --i) {
+    if (t_infinity) break;
+    BigInt lam = f.Mul(f.Add(f.Mul(three, f.Sqr(xt)), curve.a_mont()),
+                       f.Inv(f.Dbl(yt)));
+    Fp2Elem line = fp2.Make(f.Sub(f.Mul(lam, f.Add(xq, xt)), yt), yq);
+    acc = fp2.Mul(fp2.Sqr(acc), line);
+    BigInt x2 = f.Sub(f.Sqr(lam), f.Dbl(xt));
+    yt = f.Sub(f.Mul(lam, f.Sub(xt, x2)), yt);
+    xt = x2;
+
+    if (r.Bit(i)) {
+      if (f.Equal(xt, p.x)) {
+        if (f.Equal(yt, p.y)) {
+          BigInt lam2 = f.Mul(f.Add(f.Mul(three, f.Sqr(xt)), curve.a_mont()),
+                              f.Inv(f.Dbl(yt)));
+          Fp2Elem l2 = fp2.Make(f.Sub(f.Mul(lam2, f.Add(xq, xt)), yt), yq);
+          acc = fp2.Mul(acc, l2);
+          BigInt x3 = f.Sub(f.Sqr(lam2), f.Dbl(xt));
+          yt = f.Sub(f.Mul(lam2, f.Sub(xt, x3)), yt);
+          xt = x3;
+        } else {
+          t_infinity = true;
+        }
+      } else {
+        BigInt lam2 = f.Mul(f.Sub(p.y, yt), f.Inv(f.Sub(p.x, xt)));
+        Fp2Elem line2 = fp2.Make(f.Sub(f.Mul(lam2, f.Add(xq, p.x)), p.y), yq);
+        acc = fp2.Mul(acc, line2);
+        BigInt x3 = f.Sub(f.Sub(f.Sqr(lam2), xt), p.x);
+        yt = f.Sub(f.Mul(lam2, f.Sub(xt, x3)), yt);
+        xt = x3;
+      }
+    }
+  }
+  Fp2Elem g = fp2.Mul(fp2.Conj(acc), fp2.Inv(acc));
+  return fp2.Exp(g, curve.cofactor());
+}
+
+/// Seeded verification claims e(sigma, G) == e(H, pk) — honest, and the
+/// tampered shapes a server could ship — checked three ways: the
+/// reference verdict Equal(ReferencePair, ReferencePair), PairingsEqual,
+/// and the new Pair values against the reference values (the F_p factors
+/// of the projective lines must vanish in the final exponentiation, so
+/// the values agree exactly, not just the verdicts).
+void ExpectVerdictEquivalence(const BasContext& ctx, uint64_t seed,
+                              int rounds) {
+  const CurveGroup& curve = ctx.curve();
+  const TatePairing& e = ctx.pairing();
+  const Fp2Field& fp2 = e.fp2();
+  const ECPoint& g = ctx.generator();
+  Rng rng(seed);
+  for (int round = 0; round < rounds; ++round) {
+    BigInt x = BigInt::RandomBelow(curve.order(), &rng);
+    ECPoint pk = curve.ScalarMult(g, x);
+    ECPoint h = curve.ScalarMult(g, BigInt::RandomBelow(curve.order(), &rng));
+    ECPoint sigma = curve.ScalarMult(h, x);
+    struct Claim {
+      std::string name;
+      ECPoint sigma, h;
+      bool valid;  // pins the reference itself, so no case is vacuous
+    };
+    const std::vector<Claim> claims = {
+        {"honest", sigma, h, true},
+        {"sigma+G", curve.Add(sigma, g), h, false},
+        {"-sigma", curve.Negate(sigma), h, false},
+        {"sigma=O", ECPoint{}, h, false},
+        {"H=O", sigma, ECPoint{}, false},
+        {"sigma=O,H=O", ECPoint{}, ECPoint{}, true},
+    };
+    for (const Claim& c : claims) {
+      SCOPED_TRACE("round " + std::to_string(round) + " claim " + c.name);
+      Fp2Elem ref_lhs = ReferencePair(curve, fp2, c.sigma, g);
+      Fp2Elem ref_rhs = ReferencePair(curve, fp2, c.h, pk);
+      bool want = fp2.Equal(ref_lhs, ref_rhs);
+      EXPECT_EQ(want, c.valid);
+      EXPECT_EQ(e.PairingsEqual(c.sigma, g, c.h, pk), want);
+      EXPECT_TRUE(fp2.Equal(e.Pair(c.sigma, g), ref_lhs));
+      EXPECT_TRUE(fp2.Equal(e.Pair(c.h, pk), ref_rhs));
+    }
+  }
+}
 
 class PairingTest : public ::testing::Test {
  protected:
@@ -92,6 +193,37 @@ TEST_F(PairingTest, NegationInvertsPairing) {
   Fp2Elem v = e().Pair(P, G());
   Fp2Elem vn = e().Pair(curve().Negate(P), G());
   EXPECT_TRUE(fp2().Equal(fp2().Mul(v, vn), fp2().One()));
+}
+
+TEST_F(PairingTest, PairingsEqualMatchesAffineReference) {
+  ExpectVerdictEquivalence(**ctx_, /*seed=*/11, /*rounds=*/6);
+}
+
+TEST(PairingDefaultParamsTest, PairingsEqualMatchesAffineReference) {
+  ExpectVerdictEquivalence(*BasContext::Default(), /*seed=*/12, /*rounds=*/2);
+}
+
+TEST_F(PairingTest, PointsOutsideTheSubgroupAreRejected) {
+  Rng rng(6);
+  const ECPoint sigma =
+      curve().ScalarMult(G(), BigInt::RandomBelow(curve().order(), &rng));
+  std::vector<NamedPoint> hostile = HostilePoints(curve(), sigma);
+  hostile.push_back({"T", CofactorTorsionPoint(curve())});
+  hostile.push_back(
+      {"x >= p",
+       ECPoint{BigInt::Add(sigma.x, curve().field().p()), sigma.y, false}});
+  for (const auto& [name, point] : hostile) {
+    SCOPED_TRACE(name);
+    ASSERT_FALSE(point.infinity);
+    ASSERT_FALSE(curve().Equal(point, sigma));
+    // Never accepted against any right-hand side, including itself.
+    EXPECT_FALSE(e().PairingsEqual(point, G(), sigma, G()));
+    EXPECT_FALSE(e().PairingsEqual(point, G(), point, G()));
+    EXPECT_FALSE(e().PairingsEqual(sigma, G(), point, G()));
+    EXPECT_TRUE(fp2().IsZero(e().Pair(point, G())));
+  }
+  // The honest point still passes the same check.
+  EXPECT_TRUE(e().PairingsEqual(sigma, G(), sigma, G()));
 }
 
 TEST(Fp2FieldTest, FieldAxioms) {
