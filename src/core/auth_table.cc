@@ -31,13 +31,16 @@ std::vector<uint8_t> AuthTable::EncodePayload(const BasSignature& sig,
   return out;
 }
 
-std::pair<BasSignature, RecordId> AuthTable::DecodePayload(
+Result<std::pair<BasSignature, RecordId>> AuthTable::DecodePayload(
     const std::vector<uint8_t>& payload) const {
   const size_t nsig = SigBytes(curve_);
+  if (payload.size() != nsig + 8)
+    return Status::Corruption("index payload has the wrong length");
   std::vector<uint8_t> sig_bytes(payload.begin(), payload.begin() + nsig);
   RecordId rid = 0;
   for (int i = 0; i < 8; ++i) rid |= uint64_t{payload[nsig + i]} << (8 * i);
-  return {BasSignature{curve_->Deserialize(sig_bytes)}, rid};
+  AUTHDB_ASSIGN_OR_RETURN(ECPoint point, curve_->Deserialize(sig_bytes));
+  return std::make_pair(BasSignature{point}, rid);
 }
 
 Status AuthTable::Insert(const Record& rec, const BasSignature& sig) {
@@ -54,7 +57,8 @@ Status AuthTable::Insert(const Record& rec, const BasSignature& sig) {
 Status AuthTable::Update(const Record& rec, const BasSignature& sig) {
   auto existing = index_.Get(rec.key());
   if (!existing.ok()) return existing.status();
-  auto [old_sig, rid] = DecodePayload(existing.value());
+  AUTHDB_ASSIGN_OR_RETURN(auto decoded, DecodePayload(existing.value()));
+  const RecordId rid = decoded.second;
   AUTHDB_RETURN_NOT_OK(
       records_.Update(rid, Slice(rec.Serialize(records_.record_len()))));
   return index_.Update(rec.key(), Slice(EncodePayload(sig, rid)));
@@ -63,26 +67,27 @@ Status AuthTable::Update(const Record& rec, const BasSignature& sig) {
 Status AuthTable::UpdateSignature(int64_t key, const BasSignature& sig) {
   auto existing = index_.Get(key);
   if (!existing.ok()) return existing.status();
-  auto [old_sig, rid] = DecodePayload(existing.value());
-  return index_.Update(key, Slice(EncodePayload(sig, rid)));
+  AUTHDB_ASSIGN_OR_RETURN(auto decoded, DecodePayload(existing.value()));
+  return index_.Update(key, Slice(EncodePayload(sig, decoded.second)));
 }
 
 Status AuthTable::Delete(int64_t key) {
   auto existing = index_.Get(key);
   if (!existing.ok()) return existing.status();
-  auto [sig, rid] = DecodePayload(existing.value());
-  AUTHDB_RETURN_NOT_OK(records_.Delete(rid));
+  AUTHDB_ASSIGN_OR_RETURN(auto decoded, DecodePayload(existing.value()));
+  AUTHDB_RETURN_NOT_OK(records_.Delete(decoded.second));
   return index_.Delete(key);
 }
 
 Result<AuthTable::Item> AuthTable::LoadItem(
     int64_t key, const std::vector<uint8_t>& payload) const {
   (void)key;
-  auto [sig, rid] = DecodePayload(payload);
-  AUTHDB_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, records_.Read(rid));
+  AUTHDB_ASSIGN_OR_RETURN(auto decoded, DecodePayload(payload));
+  AUTHDB_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                          records_.Read(decoded.second));
   Item item;
   item.record = Record::Deserialize(Slice(bytes));
-  item.sig = sig;
+  item.sig = decoded.first;
   return item;
 }
 

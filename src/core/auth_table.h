@@ -66,7 +66,8 @@ class AuthTable {
  private:
   std::vector<uint8_t> EncodePayload(const BasSignature& sig,
                                      RecordId rid) const;
-  std::pair<BasSignature, RecordId> DecodePayload(
+  /// Corruption when the stored signature point does not decode.
+  Result<std::pair<BasSignature, RecordId>> DecodePayload(
       const std::vector<uint8_t>& payload) const;
   Result<Item> LoadItem(int64_t key,
                         const std::vector<uint8_t>& payload) const;

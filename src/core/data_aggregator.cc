@@ -27,17 +27,36 @@ DataAggregator::DataAggregator(std::shared_ptr<const BasContext> ctx,
       table_(&data_pool_, &index_pool_, &ctx->curve(), options.record_len),
       summary_(&codec_) {}
 
-BasSignature DataAggregator::SignChained(const Record& rec, int64_t left,
-                                         int64_t right) {
-  ++signatures_issued_;
-  return key_.Sign(ChainMessage(rec, left, right).AsSlice(),
-                   options_.hash_mode);
+namespace {
+std::vector<ByteBuffer> AttributeMessages(const Record& rec) {
+  std::vector<ByteBuffer> out;
+  out.reserve(rec.attrs.size());
+  for (size_t i = 0; i < rec.attrs.size(); ++i) {
+    out.push_back(DataAggregator::AttributeMessage(
+        rec.rid, static_cast<uint32_t>(i), rec.attrs[i], rec.ts));
+  }
+  return out;
 }
 
-std::vector<BasSignature> DataAggregator::MaybeSignAttributes(
-    const Record& rec) const {
-  if (!options_.sign_attributes) return {};
-  return SignAttributes(rec);
+std::vector<Slice> SlicesOf(const std::vector<ByteBuffer>& bufs) {
+  std::vector<Slice> out;
+  out.reserve(bufs.size());
+  for (const ByteBuffer& b : bufs) out.push_back(b.AsSlice());
+  return out;
+}
+}  // namespace
+
+CertifiedRecord DataAggregator::SignRecord(const Record& rec, int64_t left,
+                                           int64_t right) {
+  ++signatures_issued_;
+  std::vector<ByteBuffer> msgs;
+  if (options_.sign_attributes) msgs = AttributeMessages(rec);
+  msgs.push_back(ChainMessage(rec, left, right));
+  std::vector<BasSignature> sigs =
+      key_.SignBatch(SlicesOf(msgs), options_.hash_mode);
+  BasSignature chain_sig = sigs.back();
+  sigs.pop_back();
+  return CertifiedRecord{rec, chain_sig, std::move(sigs)};
 }
 
 void DataAggregator::MarkJoinDirty(int64_t composite_key, bool is_delete) {
@@ -108,13 +127,13 @@ Result<std::vector<SignedRecordUpdate>> DataAggregator::BulkLoad(
     int64_t left = i > 0 ? records[i - 1].key() : kChainMinusInf;
     int64_t right =
         i + 1 < records.size() ? records[i + 1].key() : kChainPlusInf;
-    BasSignature sig = SignChained(rec, left, right);
-    AUTHDB_RETURN_NOT_OK(table_.Insert(rec, sig));
+    CertifiedRecord cert = SignRecord(rec, left, right);
+    AUTHDB_RETURN_NOT_OK(table_.Insert(rec, cert.sig));
     summary_.MarkUpdated(rec.rid);  // inserts appear in the period's bitmap
     SignedRecordUpdate msg;
     msg.kind = SignedRecordUpdate::Kind::kInsert;
     msg.key = rec.key();
-    msg.record = CertifiedRecord{rec, sig, MaybeSignAttributes(rec)};
+    msg.record = std::move(cert);
     out.push_back(std::move(msg));
   }
   return out;
@@ -130,13 +149,13 @@ Result<SignedRecordUpdate> DataAggregator::ModifyRecord(
   rec.ts = clock_->NowMicros();
   rec.attrs = std::move(attrs);
   auto [left, right] = table_.NeighborKeys(key);
-  BasSignature sig = SignChained(rec, left, right);
-  AUTHDB_RETURN_NOT_OK(table_.Update(rec, sig));
+  CertifiedRecord cert = SignRecord(rec, left, right);
+  AUTHDB_RETURN_NOT_OK(table_.Update(rec, cert.sig));
   summary_.MarkUpdated(rec.rid);
   SignedRecordUpdate msg;
   msg.kind = SignedRecordUpdate::Kind::kModify;
   msg.key = key;
-  msg.record = CertifiedRecord{rec, sig, MaybeSignAttributes(rec)};
+  msg.record = std::move(cert);
   if (options_.piggyback_renewal) PiggybackRenewal(rec.rid, &msg.recertified);
   return msg;
 }
@@ -152,14 +171,14 @@ Result<SignedRecordUpdate> DataAggregator::InsertRecord(
   rec.ts = clock_->NowMicros();
   rec.attrs = std::move(attrs);
   auto [left, right] = table_.NeighborKeys(key);
-  BasSignature sig = SignChained(rec, left, right);
-  AUTHDB_RETURN_NOT_OK(table_.Insert(rec, sig));
+  CertifiedRecord cert = SignRecord(rec, left, right);
+  AUTHDB_RETURN_NOT_OK(table_.Insert(rec, cert.sig));
   summary_.MarkUpdated(rec.rid);
   MarkJoinDirty(key, /*is_delete=*/false);
   SignedRecordUpdate msg;
   msg.kind = SignedRecordUpdate::Kind::kInsert;
   msg.key = key;
-  msg.record = CertifiedRecord{rec, sig, MaybeSignAttributes(rec)};
+  msg.record = std::move(cert);
   // The neighbors' chains now point at the new record: re-certify both.
   if (left != kChainMinusInf) Recertify(left, &msg.recertified);
   if (right != kChainPlusInf) Recertify(right, &msg.recertified);
@@ -188,11 +207,11 @@ void DataAggregator::Recertify(int64_t key,
   Record rec = item.value().record;
   rec.ts = clock_->NowMicros();
   auto [left, right] = table_.NeighborKeys(key);
-  BasSignature sig = SignChained(rec, left, right);
-  Status s = table_.Update(rec, sig);
+  CertifiedRecord cert = SignRecord(rec, left, right);
+  Status s = table_.Update(rec, cert.sig);
   AUTHDB_CHECK(s.ok());
   summary_.MarkUpdated(rec.rid);
-  out->push_back(CertifiedRecord{rec, sig, MaybeSignAttributes(rec)});
+  out->push_back(std::move(cert));
 }
 
 void DataAggregator::PiggybackRenewal(uint64_t around_rid,
@@ -293,16 +312,7 @@ ByteBuffer DataAggregator::AttributeMessage(uint64_t rid, uint32_t attr_index,
 
 std::vector<BasSignature> DataAggregator::SignAttributes(
     const Record& rec) const {
-  std::vector<BasSignature> out;
-  out.reserve(rec.attrs.size());
-  for (size_t i = 0; i < rec.attrs.size(); ++i) {
-    out.push_back(key_.Sign(
-        AttributeMessage(rec.rid, static_cast<uint32_t>(i), rec.attrs[i],
-                         rec.ts)
-            .AsSlice(),
-        options_.hash_mode));
-  }
-  return out;
+  return key_.SignBatch(SlicesOf(AttributeMessages(rec)), options_.hash_mode);
 }
 
 }  // namespace authdb

@@ -98,14 +98,15 @@ class DataAggregator {
                                      int64_t value, uint64_t ts);
 
  private:
-  BasSignature SignChained(const Record& rec, int64_t left, int64_t right);
+  /// Certify `rec` under chain neighbors (left, right): its chain message
+  /// and, when Options::sign_attributes, its attribute messages are signed
+  /// in one BasPrivateKey::SignBatch call (one shared inversion).
+  CertifiedRecord SignRecord(const Record& rec, int64_t left, int64_t right);
   /// Re-certify `key` in place with a fresh timestamp; appends the message
   /// to `out`. Skips silently if the key vanished.
   void Recertify(int64_t key, std::vector<CertifiedRecord>* out);
   void PiggybackRenewal(uint64_t around_rid,
                         std::vector<CertifiedRecord>* out);
-  /// Attribute signatures when Options::sign_attributes, else empty.
-  std::vector<BasSignature> MaybeSignAttributes(const Record& rec) const;
   /// Record a join-state mutation for B = JoinBValue(key) (no-op unless
   /// join partitions are enabled): inserts queue the B value for the
   /// covering partition's next delta; deletes force a full rebuild of it

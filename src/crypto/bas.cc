@@ -17,6 +17,7 @@ constexpr int kWindowCount = 40;  // 160-bit scalars
 
 std::shared_ptr<const BasContext> BasContext::Generate(int p_bits, int r_bits,
                                                        Rng* rng) {
+  AUTHDB_CHECK(p_bits <= 256);
   BigInt r = BigInt::GeneratePrime(r_bits, rng);
   int c_bits = p_bits - r_bits;
   AUTHDB_CHECK(c_bits >= 3);
@@ -32,6 +33,7 @@ std::shared_ptr<const BasContext> BasContext::Generate(int p_bits, int r_bits,
   }
   auto ctx = std::shared_ptr<BasContext>(new BasContext());
   ctx->curve_ = std::make_unique<CurveGroup>(p, /*a=*/1, /*b=*/0, r, c);
+  ctx->scalars_ = std::make_unique<PrimeField>(r);
   ctx->pairing_ = std::make_unique<TatePairing>(ctx->curve_.get());
   ctx->generator_ = ctx->curve_->FindGenerator();
   AUTHDB_CHECK(ctx->curve_->ScalarMult(ctx->generator_, r).infinity);
@@ -63,10 +65,8 @@ void BasContext::BuildFixedBaseTable() {
   }
 }
 
-CurveGroup::Jacobian BasContext::FixedBaseMultJac(const BigInt& k) const {
-  BigInt scalar = BigInt::Compare(k, curve_->order()) >= 0
-                      ? BigInt::Mod(k, curve_->order())
-                      : k;
+CurveGroup::Jacobian BasContext::FixedBaseMultJac(const Fp& k) const {
+  const Fp scalar = scalars_->IsReduced(k) ? k : scalars_->Reduce(k);
   CurveGroup::Jacobian acc = curve_->ToJacobian(ECPoint{});
   for (int w = 0; w < kWindowCount; ++w) {
     uint32_t nibble = 0;
@@ -78,24 +78,21 @@ CurveGroup::Jacobian BasContext::FixedBaseMultJac(const BigInt& k) const {
   return acc;
 }
 
-ECPoint BasContext::FixedBaseMult(const BigInt& k) const {
+ECPoint BasContext::FixedBaseMult(const Fp& k) const {
   return curve_->ToAffine(FixedBaseMultJac(k));
 }
 
-BigInt BasContext::HashToScalar(Slice msg) const {
-  Digest256 d = Sha256::Hash(msg);
-  return BigInt::Mod(BigInt::FromBytes(d.AsSlice()), curve_->order());
+Fp BasContext::HashToScalar(Slice msg) const {
+  return scalars_->Reduce(Fp::FromBytes(Sha256::Hash(msg).AsSlice()));
 }
 
 void BasContext::HashToScalarMany(const Slice* msgs, size_t count,
-                                  BigInt* out) const {
+                                  Fp* out) const {
   if (count == 0) return;
   std::vector<Digest256> digests(count);
   Sha256::HashMany(msgs, count, digests.data());
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = BigInt::Mod(BigInt::FromBytes(digests[i].AsSlice()),
-                         curve_->order());
-  }
+  for (size_t i = 0; i < count; ++i)
+    out[i] = scalars_->Reduce(Fp::FromBytes(digests[i].AsSlice()));
 }
 
 ECPoint BasContext::HashToPoint(Slice msg, HashMode mode) const {
@@ -110,12 +107,10 @@ ECPoint BasContext::HashToPoint(Slice msg, HashMode mode) const {
     h.Update(Slice(ctr_be, 4));
     h.Update(msg);
     Digest256 d = h.Finish();
-    BigInt x_plain = BigInt::Mod(BigInt::FromBytes(d.AsSlice()),
-                                 curve_->field().p());
-    BigInt x = f.FromPlain(x_plain);
-    BigInt rhs = curve_->CurveRhs(x);
+    Fp x = f.ToMont(Fp::FromBytes(d.AsSlice()));  // digest mod p
+    Fp rhs = curve_->CurveRhs(x);
     if (rhs.IsZero() || !f.IsSquare(rhs)) continue;
-    BigInt y = f.Sqrt(rhs);
+    Fp y = f.Sqrt(rhs);
     if (d.bytes[31] & 1) y = f.Neg(y);
     ECPoint pt{x, y, false};
     AUTHDB_DCHECK(curve_->IsOnCurve(pt));
@@ -167,7 +162,9 @@ BasPrivateKey BasPrivateKey::Generate(std::shared_ptr<const BasContext> ctx,
                                       Rng* rng) {
   BasPrivateKey key;
   key.x_ = BigInt::RandomBelow(ctx->order(), rng);
-  ECPoint pk = ctx->FixedBaseMult(key.x_);
+  Fp x = Fp::FromBigInt(key.x_);
+  key.x_mont_ = ctx->scalars().ToMont(x);
+  ECPoint pk = ctx->FixedBaseMult(x);
   key.pub_ = BasPublicKey(ctx, pk);
   key.ctx_ = std::move(ctx);
   return key;
@@ -175,15 +172,31 @@ BasPrivateKey BasPrivateKey::Generate(std::shared_ptr<const BasContext> ctx,
 
 BasSignature BasPrivateKey::Sign(Slice message,
                                  BasContext::HashMode mode) const {
+  return SignBatch({message}, mode)[0];
+}
+
+std::vector<BasSignature> BasPrivateKey::SignBatch(
+    const std::vector<Slice>& messages, BasContext::HashMode mode) const {
+  std::vector<BasSignature> out;
+  out.reserve(messages.size());
   if (mode == BasContext::HashMode::kFast) {
     // sigma = (x * h) * G via the fixed-base table; identical group element
     // to x * H(m) with H(m) = h * G.
-    BigInt h = ctx_->HashToScalar(message);
-    BigInt e = BigInt::Mod(BigInt::Mul(x_, h), ctx_->order());
-    return BasSignature{ctx_->FixedBaseMult(e)};
+    std::vector<Fp> hs(messages.size());
+    ctx_->HashToScalarMany(messages.data(), messages.size(), hs.data());
+    std::vector<CurveGroup::Jacobian> js;
+    js.reserve(hs.size());
+    for (const Fp& h : hs)
+      js.push_back(ctx_->FixedBaseMultJac(ctx_->scalars().Mul(x_mont_, h)));
+    for (const ECPoint& p : ctx_->curve().ToAffineBatch(js))
+      out.push_back(BasSignature{p});
+    return out;
   }
-  ECPoint hm = ctx_->HashToPoint(message, mode);
-  return BasSignature{ctx_->curve().ScalarMult(hm, x_)};
+  for (const Slice& m : messages) {
+    ECPoint hm = ctx_->HashToPoint(m, mode);
+    out.push_back(BasSignature{ctx_->curve().ScalarMult(hm, x_)});
+  }
+  return out;
 }
 
 bool BasPublicKey::Verify(Slice message, const BasSignature& sig,
@@ -213,13 +226,14 @@ std::vector<bool> BasPublicKey::VerifyAggregateBatch(
     std::vector<Slice> flat;
     for (const auto& c : claims)
       flat.insert(flat.end(), c.messages.begin(), c.messages.end());
-    std::vector<BigInt> hs(flat.size());
+    std::vector<Fp> hs(flat.size());
     ctx_->HashToScalarMany(flat.data(), flat.size(), hs.data());
+    const PrimeField& zr = ctx_->scalars();
     size_t at = 0;
     for (const auto& c : claims) {
-      BigInt sum;
+      Fp sum;
       for (size_t i = 0; i < c.messages.size(); ++i)
-        sum = BigInt::Mod(BigInt::Add(sum, hs[at++]), ctx_->order());
+        sum = zr.Add(sum, hs[at++]);
       sums.push_back(ctx_->FixedBaseMultJac(sum));
     }
   } else {

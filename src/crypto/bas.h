@@ -73,6 +73,7 @@ class BasContext {
   /// Deterministic default parameter set (fixed seed). Built once, shared.
   static std::shared_ptr<const BasContext> Default();
   /// Generate fresh parameters with the given rng (exposed for tests).
+  /// p_bits <= 256: field elements are fixed-width (crypto/fp.h).
   static std::shared_ptr<const BasContext> Generate(int p_bits, int r_bits,
                                                     Rng* rng);
 
@@ -80,20 +81,24 @@ class BasContext {
   const TatePairing& pairing() const { return *pairing_; }
   const ECPoint& generator() const { return generator_; }
   const BigInt& order() const { return curve_->order(); }
+  /// Z_r in the same fixed-width arithmetic as the curve's field. Scalars
+  /// are plain residues (not Montgomery form): see PrimeField.
+  const PrimeField& scalars() const { return *scalars_; }
 
   /// Map a message to a point of the order-r subgroup.
   ECPoint HashToPoint(Slice msg, HashMode mode) const;
-  /// SHA-256(msg) reduced into Z_r (the exponent used by kFast).
-  BigInt HashToScalar(Slice msg) const;
+  /// SHA-256(msg) reduced into Z_r (the exponent used by kFast), plain.
+  Fp HashToScalar(Slice msg) const;
   /// Batched HashToScalar: every message is hashed through the multi-buffer
   /// SHA front end (Sha256::HashMany) in one pass, then reduced into Z_r.
   /// `out` must hold `count` scalars; equivalent to HashToScalar per msg.
-  void HashToScalarMany(const Slice* msgs, size_t count, BigInt* out) const;
-  /// k * G through the fixed-base window table (~40 mixed additions).
-  ECPoint FixedBaseMult(const BigInt& k) const;
+  void HashToScalarMany(const Slice* msgs, size_t count, Fp* out) const;
+  /// k * G through the fixed-base window table (~40 mixed additions), for
+  /// a plain scalar k (reduced mod r first when k >= r).
+  ECPoint FixedBaseMult(const Fp& k) const;
   /// k * G left as a Jacobian accumulator (no inversion): callers doing
   /// many multiplications batch the affine conversion via ToAffineBatch.
-  CurveGroup::Jacobian FixedBaseMultJac(const BigInt& k) const;
+  CurveGroup::Jacobian FixedBaseMultJac(const Fp& k) const;
 
   /// Aggregate signatures by point addition (associative & commutative).
   BasSignature Aggregate(const std::vector<BasSignature>& sigs) const;
@@ -115,6 +120,7 @@ class BasContext {
   void BuildFixedBaseTable();
 
   std::unique_ptr<CurveGroup> curve_;
+  std::unique_ptr<PrimeField> scalars_;
   std::unique_ptr<TatePairing> pairing_;
   ECPoint generator_;
   // fixed_base_[w][j] = j * 2^(4w) * G for j in [1, 15], affine.
@@ -169,16 +175,25 @@ class BasPrivateKey {
   static BasPrivateKey Generate(std::shared_ptr<const BasContext> ctx,
                                 Rng* rng);
 
-  /// sigma = x * H(m).
+  /// sigma = x * H(m). A batch of one message (SignBatch).
   BasSignature Sign(Slice message,
                     BasContext::HashMode mode =
                         BasContext::HashMode::kSecure) const;
+
+  /// Sign every message; out[i] signs messages[i]. kFast hashes all
+  /// messages in one multi-buffer pass and converts every signature to
+  /// affine with ONE shared inversion (CurveGroup::ToAffineBatch) — the
+  /// signing mirror of VerifyAggregateBatch. kSecure signs one by one.
+  std::vector<BasSignature> SignBatch(
+      const std::vector<Slice>& messages,
+      BasContext::HashMode mode = BasContext::HashMode::kSecure) const;
 
   const BasPublicKey& public_key() const { return pub_; }
 
  private:
   std::shared_ptr<const BasContext> ctx_;
   BigInt x_;
+  Fp x_mont_;  // x in Montgomery form mod r: Mul(x_mont_, h) = x*h mod r
   BasPublicKey pub_;
 };
 

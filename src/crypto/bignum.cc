@@ -445,31 +445,15 @@ BigInt MontgomeryContext::FromMont(const BigInt& a) const {
   return Redc(std::move(t));
 }
 
-BigInt MontgomeryContext::Add(const BigInt& a, const BigInt& b) const {
-  BigInt s = BigInt::Add(a, b);
-  if (BigInt::Compare(s, n_) >= 0) s = BigInt::Sub(s, n_);
-  return s;
-}
-
-BigInt MontgomeryContext::Sub(const BigInt& a, const BigInt& b) const {
-  if (BigInt::Compare(a, b) >= 0) return BigInt::Sub(a, b);
-  return BigInt::Sub(BigInt::Add(a, n_), b);
-}
-
-BigInt MontgomeryContext::ExpMont(const BigInt& base_mont,
-                                  const BigInt& e) const {
-  BigInt acc = one_mont_;
-  int bits = e.BitLength();
-  for (int i = bits - 1; i >= 0; --i) {
-    acc = Mul(acc, acc);
-    if (e.Bit(i)) acc = Mul(acc, base_mont);
-  }
-  return acc;
-}
-
 BigInt MontgomeryContext::Exp(const BigInt& base, const BigInt& e) const {
   BigInt b = BigInt::Compare(base, n_) >= 0 ? BigInt::Mod(base, n_) : base;
-  return FromMont(ExpMont(ToMont(b), e));
+  BigInt b_mont = ToMont(b);
+  BigInt acc = one_mont_;
+  for (int i = e.BitLength() - 1; i >= 0; --i) {
+    acc = Mul(acc, acc);
+    if (e.Bit(i)) acc = Mul(acc, b_mont);
+  }
+  return FromMont(acc);
 }
 
 }  // namespace authdb

@@ -12,11 +12,12 @@ namespace authdb {
 
 /// Arbitrary-precision unsigned integer with 32-bit limbs (little-endian).
 ///
-/// This is the arithmetic substrate for the RSA and elliptic-curve layers.
-/// Hot paths (modular exponentiation, field multiplication) go through
-/// MontgomeryContext below; BigInt itself provides schoolbook operations and
-/// a binary long division used on cold paths (parameter generation, one-time
-/// reductions).
+/// This is the arithmetic substrate for RSA, parameter generation and
+/// primality testing, and the byte/hex boundaries of the elliptic-curve
+/// layer (whose field arithmetic is the fixed-width PrimeField in
+/// crypto/fp.h). RSA's modular exponentiation goes through
+/// MontgomeryContext below; BigInt itself provides schoolbook operations
+/// and a binary long division used on cold paths.
 class BigInt {
  public:
   BigInt() = default;
@@ -82,10 +83,10 @@ class BigInt {
   std::vector<uint32_t> limbs_;  // little-endian, no trailing zero limbs
 };
 
-/// Montgomery multiplication context for a fixed odd modulus. Provides the
-/// fast modular primitives used by RSA signing and all elliptic-curve field
-/// arithmetic. Values passed to Mul/Exp must be in Montgomery form
-/// (use ToMont / FromMont at the boundaries).
+/// Montgomery multiplication context for a fixed odd modulus of any size:
+/// the modular primitives of RSA signing and verification. Values passed
+/// to Mul must be in Montgomery form (use ToMont / FromMont at the
+/// boundaries).
 class MontgomeryContext {
  public:
   explicit MontgomeryContext(const BigInt& modulus);
@@ -98,16 +99,9 @@ class MontgomeryContext {
 
   /// Montgomery product: returns a*b*R^-1 mod n (all in Montgomery form).
   BigInt Mul(const BigInt& a, const BigInt& b) const;
-  /// a + b mod n. Works on plain or Montgomery form alike.
-  BigInt Add(const BigInt& a, const BigInt& b) const;
-  /// a - b mod n.
-  BigInt Sub(const BigInt& a, const BigInt& b) const;
 
   /// Modular exponentiation base^e mod n (base and result in PLAIN form).
   BigInt Exp(const BigInt& base, const BigInt& e) const;
-  /// Exponentiation where base is already in Montgomery form; the result is
-  /// in Montgomery form too (used by field code that stays in Mont form).
-  BigInt ExpMont(const BigInt& base_mont, const BigInt& e) const;
 
   /// The Montgomery representation of 1.
   const BigInt& OneMont() const { return one_mont_; }

@@ -16,9 +16,9 @@ CurveGroup::CurveGroup(const BigInt& p, uint64_t a, uint64_t b,
       r_(order_r),
       cofactor_(cofactor) {}
 
-BigInt CurveGroup::CurveRhs(const BigInt& x) const {
+Fp CurveGroup::CurveRhs(const Fp& x) const {
   const PrimeField& f = *fp_;
-  BigInt x3 = f.Mul(f.Sqr(x), x);
+  Fp x3 = f.Mul(f.Sqr(x), x);
   return f.Add(f.Add(x3, f.Mul(a_, x)), b_);
 }
 
@@ -38,15 +38,15 @@ ECPoint CurveGroup::Negate(const ECPoint& p) const {
 }
 
 CurveGroup::Jacobian CurveGroup::ToJacobian(const ECPoint& p) const {
-  if (p.infinity) return Jacobian{fp_->One(), fp_->One(), BigInt()};
+  if (p.infinity) return Jacobian{fp_->One(), fp_->One(), Fp{}};
   return Jacobian{p.x, p.y, fp_->One()};
 }
 
 ECPoint CurveGroup::ToAffine(const Jacobian& j) const {
   if (JacIsInfinity(j)) return ECPoint{};
   const PrimeField& f = *fp_;
-  BigInt zi = f.Inv(j.Z);
-  BigInt zi2 = f.Sqr(zi);
+  Fp zi = f.Inv(j.Z);
+  Fp zi2 = f.Sqr(zi);
   ECPoint out;
   out.infinity = false;
   out.x = f.Mul(j.X, zi2);
@@ -61,10 +61,10 @@ std::vector<ECPoint> CurveGroup::ToAffineBatch(
   // Montgomery's trick: prefix-multiply the finite Zs, invert the single
   // running product, then peel per-element inverses off backwards.
   std::vector<size_t> finite;
-  std::vector<BigInt> prefix;  // prefix[k] = Z_{finite[0]} * ... * Z_{finite[k]}
+  std::vector<Fp> prefix;  // prefix[k] = Z_{finite[0]} * ... * Z_{finite[k]}
   finite.reserve(js.size());
   prefix.reserve(js.size());
-  BigInt running = f.One();
+  Fp running = f.One();
   for (size_t i = 0; i < js.size(); ++i) {
     if (JacIsInfinity(js[i])) continue;  // out[i] stays the infinity point
     running = f.Mul(running, js[i].Z);
@@ -72,12 +72,12 @@ std::vector<ECPoint> CurveGroup::ToAffineBatch(
     prefix.push_back(running);
   }
   if (finite.empty()) return out;
-  BigInt inv = f.Inv(running);  // the batch's one inversion
+  Fp inv = f.Inv(running);  // the batch's one inversion
   for (size_t k = finite.size(); k-- > 0;) {
     size_t i = finite[k];
-    BigInt zi = k == 0 ? inv : f.Mul(inv, prefix[k - 1]);
+    Fp zi = k == 0 ? inv : f.Mul(inv, prefix[k - 1]);
     inv = f.Mul(inv, js[i].Z);  // running inverse of the shorter prefix
-    BigInt zi2 = f.Sqr(zi);
+    Fp zi2 = f.Sqr(zi);
     out[i].infinity = false;
     out[i].x = f.Mul(js[i].X, zi2);
     out[i].y = f.Mul(js[i].Y, f.Mul(zi2, zi));
@@ -88,14 +88,15 @@ std::vector<ECPoint> CurveGroup::ToAffineBatch(
 CurveGroup::Jacobian CurveGroup::JacDouble(const Jacobian& p) const {
   const PrimeField& f = *fp_;
   if (JacIsInfinity(p) || p.Y.IsZero())
-    return Jacobian{f.One(), f.One(), BigInt()};
-  BigInt y2 = f.Sqr(p.Y);
-  BigInt s = f.Mul(f.FromU64(4), f.Mul(p.X, y2));
-  BigInt z2 = f.Sqr(p.Z);
-  BigInt m = f.Add(f.Mul(f.FromU64(3), f.Sqr(p.X)), f.Mul(a_, f.Sqr(z2)));
-  BigInt x3 = f.Sub(f.Sqr(m), f.Dbl(s));
-  BigInt y3 = f.Sub(f.Mul(m, f.Sub(s, x3)), f.Mul(f.FromU64(8), f.Sqr(y2)));
-  BigInt z3 = f.Mul(f.Dbl(p.Y), p.Z);
+    return Jacobian{f.One(), f.One(), Fp{}};
+  Fp y2 = f.Sqr(p.Y);
+  Fp s = f.Dbl(f.Dbl(f.Mul(p.X, y2)));  // 4*X*Y^2
+  Fp z2 = f.Sqr(p.Z);
+  Fp xx = f.Sqr(p.X);
+  Fp m = f.Add(f.Add(f.Dbl(xx), xx), f.Mul(a_, f.Sqr(z2)));
+  Fp x3 = f.Sub(f.Sqr(m), f.Dbl(s));
+  Fp y3 = f.Sub(f.Mul(m, f.Sub(s, x3)), f.Dbl(f.Dbl(f.Dbl(f.Sqr(y2)))));
+  Fp z3 = f.Mul(f.Dbl(p.Y), p.Z);
   return Jacobian{x3, y3, z3};
 }
 
@@ -104,24 +105,24 @@ CurveGroup::Jacobian CurveGroup::JacAdd(const Jacobian& p,
   const PrimeField& f = *fp_;
   if (JacIsInfinity(p)) return q;
   if (JacIsInfinity(q)) return p;
-  BigInt z1z1 = f.Sqr(p.Z);
-  BigInt z2z2 = f.Sqr(q.Z);
-  BigInt u1 = f.Mul(p.X, z2z2);
-  BigInt u2 = f.Mul(q.X, z1z1);
-  BigInt s1 = f.Mul(p.Y, f.Mul(q.Z, z2z2));
-  BigInt s2 = f.Mul(q.Y, f.Mul(p.Z, z1z1));
-  BigInt h = f.Sub(u2, u1);
-  BigInt r = f.Sub(s2, s1);
+  Fp z1z1 = f.Sqr(p.Z);
+  Fp z2z2 = f.Sqr(q.Z);
+  Fp u1 = f.Mul(p.X, z2z2);
+  Fp u2 = f.Mul(q.X, z1z1);
+  Fp s1 = f.Mul(p.Y, f.Mul(q.Z, z2z2));
+  Fp s2 = f.Mul(q.Y, f.Mul(p.Z, z1z1));
+  Fp h = f.Sub(u2, u1);
+  Fp r = f.Sub(s2, s1);
   if (h.IsZero()) {
     if (r.IsZero()) return JacDouble(p);
-    return Jacobian{f.One(), f.One(), BigInt()};  // P + (-P) = O
+    return Jacobian{f.One(), f.One(), Fp{}};  // P + (-P) = O
   }
-  BigInt hh = f.Sqr(h);
-  BigInt hhh = f.Mul(h, hh);
-  BigInt v = f.Mul(u1, hh);
-  BigInt x3 = f.Sub(f.Sub(f.Sqr(r), hhh), f.Dbl(v));
-  BigInt y3 = f.Sub(f.Mul(r, f.Sub(v, x3)), f.Mul(s1, hhh));
-  BigInt z3 = f.Mul(f.Mul(p.Z, q.Z), h);
+  Fp hh = f.Sqr(h);
+  Fp hhh = f.Mul(h, hh);
+  Fp v = f.Mul(u1, hh);
+  Fp x3 = f.Sub(f.Sub(f.Sqr(r), hhh), f.Dbl(v));
+  Fp y3 = f.Sub(f.Mul(r, f.Sub(v, x3)), f.Mul(s1, hhh));
+  Fp z3 = f.Mul(f.Mul(p.Z, q.Z), h);
   return Jacobian{x3, y3, z3};
 }
 
@@ -130,21 +131,21 @@ CurveGroup::Jacobian CurveGroup::JacAddAffine(const Jacobian& p,
   const PrimeField& f = *fp_;
   AUTHDB_DCHECK(!q.infinity);
   if (JacIsInfinity(p)) return Jacobian{q.x, q.y, f.One()};
-  BigInt z1z1 = f.Sqr(p.Z);
-  BigInt u2 = f.Mul(q.x, z1z1);
-  BigInt s2 = f.Mul(q.y, f.Mul(p.Z, z1z1));
-  BigInt h = f.Sub(u2, p.X);
-  BigInt r = f.Sub(s2, p.Y);
+  Fp z1z1 = f.Sqr(p.Z);
+  Fp u2 = f.Mul(q.x, z1z1);
+  Fp s2 = f.Mul(q.y, f.Mul(p.Z, z1z1));
+  Fp h = f.Sub(u2, p.X);
+  Fp r = f.Sub(s2, p.Y);
   if (h.IsZero()) {
     if (r.IsZero()) return JacDouble(p);
-    return Jacobian{f.One(), f.One(), BigInt()};
+    return Jacobian{f.One(), f.One(), Fp{}};
   }
-  BigInt hh = f.Sqr(h);
-  BigInt hhh = f.Mul(h, hh);
-  BigInt v = f.Mul(p.X, hh);
-  BigInt x3 = f.Sub(f.Sub(f.Sqr(r), hhh), f.Dbl(v));
-  BigInt y3 = f.Sub(f.Mul(r, f.Sub(v, x3)), f.Mul(p.Y, hhh));
-  BigInt z3 = f.Mul(p.Z, h);
+  Fp hh = f.Sqr(h);
+  Fp hhh = f.Mul(h, hh);
+  Fp v = f.Mul(p.X, hh);
+  Fp x3 = f.Sub(f.Sub(f.Sqr(r), hhh), f.Dbl(v));
+  Fp y3 = f.Sub(f.Mul(r, f.Sub(v, x3)), f.Mul(p.Y, hhh));
+  Fp z3 = f.Mul(p.Z, h);
   return Jacobian{x3, y3, z3};
 }
 
@@ -160,7 +161,7 @@ ECPoint CurveGroup::Double(const ECPoint& p) const {
 
 ECPoint CurveGroup::ScalarMult(const ECPoint& p, const BigInt& k) const {
   if (p.infinity || k.IsZero()) return ECPoint{};
-  Jacobian acc{fp_->One(), fp_->One(), BigInt()};  // infinity
+  Jacobian acc{fp_->One(), fp_->One(), Fp{}};  // infinity
   for (int i = k.BitLength() - 1; i >= 0; --i) {
     acc = JacDouble(acc);
     if (k.Bit(i)) acc = JacAddAffine(acc, p);
@@ -169,7 +170,7 @@ ECPoint CurveGroup::ScalarMult(const ECPoint& p, const BigInt& k) const {
 }
 
 ECPoint CurveGroup::Sum(const std::vector<ECPoint>& points) const {
-  Jacobian acc{fp_->One(), fp_->One(), BigInt()};
+  Jacobian acc{fp_->One(), fp_->One(), Fp{}};
   for (const ECPoint& p : points) {
     if (p.infinity) continue;
     acc = JacAddAffine(acc, p);
@@ -180,8 +181,8 @@ ECPoint CurveGroup::Sum(const std::vector<ECPoint>& points) const {
 ECPoint CurveGroup::FindGenerator() const {
   const PrimeField& f = *fp_;
   for (uint64_t xi = 1;; ++xi) {
-    BigInt x = f.FromU64(xi);
-    BigInt rhs = CurveRhs(x);
+    Fp x = f.FromU64(xi);
+    Fp rhs = CurveRhs(x);
     if (!f.IsSquare(rhs) || rhs.IsZero()) continue;
     ECPoint pt{x, f.Sqrt(rhs), false};
     AUTHDB_CHECK(IsOnCurve(pt));
@@ -194,16 +195,18 @@ ECPoint CurveGroup::FindGenerator() const {
 
 std::vector<uint8_t> CurveGroup::Serialize(const ECPoint& pt) const {
   size_t w = fp_->element_bytes();
-  if (pt.infinity) return std::vector<uint8_t>(2 * w, 0);
-  std::vector<uint8_t> out = fp_->ToPlain(pt.x).ToBytes(w);
-  std::vector<uint8_t> yb = fp_->ToPlain(pt.y).ToBytes(w);
-  out.insert(out.end(), yb.begin(), yb.end());
+  std::vector<uint8_t> out(2 * w, 0);
+  if (pt.infinity) return out;
+  fp_->FromMont(pt.x).ToBytes(out.data(), w);
+  fp_->FromMont(pt.y).ToBytes(out.data() + w, w);
   return out;
 }
 
-ECPoint CurveGroup::Deserialize(const std::vector<uint8_t>& bytes) const {
+Result<ECPoint> CurveGroup::Deserialize(
+    const std::vector<uint8_t>& bytes) const {
   size_t w = fp_->element_bytes();
-  AUTHDB_CHECK(bytes.size() == 2 * w);
+  if (bytes.size() != 2 * w)
+    return Status::Corruption("point encoding has the wrong length");
   bool all_zero = true;
   for (uint8_t b : bytes) {
     if (b != 0) {
@@ -212,10 +215,12 @@ ECPoint CurveGroup::Deserialize(const std::vector<uint8_t>& bytes) const {
     }
   }
   if (all_zero) return ECPoint{};
-  ECPoint pt;
-  pt.infinity = false;
-  pt.x = fp_->FromPlain(BigInt::FromBytes(Slice(bytes.data(), w)));
-  pt.y = fp_->FromPlain(BigInt::FromBytes(Slice(bytes.data() + w, w)));
+  Fp x = Fp::FromBytes(Slice(bytes.data(), w));
+  Fp y = Fp::FromBytes(Slice(bytes.data() + w, w));
+  if (!fp_->IsReduced(x) || !fp_->IsReduced(y))
+    return Status::Corruption("point coordinate >= p");
+  ECPoint pt{fp_->ToMont(x), fp_->ToMont(y), false};
+  if (!IsOnCurve(pt)) return Status::Corruption("point not on the curve");
   return pt;
 }
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/result.h"
 #include "crypto/fp.h"
 
 namespace authdb {
@@ -12,7 +13,7 @@ namespace authdb {
 /// Affine point on an elliptic curve over F_p (coordinates in Montgomery
 /// form). The default-constructed point is the point at infinity.
 struct ECPoint {
-  BigInt x, y;
+  Fp x, y;
   bool infinity = true;
 };
 
@@ -30,7 +31,7 @@ class CurveGroup {
   const PrimeField& field() const { return *fp_; }
   const BigInt& order() const { return r_; }
   const BigInt& cofactor() const { return cofactor_; }
-  const BigInt& a_mont() const { return a_; }
+  const Fp& a_mont() const { return a_; }
 
   bool IsOnCurve(const ECPoint& pt) const;
   bool Equal(const ECPoint& p1, const ECPoint& p2) const;
@@ -51,18 +52,21 @@ class CurveGroup {
   ECPoint FindGenerator() const;
 
   /// Map y^2 = rhs(x): returns rhs = x^3 + a*x + b (Montgomery form).
-  BigInt CurveRhs(const BigInt& x) const;
+  Fp CurveRhs(const Fp& x) const;
 
   /// Serialize a point as 2*field_bytes big-endian bytes (x||y), or all
   /// zeros for infinity; used for hashing/certifying points.
   std::vector<uint8_t> Serialize(const ECPoint& pt) const;
-  ECPoint Deserialize(const std::vector<uint8_t>& bytes) const;
+  /// Inverse of Serialize for bytes from outside the process. Exactly one
+  /// encoding decodes to each point: a wrong length, a coordinate >= p or
+  /// a point off the curve is Corruption.
+  Result<ECPoint> Deserialize(const std::vector<uint8_t>& bytes) const;
 
   // -- Jacobian internals, exposed for bulk accumulation (the pairing's
   //    Miller loop inlines the same formulas to reuse their intermediates
   //    in its line values). x = X/Z^2, y = Y/Z^3; Z=0 encodes infinity.
   struct Jacobian {
-    BigInt X, Y, Z;
+    Fp X, Y, Z;
   };
   Jacobian ToJacobian(const ECPoint& p) const;
   ECPoint ToAffine(const Jacobian& j) const;
@@ -80,7 +84,7 @@ class CurveGroup {
 
  private:
   std::shared_ptr<PrimeField> fp_;
-  BigInt a_, b_;  // curve coefficients, Montgomery form
+  Fp a_, b_;  // curve coefficients, Montgomery form
   BigInt r_, cofactor_;
 };
 

@@ -1,0 +1,84 @@
+#include "crypto/fp.h"
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "common/logging.h"
+
+namespace authdb {
+
+int Fp::BitLength() const {
+  for (int i = 3; i >= 0; --i) {
+    if (limb[i] != 0) return 64 * i + 64 - __builtin_clzll(limb[i]);
+  }
+  return 0;
+}
+
+Fp Fp::FromBigInt(const BigInt& a) {
+  const std::vector<uint32_t>& w = a.limbs();
+  AUTHDB_CHECK(w.size() <= 8);
+  Fp out;
+  for (size_t i = 0; i < w.size(); ++i)
+    out.limb[i / 2] |= static_cast<uint64_t>(w[i]) << (32 * (i % 2));
+  return out;
+}
+
+BigInt Fp::ToBigInt() const {
+  uint8_t bytes[32];
+  ToBytes(bytes, sizeof(bytes));
+  return BigInt::FromBytes(Slice(bytes, sizeof(bytes)));
+}
+
+Fp Fp::FromBytes(Slice bytes) {
+  AUTHDB_CHECK(bytes.size() <= 32);
+  Fp out;
+  const uint8_t* p = bytes.data();
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    size_t bit = 8 * (bytes.size() - 1 - i);  // big-endian
+    out.limb[bit / 64] |= static_cast<uint64_t>(p[i]) << (bit % 64);
+  }
+  return out;
+}
+
+void Fp::ToBytes(uint8_t* out, size_t width) const {
+  AUTHDB_CHECK(width <= 32 && BitLength() <= static_cast<int>(8 * width));
+  for (size_t i = 0; i < width; ++i) {
+    size_t bit = 8 * (width - 1 - i);
+    out[i] = static_cast<uint8_t>(limb[bit / 64] >> (bit % 64));
+  }
+}
+
+PrimeField::PrimeField(const BigInt& p) : p_big_(p) {
+  AUTHDB_CHECK(p.IsOdd() && p.BitLength() <= 256);
+  p_ = Fp::FromBigInt(p);
+  // -p^-1 mod 2^64 by Newton iteration: p*p = 1 (mod 8) seeds 3 correct
+  // bits and each step doubles them.
+  uint64_t inv = p_.limb[0];
+  for (int i = 0; i < 5; ++i) inv *= 2 - p_.limb[0] * inv;
+  n0_inv_ = ~inv + 1;
+  BigInt r = BigInt::Mod(BigInt::ShiftLeft(BigInt(1), 256), p);
+  one_ = Fp::FromBigInt(r);
+  rr_ = Fp::FromBigInt(BigInt::Mod(BigInt::Mul(r, r), p));
+  p_minus_2_ = Fp::FromBigInt(BigInt::Sub(p, BigInt(2)));
+  p_minus_1_half_ =
+      Fp::FromBigInt(BigInt::ShiftRight(BigInt::Sub(p, BigInt(1)), 1));
+  p_plus_1_quarter_ =
+      Fp::FromBigInt(BigInt::ShiftRight(BigInt::Add(p, BigInt(1)), 2));
+}
+
+Fp PrimeField::FromPlain(const BigInt& a) const {
+  return ToMont(
+      Fp::FromBigInt(a.BitLength() > 256 ? BigInt::Mod(a, p_big_) : a));
+}
+
+Fp PrimeField::Exp(const Fp& a, const Fp& e) const {
+  Fp acc = one_;
+  for (int i = e.BitLength() - 1; i >= 0; --i) {
+    acc = Sqr(acc);
+    if (e.Bit(i)) acc = Mul(acc, a);
+  }
+  return acc;
+}
+
+}  // namespace authdb

@@ -1,80 +1,198 @@
 #ifndef AUTHDB_CRYPTO_FP_H_
 #define AUTHDB_CRYPTO_FP_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 
+#include "common/slice.h"
 #include "crypto/bignum.h"
 
 namespace authdb {
 
-/// Prime field F_p. Elements are BigInts kept in Montgomery form; all
-/// arithmetic is constant-allocation Montgomery arithmetic. Conversions
-/// happen only at serialization boundaries.
+/// A 256-bit value in four little-endian 64-bit limbs, held by value on the
+/// stack. As a field element it is a residue of its PrimeField's modulus in
+/// Montgomery form; scalars mod r and exponents are plain integers in the
+/// same type. The conversions here move raw limbs only — no reduction and
+/// no Montgomery conversion (PrimeField does those).
+struct Fp {
+  uint64_t limb[4] = {0, 0, 0, 0};
+
+  bool IsZero() const { return (limb[0] | limb[1] | limb[2] | limb[3]) == 0; }
+  bool Bit(int i) const { return (limb[i >> 6] >> (i & 63)) & 1; }
+  int BitLength() const;
+
+  friend bool operator==(const Fp& a, const Fp& b) {
+    return ((a.limb[0] ^ b.limb[0]) | (a.limb[1] ^ b.limb[1]) |
+            (a.limb[2] ^ b.limb[2]) | (a.limb[3] ^ b.limb[3])) == 0;
+  }
+
+  /// `a` must be below 2^256.
+  static Fp FromBigInt(const BigInt& a);
+  BigInt ToBigInt() const;
+  /// Big-endian bytes; at most 32 of them.
+  static Fp FromBytes(Slice bytes);
+  /// Big-endian, zero-padded to `width` <= 32 bytes; the value must fit.
+  void ToBytes(uint8_t* out, size_t width) const;
+};
+
+/// Prime field F_p for an odd p below 2^256, in fixed-width Montgomery
+/// arithmetic with R = 2^256: CIOS multiplication on 64x64->128-bit limb
+/// products, and no heap allocation anywhere in the arithmetic (Inv and
+/// Exp included). BigInt appears only in the constructor and the
+/// FromPlain/ToPlain boundary conversions.
+///
+/// The same class serves Z_r for BAS scalars, where values stay plain: the
+/// Montgomery product of a plain value and a Montgomery-form value is
+/// plain, so Mul(ToMont(x), h) = x*h mod r and Reduce(v) = v mod r.
 class PrimeField {
  public:
-  explicit PrimeField(const BigInt& p)
-      : p_(p), mont_(std::make_shared<MontgomeryContext>(p)) {
-    // Precompute exponents for Euler criterion and sqrt (p = 3 mod 4).
-    p_minus_1_half_ = BigInt::ShiftRight(BigInt::Sub(p_, BigInt(1)), 1);
-    p_plus_1_quarter_ = BigInt::ShiftRight(BigInt::Add(p_, BigInt(1)), 2);
-  }
+  explicit PrimeField(const BigInt& p);
 
-  const BigInt& p() const { return p_; }
-  int element_bytes() const { return (p_.BitLength() + 7) / 8; }
+  const BigInt& p() const { return p_big_; }
+  int element_bytes() const { return (p_big_.BitLength() + 7) / 8; }
 
   /// Montgomery-form constants.
-  BigInt Zero() const { return BigInt(); }
-  BigInt One() const { return mont_->OneMont(); }
+  Fp Zero() const { return Fp{}; }
+  const Fp& One() const { return one_; }
 
-  BigInt FromPlain(const BigInt& a) const {
-    return mont_->ToMont(BigInt::Compare(a, p_) >= 0 ? BigInt::Mod(a, p_) : a);
-  }
-  BigInt ToPlain(const BigInt& a) const { return mont_->FromMont(a); }
-  BigInt FromU64(uint64_t v) const { return FromPlain(BigInt(v)); }
+  /// Boundary conversions between plain BigInts and Montgomery form.
+  Fp FromPlain(const BigInt& a) const;
+  BigInt ToPlain(const Fp& a) const { return FromMont(a).ToBigInt(); }
+  Fp FromU64(uint64_t v) const { return ToMont(Fp{{v, 0, 0, 0}}); }
 
-  BigInt Add(const BigInt& a, const BigInt& b) const { return mont_->Add(a, b); }
-  BigInt Sub(const BigInt& a, const BigInt& b) const { return mont_->Sub(a, b); }
-  BigInt Mul(const BigInt& a, const BigInt& b) const { return mont_->Mul(a, b); }
-  BigInt Sqr(const BigInt& a) const { return mont_->Mul(a, a); }
-  BigInt Neg(const BigInt& a) const {
-    return a.IsZero() ? a : BigInt::Sub(p_, a);
-  }
-  BigInt Dbl(const BigInt& a) const { return Add(a, a); }
+  /// Montgomery form of (v mod p) for any 256-bit plain v.
+  Fp ToMont(const Fp& v) const { return Mul(v, rr_); }
+  /// Plain value of a Montgomery-form element.
+  Fp FromMont(const Fp& a) const { return Mul(a, Fp{{1, 0, 0, 0}}); }
+  /// v mod p for any 256-bit plain v, staying plain.
+  Fp Reduce(const Fp& v) const { return Mul(v, one_); }
+  /// True iff the 256-bit value `v` is below p (a canonical residue).
+  bool IsReduced(const Fp& v) const;
 
-  /// Multiplicative inverse (extended binary GCD on the plain value; faster
-  /// than a Fermat exponentiation at our field sizes). Zero maps to zero.
-  BigInt Inv(const BigInt& a) const {
-    if (a.IsZero()) return a;
-    return mont_->ToMont(BigInt::ModInverse(mont_->FromMont(a), p_));
-  }
+  inline Fp Add(const Fp& a, const Fp& b) const;
+  inline Fp Sub(const Fp& a, const Fp& b) const;
+  /// Montgomery product a*b/R mod p. Needs a*b < p*R, which holds when
+  /// either operand is reduced.
+  inline Fp Mul(const Fp& a, const Fp& b) const;
+  Fp Sqr(const Fp& a) const { return Mul(a, a); }
+  Fp Neg(const Fp& a) const { return a.IsZero() ? a : Sub(Fp{}, a); }
+  Fp Dbl(const Fp& a) const { return Add(a, a); }
 
-  /// a^e with a in Montgomery form; result in Montgomery form.
-  BigInt Exp(const BigInt& a, const BigInt& e) const {
-    return mont_->ExpMont(a, e);
-  }
+  /// Multiplicative inverse by Fermat, a^(p-2). Zero maps to zero.
+  Fp Inv(const Fp& a) const { return Exp(a, p_minus_2_); }
+
+  /// a^e for a in Montgomery form and a plain exponent e; result in
+  /// Montgomery form.
+  Fp Exp(const Fp& a, const Fp& e) const;
 
   /// Euler criterion: true iff `a` is a quadratic residue (or zero).
-  bool IsSquare(const BigInt& a) const {
-    if (a.IsZero()) return true;
-    BigInt t = Exp(a, p_minus_1_half_);
-    return BigInt::Compare(t, One()) == 0;
+  bool IsSquare(const Fp& a) const {
+    return a.IsZero() || Exp(a, p_minus_1_half_) == one_;
   }
 
   /// Square root for p = 3 (mod 4): a^((p+1)/4). Caller must ensure `a` is a
   /// quadratic residue.
-  BigInt Sqrt(const BigInt& a) const { return Exp(a, p_plus_1_quarter_); }
+  Fp Sqrt(const Fp& a) const { return Exp(a, p_plus_1_quarter_); }
 
-  bool Equal(const BigInt& a, const BigInt& b) const {
-    return BigInt::Compare(a, b) == 0;
-  }
+  bool Equal(const Fp& a, const Fp& b) const { return a == b; }
 
  private:
-  BigInt p_;
-  std::shared_ptr<MontgomeryContext> mont_;
-  BigInt p_minus_1_half_;
-  BigInt p_plus_1_quarter_;
+  BigInt p_big_;
+  Fp p_;
+  uint64_t n0_inv_ = 0;  // -p^-1 mod 2^64
+  Fp one_;               // R mod p
+  Fp rr_;                // R^2 mod p
+  Fp p_minus_2_;
+  Fp p_minus_1_half_;
+  Fp p_plus_1_quarter_;
 };
+
+namespace fp_internal {
+
+using u128 = unsigned __int128;
+
+/// out = a - b over four limbs; returns the borrow out of limb 3.
+inline uint64_t SubLimbs(const Fp& a, const Fp& b, Fp* out) {
+  uint64_t borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    u128 d = static_cast<u128>(a.limb[i]) - b.limb[i] - borrow;
+    out->limb[i] = static_cast<uint64_t>(d);
+    borrow = static_cast<uint64_t>(d >> 64) & 1;
+  }
+  return borrow;
+}
+
+/// out = a + b over four limbs; returns the carry out of limb 3.
+inline uint64_t AddLimbs(const Fp& a, const Fp& b, Fp* out) {
+  uint64_t carry = 0;
+  for (int i = 0; i < 4; ++i) {
+    u128 s = static_cast<u128>(a.limb[i]) + b.limb[i] + carry;
+    out->limb[i] = static_cast<uint64_t>(s);
+    carry = static_cast<uint64_t>(s >> 64);
+  }
+  return carry;
+}
+
+}  // namespace fp_internal
+
+inline bool PrimeField::IsReduced(const Fp& v) const {
+  Fp d;
+  return fp_internal::SubLimbs(v, p_, &d) != 0;
+}
+
+inline Fp PrimeField::Add(const Fp& a, const Fp& b) const {
+  // a + b < 2p can pass 2^256 when p's top bit is set; the carry out of
+  // limb 3 then means the sum certainly exceeds p.
+  Fp s, d;
+  uint64_t carry = fp_internal::AddLimbs(a, b, &s);
+  uint64_t borrow = fp_internal::SubLimbs(s, p_, &d);
+  return (carry != 0 || borrow == 0) ? d : s;
+}
+
+inline Fp PrimeField::Sub(const Fp& a, const Fp& b) const {
+  Fp d;
+  if (fp_internal::SubLimbs(a, b, &d) != 0) {
+    Fp s;
+    fp_internal::AddLimbs(d, p_, &s);  // wraps back below 2^256
+    return s;
+  }
+  return d;
+}
+
+inline Fp PrimeField::Mul(const Fp& a, const Fp& b) const {
+  using fp_internal::u128;
+  // CIOS: interleave one row of a*b with one word of reduction. t stays
+  // below 2p < 2^257, so t[4] holds the bit above 2^256 and t[5] the
+  // transient carry of the row.
+  uint64_t t[6] = {0, 0, 0, 0, 0, 0};
+  for (int i = 0; i < 4; ++i) {
+    uint64_t carry = 0;
+    for (int j = 0; j < 4; ++j) {
+      u128 x = static_cast<u128>(a.limb[i]) * b.limb[j] + t[j] + carry;
+      t[j] = static_cast<uint64_t>(x);
+      carry = static_cast<uint64_t>(x >> 64);
+    }
+    u128 x = static_cast<u128>(t[4]) + carry;
+    t[4] = static_cast<uint64_t>(x);
+    t[5] = static_cast<uint64_t>(x >> 64);
+
+    uint64_t m = t[0] * n0_inv_;
+    x = static_cast<u128>(m) * p_.limb[0] + t[0];
+    carry = static_cast<uint64_t>(x >> 64);
+    for (int j = 1; j < 4; ++j) {
+      x = static_cast<u128>(m) * p_.limb[j] + t[j] + carry;
+      t[j - 1] = static_cast<uint64_t>(x);
+      carry = static_cast<uint64_t>(x >> 64);
+    }
+    x = static_cast<u128>(t[4]) + carry;
+    t[3] = static_cast<uint64_t>(x);
+    t[4] = t[5] + static_cast<uint64_t>(x >> 64);
+  }
+  Fp r{{t[0], t[1], t[2], t[3]}};
+  Fp d;
+  uint64_t borrow = fp_internal::SubLimbs(r, p_, &d);
+  return (t[4] != 0 || borrow == 0) ? d : r;
+}
 
 }  // namespace authdb
 

@@ -8,7 +8,7 @@ namespace authdb {
 /// Element of the quadratic extension F_p^2 = F_p[i] / (i^2 + 1).
 /// Valid because p = 3 (mod 4) makes -1 a non-residue.
 struct Fp2Elem {
-  BigInt re, im;  // Montgomery form
+  Fp re, im;  // Montgomery form
 };
 
 /// Arithmetic in F_p^2, layered on a PrimeField. Pairing values live here.
@@ -16,18 +16,16 @@ class Fp2Field {
  public:
   explicit Fp2Field(const PrimeField* fp) : fp_(fp) {}
 
-  Fp2Elem Zero() const { return Fp2Elem{fp_->Zero(), fp_->Zero()}; }
-  Fp2Elem One() const { return Fp2Elem{fp_->One(), fp_->Zero()}; }
-  Fp2Elem FromFp(const BigInt& a) const { return Fp2Elem{a, fp_->Zero()}; }
-  Fp2Elem Make(const BigInt& re, const BigInt& im) const {
-    return Fp2Elem{re, im};
-  }
+  Fp2Elem Zero() const { return Fp2Elem{}; }
+  Fp2Elem One() const { return Fp2Elem{fp_->One(), Fp{}}; }
+  Fp2Elem FromFp(const Fp& a) const { return Fp2Elem{a, Fp{}}; }
+  Fp2Elem Make(const Fp& re, const Fp& im) const { return Fp2Elem{re, im}; }
 
   bool IsZero(const Fp2Elem& a) const {
     return a.re.IsZero() && a.im.IsZero();
   }
   bool Equal(const Fp2Elem& a, const Fp2Elem& b) const {
-    return fp_->Equal(a.re, b.re) && fp_->Equal(a.im, b.im);
+    return a.re == b.re && a.im == b.im;
   }
 
   Fp2Elem Add(const Fp2Elem& a, const Fp2Elem& b) const {
@@ -40,20 +38,19 @@ class Fp2Field {
     return Fp2Elem{fp_->Neg(a.re), fp_->Neg(a.im)};
   }
 
-  /// (a + bi)(c + di) = (ac - bd) + (ad + bc) i
+  /// (a + bi)(c + di) = (ac - bd) + ((a + b)(c + d) - ac - bd) i
   Fp2Elem Mul(const Fp2Elem& a, const Fp2Elem& b) const {
-    BigInt ac = fp_->Mul(a.re, b.re);
-    BigInt bd = fp_->Mul(a.im, b.im);
-    BigInt ad = fp_->Mul(a.re, b.im);
-    BigInt bc = fp_->Mul(a.im, b.re);
-    return Fp2Elem{fp_->Sub(ac, bd), fp_->Add(ad, bc)};
+    Fp ac = fp_->Mul(a.re, b.re);
+    Fp bd = fp_->Mul(a.im, b.im);
+    Fp cross = fp_->Mul(fp_->Add(a.re, a.im), fp_->Add(b.re, b.im));
+    return Fp2Elem{fp_->Sub(ac, bd), fp_->Sub(fp_->Sub(cross, ac), bd)};
   }
 
   /// (a + bi)^2 = (a-b)(a+b) + 2ab i
   Fp2Elem Sqr(const Fp2Elem& a) const {
-    BigInt t1 = fp_->Sub(a.re, a.im);
-    BigInt t2 = fp_->Add(a.re, a.im);
-    BigInt ab = fp_->Mul(a.re, a.im);
+    Fp t1 = fp_->Sub(a.re, a.im);
+    Fp t2 = fp_->Add(a.re, a.im);
+    Fp ab = fp_->Mul(a.re, a.im);
     return Fp2Elem{fp_->Mul(t1, t2), fp_->Dbl(ab)};
   }
 
@@ -64,12 +61,13 @@ class Fp2Field {
 
   /// (a + bi)^-1 = (a - bi) / (a^2 + b^2)
   Fp2Elem Inv(const Fp2Elem& a) const {
-    BigInt norm = fp_->Add(fp_->Sqr(a.re), fp_->Sqr(a.im));
-    BigInt ni = fp_->Inv(norm);
+    Fp norm = fp_->Add(fp_->Sqr(a.re), fp_->Sqr(a.im));
+    Fp ni = fp_->Inv(norm);
     return Fp2Elem{fp_->Mul(a.re, ni), fp_->Mul(fp_->Neg(a.im), ni)};
   }
 
-  Fp2Elem Exp(const Fp2Elem& a, const BigInt& e) const {
+  /// a^e for a plain exponent e.
+  Fp2Elem Exp(const Fp2Elem& a, const Fp& e) const {
     Fp2Elem acc = One();
     for (int i = e.BitLength() - 1; i >= 0; --i) {
       acc = Sqr(acc);

@@ -29,7 +29,9 @@ namespace authdb {
 /// curve, whose T hits a 2-torsion point or a vertical line early, or
 /// that does not reach -P at the end is not an order-r point and is
 /// rejected — hostile signature points never reach arithmetic that could
-/// fault.
+/// fault. Coordinates are canonical residues by construction
+/// (CurveGroup::Deserialize rejects encodings >= p), so no range check is
+/// needed here.
 class TatePairing {
  public:
   /// The curve must have been constructed with a=1, b=0 and cofactor
@@ -63,6 +65,8 @@ class TatePairing {
 
   const CurveGroup* curve_;
   Fp2Field fp2_;
+  Fp cofactor_;  // the curve's cofactor and order r as plain exponents
+  Fp order_;
 };
 
 }  // namespace authdb

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hostile_points.h"
@@ -140,10 +142,10 @@ TEST_F(BasTest, HashToScalarManyMatchesSequential) {
     bufs.push_back("scalar-msg-" + std::to_string(i));
   }
   for (const auto& b : bufs) msgs.emplace_back(b);
-  std::vector<BigInt> got(msgs.size());
+  std::vector<Fp> got(msgs.size());
   (*ctx_)->HashToScalarMany(msgs.data(), msgs.size(), got.data());
   for (size_t i = 0; i < msgs.size(); ++i) {
-    EXPECT_EQ(BigInt::Compare(got[i], (*ctx_)->HashToScalar(msgs[i])), 0);
+    EXPECT_EQ(got[i], (*ctx_)->HashToScalar(msgs[i]));
   }
 }
 
@@ -195,7 +197,7 @@ TEST_F(BasTest, FixedBaseMultMatchesScalarMult) {
   Rng rng(55);
   for (int i = 0; i < 10; ++i) {
     BigInt k = BigInt::RandomBelow((*ctx_)->order(), &rng);
-    ECPoint fast = (*ctx_)->FixedBaseMult(k);
+    ECPoint fast = (*ctx_)->FixedBaseMult(Fp::FromBigInt(k));
     ECPoint slow = (*ctx_)->curve().ScalarMult((*ctx_)->generator(), k);
     EXPECT_TRUE((*ctx_)->curve().Equal(fast, slow));
   }
@@ -204,7 +206,7 @@ TEST_F(BasTest, FixedBaseMultMatchesScalarMult) {
 TEST_F(BasTest, FastHashMatchesExponentTimesGenerator) {
   std::string m = "message";
   ECPoint h = (*ctx_)->HashToPoint(Slice(m), HashMode::kFast);
-  BigInt s = (*ctx_)->HashToScalar(Slice(m));
+  BigInt s = (*ctx_)->HashToScalar(Slice(m)).ToBigInt();
   ECPoint expect = (*ctx_)->curve().ScalarMult((*ctx_)->generator(), s);
   EXPECT_TRUE((*ctx_)->curve().Equal(h, expect));
 }
@@ -224,6 +226,92 @@ TEST_F(BasTest, HashToPointIsDeterministic) {
   ECPoint h1 = (*ctx_)->HashToPoint(Slice(m), HashMode::kSecure);
   ECPoint h2 = (*ctx_)->HashToPoint(Slice(m), HashMode::kSecure);
   EXPECT_TRUE((*ctx_)->curve().Equal(h1, h2));
+}
+
+TEST_F(BasTest, SignBatchMatchesSign) {
+  // One shared inversion per batch (kFast) must not change any signature.
+  std::vector<std::string> bufs = {"chain", "attr-0", "attr-1", "attr-2"};
+  std::vector<Slice> msgs(bufs.begin(), bufs.end());
+  for (HashMode mode : {HashMode::kSecure, HashMode::kFast}) {
+    std::vector<BasSignature> batch = key_->SignBatch(msgs, mode);
+    ASSERT_EQ(batch.size(), msgs.size());
+    for (size_t i = 0; i < msgs.size(); ++i) {
+      EXPECT_TRUE((*ctx_)->curve().Equal(batch[i].point,
+                                         key_->Sign(msgs[i], mode).point))
+          << "mode=" << static_cast<int>(mode) << " i=" << i;
+      EXPECT_TRUE(key_->public_key().Verify(msgs[i], batch[i], mode));
+    }
+    EXPECT_TRUE(key_->SignBatch({}, mode).empty());
+  }
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+TEST(BasDefaultParamsTest, KnownAnswerBytes) {
+  // Wire bytes under the default parameters, pinned from the BigInt-backed
+  // field implementation: the fixed-width field must reproduce them bit
+  // for bit (R = 2^256 is the Montgomery radix of both).
+  auto ctx = BasContext::Default();
+  const CurveGroup& c = ctx->curve();
+  Rng rng(20260517);
+  BasPrivateKey key = BasPrivateKey::Generate(ctx, &rng);
+  EXPECT_EQ(Hex(c.Serialize(key.public_key().point())),
+            "0ae99992e3a3af4c263fab45f355f308efbcc45a0fc9db3b2ab2301ca580e916"
+            "8119c6a5eb5a82227960ad5ecc4b9167104d488778887ef2d030fb0294228b0a");
+  struct Kat {
+    const char* msg;
+    HashMode mode;
+    const char* sig;
+  };
+  const Kat kats[] = {
+      {"kat-record-0", HashMode::kFast,
+       "1defd358ffc8e6a98a4ae806238eeccb2073e1f7e08787c6defd2b97624abccd"
+       "0adffc96a39624fabd0de721b311a7d7a098fdaeffe2a38c545c0d5d40fc0696"},
+      {"kat-record-0", HashMode::kSecure,
+       "5fbe92ad60e4179889fd8c789c847c4fae426605b43e927672c091d7084a4478"
+       "2fbee65ff1b5160e8a2ef63bf97132a588aa76cda38c4b401806876db5853e4c"},
+      {"kat-record-1", HashMode::kFast,
+       "4342e1df44d6f8ade617ebb573dd8044e55fda918ac80dea93bd8a3c01ece5ad"
+       "34982d44c93e37727aedde8e8bb4e345fdb306422308d6aaaf3a604328c4a79f"},
+      {"kat-record-1", HashMode::kSecure,
+       "007afcc0da95bc72738eb1539dd8ee6cdc99efc767ae3c7286ad42f14696d620"
+       "593b083dfaf317a9f3fa674818ecdb6f2ae4054b8667859787790a20e6a7853c"},
+  };
+  for (const Kat& k : kats) {
+    SCOPED_TRACE(std::string(k.msg) + " mode=" +
+                 std::to_string(static_cast<int>(k.mode)));
+    BasSignature sig = key.Sign(Slice(std::string(k.msg)), k.mode);
+    EXPECT_EQ(Hex(c.Serialize(sig.point)), k.sig);
+    EXPECT_EQ(sig.wire_bytes(), 64u);
+  }
+  const std::string m0 = "kat-record-0";
+  EXPECT_EQ(ctx->HashToScalar(Slice(m0)).ToBigInt().ToHex(),
+            "2d44bf3b9a37247f767fd4fda6546edd571c78b1");
+  const std::pair<const char*, const char*> fixed_base[] = {
+      {"1",
+       "63d7e7b3326ca3ecdf195fd8b6188b7fcb1f3759fadf5abc8668d3120079f4ec"
+       "2bd8488ebc44b195590876dcff23773c0966c6a3a267e8f7ee66d1b47e72d95d"},
+      {"2",
+       "73c9b3596d84ed26ad4b1681755ddedd32bf7c76622bbda95104df5bf6a818da"
+       "10056e40f93cd8ca62bca521bcc69d620c7bb2476f257d27ecc1a8df858ec0fd"},
+      {"deadbeefcafef00d1234567890abcdef",
+       "4e6c7739f3dce82926c167113ed3af6e2151120a9cdc43e648e3f5cca8e92e1e"
+       "5c547254de6e9cf53f6da0a7dfd45c978d0220e06a9e1371a79c44211a68d39d"},
+  };
+  for (const auto& [k, want] : fixed_base) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(Hex(c.Serialize(
+                  ctx->FixedBaseMult(Fp::FromBigInt(BigInt::FromHex(k))))),
+              want);
+  }
 }
 
 TEST(BasDefaultParamsTest, DefaultContextIs256Bit) {

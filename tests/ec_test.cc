@@ -1,7 +1,9 @@
 #include "crypto/ec.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -122,11 +124,55 @@ TEST_F(EcTest, SerializeRoundtrip) {
     ECPoint p = curve().ScalarMult(G(), BigInt(1 + rng.Uniform(1u << 30)));
     auto bytes = curve().Serialize(p);
     EXPECT_EQ(bytes.size(), 2u * curve().field().element_bytes());
-    EXPECT_TRUE(curve().Equal(curve().Deserialize(bytes), p));
+    Result<ECPoint> back = curve().Deserialize(bytes);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_TRUE(curve().Equal(back.value(), p));
   }
   // Infinity roundtrip.
   auto inf_bytes = curve().Serialize(ECPoint{});
-  EXPECT_TRUE(curve().Deserialize(inf_bytes).infinity);
+  ASSERT_TRUE(curve().Deserialize(inf_bytes).ok());
+  EXPECT_TRUE(curve().Deserialize(inf_bytes).value().infinity);
+}
+
+TEST_F(EcTest, DeserializeRejectsNonCanonicalAndOffCurveEncodings) {
+  // Each point has exactly one encoding: a coordinate written as its
+  // residue plus p would decode to the same point, so it must be refused,
+  // as must off-curve points and wrong lengths — none may reach the
+  // verifier as a point.
+  const PrimeField& f = curve().field();
+  const size_t w = f.element_bytes();
+  const BigInt room = BigInt::Sub(BigInt::ShiftLeft(BigInt(1), 8 * w), f.p());
+  bool found = false;
+  for (uint64_t k = 1; k < 1000 && !found; ++k) {
+    ECPoint p = curve().ScalarMult(G(), BigInt(k));
+    BigInt x = f.ToPlain(p.x);
+    if (!(x < room)) continue;  // x + p must still fit the field width
+    found = true;
+    std::vector<uint8_t> bytes = curve().Serialize(p);
+    std::vector<uint8_t> x_plus_p = BigInt::Add(x, f.p()).ToBytes(w);
+    std::copy(x_plus_p.begin(), x_plus_p.end(), bytes.begin());
+    Result<ECPoint> got = curve().Deserialize(bytes);
+    ASSERT_FALSE(got.ok()) << "x >= p decoded";
+    EXPECT_TRUE(got.status().IsCorruption());
+    EXPECT_NE(got.status().ToString().find(">= p"), std::string::npos);
+  }
+  ASSERT_TRUE(found) << "no small multiple of G has x < 2^(8w) - p";
+
+  ECPoint p = curve().ScalarMult(G(), BigInt(99));
+  std::vector<uint8_t> off = curve().Serialize(p);
+  off[2 * w - 1] ^= 1;  // y +- 1: off the curve
+  Result<ECPoint> got = curve().Deserialize(off);
+  ASSERT_FALSE(got.ok());
+  EXPECT_NE(got.status().ToString().find("not on the curve"),
+            std::string::npos);
+
+  std::vector<uint8_t> y_all_ones = curve().Serialize(p);
+  std::fill(y_all_ones.begin() + w, y_all_ones.end(), 0xff);
+  EXPECT_FALSE(curve().Deserialize(y_all_ones).ok());
+
+  std::vector<uint8_t> short_bytes = curve().Serialize(p);
+  short_bytes.pop_back();
+  EXPECT_FALSE(curve().Deserialize(short_bytes).ok());
 }
 
 TEST_F(EcTest, IsOnCurveRejectsForgedPoint) {
@@ -147,8 +193,8 @@ TEST(PrimeFieldTest, BasicArithmetic) {
     p = BigInt::GeneratePrime(96, &rng);
   PrimeField f(p);
   for (int i = 0; i < 30; ++i) {
-    BigInt a = f.FromPlain(BigInt::RandomBelow(p, &rng));
-    BigInt b = f.FromPlain(BigInt::RandomBelow(p, &rng));
+    Fp a = f.FromPlain(BigInt::RandomBelow(p, &rng));
+    Fp b = f.FromPlain(BigInt::RandomBelow(p, &rng));
     // a + b - b == a
     EXPECT_TRUE(f.Equal(f.Sub(f.Add(a, b), b), a));
     // a * inv(a) == 1
@@ -156,7 +202,7 @@ TEST(PrimeFieldTest, BasicArithmetic) {
       EXPECT_TRUE(f.Equal(f.Mul(a, f.Inv(a)), f.One()));
     }
     // sqrt(a^2) == +-a
-    BigInt s = f.Sqrt(f.Sqr(a));
+    Fp s = f.Sqrt(f.Sqr(a));
     EXPECT_TRUE(f.Equal(s, a) || f.Equal(s, f.Neg(a)));
     // Euler criterion consistency
     EXPECT_TRUE(f.IsSquare(f.Sqr(a)));

@@ -17,8 +17,8 @@ namespace authdb {
 inline ECPoint CofactorTorsionPoint(const CurveGroup& curve) {
   const PrimeField& f = curve.field();
   for (uint64_t xi = 2;; ++xi) {
-    BigInt x = f.FromU64(xi);
-    BigInt rhs = curve.CurveRhs(x);
+    Fp x = f.FromU64(xi);
+    Fp rhs = curve.CurveRhs(x);
     if (rhs.IsZero() || !f.IsSquare(rhs)) continue;
     ECPoint t =
         curve.ScalarMult(ECPoint{x, f.Sqrt(rhs), false}, curve.order());
@@ -39,7 +39,7 @@ inline std::vector<NamedPoint> HostilePoints(const CurveGroup& curve,
                                              const ECPoint& sigma) {
   const PrimeField& f = curve.field();
   return {
-      {"(0,0)", ECPoint{BigInt(), BigInt(), false}},
+      {"(0,0)", ECPoint{Fp{}, Fp{}, false}},
       {"sigma+T", curve.Add(sigma, CofactorTorsionPoint(curve))},
       {"off-curve", ECPoint{sigma.x, f.Add(sigma.y, f.One()), false}},
   };
