@@ -1,5 +1,5 @@
-// Ablation micro-benchmarks (google-benchmark): design choices called out
-// in DESIGN.md — bitmap codec for the update summaries, digest function for
+// Ablation micro-benchmarks (google-benchmark): design choices of the
+// reproduction — bitmap codec for the update summaries, digest function for
 // the chain messages, and SigCache cover composition versus naive
 // aggregation.
 #include <benchmark/benchmark.h>

@@ -6,7 +6,7 @@
 // paper's 1M-record position space (cover decomposition, invalidations and
 // refreshes are real; EC additions are counted), and the measured per-job
 // costs feed the calibrated queueing simulator for response times
-// (DESIGN.md substitution #3). We report both the direct metric — point
+// (README "Substitutions" #3). We report both the direct metric — point
 // additions per proof — and the simulated response near QS saturation.
 #include <algorithm>
 #include <cstdint>

@@ -4,6 +4,7 @@
 //   (a) match ratio alpha sweep      (b) filter bits per value m/IB
 //   (c) partition size IB/p (+ filter update time)   (d) R selectivity
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "core/data_aggregator.h"
 #include "core/join.h"
 #include "crypto/bloom.h"
+#include "server/sharded_query_server.h"
 #include "workload/tpce.h"
 
 namespace authdb {
@@ -27,6 +29,7 @@ struct JoinBench {
   SystemClock clock;
   Rng rng{11};
   std::unique_ptr<DataAggregator> da;
+  std::unique_ptr<ShardedQueryServer> server;
   std::unique_ptr<JoinAuthority> authority;
   std::unique_ptr<TpceJoinWorkload> workload;
   std::unique_ptr<JoinVerifier> verifier;
@@ -44,6 +47,14 @@ struct JoinBench {
     workload = std::make_unique<TpceJoinWorkload>(wcfg);
     auto stream = da->BulkLoad(workload->MakeHoldingRows());
     AUTHDB_CHECK(stream.ok());
+    // A one-shard server serving inline. The load applies deferred; the
+    // first Measure's SetJoinPartitions publishes it in one epoch swap.
+    ServerConfig cfg;
+    cfg.node.record_len = opt.record_len;
+    cfg.serving.worker_threads = 0;
+    server = std::make_unique<ShardedQueryServer>(ctx, ShardRouter({}), cfg);
+    for (const SignedRecordUpdate& msg : stream.value())
+      AUTHDB_CHECK(server->ApplyToShardDeferred(0, msg).ok());
     authority = std::make_unique<JoinAuthority>(ctx, da->private_key(),
                                                 BasContext::HashMode::kFast);
     verifier = std::make_unique<JoinVerifier>(&da->public_key(),
@@ -60,16 +71,63 @@ struct JoinBench {
   std::pair<double, double> Measure(
       const std::vector<int64_t>& r_values,
       const std::vector<CertifiedPartition>& parts) {
-    JoinProver prover(ctx, &da->table(), &parts);
-    auto bv = prover.Join(r_values, JoinMethod::kBoundaryValues);
-    auto bf = prover.Join(r_values, JoinMethod::kBloomFilter);
+    server->SetJoinPartitions(parts);
+    auto bv =
+        server->Execute(Query::Join(r_values, JoinMethod::kBoundaryValues));
+    auto bf = server->Execute(Query::Join(r_values, JoinMethod::kBloomFilter));
     AUTHDB_CHECK(bv.ok() && bf.ok());
-    AUTHDB_CHECK(verifier->Verify(r_values, bv.value()).ok());
-    AUTHDB_CHECK(verifier->Verify(r_values, bf.value()).ok());
-    return {bv.value().vo_size_paper(sm) / 1024.0,
-            bf.value().vo_size_paper(sm) / 1024.0};
+    AUTHDB_CHECK(verifier->Verify(r_values, bv.value().join).ok());
+    AUTHDB_CHECK(verifier->Verify(r_values, bf.value().join).ok());
+    return {bv.value().join.vo_size_paper(sm) / 1024.0,
+            bf.value().join.vo_size_paper(sm) / 1024.0};
   }
 };
+
+/// One printed row of a VO sweep: the swept parameter and both VO sizes.
+struct VoRow {
+  double x, bv_kb, bf_kb;
+};
+
+/// The shape summary of sweeps (a)-(d), computed from the measured rows.
+/// Sizes compare at the printed precision (0.01 KB). Each shipped filter
+/// rounds up to whole 64-byte blocks, so small partitions cost a full
+/// block whatever m/IB is.
+void PrintShape(const std::vector<VoRow>& alpha_rows,
+                const std::vector<VoRow>& bits_rows,
+                const std::vector<VoRow>& per_rows,
+                const std::vector<VoRow>& sel_rows) {
+  auto kb = [](double v) { return std::lround(v * 100); };
+  int below = 0, above = 0, equal = 0;
+  for (const auto* rows : {&alpha_rows, &bits_rows, &per_rows, &sel_rows}) {
+    for (const VoRow& r : *rows) {
+      if (kb(r.bf_kb) < kb(r.bv_kb)) {
+        ++below;
+      } else if (kb(r.bf_kb) > kb(r.bv_kb)) {
+        ++above;
+      } else {
+        ++equal;
+      }
+    }
+  }
+  const VoRow* bv_max = &alpha_rows[0];
+  for (const VoRow& r : alpha_rows)
+    if (r.bv_kb > bv_max->bv_kb) bv_max = &r;
+  const VoRow* bf_min = &bits_rows[0];
+  bool bf_flat = true;
+  for (const VoRow& r : bits_rows) {
+    if (r.bf_kb < bf_min->bf_kb) bf_min = &r;
+    bf_flat &= kb(r.bf_kb) == kb(bits_rows[0].bf_kb);
+  }
+  std::printf("\nShape (measured): BF below BV in %d of %d rows, above in "
+              "%d, equal in %d; BV largest at alpha = %.1f; ",
+              below, below + above + equal, above, equal, bv_max->x);
+  if (bf_flat) {
+    std::printf("BF flat across m/IB %.0f-%.0f.\n", bits_rows.front().x,
+                bits_rows.back().x);
+  } else {
+    std::printf("BF smallest at m/IB = %.0f.\n", bf_min->x);
+  }
+}
 
 void Run(bench::BenchRun* run) {
   const bool smoke = run->smoke();
@@ -88,10 +146,12 @@ void Run(bench::BenchRun* run) {
   std::printf("\n(a) VO size vs match ratio alpha (sel 20%%, m/IB=8, "
               "IB/p=4)\n%8s %12s %12s\n", "alpha", "BV (KB)", "BF (KB)");
   auto parts_default = b.Partitions(4, 8.0);
+  std::vector<VoRow> alpha_rows, bits_rows, per_rows, sel_rows;
   for (double alpha : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
     auto values = b.workload->MakeSecurityValues(alpha, nr / 5);
     auto [bv, bf] = b.Measure(values, parts_default);
     std::printf("%8.1f %12.2f %12.2f\n", alpha, bv, bf);
+    alpha_rows.push_back({alpha, bv, bf});
   }
 
   // (b) filter size sweep at alpha = 0.5.
@@ -102,6 +162,7 @@ void Run(bench::BenchRun* run) {
     auto parts = b.Partitions(4, bits);
     auto [bv, bf] = b.Measure(values_half, parts);
     std::printf("%8.0f %12.2f %12.2f\n", bits, bv, bf);
+    bits_rows.push_back({bits, bv, bf});
   }
 
   // (c) partition size sweep + filter rebuild time (the update cost that
@@ -114,6 +175,7 @@ void Run(bench::BenchRun* run) {
     size_t clamped = std::min<size_t>(per, b.workload->ib());
     auto parts = b.Partitions(clamped, 8.0);
     auto [bv, bf] = b.Measure(values_half, parts);
+    per_rows.push_back({static_cast<double>(clamped), bv, bf});
     // Rebuild the largest partition (a deletion forces this).
     std::vector<int64_t> remaining(
         b.workload->distinct_b().begin(),
@@ -134,11 +196,9 @@ void Run(bench::BenchRun* run) {
     auto values = b.workload->MakeSecurityValues(0.5, n);
     auto [bv, bf] = b.Measure(values, parts_default);
     std::printf("%8.1f %12.2f %12.2f\n", sel * 100, bv, bf);
+    sel_rows.push_back({sel * 100, bv, bf});
   }
-  std::printf(
-      "\nShape checks vs paper: BF consistently below BV; BV largest at "
-      "small alpha; BF minimized around m/IB = 8-12; both grow with "
-      "selectivity, BV steeper.\n");
+  PrintShape(alpha_rows, bits_rows, per_rows, sel_rows);
 
   // (e) Incremental refresh vs full rebuild at the largest partition size.
   // Insert-only periods ship a small certified delta filter that the server

@@ -9,7 +9,7 @@ int main(int argc, char** argv) {
   authdb::bench::Header(
       "Figure 7: EMB- versus BAS, point operations (sf = 1e-6)",
       "N = 1M, Upd% = 10, quad-core QS model; service times calibrated "
-      "from the in-tree implementations (DESIGN.md substitution #3)");
+      "from the in-tree implementations (README substitution #3)");
   authdb::bench::RunThroughputFigure(
       "Response time vs arrival rate", /*cardinality=*/1,
       {10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120}, {50, 120},

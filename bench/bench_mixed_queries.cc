@@ -34,11 +34,6 @@ void Run(bench::BenchRun* run) {
   // amortization — shard visits per plan, no shared finalizes.
   const bool batching = !run->Flag("--no-batch");
   const size_t batch_size = batching ? 8 : 1;
-  // --scalar-probe is the probe-path ablation: joins fall back to the
-  // legacy one-key-at-a-time Bloom probe instead of the batched ProbeMany
-  // pre-pass, so the artifact isolates what bulk hashing + block prefetch
-  // buys on the join hot path. Answers stay byte-identical either way.
-  const bool scalar_probe = run->Flag("--scalar-probe");
 
   WorkloadGenerator::Config wcfg;
   wcfg.n_records = smoke ? 256 : 2048;  // distinct B values
@@ -64,8 +59,7 @@ void Run(bench::BenchRun* run) {
           std::to_string(clients) +
           " closed-loop clients at 50% select / 25% join / 25% project; " +
           (batching ? "PlanBatch x" + std::to_string(batch_size)
-                    : "batching OFF (--no-batch)") +
-          (scalar_probe ? "; scalar bloom probes (--scalar-probe)" : ""));
+                    : "batching OFF (--no-batch)"));
 
   SystemClock clock;
   auto ctx = BasContext::Default();
@@ -94,7 +88,6 @@ void Run(bench::BenchRun* run) {
     ServerConfig cfg;
     cfg.node.record_len = 128;
     cfg.serving.worker_threads = shards;
-    cfg.serving.scalar_bloom_probes = scalar_probe;
     ShardedQueryServer server(ctx, ShardRouter::Uniform(shards, 0, key_hi),
                               cfg);
     for (const auto& msg : bulk.value()) {
@@ -263,7 +256,6 @@ void Run(bench::BenchRun* run) {
   run->Metric("join_qps_ratio_4v1", join_ratio);
   run->Metric("mixed_ops_ratio_4v1", mixed_ratio);
   run->Metric("batching_enabled", batching ? 1.0 : 0.0);
-  run->Metric("scalar_bloom_probes", scalar_probe ? 1.0 : 0.0);
 
   // Per-kind VO accounting from the last (4-shard) run: the serving-layer
   // Figure 11 view. Not throughput metrics — reported, never gated.
@@ -287,8 +279,7 @@ void Run(bench::BenchRun* run) {
 }  // namespace authdb
 
 int main(int argc, char** argv) {
-  authdb::bench::BenchRun run(argc, argv, "mixed_queries",
-                              {"--no-batch", "--scalar-probe"});
+  authdb::bench::BenchRun run(argc, argv, "mixed_queries", {"--no-batch"});
   authdb::Run(&run);
   return 0;
 }

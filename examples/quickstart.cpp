@@ -14,8 +14,8 @@
 
 #include "common/clock.h"
 #include "core/data_aggregator.h"
-#include "core/query_server.h"
 #include "core/verifier.h"
+#include "server/sharded_query_server.h"
 
 using namespace authdb;
 
@@ -42,11 +42,19 @@ int main() {
     return 1;
   }
 
-  // 2. The (untrusted) query server mirrors the certified data.
-  QueryServer::Options qopt;
-  qopt.record_len = 128;
-  QueryServer qs(ctx, qopt);
-  for (const auto& msg : stream.value()) qs.ApplyUpdate(msg);
+  // 2. The (untrusted) query server mirrors the certified data: one shard
+  // owning every key, with reads served inline on the caller's thread.
+  ServerConfig cfg;
+  cfg.node.record_len = 128;
+  cfg.serving.worker_threads = 0;
+  ShardedQueryServer qs(ctx, ShardRouter({}), cfg);
+  for (const auto& msg : stream.value()) {
+    Status s = qs.ApplyUpdate(msg);
+    if (!s.ok()) {
+      std::printf("apply failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
+  }
   std::printf("loaded %llu certified records at the query server\n",
               static_cast<unsigned long long>(qs.size()));
 
@@ -75,16 +83,16 @@ int main() {
 
   // 5. Updates flow record-at-a-time; no index-wide lock is ever needed.
   auto upd = da.ModifyRecord(150, {150, 9999, 1});
-  qs.ApplyUpdate(upd.value());
+  if (!upd.ok() || !qs.ApplyUpdate(upd.value()).ok()) return 1;
   Query point = Query::Select(150, 150);
   auto fresh = qs.Execute(point);
+  if (!fresh.ok() || fresh.value().selection.records.empty()) return 1;
+  Status fresh_ok =
+      client.VerifyAnswerFresh(point, fresh.value(), clock.NowMicros(), 0);
   std::printf("after update, price(150) = %lld (verification: %s)\n",
               static_cast<long long>(
                   fresh.value().selection.records[0].attrs[1]),
-              client
-                  .VerifyAnswerFresh(point, fresh.value(), clock.NowMicros(),
-                                     0)
-                  .ToString()
-                  .c_str());
-  return bad.ok() ? 1 : 0;  // tampering MUST have been detected
+              fresh_ok.ToString().c_str());
+  // Honest answers MUST verify and tampering MUST have been detected.
+  return ok.ok() && fresh_ok.ok() && !bad.ok() ? 0 : 1;
 }

@@ -10,8 +10,8 @@
 
 #include "common/clock.h"
 #include "core/data_aggregator.h"
-#include "core/query_server.h"
 #include "core/verifier.h"
+#include "server/sharded_query_server.h"
 
 using namespace authdb;
 
@@ -31,14 +31,26 @@ int main() {
     r.attrs = {k, k * 3};
     records.push_back(r);
   }
-  QueryServer::Options qopt;
-  qopt.record_len = 128;
-  qopt.buffer_pages = 1024;
-  QueryServer qs(ctx, qopt);
+  // One shard owning every key, with reads served inline.
+  ServerConfig cfg;
+  cfg.node.record_len = 128;
+  cfg.serving.worker_threads = 0;
+  ShardedQueryServer qs(ctx, ShardRouter({}), cfg);
   auto stream = da.BulkLoad(std::move(records));
-  for (const auto& msg : stream.value()) qs.ApplyUpdate(msg);
+  if (!stream.ok()) {
+    std::printf("bulk load failed: %s\n", stream.status().ToString().c_str());
+    return 1;
+  }
+  for (const auto& msg : stream.value()) {
+    Status s = qs.ApplyUpdate(msg);
+    if (!s.ok()) {
+      std::printf("apply failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
+  }
 
-  // 1. Plan against the expected query-cardinality distribution.
+  // 1. Plan against the expected query-cardinality distribution (the
+  //    harmonic profile the server plans its shard cache with).
   auto dist = CardinalityDist::Harmonic(kN);
   auto plan = SigCachePlanner::Plan(kN, dist, /*max_pairs=*/8);
   std::printf("planned %zu cached nodes; expected additions/query: %.1f -> "
@@ -48,9 +60,9 @@ int main() {
               100 * (plan.base_cost - plan.cost_after_pairs.back()) /
                   plan.base_cost);
 
-  // 2. Pin the plan at the query server (lazy maintenance, the paper's
-  //    recommended strategy).
-  qs.EnableSigCache(plan.chosen, SigCache::RefreshMode::kLazy);
+  // 2. Pin the same plan at the query server (lazy maintenance, the
+  //    paper's recommended strategy).
+  qs.EnableSigCache(SigCache::RefreshMode::kLazy, /*max_pairs=*/8);
 
   // 3. Serve queries; cached aggregates cut the EC additions. Answers stay
   //    byte-for-byte verifiable.
@@ -65,10 +77,10 @@ int main() {
     for (size_t i = 0; i < n_queries; ++i) {
       uint64_t q = 1 + local.Uniform(kN / 2);
       int64_t lo = static_cast<int64_t>(local.Uniform(kN - q));
-      SigCache::AggStats stats;
-      auto ans = qs.Select(lo, lo + static_cast<int64_t>(q) - 1, &stats);
+      const ServerMetrics before = qs.Metrics();
+      auto ans = qs.Select(lo, lo + static_cast<int64_t>(q) - 1);
       if (!ans.ok()) return 1;
-      total += stats.point_adds;
+      total += qs.Metrics().Delta(before).exec.agg_point_adds;
       Status ok = client.VerifySelectionStatic(
           lo, lo + static_cast<int64_t>(q) - 1, ans.value());
       if (!ok.ok()) {
@@ -84,8 +96,9 @@ int main() {
 
   // 4. Updates invalidate lazily; correctness is unaffected.
   auto upd = da.ModifyRecord(2048, {2048, 777});
-  qs.ApplyUpdate(upd.value());
+  if (!upd.ok() || !qs.ApplyUpdate(upd.value()).ok()) return 1;
   auto ans = qs.Select(2000, 2100);
+  if (!ans.ok()) return 1;
   Status ok = client.VerifySelectionStatic(2000, 2100, ans.value());
   std::printf("after update through cached interval: %s\n",
               ok.ToString().c_str());

@@ -13,8 +13,8 @@
 
 #include "common/clock.h"
 #include "core/data_aggregator.h"
-#include "core/query_server.h"
 #include "core/verifier.h"
+#include "server/sharded_query_server.h"
 
 using namespace authdb;
 
@@ -35,15 +35,26 @@ int main() {
     r.attrs = {sym, /*price_cents=*/10'000 + sym * 13, /*bid*/ 0, /*ask*/ 0};
     records.push_back(r);
   }
-  QueryServer::Options qopt;
-  qopt.record_len = 128;
-  QueryServer honest_qs(ctx, qopt);
-  QueryServer lazy_qs(ctx, qopt);  // will silently stop applying updates
+  // Each query server is one shard owning every key, serving inline.
+  ServerConfig cfg;
+  cfg.node.record_len = 128;
+  cfg.serving.worker_threads = 0;
+  ShardedQueryServer honest_qs(ctx, ShardRouter({}), cfg);
+  // Will silently stop applying updates.
+  ShardedQueryServer lazy_qs(ctx, ShardRouter({}), cfg);
+  auto apply = [](ShardedQueryServer* qs, const SignedRecordUpdate& msg) {
+    Status s = qs->ApplyUpdate(msg);
+    if (!s.ok()) std::printf("apply failed: %s\n", s.ToString().c_str());
+    return s.ok();
+  };
 
   auto stream = da.BulkLoad(std::move(records));
+  if (!stream.ok()) {
+    std::printf("bulk load failed: %s\n", stream.status().ToString().c_str());
+    return 1;
+  }
   for (const auto& msg : stream.value()) {
-    honest_qs.ApplyUpdate(msg);
-    lazy_qs.ApplyUpdate(msg);
+    if (!apply(&honest_qs, msg) || !apply(&lazy_qs, msg)) return 1;
   }
 
   VarintGapCodec codec;
@@ -61,9 +72,9 @@ int main() {
           da.ModifyRecord(sym, {sym, 10'000 + static_cast<int64_t>(
                                           rng.Uniform(5000)),
                                 0, 0});
-      if (!msg.ok()) continue;
-      honest_qs.ApplyUpdate(msg.value());
-      if (period < 2) lazy_qs.ApplyUpdate(msg.value());
+      if (!msg.ok()) return 1;
+      if (!apply(&honest_qs, msg.value())) return 1;
+      if (period < 2 && !apply(&lazy_qs, msg.value())) return 1;
     }
     auto out = da.PublishSummary();
     std::printf("period %d: summary #%llu, %zu bytes compressed, %zu "
@@ -75,8 +86,8 @@ int main() {
     lazy_qs.AddSummary(out.summary);  // summaries come from the trusted DA
     ++epochs_published;
     for (const auto& rc : out.recertifications) {
-      honest_qs.ApplyUpdate(rc);
-      if (period < 2) lazy_qs.ApplyUpdate(rc);
+      if (!apply(&honest_qs, rc)) return 1;
+      if (period < 2 && !apply(&lazy_qs, rc)) return 1;
     }
   }
 
@@ -86,6 +97,8 @@ int main() {
   uint64_t now = clock.NowMicros();
   Query board = Query::Select(0, 199);
   auto honest = honest_qs.Execute(board);
+  auto lazy = lazy_qs.Execute(board);
+  if (!honest.ok() || !lazy.ok()) return 1;
   Status honest_status = client.VerifyAnswerFresh(board, honest.value(), now,
                                                   epochs_published);
   std::printf("honest server: %zu records -> %s\n",
@@ -94,7 +107,6 @@ int main() {
 
   ClientVerifier client2(&da.public_key(), &codec,
                          BasContext::HashMode::kFast);
-  auto lazy = lazy_qs.Execute(board);
   Status lazy_status =
       client2.VerifyAnswerFresh(board, lazy.value(), now, epochs_published);
   std::printf("lazy server:   %zu records -> %s\n",

@@ -434,7 +434,7 @@ def self_test(doc, threshold):
 
 def ablation(on_path, off_path):
     """Informational ablation report: compare one BenchRun JSON produced
-    with a feature ON (batching, batched bloom probes, SIMD crypto)
+    with a feature ON (batching, SIMD crypto)
     against one with it forced OFF and print the per-metric delta. Never
     gates — the ON run is what the baseline and the contracts judge; this
     step documents what the feature buys on the runner that produced the
@@ -447,8 +447,7 @@ def ablation(on_path, off_path):
             return 1
         reports.append(report["metrics"])
     on, off = reports
-    shared = sorted(set(on) & set(off)
-                    - {"batching_enabled", "scalar_bloom_probes"})
+    shared = sorted(set(on) & set(off) - {"batching_enabled"})
     if not shared:
         print("no shared metrics between ON and OFF artifacts",
               file=sys.stderr)

@@ -74,9 +74,8 @@ Nine rules, each protecting a contract the compiler cannot see:
   ``BloomFilter::ProbeMany`` batches (bulk hashing plus a block
   prefetch sweep over the cache-line-blocked layout). Group a plan's
   unmatched probe values by covering partition and issue one ProbeMany
-  per group. Deliberate scalar sites — the ablation path behind
-  ``ServerConfig::Serving::scalar_bloom_probes`` — take the
-  allow-escape with a comment saying why.
+  per group. A deliberate scalar site takes the allow-escape with a
+  comment saying why.
 
 Escape hatch: a violating line is accepted when it (or the line directly
 above it) carries ``// authdb-lint: allow(<rule>)`` — use sparingly and

@@ -238,8 +238,7 @@ Status ShardVersionBuilder::ApplyReplace(const CertifiedRecord& cr) {
   it->record = cr.record;
   it->sig = cr.sig;
   // A message without attribute signatures leaves the stored ones in
-  // place, matching the QueryServer mirror semantics (the DA only ships
-  // them when attribute signing is on).
+  // place (the DA only ships them when attribute signing is on).
   if (!cr.attr_sigs.empty()) it->attr_sigs = cr.attr_sigs;
   return Status::OK();
 }

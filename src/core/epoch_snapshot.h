@@ -171,10 +171,10 @@ class ShardVersionBuilder {
       std::shared_ptr<const BasContext> barrier_ctx = nullptr);
 
   /// Apply one DA update piece (the shard-owned slice of a
-  /// SignedRecordUpdate). Mirrors the QueryServer apply semantics:
-  /// inserts require a fresh key, modifies/deletes/re-certifications an
-  /// existing one; attribute signatures are retained per record and kept
-  /// when a message ships none.
+  /// SignedRecordUpdate): inserts require a fresh key,
+  /// modifies/deletes/re-certifications an existing one; attribute
+  /// signatures are retained per record and kept when a message ships
+  /// none.
   Status Apply(const SignedRecordUpdate& piece);
 
   /// Freeze the current state into an immutable snapshot. Advances the

@@ -118,136 +118,6 @@ bool ApplyPartitionRefresh(const PartitionRefresh& refresh,
 }
 
 // ---------------------------------------------------------------------------
-// JoinProver
-
-Result<JoinMatch> JoinProver::MatchGroup(int64_t a) const {
-  int64_t lo = JoinCompositeKey(a, 0);
-  int64_t hi = JoinCompositeKey(a, kJoinMaxDup);
-  AuthTable::RangeOut scan = s_->Scan(lo, hi);
-  JoinMatch match;
-  match.a_value = a;
-  match.left_key =
-      scan.left_boundary ? scan.left_boundary->record.key() : kChainMinusInf;
-  match.right_key =
-      scan.right_boundary ? scan.right_boundary->record.key() : kChainPlusInf;
-  for (const auto& item : scan.items) match.s_records.push_back(item.record);
-  return match;
-}
-
-Result<AbsenceProof> JoinProver::ProveAbsence(int64_t a) const {
-  int64_t lo = JoinCompositeKey(a, 0);
-  int64_t hi = JoinCompositeKey(a, kJoinMaxDup);
-  AuthTable::RangeOut scan = s_->Scan(lo, hi);
-  AUTHDB_CHECK(scan.items.empty());
-  const AuthTable::Item* witness =
-      scan.left_boundary ? &*scan.left_boundary
-                         : (scan.right_boundary ? &*scan.right_boundary
-                                                : nullptr);
-  if (witness == nullptr) return Status::NotFound("S is empty");
-  auto [wl, wr] = s_->NeighborKeys(witness->record.key());
-  AbsenceProof proof;
-  proof.a_value = a;
-  proof.rec_key = witness->record.key();
-  proof.rec_rid = witness->record.rid;
-  proof.rec_ts = witness->record.ts;
-  proof.rec_digest = witness->record.Digest();
-  proof.left_key = wl;
-  proof.right_key = wr;
-  return proof;
-}
-
-Result<JoinAnswer> JoinProver::Join(const std::vector<int64_t>& r_values,
-                                    JoinMethod method) const {
-  std::vector<int64_t> values = r_values;
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-
-  JoinAnswer ans;
-  ans.method = method;
-  std::set<uint32_t> used_partitions;
-  // Chain signatures included in the aggregate, deduplicated by composite
-  // key (a record may serve as both a match member and an absence witness).
-  std::set<int64_t> included_keys;
-  std::vector<BasSignature> parts;
-
-  auto include_record = [&](const AuthTable::Item& item) {
-    if (included_keys.insert(item.record.key()).second)
-      parts.push_back(item.sig);
-  };
-
-  // Pass 1: match groups; unmatched values fall through (sorted order
-  // preserved so the emitted proof artifacts match the legacy ordering).
-  std::vector<int64_t> unmatched;
-  for (int64_t a : values) {
-    AUTHDB_ASSIGN_OR_RETURN(JoinMatch match, MatchGroup(a));
-    if (!match.s_records.empty()) {
-      for (const Record& r : match.s_records) {
-        auto item = s_->GetByKey(r.key());
-        AUTHDB_CHECK(item.ok());
-        include_record(item.value());
-      }
-      ans.matches.push_back(std::move(match));
-      continue;
-    }
-    unmatched.push_back(a);
-  }
-
-  // Pass 2 (BF): one batched filter probe per covering partition instead
-  // of a per-key scatter — ProbeMany bulk-hashes and prefetches blocks.
-  std::vector<const CertifiedPartition*> covering(unmatched.size(), nullptr);
-  std::vector<uint8_t> maybe_present(unmatched.size(), 1);
-  if (method == JoinMethod::kBloomFilter && !unmatched.empty()) {
-    std::map<const CertifiedPartition*, std::vector<size_t>> by_part;
-    for (size_t i = 0; i < unmatched.size(); ++i) {
-      covering[i] = FindCoveringPartition(*partitions_, unmatched[i]);
-      if (covering[i] != nullptr) by_part[covering[i]].push_back(i);
-    }
-    std::vector<int64_t> keys;
-    std::vector<uint8_t> results;
-    for (const auto& [part, idxs] : by_part) {
-      keys.clear();
-      for (size_t i : idxs) keys.push_back(unmatched[i]);
-      results.resize(keys.size());
-      part->filter.ProbeMany(keys.data(), keys.size(), results.data());
-      for (size_t j = 0; j < idxs.size(); ++j)
-        maybe_present[idxs[j]] = results[j];
-    }
-  }
-
-  // Pass 3: emit negative probes / boundary fallbacks in value order.
-  for (size_t i = 0; i < unmatched.size(); ++i) {
-    int64_t a = unmatched[i];
-    bool need_boundary = true;
-    if (method == JoinMethod::kBloomFilter && covering[i] != nullptr) {
-      used_partitions.insert(covering[i]->idx);
-      if (!maybe_present[i]) {
-        ans.negative_probes.push_back({a, covering[i]->idx});
-        need_boundary = false;
-      }
-      // else: false positive — fall back to a boundary proof below.
-    }
-    if (need_boundary) {
-      AUTHDB_ASSIGN_OR_RETURN(AbsenceProof proof, ProveAbsence(a));
-      auto item = s_->GetByKey(proof.rec_key);
-      AUTHDB_CHECK(item.ok());
-      include_record(item.value());
-      ans.absence_proofs.push_back(std::move(proof));
-    }
-  }
-  for (uint32_t idx : used_partitions) {
-    for (const auto& p : *partitions_) {
-      if (p.idx == idx) {
-        ans.partitions.push_back(p);
-        parts.push_back(p.sig);
-        break;
-      }
-    }
-  }
-  ans.agg_sig = ctx_->Aggregate(parts);
-  return ans;
-}
-
-// ---------------------------------------------------------------------------
 // JoinVerifier
 
 Status JoinVerifier::Verify(const std::vector<int64_t>& r_values,

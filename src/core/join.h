@@ -4,13 +4,13 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
-#include "common/result.h"
-#include "core/auth_table.h"
+#include "common/status.h"
+#include "core/record.h"
 #include "core/vo_size.h"
+#include "crypto/bas.h"
 #include "crypto/bloom.h"
 
 namespace authdb {
@@ -99,8 +99,7 @@ bool ApplyPartitionRefresh(const PartitionRefresh& refresh,
                            std::vector<CertifiedPartition>* partitions);
 
 /// The (unique) partition whose [lo_b, hi_b] range covers `b`, or nullptr
-/// when none does — shared by the single-node prover and the sharded
-/// executor so their negative-probe decisions cannot diverge.
+/// when none does.
 inline const CertifiedPartition* FindCoveringPartition(
     const std::vector<CertifiedPartition>& partitions, int64_t b) {
   for (const CertifiedPartition& p : partitions) {
@@ -215,27 +214,6 @@ struct JoinAnswer {
   size_t vo_boundary_bytes(const SizeModel& sm) const;
   /// Actual bytes our wire format would ship for the proof artifacts.
   size_t wire_size(const SizeModel& sm) const;
-};
-
-/// QS-side join proof construction over the authenticated S table.
-class JoinProver {
- public:
-  JoinProver(std::shared_ptr<const BasContext> ctx, const AuthTable* s_table,
-             const std::vector<CertifiedPartition>* partitions)
-      : ctx_(std::move(ctx)), s_(s_table), partitions_(partitions) {}
-
-  /// Join the (already selected and separately proven) distinct R.A values
-  /// against S.
-  Result<JoinAnswer> Join(const std::vector<int64_t>& r_values,
-                          JoinMethod method) const;
-
- private:
-  Result<JoinMatch> MatchGroup(int64_t a) const;
-  Result<AbsenceProof> ProveAbsence(int64_t a) const;
-
-  std::shared_ptr<const BasContext> ctx_;
-  const AuthTable* s_;
-  const std::vector<CertifiedPartition>* partitions_;
 };
 
 /// Client-side join verification: every R.A value must be accounted for by

@@ -80,9 +80,10 @@ class SigCachePlanner {
 /// positions [j*2^level, (j+1)*2^level).
 ///
 /// Two maintenance disciplines share the entry table:
-///  * The single-node QueryServer uses the untagged RangeAggregate with the
-///    constructor's LeafProvider and patches/invalidates entries through
-///    OnLeafUpdate (ranks there are stable across modifications).
+///  * The untagged RangeAggregate uses the constructor's LeafProvider and
+///    patches/invalidates entries through OnLeafUpdate (ranks are stable
+///    across modifications) — the paper's Eager/Lazy maintenance model
+///    that bench_fig10_cache_maintenance measures.
 ///  * The sharded snapshot path uses the *generation-tagged* overload: every
 ///    cached window carries the chain generation it was computed from
 ///    (EpochSnapshot::generation), a per-call LeafProvider reads the
@@ -96,8 +97,8 @@ class SigCachePlanner {
 /// OnLeafUpdate, and Revise may race with each other. The LeafProvider is
 /// invoked while that lock is held and must therefore be independently safe
 /// to call: trivially so for the snapshot path (pinned snapshots are
-/// immutable), while QueryServer's provider reads the index through the
-/// buffer pool and relies on the server being externally serialized.
+/// immutable); an untagged-path provider over mutable state must be
+/// externally serialized.
 class SigCache {
  public:
   enum class RefreshMode { kEager, kLazy };
@@ -214,8 +215,8 @@ class SigCache {
     BasSignature sig;
     bool valid = false;
     /// Chain generation the cached value was computed from (the untagged
-    /// QueryServer path pins generation 0 and maintains entries through
-    /// OnLeafUpdate instead).
+    /// path pins generation 0 and maintains entries through OnLeafUpdate
+    /// instead).
     uint64_t generation = 0;
     uint64_t access_count = 0;
   };

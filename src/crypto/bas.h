@@ -64,8 +64,8 @@ struct BasAccumulator {
 ///    group element is structurally identical and all aggregation and
 ///    pairing-verification code paths are identical, but the discrete log of
 ///    H(m) is public, so this mode is NOT cryptographically secure. It
-///    exists to bulk-load million-record experiment databases (documented
-///    substitution #2 in DESIGN.md).
+///    exists to bulk-load million-record experiment databases (README
+///    "Substitutions" #2).
 class BasContext {
  public:
   enum class HashMode { kSecure, kFast };

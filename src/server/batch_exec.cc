@@ -517,9 +517,7 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
   // Batched Bloom pre-pass (the join hot path): every unmatched probe
   // value is grouped by its covering partition and the group goes through
   // ONE ProbeMany call — bulk hashing plus a block-prefetch sweep over
-  // the filter — before the stitch walk below consumes the verdicts. The
-  // scalar_bloom_probes ablation flag forces the legacy per-key probe so
-  // CI can measure what batching buys; answers are identical either way.
+  // the filter — before the stitch walk below consumes the verdicts.
   std::vector<const CertifiedPartition*> cover(work.values.size(), nullptr);
   std::vector<uint8_t> maybe(work.values.size(), 0);
   if (q.join_method == JoinMethod::kBloomFilter && !partitions.empty()) {
@@ -540,17 +538,11 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
     }
     for (const auto& [part, vis] : by_part) {
       bs->bloom_probes += vis.size();
-      if (srv_.config_.serving.scalar_bloom_probes) {
-        for (size_t vi : vis)
-          // authdb-lint: allow(bloom-batch) ablation-only scalar probe path
-          maybe[vi] = part->filter.MayContainInt64(work.values[vi]) ? 1 : 0;
-      } else {
-        std::vector<int64_t> keys(vis.size());
-        for (size_t i = 0; i < vis.size(); ++i) keys[i] = work.values[vis[i]];
-        std::vector<uint8_t> hits(vis.size());
-        part->filter.ProbeMany(keys.data(), keys.size(), hits.data());
-        for (size_t i = 0; i < vis.size(); ++i) maybe[vis[i]] = hits[i];
-      }
+      std::vector<int64_t> keys(vis.size());
+      for (size_t i = 0; i < vis.size(); ++i) keys[i] = work.values[vis[i]];
+      std::vector<uint8_t> hits(vis.size());
+      part->filter.ProbeMany(keys.data(), keys.size(), hits.data());
+      for (size_t i = 0; i < vis.size(); ++i) maybe[vis[i]] = hits[i];
       for (size_t vi : vis) bs->bloom_block_hits += maybe[vi];
     }
   }

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "common/result.h"
-#include "core/query_server.h"
 
 namespace authdb {
 
@@ -14,10 +13,8 @@ namespace authdb {
 /// `UpdateStream::Options` pair (and absorbed the admission-control knobs
 /// that would otherwise have become a fourth ad-hoc struct):
 ///
-///   node      — the per-shard storage/evidence layer (the core
-///               QueryServer::Options, embedded verbatim so the
-///               single-node reference path and the sharded server can
-///               never drift on record layout or summary retention);
+///   node      — the per-shard storage/evidence layer (record layout and
+///               summary retention);
 ///   serving   — the read fan-out + epoch-GC layer (ShardedQueryServer);
 ///   ingest    — the streaming apply layer (UpdateStream);
 ///   admission — overload control on the read path (AdmissionController).
@@ -27,10 +24,14 @@ namespace authdb {
 /// (ShardedQueryServer, UpdateStream) CHECK-fails on an invalid config so
 /// a bad knob can never silently serve.
 struct ServerConfig {
-  /// Per-shard storage/evidence layer (core). `record_len` sizes the
-  /// fixed-length record pages; `summaries_retained` bounds the summary
-  /// run carried by every published epoch.
-  QueryServer::Options node;
+  /// Per-shard storage/evidence layer. `summaries_retained` bounds the
+  /// summary run carried by every published epoch. `record_len` (the
+  /// DA's fixed record length) is validated but not read by the serving
+  /// path: snapshots hold records in memory, not in fixed-length pages.
+  struct Node {
+    uint32_t record_len = 512;
+    size_t summaries_retained = 4096;
+  } node;
 
   struct Serving {
     /// Non-zero: one dedicated shard-affine worker thread per shard serves
@@ -51,12 +52,6 @@ struct ServerConfig {
     /// automatically; RetuneSigCache() stays available to callers. Plans
     /// that come out unchanged keep their warm windows.
     size_t sigcache_retune_publications = 0;
-    /// Ablation: force the legacy per-key Bloom probe on the join hot
-    /// path instead of the batched ProbeMany (no bulk hashing, no block
-    /// prefetch). Answers are identical — the filters are the same — so
-    /// this isolates what the batch probe buys (CI's scalar-probe bench
-    /// artifact). Never enable in production.
-    bool scalar_bloom_probes = false;
   } serving;
 
   struct Ingest {

@@ -12,7 +12,6 @@
 #include "core/epoch_snapshot.h"
 #include "core/freshness.h"
 #include "core/protocol.h"
-#include "core/query_server.h"
 #include "core/sigcache.h"
 #include "server/admission.h"
 #include "server/config.h"

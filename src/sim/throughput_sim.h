@@ -10,9 +10,9 @@ namespace authdb {
 /// System parameters for the throughput experiments (Table 2 of the paper).
 /// The networks are modelled as bandwidth-limited FCFS queues exactly as in
 /// the paper; the CPU schedule and lock queues are additionally simulated
-/// here because this machine has a single core (substitution #3 in
-/// DESIGN.md). All service times are calibrated from micro-measurements of
-/// the real implementations.
+/// here rather than timed on real cores (README "Substitutions" #3). All
+/// service times are calibrated from micro-measurements of the real
+/// implementations.
 struct SystemConfig {
   int cpu_cores = 4;            ///< quad-core Xeon in the paper's testbed
   double io_seconds = 0.005;    ///< one random 4-KB disk I/O

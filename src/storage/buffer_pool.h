@@ -17,8 +17,7 @@ namespace authdb {
 /// LRU buffer pool over a DiskManager. Pages are pinned while in use and
 /// written back on eviction when dirty. Not thread-safe: the engine executes
 /// storage operations single-threaded, and transaction concurrency is
-/// modelled at the lock-manager / simulator level (DESIGN.md substitution
-/// #3).
+/// modelled by the throughput simulator (README "Substitutions" #3).
 class BufferPool {
  public:
   BufferPool(DiskManager* disk, size_t capacity_pages);

@@ -13,7 +13,7 @@
 namespace authdb {
 
 /// Physical-I/O counters. The discrete-event simulator charges a per-I/O
-/// latency against these (substitution #5 in DESIGN.md): raw disk timings
+/// latency against these (README "Substitutions" #5): raw disk timings
 /// inside a container are dominated by the host page cache, so experiments
 /// count I/Os and cost them with a configurable model instead.
 struct IoStats {

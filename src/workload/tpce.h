@@ -14,7 +14,7 @@ namespace authdb {
 /// R.A) joined with a 'Holding' subset (S, 894,000 rows, IB = 3425 distinct
 /// S.B). TPC-E data is not redistributable; these generators reproduce the
 /// cardinalities and the controllable match ratio alpha, which is all the
-/// VO-size experiments depend on (substitution #4 in DESIGN.md).
+/// VO-size experiments depend on (README "Substitutions" #4).
 class TpceJoinWorkload {
  public:
   struct Config {

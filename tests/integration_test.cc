@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "core/data_aggregator.h"
-#include "core/query_server.h"
 #include "core/verifier.h"
+#include "server/sharded_query_server.h"
 
 namespace authdb {
 namespace {
@@ -29,9 +29,10 @@ class SystemFixture {
     opt.rho_micros = 1'000'000;
     opt.rho_prime_micros = 30'000'000;
     da_ = std::make_unique<DataAggregator>(ctx, &clock_, &rng_, opt);
-    QueryServer::Options qopt;
-    qopt.record_len = 128;
-    qs_ = std::make_unique<QueryServer>(ctx, qopt);
+    ServerConfig cfg;
+    cfg.node.record_len = 128;
+    cfg.serving.worker_threads = 0;
+    qs_ = std::make_unique<ShardedQueryServer>(ctx, ShardRouter({}), cfg);
     std::vector<Record> records;
     for (uint64_t k = 0; k < n; ++k) {
       Record r;
@@ -61,7 +62,7 @@ class SystemFixture {
   Rng rng_;
   std::shared_ptr<const BasContext> ctx_;
   std::unique_ptr<DataAggregator> da_;
-  std::unique_ptr<QueryServer> qs_;
+  std::unique_ptr<ShardedQueryServer> qs_;
   std::map<int64_t, int64_t> model_;  // key -> attrs[1]
 };
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/data_aggregator.h"
+#include "server/sharded_query_server.h"
 
 namespace authdb {
 namespace {
@@ -17,7 +18,7 @@ namespace {
 using HashMode = BasContext::HashMode;
 
 // S holds B values {10, 10, 10, 20, 30, 30, 50, 70} (duplicates included),
-// indexed on composite keys.
+// indexed on composite keys and served by a one-shard server.
 class JoinTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -42,6 +43,13 @@ class JoinTest : public ::testing::Test {
     }
     auto stream = da_->BulkLoad(std::move(records));
     ASSERT_TRUE(stream.ok());
+    ServerConfig cfg;
+    cfg.node.record_len = 128;
+    cfg.serving.worker_threads = 0;
+    server_ =
+        std::make_unique<ShardedQueryServer>(*ctx_, ShardRouter({}), cfg);
+    for (const auto& msg : stream.value())
+      ASSERT_TRUE(server_->ApplyUpdate(msg).ok());
 
     distinct_b_ = {10, 20, 30, 50, 70};
     authority_ = std::make_unique<JoinAuthority>(
@@ -50,25 +58,33 @@ class JoinTest : public ::testing::Test {
                                               /*values_per_partition=*/2,
                                               /*bits_per_value=*/8.0,
                                               clock_.NowMicros());
-    prover_ = std::make_unique<JoinProver>(*ctx_, &da_->table(), &partitions_);
+    server_->SetJoinPartitions(partitions_);
     verifier_ = std::make_unique<JoinVerifier>(&da_->public_key(),
                                                HashMode::kFast);
+  }
+
+  /// The server's join answer for `r_values`.
+  Result<JoinAnswer> Join(const std::vector<int64_t>& r_values,
+                          JoinMethod method) {
+    AUTHDB_ASSIGN_OR_RETURN(QueryAnswer ans,
+                            server_->Execute(Query::Join(r_values, method)));
+    return std::move(ans.join);
   }
 
   static std::shared_ptr<const BasContext>* ctx_;
   ManualClock clock_;
   std::unique_ptr<Rng> rng_;
   std::unique_ptr<DataAggregator> da_;
+  std::unique_ptr<ShardedQueryServer> server_;
   std::vector<int64_t> distinct_b_;
   std::unique_ptr<JoinAuthority> authority_;
   std::vector<CertifiedPartition> partitions_;
-  std::unique_ptr<JoinProver> prover_;
   std::unique_ptr<JoinVerifier> verifier_;
 };
 std::shared_ptr<const BasContext>* JoinTest::ctx_ = nullptr;
 
 TEST_F(JoinTest, MatchedValuesReturnAllDuplicates) {
-  auto ans = prover_->Join({10, 30}, JoinMethod::kBloomFilter);
+  auto ans = Join({10, 30}, JoinMethod::kBloomFilter);
   ASSERT_TRUE(ans.ok());
   ASSERT_EQ(ans.value().matches.size(), 2u);
   EXPECT_EQ(ans.value().matches[0].s_records.size(), 3u);  // B=10 x3
@@ -80,7 +96,7 @@ TEST_F(JoinTest, MixedMatchedAndUnmatchedVerifies) {
   std::vector<int64_t> r_values = {10, 15, 20, 41, 70, 99};
   for (JoinMethod method :
        {JoinMethod::kBloomFilter, JoinMethod::kBoundaryValues}) {
-    auto ans = prover_->Join(r_values, method);
+    auto ans = Join(r_values, method);
     ASSERT_TRUE(ans.ok());
     EXPECT_EQ(ans.value().matches.size(), 3u);  // 10, 20, 70
     EXPECT_TRUE(verifier_->Verify(r_values, ans.value()).ok());
@@ -95,8 +111,8 @@ TEST_F(JoinTest, BloomNegativesAvoidBoundaryProofs) {
         distinct_b_.end())
       unmatched.push_back(v);
   }
-  auto bf = prover_->Join(unmatched, JoinMethod::kBloomFilter);
-  auto bv = prover_->Join(unmatched, JoinMethod::kBoundaryValues);
+  auto bf = Join(unmatched, JoinMethod::kBloomFilter);
+  auto bv = Join(unmatched, JoinMethod::kBoundaryValues);
   ASSERT_TRUE(bf.ok() && bv.ok());
   // BV needs one absence proof per value; BF mostly needs none.
   EXPECT_EQ(bv.value().absence_proofs.size(), unmatched.size());
@@ -121,7 +137,7 @@ TEST_F(JoinTest, FalsePositiveFallsBackToBoundaryProof) {
     }
   }
   if (fp_value < 0) GTEST_SKIP() << "no false positive found in probe range";
-  auto ans = prover_->Join({fp_value}, JoinMethod::kBloomFilter);
+  auto ans = Join({fp_value}, JoinMethod::kBloomFilter);
   ASSERT_TRUE(ans.ok());
   EXPECT_EQ(ans.value().absence_proofs.size(), 1u);
   EXPECT_TRUE(ans.value().negative_probes.empty());
@@ -129,7 +145,7 @@ TEST_F(JoinTest, FalsePositiveFallsBackToBoundaryProof) {
 }
 
 TEST_F(JoinTest, DuplicateRValuesDeduplicated) {
-  auto ans = prover_->Join({10, 10, 10, 15, 15}, JoinMethod::kBloomFilter);
+  auto ans = Join({10, 10, 10, 15, 15}, JoinMethod::kBloomFilter);
   ASSERT_TRUE(ans.ok());
   EXPECT_EQ(ans.value().matches.size(), 1u);
   EXPECT_TRUE(verifier_->Verify({10, 10, 10, 15, 15}, ans.value()).ok());
@@ -138,7 +154,7 @@ TEST_F(JoinTest, DuplicateRValuesDeduplicated) {
 // --- Adversarial servers -------------------------------------------------
 
 TEST_F(JoinTest, HiddenMatchRowDetected) {
-  auto ans = prover_->Join({10}, JoinMethod::kBloomFilter);
+  auto ans = Join({10}, JoinMethod::kBloomFilter);
   ASSERT_TRUE(ans.ok());
   auto tampered = ans.value();
   tampered.matches[0].s_records.pop_back();
@@ -146,7 +162,7 @@ TEST_F(JoinTest, HiddenMatchRowDetected) {
 }
 
 TEST_F(JoinTest, ModifiedMatchRowDetected) {
-  auto ans = prover_->Join({20}, JoinMethod::kBloomFilter);
+  auto ans = Join({20}, JoinMethod::kBloomFilter);
   ASSERT_TRUE(ans.ok());
   auto tampered = ans.value();
   tampered.matches[0].s_records[0].attrs[2] = 666;
@@ -156,7 +172,7 @@ TEST_F(JoinTest, ModifiedMatchRowDetected) {
 TEST_F(JoinTest, ClaimingMatchedValueAbsentDetected) {
   // 20 IS in S. A negative-probe claim must fail because the genuine
   // certified filter contains 20.
-  auto ans = prover_->Join({20}, JoinMethod::kBloomFilter);
+  auto ans = Join({20}, JoinMethod::kBloomFilter);
   ASSERT_TRUE(ans.ok());
   auto tampered = ans.value();
   tampered.matches.clear();
@@ -173,7 +189,7 @@ TEST_F(JoinTest, ClaimingMatchedValueAbsentDetected) {
 
 TEST_F(JoinTest, ForgedFilterDetected) {
   // The server builds its own (uncertified) empty filter to claim absence.
-  auto ans = prover_->Join({20}, JoinMethod::kBloomFilter);
+  auto ans = Join({20}, JoinMethod::kBloomFilter);
   ASSERT_TRUE(ans.ok());
   auto tampered = ans.value();
   tampered.matches.clear();
@@ -191,7 +207,7 @@ TEST_F(JoinTest, ForgedFilterDetected) {
 }
 
 TEST_F(JoinTest, NonBracketingWitnessDetected) {
-  auto ans = prover_->Join({15}, JoinMethod::kBoundaryValues);
+  auto ans = Join({15}, JoinMethod::kBoundaryValues);
   ASSERT_TRUE(ans.ok());
   auto tampered = ans.value();
   // Shift the claimed value: witness for 15 cannot prove absence of 25.
@@ -199,7 +215,7 @@ TEST_F(JoinTest, NonBracketingWitnessDetected) {
 }
 
 TEST_F(JoinTest, UnaccountedValueDetected) {
-  auto ans = prover_->Join({15}, JoinMethod::kBloomFilter);
+  auto ans = Join({15}, JoinMethod::kBloomFilter);
   ASSERT_TRUE(ans.ok());
   // The verifier expects proofs for both 15 and 25.
   EXPECT_FALSE(verifier_->Verify({15, 25}, ans.value()).ok());
@@ -298,8 +314,8 @@ TEST_F(JoinTest, VoSizeBfSmallerThanBvWhenMostlyUnmatched) {
   SizeModel sm;
   std::vector<int64_t> unmatched;
   for (int64_t v = 1000; v < 1050; ++v) unmatched.push_back(v);
-  auto bf = prover_->Join(unmatched, JoinMethod::kBloomFilter);
-  auto bv = prover_->Join(unmatched, JoinMethod::kBoundaryValues);
+  auto bf = Join(unmatched, JoinMethod::kBloomFilter);
+  auto bv = Join(unmatched, JoinMethod::kBoundaryValues);
   ASSERT_TRUE(bf.ok() && bv.ok());
   EXPECT_TRUE(verifier_->Verify(unmatched, bf.value()).ok());
   EXPECT_TRUE(verifier_->Verify(unmatched, bv.value()).ok());

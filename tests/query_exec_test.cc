@@ -1,8 +1,8 @@
 // End-to-end tests of the unified query-execution layer: selections,
 // projections, and both equi-join variants served through
-// QueryServer::Execute and ShardedQueryServer::Execute, every answer
-// epoch-stamped and accepted (or, when tampered/stale, rejected) by the
-// client-side ClientVerifier::VerifyAnswerFresh.
+// ShardedQueryServer::Execute on a 4-shard and a one-shard server, every
+// answer epoch-stamped and accepted (or, when tampered/stale, rejected) by
+// the client-side ClientVerifier::VerifyAnswerFresh.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/data_aggregator.h"
-#include "core/query_server.h"
 #include "core/verifier.h"
 #include "server/sharded_query_server.h"
 
@@ -44,8 +43,16 @@ class QueryExecTest : public ::testing::Test {
                                                  HashMode::kFast);
   }
 
+  /// One shard owning every key, visits inline on the caller's thread.
+  static ServerConfig NodeConfig() {
+    ServerConfig cfg;
+    cfg.node.record_len = 128;
+    cfg.serving.worker_threads = 0;
+    return cfg;
+  }
+
   /// Bulk-load S = {B value -> duplicate count}, enable join partitions,
-  /// and stand up a 4-shard server (plus a single-server reference) with
+  /// and stand up a 4-shard server (plus a one-shard reference) with
   /// seams at composite keys {(30,1), (50,0), (75,0)}.
   void Load(const std::map<int64_t, int>& b_counts) {
     std::vector<Record> records;
@@ -69,9 +76,8 @@ class QueryExecTest : public ::testing::Test {
         ShardRouter({JoinCompositeKey(30, 1), JoinCompositeKey(50, 0),
                      JoinCompositeKey(75, 0)}),
         cfg);
-    QueryServer::Options qopt;
-    qopt.record_len = 128;
-    reference_ = std::make_unique<QueryServer>(*ctx_, qopt);
+    reference_ = std::make_unique<ShardedQueryServer>(*ctx_, ShardRouter({}),
+                                                      NodeConfig());
     for (const auto& msg : stream.value()) {
       ASSERT_TRUE(server_->ApplyUpdate(msg).ok());
       ASSERT_TRUE(reference_->ApplyUpdate(msg).ok());
@@ -96,17 +102,11 @@ class QueryExecTest : public ::testing::Test {
   void PublishPeriod() {
     clock_.AdvanceSeconds(1.0);
     DataAggregator::PeriodOutput out = da_->PublishSummary();
-    // The sharded server installs the refresh (delta merges + full
-    // rebuilds) in the same descriptor swap as the epoch; the single-node
-    // reference mirrors it through the same ApplyPartitionRefresh.
+    // Both servers install the refresh (delta merges + full rebuilds) in
+    // the same descriptor swap as the epoch.
     server_->AddSummary(out.summary, out.partition_refresh);
-    reference_->AddSummary(out.summary);
+    reference_->AddSummary(out.summary, out.partition_refresh);
     for (const auto& msg : out.recertifications) Apply(msg);
-    if (!out.partition_refresh.empty()) {
-      std::vector<CertifiedPartition> ref = reference_->join_partitions();
-      ASSERT_TRUE(ApplyPartitionRefresh(out.partition_refresh, &ref));
-      reference_->SetJoinPartitions(std::move(ref));
-    }
   }
 
   uint64_t Now() { return clock_.NowMicros(); }
@@ -117,7 +117,7 @@ class QueryExecTest : public ::testing::Test {
   VarintGapCodec codec_;
   std::unique_ptr<DataAggregator> da_;
   std::unique_ptr<ShardedQueryServer> server_;
-  std::unique_ptr<QueryServer> reference_;
+  std::unique_ptr<ShardedQueryServer> reference_;
   std::unique_ptr<ClientVerifier> verifier_;
 };
 std::shared_ptr<const BasContext>* QueryExecTest::ctx_ = nullptr;
@@ -150,7 +150,7 @@ TEST_F(QueryExecTest, JoinMatchGroupSpansShardSeam) {
     EXPECT_EQ(ans.value().join.matches[0].s_records.size(), 3u);
     EXPECT_TRUE(
         verifier_->VerifyAnswerFresh(q, ans.value(), Now(), 0).ok());
-    // The sharded aggregate equals the single-server one: same records,
+    // The sharded aggregate equals the one-shard one: same records,
     // same chain signatures, same sum.
     auto ref = reference_->Execute(q);
     ASSERT_TRUE(ref.ok());
@@ -380,9 +380,7 @@ TEST_F(QueryExecTest, ProjectionWithoutAttributeSignaturesRefused) {
   }
   auto stream = da.BulkLoad(std::move(records));
   ASSERT_TRUE(stream.ok());
-  QueryServer::Options qopt;
-  qopt.record_len = 128;
-  QueryServer qs(*ctx_, qopt);
+  ShardedQueryServer qs(*ctx_, ShardRouter({}), NodeConfig());
   for (const auto& msg : stream.value())
     ASSERT_TRUE(qs.ApplyUpdate(msg).ok());
   auto ans = qs.Execute(Query::Project(0, 7, {1}));

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "core/data_aggregator.h"
-#include "core/query_server.h"
 #include "core/verifier.h"
+#include "server/sharded_query_server.h"
 
 namespace authdb {
 namespace {
@@ -34,9 +34,8 @@ class SelectionTest : public ::testing::Test {
     opt.rho_micros = 1'000'000;
     opt.rho_prime_micros = 60'000'000;
     da_ = std::make_unique<DataAggregator>(*ctx_, &clock_, rng_.get(), opt);
-    QueryServer::Options qopt;
-    qopt.record_len = 128;
-    qs_ = std::make_unique<QueryServer>(*ctx_, qopt);
+    qs_ = std::make_unique<ShardedQueryServer>(*ctx_, ShardRouter({}),
+                                               NodeConfig());
     verifier_ = std::make_unique<ClientVerifier>(&da_->public_key(), &codec_,
                                                  HashMode::kFast);
     // 100 records with even keys 0..198.
@@ -65,6 +64,14 @@ class SelectionTest : public ::testing::Test {
       ASSERT_TRUE(qs_->ApplyUpdate(msg).ok());
   }
 
+  /// One shard owning every key, visits inline on the caller's thread.
+  static ServerConfig NodeConfig() {
+    ServerConfig cfg;
+    cfg.node.record_len = 128;
+    cfg.serving.worker_threads = 0;
+    return cfg;
+  }
+
   uint64_t Now() { return clock_.NowMicros(); }
 
   static std::shared_ptr<const BasContext>* ctx_;
@@ -72,7 +79,7 @@ class SelectionTest : public ::testing::Test {
   std::unique_ptr<Rng> rng_;
   VarintGapCodec codec_;
   std::unique_ptr<DataAggregator> da_;
-  std::unique_ptr<QueryServer> qs_;
+  std::unique_ptr<ShardedQueryServer> qs_;
   std::unique_ptr<ClientVerifier> verifier_;
 };
 std::shared_ptr<const BasContext>* SelectionTest::ctx_ = nullptr;
@@ -290,9 +297,7 @@ TEST_F(SelectionTest, SecureHashModeEndToEnd) {
   opt.record_len = 128;
   opt.hash_mode = HashMode::kSecure;
   DataAggregator da(*ctx_, &clock_, &rng, opt);
-  QueryServer::Options qopt;
-  qopt.record_len = 128;
-  QueryServer qs(*ctx_, qopt);
+  ShardedQueryServer qs(*ctx_, ShardRouter({}), NodeConfig());
   std::vector<Record> records;
   for (int64_t k = 0; k < 10; ++k) {
     Record r;

@@ -1,7 +1,8 @@
 // End-to-end tests of the sharded serving layer: the DA's single signed
-// stream is routed across K QueryServer shards, and the stitched multi-shard
+// stream is routed across K shards, and the stitched multi-shard
 // SelectionAnswer must pass the *unmodified* ClientVerifier — correctness,
-// completeness boundaries, and freshness summaries.
+// completeness boundaries, and freshness summaries — and agree with a
+// one-shard server fed the same messages.
 #include "server/sharded_query_server.h"
 
 #include <gtest/gtest.h>
@@ -39,7 +40,7 @@ class ShardedServerTest : public ::testing::Test {
                                                  HashMode::kFast);
   }
 
-  /// Build a K-shard server over [0, 198] and a single-server reference,
+  /// Build a K-shard server over [0, 198] and a one-shard reference,
   /// both fed the same bulk stream of records with the given keys.
   void Load(size_t shards, const std::vector<int64_t>& keys) {
     ServerConfig cfg;
@@ -47,9 +48,9 @@ class ShardedServerTest : public ::testing::Test {
     cfg.serving.worker_threads = 2;
     server_ = std::make_unique<ShardedQueryServer>(
         *ctx_, ShardRouter::Uniform(shards, 0, 198), cfg);
-    QueryServer::Options qopt;
-    qopt.record_len = 128;
-    reference_ = std::make_unique<QueryServer>(*ctx_, qopt);
+    cfg.serving.worker_threads = 0;
+    reference_ =
+        std::make_unique<ShardedQueryServer>(*ctx_, ShardRouter({}), cfg);
     std::vector<Record> records;
     for (int64_t k : keys) {
       Record r;
@@ -78,11 +79,12 @@ class ShardedServerTest : public ::testing::Test {
   void PublishPeriod() {
     auto out = da_->PublishSummary();
     server_->AddSummary(out.summary);
+    reference_->AddSummary(out.summary);
     for (const auto& msg : out.recertifications) Apply(msg);
   }
 
   /// The stitched answer must verify and agree record-for-record (and
-  /// aggregate-for-aggregate) with the single-server answer.
+  /// aggregate-for-aggregate) with the one-shard answer.
   void ExpectMatchesReference(int64_t lo, int64_t hi) {
     auto sharded = server_->Select(lo, hi);
     auto single = reference_->Select(lo, hi);
@@ -107,7 +109,7 @@ class ShardedServerTest : public ::testing::Test {
   VarintGapCodec codec_;
   std::unique_ptr<DataAggregator> da_;
   std::unique_ptr<ShardedQueryServer> server_;
-  std::unique_ptr<QueryServer> reference_;
+  std::unique_ptr<ShardedQueryServer> reference_;
   std::unique_ptr<ClientVerifier> verifier_;
 };
 std::shared_ptr<const BasContext>* ShardedServerTest::ctx_ = nullptr;
