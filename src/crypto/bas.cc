@@ -109,8 +109,8 @@ ECPoint BasContext::HashToPoint(Slice msg, HashMode mode) const {
     Digest256 d = h.Finish();
     Fp x = f.ToMont(Fp::FromBytes(d.AsSlice()));  // digest mod p
     Fp rhs = curve_->CurveRhs(x);
-    if (rhs.IsZero() || !f.IsSquare(rhs)) continue;
-    Fp y = f.Sqrt(rhs);
+    Fp y;
+    if (rhs.IsZero() || !f.SqrtIfSquare(rhs, &y)) continue;
     if (d.bytes[31] & 1) y = f.Neg(y);
     ECPoint pt{x, y, false};
     AUTHDB_DCHECK(curve_->IsOnCurve(pt));
@@ -199,6 +199,11 @@ std::vector<BasSignature> BasPrivateKey::SignBatch(
   return out;
 }
 
+BasPublicKey::BasPublicKey(std::shared_ptr<const BasContext> ctx, ECPoint pk)
+    : ctx_(std::move(ctx)),
+      pk_(std::move(pk)),
+      lines_(ctx_->pairing().Precompute(pk_)) {}
+
 bool BasPublicKey::Verify(Slice message, const BasSignature& sig,
                           BasContext::HashMode mode) const {
   return VerifyAggregate({message}, sig, mode);
@@ -215,7 +220,7 @@ std::vector<bool> BasPublicKey::VerifyAggregateBatch(
     const std::vector<BasAggregateClaim>& claims,
     BasContext::HashMode mode) const {
   std::vector<bool> ok(claims.size(), false);
-  if (claims.empty()) return ok;
+  if (claims.empty() || lines_ == nullptr) return ok;
   const CurveGroup& curve = ctx_->curve();
   // Per-claim hash-sum accumulators; the affine conversion is deferred and
   // shared below.
@@ -247,12 +252,14 @@ std::vector<bool> BasPublicKey::VerifyAggregateBatch(
   // ONE Montgomery batch inversion across every claim's hash sum — the
   // client-side mirror of FinalizeBatch on the server.
   std::vector<ECPoint> h_sums = curve.ToAffineBatch(sums);
-  // e(sigma, G) == e(H, pk): sigma and the hash sum are the Miller points,
-  // so a sigma outside the order-r subgroup is rejected by the loop itself.
+  // e(sigma, G) == e(pk, H) = e(H, pk): sigma stays the checked Miller
+  // point, so a sigma outside the order-r subgroup is rejected by the loop
+  // itself; pk's side runs on its precomputed lines. The hash sum is the
+  // verifier's own order-r point, so it may take the unchecked slot.
   const TatePairing& e = ctx_->pairing();
   for (size_t i = 0; i < claims.size(); ++i) {
-    ok[i] = e.PairingsEqual(claims[i].agg.point, ctx_->generator(), h_sums[i],
-                            pk_);
+    ok[i] = e.PairingsEqualFixed(claims[i].agg.point, ctx_->generator(),
+                                 *lines_, h_sums[i]);
   }
   return ok;
 }

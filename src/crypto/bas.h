@@ -137,8 +137,11 @@ struct BasAggregateClaim {
 class BasPublicKey {
  public:
   BasPublicKey() = default;
-  BasPublicKey(std::shared_ptr<const BasContext> ctx, ECPoint pk)
-      : ctx_(std::move(ctx)), pk_(std::move(pk)) {}
+  /// Precomputes pk's Miller lines (TatePairing::Precompute, about 15 KB
+  /// under the default parameters, shared by copies of the key). pk must
+  /// be an order-r point: otherwise the table build fails and every claim
+  /// under this key is rejected.
+  BasPublicKey(std::shared_ptr<const BasContext> ctx, ECPoint pk);
 
   /// Verify one signature: e(sigma, G) == e(H(m), pk). A batch of one
   /// message (VerifyAggregateBatch).
@@ -156,8 +159,9 @@ class BasPublicKey {
   /// the per-claim hash-sum points are finalized with ONE shared
   /// Montgomery batch inversion — the client-side mirror of
   /// BasContext::FinalizeBatch — and each claim then costs one
-  /// TatePairing::PairingsEqual. A signature point outside the order-r
-  /// subgroup (or off the curve) fails its claim.
+  /// TatePairing::PairingsEqualFixed against pk's precomputed lines. A
+  /// signature point outside the order-r subgroup (or off the curve)
+  /// fails its claim.
   std::vector<bool> VerifyAggregateBatch(
       const std::vector<BasAggregateClaim>& claims,
       BasContext::HashMode mode = BasContext::HashMode::kSecure) const;
@@ -168,6 +172,7 @@ class BasPublicKey {
  private:
   std::shared_ptr<const BasContext> ctx_;
   ECPoint pk_;
+  std::shared_ptr<const FixedMillerLines> lines_;  // null: pk not order r
 };
 
 class BasPrivateKey {

@@ -57,30 +57,17 @@ ECPoint CurveGroup::ToAffine(const Jacobian& j) const {
 std::vector<ECPoint> CurveGroup::ToAffineBatch(
     const std::vector<Jacobian>& js) const {
   const PrimeField& f = *fp_;
+  std::vector<Fp> zi;  // Z = 0 (infinity) stays 0
+  zi.reserve(js.size());
+  for (const Jacobian& j : js) zi.push_back(j.Z);
+  f.InvBatch(&zi);
   std::vector<ECPoint> out(js.size());
-  // Montgomery's trick: prefix-multiply the finite Zs, invert the single
-  // running product, then peel per-element inverses off backwards.
-  std::vector<size_t> finite;
-  std::vector<Fp> prefix;  // prefix[k] = Z_{finite[0]} * ... * Z_{finite[k]}
-  finite.reserve(js.size());
-  prefix.reserve(js.size());
-  Fp running = f.One();
   for (size_t i = 0; i < js.size(); ++i) {
     if (JacIsInfinity(js[i])) continue;  // out[i] stays the infinity point
-    running = f.Mul(running, js[i].Z);
-    finite.push_back(i);
-    prefix.push_back(running);
-  }
-  if (finite.empty()) return out;
-  Fp inv = f.Inv(running);  // the batch's one inversion
-  for (size_t k = finite.size(); k-- > 0;) {
-    size_t i = finite[k];
-    Fp zi = k == 0 ? inv : f.Mul(inv, prefix[k - 1]);
-    inv = f.Mul(inv, js[i].Z);  // running inverse of the shorter prefix
-    Fp zi2 = f.Sqr(zi);
+    Fp zi2 = f.Sqr(zi[i]);
     out[i].infinity = false;
     out[i].x = f.Mul(js[i].X, zi2);
-    out[i].y = f.Mul(js[i].Y, f.Mul(zi2, zi));
+    out[i].y = f.Mul(js[i].Y, f.Mul(zi2, zi[i]));
   }
   return out;
 }
@@ -183,8 +170,9 @@ ECPoint CurveGroup::FindGenerator() const {
   for (uint64_t xi = 1;; ++xi) {
     Fp x = f.FromU64(xi);
     Fp rhs = CurveRhs(x);
-    if (!f.IsSquare(rhs) || rhs.IsZero()) continue;
-    ECPoint pt{x, f.Sqrt(rhs), false};
+    Fp y;
+    if (rhs.IsZero() || !f.SqrtIfSquare(rhs, &y)) continue;
+    ECPoint pt{x, y, false};
     AUTHDB_CHECK(IsOnCurve(pt));
     ECPoint g = ScalarMult(pt, cofactor_);
     if (g.infinity) continue;

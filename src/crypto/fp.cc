@@ -61,8 +61,6 @@ PrimeField::PrimeField(const BigInt& p) : p_big_(p) {
   one_ = Fp::FromBigInt(r);
   rr_ = Fp::FromBigInt(BigInt::Mod(BigInt::Mul(r, r), p));
   p_minus_2_ = Fp::FromBigInt(BigInt::Sub(p, BigInt(2)));
-  p_minus_1_half_ =
-      Fp::FromBigInt(BigInt::ShiftRight(BigInt::Sub(p, BigInt(1)), 1));
   p_plus_1_quarter_ =
       Fp::FromBigInt(BigInt::ShiftRight(BigInt::Add(p, BigInt(1)), 2));
 }
@@ -70,6 +68,30 @@ PrimeField::PrimeField(const BigInt& p) : p_big_(p) {
 Fp PrimeField::FromPlain(const BigInt& a) const {
   return ToMont(
       Fp::FromBigInt(a.BitLength() > 256 ? BigInt::Mod(a, p_big_) : a));
+}
+
+void PrimeField::InvBatch(std::vector<Fp>* v) const {
+  // Prefix-multiply the nonzero elements, invert the single running
+  // product, then peel per-element inverses off backwards.
+  std::vector<Fp>& x = *v;
+  std::vector<Fp> prefix(x.size());  // prefix[i] = product of x[0..i] != 0
+  Fp running = one_;
+  bool any = false;
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (!x[i].IsZero()) {
+      running = Mul(running, x[i]);
+      any = true;
+    }
+    prefix[i] = running;
+  }
+  if (!any) return;
+  Fp inv = Inv(running);  // the batch's one inversion
+  for (size_t i = x.size(); i-- > 0;) {
+    if (x[i].IsZero()) continue;
+    Fp xi = i == 0 ? inv : Mul(inv, prefix[i - 1]);
+    inv = Mul(inv, x[i]);  // running inverse of the shorter prefix
+    x[i] = xi;
+  }
 }
 
 Fp PrimeField::Exp(const Fp& a, const Fp& e) const {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/slice.h"
 #include "crypto/bignum.h"
@@ -85,14 +86,18 @@ class PrimeField {
   /// Montgomery form.
   Fp Exp(const Fp& a, const Fp& e) const;
 
-  /// Euler criterion: true iff `a` is a quadratic residue (or zero).
-  bool IsSquare(const Fp& a) const {
-    return a.IsZero() || Exp(a, p_minus_1_half_) == one_;
-  }
+  /// Replaces every nonzero element of `v` by its inverse with ONE field
+  /// inversion (Montgomery's batch-inversion trick); zeros stay zero. The
+  /// one operation here that allocates (its prefix products).
+  void InvBatch(std::vector<Fp>* v) const;
 
-  /// Square root for p = 3 (mod 4): a^((p+1)/4). Caller must ensure `a` is a
-  /// quadratic residue.
-  Fp Sqrt(const Fp& a) const { return Exp(a, p_plus_1_quarter_); }
+  /// Square root for p = 3 (mod 4) with one exponentiation:
+  /// y = a^((p+1)/4) squares back to `a` iff `a` is a quadratic residue
+  /// (or zero). Returns that test and sets *root = y either way.
+  bool SqrtIfSquare(const Fp& a, Fp* root) const {
+    *root = Exp(a, p_plus_1_quarter_);
+    return Sqr(*root) == a;
+  }
 
   bool Equal(const Fp& a, const Fp& b) const { return a == b; }
 
@@ -103,7 +108,6 @@ class PrimeField {
   Fp one_;               // R mod p
   Fp rr_;                // R^2 mod p
   Fp p_minus_2_;
-  Fp p_minus_1_half_;
   Fp p_plus_1_quarter_;
 };
 

@@ -1,5 +1,8 @@
 #include "crypto/pairing.h"
 
+#include <memory>
+#include <vector>
+
 #include "common/logging.h"
 
 namespace authdb {
@@ -21,27 +24,22 @@ Fp2Elem TatePairing::FinalExponentiation(const Fp2Elem& f) const {
   return fp2_.Exp(g, cofactor_);
 }
 
-bool TatePairing::MillerLoop(const ECPoint& p, const ECPoint& q,
-                             Fp2Elem* out) const {
-  *out = fp2_.One();
-  if (p.infinity || q.infinity) return true;
+template <typename OnLine>
+bool TatePairing::WalkChain(const ECPoint& p, OnLine&& on_line) const {
   const PrimeField& f = curve_->field();
   if (!curve_->IsOnCurve(p)) return false;
 
-  // psi(Q) = (-xq, i*yq). With T = (X, Y, Z) Jacobian, the affine tangent
-  // line at psi(Q) is [lam*(xq + xt) - yt] + i*yq, lam = M / (2YZ),
-  // M = 3X^2 + aZ^4 (a = 1); scaled by 2YZ^3 it is
-  //   [M*(xq*Z^2 + X) - 2Y^2] + i*[yq * 2YZ * Z^2].
+  // With T = (X, Y, Z) Jacobian, the affine tangent at T has slope
+  // lam = M / (2YZ), M = 3X^2 + aZ^4 (a = 1); its value at
+  // psi(Q) = (-xq, i*yq) is [lam*(xq + xt) - yt] + i*yq, which scaled by
+  // d = 2YZ^3 is
+  //   [M*Z^2 * xq + (M*X - 2Y^2)] + i*[d * yq].
   // The chord through T and P, lam = R / (Z*H) with H = xp*Z^2 - X and
-  // R = yp*Z^3 - Y, scaled by Z*H is
-  //   [R*(xq + xp) - yp*Z*H] + i*[yq * Z*H].
+  // R = yp*Z^3 - Y, scaled by d = Z*H is
+  //   [R * xq + (R*xp - yp*Z*H)] + i*[d * yq].
   // The factors are nonzero while Y and H are, and lie in F_p.
-  const Fp& xq = q.x;
-  const Fp& yq = q.y;
-  const Fp xq_plus_xp = f.Add(xq, p.x);
   const Fp& r = order_;
-
-  Fp2Elem acc = fp2_.One();
+  LineCoeffs line;
   Fp X = p.x, Y = p.y, Z = f.One();
   for (int i = r.BitLength() - 2; i >= 0; --i) {
     // Doubling step; Y == 0 would make T a 2-torsion point.
@@ -52,9 +50,10 @@ bool TatePairing::MillerLoop(const ECPoint& p, const ECPoint& q,
     Fp m = f.Add(f.Add(f.Dbl(xx), xx), f.Sqr(zz));  // a = 1
     Fp z3 = f.Mul(f.Dbl(Y), Z);
     Fp dbl_yy = f.Dbl(yy);
-    Fp2Elem line = fp2_.Make(f.Sub(f.Mul(m, f.Add(f.Mul(xq, zz), X)), dbl_yy),
-                             f.Mul(yq, f.Mul(z3, zz)));
-    acc = fp2_.Mul(fp2_.Sqr(acc), line);
+    line.a = f.Mul(m, zz);
+    line.b = f.Sub(f.Mul(m, X), dbl_yy);
+    line.d = f.Mul(z3, zz);
+    on_line(true, line);
     Fp s = f.Dbl(f.Dbl(f.Mul(X, yy)));  // 4*X*Y^2
     X = f.Sub(f.Sqr(m), f.Dbl(s));
     Y = f.Sub(f.Mul(m, f.Sub(s, X)), f.Dbl(f.Sqr(dbl_yy)));  // 8*Y^4
@@ -66,19 +65,17 @@ bool TatePairing::MillerLoop(const ECPoint& p, const ECPoint& q,
     Fp zzz = f.Mul(Z, zz2);
     Fp h = f.Sub(f.Mul(p.x, zz2), X);
     Fp rr = f.Sub(f.Mul(p.y, zzz), Y);
-    if (i == 0) {
-      // r is odd, so the loop ends on an addition. T = (r-1)P must be -P
-      // (same x, opposite y): the vertical line through it lies in F_p and
-      // is skipped, and T + P = O. Any other T means rP != O.
-      if (!h.IsZero() || rr.IsZero()) return false;
-      break;
-    }
+    // r is odd, so the loop ends on an addition. T = (r-1)P must be -P
+    // (same x, opposite y): the vertical line through it lies in F_p and
+    // is skipped, and T + P = O. Any other T means rP != O.
+    if (i == 0) return h.IsZero() && !rr.IsZero();
     // For an order-r P, T = kP with 1 < k < r-1 here, so T != +-P.
     if (h.IsZero()) return false;
     Fp zh = f.Mul(Z, h);
-    Fp2Elem chord = fp2_.Make(f.Sub(f.Mul(rr, xq_plus_xp), f.Mul(p.y, zh)),
-                              f.Mul(yq, zh));
-    acc = fp2_.Mul(acc, chord);
+    line.a = rr;
+    line.b = f.Sub(f.Mul(rr, p.x), f.Mul(p.y, zh));
+    line.d = zh;
+    on_line(false, line);
     Fp hh = f.Sqr(h);
     Fp hhh = f.Mul(h, hh);
     Fp v = f.Mul(X, hh);
@@ -87,20 +84,83 @@ bool TatePairing::MillerLoop(const ECPoint& p, const ECPoint& q,
     X = x3;
     Z = zh;
   }
+  return false;  // unreachable: r is odd, so bit 0 returns above
+}
+
+bool TatePairing::MillerLoop(const ECPoint& p, const ECPoint& q,
+                             Fp2Elem* out) const {
+  *out = fp2_.One();
+  if (p.infinity || q.infinity) return true;
+  const PrimeField& f = curve_->field();
+  Fp2Elem acc = fp2_.One();
+  const bool ok = WalkChain(p, [&](bool doubling, const LineCoeffs& l) {
+    if (doubling) acc = fp2_.Sqr(acc);
+    acc = fp2_.Mul(acc, fp2_.Make(f.Add(f.Mul(l.a, q.x), l.b),
+                                  f.Mul(l.d, q.y)));
+  });
   // The imaginary part of every line is yq times a nonzero factor, so the
   // value vanishes only for yq == 0 (a Q outside the subgroup).
-  if (fp2_.IsZero(acc)) return false;
+  if (!ok || fp2_.IsZero(acc)) return false;
   *out = acc;
   return true;
 }
 
-bool TatePairing::PairingsEqual(const ECPoint& p1, const ECPoint& q1,
-                                const ECPoint& p2, const ECPoint& q2) const {
-  Fp2Elem a, b;
-  if (!MillerLoop(p1, q1, &a) || !MillerLoop(p2, q2, &b)) return false;
+std::shared_ptr<const FixedMillerLines> TatePairing::Precompute(
+    const ECPoint& p) const {
+  if (p.infinity) return nullptr;
+  std::vector<LineCoeffs> coeffs;
+  coeffs.reserve(2 * static_cast<size_t>(order_.BitLength()));
+  if (!WalkChain(p, [&](bool, const LineCoeffs& l) { coeffs.push_back(l); }))
+    return nullptr;
+  // lambda = a/d and c = b/d, with every d inverted by one shared
+  // inversion (each d is nonzero: the walk checked Y and H).
+  const PrimeField& f = curve_->field();
+  std::vector<Fp> d_inv;
+  d_inv.reserve(coeffs.size());
+  for (const LineCoeffs& l : coeffs) d_inv.push_back(l.d);
+  f.InvBatch(&d_inv);
+  auto fixed = std::make_shared<FixedMillerLines>();
+  fixed->lines.reserve(coeffs.size());
+  for (size_t k = 0; k < coeffs.size(); ++k) {
+    fixed->lines.push_back(FixedMillerLines::Line{
+        f.Mul(coeffs[k].a, d_inv[k]), f.Mul(coeffs[k].b, d_inv[k])});
+  }
+  return fixed;
+}
+
+bool TatePairing::PairingsEqualFixed(const ECPoint& p, const ECPoint& q,
+                                     const FixedMillerLines& fixed,
+                                     const ECPoint& h) const {
+  // e(P, Q) = 1, so the predicate is e(A, H) == 1: for an order-r A and
+  // H in the order-r subgroup that is H == O (the pairing is
+  // non-degenerate).
+  if (p.infinity || q.infinity) return h.infinity;
+  const PrimeField& f = curve_->field();
+  const FixedMillerLines::Line* fixed_line = fixed.lines.data();
+  const FixedMillerLines::Line* const fixed_end =
+      fixed_line + fixed.lines.size();
+  Fp2Elem acc = fp2_.One();
+  // The fixed lines sit at the same positions of the same loop over r, so
+  // the walk of P consumes exactly one per line of its own; a hostile P
+  // stops early and consumes fewer.
+  const bool ok = WalkChain(p, [&](bool doubling, const LineCoeffs& l) {
+    AUTHDB_DCHECK(fixed_line != fixed_end);
+    if (doubling) acc = fp2_.Sqr(acc);
+    // conj(l_P(psi(Q))): the Miller value of (P, Q) enters conjugated.
+    acc = fp2_.Mul(acc, fp2_.Make(f.Add(f.Mul(l.a, q.x), l.b),
+                                  f.Neg(f.Mul(l.d, q.y))));
+    if (!h.infinity) {
+      acc = fp2_.Mul(acc, fp2_.Make(f.Add(f.Mul(fixed_line->lambda, h.x),
+                                          fixed_line->c),
+                                    h.y));
+    }
+    ++fixed_line;
+  });
+  // A zero value needs yq == 0 or yh == 0: a Q or H outside the subgroup.
+  if (!ok || fp2_.IsZero(acc)) return false;
+  AUTHDB_DCHECK(fixed_line == fixed_end);
   // FE(a) == FE(b) <=> Im((conj(a) * b)^c) == 0 (see the header).
-  Fp2Elem u = fp2_.Exp(fp2_.Mul(fp2_.Conj(a), b), cofactor_);
-  return u.im.IsZero();
+  return fp2_.Exp(acc, cofactor_).im.IsZero();
 }
 
 Fp2Elem TatePairing::Pair(const ECPoint& p, const ECPoint& q) const {

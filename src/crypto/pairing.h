@@ -1,10 +1,29 @@
 #ifndef AUTHDB_CRYPTO_PAIRING_H_
 #define AUTHDB_CRYPTO_PAIRING_H_
 
+#include <memory>
+#include <vector>
+
 #include "crypto/ec.h"
 #include "crypto/fp2.h"
 
 namespace authdb {
+
+/// The Miller lines of f_{r,P} for one fixed order-r point P, each
+/// normalised to an affine slope and intercept. A line of slope lambda
+/// through T evaluates at psi(Q) = (-xq, i*yq) to
+///
+///   (lambda*xq + c) + i*yq,   c = lambda*x_T - y_T,
+///
+/// one F_p multiply. Lines are stored in loop order (each bit's tangent,
+/// then its chord when the bit is set), without the vertical line of the
+/// last addition. Built by TatePairing::Precompute; immutable.
+struct FixedMillerLines {
+  struct Line {
+    Fp lambda, c;
+  };
+  std::vector<Line> lines;
+};
 
 /// Reduced Tate pairing with distortion map on the supersingular curve
 /// y^2 = x^3 + x over F_p, p = 3 (mod 4):
@@ -14,7 +33,8 @@ namespace authdb {
 /// Both arguments are points in the prime-order-r subgroup of E(F_p); the
 /// result lives in the order-r subgroup mu_r of F_p^2*. This is the pairing
 /// underlying the Bilinear Aggregate Signature scheme (BAS, Boneh et al.)
-/// adopted by the paper.
+/// adopted by the paper. On the cyclic order-r subgroup it is symmetric,
+/// e(P, Q) = e(Q, P), which lets a fixed argument take the P slot.
 ///
 /// Inversion-free Miller loop: T runs in Jacobian coordinates (doubling and
 /// mixed addition with the affine P), and every line value is computed
@@ -32,30 +52,60 @@ namespace authdb {
 /// fault. Coordinates are canonical residues by construction
 /// (CurveGroup::Deserialize rejects encodings >= p), so no range check is
 /// needed here.
+///
+/// Verification (PairingsEqualFixed) runs ONE loop: the checked point's
+/// Jacobian chain, and the precomputed affine lines of a fixed point
+/// (Costello & Stebila, "Fixed argument pairings", LATINCRYPT 2010), both
+/// folded into one accumulator.
 class TatePairing {
  public:
   /// The curve must have been constructed with a=1, b=0 and cofactor
   /// c = (p+1)/r.
   explicit TatePairing(const CurveGroup* curve);
 
-  /// The verification predicate e(P1, Q1) == e(P2, Q2), with one Miller
-  /// loop per side and ONE exponentiation by the cofactor c in place of two
-  /// final exponentiations: for Miller values a and b,
+  /// The lines of f_{r,P} for a fixed P, with one shared field inversion
+  /// for all of them. Null when P is not an order-r point (infinity
+  /// included): the chain runs the same subgroup checks as the loop.
+  std::shared_ptr<const FixedMillerLines> Precompute(const ECPoint& p) const;
+
+  /// The verification predicate e(P, Q) == e(A, H), where A is the point
+  /// `fixed` was built from. One loop over the bits of r keeps
+  ///   f <- f^2 * conj(l_P(psi(Q))) * l_A(psi(H)),
+  /// i.e. f = conj(a) * b for the Miller values a of (P, Q) and b of
+  /// (A, H), and ONE exponentiation by the cofactor c replaces two final
+  /// exponentiations:
   ///   FE(a) == FE(b)  <=>  (u / conj(u))^c == 1,  u = conj(a) * b
   ///                   <=>  u^c == conj(u^c)  <=>  Im(u^c) == 0.
-  /// False when P1 or P2 is not an order-r point (see the class comment).
-  /// An infinity argument pairs to 1, as in Pair.
-  bool PairingsEqual(const ECPoint& p1, const ECPoint& q1, const ECPoint& p2,
-                     const ECPoint& q2) const;
+  /// P keeps every subgroup check (see the class comment), so a P outside
+  /// the order-r subgroup is false. H must be an order-r point or
+  /// infinity: it is not checked. An infinity argument pairs to 1, as in
+  /// Pair; with P or Q at infinity the predicate is e(A, H) == 1, which
+  /// for an order-r A holds iff H is infinity. Allocation-free.
+  bool PairingsEqualFixed(const ECPoint& p, const ECPoint& q,
+                          const FixedMillerLines& fixed,
+                          const ECPoint& h) const;
 
   /// The pairing value e(P, Q): 1 (the Fp2 one) if either point is
   /// infinity, 0 if P is not an order-r point. Verification goes through
-  /// PairingsEqual; this is kept for algebraic checks of the pairing.
+  /// PairingsEqualFixed; this is the algebraic reference for it.
   Fp2Elem Pair(const ECPoint& p, const ECPoint& q) const;
 
   const Fp2Field& fp2() const { return fp2_; }
 
  private:
+  /// A Miller line through T in coefficient form: its value at
+  /// psi(Q) = (-xq, i*yq) is (a*xq + b) + i*(d*yq), the affine line
+  /// scaled by d != 0, so lambda = a/d and c = b/d.
+  struct LineCoeffs {
+    Fp a, b, d;
+  };
+
+  /// Walks the Miller chain of a finite P over the bits of r, calling
+  /// on_line(doubling, line) for every tangent (doubling == true, after
+  /// which the caller squares its accumulator first) and every chord, in
+  /// loop order. False as soon as P shows it is not an order-r point.
+  template <typename OnLine>
+  bool WalkChain(const ECPoint& p, OnLine&& on_line) const;
   /// f_{r,P}(psi(Q)) up to an F_p* factor. Returns false (and leaves *out
   /// unspecified) when P is not an order-r point or the value is zero;
   /// either argument at infinity yields 1.

@@ -80,21 +80,24 @@ TEST_F(AllocFreeTest, CountingAllocatorSeesAllocations) {
   EXPECT_GT(allocs, 0);
 }
 
-TEST_F(AllocFreeTest, PairingsEqual) {
+TEST_F(AllocFreeTest, PairingsEqualFixed) {
   const TatePairing& e = ctx_->pairing();
   const ECPoint& g = ctx_->generator();
-  const ECPoint& pk = key_->public_key().point();
+  // The per-key table is built outside the counted region.
+  const std::shared_ptr<const FixedMillerLines> pk_lines =
+      e.Precompute(key_->public_key().point());
+  ASSERT_NE(pk_lines, nullptr);
   bool honest = false, forged = true, hostile = true;
   const ECPoint shifted = curve().Add(sigma_, g);
   const long allocs = AllocationsDuring([&] {
-    honest = e.PairingsEqual(sigma_, g, h_, pk);
-    forged = e.PairingsEqual(shifted, g, h_, pk);
+    honest = e.PairingsEqualFixed(sigma_, g, *pk_lines, h_);
+    forged = e.PairingsEqualFixed(shifted, g, *pk_lines, h_);
   });
   EXPECT_EQ(allocs, 0);
   for (const NamedPoint& bad : HostilePoints(curve(), sigma_)) {
     SCOPED_TRACE(bad.name);
     const long hostile_allocs = AllocationsDuring(
-        [&] { hostile = e.PairingsEqual(bad.point, g, h_, pk); });
+        [&] { hostile = e.PairingsEqualFixed(bad.point, g, *pk_lines, h_); });
     EXPECT_EQ(hostile_allocs, 0);
     EXPECT_FALSE(hostile);
   }

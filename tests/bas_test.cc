@@ -15,6 +15,61 @@ namespace {
 
 using HashMode = BasContext::HashMode;
 
+/// VerifyAggregateBatch must reach the reference verdict
+/// Equal(Pair(sigma, G), Pair(sum_i H(m_i), pk)) on every claim shape a
+/// server could ship, under kSecure and kFast.
+void ExpectBatchMatchesPairReference(
+    const std::shared_ptr<const BasContext>& ctx, uint64_t seed) {
+  const CurveGroup& curve = ctx->curve();
+  const TatePairing& e = ctx->pairing();
+  const ECPoint& g = ctx->generator();
+  Rng rng(seed);
+  const BasPrivateKey key = BasPrivateKey::Generate(ctx, &rng);
+  const BasPrivateKey other = BasPrivateKey::Generate(ctx, &rng);
+  const BasPublicKey& pub = key.public_key();
+  const std::vector<std::string> msgs = {"v-0", "v-1", "v-2"};
+  const std::vector<std::string> wrong_msgs = {"v-0", "v-1", "w-2"};
+  const std::vector<Slice> views(msgs.begin(), msgs.end());
+  const std::vector<Slice> wrong(wrong_msgs.begin(), wrong_msgs.end());
+  for (HashMode mode : {HashMode::kSecure, HashMode::kFast}) {
+    const ECPoint sigma = ctx->Aggregate(key.SignBatch(views, mode)).point;
+    struct Case {
+      std::string name;
+      std::vector<Slice> messages;
+      ECPoint sigma;
+      bool valid;  // pins the reference itself, so no case is vacuous
+    };
+    std::vector<Case> cases = {
+        {"honest", views, sigma, true},
+        {"wrong message", wrong, sigma, false},
+        {"foreign key", views,
+         ctx->Aggregate(other.SignBatch(views, mode)).point, false},
+        {"sigma+G", views, curve.Add(sigma, g), false},
+        {"-sigma", views, curve.Negate(sigma), false},
+        {"sigma=O", views, ECPoint{}, false},
+        {"H=O", {}, sigma, false},
+        {"sigma=O,H=O", {}, ECPoint{}, true},
+    };
+    for (const NamedPoint& bad : HostilePoints(curve, sigma))
+      cases.push_back({bad.name, views, bad.point, false});
+    std::vector<BasAggregateClaim> claims;
+    for (const Case& c : cases)
+      claims.push_back({c.messages, BasSignature{c.sigma}});
+    const std::vector<bool> got = pub.VerifyAggregateBatch(claims, mode);
+    ASSERT_EQ(got.size(), cases.size());
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const Case& c = cases[i];
+      SCOPED_TRACE(c.name + " mode=" + std::to_string(static_cast<int>(mode)));
+      std::vector<ECPoint> hs;
+      for (const Slice& m : c.messages) hs.push_back(ctx->HashToPoint(m, mode));
+      const bool want = e.fp2().Equal(e.Pair(c.sigma, g),
+                                      e.Pair(curve.Sum(hs), pub.point()));
+      EXPECT_EQ(want, c.valid);
+      EXPECT_EQ(got[i], want);
+    }
+  }
+}
+
 class BasTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -132,6 +187,26 @@ TEST_F(BasTest, HostileSignaturePointsAreRejectedNotFatal) {
           pub.VerifyAggregateBatch({honest, {views, bad}, honest}, mode);
       EXPECT_EQ(got, (std::vector<bool>{true, false, true}));
     }
+  }
+}
+
+TEST_F(BasTest, BatchMatchesPairReference) {
+  ExpectBatchMatchesPairReference(*ctx_, /*seed=*/31);
+}
+
+TEST_F(BasTest, PublicKeyOutsideTheSubgroupRejectsEveryClaim) {
+  // pk is the DA's own key, so this is the one input whose verdict the
+  // precomputed check changes: its table build fails, and every claim
+  // under it is rejected — even the empty claim the pairing would accept.
+  const std::string m = "m";
+  const BasSignature sig = key_->Sign(Slice(m), HashMode::kFast);
+  for (const NamedPoint& bad :
+       HostilePoints((*ctx_)->curve(), key_->public_key().point())) {
+    SCOPED_TRACE(bad.name);
+    const BasPublicKey pub(*ctx_, bad.point);
+    EXPECT_FALSE(pub.Verify(Slice(m), sig, HashMode::kFast));
+    EXPECT_EQ(pub.VerifyAggregateBatch({{{}, BasSignature{}}}),
+              std::vector<bool>{false});
   }
 }
 
@@ -312,6 +387,10 @@ TEST(BasDefaultParamsTest, KnownAnswerBytes) {
                   ctx->FixedBaseMult(Fp::FromBigInt(BigInt::FromHex(k))))),
               want);
   }
+}
+
+TEST(BasDefaultParamsTest, BatchMatchesPairReference) {
+  ExpectBatchMatchesPairReference(BasContext::Default(), /*seed=*/32);
 }
 
 TEST(BasDefaultParamsTest, DefaultContextIs256Bit) {

@@ -201,11 +201,14 @@ TEST(PrimeFieldTest, BasicArithmetic) {
     if (!a.IsZero()) {
       EXPECT_TRUE(f.Equal(f.Mul(a, f.Inv(a)), f.One()));
     }
-    // sqrt(a^2) == +-a
-    Fp s = f.Sqrt(f.Sqr(a));
+    // sqrt(a^2) == +-a, and every square passes the root test
+    Fp s;
+    EXPECT_TRUE(f.SqrtIfSquare(f.Sqr(a), &s));
     EXPECT_TRUE(f.Equal(s, a) || f.Equal(s, f.Neg(a)));
-    // Euler criterion consistency
-    EXPECT_TRUE(f.IsSquare(f.Sqr(a)));
+    // -1 is a non-residue for p = 3 (mod 4), so -a^2 is not a square
+    if (!a.IsZero()) {
+      EXPECT_FALSE(f.SqrtIfSquare(f.Neg(f.Sqr(a)), &s));
+    }
   }
 }
 

@@ -81,6 +81,19 @@ TEST_P(FpDifferentialTest, ArithmeticMatchesBigInt) {
     EXPECT_EQ(plain(f.Exp(f.FromPlain(a), Fp::FromBigInt(e))),
               mont.Exp(a, e).ToHex());
   }
+  // Batch inversion: every nonzero operand inverted, the zero left alone.
+  std::vector<Fp> batch;
+  for (const BigInt& a : ops) batch.push_back(f.FromPlain(a));
+  f.InvBatch(&batch);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    SCOPED_TRACE(ops[i].ToHex());
+    EXPECT_EQ(plain(batch[i]), ops[i].IsZero()
+                                   ? ops[i].ToHex()
+                                   : BigInt::ModInverse(ops[i], p).ToHex());
+  }
+  std::vector<Fp> zeros(3);
+  f.InvBatch(&zeros);
+  for (const Fp& z : zeros) EXPECT_TRUE(z.IsZero());
 }
 
 TEST_P(FpDifferentialTest, Fp2MatchesSchoolbookFormulas) {

@@ -19,9 +19,9 @@ inline ECPoint CofactorTorsionPoint(const CurveGroup& curve) {
   for (uint64_t xi = 2;; ++xi) {
     Fp x = f.FromU64(xi);
     Fp rhs = curve.CurveRhs(x);
-    if (rhs.IsZero() || !f.IsSquare(rhs)) continue;
-    ECPoint t =
-        curve.ScalarMult(ECPoint{x, f.Sqrt(rhs), false}, curve.order());
+    Fp y;
+    if (rhs.IsZero() || !f.SqrtIfSquare(rhs, &y)) continue;
+    ECPoint t = curve.ScalarMult(ECPoint{x, y, false}, curve.order());
     if (!t.infinity) return t;
   }
 }

@@ -69,10 +69,11 @@ Fp2Elem ReferencePair(const CurveGroup& curve, const Fp2Field& fp2,
 
 /// Seeded verification claims e(sigma, G) == e(H, pk) — honest, and the
 /// tampered shapes a server could ship — checked three ways: the
-/// reference verdict Equal(ReferencePair, ReferencePair), PairingsEqual,
-/// and the new Pair values against the reference values (the F_p factors
-/// of the projective lines must vanish in the final exponentiation, so
-/// the values agree exactly, not just the verdicts).
+/// reference verdict Equal(Pair(sigma, G), Pair(H, pk)), PairingsEqualFixed
+/// on pk's precomputed lines, and (for the order-r points, where the
+/// affine loop is defined) the Pair values against ReferencePair (the F_p
+/// factors of the projective lines must vanish in the final
+/// exponentiation, so the values agree exactly, not just the verdicts).
 void ExpectVerdictEquivalence(const BasContext& ctx, uint64_t seed,
                               int rounds) {
   const CurveGroup& curve = ctx.curve();
@@ -83,30 +84,42 @@ void ExpectVerdictEquivalence(const BasContext& ctx, uint64_t seed,
   for (int round = 0; round < rounds; ++round) {
     BigInt x = BigInt::RandomBelow(curve.order(), &rng);
     ECPoint pk = curve.ScalarMult(g, x);
+    std::shared_ptr<const FixedMillerLines> pk_lines = e.Precompute(pk);
+    ASSERT_NE(pk_lines, nullptr);
     ECPoint h = curve.ScalarMult(g, BigInt::RandomBelow(curve.order(), &rng));
+    ECPoint other_h =
+        curve.ScalarMult(g, BigInt::RandomBelow(curve.order(), &rng));
     ECPoint sigma = curve.ScalarMult(h, x);
+    ECPoint foreign = curve.ScalarMult(
+        h, BigInt::RandomBelow(curve.order(), &rng));  // another key's sigma
     struct Claim {
       std::string name;
       ECPoint sigma, h;
       bool valid;  // pins the reference itself, so no case is vacuous
+      bool order_r;
     };
-    const std::vector<Claim> claims = {
-        {"honest", sigma, h, true},
-        {"sigma+G", curve.Add(sigma, g), h, false},
-        {"-sigma", curve.Negate(sigma), h, false},
-        {"sigma=O", ECPoint{}, h, false},
-        {"H=O", sigma, ECPoint{}, false},
-        {"sigma=O,H=O", ECPoint{}, ECPoint{}, true},
+    std::vector<Claim> claims = {
+        {"honest", sigma, h, true, true},
+        {"wrong message", sigma, other_h, false, true},
+        {"foreign key", foreign, h, false, true},
+        {"sigma+G", curve.Add(sigma, g), h, false, true},
+        {"-sigma", curve.Negate(sigma), h, false, true},
+        {"sigma=O", ECPoint{}, h, false, true},
+        {"H=O", sigma, ECPoint{}, false, true},
+        {"sigma=O,H=O", ECPoint{}, ECPoint{}, true, true},
     };
+    for (const NamedPoint& bad : HostilePoints(curve, sigma))
+      claims.push_back({bad.name, bad.point, h, false, false});
     for (const Claim& c : claims) {
       SCOPED_TRACE("round " + std::to_string(round) + " claim " + c.name);
-      Fp2Elem ref_lhs = ReferencePair(curve, fp2, c.sigma, g);
-      Fp2Elem ref_rhs = ReferencePair(curve, fp2, c.h, pk);
-      bool want = fp2.Equal(ref_lhs, ref_rhs);
+      Fp2Elem lhs = e.Pair(c.sigma, g);
+      Fp2Elem rhs = e.Pair(c.h, pk);
+      bool want = fp2.Equal(lhs, rhs);
       EXPECT_EQ(want, c.valid);
-      EXPECT_EQ(e.PairingsEqual(c.sigma, g, c.h, pk), want);
-      EXPECT_TRUE(fp2.Equal(e.Pair(c.sigma, g), ref_lhs));
-      EXPECT_TRUE(fp2.Equal(e.Pair(c.h, pk), ref_rhs));
+      EXPECT_EQ(e.PairingsEqualFixed(c.sigma, g, *pk_lines, c.h), want);
+      if (!c.order_r) continue;
+      EXPECT_TRUE(fp2.Equal(lhs, ReferencePair(curve, fp2, c.sigma, g)));
+      EXPECT_TRUE(fp2.Equal(rhs, ReferencePair(curve, fp2, c.h, pk)));
     }
   }
 }
@@ -196,11 +209,26 @@ TEST_F(PairingTest, NegationInvertsPairing) {
   EXPECT_TRUE(fp2().Equal(fp2().Mul(v, vn), fp2().One()));
 }
 
-TEST_F(PairingTest, PairingsEqualMatchesAffineReference) {
+TEST_F(PairingTest, Symmetric) {
+  // e(P, Q) == e(Q, P) on the order-r subgroup: PairingsEqualFixed moves
+  // the public key from the second slot to the first on the strength of it.
+  Rng rng(7);
+  for (int i = 0; i < 6; ++i) {
+    SCOPED_TRACE("i=" + std::to_string(i));
+    const BigInt& r = curve().order();
+    ECPoint P = curve().ScalarMult(G(), BigInt::RandomBelow(r, &rng));
+    ECPoint Q = curve().ScalarMult(G(), BigInt::RandomBelow(r, &rng));
+    EXPECT_TRUE(fp2().Equal(e().Pair(P, Q), e().Pair(Q, P)));
+    EXPECT_TRUE(
+        fp2().Equal(e().Pair(P, Q), ReferencePair(curve(), fp2(), Q, P)));
+  }
+}
+
+TEST_F(PairingTest, PairingsEqualFixedMatchesAffineReference) {
   ExpectVerdictEquivalence(**ctx_, /*seed=*/11, /*rounds=*/6);
 }
 
-TEST(PairingDefaultParamsTest, PairingsEqualMatchesAffineReference) {
+TEST(PairingDefaultParamsTest, PairingsEqualFixedMatchesAffineReference) {
   ExpectVerdictEquivalence(*BasContext::Default(), /*seed=*/12, /*rounds=*/2);
 }
 
@@ -220,20 +248,29 @@ TEST_F(PairingTest, PointsOutsideTheSubgroupAreRejected) {
   Rng rng(6);
   const ECPoint sigma =
       curve().ScalarMult(G(), BigInt::RandomBelow(curve().order(), &rng));
+  // e(sigma, G) == e(G, sigma): G's lines make the honest comparison.
+  const std::shared_ptr<const FixedMillerLines> g_lines = e().Precompute(G());
+  ASSERT_NE(g_lines, nullptr);
   std::vector<NamedPoint> hostile = HostilePoints(curve(), sigma);
   hostile.push_back({"T", CofactorTorsionPoint(curve())});
   for (const auto& [name, point] : hostile) {
     SCOPED_TRACE(name);
     ASSERT_FALSE(point.infinity);
     ASSERT_FALSE(curve().Equal(point, sigma));
-    // Never accepted against any right-hand side, including itself.
-    EXPECT_FALSE(e().PairingsEqual(point, G(), sigma, G()));
-    EXPECT_FALSE(e().PairingsEqual(point, G(), point, G()));
-    EXPECT_FALSE(e().PairingsEqual(sigma, G(), point, G()));
+    // In the checked slot it is never accepted against any right-hand
+    // side, including itself.
+    EXPECT_FALSE(e().PairingsEqualFixed(point, G(), *g_lines, sigma));
+    EXPECT_FALSE(e().PairingsEqualFixed(point, G(), *g_lines, point));
+    // As the second Miller point, Pair marks it with zero, which no honest
+    // pairing value equals.
     EXPECT_TRUE(fp2().IsZero(e().Pair(point, G())));
+    EXPECT_FALSE(fp2().Equal(e().Pair(sigma, G()), e().Pair(point, G())));
+    // Nor does it yield a fixed argument.
+    EXPECT_EQ(e().Precompute(point), nullptr);
   }
+  EXPECT_EQ(e().Precompute(ECPoint{}), nullptr);
   // The honest point still passes the same check.
-  EXPECT_TRUE(e().PairingsEqual(sigma, G(), sigma, G()));
+  EXPECT_TRUE(e().PairingsEqualFixed(sigma, G(), *g_lines, sigma));
 }
 
 TEST(Fp2FieldTest, FieldAxioms) {
