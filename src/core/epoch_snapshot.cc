@@ -17,7 +17,7 @@ EpochSnapshot::EpochSnapshot(std::vector<std::shared_ptr<const Chunk>> chunks,
 
 EpochSnapshot::EpochSnapshot(
     std::vector<std::shared_ptr<const Chunk>> chunks,
-    std::vector<std::shared_ptr<const ECPoint>> chunk_aggs,
+    std::vector<std::shared_ptr<const ColumnAggregates>> chunk_aggs,
     uint64_t generation)
     : chunks_(std::move(chunks)),
       chunk_aggs_(std::move(chunk_aggs)),
@@ -35,18 +35,64 @@ EpochSnapshot::EpochSnapshot(
   total_ = rank;
 }
 
-size_t EpochSnapshot::ChunkAggregateAt(size_t pos, size_t hi,
-                                       ECPoint* agg) const {
+size_t EpochSnapshot::ColumnAggregateAt(size_t pos, size_t hi, size_t column,
+                                        ECPoint* agg) const {
   if (chunk_aggs_.empty() || pos >= total_) return 0;
   size_t ci = static_cast<size_t>(
       std::upper_bound(starts_.begin(), starts_.end(), pos) -
       starts_.begin() - 1);
   // Only a span starting exactly at a chunk boundary is precomputed.
-  if (starts_[ci] != pos || chunk_aggs_[ci] == nullptr) return 0;
+  const ColumnAggregates* cols = chunk_aggs_[ci].get();
+  if (starts_[ci] != pos || cols == nullptr || column >= cols->size())
+    return 0;
   size_t len = chunks_[ci]->size();
   if (pos + len - 1 > hi) return 0;
-  *agg = *chunk_aggs_[ci];
+  *agg = (*cols)[column];
   return len;
+}
+
+namespace {
+/// Column `column` of `item`: 0 is the chain signature, 1 + a attribute a.
+const BasSignature& ColumnOf(const SnapshotItem& item, uint32_t column) {
+  return column == 0 ? item.sig : item.attr_sigs[column - 1];
+}
+}  // namespace
+
+void EpochSnapshot::FoldColumns(size_t rank_lo, size_t rank_hi,
+                                const std::vector<uint32_t>& columns,
+                                const CurveGroup& curve,
+                                CurveGroup::Jacobian* acc,
+                                FoldStats* stats) const {
+  if (rank_lo > rank_hi || columns.empty()) return;
+  AUTHDB_CHECK(rank_hi < total_);
+  const uint32_t max_column = *std::max_element(columns.begin(), columns.end());
+  size_t terms = 0;
+  auto add = [&](const ECPoint& p) {
+    ++terms;
+    if (!p.infinity) *acc = curve.JacAddAffine(*acc, p);
+  };
+  size_t ci = static_cast<size_t>(
+      std::upper_bound(starts_.begin(), starts_.end(), rank_lo) -
+      starts_.begin() - 1);
+  for (size_t r = rank_lo; r <= rank_hi; ++ci) {
+    const Chunk& c = *chunks_[ci];
+    const size_t begin = r - starts_[ci];
+    const size_t end = std::min(c.size(), rank_hi - starts_[ci] + 1);
+    const ColumnAggregates* cols =
+        chunk_aggs_.empty() ? nullptr : chunk_aggs_[ci].get();
+    if (begin == 0 && end == c.size() && cols != nullptr &&
+        max_column < cols->size()) {
+      for (uint32_t col : columns) add((*cols)[col]);
+      stats->span_hits += columns.size();
+    } else {
+      for (size_t o = begin; o < end; ++o) {
+        for (uint32_t col : columns) add(ColumnOf(c[o], col).point);
+      }
+      stats->leaf_fetches += (end - begin) * columns.size();
+    }
+    r = starts_[ci] + end;
+  }
+  stats->point_adds += terms - 1;  // n terms = n - 1 additions
 }
 
 size_t EpochSnapshot::LowerBound(int64_t key) const {
@@ -165,24 +211,45 @@ size_t ShardVersionBuilder::ChunkOf(int64_t key) const {
 }
 
 ShardVersionBuilder::Chunk* ShardVersionBuilder::Mutate(size_t ci) {
-  if (!owned_[ci]) {
+  ChunkMeta& m = meta_[ci];
+  if (!m.owned) {
     chunks_[ci] = std::make_shared<Chunk>(*chunks_[ci]);
-    owned_[ci] = true;
+    m.owned = true;
+    // Open the chunk's delta against its last frozen aggregates.
+    m.rebuild = m.aggs == nullptr;
+    m.delta.assign(m.rebuild ? 0 : m.aggs->size(), CurveGroup::Jacobian{});
   }
-  // The chunk's precomputed aggregate is stale the moment the delta
-  // touches it; Freeze() rebuilds every null entry at the barrier.
-  chunk_aggs_[ci].reset();
   // Owned chunks are exclusively ours until the next Freeze: the const in
   // the shared_ptr type only protects the frozen copies.
   return const_cast<Chunk*>(chunks_[ci].get());
+}
+
+void ShardVersionBuilder::AddToDelta(size_t ci, const SnapshotItem& item,
+                                     int sign, bool attrs) {
+  ChunkMeta& m = meta_[ci];
+  if (m.rebuild) return;
+  if (m.width == kMixedWidth || item.attr_sigs.size() != m.width) {
+    // The chunk's attribute width changes (or was never uniform): its
+    // columns must be re-derived from the items.
+    m.rebuild = true;
+    m.delta.clear();
+    return;
+  }
+  const CurveGroup& curve = barrier_ctx_->curve();
+  auto add = [&](CurveGroup::Jacobian* d, const BasSignature& s) {
+    if (s.point.infinity) return;
+    *d = curve.JacAddAffine(*d, sign > 0 ? s.point : curve.Negate(s.point));
+  };
+  add(&m.delta[0], item.sig);
+  if (!attrs) return;
+  for (size_t a = 0; a < m.width; ++a) add(&m.delta[1 + a], item.attr_sigs[a]);
 }
 
 void ShardVersionBuilder::Rebalance(size_t ci) {
   Chunk* c = const_cast<Chunk*>(chunks_[ci].get());
   if (c->empty()) {
     chunks_.erase(chunks_.begin() + ci);
-    chunk_aggs_.erase(chunk_aggs_.begin() + ci);
-    owned_.erase(owned_.begin() + ci);
+    meta_.erase(meta_.begin() + ci);
     first_keys_.erase(first_keys_.begin() + ci);
     return;
   }
@@ -190,9 +257,14 @@ void ShardVersionBuilder::Rebalance(size_t ci) {
     auto right = std::make_shared<Chunk>(
         c->begin() + static_cast<ptrdiff_t>(c->size() / 2), c->end());
     c->erase(c->begin() + static_cast<ptrdiff_t>(c->size() / 2), c->end());
+    // Neither half has a base its delta could apply to.
+    meta_[ci].rebuild = true;
+    meta_[ci].delta.clear();
+    ChunkMeta fresh;
+    fresh.owned = true;
+    fresh.rebuild = true;
     chunks_.insert(chunks_.begin() + ci + 1, right);
-    chunk_aggs_.insert(chunk_aggs_.begin() + ci + 1, nullptr);
-    owned_.insert(owned_.begin() + ci + 1, true);
+    meta_.insert(meta_.begin() + ci + 1, std::move(fresh));
     first_keys_.insert(first_keys_.begin() + ci + 1, right->front().key());
   }
   first_keys_[ci] = chunks_[ci]->front().key();
@@ -204,8 +276,10 @@ Status ShardVersionBuilder::ApplyInsert(const CertifiedRecord& cr) {
     auto c = std::make_shared<Chunk>();
     c->push_back(SnapshotItem{cr.record, cr.sig, cr.attr_sigs});
     chunks_.push_back(std::move(c));
-    chunk_aggs_.push_back(nullptr);
-    owned_.push_back(true);
+    ChunkMeta fresh;
+    fresh.owned = true;
+    fresh.rebuild = true;
+    meta_.push_back(std::move(fresh));
     first_keys_.push_back(key);
     ++size_;
     return Status::OK();
@@ -218,7 +292,8 @@ Status ShardVersionBuilder::ApplyInsert(const CertifiedRecord& cr) {
   if (it != c->end() && it->key() == key)
     return Status::AlreadyExists("insert of existing key " +
                                  std::to_string(key));
-  c->insert(it, SnapshotItem{cr.record, cr.sig, cr.attr_sigs});
+  it = c->insert(it, SnapshotItem{cr.record, cr.sig, cr.attr_sigs});
+  AddToDelta(ci, *it, +1, /*attrs=*/true);
   ++size_;
   Rebalance(ci);
   return Status::OK();
@@ -235,11 +310,15 @@ Status ShardVersionBuilder::ApplyReplace(const CertifiedRecord& cr) {
       [](const SnapshotItem& a, int64_t k) { return a.key() < k; });
   if (it == c->end() || it->key() != key)
     return Status::NotFound("update of missing key " + std::to_string(key));
+  // A message without attribute signatures leaves the stored ones in
+  // place (the DA only ships them when attribute signing is on), so only
+  // the chain column moves.
+  const bool attrs = !cr.attr_sigs.empty();
+  AddToDelta(ci, *it, -1, attrs);
   it->record = cr.record;
   it->sig = cr.sig;
-  // A message without attribute signatures leaves the stored ones in
-  // place (the DA only ships them when attribute signing is on).
-  if (!cr.attr_sigs.empty()) it->attr_sigs = cr.attr_sigs;
+  if (attrs) it->attr_sigs = cr.attr_sigs;
+  AddToDelta(ci, *it, +1, attrs);
   return Status::OK();
 }
 
@@ -253,6 +332,7 @@ Status ShardVersionBuilder::ApplyDelete(int64_t key) {
       [](const SnapshotItem& a, int64_t k) { return a.key() < k; });
   if (it == c->end() || it->key() != key)
     return Status::NotFound("delete of missing key " + std::to_string(key));
+  AddToDelta(ci, *it, -1, /*attrs=*/true);
   c->erase(it);
   --size_;
   Rebalance(ci);
@@ -288,24 +368,50 @@ Status ShardVersionBuilder::Apply(const SignedRecordUpdate& piece) {
 void ShardVersionBuilder::PrecomputeChunkAggregates() {
   if (barrier_ctx_ == nullptr) return;
   const CurveGroup& curve = barrier_ctx_->curve();
-  std::vector<size_t> fresh;
-  std::vector<CurveGroup::Jacobian> jacs;
+  std::vector<size_t> fresh;  ///< touched chunks, in order
+  std::vector<CurveGroup::Jacobian> jacs;  ///< their columns, concatenated
   for (size_t ci = 0; ci < chunks_.size(); ++ci) {
-    if (chunk_aggs_[ci] != nullptr) continue;  // shared chunk: write-once
-    CurveGroup::Jacobian acc{};
-    for (const SnapshotItem& item : *chunks_[ci]) {
-      if (!item.sig.point.infinity)
-        acc = curve.JacAddAffine(acc, item.sig.point);
-    }
+    ChunkMeta& m = meta_[ci];
+    if (!m.owned) continue;  // shared chunk: its aggregates stay shared
     fresh.push_back(ci);
-    jacs.push_back(std::move(acc));
+    if (!m.rebuild) {
+      // base + delta: one addition per column.
+      for (size_t col = 0; col < m.delta.size(); ++col) {
+        const ECPoint& base = (*m.aggs)[col];
+        jacs.push_back(base.infinity ? m.delta[col]
+                                     : curve.JacAddAffine(m.delta[col], base));
+      }
+      continue;
+    }
+    const Chunk& chunk = *chunks_[ci];
+    m.width = static_cast<uint32_t>(chunk.front().attr_sigs.size());
+    for (const SnapshotItem& item : chunk) {
+      if (item.attr_sigs.size() != m.width) {
+        m.width = kMixedWidth;
+        break;
+      }
+    }
+    const size_t n_cols = m.width == kMixedWidth ? 1 : 1 + m.width;
+    const size_t first = jacs.size();
+    jacs.resize(first + n_cols);
+    for (const SnapshotItem& item : chunk) {
+      for (uint32_t col = 0; col < n_cols; ++col) {
+        const ECPoint& p = ColumnOf(item, col).point;
+        CurveGroup::Jacobian& acc = jacs[first + col];
+        if (!p.infinity) acc = curve.JacAddAffine(acc, p);
+      }
+    }
   }
   if (fresh.empty()) return;
-  // ONE shared inversion finalizes every rebuilt chunk aggregate.
+  // ONE shared inversion finalizes every touched chunk's columns.
   std::vector<ECPoint> pts = curve.ToAffineBatch(jacs);
-  for (size_t k = 0; k < fresh.size(); ++k) {
-    chunk_aggs_[fresh[k]] =
-        std::make_shared<const ECPoint>(std::move(pts[k]));
+  auto next = pts.begin();
+  for (size_t ci : fresh) {
+    ChunkMeta& m = meta_[ci];
+    const size_t n_cols = m.width == kMixedWidth ? 1 : 1 + m.width;
+    const auto end = next + static_cast<ptrdiff_t>(n_cols);
+    m.aggs = std::make_shared<const ColumnAggregates>(next, end);
+    next = end;
   }
 }
 
@@ -313,10 +419,17 @@ std::shared_ptr<const EpochSnapshot> ShardVersionBuilder::Freeze() {
   if (!changed_ && last_frozen_ != nullptr) return last_frozen_;
   if (changed_) ++generation_;
   changed_ = false;
-  std::fill(owned_.begin(), owned_.end(), false);
   PrecomputeChunkAggregates();
-  last_frozen_ = std::make_shared<const EpochSnapshot>(chunks_, chunk_aggs_,
-                                                       generation_);
+  std::vector<std::shared_ptr<const ColumnAggregates>> aggs;
+  if (barrier_ctx_ != nullptr) aggs.reserve(meta_.size());
+  for (ChunkMeta& m : meta_) {
+    m.owned = false;
+    m.rebuild = false;
+    m.delta.clear();
+    if (barrier_ctx_ != nullptr) aggs.push_back(m.aggs);
+  }
+  last_frozen_ = std::make_shared<const EpochSnapshot>(
+      chunks_, std::move(aggs), generation_);
   return last_frozen_;
 }
 

@@ -47,15 +47,29 @@ class EpochSnapshot {
  public:
   using Chunk = std::vector<SnapshotItem>;
 
+  /// One chunk's barrier-precomputed column aggregates: [0] is the affine
+  /// sum of the chunk's chain signatures, [1 + a] the sum of its
+  /// attr_sigs[a]. Attribute columns exist only when every item of the
+  /// chunk carries the same number of attribute signatures.
+  using ColumnAggregates = std::vector<ECPoint>;
+
+  /// What a span fold did: signatures pulled one item at a time, whole
+  /// chunk column aggregates used, and EC additions (terms - 1).
+  struct FoldStats {
+    size_t point_adds = 0;
+    size_t leaf_fetches = 0;
+    size_t span_hits = 0;
+  };
+
   EpochSnapshot() = default;
   EpochSnapshot(std::vector<std::shared_ptr<const Chunk>> chunks,
                 uint64_t generation);
-  /// As above, with barrier-precomputed per-chunk chain-signature
-  /// aggregates (parallel to `chunks`; entries may be null). See
-  /// ChunkAggregateAt.
-  EpochSnapshot(std::vector<std::shared_ptr<const Chunk>> chunks,
-                std::vector<std::shared_ptr<const ECPoint>> chunk_aggs,
-                uint64_t generation);
+  /// As above, with barrier-precomputed column aggregates (parallel to
+  /// `chunks`; entries may be null). See ColumnAggregateAt.
+  EpochSnapshot(
+      std::vector<std::shared_ptr<const Chunk>> chunks,
+      std::vector<std::shared_ptr<const ColumnAggregates>> chunk_aggs,
+      uint64_t generation);
 
   uint64_t size() const { return total_; }
   uint64_t generation() const { return generation_; }
@@ -97,14 +111,36 @@ class EpochSnapshot {
 
   /// Barrier-precomputed aggregate spans: when a whole chunk starts
   /// exactly at rank `pos`, ends at/before rank `hi` (inclusive), and its
-  /// aggregate was precomputed, stores the affine sum of the chunk's chain
-  /// signatures in `*agg` and returns the chunk's length; returns 0
-  /// otherwise. Aggregates are computed write-once at
+  /// aggregate for `column` was precomputed, stores that column aggregate
+  /// (see ColumnAggregates) in `*agg` and returns the chunk's length;
+  /// returns 0 otherwise. Aggregates are computed at
   /// ShardVersionBuilder::Freeze and shared across epochs exactly like the
-  /// chunks themselves, so a SigCache window fill or seam stitch over a
-  /// frozen shard starts from precomputed prefixes instead of refetching
-  /// every leaf signature.
-  size_t ChunkAggregateAt(size_t pos, size_t hi, ECPoint* agg) const;
+  /// chunks themselves, so a SigCache window fill, a seam stitch or a
+  /// projection over a frozen shard starts from precomputed prefixes
+  /// instead of refetching every leaf signature.
+  size_t ColumnAggregateAt(size_t pos, size_t hi, size_t column,
+                           ECPoint* agg) const;
+  /// The chain-signature column (column 0): the SigCache span provider.
+  size_t ChunkAggregateAt(size_t pos, size_t hi, ECPoint* agg) const {
+    return ColumnAggregateAt(pos, hi, 0, agg);
+  }
+  /// Chunk `ci`'s column aggregates, or null when none were precomputed.
+  /// Shared with every snapshot that shares the chunk.
+  const ColumnAggregates* chunk_columns(size_t ci) const {
+    return chunk_aggs_.empty() ? nullptr : chunk_aggs_[ci].get();
+  }
+
+  /// Add every item's signatures in `columns` (0 = chain signature,
+  /// 1 + a = attr_sigs[a]) over ranks [rank_lo, rank_hi] (inclusive,
+  /// within [0, size())) into `*acc`. A chunk the span covers whole and
+  /// whose aggregates hold every column costs one addition per column;
+  /// the other (edge) items are folded leaf by leaf, chunk by chunk. Every
+  /// item in the span must carry the requested attribute signatures. The
+  /// sum is that of the leaf fold, so finalized bytes are identical.
+  void FoldColumns(size_t rank_lo, size_t rank_hi,
+                   const std::vector<uint32_t>& columns,
+                   const CurveGroup& curve, CurveGroup::Jacobian* acc,
+                   FoldStats* stats) const;
 
   /// Vectorized rank lookup for a batch of probe keys presented in
   /// ascending order (the LookupBatch discipline: sort the probe keys,
@@ -135,9 +171,9 @@ class EpochSnapshot {
   friend class ShardVersionBuilder;
 
   std::vector<std::shared_ptr<const Chunk>> chunks_;
-  /// Parallel to chunks_ (or empty): the affine sum of each chunk's chain
-  /// signatures, shared across epochs with the chunk.
-  std::vector<std::shared_ptr<const ECPoint>> chunk_aggs_;
+  /// Parallel to chunks_ (or empty): each chunk's column aggregates,
+  /// shared across epochs with the chunk.
+  std::vector<std::shared_ptr<const ColumnAggregates>> chunk_aggs_;
   std::vector<size_t> starts_;      ///< starts_[i] = rank of chunks_[i][0]
   std::vector<int64_t> first_keys_; ///< chunks_[i][0].key()
   uint64_t total_ = 0;
@@ -155,17 +191,26 @@ class EpochSnapshot {
 /// Freeze() is O(chunk count) and returns the cached previous snapshot
 /// when the delta was empty.
 ///
+/// Column aggregates are maintained by delta, not recomputed: a touched
+/// chunk keeps its last frozen aggregates as a base, and every piece adds
+/// a signed Jacobian delta per column (insert: + new item; modify or
+/// re-certify: - old + new, attribute columns only when the message ships
+/// attribute signatures; delete: - old item). Freeze() finalizes each
+/// column as base + delta, one addition per column. A chunk is rebuilt
+/// leaf by leaf only where no valid delta exists: a new chunk, either half
+/// of a split, or a piece whose attribute width differs from the chunk's.
+///
 /// Not internally synchronized: the serving layer guards each shard's
 /// builder with that shard's apply mutex (readers never touch builders —
 /// they pin frozen snapshots).
 class ShardVersionBuilder {
  public:
   /// `chunk_target`: preferred items per chunk; chunks split at twice this.
-  /// `barrier_ctx` (optional): when set, Freeze() precomputes each dirty
-  /// chunk's chain-signature aggregate at the epoch barrier — write-once,
-  /// finalized with one shared batch inversion, and shared across epochs
-  /// like the chunk itself (EpochSnapshot::ChunkAggregateAt). Null skips
-  /// the precomputation (snapshots then answer ChunkAggregateAt with 0).
+  /// `barrier_ctx` (optional): when set, Freeze() publishes every dirty
+  /// chunk's column aggregates (EpochSnapshot::ColumnAggregates), all
+  /// finalized with one shared batch inversion and shared across epochs
+  /// like the chunk itself. Null skips them (snapshots then answer
+  /// ColumnAggregateAt with 0).
   explicit ShardVersionBuilder(
       size_t chunk_target = 128,
       std::shared_ptr<const BasContext> barrier_ctx = nullptr);
@@ -188,32 +233,55 @@ class ShardVersionBuilder {
 
  private:
   using Chunk = EpochSnapshot::Chunk;
+  using ColumnAggregates = EpochSnapshot::ColumnAggregates;
+
+  /// A chunk's attribute width when its items disagree on it.
+  static constexpr uint32_t kMixedWidth = ~uint32_t{0};
+
+  /// Per-chunk barrier state, parallel to chunks_.
+  struct ChunkMeta {
+    /// The last frozen column aggregates; while the chunk is owned, the
+    /// base its delta applies to. Null for a chunk never frozen.
+    std::shared_ptr<const ColumnAggregates> aggs;
+    /// Exclusively ours (mutable, touched since the last Freeze).
+    bool owned = false;
+    /// No valid delta: Freeze recomputes the chunk's aggregates.
+    bool rebuild = false;
+    /// Attribute signatures per item, or kMixedWidth (valid unless
+    /// `rebuild`).
+    uint32_t width = 0;
+    /// Signed per-column change since `aggs` (valid unless `rebuild`).
+    std::vector<CurveGroup::Jacobian> delta;
+  };
 
   /// Index of the chunk that owns `key` (the last chunk whose first key
   /// is <= key, clamped to 0). Requires a non-empty chunk list.
   size_t ChunkOf(int64_t key) const;
   /// Mutable access to chunk `ci`, cloning it first if it is still shared
-  /// with a frozen snapshot.
+  /// with a frozen snapshot (which also opens its delta).
   Chunk* Mutate(size_t ci);
   /// Re-balance chunk `ci` after a mutation: split when oversized, drop
   /// when empty. Keeps first_keys_ in sync.
   void Rebalance(size_t ci);
+  /// Add `sign` (+1 / -1) times `item`'s signatures to chunk `ci`'s delta:
+  /// the chain column, and the attribute columns when `attrs`. An item
+  /// whose attribute width is not the chunk's invalidates the delta.
+  void AddToDelta(size_t ci, const SnapshotItem& item, int sign, bool attrs);
 
   Status ApplyInsert(const CertifiedRecord& cr);
   Status ApplyReplace(const CertifiedRecord& cr);  // modify / re-certify
   Status ApplyDelete(int64_t key);
 
-  /// Rebuild the chain aggregate of every chunk the delta touched (null
-  /// entries of chunk_aggs_), finalizing all of them with ONE shared batch
-  /// inversion. No-op without a barrier context.
+  /// Publish the column aggregates of every chunk the delta touched —
+  /// base + delta where valid, a leaf-by-leaf rebuild otherwise — all
+  /// finalized with ONE shared batch inversion. No-op without a barrier
+  /// context.
   void PrecomputeChunkAggregates();
 
   size_t chunk_target_;
   std::shared_ptr<const BasContext> barrier_ctx_;
   std::vector<std::shared_ptr<const Chunk>> chunks_;
-  /// Parallel to chunks_: precomputed aggregates, null while dirty.
-  std::vector<std::shared_ptr<const ECPoint>> chunk_aggs_;
-  std::vector<bool> owned_;  ///< chunks_[i] is exclusively ours (mutable)
+  std::vector<ChunkMeta> meta_;  ///< parallel to chunks_
   std::vector<int64_t> first_keys_;
   uint64_t size_ = 0;
   uint64_t generation_ = 0;

@@ -1,6 +1,8 @@
 #ifndef AUTHDB_CORE_PROTOCOL_H_
 #define AUTHDB_CORE_PROTOCOL_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -137,20 +139,30 @@ struct PlanBatch {
 };
 
 /// The attribute set a projection plan actually serves: the requested
-/// positions deduplicated in order, with the index attribute (position 0)
-/// forced to the front when absent — shared by the executors and the
-/// verifier so both sides agree on the tuple layout.
+/// positions deduplicated in order of first occurrence, with the index
+/// attribute (position 0) forced to the front when absent — shared by the
+/// executors and the verifier so both sides agree on the tuple layout.
+/// O(n log n) in the request size, so a hostile plan with very many
+/// indices cannot stall a shard worker.
 inline std::vector<uint32_t> EffectiveProjectionAttrs(
     const std::vector<uint32_t>& requested) {
+  // (index, position) pairs sorted by index then position: the first pair
+  // of each index run is its first occurrence.
+  std::vector<std::pair<uint32_t, size_t>> firsts(requested.size());
+  for (size_t i = 0; i < requested.size(); ++i) firsts[i] = {requested[i], i};
+  std::sort(firsts.begin(), firsts.end());
+  firsts.erase(std::unique(firsts.begin(), firsts.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first;
+                           }),
+               firsts.end());
+  const bool has_index = !firsts.empty() && firsts.front().first == 0;
+  std::sort(firsts.begin(), firsts.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
   std::vector<uint32_t> out;
-  bool has_index = false;
-  for (uint32_t i : requested) has_index |= i == 0;
+  out.reserve(firsts.size() + 1);
   if (!has_index) out.push_back(0);
-  for (uint32_t i : requested) {
-    bool seen = false;
-    for (uint32_t j : out) seen |= j == i;
-    if (!seen) out.push_back(i);
-  }
+  for (const auto& f : firsts) out.push_back(f.first);
   return out;
 }
 

@@ -9,8 +9,11 @@
 // and walks the immutable snapshot forward once (EpochSnapshot::
 // ForwardCursor: galloping rank lookups in key order), aggregates
 // selection sub-ranges either through ONE generation-tagged
-// SigCache::RangeAggregateBatch call or into Jacobian accumulators, and
-// the front end stitches per-plan answers and finalizes every plan-level
+// SigCache::RangeAggregateBatch call or into Jacobian accumulators, folds
+// projection sub-ranges from the epoch-barrier column aggregates of the
+// chunks they cover whole plus edge leaves (EpochSnapshot::FoldColumns,
+// which also serves selections without a cache), and the front end
+// stitches per-plan answers and finalizes every plan-level
 // aggregate with one shared batch inversion (BasContext::FinalizeBatch).
 //
 // Equivalence contract: answers are byte-for-byte the answers the
@@ -43,6 +46,9 @@ uint64_t ElapsedUs(Clock::time_point a, Clock::time_point b) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
 }
+
+/// A selection's one aggregate column: the chain signatures.
+const std::vector<uint32_t> kChainColumn = {0};
 }  // namespace
 
 class BatchEngine {
@@ -80,6 +86,7 @@ class BatchEngine {
     std::vector<ProjectedTuple> tuples;
     std::vector<Digest160> digests;
     CurveGroup::Jacobian proj_agg{};
+    EpochSnapshot::FoldStats proj_stats;
     uint64_t oldest_ts = ~uint64_t{0};
   };
   /// One join probe value's sub-range on one shard.
@@ -124,6 +131,8 @@ class BatchEngine {
 
   std::vector<PlanWork> work_;
   std::vector<std::vector<uint32_t>> plan_attrs_;  ///< projection plans
+  /// Per projection plan: the aggregate columns it folds (chain + 1 + a).
+  std::vector<std::vector<uint32_t>> plan_columns_;
   std::vector<RangeReq> range_reqs_;
   std::vector<RangeRes> range_res_;
   std::vector<ProbeReq> probe_reqs_;
@@ -138,8 +147,11 @@ Status BatchEngine::ValidateAndPlan(const Query& q, size_t p) {
       if (q.lo > q.hi) return Status::InvalidArgument("lo > hi");
       if (q.lo == kChainMinusInf || q.hi == kChainPlusInf)
         return Status::InvalidArgument("range touches chain sentinels");
-      if (q.kind == QueryKind::kProject)
+      if (q.kind == QueryKind::kProject) {
         plan_attrs_[p] = EffectiveProjectionAttrs(q.attr_indices);
+        plan_columns_[p] = kChainColumn;
+        for (uint32_t a : plan_attrs_[p]) plan_columns_[p].push_back(1 + a);
+      }
       const std::vector<ShardRouter::SubRange> cover =
           srv_.router_.Cover(q.lo, q.hi);
       work.shards_queried = cover.size();
@@ -266,17 +278,16 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
         cache_ranges.push_back(SigCache::RangeSpec{lo_r, hi_r - 1});
         cache_req.push_back(u.idx);
       } else {
-        BasAccumulator acc;
-        for (const SnapshotItem* item : res.items) acc.Add(curve_, item->sig);
-        res.agg = acc.jac;  // finalized with the plan's shared inversion
-        res.agg_stats.leaf_fetches += res.items.size();
-        res.agg_stats.point_adds +=
-            res.items.empty() ? 0 : res.items.size() - 1;
+        // Finalized with the plan's shared inversion.
+        EpochSnapshot::FoldStats fs;
+        snap.FoldColumns(lo_r, hi_r - 1, kChainColumn, curve_, &res.agg, &fs);
+        res.agg_stats.point_adds += fs.point_adds;
+        res.agg_stats.leaf_fetches += fs.leaf_fetches;
+        res.agg_stats.span_hits += fs.span_hits;
       }
       select_us += ElapsedUs(t0, Clock::now());
     } else {
       const std::vector<uint32_t>& attrs = plan_attrs_[req.plan];
-      BasAccumulator acc;
       bool failed = false;
       // Records visited by the walk; their digest spine is computed after
       // the walk in one multi-buffer SHA pass (the items live in the
@@ -304,15 +315,17 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
           }
           tuple.attr_indices.push_back(a);
           tuple.values.push_back(rec.attrs[a]);
-          acc.Add(curve_, item.attr_sigs[a]);
         }
         res.tuples.push_back(std::move(tuple));
         spine.push_back(&rec);
-        acc.Add(curve_, item.sig);  // chain signature (completeness spine)
         res.oldest_ts = std::min(res.oldest_ts, rec.ts);
       });
       if (!failed) {
-        res.proj_agg = acc.jac;
+        // Every item carries the projected attribute signatures: fold them
+        // and the chain signatures (the completeness spine) by whole-chunk
+        // column aggregates plus edge leaves.
+        snap.FoldColumns(lo_r, hi_r - 1, plan_columns_[req.plan], curve_,
+                         &res.proj_agg, &res.proj_stats);
         res.digests.resize(spine.size());
         RecordDigestMany(spine.data(), spine.size(), res.digests.data());
       }
@@ -442,6 +455,9 @@ Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
   bool any = false;
   for (size_t ri : work.range_reqs) {
     RangeRes& sub = range_res_[ri];
+    bs->agg_project_point_adds += sub.proj_stats.point_adds;
+    bs->agg_project_leaf_fetches += sub.proj_stats.leaf_fetches;
+    bs->agg_project_span_hits += sub.proj_stats.span_hits;
     if (!sub.error.ok()) return sub.error;
     if (!sub.nonempty) continue;
     if (!any) {
@@ -664,6 +680,7 @@ std::vector<Result<QueryAnswer>> BatchEngine::Run(const PlanBatch& batch,
 
   work_.resize(plans.size());
   plan_attrs_.resize(plans.size());
+  plan_columns_.resize(plans.size());
   std::vector<Status> invalid(plans.size(), Status::OK());
   for (size_t p = 0; p < plans.size(); ++p) {
     invalid[p] = ValidateAndPlan(plans[p], p);

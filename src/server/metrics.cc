@@ -26,6 +26,12 @@ std::vector<std::pair<std::string, double>> ServerMetrics::Flatten() const {
   put("exec.agg.cache_hits", static_cast<double>(exec.agg_cache_hits));
   put("exec.agg.refreshes", static_cast<double>(exec.agg_refreshes));
   put("exec.agg.span_hits", static_cast<double>(exec.agg_span_hits));
+  put("exec.agg.project_point_adds",
+      static_cast<double>(exec.agg_project_point_adds));
+  put("exec.agg.project_leaf_fetches",
+      static_cast<double>(exec.agg_project_leaf_fetches));
+  put("exec.agg.project_span_hits",
+      static_cast<double>(exec.agg_project_span_hits));
   put("exec.crypto.digests_hashed",
       static_cast<double>(exec.digests_hashed));
   put("exec.bloom.probes", static_cast<double>(exec.bloom_probes));
@@ -114,6 +120,12 @@ ServerMetrics ServerMetrics::Delta(const ServerMetrics& since) const {
   d.exec.agg_cache_hits = sub(exec.agg_cache_hits, since.exec.agg_cache_hits);
   d.exec.agg_refreshes = sub(exec.agg_refreshes, since.exec.agg_refreshes);
   d.exec.agg_span_hits = sub(exec.agg_span_hits, since.exec.agg_span_hits);
+  d.exec.agg_project_point_adds =
+      sub(exec.agg_project_point_adds, since.exec.agg_project_point_adds);
+  d.exec.agg_project_leaf_fetches =
+      sub(exec.agg_project_leaf_fetches, since.exec.agg_project_leaf_fetches);
+  d.exec.agg_project_span_hits =
+      sub(exec.agg_project_span_hits, since.exec.agg_project_span_hits);
   d.exec.digests_hashed = sub(exec.digests_hashed, since.exec.digests_hashed);
   d.exec.bloom_probes = sub(exec.bloom_probes, since.exec.bloom_probes);
   d.exec.bloom_block_hits =
@@ -200,6 +212,10 @@ void MetricsCore::FoldBatch(const BatchExecStats& batch) {
   agg_cache_hits_.fetch_add(batch.agg_cache_hits, kRelaxed);
   agg_refreshes_.fetch_add(batch.agg_refreshes, kRelaxed);
   agg_span_hits_.fetch_add(batch.agg_span_hits, kRelaxed);
+  agg_project_point_adds_.fetch_add(batch.agg_project_point_adds, kRelaxed);
+  agg_project_leaf_fetches_.fetch_add(batch.agg_project_leaf_fetches,
+                                      kRelaxed);
+  agg_project_span_hits_.fetch_add(batch.agg_project_span_hits, kRelaxed);
   digests_hashed_.fetch_add(batch.digests_hashed, kRelaxed);
   bloom_probes_.fetch_add(batch.bloom_probes, kRelaxed);
   bloom_block_hits_.fetch_add(batch.bloom_block_hits, kRelaxed);
@@ -248,6 +264,9 @@ void MetricsCore::Snapshot(ServerMetrics* out) const {
   e.agg_cache_hits = agg_cache_hits_.load(kRelaxed);
   e.agg_refreshes = agg_refreshes_.load(kRelaxed);
   e.agg_span_hits = agg_span_hits_.load(kRelaxed);
+  e.agg_project_point_adds = agg_project_point_adds_.load(kRelaxed);
+  e.agg_project_leaf_fetches = agg_project_leaf_fetches_.load(kRelaxed);
+  e.agg_project_span_hits = agg_project_span_hits_.load(kRelaxed);
   e.digests_hashed = digests_hashed_.load(kRelaxed);
   e.bloom_probes = bloom_probes_.load(kRelaxed);
   e.bloom_block_hits = bloom_block_hits_.load(kRelaxed);

@@ -40,6 +40,10 @@ struct BatchExecStats {
   uint64_t agg_cache_hits = 0;
   uint64_t agg_refreshes = 0;
   uint64_t agg_span_hits = 0;   ///< precomputed chunk prefixes used
+  /// Projection folds, kept apart from the selection agg_* counters.
+  uint64_t agg_project_point_adds = 0;
+  uint64_t agg_project_leaf_fetches = 0;
+  uint64_t agg_project_span_hits = 0;  ///< chunk column aggregates used
   uint64_t digests_hashed = 0;  ///< tuple digests via multi-buffer SHA
   uint64_t bloom_probes = 0;    ///< join values probed against a filter
   uint64_t bloom_block_hits = 0;    ///< probes answered "maybe present"
@@ -71,6 +75,13 @@ struct ServerMetrics {
     /// Aggregations short-circuited by epoch-barrier chunk aggregates
     /// (precomputed prefixes) instead of per-leaf folds.
     uint64_t agg_span_hits = 0;
+    /// Projection folds (chain plus projected attribute columns): EC
+    /// additions, signatures pulled leaf by leaf, and epoch-barrier chunk
+    /// column aggregates used. Separate from the selection counters above,
+    /// which measure the SigCache.
+    uint64_t agg_project_point_adds = 0;
+    uint64_t agg_project_leaf_fetches = 0;
+    uint64_t agg_project_span_hits = 0;
     /// Tuple digests produced through the multi-buffer SHA front end
     /// (projection digest spines) — the "hashes hashed" crypto counter.
     uint64_t digests_hashed = 0;
@@ -192,6 +203,9 @@ class MetricsCore {
   std::atomic<uint64_t> agg_cache_hits_{0};
   std::atomic<uint64_t> agg_refreshes_{0};
   std::atomic<uint64_t> agg_span_hits_{0};
+  std::atomic<uint64_t> agg_project_point_adds_{0};
+  std::atomic<uint64_t> agg_project_leaf_fetches_{0};
+  std::atomic<uint64_t> agg_project_span_hits_{0};
   std::atomic<uint64_t> digests_hashed_{0};
   std::atomic<uint64_t> bloom_probes_{0};
   std::atomic<uint64_t> bloom_block_hits_{0};

@@ -4,7 +4,9 @@
 // boundary keys, same witnesses, same canonical-affine aggregate points —
 // and every answer must be accepted by the unmodified
 // ClientVerifier::VerifyAnswerFresh. Also covered: per-plan validation
-// error parity, ServerMetrics accounting, SigCache byte-equivalence, and a
+// error parity, ServerMetrics accounting, SigCache byte-equivalence,
+// projection aggregates against leaf sums built from the DA's own records,
+// the projection attribute dedup and a hostile plan width, and a
 // churn test that runs batches against live UpdateStream ingest across
 // epoch barriers (the `concurrency` label puts it in the TSan CI lane).
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -445,6 +448,97 @@ TEST_F(BatchExecTest, SigCacheWindowsKeepBatchByteEquivalent) {
   }
 }
 
+// Projections spanning three or more chunks on both shards of a two-shard
+// server, checked against an independent reference: the aggregate must
+// equal a sum built leaf by leaf from the DA's own certified records
+// (chain signatures from its table, attribute signatures re-signed from
+// each record), before and after a live-ingest epoch whose inserts split
+// chunks and whose deletes empty them. Every answer must verify fresh.
+TEST_F(BatchExecTest, ProjectionsMatchLeafSumsOfTheDAsRecordsAcrossEpochs) {
+  constexpr int64_t kRows = 800;  // keys 10, 20, ..., 8000
+  std::vector<Record> records;
+  for (int64_t k = 1; k <= kRows; ++k) {
+    Record r;
+    r.attrs = {10 * k, k * 3, k * 7};
+    records.push_back(r);
+  }
+  auto loaded = da_->BulkLoad(std::move(records));
+  ASSERT_TRUE(loaded.ok());
+  auto server = std::make_unique<ShardedQueryServer>(
+      *ctx_, ShardRouter::Uniform(2, 0, 10 * kRows + 10), Config(2));
+  for (const auto& msg : loaded.value())
+    ASSERT_TRUE(server->ApplyUpdate(msg).ok());
+
+  const std::vector<Query> plans = {
+      Query::Project(10, 10 * kRows, {1, 2}),
+      Query::Project(1005, 7005, {2}),
+      Query::Project(2000, 6500, {0, 1}),
+      Query::Project(55, 95, {1}),  // inside one chunk: edge leaves only
+  };
+  const CurveGroup& curve = (*ctx_)->curve();
+  auto check = [&](uint64_t min_epoch) {
+    const ServerMetrics before = server->Metrics();
+    auto answers = server->ExecuteBatch(PlanBatch::Of(plans));
+    ASSERT_EQ(answers.size(), plans.size());
+    for (size_t i = 0; i < plans.size(); ++i) {
+      SCOPED_TRACE("plan " + std::to_string(i));
+      ASSERT_TRUE(answers[i].ok()) << answers[i].status().ToString();
+      const ProjectedRangeAnswer& proj = answers[i].value().projection;
+      const std::vector<uint32_t> attrs =
+          EffectiveProjectionAttrs(plans[i].attr_indices);
+      AuthTable::RangeOut scan = da_->table().Scan(plans[i].lo, plans[i].hi);
+      ASSERT_EQ(proj.tuples.size(), scan.items.size());
+      std::vector<ECPoint> leaves;
+      for (const AuthTable::Item& item : scan.items) {
+        std::vector<BasSignature> attr_sigs = da_->SignAttributes(item.record);
+        for (uint32_t a : attrs) leaves.push_back(attr_sigs[a].point);
+        leaves.push_back(item.sig.point);
+      }
+      EXPECT_TRUE(curve.Equal(proj.agg_sig.point, curve.Sum(leaves)));
+      EXPECT_TRUE(verifier_
+                      ->VerifyAnswerFresh(plans[i], answers[i].value(),
+                                          Now(), min_epoch)
+                      .ok());
+    }
+    const ServerMetrics delta = server->Metrics().Delta(before);
+    EXPECT_GT(delta.exec.agg_project_span_hits, 0u);
+    EXPECT_GT(delta.exec.agg_project_leaf_fetches, 0u);
+    EXPECT_EQ(delta.exec.agg_span_hits, 0u);  // selection counters untouched
+  };
+  check(0);
+  if (HasFatalFailure()) return;
+  // The full-range plan alone covers three or more whole chunks on each
+  // shard, four columns (chain + attributes 0, 1, 2) each.
+  const ServerMetrics before = server->Metrics();
+  ASSERT_TRUE(server->Execute(plans[0]).ok());
+  EXPECT_GE(server->Metrics().Delta(before).exec.agg_project_span_hits,
+            2u * 3u * 4u);
+
+  // One live-ingest epoch: a burst of inserts into one gap (its chunk
+  // splits) and a run of deletes long enough to empty whole chunks.
+  UpdateStream stream(server.get(), Config(2));
+  for (int64_t k = 100; k < 135; ++k) {
+    for (int64_t d = 1; d <= 9; ++d) {
+      auto msg = da_->InsertRecord({10 * k + d, d, k});
+      ASSERT_TRUE(msg.ok());
+      stream.PushUpdate(std::move(msg.value()));
+    }
+  }
+  for (int64_t key = 4500; key <= 7000; key += 10) {
+    auto msg = da_->DeleteRecord(key);
+    ASSERT_TRUE(msg.ok());
+    stream.PushUpdate(std::move(msg.value()));
+  }
+  clock_.AdvanceSeconds(1.0);
+  DataAggregator::PeriodOutput out = da_->PublishSummary();
+  for (const auto& msg : out.recertifications) stream.PushUpdate(msg);
+  stream.PushSummary(std::move(out.summary));
+  stream.Flush();
+  const uint64_t epoch = server->freshness_tracker().current_epoch();
+  EXPECT_GT(epoch, 0u);
+  check(epoch);
+}
+
 // Batches against live ingest: an UpdateStream applies modifies and closes
 // rho-periods (epoch barriers with certified partition refreshes) while the
 // main thread runs batched reads. Every batch must stay internally
@@ -519,6 +613,49 @@ TEST_F(BatchExecTest, BatchesStayConsistentUnderLiveIngestAcrossEpochs) {
                                         Now(), final_epoch)
                     .ok());
   }
+}
+
+// The order-preserving dedup the projection layout depends on, as it was
+// first written: quadratic, and the definition the O(n log n) version
+// must keep.
+std::vector<uint32_t> QuadraticProjectionAttrs(
+    const std::vector<uint32_t>& requested) {
+  std::vector<uint32_t> out;
+  bool has_index = false;
+  for (uint32_t i : requested) has_index |= i == 0;
+  if (!has_index) out.push_back(0);
+  for (uint32_t i : requested) {
+    bool seen = false;
+    for (uint32_t j : out) seen |= j == i;
+    if (!seen) out.push_back(i);
+  }
+  return out;
+}
+
+TEST(EffectiveProjectionAttrsTest, MatchesTheQuadraticDefinition) {
+  Rng rng(0xA77);
+  EXPECT_EQ(EffectiveProjectionAttrs({}), QuadraticProjectionAttrs({}));
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<uint32_t> requested(rng.Uniform(40));
+    const uint64_t range = 1 + rng.Uniform(30);
+    for (uint32_t& a : requested) a = static_cast<uint32_t>(rng.Uniform(range));
+    EXPECT_EQ(EffectiveProjectionAttrs(requested),
+              QuadraticProjectionAttrs(requested));
+  }
+}
+
+// A client plan naming 10^5 distinct attributes is refused with a Status
+// (the indices run past the record), not a stalled worker or a crash.
+TEST_F(BatchExecTest, HostileProjectionWidthFailsWithAStatus) {
+  Load(DefaultS());
+  std::vector<uint32_t> attrs(100'000);
+  for (size_t i = 0; i < attrs.size(); ++i)
+    attrs[i] = static_cast<uint32_t>(attrs.size() - i);
+  auto r = server_->Execute(
+      Query::Project(JoinCompositeKey(10, 0), JoinCompositeKey(90, 1), attrs));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
 }
 
 }  // namespace

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
+#include "core/data_aggregator.h"
 #include "server/metrics.h"
+#include "server/sharded_query_server.h"
 
 namespace authdb {
 namespace {
@@ -30,6 +34,9 @@ const char* const kStableNames[] = {
     "exec.agg.cache_hits",
     "exec.agg.refreshes",
     "exec.agg.span_hits",
+    "exec.agg.project_point_adds",
+    "exec.agg.project_leaf_fetches",
+    "exec.agg.project_span_hits",
     "exec.crypto.digests_hashed",
     "exec.bloom.probes",
     "exec.bloom.block_hits",
@@ -165,6 +172,46 @@ TEST(MetricsCoreTest, FoldAndSnapshotAccumulate) {
   EXPECT_EQ(m.exec.shard_busy[1].visit_us, 0u);
   EXPECT_EQ(m.epoch.published_total, 1u);
   EXPECT_EQ(m.epoch.publish_backpressure_us, 120u);
+}
+
+// Projection folds report through their own counters: a projection long
+// enough to cover whole chunks shows span hits in
+// exec.agg.project_span_hits, and none of it lands in the selection-side
+// exec.agg.* counters that measure the SigCache.
+TEST(ServerMetricsTest, LongProjectionReportsItsOwnSpanHits) {
+  Rng rng(0x3E7);
+  std::shared_ptr<const BasContext> ctx = BasContext::Generate(96, 64, &rng);
+  ManualClock clock;
+  clock.SetMicros(1'000'000);
+  DataAggregator::Options opt;
+  opt.record_len = 128;
+  opt.piggyback_renewal = false;
+  opt.sign_attributes = true;
+  DataAggregator da(ctx, &clock, &rng, opt);
+  std::vector<Record> records;
+  for (int64_t k = 0; k < 600; ++k) {
+    Record r;
+    r.attrs = {k, k * 5};
+    records.push_back(r);
+  }
+  auto loaded = da.BulkLoad(std::move(records));
+  ASSERT_TRUE(loaded.ok());
+  ServerConfig cfg;
+  cfg.serving.worker_threads = 0;
+  ShardedQueryServer server(ctx, ShardRouter({}), cfg);
+  for (const auto& msg : loaded.value())
+    ASSERT_TRUE(server.ApplyUpdate(msg).ok());
+
+  const ServerMetrics before = server.Metrics();
+  ASSERT_TRUE(server.Execute(Query::Project(0, 599, {1})).ok());
+  const ServerMetrics d = server.Metrics().Delta(before);
+  EXPECT_GT(d.exec.agg_project_span_hits, 0u);
+  EXPECT_GT(d.exec.agg_project_point_adds, 0u);
+  EXPECT_EQ(d.Value("exec.agg.project_span_hits"),
+            static_cast<double>(d.exec.agg_project_span_hits));
+  EXPECT_EQ(d.exec.agg_span_hits, 0u);
+  EXPECT_EQ(d.exec.agg_point_adds, 0u);
+  EXPECT_EQ(d.exec.agg_leaf_fetches, 0u);
 }
 
 }  // namespace

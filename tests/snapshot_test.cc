@@ -1,6 +1,7 @@
 // Tests for the epoch-pinned copy-on-write storage spine: the
 // ShardVersionBuilder / EpochSnapshot COW semantics (structural sharing,
-// chunk splits, chain generations), and epoch garbage collection on the
+// chunk splits, chain generations), the barrier column aggregates the
+// builder keeps up to date by delta, and epoch garbage collection on the
 // sharded server — a reader pinning epoch N across later publications
 // keeps its snapshot alive and verifiable, retired snapshots are actually
 // freed (ASan-checked via weak_ptr expiry), and the max_pinned_epochs
@@ -12,6 +13,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -138,6 +141,259 @@ TEST(ShardVersionBuilderTest, FreezeSharesUntouchedChunksAcrossEpochs) {
   // An untouched freeze is free: same snapshot object, same generation.
   auto snap3 = builder.Freeze();
   EXPECT_EQ(snap3.get(), snap2.get());
+}
+
+// Column aggregates under random certified traffic: a barrier-context
+// builder sees inserts, modifies (some shipping no attribute signatures),
+// deletes, re-certifications, insert bursts that split chunks, delete runs
+// that empty them, and a mix of attribute widths. After every Freeze each
+// chunk's every column must equal a leaf-by-leaf CurveGroup::Sum, chunks
+// the delta never touched must keep the very same aggregate object, and
+// ColumnAggregateAt / FoldColumns must agree with leaf folds.
+class ColumnAggregateTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    Rng rng(0xC0A6);
+    ctx_ = new std::shared_ptr<const BasContext>(
+        BasContext::Generate(96, 64, &rng));
+    const CurveGroup& curve = (*ctx_)->curve();
+    pool_ = new std::vector<ECPoint>{(*ctx_)->generator()};
+    while (pool_->size() < 40)
+      pool_->push_back(curve.Add(pool_->back(), (*ctx_)->generator()));
+  }
+
+  /// A random signature: a pool point, occasionally the infinity point.
+  BasSignature Sig() {
+    if (rng_.OneIn(25)) return BasSignature{};
+    return BasSignature{(*pool_)[rng_.Uniform(pool_->size())]};
+  }
+
+  /// Mostly three attribute signatures; now and then two or none.
+  size_t Width() {
+    uint64_t w = rng_.Uniform(20);
+    return w == 0 ? 0 : w == 1 ? 2 : 3;
+  }
+
+  CertifiedRecord Certified(int64_t key, size_t width) {
+    CertifiedRecord cr;
+    cr.record.rid = static_cast<uint64_t>(key);
+    cr.record.ts = ++ts_;
+    cr.record.attrs = {key, static_cast<int64_t>(rng_.Uniform(1000)), 7};
+    cr.sig = Sig();
+    for (size_t a = 0; a < width; ++a) cr.attr_sigs.push_back(Sig());
+    return cr;
+  }
+
+  /// A live key at random, or nullopt when there is none.
+  std::optional<int64_t> LiveKey() {
+    if (reference_.empty()) return std::nullopt;
+    auto it = reference_.lower_bound(
+        static_cast<int64_t>(rng_.Uniform(kKeySpace)));
+    if (it == reference_.end()) it = reference_.begin();
+    return it->first;
+  }
+
+  void Insert(int64_t key) {
+    if (reference_.count(key) != 0) return;
+    SignedRecordUpdate msg;
+    msg.kind = SignedRecordUpdate::Kind::kInsert;
+    msg.key = key;
+    msg.record = Certified(key, Width());
+    ASSERT_TRUE(builder_->Apply(msg).ok());
+    const CertifiedRecord& cr = *msg.record;
+    reference_[key] = SnapshotItem{cr.record, cr.sig, cr.attr_sigs};
+  }
+
+  /// The new contents of `key`; when `keep_attrs`, the message ships no
+  /// attribute signatures and the stored ones stay.
+  CertifiedRecord Replacement(int64_t key, bool keep_attrs) {
+    CertifiedRecord cr = Certified(key, keep_attrs ? 0 : Width());
+    SnapshotItem& ref = reference_[key];
+    ref.record = cr.record;
+    ref.sig = cr.sig;
+    if (!cr.attr_sigs.empty()) ref.attr_sigs = cr.attr_sigs;
+    return cr;
+  }
+
+  void Delete(int64_t key) {
+    SignedRecordUpdate msg;
+    msg.kind = SignedRecordUpdate::Kind::kDelete;
+    msg.key = key;
+    ASSERT_TRUE(builder_->Apply(msg).ok());
+    reference_.erase(key);
+  }
+
+  void RandomOp() {
+    std::optional<int64_t> live = LiveKey();
+    switch (rng_.Uniform(8)) {
+      case 0:
+      case 1:
+        Insert(static_cast<int64_t>(rng_.Uniform(kKeySpace)));
+        break;
+      case 2: {  // a burst into one gap: splits its chunk
+        int64_t at = static_cast<int64_t>(rng_.Uniform(kKeySpace - 12));
+        for (int64_t k = at; k < at + 12; ++k) Insert(k);
+        break;
+      }
+      case 3: {
+        if (!live) break;
+        SignedRecordUpdate msg;
+        msg.kind = SignedRecordUpdate::Kind::kModify;
+        msg.key = *live;
+        msg.record = Replacement(*live, rng_.OneIn(3));
+        ASSERT_TRUE(builder_->Apply(msg).ok());
+        break;
+      }
+      case 4: {  // re-certify a few neighbors, attributes kept or shipped
+        if (!live) break;
+        SignedRecordUpdate msg;
+        msg.kind = SignedRecordUpdate::Kind::kRecertify;
+        msg.key = *live;
+        auto it = reference_.find(*live);
+        for (int i = 0; i < 3 && it != reference_.end(); ++i, ++it)
+          msg.recertified.push_back(Replacement(it->first, rng_.OneIn(2)));
+        ASSERT_TRUE(builder_->Apply(msg).ok());
+        break;
+      }
+      case 5:
+      case 6:
+        if (live) Delete(*live);
+        break;
+      default: {  // a run of deletes: empties whole chunks
+        if (!live) break;
+        std::vector<int64_t> run;
+        for (auto it = reference_.find(*live);
+             it != reference_.end() && run.size() < 14; ++it)
+          run.push_back(it->first);
+        for (int64_t k : run) Delete(k);
+        break;
+      }
+    }
+  }
+
+  /// Every check of the header comment against one frozen snapshot;
+  /// `prev_cols` maps the first item of each chunk of the previous
+  /// snapshot to that chunk's aggregates.
+  void CheckSnapshot(
+      const EpochSnapshot& snap,
+      const std::map<const SnapshotItem*,
+                     const EpochSnapshot::ColumnAggregates*>& prev_cols) {
+    const CurveGroup& curve = (*ctx_)->curve();
+    ASSERT_EQ(snap.size(), reference_.size());
+    size_t rank = 0;
+    for (const auto& [key, ref] : reference_) {
+      const SnapshotItem& item = snap.ItemAt(rank++);
+      ASSERT_EQ(item.key(), key);
+      ASSERT_TRUE(curve.Equal(item.sig.point, ref.sig.point));
+      ASSERT_EQ(item.attr_sigs.size(), ref.attr_sigs.size());
+    }
+    if (snap.size() == 0) return;
+    const size_t last = snap.size() - 1;
+    size_t pos = 0;
+    for (size_t ci = 0; ci < snap.chunk_count(); ++ci) {
+      ECPoint agg;
+      const size_t len = snap.ChunkAggregateAt(pos, last, &agg);
+      ASSERT_GT(len, 0u) << "chunk " << ci << " has no aggregates";
+      const EpochSnapshot::ColumnAggregates* cols = snap.chunk_columns(ci);
+      ASSERT_NE(cols, nullptr);
+      // Attribute columns exactly where the chunk's width is uniform.
+      size_t width = snap.ItemAt(pos).attr_sigs.size();
+      for (size_t k = 1; k < len; ++k)
+        if (snap.ItemAt(pos + k).attr_sigs.size() != width) width = 0;
+      ASSERT_EQ(cols->size(), 1 + width) << "chunk " << ci;
+      for (size_t col = 0; col < cols->size(); ++col) {
+        std::vector<ECPoint> leaves;
+        for (size_t k = 0; k < len; ++k) {
+          const SnapshotItem& item = snap.ItemAt(pos + k);
+          leaves.push_back(col == 0 ? item.sig.point
+                                    : item.attr_sigs[col - 1].point);
+        }
+        EXPECT_TRUE(curve.Equal((*cols)[col], curve.Sum(leaves)))
+            << "chunk " << ci << " column " << col;
+        ASSERT_EQ(snap.ColumnAggregateAt(pos, last, col, &agg), len);
+        EXPECT_TRUE(curve.Equal(agg, (*cols)[col]));
+      }
+      // Only chunk-aligned, fully covered spans of existing columns.
+      EXPECT_EQ(snap.ColumnAggregateAt(pos, last, cols->size(), &agg), 0u);
+      if (len > 1) {
+        EXPECT_EQ(snap.ColumnAggregateAt(pos + 1, last, 0, &agg), 0u);
+        EXPECT_EQ(snap.ColumnAggregateAt(pos, pos + len - 2, 0, &agg), 0u);
+      }
+      // Write-once sharing: an untouched chunk keeps its aggregates.
+      auto shared = prev_cols.find(&snap.ItemAt(pos));
+      if (shared != prev_cols.end()) {
+        EXPECT_EQ(cols, shared->second) << "chunk " << ci;
+        ++shared_chunks_;
+      }
+      pos += len;
+    }
+    EXPECT_EQ(pos, snap.size());
+
+    // Span folds over random ranges and column sets equal leaf sums.
+    for (int trial = 0; trial < 12; ++trial) {
+      size_t lo = rng_.Uniform(snap.size());
+      size_t hi = lo + rng_.Uniform(snap.size() - lo);
+      size_t min_width = ~size_t{0};
+      for (size_t r = lo; r <= hi; ++r)
+        min_width = std::min(min_width, snap.ItemAt(r).attr_sigs.size());
+      std::vector<uint32_t> columns = {0};
+      for (size_t a = 0; a < min_width; ++a)
+        if (rng_.OneIn(2)) columns.push_back(static_cast<uint32_t>(1 + a));
+      std::vector<ECPoint> leaves;
+      for (size_t r = lo; r <= hi; ++r) {
+        const SnapshotItem& item = snap.ItemAt(r);
+        for (uint32_t col : columns)
+          leaves.push_back(col == 0 ? item.sig.point
+                                    : item.attr_sigs[col - 1].point);
+      }
+      CurveGroup::Jacobian acc{};
+      EpochSnapshot::FoldStats stats;
+      snap.FoldColumns(lo, hi, columns, curve, &acc, &stats);
+      EXPECT_TRUE(curve.Equal(curve.ToAffine(acc), curve.Sum(leaves)))
+          << "ranks [" << lo << ", " << hi << "]";
+      EXPECT_LE(stats.leaf_fetches, leaves.size());
+      EXPECT_EQ(stats.point_adds + 1,
+                stats.leaf_fetches + stats.span_hits);
+      fold_span_hits_ += stats.span_hits;
+    }
+  }
+
+  static constexpr uint64_t kKeySpace = 300;
+  static std::shared_ptr<const BasContext>* ctx_;
+  static std::vector<ECPoint>* pool_;
+  Rng rng_{0x600D};
+  uint64_t ts_ = 0;
+  std::unique_ptr<ShardVersionBuilder> builder_;
+  std::map<int64_t, SnapshotItem> reference_;
+  size_t shared_chunks_ = 0;
+  size_t fold_span_hits_ = 0;
+};
+std::shared_ptr<const BasContext>* ColumnAggregateTest::ctx_ = nullptr;
+std::vector<ECPoint>* ColumnAggregateTest::pool_ = nullptr;
+
+TEST_F(ColumnAggregateTest, FreezeKeepsEveryColumnEqualToItsLeafSum) {
+  builder_ = std::make_unique<ShardVersionBuilder>(/*chunk_target=*/4, *ctx_);
+  for (int64_t k = 0; k < static_cast<int64_t>(kKeySpace); k += 3) Insert(k);
+  std::map<const SnapshotItem*, const EpochSnapshot::ColumnAggregates*> prev;
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const int ops = 1 + static_cast<int>(rng_.Uniform(6));
+    for (int op = 0; op < ops; ++op) RandomOp();
+    if (HasFatalFailure()) return;
+    std::shared_ptr<const EpochSnapshot> snap = builder_->Freeze();
+    CheckSnapshot(*snap, prev);
+    if (HasFatalFailure()) return;
+    prev.clear();
+    size_t pos = 0;
+    for (size_t ci = 0; ci < snap->chunk_count(); ++ci) {
+      prev[&snap->ItemAt(pos)] = snap->chunk_columns(ci);
+      ECPoint agg;
+      pos += snap->ChunkAggregateAt(pos, snap->size() - 1, &agg);
+    }
+  }
+  // The run exercised what it claims to.
+  EXPECT_GT(shared_chunks_, 0u);
+  EXPECT_GT(fold_span_hits_, 0u);
 }
 
 class SnapshotGcTest : public ::testing::Test {
