@@ -3,16 +3,17 @@
 
 Nine rules, each protecting a contract the compiler cannot see:
 
-* ``epoch-pin`` — read paths of ``ShardedQueryServer`` (its ``const``
-  member functions in ``src/server/sharded_query_server.cc``) must reach
-  per-shard snapshot state only through a pinned ``EpochDescriptor``.
-  Concretely: no ``builder`` access, no ``Freeze``/``InstallDescriptor*``
-  /``Republish*`` calls, no ``atomic_exchange``/``atomic_store`` on the
-  descriptor head, no raw ``current_`` outside ``PinCurrentEpoch``, and
-  ``shards_[...]`` only for the epoch-invariant cache plumbing
-  (``->cache_slot``). This is the wait-free-reader
-  contract of the epoch-pinned COW design: a reader that touched builder
-  state would observe a half-built next epoch.
+* ``epoch-pin`` — read paths must reach per-shard snapshot state only
+  through a pinned ``EpochDescriptor``. The read paths are the ``const``
+  member functions of ``ShardedQueryServer`` and every ``BatchEngine::``
+  member, in ``src/server/sharded_query_server.cc`` and
+  ``src/server/batch_exec.cc``. Concretely: no ``builder`` access, no
+  ``Freeze``/``InstallDescriptor*``/``Republish*`` calls, no
+  ``atomic_exchange``/``atomic_store`` on the descriptor head, no raw
+  ``current_`` outside ``PinCurrentEpoch``, and no ``shards_[...]``
+  indexing at all (``srv_.shards_[...]`` included). This is the
+  wait-free-reader contract of the epoch-pinned COW design: a reader
+  that touched builder state would observe a half-built next epoch.
 
 * ``raw-mutex`` — no naked ``std::mutex`` / ``std::lock_guard`` /
   ``std::unique_lock`` / ``std::condition_variable`` (or their include
@@ -149,9 +150,10 @@ def check_raw_mutex(relpath, text):
 # --------------------------------------------------------------------------
 # Rule: epoch-pin
 
-# Forbidden inside const member functions of ShardedQueryServer: each
-# pattern is a route to snapshot state that bypasses the pinned
-# descriptor, or a mutation of the descriptor head.
+# Forbidden inside read paths (const member functions of
+# ShardedQueryServer, every BatchEngine member): each pattern is a route
+# to snapshot state that bypasses the pinned descriptor, or a mutation of
+# the descriptor head.
 EPOCH_PIN_FORBIDDEN = [
     (re.compile(r"\bbuilder\b"),
      "touches a ShardVersionBuilder (next-epoch state) from a read path"),
@@ -163,9 +165,7 @@ EPOCH_PIN_FORBIDDEN = [
      "mutates the descriptor head from a read path"),
 ]
 SHARDS_ACCESS_RE = re.compile(r"shards_\s*\[")
-SHARDS_ALLOWED_RE = re.compile(
-    r"shards_\s*\[[^\]]*\]\s*->\s*cache_slot\b")
-MEMBER_DEF_RE = re.compile(r"ShardedQueryServer::(\w+)\s*\(")
+MEMBER_DEF_RE = re.compile(r"\b(ShardedQueryServer|BatchEngine)::(\w+)\s*\(")
 
 
 def _match_forward(text, start, open_ch, close_ch):
@@ -181,10 +181,10 @@ def _match_forward(text, start, open_ch, close_ch):
     return -1
 
 
-def _const_member_bodies(text):
-    """Yield (name, body_start_offset, body_text) for each const member
-    function definition of ShardedQueryServer in `text` (comments already
-    stripped)."""
+def _read_path_bodies(text):
+    """Yield (name, body_start_offset, body_text) for each read-path member
+    function definition in `text` (comments already stripped): the const
+    members of ShardedQueryServer and every member of BatchEngine."""
     for m in MEMBER_DEF_RE.finditer(text):
         paren_open = text.index("(", m.end() - 1)
         paren_close = _match_forward(text, paren_open, "(", ")")
@@ -200,15 +200,16 @@ def _const_member_bodies(text):
         body_end = _match_forward(text, brace, "{", "}")
         if body_end < 0:
             continue
-        if re.search(r"\bconst\b", qualifiers):
-            yield m.group(1), brace, text[brace:body_end]
+        if m.group(1) == "BatchEngine" or re.search(r"\bconst\b",
+                                                    qualifiers):
+            yield m.group(2), brace, text[brace:body_end]
 
 
 def check_epoch_pin(relpath, text):
     findings = []
     orig_lines = text.splitlines()
     stripped = "\n".join(_strip_line_comment(ln) for ln in orig_lines)
-    for name, body_start, body in _const_member_bodies(stripped):
+    for name, body_start, body in _read_path_bodies(stripped):
         for pat, why in EPOCH_PIN_FORBIDDEN:
             for hit in pat.finditer(body):
                 line = _line_of(stripped, body_start + hit.start())
@@ -226,15 +227,13 @@ def check_epoch_pin(relpath, text):
                     "%s(): raw current_ access — pin the epoch via "
                     "PinCurrentEpoch() instead" % name))
         for hit in SHARDS_ACCESS_RE.finditer(body):
-            if SHARDS_ALLOWED_RE.match(body, hit.start()):
-                continue
             line = _line_of(stripped, body_start + hit.start())
             if not _allowed(orig_lines, line - 1, "epoch-pin"):
                 findings.append(Finding(
                     "epoch-pin", relpath, line,
-                    "%s(): shards_[...] beyond ->sigcache/->cache_positions"
-                    " — read snapshot state from the pinned "
-                    "EpochDescriptor" % name))
+                    "%s(): indexes shards_ (writer-side shard state) — "
+                    "read snapshot state from the pinned EpochDescriptor"
+                    % name))
     return findings
 
 
@@ -477,8 +476,8 @@ def lint_tree(root):
             findings.extend(check_raw_mutex(rel, path.read_text()))
 
     # The read path spans two translation units: the descriptor-global
-    # helpers and the batched execution engine. Both hold const member
-    # functions of ShardedQueryServer, so both get the epoch-pin scan.
+    # helpers and the batched execution engine (const members of
+    # ShardedQueryServer in both, plus every BatchEngine member).
     for name in ("src/server/sharded_query_server.cc",
                  "src/server/batch_exec.cc"):
         server_cc = root / name
@@ -560,6 +559,18 @@ Result<SelectionAnswer> ShardedQueryServer::Select(int64_t lo,
 }
 void ShardedQueryServer::ApplyUpdate(const SignedRecordUpdate& msg) {
   shards_[0]->builder.Apply(msg);  // write path: must NOT be flagged
+}
+"""
+
+SELFTEST_EPOCH_PIN_BATCH = """\
+void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr) {
+  const EpochSnapshot& snap = *desc_.shards[shard];  // pinned: silent
+  auto slot = std::atomic_load(&srv_.shards_[shard]->cache_slot);
+  // authdb-lint: allow(epoch-pin)
+  size_t hint = srv_.shards_[shard]->size_hint;  // escaped: silent
+}
+Status BatchEngine::ValidateAndPlan(const Query& q, size_t p) {
+  srv_.shards_[0]->builder.Apply(piece);
 }
 """
 
@@ -662,6 +673,12 @@ def self_test():
     # Freeze call — and none from the non-const write path below it.
     expect("seeded epoch-pin",
            check_epoch_pin("fake.cc", SELFTEST_EPOCH_PIN), "epoch-pin", 4)
+    # BatchEngine members are read paths whether const or not: the slot
+    # load through srv_.shards_ and the builder reach (shards_ + builder)
+    # are caught; the pinned descriptor and the escaped line stay silent.
+    expect("seeded BatchEngine epoch-pin",
+           check_epoch_pin("fake.cc", SELFTEST_EPOCH_PIN_BATCH),
+           "epoch-pin", 3)
     expect("seeded unlabeled suites",
            check_test_labels("fake.txt", SELFTEST_TEST_LABELS),
            "test-labels", 2)

@@ -39,10 +39,8 @@ struct SnapshotItem {
 /// and always observes a single serializable cut of the DA's history.
 ///
 /// `generation` identifies the chain generation this version belongs to:
-/// it advances whenever a version is frozen with a non-empty delta, and
-/// epoch-tagged SigCache windows key on it so cached aggregates are never
-/// mixed across chain generations (a cached node computed from generation
-/// g leaves is only reused by readers pinned to generation g).
+/// it advances whenever a version is frozen with a non-empty delta, so
+/// publication can refuse to replace a shard's snapshot with an older one.
 class EpochSnapshot {
  public:
   using Chunk = std::vector<SnapshotItem>;
@@ -115,15 +113,11 @@ class EpochSnapshot {
   /// (see ColumnAggregates) in `*agg` and returns the chunk's length;
   /// returns 0 otherwise. Aggregates are computed at
   /// ShardVersionBuilder::Freeze and shared across epochs exactly like the
-  /// chunks themselves, so a SigCache window fill, a seam stitch or a
-  /// projection over a frozen shard starts from precomputed prefixes
-  /// instead of refetching every leaf signature.
+  /// chunks themselves, so a selection or projection over a frozen shard
+  /// starts from precomputed prefixes instead of refetching every leaf
+  /// signature.
   size_t ColumnAggregateAt(size_t pos, size_t hi, size_t column,
                            ECPoint* agg) const;
-  /// The chain-signature column (column 0): the SigCache span provider.
-  size_t ChunkAggregateAt(size_t pos, size_t hi, ECPoint* agg) const {
-    return ColumnAggregateAt(pos, hi, 0, agg);
-  }
   /// Chunk `ci`'s column aggregates, or null when none were precomputed.
   /// Shared with every snapshot that shares the chunk.
   const ColumnAggregates* chunk_columns(size_t ci) const {

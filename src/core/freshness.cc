@@ -74,9 +74,15 @@ Status FreshnessChecker::AddSummary(const UpdateSummary& summary) {
     if (summary.publish_ts < before->second.publish_ts)
       return Status::VerificationFailed("summary timestamp regression");
   }
+  // Decoded after the signature check, but under kFast anyone can sign a
+  // summary: a malformed bitmap is a rejected answer, not a crash.
+  Result<Bitmap> bitmap = codec_->Decode(Slice(summary.compressed_bitmap));
+  if (!bitmap.ok())
+    return Status::VerificationFailed("summary bitmap malformed: " +
+                                      bitmap.status().message());
   Held held;
   held.publish_ts = summary.publish_ts;
-  held.bitmap = codec_->Decode(Slice(summary.compressed_bitmap));
+  held.bitmap = bitmap.MoveValue();
   summaries_.emplace(summary.seq, std::move(held));
   return Status::OK();
 }

@@ -45,16 +45,6 @@ CardinalityDist CardinalityDist::UniformRange(uint64_t n, uint64_t lo,
   return CardinalityDist(std::move(p));
 }
 
-CardinalityDist CardinalityDist::Blend(const CardinalityDist& a,
-                                       const CardinalityDist& b, double w) {
-  AUTHDB_CHECK(a.N() == b.N());
-  AUTHDB_CHECK(0.0 <= w && w <= 1.0);
-  std::vector<double> p(a.N() + 1, 0.0);
-  for (uint64_t q = 1; q <= a.N(); ++q)
-    p[q] = (1.0 - w) * a.P(q) + w * b.P(q);
-  return CardinalityDist(std::move(p));
-}
-
 uint64_t SigTreeXi(uint64_t n, int level, uint64_t j, uint64_t q) {
   AUTHDB_CHECK(IsPowerOfTwo(n));
   uint64_t m = uint64_t{1} << level;
@@ -285,15 +275,13 @@ void SigCache::WarmAll() {
   AggStats scratch;
   for (auto& [key, entry] : entries_) {
     if (!entry.valid) {
-      entry.sig = ComputeNode(key, entry.generation, leaves_, &scratch);
+      entry.sig = ComputeNode(key, &scratch);
       entry.valid = true;
     }
   }
 }
 
-BasSignature SigCache::ComputeNode(const Key& key, uint64_t generation,
-                                   const LeafProvider& leaves,
-                                   AggStats* stats) {
+BasSignature SigCache::ComputeNode(const Key& key, AggStats* stats) {
   // Derive from smaller cached nodes / leaves over the node's interval.
   // Accumulation stays in Jacobian coordinates: one inversion at the end
   // instead of one per addition.
@@ -308,13 +296,7 @@ BasSignature SigCache::ComputeNode(const Key& key, uint64_t generation,
       size_t m = size_t{1} << level;
       if (pos % m != 0 || pos + m - 1 > hi) continue;
       auto it = entries_.find(Key{level, pos >> level});
-      // Sub-windows are reusable only within the same chain generation —
-      // mixing generations inside one recomputed node is exactly what the
-      // tag exists to prevent.
-      if (it == entries_.end() || !it->second.valid ||
-          it->second.generation != generation) {
-        continue;
-      }
+      if (it == entries_.end() || !it->second.valid) continue;
       ++it->second.access_count;
       ++stats->cache_hits;
       if (!it->second.sig.point.infinity)
@@ -325,7 +307,7 @@ BasSignature SigCache::ComputeNode(const Key& key, uint64_t generation,
       break;
     }
     if (used_cache) continue;
-    BasSignature leaf = leaves(pos);
+    BasSignature leaf = leaves_(pos);
     ++stats->leaf_fetches;
     if (!leaf.point.infinity) acc = curve.JacAddAffine(acc, leaf.point);
     ++stats->point_adds;
@@ -354,8 +336,7 @@ BasSignature SigCache::RangeAggregate(size_t lo, size_t hi, AggStats* stats) {
       if (!it->second.valid) {
         // Lazy refresh: recompute this node now, charged to this query.
         ++s->refreshes;
-        it->second.sig =
-            ComputeNode(it->first, it->second.generation, leaves_, s);
+        it->second.sig = ComputeNode(it->first, s);
         it->second.valid = true;
       }
       ++it->second.access_count;
@@ -375,210 +356,6 @@ BasSignature SigCache::RangeAggregate(size_t lo, size_t hi, AggStats* stats) {
     ++pos;
   }
   return BasSignature{curve.ToAffine(acc)};
-}
-
-BasSignature SigCache::RangeAggregate(size_t lo, size_t hi,
-                                      uint64_t generation,
-                                      const LeafProvider& leaves,
-                                      AggStats* stats,
-                                      const SpanProvider& spans) {
-  // A batch of one: the decomposition, tagging, and stats discipline live
-  // in RangeAggregateBatch so the scalar and batched paths cannot drift.
-  std::vector<AggStats> st(1);
-  if (stats != nullptr) st[0] = *stats;  // accumulated, not reset
-  std::vector<BasSignature> out = RangeAggregateBatch(
-      {RangeSpec{lo, hi}}, generation, leaves, &st, spans);
-  if (stats != nullptr) *stats = st[0];
-  return out[0];
-}
-
-struct SigCache::BatchState {
-  std::map<Key, size_t> staged;          ///< window -> index into jacs/keys
-  std::vector<CurveGroup::Jacobian> jacs;
-  std::vector<Key> keys;
-};
-
-CurveGroup::Jacobian SigCache::JacComputeNode(const Key& key,
-                                              uint64_t generation,
-                                              const LeafProvider& leaves,
-                                              const SpanProvider& spans,
-                                              BatchState* batch,
-                                              AggStats* stats) {
-  const CurveGroup& curve = ctx_->curve();
-  size_t lo = key.j << key.level;
-  size_t hi = lo + (size_t{1} << key.level) - 1;
-  CurveGroup::Jacobian acc{};
-  size_t pos = lo;
-  while (pos <= hi && pos < n_) {
-    bool used_cache = false;
-    for (int level = key.level - 1; level >= 1; --level) {
-      size_t m = size_t{1} << level;
-      if (pos % m != 0 || pos + m - 1 > hi) continue;
-      Key sub{level, pos >> level};
-      auto it = entries_.find(sub);
-      if (it == entries_.end()) continue;
-      auto st = batch->staged.find(sub);
-      bool is_staged = st != batch->staged.end();
-      // Sub-windows are reusable only within the same chain generation —
-      // mixing generations inside one recomputed node is exactly what the
-      // tag exists to prevent. A window staged this call IS generation
-      // `generation`; its entry flags just haven't been written yet.
-      if (!is_staged &&
-          (!it->second.valid || it->second.generation != generation)) {
-        continue;
-      }
-      ++it->second.access_count;
-      ++stats->cache_hits;
-      if (is_staged) {
-        acc = curve.JacAdd(acc, batch->jacs[st->second]);
-      } else if (!it->second.sig.point.infinity) {
-        acc = curve.JacAddAffine(acc, it->second.sig.point);
-      }
-      ++stats->point_adds;
-      pos += m;
-      used_cache = true;
-      break;
-    }
-    if (used_cache) continue;
-    // Precomputed prefix (a frozen chunk aggregate) before single leaves:
-    // the fill consumes whole chunks in one addition each. The clamp to
-    // this node's interval keeps the fold byte-identical to the leaf walk.
-    if (spans != nullptr) {
-      ECPoint span_agg;
-      size_t len = spans(pos, std::min(hi, n_ - 1), &span_agg);
-      if (len > 0) {
-        ++stats->span_hits;
-        if (!span_agg.infinity) acc = curve.JacAddAffine(acc, span_agg);
-        ++stats->point_adds;
-        pos += len;
-        continue;
-      }
-    }
-    BasSignature leaf = leaves(pos);
-    ++stats->leaf_fetches;
-    if (!leaf.point.infinity) acc = curve.JacAddAffine(acc, leaf.point);
-    ++stats->point_adds;
-    ++pos;
-  }
-  if (stats->point_adds > 0) --stats->point_adds;  // n items = n-1 additions
-  return acc;
-}
-
-CurveGroup::Jacobian SigCache::JacRangeWalk(size_t lo, size_t hi,
-                                            uint64_t generation,
-                                            const LeafProvider& leaves,
-                                            const SpanProvider& spans,
-                                            BatchState* batch,
-                                            AggStats* s) {
-  const CurveGroup& curve = ctx_->curve();
-  CurveGroup::Jacobian acc{};
-  size_t items = 0;
-  size_t pos = lo;
-  while (pos <= hi) {
-    bool used_cache = false;
-    // Cached windows apply only inside [0, n_); a shard that grew past its
-    // planning size serves the tail from leaves below.
-    if (pos < n_) {
-      for (int level = max_level_; level >= 1; --level) {
-        size_t m = size_t{1} << level;
-        if (pos % m != 0 || pos + m - 1 > hi || pos + m > n_) continue;
-        Key key{level, pos >> level};
-        auto it = entries_.find(key);
-        if (it == entries_.end()) continue;
-        auto st = batch->staged.find(key);
-        bool is_staged = st != batch->staged.end();
-        if (!is_staged && it->second.valid &&
-            it->second.generation > generation) {
-          // The window already serves a NEWER generation: a reader still
-          // pinned to an older epoch must not clobber it (alternating
-          // old/new readers would otherwise thrash full recomputes) —
-          // fall through to this pos's leaves instead.
-          continue;
-        }
-        if (!is_staged &&
-            (!it->second.valid || it->second.generation < generation)) {
-          // Stale or never-filled window: recompute against this reader's
-          // pinned snapshot and stage the fill — it advances the tag when
-          // the batch's shared inversion writes it back.
-          ++s->refreshes;
-          CurveGroup::Jacobian node =
-              JacComputeNode(key, generation, leaves, spans, batch, s);
-          batch->staged[key] = batch->jacs.size();
-          batch->jacs.push_back(std::move(node));
-          batch->keys.push_back(key);
-          st = batch->staged.find(key);
-          is_staged = true;
-        }
-        ++it->second.access_count;
-        ++s->cache_hits;
-        if (is_staged) {
-          acc = curve.JacAdd(acc, batch->jacs[st->second]);
-        } else if (!it->second.sig.point.infinity) {
-          acc = curve.JacAddAffine(acc, it->second.sig.point);
-        }
-        if (items++ > 0) ++s->point_adds;
-        pos += m;
-        used_cache = true;
-        break;
-      }
-    }
-    if (used_cache) continue;
-    // Precomputed prefix before single leaves — the seam-stitch fallback
-    // consumes whole frozen chunks in one addition each.
-    if (spans != nullptr) {
-      ECPoint span_agg;
-      size_t len = spans(pos, hi, &span_agg);
-      if (len > 0) {
-        ++s->span_hits;
-        if (!span_agg.infinity) acc = curve.JacAddAffine(acc, span_agg);
-        if (items++ > 0) ++s->point_adds;
-        pos += len;
-        continue;
-      }
-    }
-    BasSignature leaf = leaves(pos);
-    ++s->leaf_fetches;
-    if (!leaf.point.infinity) acc = curve.JacAddAffine(acc, leaf.point);
-    if (items++ > 0) ++s->point_adds;
-    ++pos;
-  }
-  return acc;
-}
-
-std::vector<BasSignature> SigCache::RangeAggregateBatch(
-    const std::vector<RangeSpec>& ranges, uint64_t generation,
-    const LeafProvider& leaves, std::vector<AggStats>* per_range_stats,
-    const SpanProvider& spans) {
-  const CurveGroup& curve = ctx_->curve();
-  if (per_range_stats != nullptr && per_range_stats->size() < ranges.size())
-    per_range_stats->resize(ranges.size());
-  MutexLock lock(mu_);
-  BatchState batch;
-  std::vector<CurveGroup::Jacobian> range_jacs;
-  range_jacs.reserve(ranges.size());
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    AggStats local;
-    AggStats* s =
-        per_range_stats != nullptr ? &(*per_range_stats)[i] : &local;
-    range_jacs.push_back(JacRangeWalk(ranges[i].lo, ranges[i].hi, generation,
-                                      leaves, spans, &batch, s));
-  }
-  // ONE shared inversion finalizes every staged window fill and every
-  // range result together.
-  std::vector<CurveGroup::Jacobian> all = std::move(batch.jacs);
-  for (CurveGroup::Jacobian& rj : range_jacs) all.push_back(std::move(rj));
-  std::vector<ECPoint> pts = curve.ToAffineBatch(all);
-  for (size_t f = 0; f < batch.keys.size(); ++f) {
-    Entry& e = entries_[batch.keys[f]];
-    e.sig = BasSignature{std::move(pts[f])};
-    e.valid = true;
-    e.generation = generation;
-  }
-  std::vector<BasSignature> out;
-  out.reserve(ranges.size());
-  for (size_t i = 0; i < ranges.size(); ++i)
-    out.push_back(BasSignature{std::move(pts[batch.keys.size() + i])});
-  return out;
 }
 
 void SigCache::OnLeafUpdate(size_t pos, const BasSignature& old_sig,

@@ -25,11 +25,6 @@ class CardinalityDist {
   /// Uniform over [lo, hi] cardinalities, zero elsewhere (e.g. the paper's
   /// selectivity band [sf/2, 3sf/2] of Section 5.1).
   static CardinalityDist UniformRange(uint64_t n, uint64_t lo, uint64_t hi);
-  /// Pointwise mixture (1-w)*a + w*b over the same N — the online planner
-  /// retune interpolates between the assumed (harmonic) and observed-miss
-  /// (uniform) distributions with the live hit/miss mix as the weight.
-  static CardinalityDist Blend(const CardinalityDist& a,
-                               const CardinalityDist& b, double w);
 
   double P(uint64_t q) const { return p_[q]; }
   uint64_t N() const { return p_.size() - 1; }
@@ -76,44 +71,27 @@ class SigCachePlanner {
 };
 
 /// Runtime cache of aggregate signatures at the query server (Sections 4.2,
-/// 4.3). Positions are ranks in index-key order; node (level, j) covers
-/// positions [j*2^level, (j+1)*2^level).
+/// 4.3): the paper's model that Fig 6, Fig 10 and bench_ablation_micro
+/// measure. Positions are ranks in index-key order; node (level, j) covers
+/// positions [j*2^level, (j+1)*2^level). RangeAggregate reads leaves from
+/// the constructor's LeafProvider, and OnLeafUpdate patches (eager) or
+/// invalidates (lazy) the cached ancestors of a changed rank.
 ///
-/// Two maintenance disciplines share the entry table:
-///  * The untagged RangeAggregate uses the constructor's LeafProvider and
-///    patches/invalidates entries through OnLeafUpdate (ranks are stable
-///    across modifications) — the paper's Eager/Lazy maintenance model
-///    that bench_fig10_cache_maintenance measures.
-///  * The sharded snapshot path uses the *generation-tagged* overload: every
-///    cached window carries the chain generation it was computed from
-///    (EpochSnapshot::generation), a per-call LeafProvider reads the
-///    reader's pinned snapshot, and a window is reused only when the
-///    generations match — cached aggregates are never mixed across chain
-///    generations, and epochs that left the shard untouched keep the cache
-///    hot without any patching.
+/// The serving stack does not use this class (README "Substitutions" #6):
+/// its selections and projections fold the epoch barrier's per-chunk
+/// column aggregates (EpochSnapshot::FoldColumns), kept up to date by
+/// delta.
 ///
 /// Thread safety: the entry table is guarded by an internal mutex, so
 /// RangeAggregate (which mutates access counts and performs lazy refreshes),
 /// OnLeafUpdate, and Revise may race with each other. The LeafProvider is
 /// invoked while that lock is held and must therefore be independently safe
-/// to call: trivially so for the snapshot path (pinned snapshots are
-/// immutable); an untagged-path provider over mutable state must be
-/// externally serialized.
+/// to call; a provider over mutable state must be externally serialized.
 class SigCache {
  public:
   enum class RefreshMode { kEager, kLazy };
-  /// Supplies the signature of the record at a rank (the query server backs
-  /// this with its scanned range or its index).
+  /// Supplies the signature of the record at a rank.
   using LeafProvider = std::function<BasSignature(size_t pos)>;
-  /// Supplies a precomputed aggregate over a rank span: when a span starts
-  /// exactly at `pos` and ends at/before `hi` (inclusive), stores its
-  /// affine aggregate in `*agg` and returns the span length, else 0. The
-  /// snapshot path backs this with the epoch barrier's write-once chunk
-  /// aggregates (EpochSnapshot::ChunkAggregateAt), so window fills and
-  /// leaf-fold fallbacks start from precomputed prefixes instead of
-  /// refetching each leaf.
-  using SpanProvider = std::function<size_t(size_t pos, size_t hi,
-                                            ECPoint* agg)>;
 
   SigCache(std::shared_ptr<const BasContext> ctx, uint64_t n_positions,
            RefreshMode mode, LeafProvider leaves);
@@ -131,8 +109,7 @@ class SigCache {
     size_t point_adds = 0;    ///< EC additions performed
     size_t leaf_fetches = 0;  ///< individual signatures pulled
     size_t cache_hits = 0;    ///< cached nodes used
-    size_t refreshes = 0;     ///< lazy refreshes triggered (window fills)
-    size_t span_hits = 0;     ///< precomputed-prefix (chunk) aggregates used
+    size_t refreshes = 0;     ///< lazy refreshes triggered
   };
 
   /// Aggregate signature over positions [lo, hi] using the best cached
@@ -140,47 +117,6 @@ class SigCache {
   /// (optional) is reset on entry: it reports this call only.
   BasSignature RangeAggregate(size_t lo, size_t hi, AggStats* stats)
       EXCLUDES(mu_);
-
-  /// Generation-tagged aggregate for the epoch-snapshot read path: cached
-  /// windows are reused only when their stored generation equals
-  /// `generation`. Stale windows (older generation, or never filled)
-  /// recompute from `leaves` (the caller's pinned snapshot) and advance
-  /// the tag; windows already serving a NEWER generation are left alone —
-  /// a reader pinned to an older epoch falls through to leaves instead of
-  /// thrashing the current readers' windows backward. Positions at/above
-  /// the cache's n_positions fall back to `leaves` directly, so the call
-  /// is valid for any hi below the snapshot size even after the shard
-  /// grew. `stats` (optional) is *accumulated into*, not reset — stitched
-  /// reads sum one stats block across every covered shard.
-  BasSignature RangeAggregate(size_t lo, size_t hi, uint64_t generation,
-                              const LeafProvider& leaves, AggStats* stats,
-                              const SpanProvider& spans = nullptr)
-      EXCLUDES(mu_);
-
-  /// An inclusive position range to aggregate (same contract as the
-  /// generation-tagged RangeAggregate).
-  struct RangeSpec {
-    size_t lo = 0, hi = 0;
-  };
-
-  /// Batched window fills + aggregates for one shard visit: every range is
-  /// served under ONE lock hold, and the whole call performs ONE field
-  /// inversion — window fills are staged as Jacobian accumulators (reused
-  /// by later fills and ranges of the same call via Jacobian adds) and
-  /// finalized together with the per-range results through
-  /// CurveGroup::ToAffineBatch. Decomposition, generation tagging, and the
-  /// newer-generation fall-through match the scalar tagged RangeAggregate
-  /// exactly (which is now a batch of one). `per_range_stats`, when
-  /// non-null, is resized to ranges.size() and each range's counters are
-  /// accumulated into the matching slot; fill costs are charged to the
-  /// range that first needed the window.
-  /// `spans` (optional) short-circuits leaf folds with precomputed span
-  /// aggregates; results are byte-identical either way (point addition is
-  /// associative and commutative), only the work distribution changes.
-  std::vector<BasSignature> RangeAggregateBatch(
-      const std::vector<RangeSpec>& ranges, uint64_t generation,
-      const LeafProvider& leaves, std::vector<AggStats>* per_range_stats,
-      const SpanProvider& spans = nullptr) EXCLUDES(mu_);
 
   /// A record at `pos` changed signature. Eager mode patches every cached
   /// ancestor (old out, new in: 2 additions each); lazy mode invalidates.
@@ -214,39 +150,11 @@ class SigCache {
   struct Entry {
     BasSignature sig;
     bool valid = false;
-    /// Chain generation the cached value was computed from (the untagged
-    /// path pins generation 0 and maintains entries through OnLeafUpdate
-    /// instead).
-    uint64_t generation = 0;
     uint64_t access_count = 0;
   };
 
-  /// Recomputes through other cached entries of the same generation,
-  /// fetching leaves from `leaves`.
-  BasSignature ComputeNode(const Key& key, uint64_t generation,
-                           const LeafProvider& leaves, AggStats* stats)
-      REQUIRES(mu_);
-
-  /// Per-call staging area of RangeAggregateBatch: windows filled during
-  /// the call stay Jacobian (visible to later fills and ranges of the same
-  /// call) until the shared batch inversion writes them back affine.
-  struct BatchState;
-
-  /// Jacobian twin of ComputeNode: derives a node from smaller windows of
-  /// the same generation — cached affine entries or fills staged earlier
-  /// in this batch — and leaves, without finalizing.
-  CurveGroup::Jacobian JacComputeNode(const Key& key, uint64_t generation,
-                                      const LeafProvider& leaves,
-                                      const SpanProvider& spans,
-                                      BatchState* batch, AggStats* stats)
-      REQUIRES(mu_);
-  /// One range's greedy decomposition walk (the tagged RangeAggregate
-  /// discipline), staging fills into `batch` instead of finalizing them.
-  CurveGroup::Jacobian JacRangeWalk(size_t lo, size_t hi, uint64_t generation,
-                                    const LeafProvider& leaves,
-                                    const SpanProvider& spans,
-                                    BatchState* batch, AggStats* stats)
-      REQUIRES(mu_);
+  /// Recomputes a node through smaller cached entries and leaves.
+  BasSignature ComputeNode(const Key& key, AggStats* stats) REQUIRES(mu_);
 
   std::shared_ptr<const BasContext> ctx_;
   uint64_t n_;

@@ -63,17 +63,15 @@ void PutVarint(std::vector<uint8_t>* out, uint64_t v) {
   out->push_back(static_cast<uint8_t>(v));
 }
 
-uint64_t GetVarint(const uint8_t* data, size_t size, size_t* pos) {
-  uint64_t v = 0;
-  int shift = 0;
-  while (*pos < size) {
+/// False on a truncated varint or one longer than 64 bits.
+bool GetVarint(const uint8_t* data, size_t size, size_t* pos, uint64_t* v) {
+  *v = 0;
+  for (int shift = 0; shift < 64 && *pos < size; shift += 7) {
     uint8_t b = data[(*pos)++];
-    v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if (!(b & 0x80)) return v;
-    shift += 7;
+    *v |= static_cast<uint64_t>(b & 0x7f) << shift;
+    if (!(b & 0x80)) return true;
   }
-  AUTHDB_CHECK(false && "truncated varint");
-  return 0;
+  return false;
 }
 }  // namespace
 
@@ -90,14 +88,21 @@ std::vector<uint8_t> VarintGapCodec::Encode(const Bitmap& bm) const {
   return out;
 }
 
-Bitmap VarintGapCodec::Decode(Slice data) const {
+Result<Bitmap> VarintGapCodec::Decode(Slice data) const {
   size_t pos = 0;
-  uint64_t nbits = GetVarint(data.data(), data.size(), &pos);
+  uint64_t nbits = 0;
+  if (!GetVarint(data.data(), data.size(), &pos, &nbits))
+    return Status::Corruption("varint-gap bitmap: bad size varint");
   Bitmap bm(nbits);
   uint64_t cur = 0;
   bool first = true;
   while (pos < data.size()) {
-    uint64_t gap = GetVarint(data.data(), data.size(), &pos);
+    uint64_t gap = 0;
+    if (!GetVarint(data.data(), data.size(), &pos, &gap))
+      return Status::Corruption("varint-gap bitmap: truncated gap");
+    // Overflow-safe form of cur + gap >= nbits.
+    if (gap >= nbits || (!first && cur >= nbits - gap))
+      return Status::Corruption("varint-gap bitmap: bit past the size");
     cur = first ? gap : cur + gap;
     first = false;
     bm.Set(cur);
@@ -150,26 +155,33 @@ std::vector<uint8_t> WahCodec::Encode(const Bitmap& bm) const {
   return out;
 }
 
-Bitmap WahCodec::Decode(Slice data) const {
+Result<Bitmap> WahCodec::Decode(Slice data) const {
   size_t pos = 0;
-  uint64_t nbits = GetVarint(data.data(), data.size(), &pos);
+  uint64_t nbits = 0;
+  if (!GetVarint(data.data(), data.size(), &pos, &nbits))
+    return Status::Corruption("wah bitmap: bad size varint");
+  if ((data.size() - pos) % 4 != 0)
+    return Status::Corruption("wah bitmap: truncated word");
   Bitmap bm(nbits);
-  size_t bit = 0;
-  while (pos + 4 <= data.size()) {
+  uint64_t bit = 0;
+  while (pos < data.size()) {
     uint32_t w = data[pos] | (data[pos + 1] << 8) | (data[pos + 2] << 16) |
                  (uint32_t(data[pos + 3]) << 24);
     pos += 4;
     if (w & 0x80000000u) {
-      uint32_t val = (w >> 30) & 1;
-      uint32_t len = w & 0x3fffffffu;
-      if (val) {
-        for (uint64_t i = 0; i < uint64_t{len} * 31 && bit < nbits; ++i)
-          bm.Set(bit + i);
+      const uint64_t span = uint64_t{w & 0x3fffffffu} * 31;
+      if ((w >> 30) & 1) {
+        if (bit >= nbits || span > nbits - bit)
+          return Status::Corruption("wah bitmap: 1-fill past the size");
+        for (uint64_t i = 0; i < span; ++i) bm.Set(bit + i);
       }
-      bit += uint64_t{len} * 31;
+      bit += span;
     } else {
-      for (int b = 0; b < 31 && bit + b < nbits; ++b) {
-        if (w & (1u << b)) bm.Set(bit + b);
+      for (uint64_t b = 0; b < 31; ++b) {
+        if (!(w & (1u << b))) continue;
+        if (bit + b >= nbits)
+          return Status::Corruption("wah bitmap: bit past the size");
+        bm.Set(bit + b);
       }
       bit += 31;
     }

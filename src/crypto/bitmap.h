@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/result.h"
 #include "common/slice.h"
 
 namespace authdb {
@@ -45,7 +46,9 @@ class BitmapCodec {
  public:
   virtual ~BitmapCodec() = default;
   virtual std::vector<uint8_t> Encode(const Bitmap& bm) const = 0;
-  virtual Bitmap Decode(Slice data) const = 0;
+  /// Decodes untrusted bytes: a truncated encoding or a set bit at or past
+  /// the declared size is Corruption, never a crash.
+  virtual Result<Bitmap> Decode(Slice data) const = 0;
   virtual const char* name() const = 0;
 };
 
@@ -54,7 +57,7 @@ class BitmapCodec {
 class VarintGapCodec : public BitmapCodec {
  public:
   std::vector<uint8_t> Encode(const Bitmap& bm) const override;
-  Bitmap Decode(Slice data) const override;
+  Result<Bitmap> Decode(Slice data) const override;
   const char* name() const override { return "varint-gap"; }
 };
 
@@ -63,7 +66,7 @@ class VarintGapCodec : public BitmapCodec {
 class WahCodec : public BitmapCodec {
  public:
   std::vector<uint8_t> Encode(const Bitmap& bm) const override;
-  Bitmap Decode(Slice data) const override;
+  Result<Bitmap> Decode(Slice data) const override;
   const char* name() const override { return "wah"; }
 };
 

@@ -7,14 +7,13 @@
 // join probes — and each covered shard is then visited exactly once per
 // batch on its shard-affine worker. A visit sorts its requests by low key
 // and walks the immutable snapshot forward once (EpochSnapshot::
-// ForwardCursor: galloping rank lookups in key order), aggregates
-// selection sub-ranges either through ONE generation-tagged
-// SigCache::RangeAggregateBatch call or into Jacobian accumulators, folds
-// projection sub-ranges from the epoch-barrier column aggregates of the
-// chunks they cover whole plus edge leaves (EpochSnapshot::FoldColumns,
-// which also serves selections without a cache), and the front end
-// stitches per-plan answers and finalizes every plan-level
-// aggregate with one shared batch inversion (BasContext::FinalizeBatch).
+// ForwardCursor: galloping rank lookups in key order), and folds every
+// selection and projection sub-range into a Jacobian accumulator from the
+// epoch-barrier column aggregates of the chunks it covers whole plus edge
+// leaves (EpochSnapshot::FoldColumns: column 0 for selections, the chain
+// plus each projected attribute column for projections). The front end
+// stitches per-plan answers and finalizes every plan-level aggregate with
+// one shared batch inversion (BasContext::FinalizeBatch).
 //
 // Equivalence contract: answers are byte-for-byte the answers the
 // sequential path produced — EC point addition is commutative and
@@ -25,7 +24,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <map>
 #include <set>
@@ -74,13 +72,10 @@ class BatchEngine {
     bool nonempty = false;
     int64_t left_key = kChainMinusInf;
     int64_t right_key = kChainPlusInf;
-    // Selection: matched items plus the sub-range aggregate — Jacobian
-    // (leaf path) or affine (the shared SigCache batch call).
+    // Selection: matched items plus the sub-range's chain aggregate.
     std::vector<const SnapshotItem*> items;
     CurveGroup::Jacobian agg{};
-    BasSignature cache_agg;
-    bool cache_used = false;
-    SigCache::AggStats agg_stats;
+    EpochSnapshot::FoldStats agg_stats;
     // Projection: tuples + digest spine + deferred attr/chain aggregate.
     Status error = Status::OK();
     std::vector<ProjectedTuple> tuples;
@@ -112,8 +107,7 @@ class BatchEngine {
 
   Status ValidateAndPlan(const Query& q, size_t p);
   void Visit(size_t shard, const std::vector<size_t>& rr,
-             const std::vector<size_t>& pr, ShardBusy* busy,
-             size_t* finalizes);
+             const std::vector<size_t>& pr, ShardBusy* busy);
 
   Result<QueryAnswer> StitchSelect(size_t p, const Query& q,
                                    BasAccumulator* acc, bool* needs_final,
@@ -198,8 +192,7 @@ Status BatchEngine::ValidateAndPlan(const Query& q, size_t p) {
 }
 
 void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
-                        const std::vector<size_t>& pr, ShardBusy* busy,
-                        size_t* finalizes) {
+                        const std::vector<size_t>& pr, ShardBusy* busy) {
   const Clock::time_point visit_start = Clock::now();
   const EpochSnapshot& snap = *desc_.shards[shard];
 
@@ -219,21 +212,6 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
     if (a.probe != b.probe) return !a.probe;  // deterministic tie-break
     return a.idx < b.idx;
   });
-
-  // One atomic slot load per visit: the online retuner may swap a shard's
-  // plan mid-serving, and this visit finishes on whatever slot it loaded.
-  std::shared_ptr<const ShardedQueryServer::Shard::CacheSlot> cache_slot =
-      std::atomic_load(&srv_.shards_[shard]->cache_slot);
-  SigCache* cache = cache_slot == nullptr ? nullptr : cache_slot->cache.get();
-  // Generation-tagged windows: reused only for readers pinned to the same
-  // chain generation, recomputed from this snapshot otherwise — cached
-  // aggregates never mix generations. (Bypassed when the shard shrank
-  // below the planned position count, where node coverage could reach
-  // past the snapshot.)
-  const bool cache_ok =
-      cache != nullptr && snap.size() >= cache_slot->positions;
-  std::vector<SigCache::RangeSpec> cache_ranges;
-  std::vector<size_t> cache_req;  ///< RangeRes index per cache range
 
   EpochSnapshot::ForwardCursor cur(snap);
   uint64_t select_us = 0, project_us = 0, join_us = 0;
@@ -273,18 +251,9 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
       snap.ForEachItem(lo_r, hi_r - 1, [&res](const SnapshotItem& item) {
         res.items.push_back(&item);
       });
-      if (cache_ok) {
-        res.cache_used = true;
-        cache_ranges.push_back(SigCache::RangeSpec{lo_r, hi_r - 1});
-        cache_req.push_back(u.idx);
-      } else {
-        // Finalized with the plan's shared inversion.
-        EpochSnapshot::FoldStats fs;
-        snap.FoldColumns(lo_r, hi_r - 1, kChainColumn, curve_, &res.agg, &fs);
-        res.agg_stats.point_adds += fs.point_adds;
-        res.agg_stats.leaf_fetches += fs.leaf_fetches;
-        res.agg_stats.span_hits += fs.span_hits;
-      }
+      // Finalized with the plan's shared inversion.
+      snap.FoldColumns(lo_r, hi_r - 1, kChainColumn, curve_, &res.agg,
+                       &res.agg_stats);
       select_us += ElapsedUs(t0, Clock::now());
     } else {
       const std::vector<uint32_t>& attrs = plan_attrs_[req.plan];
@@ -333,25 +302,6 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
     }
   }
 
-  if (!cache_ranges.empty()) {
-    // Every cached selection sub-range of this visit in ONE tagged call:
-    // one lock hold, one shared inversion across window fills + results.
-    const Clock::time_point t0 = Clock::now();
-    std::vector<SigCache::AggStats> per_range(cache_ranges.size());
-    std::vector<BasSignature> sigs = cache->RangeAggregateBatch(
-        cache_ranges, snap.generation(),
-        [&snap](size_t pos) { return snap.ItemAt(pos).sig; }, &per_range,
-        [&snap](size_t pos, size_t hi, ECPoint* agg) {
-          return snap.ChunkAggregateAt(pos, hi, agg);
-        });
-    for (size_t k = 0; k < cache_req.size(); ++k) {
-      range_res_[cache_req[k]].cache_agg = std::move(sigs[k]);
-      range_res_[cache_req[k]].agg_stats = per_range[k];
-    }
-    ++*finalizes;
-    select_us += ElapsedUs(t0, Clock::now());
-  }
-
   busy->select_us += select_us;
   busy->project_us += project_us;
   busy->join_us += join_us;
@@ -377,8 +327,6 @@ Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,
     RangeRes& sub = range_res_[ri];
     bs->agg_point_adds += sub.agg_stats.point_adds;
     bs->agg_leaf_fetches += sub.agg_stats.leaf_fetches;
-    bs->agg_cache_hits += sub.agg_stats.cache_hits;
-    bs->agg_refreshes += sub.agg_stats.refreshes;
     bs->agg_span_hits += sub.agg_stats.span_hits;
     if (!sub.nonempty) continue;
     if (!any) {
@@ -390,12 +338,8 @@ Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,
       out.records.push_back(item->record);
       oldest_ts = std::min(oldest_ts, item->record.ts);
     }
-    if (sub.cache_used) {
-      acc->Add(curve_, sub.cache_agg);
-    } else {
-      acc->jac = curve_.JacAdd(acc->jac, sub.agg);
-      ++acc->count;
-    }
+    acc->jac = curve_.JacAdd(acc->jac, sub.agg);
+    ++acc->count;
   }
 
   if (!any) {
@@ -697,19 +641,16 @@ std::vector<Result<QueryAnswer>> BatchEngine::Run(const PlanBatch& batch,
     shard_rr[range_reqs_[i].shard].push_back(i);
   for (size_t i = 0; i < probe_reqs_.size(); ++i)
     shard_pr[probe_reqs_[i].shard].push_back(i);
-  std::vector<size_t> visit_finalizes(n_shards, 0);
   std::vector<ShardExecutor::Visit> visits;
   for (size_t s = 0; s < n_shards; ++s) {
     if (shard_rr[s].empty() && shard_pr[s].empty()) continue;
     visits.push_back(ShardExecutor::Visit{
-        s, [this, s, &shard_rr, &shard_pr, &bs, &visit_finalizes] {
-          Visit(s, shard_rr[s], shard_pr[s], &bs.shard_busy[s],
-                &visit_finalizes[s]);
+        s, [this, s, &shard_rr, &shard_pr, &bs] {
+          Visit(s, shard_rr[s], shard_pr[s], &bs.shard_busy[s]);
         }});
   }
   bs.shard_visits = visits.size();
   srv_.exec_.RunVisits(std::move(visits));
-  for (size_t f : visit_finalizes) bs.batch_finalizes += f;
 
   // Per-plan stitch. This loops over plans at the FRONT END only — all
   // shard dispatch happened in the single RunVisits above; plan-level

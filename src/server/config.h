@@ -45,13 +45,6 @@ struct ServerConfig {
     /// update stream's apply queues to the producer — memory stays bounded
     /// even against a wedged reader.
     size_t max_pinned_epochs = 0;
-    /// Online SigCache retuning cadence: every this many epoch
-    /// publications the run-length planner re-plans each enabled shard
-    /// against the live hit/miss mix (ServerMetrics aggregation counters)
-    /// and the shard's current size + generation. 0 = never retune
-    /// automatically; RetuneSigCache() stays available to callers. Plans
-    /// that come out unchanged keep their warm windows.
-    size_t sigcache_retune_publications = 0;
   } serving;
 
   struct Ingest {

@@ -23,8 +23,6 @@ std::vector<std::pair<std::string, double>> ServerMetrics::Flatten() const {
   put("exec.batch.finalizes", static_cast<double>(exec.batch_finalizes));
   put("exec.agg.point_adds", static_cast<double>(exec.agg_point_adds));
   put("exec.agg.leaf_fetches", static_cast<double>(exec.agg_leaf_fetches));
-  put("exec.agg.cache_hits", static_cast<double>(exec.agg_cache_hits));
-  put("exec.agg.refreshes", static_cast<double>(exec.agg_refreshes));
   put("exec.agg.span_hits", static_cast<double>(exec.agg_span_hits));
   put("exec.agg.project_point_adds",
       static_cast<double>(exec.agg_project_point_adds));
@@ -42,7 +40,6 @@ std::vector<std::pair<std::string, double>> ServerMetrics::Flatten() const {
       static_cast<double>(exec.bloom_delta_merges));
   put("exec.bloom.full_rebuilds",
       static_cast<double>(exec.bloom_full_rebuilds));
-  put("exec.cache.retunes", static_cast<double>(exec.cache_retunes));
   put("exec.last_epoch", static_cast<double>(exec.last_epoch));
   for (size_t s = 0; s < exec.shard_busy.size(); ++s) {
     const std::string sfx = std::to_string(s);
@@ -117,8 +114,6 @@ ServerMetrics ServerMetrics::Delta(const ServerMetrics& since) const {
   d.exec.agg_point_adds = sub(exec.agg_point_adds, since.exec.agg_point_adds);
   d.exec.agg_leaf_fetches =
       sub(exec.agg_leaf_fetches, since.exec.agg_leaf_fetches);
-  d.exec.agg_cache_hits = sub(exec.agg_cache_hits, since.exec.agg_cache_hits);
-  d.exec.agg_refreshes = sub(exec.agg_refreshes, since.exec.agg_refreshes);
   d.exec.agg_span_hits = sub(exec.agg_span_hits, since.exec.agg_span_hits);
   d.exec.agg_project_point_adds =
       sub(exec.agg_project_point_adds, since.exec.agg_project_point_adds);
@@ -136,7 +131,6 @@ ServerMetrics ServerMetrics::Delta(const ServerMetrics& since) const {
       sub(exec.bloom_delta_merges, since.exec.bloom_delta_merges);
   d.exec.bloom_full_rebuilds =
       sub(exec.bloom_full_rebuilds, since.exec.bloom_full_rebuilds);
-  d.exec.cache_retunes = sub(exec.cache_retunes, since.exec.cache_retunes);
   for (size_t s = 0; s < d.exec.shard_busy.size(); ++s) {
     if (s >= since.exec.shard_busy.size()) break;
     const ShardBusy& b = since.exec.shard_busy[s];
@@ -209,8 +203,6 @@ void MetricsCore::FoldBatch(const BatchExecStats& batch) {
   batch_finalizes_.fetch_add(batch.batch_finalizes, kRelaxed);
   agg_point_adds_.fetch_add(batch.agg_point_adds, kRelaxed);
   agg_leaf_fetches_.fetch_add(batch.agg_leaf_fetches, kRelaxed);
-  agg_cache_hits_.fetch_add(batch.agg_cache_hits, kRelaxed);
-  agg_refreshes_.fetch_add(batch.agg_refreshes, kRelaxed);
   agg_span_hits_.fetch_add(batch.agg_span_hits, kRelaxed);
   agg_project_point_adds_.fetch_add(batch.agg_project_point_adds, kRelaxed);
   agg_project_leaf_fetches_.fetch_add(batch.agg_project_leaf_fetches,
@@ -241,10 +233,6 @@ void MetricsCore::RecordPublish(uint64_t backpressure_us) {
     publish_backpressure_us_.fetch_add(backpressure_us, kRelaxed);
 }
 
-void MetricsCore::RecordCacheRetunes(uint64_t installs) {
-  cache_retunes_.fetch_add(installs, kRelaxed);
-}
-
 void MetricsCore::RecordPartitionRefresh(uint64_t delta_merges,
                                          uint64_t full_rebuilds) {
   bloom_delta_merges_.fetch_add(delta_merges, kRelaxed);
@@ -261,8 +249,6 @@ void MetricsCore::Snapshot(ServerMetrics* out) const {
   e.batch_finalizes = batch_finalizes_.load(kRelaxed);
   e.agg_point_adds = agg_point_adds_.load(kRelaxed);
   e.agg_leaf_fetches = agg_leaf_fetches_.load(kRelaxed);
-  e.agg_cache_hits = agg_cache_hits_.load(kRelaxed);
-  e.agg_refreshes = agg_refreshes_.load(kRelaxed);
   e.agg_span_hits = agg_span_hits_.load(kRelaxed);
   e.agg_project_point_adds = agg_project_point_adds_.load(kRelaxed);
   e.agg_project_leaf_fetches = agg_project_leaf_fetches_.load(kRelaxed);
@@ -273,7 +259,6 @@ void MetricsCore::Snapshot(ServerMetrics* out) const {
   e.bloom_fp_fallbacks = bloom_fp_fallbacks_.load(kRelaxed);
   e.bloom_delta_merges = bloom_delta_merges_.load(kRelaxed);
   e.bloom_full_rebuilds = bloom_full_rebuilds_.load(kRelaxed);
-  e.cache_retunes = cache_retunes_.load(kRelaxed);
   e.last_epoch = last_epoch_.load(kRelaxed);
   e.shard_busy.resize(shard_busy_.size());
   for (size_t s = 0; s < shard_busy_.size(); ++s) {

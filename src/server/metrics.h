@@ -11,10 +11,8 @@
 namespace authdb {
 
 /// Per-shard, per-kind busy time in microseconds. `visit_us` is each
-/// visit's wall time (lock waits and the shared SigCache finalization
-/// included, so contention inside the visit path is visible to the
-/// scaling metrics); the per-kind buckets cover the request-processing
-/// slices only.
+/// visit's wall time (the request sort and cursor set-up included); the
+/// per-kind buckets cover the request-processing slices only.
 struct ShardBusy {
   uint64_t select_us = 0;   ///< selection sub-range scans + aggregation
   uint64_t project_us = 0;  ///< projection scans + digest spines
@@ -32,13 +30,11 @@ struct BatchExecStats {
   uint64_t invalid_plans = 0;   ///< rejected by plan validation
   uint64_t shards_queried = 0;  ///< per-plan sub-ranges fanned out, summed
   uint64_t shard_visits = 0;    ///< shard visits dispatched (<= shards)
-  /// Shared-inversion finalizations (per-visit SigCache batch fills + the
-  /// one batch-level answer finalize).
+  /// Shared-inversion finalizations: the one batch-level answer finalize
+  /// (0 when no plan aggregates). Shard visits never finalize.
   uint64_t batch_finalizes = 0;
   uint64_t agg_point_adds = 0;
   uint64_t agg_leaf_fetches = 0;
-  uint64_t agg_cache_hits = 0;
-  uint64_t agg_refreshes = 0;
   uint64_t agg_span_hits = 0;   ///< precomputed chunk prefixes used
   /// Projection folds, kept apart from the selection agg_* counters.
   uint64_t agg_project_point_adds = 0;
@@ -70,15 +66,13 @@ struct ServerMetrics {
     uint64_t batch_finalizes = 0; ///< shared-inversion finalizations
     uint64_t agg_point_adds = 0;  ///< EC point additions (aggregation)
     uint64_t agg_leaf_fetches = 0;
-    uint64_t agg_cache_hits = 0;  ///< SigCache window hits
-    uint64_t agg_refreshes = 0;   ///< SigCache window fills (lazy refresh)
-    /// Aggregations short-circuited by epoch-barrier chunk aggregates
-    /// (precomputed prefixes) instead of per-leaf folds.
+    uint64_t agg_cache_hits = 0;  ///< always 0; read by perfbench/perfbench.cc
+    /// Selection aggregations short-circuited by epoch-barrier chunk
+    /// aggregates (precomputed prefixes) instead of per-leaf folds.
     uint64_t agg_span_hits = 0;
     /// Projection folds (chain plus projected attribute columns): EC
     /// additions, signatures pulled leaf by leaf, and epoch-barrier chunk
-    /// column aggregates used. Separate from the selection counters above,
-    /// which measure the SigCache.
+    /// column aggregates used. Separate from the selection counters above.
     uint64_t agg_project_point_adds = 0;
     uint64_t agg_project_leaf_fetches = 0;
     uint64_t agg_project_span_hits = 0;
@@ -97,8 +91,6 @@ struct ServerMetrics {
     /// full certified rebuilds (delete-dirty or wholesale installs).
     uint64_t bloom_delta_merges = 0;
     uint64_t bloom_full_rebuilds = 0;
-    /// Online planner retunes that installed a changed per-shard plan.
-    uint64_t cache_retunes = 0;
     uint64_t last_epoch = 0;      ///< epoch the most recent batch pinned
     std::vector<ShardBusy> shard_busy;  ///< cumulative, indexed by shard
   } exec;
@@ -175,8 +167,6 @@ class MetricsCore {
 
   void FoldBatch(const BatchExecStats& batch);
   void RecordPublish(uint64_t backpressure_us);
-  /// The online planner installed `installs` changed per-shard plans.
-  void RecordCacheRetunes(uint64_t installs);
   /// A partition refresh installed `delta_merges` merged deltas and
   /// `full_rebuilds` full certified filters.
   void RecordPartitionRefresh(uint64_t delta_merges, uint64_t full_rebuilds);
@@ -200,8 +190,6 @@ class MetricsCore {
   std::atomic<uint64_t> batch_finalizes_{0};
   std::atomic<uint64_t> agg_point_adds_{0};
   std::atomic<uint64_t> agg_leaf_fetches_{0};
-  std::atomic<uint64_t> agg_cache_hits_{0};
-  std::atomic<uint64_t> agg_refreshes_{0};
   std::atomic<uint64_t> agg_span_hits_{0};
   std::atomic<uint64_t> agg_project_point_adds_{0};
   std::atomic<uint64_t> agg_project_leaf_fetches_{0};
@@ -212,7 +200,6 @@ class MetricsCore {
   std::atomic<uint64_t> bloom_fp_fallbacks_{0};
   std::atomic<uint64_t> bloom_delta_merges_{0};
   std::atomic<uint64_t> bloom_full_rebuilds_{0};
-  std::atomic<uint64_t> cache_retunes_{0};
   std::atomic<uint64_t> last_epoch_{0};
   std::atomic<uint64_t> published_total_{0};
   std::atomic<uint64_t> publish_backpressure_us_{0};

@@ -17,8 +17,8 @@ namespace authdb {
 /// execute on shard s's worker thread. The sharded server replaced its
 /// fixed ThreadPool hand-off with this so a batch's shard visits (one per
 /// shard per batch) land on the thread that owns that shard's snapshot
-/// chunks and SigCache — consecutive batches touch each shard from one
-/// thread, and no visit migrates between cores mid-stream.
+/// chunks — consecutive batches touch each shard from one thread, and no
+/// visit migrates between cores mid-stream.
 ///
 /// In the inline configuration (`threaded == false`) every visit runs on
 /// the submitting thread in shard order — the degenerate mode used by

@@ -1,9 +1,6 @@
 #include "server/sharded_query_server.h"
 
 #include <algorithm>
-#include <functional>
-#include <iterator>
-#include <set>
 #include <utility>
 
 #include "common/clock.h"
@@ -216,14 +213,6 @@ void ShardedQueryServer::PublishEpoch(
   summaries_ = std::move(sums);
   InstallDescriptorLocked(std::move(snaps));
   metrics_.RecordPublish(backpressure_us);
-  // Online planner retune at the configured barrier cadence: the epoch
-  // just published is exactly what the next window of reads will serve,
-  // so per-shard sizes and generations are fresh here by construction.
-  if (config_.serving.sigcache_retune_publications > 0 && cache_enabled_ &&
-      ++retune_countdown_ >= config_.serving.sigcache_retune_publications) {
-    retune_countdown_ = 0;
-    RetuneSigCacheLocked();
-  }
 }
 
 void ShardedQueryServer::AddSummary(UpdateSummary summary) {
@@ -272,111 +261,6 @@ ServerMetrics ShardedQueryServer::Metrics() const {
   m.epoch.current = tracker_.current_epoch();
   m.epoch.pinned = pinned_epochs();
   return m;
-}
-
-std::shared_ptr<const ShardedQueryServer::Shard::CacheSlot>
-ShardedQueryServer::BuildCacheSlot(uint64_t n, uint64_t generation,
-                                   double uniform_w,
-                                   SigCache::RefreshMode mode,
-                                   size_t max_pairs) const {
-  if (n < 4) return nullptr;  // nothing worth caching
-  uint64_t n2 = 1;
-  while (n2 * 2 <= n) n2 *= 2;
-  CardinalityDist dist =
-      uniform_w == 0.0
-          ? CardinalityDist::Harmonic(n2)
-          : CardinalityDist::Blend(CardinalityDist::Harmonic(n2),
-                                   CardinalityDist::Uniform(n2), uniform_w);
-  auto plan = SigCachePlanner::Plan(n2, dist, max_pairs);
-  // The member LeafProvider must never be consulted on this path —
-  // every aggregate goes through the generation-tagged overload with a
-  // per-call provider over the reader's pinned snapshot. A stub that
-  // silently returned empty signatures would turn an accidental
-  // WarmAll/untagged call into unverifiable answers; fail loudly
-  // instead.
-  auto slot = std::make_shared<Shard::CacheSlot>();
-  slot->cache = std::make_shared<SigCache>(
-      ctx_, n2, mode, [](size_t) -> BasSignature {
-        AUTHDB_CHECK(false &&
-                     "sharded SigCache used without a snapshot provider");
-        return BasSignature{};
-      });
-  slot->cache->PinPlan(plan.chosen);
-  slot->positions = static_cast<size_t>(n2);
-  slot->planned_generation = generation;
-  slot->plan = std::move(plan.chosen);
-  return slot;
-}
-
-void ShardedQueryServer::EnableSigCache(SigCache::RefreshMode mode,
-                                        size_t max_pairs) {
-  // Safe to call while serving: the slots are installed with atomic
-  // stores, and in-flight visits finish on whatever slot they loaded.
-  std::shared_ptr<const EpochDescriptor> desc = PinCurrentEpoch();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::shared_ptr<const Shard::CacheSlot> slot =
-        BuildCacheSlot(desc->shards[s]->size(), desc->shards[s]->generation(),
-                       /*uniform_w=*/0.0, mode, max_pairs);
-    if (slot != nullptr) std::atomic_store(&shards_[s]->cache_slot, slot);
-  }
-  MutexLock pub(publish_mu_);
-  cache_enabled_ = true;
-  cache_mode_ = mode;
-  cache_max_pairs_ = max_pairs;
-  retune_countdown_ = 0;
-}
-
-size_t ShardedQueryServer::RetuneSigCache() {
-  MutexLock pub(publish_mu_);
-  return RetuneSigCacheLocked();
-}
-
-size_t ShardedQueryServer::RetuneSigCacheLocked() {
-  if (!cache_enabled_) return 0;
-  // The observed mix since the last retune: window-served aggregations
-  // (hits + fills) versus the leaf fetches the pinned windows failed to
-  // cover. A large leaf share means the harmonic assumption under-weights
-  // the workload's longer runs, so the next plan leans toward uniform
-  // (which pins deeper, wider nodes).
-  ServerMetrics m;
-  metrics_.Snapshot(&m);
-  const uint64_t window = m.exec.agg_cache_hits + m.exec.agg_refreshes;
-  const uint64_t leafs = m.exec.agg_leaf_fetches;
-  const uint64_t d_window = window - retune_window_hits_;
-  const uint64_t d_leafs = leafs - retune_leaf_fetches_;
-  retune_window_hits_ = window;
-  retune_leaf_fetches_ = leafs;
-  const uint64_t total = d_window + d_leafs;
-  const double uniform_w =
-      total == 0 ? 0.0
-                 : static_cast<double>(d_leafs) / static_cast<double>(total);
-
-  std::shared_ptr<const EpochDescriptor> desc = PinCurrentEpoch();
-  size_t installs = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::shared_ptr<const Shard::CacheSlot> next =
-        BuildCacheSlot(desc->shards[s]->size(), desc->shards[s]->generation(),
-                       uniform_w, cache_mode_, cache_max_pairs_);
-    if (next == nullptr) continue;
-    std::shared_ptr<const Shard::CacheSlot> cur =
-        std::atomic_load(&shards_[s]->cache_slot);
-    if (cur != nullptr && cur->positions == next->positions &&
-        cur->plan.size() == next->plan.size()) {
-      bool same = true;
-      for (size_t i = 0; i < cur->plan.size(); ++i) {
-        if (cur->plan[i].level != next->plan[i].level ||
-            cur->plan[i].j != next->plan[i].j) {
-          same = false;
-          break;
-        }
-      }
-      if (same) continue;  // identical plan: keep the warm windows
-    }
-    std::atomic_store(&shards_[s]->cache_slot, next);
-    ++installs;
-  }
-  if (installs > 0) metrics_.RecordCacheRetunes(installs);
-  return installs;
 }
 
 // ---------------------------------------------------------------------------

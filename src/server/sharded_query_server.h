@@ -62,9 +62,10 @@ struct EpochDescriptor {
 ///    one published epoch: it can never mix pre- and post-update chain
 ///    generations, no matter how ingest races it. There is no retry loop,
 ///    no restitching, and no exclusive fallback — reads never contend
-///    with ingest (the only lock a read can touch is the optional
-///    per-shard SigCache's internal mutex, shared among readers of that
-///    shard's cache; with the cache off, reads take no locks at all).
+///    with ingest and take no locks. Every selection and projection
+///    aggregate folds the pinned snapshot's barrier-maintained chunk
+///    column aggregates plus edge leaves (EpochSnapshot::FoldColumns;
+///    README "Substitutions" #6).
 ///  * The update stream builds the next epoch as copy-on-write deltas
 ///    against the serving snapshots (ShardVersionBuilder) and publishes it
 ///    atomically at the rho-period summary barrier (PublishEpoch): the new
@@ -222,27 +223,8 @@ class ShardedQueryServer {
   /// are filled by UpdateStream::Metrics(), which wraps this.
   ServerMetrics Metrics() const;
 
-  /// Plan and pin a per-shard SigCache with generation-tagged windows.
-  /// Each shard is planned independently against the largest power-of-two
-  /// prefix of its current snapshot; cached windows are keyed on the
-  /// shard's chain generation, so epochs that leave a shard untouched keep
-  /// its cache hot while any delta invalidates exactly that shard's
-  /// windows (never mixing generations).
-  void EnableSigCache(SigCache::RefreshMode mode, size_t max_pairs)
-      EXCLUDES(publish_mu_);
-
-  /// Online planner retune (Algorithm 1, re-run against live telemetry):
-  /// re-plans every enabled shard against its *current* snapshot size and
-  /// generation, with the assumed harmonic cardinality distribution
-  /// blended toward uniform by the observed leaf-fetch share of the
-  /// aggregation work since the previous retune (leaf fetches are exactly
-  /// the aggregations the pinned windows failed to cover). A shard whose
-  /// plan comes out unchanged keeps its warm windows; a changed plan is
-  /// swapped in atomically under live readers (in-flight visits finish on
-  /// the slot they loaded). Returns the number of shards re-planned.
-  /// Called automatically every serving.sigcache_retune_publications
-  /// epoch barriers, or manually from a quiesced or serving phase.
-  size_t RetuneSigCache() EXCLUDES(publish_mu_);
+  /// Empty; kept only for perfbench/perfbench.cc's serve-scan set-up.
+  void EnableSigCache(SigCache::RefreshMode, size_t) {}
 
   size_t shard_count() const { return shards_.size(); }
   const ShardRouter& router() const { return router_; }
@@ -252,27 +234,13 @@ class ShardedQueryServer {
 
  private:
   struct Shard {
-    /// The barrier context lets Freeze() precompute per-chunk chain
-    /// aggregates (write-once, shared across epochs like the chunks).
+    /// The barrier context lets Freeze() keep per-chunk column aggregates
+    /// (shared across epochs like the chunks).
     explicit Shard(std::shared_ptr<const BasContext> ctx)
         : builder(/*chunk_target=*/128, std::move(ctx)) {}
     /// Guards the builder (writers only; readers pin snapshots).
     mutable Mutex mu;
     ShardVersionBuilder builder GUARDED_BY(mu);
-    /// One planned cache generation for the shard: the cache itself, the
-    /// n it was planned for (bypassed whenever the serving snapshot
-    /// shrank below that), and the plan it pinned (so a retune that
-    /// re-derives the same plan keeps the warm windows).
-    struct CacheSlot {
-      std::shared_ptr<SigCache> cache;
-      size_t positions = 0;
-      uint64_t planned_generation = 0;  ///< shard generation at planning
-      std::vector<SigCachePlanner::Choice> plan;
-    };
-    /// Installed by EnableSigCache / RetuneSigCache, read lock-free by the
-    /// batch engine (std::atomic_* shared_ptr access) so retunes can swap
-    /// a shard's plan under live readers; null until EnableSigCache.
-    std::shared_ptr<const CacheSlot> cache_slot;
   };
 
   /// The batched read-path engine (server/batch_exec.cc). It plans the
@@ -299,16 +267,6 @@ class ShardedQueryServer {
       REQUIRES(publish_mu_);
   /// Freeze every shard and republish the current epoch (direct path).
   void RepublishLocked() REQUIRES(publish_mu_);
-  /// RetuneSigCache's body; PublishEpoch calls it at the configured
-  /// cadence while already holding the publish lock.
-  size_t RetuneSigCacheLocked() REQUIRES(publish_mu_);
-  /// Plan one shard's cache slot over `n` positions (power-of-two floor
-  /// applied internally), with the harmonic assumption blended toward
-  /// uniform by weight `uniform_w` in [0, 1]. Returns null when the shard
-  /// is too small to cache.
-  std::shared_ptr<const Shard::CacheSlot> BuildCacheSlot(
-      uint64_t n, uint64_t generation, double uniform_w,
-      SigCache::RefreshMode mode, size_t max_pairs) const;
   /// Superseded-but-pinned epoch count; prunes dead entries. Held under
   /// pin_sync_->mu, not publish_mu_, so it stays callable while a
   /// backpressured publisher holds the publish lock.
@@ -352,18 +310,6 @@ class ShardedQueryServer {
       GUARDED_BY(publish_mu_);
   std::shared_ptr<const std::vector<CertifiedPartition>> partitions_
       GUARDED_BY(publish_mu_);
-
-  /// SigCache configuration + retune bookkeeping. Set by EnableSigCache,
-  /// consumed by the retuner (publishers already serialize on publish_mu_).
-  bool cache_enabled_ GUARDED_BY(publish_mu_) = false;
-  SigCache::RefreshMode cache_mode_ GUARDED_BY(publish_mu_) =
-      SigCache::RefreshMode::kLazy;
-  size_t cache_max_pairs_ GUARDED_BY(publish_mu_) = 0;
-  /// Aggregation-counter baselines of the previous retune window.
-  uint64_t retune_window_hits_ GUARDED_BY(publish_mu_) = 0;
-  uint64_t retune_leaf_fetches_ GUARDED_BY(publish_mu_) = 0;
-  /// Publications since the last automatic retune.
-  size_t retune_countdown_ GUARDED_BY(publish_mu_) = 0;
 };
 
 }  // namespace authdb

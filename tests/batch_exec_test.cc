@@ -4,8 +4,8 @@
 // boundary keys, same witnesses, same canonical-affine aggregate points —
 // and every answer must be accepted by the unmodified
 // ClientVerifier::VerifyAnswerFresh. Also covered: per-plan validation
-// error parity, ServerMetrics accounting, SigCache byte-equivalence,
-// projection aggregates against leaf sums built from the DA's own records,
+// error parity, ServerMetrics accounting, selection and projection
+// aggregates against leaf sums built from the DA's own records,
 // the projection attribute dedup and a hostile plan width, and a
 // churn test that runs batches against live UpdateStream ingest across
 // epoch barriers (the `concurrency` label puts it in the TSan CI lane).
@@ -417,43 +417,18 @@ TEST_F(BatchExecTest, MetricsAccountShardVisitsAndFinalizes) {
   uint64_t visit_us = 0;
   for (const auto& kb : delta.exec.shard_busy) visit_us += kb.visit_us;
   EXPECT_GT(visit_us, 0u);
-  // At least the one batch-level answer finalize ran.
-  EXPECT_GE(delta.exec.batch_finalizes, 1u);
+  // Exactly the one batch-level answer finalize ran: visits never finalize.
+  EXPECT_EQ(delta.exec.batch_finalizes, 1u);
   EXPECT_EQ(delta.exec.last_epoch, batched[0].value().served_epoch);
 }
 
-TEST_F(BatchExecTest, SigCacheWindowsKeepBatchByteEquivalent) {
-  Load(DefaultS());
-  // Sequential answers captured BEFORE the cache exists: the cached batch
-  // path (batched window fills, one shared inversion) must reproduce the
-  // exact leaf-path aggregates — canonical affine points, not just
-  // verifying ones.
-  std::vector<Query> plans = MixedPlans();
-  std::vector<QueryAnswer> uncached;
-  for (const auto& q : plans) {
-    auto r = server_->Execute(q);
-    ASSERT_TRUE(r.ok());
-    uncached.push_back(r.MoveValue());
-  }
-  server_->EnableSigCache(SigCache::RefreshMode::kLazy, 4);
-  auto cached = server_->ExecuteBatch(PlanBatch::Of(plans));
-  ASSERT_EQ(cached.size(), plans.size());
-  for (size_t i = 0; i < plans.size(); ++i) {
-    SCOPED_TRACE("plan " + std::to_string(i));
-    ASSERT_TRUE(cached[i].ok());
-    ExpectSameAnswer(cached[i].value(), uncached[i]);
-    EXPECT_TRUE(
-        verifier_->VerifyAnswerFresh(plans[i], cached[i].value(), Now(), 0)
-            .ok());
-  }
-}
-
-// Projections spanning three or more chunks on both shards of a two-shard
-// server, checked against an independent reference: the aggregate must
-// equal a sum built leaf by leaf from the DA's own certified records
-// (chain signatures from its table, attribute signatures re-signed from
-// each record), before and after a live-ingest epoch whose inserts split
-// chunks and whose deletes empty them. Every answer must verify fresh.
+// Selections and projections spanning three or more chunks on both shards
+// of a two-shard server, and inside one chunk, checked against an
+// independent reference: the aggregate must equal a sum built leaf by leaf
+// from the DA's own certified records (chain signatures from its table,
+// attribute signatures re-signed from each record), before and after a
+// live-ingest epoch whose inserts split chunks and whose deletes empty
+// them. Every answer must verify fresh.
 TEST_F(BatchExecTest, ProjectionsMatchLeafSumsOfTheDAsRecordsAcrossEpochs) {
   constexpr int64_t kRows = 800;  // keys 10, 20, ..., 8000
   std::vector<Record> records;
@@ -469,50 +444,76 @@ TEST_F(BatchExecTest, ProjectionsMatchLeafSumsOfTheDAsRecordsAcrossEpochs) {
   for (const auto& msg : loaded.value())
     ASSERT_TRUE(server->ApplyUpdate(msg).ok());
 
-  const std::vector<Query> plans = {
+  const std::vector<Query> projections = {
       Query::Project(10, 10 * kRows, {1, 2}),
       Query::Project(1005, 7005, {2}),
       Query::Project(2000, 6500, {0, 1}),
       Query::Project(55, 95, {1}),  // inside one chunk: edge leaves only
   };
+  const std::vector<Query> selections = {
+      Query::Select(10, 10 * kRows),
+      Query::Select(1005, 7005),
+      Query::Select(55, 95),  // inside one chunk: edge leaves only
+  };
   const CurveGroup& curve = (*ctx_)->curve();
-  auto check = [&](uint64_t min_epoch) {
+  // Runs `plans` as one batch; every answer's aggregate must equal the
+  // leaf sum over the DA's records, and only `plans`' own kind of fold
+  // counters may move.
+  auto check_batch = [&](const std::vector<Query>& plans, uint64_t min_epoch) {
     const ServerMetrics before = server->Metrics();
     auto answers = server->ExecuteBatch(PlanBatch::Of(plans));
     ASSERT_EQ(answers.size(), plans.size());
     for (size_t i = 0; i < plans.size(); ++i) {
       SCOPED_TRACE("plan " + std::to_string(i));
       ASSERT_TRUE(answers[i].ok()) << answers[i].status().ToString();
-      const ProjectedRangeAnswer& proj = answers[i].value().projection;
+      const bool project = plans[i].kind == QueryKind::kProject;
       const std::vector<uint32_t> attrs =
           EffectiveProjectionAttrs(plans[i].attr_indices);
       AuthTable::RangeOut scan = da_->table().Scan(plans[i].lo, plans[i].hi);
-      ASSERT_EQ(proj.tuples.size(), scan.items.size());
       std::vector<ECPoint> leaves;
       for (const AuthTable::Item& item : scan.items) {
-        std::vector<BasSignature> attr_sigs = da_->SignAttributes(item.record);
-        for (uint32_t a : attrs) leaves.push_back(attr_sigs[a].point);
+        if (project) {
+          std::vector<BasSignature> attr_sigs =
+              da_->SignAttributes(item.record);
+          for (uint32_t a : attrs) leaves.push_back(attr_sigs[a].point);
+        }
         leaves.push_back(item.sig.point);
       }
-      EXPECT_TRUE(curve.Equal(proj.agg_sig.point, curve.Sum(leaves)));
-      EXPECT_TRUE(verifier_
-                      ->VerifyAnswerFresh(plans[i], answers[i].value(),
-                                          Now(), min_epoch)
-                      .ok());
+      const QueryAnswer& ans = answers[i].value();
+      if (project) {
+        ASSERT_EQ(ans.projection.tuples.size(), scan.items.size());
+        EXPECT_TRUE(
+            curve.Equal(ans.projection.agg_sig.point, curve.Sum(leaves)));
+      } else {
+        ASSERT_EQ(ans.selection.records.size(), scan.items.size());
+        EXPECT_TRUE(
+            curve.Equal(ans.selection.agg_sig.point, curve.Sum(leaves)));
+      }
+      EXPECT_TRUE(
+          verifier_->VerifyAnswerFresh(plans[i], ans, Now(), min_epoch).ok());
     }
     const ServerMetrics delta = server->Metrics().Delta(before);
-    EXPECT_GT(delta.exec.agg_project_span_hits, 0u);
-    EXPECT_GT(delta.exec.agg_project_leaf_fetches, 0u);
-    EXPECT_EQ(delta.exec.agg_span_hits, 0u);  // selection counters untouched
+    const bool project = plans[0].kind == QueryKind::kProject;
+    EXPECT_EQ(delta.exec.agg_project_span_hits > 0, project);
+    EXPECT_EQ(delta.exec.agg_project_leaf_fetches > 0, project);
+    EXPECT_EQ(delta.exec.agg_span_hits > 0, !project);
+    EXPECT_EQ(delta.exec.agg_leaf_fetches > 0, !project);
+  };
+  auto check = [&](uint64_t min_epoch) {
+    check_batch(projections, min_epoch);
+    check_batch(selections, min_epoch);
   };
   check(0);
   if (HasFatalFailure()) return;
-  // The full-range plan alone covers three or more whole chunks on each
-  // shard, four columns (chain + attributes 0, 1, 2) each.
+  // The full-range plans alone cover three or more whole chunks on each
+  // shard: four columns (chain + attributes 0, 1, 2) each for the
+  // projection, the chain column for the selection.
   const ServerMetrics before = server->Metrics();
-  ASSERT_TRUE(server->Execute(plans[0]).ok());
-  EXPECT_GE(server->Metrics().Delta(before).exec.agg_project_span_hits,
-            2u * 3u * 4u);
+  ASSERT_TRUE(server->Execute(projections[0]).ok());
+  ASSERT_TRUE(server->Execute(selections[0]).ok());
+  const ServerMetrics full = server->Metrics().Delta(before);
+  EXPECT_GE(full.exec.agg_project_span_hits, 2u * 3u * 4u);
+  EXPECT_GE(full.exec.agg_span_hits, 2u * 3u);
 
   // One live-ingest epoch: a burst of inserts into one gap (its chunk
   // splits) and a run of deletes long enough to empty whole chunks.

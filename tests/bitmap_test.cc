@@ -1,7 +1,10 @@
 #include "crypto/bitmap.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -63,7 +66,7 @@ TEST_P(BitmapCodecTest, RoundtripRandom) {
     size_t nset = rng.Uniform(nbits / 2 + 1);
     for (size_t i = 0; i < nset; ++i) bm.Set(rng.Uniform(nbits));
     auto encoded = codec->Encode(bm);
-    Bitmap decoded = codec->Decode(Slice(encoded));
+    Bitmap decoded = codec->Decode(Slice(encoded)).value();
     EXPECT_EQ(decoded.size(), bm.size());
     EXPECT_TRUE(decoded == bm) << codec->name() << " trial " << trial;
   }
@@ -72,7 +75,7 @@ TEST_P(BitmapCodecTest, RoundtripRandom) {
 TEST_P(BitmapCodecTest, RoundtripEmpty) {
   auto codec = MakeCodec();
   Bitmap bm(100000);
-  Bitmap decoded = codec->Decode(Slice(codec->Encode(bm)));
+  Bitmap decoded = codec->Decode(Slice(codec->Encode(bm))).value();
   EXPECT_TRUE(decoded == bm);
   // An empty sparse bitmap should compress to nearly nothing.
   EXPECT_LT(codec->Encode(bm).size(), 32u);
@@ -82,7 +85,7 @@ TEST_P(BitmapCodecTest, RoundtripDense) {
   auto codec = MakeCodec();
   Bitmap bm(5000);
   for (size_t i = 0; i < 5000; ++i) bm.Set(i);
-  Bitmap decoded = codec->Decode(Slice(codec->Encode(bm)));
+  Bitmap decoded = codec->Decode(Slice(codec->Encode(bm))).value();
   EXPECT_TRUE(decoded == bm);
 }
 
@@ -108,7 +111,7 @@ TEST_P(BitmapCodecTest, SingleBitAtEnd) {
   auto codec = MakeCodec();
   Bitmap bm(99991);
   bm.Set(99990);
-  Bitmap decoded = codec->Decode(Slice(codec->Encode(bm)));
+  Bitmap decoded = codec->Decode(Slice(codec->Encode(bm))).value();
   EXPECT_TRUE(decoded == bm);
 }
 
@@ -123,7 +126,55 @@ TEST(WahCodecTest, LongRunsCompressWell) {
   auto enc = wah.Encode(bm);
   // 2 fill words + 1 literal + header — tiny.
   EXPECT_LT(enc.size(), 32u);
-  EXPECT_TRUE(wah.Decode(Slice(enc)) == bm);
+  EXPECT_TRUE(wah.Decode(Slice(enc)).value() == bm);
+}
+
+// Hostile encodings: each must come back as a Corruption status — never a
+// failed Bitmap::Set check or a truncated-varint abort.
+TEST(BitmapCodecMalformedTest, WahRejectsEveryMalformedCase) {
+  WahCodec wah;
+  const std::vector<std::pair<const char*, std::vector<uint8_t>>> cases = {
+      {"empty input", {}},
+      {"truncated size varint", {0x80}},
+      // nbits = 3, then one 1-fill word of 4 groups (bits 0..123).
+      {"1-fill past the size", {0x03, 0x04, 0x00, 0x00, 0xC0}},
+      // nbits = 40, a 0-fill of 1 group, then a 1-fill of 1 group (31..61).
+      {"1-fill straddling the end",
+       {0x28, 0x01, 0x00, 0x00, 0x80, 0x01, 0x00, 0x00, 0xC0}},
+      // nbits = 3, one literal with bit 5 set.
+      {"literal bit past the size", {0x03, 0x20, 0x00, 0x00, 0x00}},
+      // nbits = 31, a 0-fill of 1 group, then a literal with bit 0 set.
+      {"literal after the last group",
+       {0x1F, 0x01, 0x00, 0x00, 0x80, 0x01, 0x00, 0x00, 0x00}},
+      {"trailing partial word", {0x03, 0x01, 0x00}},
+  };
+  for (const auto& [what, bytes] : cases) {
+    Result<Bitmap> r = wah.Decode(Slice(bytes));
+    ASSERT_FALSE(r.ok()) << what;
+    EXPECT_TRUE(r.status().IsCorruption()) << what;
+  }
+}
+
+TEST(BitmapCodecMalformedTest, VarintGapRejectsEveryMalformedCase) {
+  VarintGapCodec gap;
+  const std::vector<std::pair<const char*, std::vector<uint8_t>>> cases = {
+      {"empty input", {}},
+      {"truncated size varint", {0x80}},
+      {"size varint over 64 bits",
+       {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}},
+      {"truncated gap", {0x0A, 0x83}},
+      {"first bit past the size", {0x0A, 0x0A}},
+      {"later gap past the size", {0x0A, 0x02, 0x08}},
+      // A gap near 2^64 must not wrap the running position back in range.
+      {"wrapping gap",
+       {0x0A, 0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+        0x01}},
+  };
+  for (const auto& [what, bytes] : cases) {
+    Result<Bitmap> r = gap.Decode(Slice(bytes));
+    ASSERT_FALSE(r.ok()) << what;
+    EXPECT_TRUE(r.status().IsCorruption()) << what;
+  }
 }
 
 }  // namespace

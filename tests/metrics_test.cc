@@ -31,8 +31,6 @@ const char* const kStableNames[] = {
     "exec.batch.finalizes",
     "exec.agg.point_adds",
     "exec.agg.leaf_fetches",
-    "exec.agg.cache_hits",
-    "exec.agg.refreshes",
     "exec.agg.span_hits",
     "exec.agg.project_point_adds",
     "exec.agg.project_leaf_fetches",
@@ -43,7 +41,6 @@ const char* const kStableNames[] = {
     "exec.bloom.fp_fallbacks",
     "exec.bloom.delta_merges",
     "exec.bloom.full_rebuilds",
-    "exec.cache.retunes",
     "exec.last_epoch",
     "admission.enabled",
     "admission.admitted_total",
@@ -177,7 +174,7 @@ TEST(MetricsCoreTest, FoldAndSnapshotAccumulate) {
 // Projection folds report through their own counters: a projection long
 // enough to cover whole chunks shows span hits in
 // exec.agg.project_span_hits, and none of it lands in the selection-side
-// exec.agg.* counters that measure the SigCache.
+// exec.agg.* counters.
 TEST(ServerMetricsTest, LongProjectionReportsItsOwnSpanHits) {
   Rng rng(0x3E7);
   std::shared_ptr<const BasContext> ctx = BasContext::Generate(96, 64, &rng);

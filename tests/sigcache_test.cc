@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "core/epoch_snapshot.h"
 
 namespace authdb {
 namespace {
@@ -344,111 +343,6 @@ TEST_F(SigCacheRuntimeTest, ReviseUnderInterleavedLoadKeepsAnswersExact) {
     }
     cache->Revise(4);  // shrink mid-load; answers must stay exact
     EXPECT_LE(cache->entry_count(), 4u);
-  }
-}
-
-// --- Epoch-barrier precomputed spans ---------------------------------------
-
-TEST_F(SigCacheRuntimeTest, BarrierSpansMatchLeafFoldsAndCountHits) {
-  // A barrier-aware builder precomputes per-chunk chain aggregates at
-  // Freeze; the snapshot read path hands them to the cache as a
-  // SpanProvider. Aggregates must stay byte-identical with spans on or
-  // off, and span_hits must actually fire.
-  ShardVersionBuilder builder(/*chunk_target=*/8, *ctx_);
-  auto insert = [&](int i) {
-    SignedRecordUpdate msg;
-    msg.kind = SignedRecordUpdate::Kind::kInsert;
-    msg.key = i;
-    CertifiedRecord cr;
-    cr.record.rid = static_cast<uint64_t>(i);
-    cr.record.ts = 1;
-    cr.record.attrs = {i, 0};
-    cr.sig = sigs_[i];
-    msg.record = std::move(cr);
-    ASSERT_TRUE(builder.Apply(msg).ok());
-  };
-  for (int i = 0; i < 64; ++i) insert(i);
-  auto snap = builder.Freeze();
-  const CurveGroup& curve = (*ctx_)->curve();
-
-  // Every chunk start answers with its full length and the exact
-  // aggregate; mid-chunk positions answer 0.
-  size_t pos = 0, chunks_seen = 0;
-  while (pos < snap->size()) {
-    ECPoint agg;
-    size_t len = snap->ChunkAggregateAt(pos, snap->size() - 1, &agg);
-    ASSERT_GT(len, 0u) << pos;
-    BasSignature want = DirectSum(pos, pos + len - 1);
-    EXPECT_TRUE(curve.Equal(agg, want.point)) << pos;
-    if (len > 1) {
-      EXPECT_EQ(snap->ChunkAggregateAt(pos + 1, snap->size() - 1, &agg), 0u);
-    }
-    // A chunk that does not fit under hi is not served.
-    EXPECT_EQ(snap->ChunkAggregateAt(pos, pos + len - 2, &agg), 0u);
-    pos += len;
-    ++chunks_seen;
-  }
-  EXPECT_EQ(chunks_seen, snap->chunk_count());
-
-  // Same tagged batch against two cold caches — with and without the span
-  // provider — must agree with each other and with the direct sums, and
-  // the span-fed run must report precomputed-prefix hits.
-  auto leaves = [&snap](size_t p) { return snap->ItemAt(p).sig; };
-  auto spans = [&snap](size_t p, size_t hi, ECPoint* agg) {
-    return snap->ChunkAggregateAt(p, hi, agg);
-  };
-  std::vector<SigCache::RangeSpec> ranges = {{0, 63}, {5, 40}, {8, 31},
-                                             {16, 16}};
-  auto plan = SigCachePlanner::Plan(64, CardinalityDist::Harmonic(64), 4);
-  auto run = [&](bool use_spans, std::vector<SigCache::AggStats>* stats) {
-    auto cache = MakeCache(SigCache::RefreshMode::kLazy);
-    cache->PinPlan(plan.chosen);
-    return cache->RangeAggregateBatch(
-        ranges, snap->generation(), leaves, stats,
-        use_spans ? SigCache::SpanProvider(spans)
-                  : SigCache::SpanProvider(nullptr));
-  };
-  std::vector<SigCache::AggStats> with_stats, without_stats;
-  std::vector<BasSignature> with_spans = run(true, &with_stats);
-  std::vector<BasSignature> without_spans = run(false, &without_stats);
-  ASSERT_EQ(with_spans.size(), ranges.size());
-  size_t span_hits = 0, span_leaf_fetches = 0, plain_leaf_fetches = 0;
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    BasSignature want = DirectSum(ranges[i].lo, ranges[i].hi);
-    EXPECT_TRUE(curve.Equal(with_spans[i].point, want.point)) << i;
-    EXPECT_TRUE(curve.Equal(without_spans[i].point, want.point)) << i;
-    span_hits += with_stats[i].span_hits;
-    span_leaf_fetches += with_stats[i].leaf_fetches;
-    plain_leaf_fetches += without_stats[i].leaf_fetches;
-    EXPECT_EQ(without_stats[i].span_hits, 0u) << i;
-  }
-  EXPECT_GT(span_hits, 0u);
-  EXPECT_LT(span_leaf_fetches, plain_leaf_fetches)
-      << "precomputed prefixes should displace leaf fetches";
-
-  // Mutating one key dirties only its chunk; the next freeze recomputes
-  // that aggregate and the whole tiling is exact again.
-  sigs_[3] = SignPos(3, 1);
-  SignedRecordUpdate mod;
-  mod.kind = SignedRecordUpdate::Kind::kModify;
-  mod.key = 3;
-  CertifiedRecord cr;
-  cr.record.rid = 3;
-  cr.record.ts = 2;
-  cr.record.attrs = {3, 1};
-  cr.sig = sigs_[3];
-  mod.record = std::move(cr);
-  ASSERT_TRUE(builder.Apply(mod).ok());
-  auto snap2 = builder.Freeze();
-  ASSERT_EQ(snap2->generation(), snap->generation() + 1);
-  pos = 0;
-  while (pos < snap2->size()) {
-    ECPoint agg;
-    size_t len = snap2->ChunkAggregateAt(pos, snap2->size() - 1, &agg);
-    ASSERT_GT(len, 0u) << pos;
-    BasSignature want = DirectSum(pos, pos + len - 1);
-    EXPECT_TRUE(curve.Equal(agg, want.point)) << pos;
-    pos += len;
   }
 }
 

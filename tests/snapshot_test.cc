@@ -292,7 +292,7 @@ class ColumnAggregateTest : public ::testing::Test {
     size_t pos = 0;
     for (size_t ci = 0; ci < snap.chunk_count(); ++ci) {
       ECPoint agg;
-      const size_t len = snap.ChunkAggregateAt(pos, last, &agg);
+      const size_t len = snap.ColumnAggregateAt(pos, last, 0, &agg);
       ASSERT_GT(len, 0u) << "chunk " << ci << " has no aggregates";
       const EpochSnapshot::ColumnAggregates* cols = snap.chunk_columns(ci);
       ASSERT_NE(cols, nullptr);
@@ -388,7 +388,7 @@ TEST_F(ColumnAggregateTest, FreezeKeepsEveryColumnEqualToItsLeafSum) {
     for (size_t ci = 0; ci < snap->chunk_count(); ++ci) {
       prev[&snap->ItemAt(pos)] = snap->chunk_columns(ci);
       ECPoint agg;
-      pos += snap->ChunkAggregateAt(pos, snap->size() - 1, &agg);
+      pos += snap->ColumnAggregateAt(pos, snap->size() - 1, 0, &agg);
     }
   }
   // The run exercised what it claims to.
