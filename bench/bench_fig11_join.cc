@@ -182,8 +182,9 @@ void Run(bench::BenchRun* run) {
         b.workload->distinct_b().begin() +
             std::min<size_t>(clamped, b.workload->distinct_b().size()));
     Stopwatch sw;
-    b.authority->RebuildPartition(parts[0], remaining,
-                                  b.clock.NowMicros() + 1);
+    CertifiedPartition rebuilt = b.authority->RebuildPartition(
+        parts[0], remaining, b.clock.NowMicros() + 1);
+    b.authority->Certify({&rebuilt});
     std::printf("%8zu %12.2f %12.2f %16.1f\n", clamped, bv, bf,
                 sw.ElapsedMicros());
   }
@@ -203,8 +204,9 @@ void Run(bench::BenchRun* run) {
   // (e) Incremental refresh vs full rebuild at the largest partition size.
   // Insert-only periods ship a small certified delta filter that the server
   // merges in place; a full rebuild re-adds every remaining value before
-  // re-signing. Both paths pay one signature and one digest over the same
-  // filter geometry, so the ratio isolates the work the delta path avoids.
+  // re-signing. Both paths pay one signature (a batch-of-one Certify) and
+  // one digest over the same filter geometry, so the ratio isolates the
+  // work the delta path avoids.
   // Gated in CI with a hard >= 2x floor (compare_bench.py).
   {
     const size_t n_values = smoke ? (size_t{1} << 20) : (size_t{1} << 21);
@@ -226,6 +228,7 @@ void Run(bench::BenchRun* run) {
       Stopwatch sw;
       CertifiedPartition rebuilt =
           b.authority->RebuildPartition(big[0], all_values, ts + rep + 1);
+      b.authority->Certify({&rebuilt});
       double t = sw.ElapsedMicros();
       AUTHDB_CHECK(rebuilt.filter.ones() > 0);
       if (rep == 0 || t < rebuild_us) rebuild_us = t;
@@ -235,6 +238,8 @@ void Run(bench::BenchRun* run) {
       Stopwatch sw;
       PartitionDelta delta =
           b.authority->RefreshWithDelta(&live, inserts, ts + rep + 1);
+      b.authority->Certify({&live});
+      delta.sig = live.sig;
       double t = sw.ElapsedMicros();
       AUTHDB_CHECK(delta.delta.bit_count() > 0);
       if (rep == 0 || t < delta_us) delta_us = t;

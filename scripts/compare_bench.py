@@ -28,8 +28,9 @@ rate / per_s / speedup / retention / throughput) in two classes:
   order-of-magnitude collapse (an accidental O(n^2) path, a lock
   serializing everything) is a real regression no plausible runner-class
   gap produces, and ratios alone cannot see a uniform one.
-* *Cost* metrics (bench_table3_crypto's ``bas_verify_ms`` and
-  ``bas_verify_1000_ms``) are informational absolutes where lower is
+* *Cost* metrics (bench_table3_crypto's ``bas_verify_ms``,
+  ``bas_verify_1000_ms`` and ``bas_sign_fast_batch_us``) are
+  informational absolutes where lower is
   better, recorded with ``"lower_is_better": true``: their collapse check
   fails above 10x the recorded value instead of below a tenth of it.
 
@@ -137,12 +138,12 @@ REFRESH_TOLERANCE = 0.9
 GOODPUT_FLOOR_RE = re.compile(r"^goodput_ratio_at_2x_capacity$")
 GOODPUT_FLOOR = 0.6
 
-# Cost metrics (bench_table3_crypto's BAS verify times): host-dependent
-# absolutes where LOWER is better. They are informational like the
-# throughput absolutes, but marked "lower_is_better" so their collapse
-# check runs the other way: fail only when the value grows past
-# 1/COLLAPSE_FRACTION (10x) of the recorded one.
-COST_RE = re.compile(r"^bas_verify(_1000)?_ms$")
+# Cost metrics (bench_table3_crypto's BAS verify and batched kFast sign
+# times): host-dependent absolutes where LOWER is better. They are
+# informational like the throughput absolutes, but marked
+# "lower_is_better" so their collapse check runs the other way: fail only
+# when the value grows past 1/COLLAPSE_FRACTION (10x) of the recorded one.
+COST_RE = re.compile(r"^(bas_verify(_1000)?_ms|bas_sign_fast_batch_us)$")
 
 
 def is_gated(name):

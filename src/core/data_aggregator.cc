@@ -48,15 +48,32 @@ std::vector<Slice> SlicesOf(const std::vector<ByteBuffer>& bufs) {
 
 CertifiedRecord DataAggregator::SignRecord(const Record& rec, int64_t left,
                                            int64_t right) {
-  ++signatures_issued_;
+  return std::move(SignRecords({ChainLinks{&rec, left, right}})[0]);
+}
+
+std::vector<CertifiedRecord> DataAggregator::SignRecords(
+    const std::vector<ChainLinks>& batch) {
+  signatures_issued_ += batch.size();
   std::vector<ByteBuffer> msgs;
-  if (options_.sign_attributes) msgs = AttributeMessages(rec);
-  msgs.push_back(ChainMessage(rec, left, right));
+  for (const ChainLinks& c : batch) {
+    if (options_.sign_attributes) {
+      for (ByteBuffer& m : AttributeMessages(*c.rec))
+        msgs.push_back(std::move(m));
+    }
+    msgs.push_back(ChainMessage(*c.rec, c.left, c.right));
+  }
   std::vector<BasSignature> sigs =
       key_.SignBatch(SlicesOf(msgs), options_.hash_mode);
-  BasSignature chain_sig = sigs.back();
-  sigs.pop_back();
-  return CertifiedRecord{rec, chain_sig, std::move(sigs)};
+  std::vector<CertifiedRecord> out;
+  out.reserve(batch.size());
+  auto at = sigs.begin();
+  for (const ChainLinks& c : batch) {
+    auto attrs_end = at + (options_.sign_attributes ? c.rec->attrs.size() : 0);
+    std::vector<BasSignature> attr_sigs(at, attrs_end);
+    at = attrs_end;
+    out.push_back(CertifiedRecord{*c.rec, *at++, std::move(attr_sigs)});
+  }
+  return out;
 }
 
 void DataAggregator::MarkJoinDirty(int64_t composite_key, bool is_delete) {
@@ -119,22 +136,38 @@ Result<std::vector<SignedRecordUpdate>> DataAggregator::BulkLoad(
     if (records[i].key() == records[i - 1].key())
       return Status::InvalidArgument("duplicate indexed key in bulk load");
   }
-  // Assign rids sequentially; chain each record to its in-batch neighbors.
+  // Assign rids sequentially (the heap hands them out in insert order);
+  // chain each record to its in-batch neighbors.
+  const uint64_t first_rid = table_.records().rid_upper_bound();
   for (size_t i = 0; i < records.size(); ++i) {
-    Record& rec = records[i];
-    rec.ts = now;
-    rec.rid = table_.records().rid_upper_bound();
-    int64_t left = i > 0 ? records[i - 1].key() : kChainMinusInf;
-    int64_t right =
-        i + 1 < records.size() ? records[i + 1].key() : kChainPlusInf;
-    CertifiedRecord cert = SignRecord(rec, left, right);
-    AUTHDB_RETURN_NOT_OK(table_.Insert(rec, cert.sig));
-    summary_.MarkUpdated(rec.rid);  // inserts appear in the period's bitmap
-    SignedRecordUpdate msg;
-    msg.kind = SignedRecordUpdate::Kind::kInsert;
-    msg.key = rec.key();
-    msg.record = std::move(cert);
-    out.push_back(std::move(msg));
+    records[i].ts = now;
+    records[i].rid = first_rid + i;
+  }
+  // Sign in bounded chunks: one SignBatch per chunk keeps the shared
+  // inversion and the multi-buffer hash pass without holding every
+  // message of a large load at once.
+  constexpr size_t kSignChunk = 256;
+  for (size_t begin = 0; begin < records.size(); begin += kSignChunk) {
+    const size_t end = std::min(records.size(), begin + kSignChunk);
+    std::vector<ChainLinks> chunk;
+    chunk.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      int64_t left = i > 0 ? records[i - 1].key() : kChainMinusInf;
+      int64_t right =
+          i + 1 < records.size() ? records[i + 1].key() : kChainPlusInf;
+      chunk.push_back(ChainLinks{&records[i], left, right});
+    }
+    for (CertifiedRecord& cert : SignRecords(chunk)) {
+      AUTHDB_DCHECK(cert.record.rid == table_.records().rid_upper_bound());
+      AUTHDB_RETURN_NOT_OK(table_.Insert(cert.record, cert.sig));
+      // Inserts appear in the period's bitmap.
+      summary_.MarkUpdated(cert.record.rid);
+      SignedRecordUpdate msg;
+      msg.kind = SignedRecordUpdate::Kind::kInsert;
+      msg.key = cert.record.key();
+      msg.record = std::move(cert);
+      out.push_back(std::move(msg));
+    }
   }
   return out;
 }
@@ -253,17 +286,29 @@ DataAggregator::PeriodOutput DataAggregator::PublishSummary() {
   // everything else ships a cheap delta — a small filter over the period's
   // inserted B values, or an empty recertification — that skips both the
   // scan and the full re-hash, so refreshes stay cheap as partitions grow.
+  // Every certificate of the period is then signed in one batch.
   if (join_authority_ != nullptr) {
     uint64_t now = clock_->NowMicros();
     static const std::vector<int64_t> kNoValues;
+    std::vector<CertifiedPartition*> touched;
+    touched.reserve(join_partitions_.size());
     for (CertifiedPartition& p : join_partitions_) {
       if (delete_dirty_.count(p.idx) > 0) {
         p = join_authority_->RebuildPartition(p, DistinctBValuesIn(p), now);
-        out.partition_refresh.full.push_back(p);
       } else {
         auto it = pending_insert_b_.find(p.idx);
         out.partition_refresh.deltas.push_back(join_authority_->RefreshWithDelta(
             &p, it == pending_insert_b_.end() ? kNoValues : it->second, now));
+      }
+      touched.push_back(&p);
+    }
+    join_authority_->Certify(touched);
+    auto delta = out.partition_refresh.deltas.begin();
+    for (const CertifiedPartition& p : join_partitions_) {
+      if (delete_dirty_.count(p.idx) > 0) {
+        out.partition_refresh.full.push_back(p);
+      } else {
+        (delta++)->sig = p.sig;
       }
     }
     pending_insert_b_.clear();

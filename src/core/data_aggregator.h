@@ -98,9 +98,16 @@ class DataAggregator {
                                      int64_t value, uint64_t ts);
 
  private:
-  /// Certify `rec` under chain neighbors (left, right): its chain message
-  /// and, when Options::sign_attributes, its attribute messages are signed
-  /// in one BasPrivateKey::SignBatch call (one shared inversion).
+  /// A record and the chain neighbors it is certified under.
+  struct ChainLinks {
+    const Record* rec;
+    int64_t left, right;
+  };
+  /// Certify every record of `batch`: all chain messages and, when
+  /// Options::sign_attributes, all attribute messages are signed in one
+  /// BasPrivateKey::SignBatch call (one shared inversion).
+  std::vector<CertifiedRecord> SignRecords(const std::vector<ChainLinks>& batch);
+  /// A batch of one (SignRecords).
   CertifiedRecord SignRecord(const Record& rec, int64_t left, int64_t right);
   /// Re-certify `key` in place with a fresh timestamp; appends the message
   /// to `out`. Skips silently if the key vanished.

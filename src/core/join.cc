@@ -17,9 +17,16 @@ namespace authdb {
 // ---------------------------------------------------------------------------
 // JoinAuthority
 
-CertifiedPartition JoinAuthority::Certify(CertifiedPartition part) const {
-  part.sig = key_->Sign(part.SignedMessage().AsSlice(), mode_);
-  return part;
+void JoinAuthority::Certify(
+    const std::vector<CertifiedPartition*>& parts) const {
+  std::vector<ByteBuffer> msgs;
+  msgs.reserve(parts.size());
+  for (const CertifiedPartition* p : parts) msgs.push_back(p->SignedMessage());
+  std::vector<Slice> views;
+  views.reserve(msgs.size());
+  for (const ByteBuffer& m : msgs) views.push_back(m.AsSlice());
+  std::vector<BasSignature> sigs = key_->SignBatch(views, mode_);
+  for (size_t i = 0; i < parts.size(); ++i) parts[i]->sig = sigs[i];
 }
 
 std::vector<CertifiedPartition> JoinAuthority::BuildPartitions(
@@ -46,8 +53,12 @@ std::vector<CertifiedPartition> JoinAuthority::BuildPartitions(
     part.filter = BloomFilter::WithBitsPerKey(end - begin, bits_per_value);
     for (size_t v = begin; v < end; ++v)
       part.filter.AddInt64(sorted_distinct_b[v]);
-    out.push_back(Certify(std::move(part)));
+    out.push_back(std::move(part));
   }
+  std::vector<CertifiedPartition*> all;
+  all.reserve(out.size());
+  for (CertifiedPartition& part : out) all.push_back(&part);
+  Certify(all);
   return out;
 }
 
@@ -61,7 +72,7 @@ CertifiedPartition JoinAuthority::RebuildPartition(
   part.ts = ts;
   part.filter = BloomFilter(old.filter.bit_count(), old.filter.hash_count());
   for (int64_t v : remaining_values) part.filter.AddInt64(v);
-  return Certify(std::move(part));
+  return part;
 }
 
 PartitionDelta JoinAuthority::RefreshWithDelta(
@@ -83,8 +94,7 @@ PartitionDelta JoinAuthority::RefreshWithDelta(
     live->filter = buffers.TakeCurrent();
   }
   live->ts = ts;
-  live->sig = key_->Sign(live->SignedMessage().AsSlice(), mode_);
-  out.sig = live->sig;
+  live->sig = BasSignature{};  // the pre-merge certificate no longer holds
   return out;
 }
 

@@ -108,7 +108,10 @@ inline const CertifiedPartition* FindCoveringPartition(
   return nullptr;
 }
 
-/// DA-side partition construction and maintenance.
+/// DA-side partition construction and maintenance. Certify is the one
+/// place partition certificates are signed: the builders below return
+/// partitions stamped but unsigned, and a caller certifies everything one
+/// period touched in a single batch (a single partition is a batch of one).
 class JoinAuthority {
  public:
   JoinAuthority(std::shared_ptr<const BasContext> ctx,
@@ -119,14 +122,15 @@ class JoinAuthority {
   /// `values_per_partition` (the paper's IB/p) and certify one filter per
   /// partition with `bits_per_value` bits per distinct value (m/IB).
   /// The first/last partitions extend to -inf/+inf so every probe value
-  /// falls in exactly one partition.
+  /// falls in exactly one partition. Returned certified (one Certify).
   std::vector<CertifiedPartition> BuildPartitions(
       const std::vector<int64_t>& sorted_distinct_b,
       size_t values_per_partition, double bits_per_value, uint64_t ts) const;
 
   /// Rebuild one partition after an S update (deletions cannot be removed
   /// from a Bloom filter — the whole partition filter is recomputed, which
-  /// is why finer partitions update faster; Figure 11c).
+  /// is why finer partitions update faster; Figure 11c). The result is
+  /// stamped `ts` but unsigned until Certify.
   CertifiedPartition RebuildPartition(
       const CertifiedPartition& old,
       const std::vector<int64_t>& remaining_values, uint64_t ts) const;
@@ -134,27 +138,22 @@ class JoinAuthority {
   /// Refresh a live partition in place from an insert-only update set:
   /// builds a same-geometry delta filter over `new_values`, merges it
   /// into the live filter double-buffered (readers of the old buffer are
-  /// unaffected until the switch), stamps `ts`, and signs the post-merge
-  /// message. The returned delta is what ships to the server — merging
-  /// it there must reproduce these exact bits for the signature to
-  /// verify client-side. With empty `new_values` this degenerates to a
+  /// unaffected until the switch) and stamps `ts`. The returned delta is
+  /// what ships to the server — merging it there must reproduce these
+  /// exact bits for the signature to verify client-side. Its `sig` is the
+  /// post-merge certificate: copy `live->sig` into it once Certify has
+  /// signed `live`. With empty `new_values` this degenerates to a
   /// recertification delta.
   PartitionDelta RefreshWithDelta(CertifiedPartition* live,
                                   const std::vector<int64_t>& new_values,
                                   uint64_t ts) const;
 
-  /// Re-certify an unchanged partition with a fresh timestamp (the
-  /// rho-period refresh of the streaming pipeline: clients can then bound
-  /// how stale a shipped filter may be).
-  CertifiedPartition Recertify(const CertifiedPartition& old,
-                               uint64_t ts) const {
-    CertifiedPartition part = old;
-    part.ts = ts;
-    return Certify(std::move(part));
-  }
+  /// Sign every partition's SignedMessage in ONE BasPrivateKey::SignBatch
+  /// (one multi-buffer SHA pass and one shared inversion under kFast) and
+  /// install each signature in its `sig`.
+  void Certify(const std::vector<CertifiedPartition*>& parts) const;
 
  private:
-  CertifiedPartition Certify(CertifiedPartition part) const;
   std::shared_ptr<const BasContext> ctx_;
   const BasPrivateKey* key_;
   BasContext::HashMode mode_;

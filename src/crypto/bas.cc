@@ -11,8 +11,11 @@
 namespace authdb {
 
 namespace {
-constexpr int kWindowBits = 4;
-constexpr int kWindowCount = 40;  // 160-bit scalars
+// Fixed-base table geometry: one window per scalar byte, each holding the
+// 255 nonzero multiples of its base. Windows must not straddle a limb.
+constexpr int kWindowBits = 8;
+constexpr size_t kWindowPoints = (size_t{1} << kWindowBits) - 1;
+static_assert(64 % kWindowBits == 0);
 }  // namespace
 
 std::shared_ptr<const BasContext> BasContext::Generate(int p_bits, int r_bits,
@@ -51,29 +54,36 @@ std::shared_ptr<const BasContext> BasContext::Default() {
 }
 
 void BasContext::BuildFixedBaseTable() {
-  fixed_base_.resize(kWindowCount);
-  ECPoint base = generator_;
-  for (int w = 0; w < kWindowCount; ++w) {
-    fixed_base_[w].resize((1 << kWindowBits) - 1);
-    ECPoint acc = base;
-    for (int j = 0; j < (1 << kWindowBits) - 1; ++j) {
-      fixed_base_[w][j] = acc;
-      acc = curve_->Add(acc, base);
-    }
-    // base <- 2^kWindowBits * base
-    for (int d = 0; d < kWindowBits; ++d) base = curve_->Double(base);
+  // Scalars are reduced mod r, so ceil(bits(r) / kWindowBits) windows
+  // cover them.
+  const size_t windows = (curve_->order().BitLength() + kWindowBits - 1) /
+                         kWindowBits;
+  AUTHDB_CHECK(windows * kWindowBits <= 256);  // four 64-bit limbs
+  // Every entry stays Jacobian until ONE ToAffineBatch at the end.
+  std::vector<CurveGroup::Jacobian> js(windows * kWindowPoints);
+  CurveGroup::Jacobian base = curve_->ToJacobian(generator_);
+  for (size_t w = 0; w < windows; ++w) {
+    CurveGroup::Jacobian* row = &js[w * kWindowPoints];
+    row[0] = base;
+    row[1] = curve_->JacDouble(base);
+    for (size_t j = 2; j < kWindowPoints; ++j)
+      row[j] = curve_->JacAdd(row[j - 1], base);
+    // base <- 2^kWindowBits * base = 2 * (2^(kWindowBits-1) * base)
+    base = curve_->JacDouble(row[(kWindowPoints - 1) / 2]);
   }
+  fixed_base_ = curve_->ToAffineBatch(js);
 }
 
 CurveGroup::Jacobian BasContext::FixedBaseMultJac(const Fp& k) const {
   const Fp scalar = scalars_->IsReduced(k) ? k : scalars_->Reduce(k);
   CurveGroup::Jacobian acc = curve_->ToJacobian(ECPoint{});
-  for (int w = 0; w < kWindowCount; ++w) {
-    uint32_t nibble = 0;
-    for (int b = 0; b < kWindowBits; ++b)
-      nibble |= static_cast<uint32_t>(scalar.Bit(w * kWindowBits + b)) << b;
-    if (nibble != 0)
-      acc = curve_->JacAddAffine(acc, fixed_base_[w][nibble - 1]);
+  const size_t windows = fixed_base_.size() / kWindowPoints;
+  for (size_t w = 0; w < windows; ++w) {
+    const size_t bit = w * kWindowBits;
+    const size_t digit = (scalar.limb[bit / 64] >> (bit % 64)) & kWindowPoints;
+    if (digit != 0)
+      acc = curve_->JacAddAffine(acc,
+                                 fixed_base_[w * kWindowPoints + digit - 1]);
   }
   return acc;
 }

@@ -54,8 +54,8 @@ struct BasAccumulator {
 
 /// Shared, immutable BAS domain parameters: a supersingular curve
 /// y^2 = x^3 + x over F_p (p = 3 mod 4, 256 bits), a 160-bit prime subgroup
-/// order r with p + 1 = cofactor * r, the Tate pairing, a generator, and a
-/// fixed-base window table for fast exponent-hash signing.
+/// order r with p + 1 = cofactor * r, the Tate pairing, a generator, and an
+/// 8-bit fixed-base window table for fast exponent-hash signing.
 ///
 /// Hash-to-group modes:
 ///  * kSecure — try-and-increment hash-to-point with cofactor clearing; this
@@ -93,8 +93,9 @@ class BasContext {
   /// SHA front end (Sha256::HashMany) in one pass, then reduced into Z_r.
   /// `out` must hold `count` scalars; equivalent to HashToScalar per msg.
   void HashToScalarMany(const Slice* msgs, size_t count, Fp* out) const;
-  /// k * G through the fixed-base window table (~40 mixed additions), for
-  /// a plain scalar k (reduced mod r first when k >= r).
+  /// k * G through the fixed-base window table (at most 20 mixed additions
+  /// under the default parameters: one per nonzero byte of k), for a plain
+  /// scalar k (reduced mod r first when k >= r). Allocation-free.
   ECPoint FixedBaseMult(const Fp& k) const;
   /// k * G left as a Jacobian accumulator (no inversion): callers doing
   /// many multiplications batch the affine conversion via ToAffineBatch.
@@ -123,8 +124,11 @@ class BasContext {
   std::unique_ptr<PrimeField> scalars_;
   std::unique_ptr<TatePairing> pairing_;
   ECPoint generator_;
-  // fixed_base_[w][j] = j * 2^(4w) * G for j in [1, 15], affine.
-  std::vector<std::vector<ECPoint>> fixed_base_;
+  // fixed_base_[255 * w + j - 1] = j * 2^(8w) * G for j in [1, 255], one
+  // window per byte of a scalar mod r, affine: 20 x 255 points, about
+  // 360 KB under the default parameters. Built in Jacobian form and
+  // converted with ONE shared inversion (CurveGroup::ToAffineBatch).
+  std::vector<ECPoint> fixed_base_;
 };
 
 /// One element of BasPublicKey::VerifyAggregateBatch: an aggregate

@@ -70,6 +70,32 @@ void ExpectBatchMatchesPairReference(
   }
 }
 
+/// FixedBaseMult against the double-and-add reference at the edges of the
+/// table's 8-bit windows: empty and full bytes, every byte boundary inside
+/// the order, the top bit, r - 1, and scalars >= r (reduced first).
+void ExpectFixedBaseWindowBoundaries(
+    const std::shared_ptr<const BasContext>& ctx) {
+  const CurveGroup& curve = ctx->curve();
+  const BigInt& r = ctx->order();
+  const BigInt one(1);
+  std::vector<BigInt> ks = {BigInt(0), one, BigInt(255), BigInt(256)};
+  for (int j = 1; 8 * j <= 256; ++j) {
+    const BigInt pow = BigInt::ShiftLeft(one, 8 * j);
+    if (8 * j < 256) ks.push_back(pow);
+    ks.push_back(BigInt::Sub(pow, one));
+  }
+  ks.push_back(BigInt::ShiftLeft(one, 159));
+  ks.push_back(BigInt::Sub(r, one));
+  ks.push_back(r);
+  ks.push_back(BigInt::Add(r, one));
+  ks.push_back(BigInt::Add(BigInt::Mul(r, BigInt(3)), BigInt(255)));
+  for (const BigInt& k : ks) {
+    SCOPED_TRACE("k = 0x" + k.ToHex());
+    EXPECT_TRUE(curve.Equal(ctx->FixedBaseMult(Fp::FromBigInt(k)),
+                            curve.ScalarMult(ctx->generator(), k)));
+  }
+}
+
 class BasTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -278,6 +304,10 @@ TEST_F(BasTest, FixedBaseMultMatchesScalarMult) {
   }
 }
 
+TEST_F(BasTest, FixedBaseMultAtWindowBoundaries) {
+  ExpectFixedBaseWindowBoundaries(*ctx_);
+}
+
 TEST_F(BasTest, FastHashMatchesExponentTimesGenerator) {
   std::string m = "message";
   ECPoint h = (*ctx_)->HashToPoint(Slice(m), HashMode::kFast);
@@ -387,6 +417,10 @@ TEST(BasDefaultParamsTest, KnownAnswerBytes) {
                   ctx->FixedBaseMult(Fp::FromBigInt(BigInt::FromHex(k))))),
               want);
   }
+}
+
+TEST(BasDefaultParamsTest, FixedBaseMultAtWindowBoundaries) {
+  ExpectFixedBaseWindowBoundaries(BasContext::Default());
 }
 
 TEST(BasDefaultParamsTest, BatchMatchesPairReference) {

@@ -8,9 +8,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/chain.h"
 #include "core/data_aggregator.h"
 #include "core/verifier.h"
 #include "server/sharded_query_server.h"
@@ -73,6 +75,51 @@ std::shared_ptr<const BasContext> TestCtx() {
         BasContext::Generate(96, 64, &rng));
   }();
   return *ctx;
+}
+
+TEST(IntegrationTest, ChunkedBulkLoadSignsLikeSingleSigns) {
+  // 600 records cross two 256-record signing batches: every certificate
+  // must equal an independent single Sign of its chain and attribute
+  // messages, and rids stay sequential in key order.
+  ManualClock clock(1'000'000);
+  Rng rng(0xB01C);
+  DataAggregator::Options opt;
+  opt.record_len = 128;
+  opt.sign_attributes = true;
+  DataAggregator da(TestCtx(), &clock, &rng, opt);
+  std::vector<Record> records;
+  for (int64_t k = 599; k >= 0; --k) {
+    Record r;
+    r.attrs = {k * 5, k, -k};
+    records.push_back(r);
+  }
+  auto stream = da.BulkLoad(std::move(records));
+  ASSERT_TRUE(stream.ok());
+  ASSERT_EQ(stream.value().size(), 600u);
+  EXPECT_EQ(da.signatures_issued(), 600u);
+  const BasPrivateKey& key = *da.private_key();
+  const CurveGroup& curve = TestCtx()->curve();
+  const HashMode mode = da.hash_mode();
+  for (size_t i = 0; i < 600; ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    const CertifiedRecord& cert = *stream.value()[i].record;
+    EXPECT_EQ(cert.record.rid, i);
+    EXPECT_EQ(cert.record.key(), static_cast<int64_t>(i) * 5);
+    const int64_t left = i > 0 ? cert.record.key() - 5 : kChainMinusInf;
+    const int64_t right = i + 1 < 600 ? cert.record.key() + 5 : kChainPlusInf;
+    EXPECT_TRUE(curve.Equal(
+        cert.sig.point,
+        key.Sign(ChainMessage(cert.record, left, right).AsSlice(), mode)
+            .point));
+    ASSERT_EQ(cert.attr_sigs.size(), cert.record.attrs.size());
+    for (size_t a = 0; a < cert.attr_sigs.size(); ++a) {
+      const ByteBuffer m = DataAggregator::AttributeMessage(
+          cert.record.rid, static_cast<uint32_t>(a), cert.record.attrs[a],
+          cert.record.ts);
+      EXPECT_TRUE(curve.Equal(cert.attr_sigs[a].point,
+                              key.Sign(m.AsSlice(), mode).point));
+    }
+  }
 }
 
 TEST(IntegrationTest, MixedWorkloadStaysVerifiable) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -230,6 +231,7 @@ TEST_F(JoinTest, PartitionRebuildAfterDeletion) {
   ASSERT_NE(part, nullptr);
   CertifiedPartition rebuilt = authority_->RebuildPartition(
       *part, /*remaining_values=*/{30}, clock_.NowMicros() + 1);
+  authority_->Certify({&rebuilt});
   EXPECT_FALSE(rebuilt.filter.MayContainInt64(50));
   // The rebuilt filter is certified and usable.
   EXPECT_TRUE(da_->public_key().Verify(rebuilt.SignedMessage().AsSlice(),
@@ -252,6 +254,8 @@ TEST_F(JoinTest, DeltaRefreshEquivalentToFullRebuildForInserts) {
       &via_delta, inserted, clock_.NowMicros() + 1);
   CertifiedPartition via_rebuild = authority_->RebuildPartition(
       *live, /*remaining_values=*/{30, 50, 35, 42}, clock_.NowMicros() + 1);
+  authority_->Certify({&via_delta, &via_rebuild});
+  delta.sig = via_delta.sig;
 
   EXPECT_EQ(via_delta.filter.CertificationDigest(),
             via_rebuild.filter.CertificationDigest());
@@ -273,6 +277,8 @@ TEST_F(JoinTest, ApplyPartitionRefreshMergesDeltasAndReplacesFulls) {
   PartitionRefresh refresh;
   refresh.deltas.push_back(authority_->RefreshWithDelta(
       &refreshed, {65}, clock_.NowMicros() + 1));
+  authority_->Certify({&refreshed});
+  refresh.deltas.back().sig = refreshed.sig;
   ASSERT_TRUE(ApplyPartitionRefresh(refresh, &live));
   EXPECT_EQ(live.back().filter.bytes(), refreshed.filter.bytes());
   EXPECT_EQ(live.back().ts, refreshed.ts);
@@ -281,6 +287,7 @@ TEST_F(JoinTest, ApplyPartitionRefreshMergesDeltasAndReplacesFulls) {
   PartitionRefresh full;
   full.full.push_back(authority_->RebuildPartition(
       live.front(), {10}, clock_.NowMicros() + 2));
+  authority_->Certify({&full.full.back()});
   ASSERT_TRUE(ApplyPartitionRefresh(full, &live));
   EXPECT_FALSE(live.front().filter.MayContainInt64(20));
 
@@ -302,6 +309,7 @@ TEST_F(JoinTest, TamperedDeltaMergedFilterDetected) {
   // signature over the post-merge SignedMessage must fail.
   CertifiedPartition refreshed = partitions_[0];
   authority_->RefreshWithDelta(&refreshed, {15}, clock_.NowMicros() + 1);
+  authority_->Certify({&refreshed});
   ASSERT_TRUE(da_->public_key().Verify(refreshed.SignedMessage().AsSlice(),
                                        refreshed.sig, HashMode::kFast));
   CertifiedPartition tampered = refreshed;
@@ -323,6 +331,107 @@ TEST_F(JoinTest, VoSizeBfSmallerThanBvWhenMostlyUnmatched) {
   // boundary-value proofs under wire accounting.
   EXPECT_LT(bf.value().wire_size(sm), bv.value().wire_size(sm));
 }
+
+/// Serialized signature bytes, so a mismatch prints as a byte diff.
+std::vector<uint8_t> SigBytes(const BasContext& ctx, const BasSignature& s) {
+  return ctx.curve().Serialize(s.point);
+}
+
+// The DA signs a period's partition certificates in one batch. Every
+// certificate it ships must be the one an independent single Sign gives,
+// and replaying the shipped refresh over the previous partitions must
+// reproduce the DA's own state bit for bit.
+class PeriodCloseTest : public ::testing::TestWithParam<HashMode> {};
+
+TEST_P(PeriodCloseTest, BatchedCertificatesAreByteIdentical) {
+  const HashMode mode = GetParam();
+  auto ctx = BasContext::Default();
+  ManualClock clock(1'000'000);
+  Rng rng(0x7e51);
+  DataAggregator::Options opt;
+  opt.record_len = 128;
+  opt.hash_mode = mode;
+  DataAggregator da(ctx, &clock, &rng, opt);
+  std::vector<Record> records;
+  for (int64_t b = 10; b <= 200; b += 10) {  // 20 distinct B values
+    Record r;
+    r.attrs = {JoinCompositeKey(b, 0), b};
+    records.push_back(r);
+  }
+  ASSERT_TRUE(da.BulkLoad(std::move(records)).ok());
+  // Four values per partition: [-inf,49] [50,89] [90,129] [130,169] [170,+inf].
+  const std::vector<CertifiedPartition> initial =
+      da.EnableJoinPartitions(/*values_per_partition=*/4, 8.0);
+  ASSERT_EQ(initial.size(), 5u);
+  const BasPrivateKey& key = *da.private_key();
+  const BasPublicKey& pk = da.public_key();
+
+  auto expect_certificate = [&](const CertifiedPartition& p,
+                                const BasSignature& sig) {
+    SCOPED_TRACE("partition " + std::to_string(p.idx));
+    const ByteBuffer msg = p.SignedMessage();
+    EXPECT_EQ(SigBytes(*ctx, sig), SigBytes(*ctx, key.Sign(msg.AsSlice(), mode)));
+    EXPECT_TRUE(pk.Verify(msg.AsSlice(), sig, mode));
+  };
+  auto close_period = [&](size_t want_full, size_t want_merges) {
+    clock.AdvanceMicros(1'000'000);
+    std::vector<CertifiedPartition> replay = da.join_partitions();
+    DataAggregator::PeriodOutput out = da.PublishSummary();
+    const PartitionRefresh& refresh = out.partition_refresh;
+    EXPECT_EQ(refresh.full.size(), want_full);
+    EXPECT_EQ(refresh.full.size() + refresh.deltas.size(), initial.size());
+    size_t merges = 0;
+    for (const PartitionDelta& d : refresh.deltas)
+      merges += d.delta.bit_count() > 0 ? 1 : 0;
+    EXPECT_EQ(merges, want_merges);
+    for (const CertifiedPartition& f : refresh.full) expect_certificate(f, f.sig);
+
+    ASSERT_TRUE(ApplyPartitionRefresh(refresh, &replay));
+    for (const PartitionDelta& d : refresh.deltas) {
+      const CertifiedPartition* p = nullptr;
+      for (const CertifiedPartition& q : replay)
+        if (q.idx == d.idx) p = &q;
+      ASSERT_NE(p, nullptr);
+      expect_certificate(*p, d.sig);
+    }
+    const std::vector<CertifiedPartition>& live = da.join_partitions();
+    ASSERT_EQ(replay.size(), live.size());
+    for (size_t i = 0; i < live.size(); ++i) {
+      SCOPED_TRACE("partition " + std::to_string(live[i].idx));
+      EXPECT_EQ(replay[i].idx, live[i].idx);
+      EXPECT_EQ(replay[i].lo_b, live[i].lo_b);
+      EXPECT_EQ(replay[i].hi_b, live[i].hi_b);
+      EXPECT_EQ(replay[i].ts, live[i].ts);
+      EXPECT_EQ(replay[i].ts, clock.NowMicros());
+      EXPECT_EQ(replay[i].filter.bit_count(), live[i].filter.bit_count());
+      EXPECT_EQ(replay[i].filter.bytes(), live[i].filter.bytes());
+      EXPECT_EQ(SigBytes(*ctx, replay[i].sig), SigBytes(*ctx, live[i].sig));
+    }
+  };
+
+  // Period 1: partition 0 insert-only, partition 2 delete-dirty, the rest
+  // untouched (recertification deltas).
+  ASSERT_TRUE(da.InsertRecord({JoinCompositeKey(15, 0), 15}).ok());
+  ASSERT_TRUE(da.DeleteRecord(JoinCompositeKey(110, 0)).ok());
+  close_period(/*want_full=*/1, /*want_merges=*/1);
+  // Period 2: two insert-only partitions, and partition 4 both inserted
+  // into and delete-dirty (a full rebuild that holds the new value).
+  ASSERT_TRUE(da.InsertRecord({JoinCompositeKey(55, 0), 55}).ok());
+  ASSERT_TRUE(da.InsertRecord({JoinCompositeKey(135, 0), 135}).ok());
+  ASSERT_TRUE(da.InsertRecord({JoinCompositeKey(185, 0), 185}).ok());
+  ASSERT_TRUE(da.DeleteRecord(JoinCompositeKey(190, 0)).ok());
+  close_period(/*want_full=*/1, /*want_merges=*/2);
+  EXPECT_TRUE(da.join_partitions()[4].filter.MayContainInt64(185));
+  // Period 3: nothing changed, every partition is recertified.
+  close_period(/*want_full=*/0, /*want_merges=*/0);
+}
+
+INSTANTIATE_TEST_SUITE_P(HashModes, PeriodCloseTest,
+                         ::testing::Values(HashMode::kFast, HashMode::kSecure),
+                         [](const ::testing::TestParamInfo<HashMode>& info) {
+                           return info.param == HashMode::kFast ? "Fast"
+                                                                : "Secure";
+                         });
 
 }  // namespace
 }  // namespace authdb
