@@ -21,7 +21,7 @@
 #include "core/data_aggregator.h"
 #include "server/sharded_query_server.h"
 #include "server/update_stream.h"
-#include "sim/multi_client.h"
+#include "sim/load_driver.h"
 #include "workload/tpce.h"
 
 namespace authdb {
@@ -186,14 +186,15 @@ void Run(bench::BenchRun* run) {
     }
 
     // Phase B: read throughput, idle vs. racing a live DA feed.
-    MultiClientOptions mopts;
-    mopts.clients = clients;
-    mopts.ops_per_client = ops_per_client;
+    LoadOptions mopts;
+    mopts.arrivals = LoadOptions::Arrivals::kClosed;
+    mopts.dispatch_threads = clients;
+    mopts.total_arrivals = clients * ops_per_client;
     mopts.key_lo = w.key_lo;
     mopts.key_hi = w.key_hi;
     mopts.query_span = 64;
     mopts.seed = 99;
-    MultiClientReport idle = RunMultiClientLoad(server.get(), {}, mopts);
+    LoadReport idle = RunLoad(server.get(), mopts);
     AUTHDB_CHECK(idle.failures == 0);
 
     double live_qps = 0;
@@ -220,25 +221,24 @@ void Run(bench::BenchRun* run) {
           }
         }
       });
-      MultiClientReport live = RunMultiClientLoad(server.get(), {}, mopts);
+      LoadReport live = RunLoad(server.get(), mopts);
       stop.store(true);
       producer.join();
       stream.Flush();
       AUTHDB_CHECK(live.failures == 0);
       AUTHDB_CHECK(stream.Metrics().ingest.apply_failures == 0);
-      live_qps = live.ops_per_second;
+      live_qps = live.goodput_qps;
     }
 
-    double retained =
-        idle.ops_per_second > 0 ? live_qps / idle.ops_per_second : 0;
+    double retained = idle.goodput_qps > 0 ? live_qps / idle.goodput_qps : 0;
     std::printf("%8zu %14.0f %11.0f us %16.0f %16.0f %11.0f%%\n",
                 shards, ingest_rate, publish_mean,
-                idle.ops_per_second, live_qps, retained * 100);
+                idle.goodput_qps, live_qps, retained * 100);
 
     std::string suffix = "_shards_" + std::to_string(shards);
     run->Metric("ingest_updates_per_s" + suffix, ingest_rate);
     run->Metric("publish_mean_us" + suffix, publish_mean);
-    run->Metric("read_qps_idle" + suffix, idle.ops_per_second);
+    run->Metric("read_qps_idle" + suffix, idle.goodput_qps);
     run->Metric("read_qps_live_ingest" + suffix, live_qps);
     run->Metric("read_retention_pct" + suffix, retained * 100);
   }

@@ -4,7 +4,9 @@
 // at 1 -> 4 shards while a live DA feed streams updates and rho-period
 // summaries (with certified partition refreshes) through the apply queues.
 // Reports per-kind throughput and latency plus per-kind VO bytes — the
-// serving-layer view of the paper's Figure 11 trade-offs.
+// serving-layer view of the paper's Figure 11 trade-offs. A last section
+// sweeps the same shard counts over a uniform selection-only workload with
+// no ingest: the wall-clock scaling story of the sharded server.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -21,7 +23,7 @@
 #include "core/verifier.h"
 #include "server/sharded_query_server.h"
 #include "server/update_stream.h"
-#include "sim/multi_client.h"
+#include "sim/load_driver.h"
 #include "workload/generator.h"
 
 namespace authdb {
@@ -70,7 +72,7 @@ void Run(bench::BenchRun* run) {
   double read_cap_1 = 0, read_cap_4 = 0;
   double join_cap_1 = 0, join_cap_4 = 0;
   double mixed_cap_1 = 0, mixed_cap_4 = 0;
-  MultiClientReport last_report;
+  LoadReport last_report;
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     // Fresh DA per configuration so every shard count serves an identical
     // certification history.
@@ -124,9 +126,10 @@ void Run(bench::BenchRun* run) {
       }
     });
 
-    MultiClientOptions mopts;
-    mopts.clients = clients;
-    mopts.ops_per_client = ops_per_client;
+    LoadOptions mopts;
+    mopts.arrivals = LoadOptions::Arrivals::kClosed;
+    mopts.dispatch_threads = clients;
+    mopts.total_arrivals = clients * ops_per_client;
     mopts.key_lo = key_lo;
     mopts.key_hi = key_hi;
     mopts.query_span = JoinCompositeKey(8, 0);  // ~8 B groups per range
@@ -138,7 +141,7 @@ void Run(bench::BenchRun* run) {
     mopts.projection_attrs = {1, 2};
     mopts.batch_size = batch_size;
     mopts.seed = 42;
-    MultiClientReport report = RunMultiClientLoad(&server, {}, mopts);
+    LoadReport report = RunLoad(&server, mopts);
     stop.store(true);
     producer.join();
     stream.Flush();
@@ -146,9 +149,14 @@ void Run(bench::BenchRun* run) {
     AUTHDB_CHECK(stream.Metrics().ingest.apply_failures == 0);
     last_report = report;
 
-    double sel_qps = report.KindOpsPerSecond(report.queries);
-    double join_qps = report.KindOpsPerSecond(report.joins);
-    double proj_qps = report.KindOpsPerSecond(report.projections);
+    auto per_s = [&report](size_t n) {
+      return report.elapsed_seconds > 0
+                 ? static_cast<double>(n) / report.elapsed_seconds
+                 : 0.0;
+    };
+    double sel_qps = per_s(report.served_selects);
+    double join_qps = per_s(report.served_joins);
+    double proj_qps = per_s(report.served_projects);
 
     // Shard-scaling capacity from per-shard BUSY time, not wall clock:
     // on a single-core runner all shard workers timeslice one core, so
@@ -162,8 +170,9 @@ void Run(bench::BenchRun* run) {
       read_busy_max = std::max(read_busy_max, kb.select_us + kb.project_us);
       join_busy_max = std::max(join_busy_max, kb.join_us);
     }
-    size_t reads = report.queries + report.projections;
-    size_t plans = reads + report.joins;
+    size_t reads = report.served_selects + report.served_projects;
+    size_t joins = report.served_joins;
+    size_t plans = reads + joins;
     double mixed_cap =
         busy_max > 0 ? static_cast<double>(plans) / (busy_max * 1e-6) : 0;
     double read_cap = read_busy_max > 0
@@ -171,7 +180,7 @@ void Run(bench::BenchRun* run) {
                           : 0;
     double join_cap =
         join_busy_max > 0
-            ? static_cast<double>(report.joins) / (join_busy_max * 1e-6)
+            ? static_cast<double>(joins) / (join_busy_max * 1e-6)
             : 0;
     if (shards == 1) {
       read_cap_1 = read_cap;
@@ -186,16 +195,16 @@ void Run(bench::BenchRun* run) {
 
     std::printf(
         "%8zu %10.0f %10.0f %10.0f %10.0f %12.0f %12llu %12llu %12llu\n",
-        shards, report.ops_per_second, sel_qps, join_qps, proj_qps, mixed_cap,
+        shards, report.goodput_qps, sel_qps, join_qps, proj_qps, mixed_cap,
         static_cast<unsigned long long>(
-            report.query_latency.PercentileMicros(0.99)),
+            report.select_latency.PercentileMicros(0.99)),
         static_cast<unsigned long long>(
             report.join_latency.PercentileMicros(0.99)),
         static_cast<unsigned long long>(
-            report.projection_latency.PercentileMicros(0.99)));
+            report.project_latency.PercentileMicros(0.99)));
 
     std::string suffix = "_shards_" + std::to_string(shards);
-    run->Metric("mixed_ops_per_s" + suffix, report.ops_per_second);
+    run->Metric("mixed_ops_per_s" + suffix, report.goodput_qps);
     run->Metric("select_qps" + suffix, sel_qps);
     run->Metric("join_qps" + suffix, join_qps);
     run->Metric("projection_qps" + suffix, proj_qps);
@@ -210,13 +219,13 @@ void Run(bench::BenchRun* run) {
                 static_cast<double>(report.server.exec.batch_finalizes));
     run->Metric("select_p99_us" + suffix,
                 static_cast<double>(
-                    report.query_latency.PercentileMicros(0.99)));
+                    report.select_latency.PercentileMicros(0.99)));
     run->Metric("join_p99_us" + suffix,
                 static_cast<double>(
                     report.join_latency.PercentileMicros(0.99)));
     run->Metric("projection_p99_us" + suffix,
                 static_cast<double>(
-                    report.projection_latency.PercentileMicros(0.99)));
+                    report.project_latency.PercentileMicros(0.99)));
 
     // Quiesced sanity: one answer of each kind must pass the unmodified
     // client-side verifier under the final epoch — the bench measures a
@@ -275,11 +284,85 @@ void Run(bench::BenchRun* run) {
   run->Metric("projection_vo_bytes_mean", vo.project_mean());
 }
 
+// Uniform selections only, no ingest, batches of one: K shards serve
+// closed-loop clients and the wall-clock speedup tracks min(K, cores).
+void RunUniformSelections(bench::BenchRun* run) {
+  const bool smoke = run->smoke();
+  const int64_t n_records = smoke ? 1024 : 8192;
+  const size_t clients = 4;
+  const size_t ops_per_client = smoke ? 50 : 400;
+  const uint64_t query_span = 32;
+
+  bench::Header(
+      "Uniform selections across shards (no ingest, batches of one)",
+      "N = " + std::to_string(n_records) + " records, " +
+          std::to_string(clients) + " closed-loop clients, span " +
+          std::to_string(query_span) + "; " +
+          std::to_string(std::thread::hardware_concurrency()) +
+          " hardware threads — speedup is capped by min(shards, cores)");
+
+  SystemClock clock;
+  Rng rng(4);
+  auto ctx = BasContext::Default();
+  DataAggregator::Options da_opt;
+  da_opt.record_len = 128;
+  da_opt.piggyback_renewal = false;
+  DataAggregator da(ctx, &clock, &rng, da_opt);
+  std::vector<Record> records;
+  for (int64_t k = 0; k < n_records; ++k) {
+    Record r;
+    r.attrs = {k, k * 3};
+    records.push_back(r);
+  }
+  auto bulk = da.BulkLoad(std::move(records));
+  AUTHDB_CHECK(bulk.ok());
+
+  std::printf("\n%8s %12s %12s %12s %12s %10s\n", "shards", "qps", "mean us",
+              "p50 us", "p99 us", "speedup");
+  double base_qps = 0;
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    ServerConfig cfg;
+    cfg.node.record_len = 128;
+    cfg.serving.worker_threads = shards;
+    ShardedQueryServer server(
+        ctx, ShardRouter::Uniform(shards, 0, n_records - 1), cfg);
+    for (const auto& msg : bulk.value()) {
+      Status s = server.ApplyUpdate(msg);
+      AUTHDB_CHECK(s.ok());
+    }
+
+    LoadOptions opts;
+    opts.arrivals = LoadOptions::Arrivals::kClosed;
+    opts.dispatch_threads = clients;
+    opts.total_arrivals = clients * ops_per_client;
+    opts.key_lo = 0;
+    opts.key_hi = n_records - 1;
+    opts.query_span = query_span;
+    opts.seed = 42;
+    LoadReport report = RunLoad(&server, opts);
+    AUTHDB_CHECK(report.failures == 0);
+
+    const double qps = report.goodput_qps;
+    if (shards == 1) base_qps = qps;
+    const double speedup = base_qps > 0 ? qps / base_qps : 0;
+    std::printf("%8zu %12.0f %12.0f %12llu %12llu %9.2fx\n", shards, qps,
+                report.select_latency.MeanMicros(),
+                static_cast<unsigned long long>(
+                    report.select_latency.PercentileMicros(0.50)),
+                static_cast<unsigned long long>(
+                    report.select_latency.PercentileMicros(0.99)),
+                speedup);
+    run->Metric("qps_shards_" + std::to_string(shards), qps);
+    if (shards == 4) run->Metric("speedup_4_shards", speedup);
+  }
+}
+
 }  // namespace
 }  // namespace authdb
 
 int main(int argc, char** argv) {
   authdb::bench::BenchRun run(argc, argv, "mixed_queries", {"--no-batch"});
   authdb::Run(&run);
+  authdb::RunUniformSelections(&run);
   return 0;
 }

@@ -1,6 +1,6 @@
 // Open-loop overload: what the server does when offered MORE than it can
-// serve. Phase 1 measures serving capacity closed-loop (admission off, no
-// arrival schedule — load self-throttles). Phase 2 replays a Poisson (and
+// serve. Phase 1 measures serving capacity closed-loop (admission off, every
+// arrival due at once — load self-throttles). Phase 2 replays a Poisson (and
 // then bursty) arrival schedule at 2x that capacity with admission control
 // on: selections ride the priority lane, projections/joins the bulk lane,
 // and everything the bounded intake queues cannot hold is shed with an
@@ -27,8 +27,7 @@
 #include "server/config.h"
 #include "server/sharded_query_server.h"
 #include "server/update_stream.h"
-#include "sim/multi_client.h"
-#include "sim/open_loop.h"
+#include "sim/load_driver.h"
 #include "workload/generator.h"
 
 namespace authdb {
@@ -82,7 +81,7 @@ std::unique_ptr<ShardedQueryServer> MakeServer(const Fixture& fx,
   return server;
 }
 
-void FillMix(OpenLoopOptions* o, const Fixture& fx, size_t n_b_values) {
+void FillMix(LoadOptions* o, const Fixture& fx, size_t n_b_values) {
   o->key_lo = fx.key_lo;
   o->key_hi = fx.key_hi;
   o->query_span = static_cast<uint64_t>(JoinCompositeKey(8, 0));
@@ -125,24 +124,17 @@ void Run(bench::BenchRun* run) {
     DataAggregator::PeriodOutput p0 = fx.da->PublishSummary();
     server->AddSummary(p0.summary);
 
-    MultiClientOptions mopts;
-    mopts.clients = 8;
-    mopts.ops_per_client = smoke ? 50 : 400;
-    mopts.key_lo = fx.key_lo;
-    mopts.key_hi = fx.key_hi;
-    mopts.query_span = static_cast<uint64_t>(JoinCompositeKey(8, 0));
-    mopts.join_fraction = 0.25;
-    mopts.projection_fraction = 0.25;
-    mopts.join_probe_count = 4;
-    mopts.join_b_lo = 0;
-    mopts.join_b_hi = 2 * static_cast<int64_t>(n_b_values) - 1;
-    mopts.projection_attrs = {1, 2};
-    mopts.batch_size = 1;
-    mopts.seed = 42;
-    MultiClientReport cap = RunMultiClientLoad(server.get(), {}, mopts);
+    LoadOptions copts;
+    copts.arrivals = LoadOptions::Arrivals::kClosed;
+    copts.dispatch_threads = 8;
+    copts.total_arrivals = copts.dispatch_threads * (smoke ? 50 : 400);
+    FillMix(&copts, fx, n_b_values);
+    copts.batch_size = 1;
+    copts.seed = 42;
+    LoadReport cap = RunLoad(server.get(), copts);
     AUTHDB_CHECK(cap.failures == 0);
     AUTHDB_CHECK(cap.shed == 0);  // admission off: nothing may shed
-    capacity_qps = cap.ops_per_second;
+    capacity_qps = cap.goodput_qps;
     std::printf("\nclosed-loop capacity (admission off): %.0f plans/s\n",
                 capacity_qps);
   }
@@ -169,9 +161,9 @@ void Run(bench::BenchRun* run) {
               "bulk shed%", "sel p99 us");
 
   double poisson_ratio = 0;
-  for (const auto arrivals : {OpenLoopOptions::Arrivals::kPoisson,
-                              OpenLoopOptions::Arrivals::kBurst}) {
-    const bool poisson = arrivals == OpenLoopOptions::Arrivals::kPoisson;
+  for (const auto arrivals : {LoadOptions::Arrivals::kPoisson,
+                              LoadOptions::Arrivals::kBurst}) {
+    const bool poisson = arrivals == LoadOptions::Arrivals::kPoisson;
     auto server = MakeServer(fx, over_cfg);
     DataAggregator::PeriodOutput p0 = fx.da->PublishSummary();
     server->AddSummary(p0.summary);
@@ -193,7 +185,7 @@ void Run(bench::BenchRun* run) {
       }
     });
 
-    OpenLoopOptions oopts;
+    LoadOptions oopts;
     oopts.arrivals = arrivals;
     oopts.target_qps = target_qps;
     oopts.total_arrivals = total_arrivals;
@@ -205,7 +197,7 @@ void Run(bench::BenchRun* run) {
     oopts.burst_factor = 3.0;
     FillMix(&oopts, fx, n_b_values);
     oopts.seed = poisson ? 17 : 18;
-    OpenLoopReport rep = RunOpenLoopLoad(server.get(), oopts);
+    LoadReport rep = RunLoad(server.get(), oopts);
 
     stop.store(true);
     producer.join();

@@ -40,9 +40,9 @@ namespace authdb {
 namespace {
 using Clock = std::chrono::steady_clock;
 
-uint64_t ElapsedUs(Clock::time_point a, Clock::time_point b) {
+uint64_t ToMicros(Clock::duration d) {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
+      std::chrono::duration_cast<std::chrono::microseconds>(d).count());
 }
 
 /// A selection's one aggregate column: the chain signatures.
@@ -214,7 +214,9 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
   });
 
   EpochSnapshot::ForwardCursor cur(snap);
-  uint64_t select_us = 0, project_us = 0, join_us = 0;
+  // Summed at clock resolution and rounded down once per visit: most
+  // units take well under a microsecond.
+  Clock::duration select_t{}, project_t{}, join_t{};
   for (const Unit& u : units) {
     const Clock::time_point t0 = Clock::now();
     if (u.probe) {
@@ -232,7 +234,7 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
           res.items.push_back(&item);
         });
       }
-      join_us += ElapsedUs(t0, Clock::now());
+      join_t += Clock::now() - t0;
       continue;
     }
     const RangeReq& req = range_reqs_[u.idx];
@@ -240,7 +242,7 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
     size_t lo_r = cur.LowerBound(req.lo);
     size_t hi_r = cur.UpperBoundFrom(lo_r, req.hi);
     if (lo_r == hi_r) {  // no hits in this shard
-      (req.project ? project_us : select_us) += ElapsedUs(t0, Clock::now());
+      (req.project ? project_t : select_t) += Clock::now() - t0;
       continue;
     }
     res.nonempty = true;
@@ -254,7 +256,7 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
       // Finalized with the plan's shared inversion.
       snap.FoldColumns(lo_r, hi_r - 1, kChainColumn, curve_, &res.agg,
                        &res.agg_stats);
-      select_us += ElapsedUs(t0, Clock::now());
+      select_t += Clock::now() - t0;
     } else {
       const std::vector<uint32_t>& attrs = plan_attrs_[req.plan];
       bool failed = false;
@@ -298,14 +300,14 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
         res.digests.resize(spine.size());
         RecordDigestMany(spine.data(), spine.size(), res.digests.data());
       }
-      project_us += ElapsedUs(t0, Clock::now());
+      project_t += Clock::now() - t0;
     }
   }
 
-  busy->select_us += select_us;
-  busy->project_us += project_us;
-  busy->join_us += join_us;
-  busy->visit_us += ElapsedUs(visit_start, Clock::now());
+  busy->select_us += ToMicros(select_t);
+  busy->project_us += ToMicros(project_t);
+  busy->join_us += ToMicros(join_t);
+  busy->visit_us += ToMicros(Clock::now() - visit_start);
 }
 
 Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,

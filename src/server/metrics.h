@@ -12,7 +12,10 @@ namespace authdb {
 
 /// Per-shard, per-kind busy time in microseconds. `visit_us` is each
 /// visit's wall time (the request sort and cursor set-up included); the
-/// per-kind buckets cover the request-processing slices only.
+/// per-kind buckets cover the request-processing slices only. Within a
+/// visit, per-kind time is summed at clock resolution and rounded down to
+/// whole microseconds once, so sub-microsecond units (join probes) still
+/// count and the per-kind sum never exceeds `visit_us`.
 struct ShardBusy {
   uint64_t select_us = 0;   ///< selection sub-range scans + aggregation
   uint64_t project_us = 0;  ///< projection scans + digest spines

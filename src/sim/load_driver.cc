@@ -1,4 +1,4 @@
-#include "sim/open_loop.h"
+#include "sim/load_driver.h"
 
 #include <algorithm>
 #include <atomic>
@@ -17,9 +17,9 @@ namespace {
 // Instantaneous arrival rate (plans/us) at schedule time `t_micros`.
 // Poisson is stationary; burst alternates high/low windows whose weighted
 // mean equals the base rate, so the offered-QPS knob stays truthful.
-double RateAt(const OpenLoopOptions& o, uint64_t t_micros) {
+double RateAt(const LoadOptions& o, uint64_t t_micros) {
   const double base = o.target_qps * 1e-6;
-  if (o.arrivals == OpenLoopOptions::Arrivals::kPoisson) return base;
+  if (o.arrivals == LoadOptions::Arrivals::kPoisson) return base;
   const double duty = std::min(std::max(o.burst_duty, 1e-6), 1.0 - 1e-6);
   const double high = base * o.burst_factor;
   // duty*high + (1-duty)*low = base  =>  low solves the long-run mean.
@@ -32,10 +32,22 @@ double RateAt(const OpenLoopOptions& o, uint64_t t_micros) {
   return in_burst ? high : low;
 }
 
+// The one of a report's three per-kind fields that counts `kind`.
+template <typename T>
+T& ByKind(QueryKind kind, T& select, T& project, T& join) {
+  switch (kind) {
+    case QueryKind::kSelect: return select;
+    case QueryKind::kProject: return project;
+    case QueryKind::kJoin: break;
+  }
+  return join;
+}
+
 }  // namespace
 
-std::vector<Arrival> BuildArrivalSchedule(const OpenLoopOptions& o) {
-  AUTHDB_CHECK(o.target_qps > 0);
+std::vector<Arrival> BuildArrivalSchedule(const LoadOptions& o) {
+  const bool closed = o.arrivals == LoadOptions::Arrivals::kClosed;
+  if (!closed) AUTHDB_CHECK(o.target_qps > 0);
   AUTHDB_CHECK(o.key_lo <= o.key_hi);
   AUTHDB_CHECK(o.query_span >= 1);
   AUTHDB_CHECK(o.join_fraction + o.projection_fraction <= 1.0);
@@ -43,7 +55,7 @@ std::vector<Arrival> BuildArrivalSchedule(const OpenLoopOptions& o) {
     AUTHDB_CHECK(o.join_b_lo <= o.join_b_hi);
     AUTHDB_CHECK(o.join_probe_count >= 1);
   }
-  if (o.arrivals == OpenLoopOptions::Arrivals::kBurst) {
+  if (o.arrivals == LoadOptions::Arrivals::kBurst) {
     AUTHDB_CHECK(o.burst_factor >= 1.0);
     AUTHDB_CHECK(o.burst_duty * o.burst_factor <= 1.0);
   }
@@ -65,9 +77,11 @@ std::vector<Arrival> BuildArrivalSchedule(const OpenLoopOptions& o) {
     // Thinning-free variable-rate sampling: draw the next gap at the rate
     // in effect NOW. Exact for Poisson; for burst a window boundary can
     // stretch one gap, which only softens the burst edge by one arrival.
-    t += rng.Exponential(RateAt(o, static_cast<uint64_t>(t)));
     Arrival a;
-    a.due_micros = static_cast<uint64_t>(t);
+    if (!closed) {
+      t += rng.Exponential(RateAt(o, static_cast<uint64_t>(t)));
+      a.due_micros = static_cast<uint64_t>(t);
+    }
     a.context = static_cast<uint32_t>(rng.Uniform(contexts));
     const double kind_draw = rng.NextDouble();
     if (kind_draw < o.join_fraction) {
@@ -93,21 +107,15 @@ std::vector<Arrival> BuildArrivalSchedule(const OpenLoopOptions& o) {
   return schedule;
 }
 
-OpenLoopReport RunOpenLoopLoad(ShardedQueryServer* server,
-                               const OpenLoopOptions& options) {
+LoadReport RunLoad(ShardedQueryServer* server, const LoadOptions& options) {
   AUTHDB_CHECK(server != nullptr);
   const std::vector<Arrival> schedule = BuildArrivalSchedule(options);
+  const bool closed = options.arrivals == LoadOptions::Arrivals::kClosed;
   const size_t threads_n = std::max<size_t>(options.dispatch_threads, 1);
   const size_t batch_cap = std::max<size_t>(options.batch_size, 1);
-
-  struct PerThread {
-    size_t served_selects = 0, served_projects = 0, served_joins = 0;
-    size_t shed_selects = 0, shed_projects = 0, shed_joins = 0;
-    size_t not_found = 0, failures = 0;
-    LatencyHistogram select_latency, project_latency, join_latency;
-    LatencyHistogram queue_delay, shed_latency;
-  };
-  std::vector<PerThread> per_thread(threads_n);
+  const SizeModel size_model;
+  // Each dispatcher tallies into its own report; merged after the run.
+  std::vector<LoadReport> per_thread(threads_n);
 
   // Shared cursor into the time-ordered schedule: dispatchers claim the
   // next arrival, sleep until it is due, then additionally claim any
@@ -119,7 +127,7 @@ OpenLoopReport RunOpenLoopLoad(ShardedQueryServer* server,
   const uint64_t t_start = MonotonicMicros();
 
   auto dispatcher = [&](size_t tid) {
-    PerThread& me = per_thread[tid];
+    LoadReport& me = per_thread[tid];
     std::vector<size_t> claimed;
     claimed.reserve(batch_cap);
     for (;;) {
@@ -133,22 +141,23 @@ OpenLoopReport RunOpenLoopLoad(ShardedQueryServer* server,
       }
       claimed.clear();
       claimed.push_back(first);
-      while (claimed.size() < batch_cap) {
-        size_t j = next.load(std::memory_order_relaxed);
-        if (j >= schedule.size() ||
-            t_start + schedule[j].due_micros > now ||
-            !next.compare_exchange_weak(j, j + 1,
-                                        std::memory_order_relaxed)) {
-          break;
+      // A lost race reloads `j` and retries, so a batch stops short only
+      // at the end of the schedule or at an arrival not yet due.
+      size_t j = next.load(std::memory_order_relaxed);
+      while (claimed.size() < batch_cap && j < schedule.size() &&
+             t_start + schedule[j].due_micros <= now) {
+        if (next.compare_exchange_weak(j, j + 1, std::memory_order_relaxed)) {
+          claimed.push_back(j++);
         }
-        claimed.push_back(j);
       }
 
       std::vector<Query> plans;
       plans.reserve(claimed.size());
       for (size_t idx : claimed) {
-        me.queue_delay.Record(now - std::min(t_start + schedule[idx].due_micros,
-                                             now));
+        if (!closed) {
+          me.queue_delay.Record(
+              now - std::min(t_start + schedule[idx].due_micros, now));
+        }
         plans.push_back(schedule[idx].plan);
       }
       std::vector<Result<QueryAnswer>> answers =
@@ -156,42 +165,34 @@ OpenLoopReport RunOpenLoopLoad(ShardedQueryServer* server,
       const uint64_t done = MonotonicMicros();
 
       for (size_t k = 0; k < claimed.size(); ++k) {
-        const Arrival& a = schedule[claimed[k]];
-        // Latency from the SCHEDULED arrival: a plan the harness or the
-        // server let queue is charged for every microsecond it waited.
-        const uint64_t sched_abs = t_start + a.due_micros;
-        const uint64_t latency = done > sched_abs ? done - sched_abs : 0;
+        const QueryKind kind = schedule[claimed[k]].plan.kind;
+        // Open loop charges latency from the SCHEDULED arrival: a plan the
+        // harness or the server let queue pays for every microsecond it
+        // waited. Closed loop has no schedule to fall behind.
+        const uint64_t start =
+            closed ? now : t_start + schedule[claimed[k]].due_micros;
+        const uint64_t latency = done > start ? done - start : 0;
         const Result<QueryAnswer>& ans = answers[k];
         if (!ans.ok()) {
-          if (ans.status().IsNotFound()) {
-            ++me.not_found;
-          } else {
-            ++me.failures;
-          }
+          ++(ans.status().IsNotFound() ? me.not_found : me.failures);
           continue;
         }
         if (ans.value().outcome == AnswerOutcome::kShedRetryAfter) {
           me.shed_latency.Record(latency);
-          switch (a.plan.kind) {
-            case QueryKind::kSelect: ++me.shed_selects; break;
-            case QueryKind::kProject: ++me.shed_projects; break;
-            case QueryKind::kJoin: ++me.shed_joins; break;
-          }
+          ++ByKind(kind, me.shed_selects, me.shed_projects, me.shed_joins);
           continue;
         }
-        switch (a.plan.kind) {
-          case QueryKind::kSelect:
-            ++me.served_selects;
-            me.select_latency.Record(latency);
-            break;
-          case QueryKind::kProject:
-            ++me.served_projects;
-            me.project_latency.Record(latency);
-            break;
-          case QueryKind::kJoin:
-            ++me.served_joins;
-            me.join_latency.Record(latency);
-            break;
+        ++ByKind(kind, me.served_selects, me.served_projects, me.served_joins);
+        ByKind(kind, me.select_latency, me.project_latency, me.join_latency)
+            .Record(latency);
+        ++ByKind(kind, me.vo.select_answers, me.vo.project_answers,
+                 me.vo.join_answers);
+        ByKind(kind, me.vo.select_bytes, me.vo.project_bytes,
+               me.vo.join_bytes) += ans.value().vo_bytes(size_model);
+        if (kind == QueryKind::kJoin) {
+          me.vo.join_bloom_bytes += ans.value().join.vo_bloom_bytes(size_model);
+          me.vo.join_boundary_bytes +=
+              ans.value().join.vo_boundary_bytes(size_model);
         }
       }
     }
@@ -203,17 +204,14 @@ OpenLoopReport RunOpenLoopLoad(ShardedQueryServer* server,
   for (std::thread& th : threads) th.join();
   const uint64_t t_end = MonotonicMicros();
 
-  OpenLoopReport report;
+  LoadReport report;
   report.server = server->Metrics().Delta(before);
   report.offered = schedule.size();
   for (const Arrival& a : schedule) {
-    switch (a.plan.kind) {
-      case QueryKind::kSelect: ++report.offered_selects; break;
-      case QueryKind::kProject: ++report.offered_projects; break;
-      case QueryKind::kJoin: ++report.offered_joins; break;
-    }
+    ++ByKind(a.plan.kind, report.offered_selects, report.offered_projects,
+             report.offered_joins);
   }
-  for (const PerThread& pt : per_thread) {
+  for (const LoadReport& pt : per_thread) {
     report.served_selects += pt.served_selects;
     report.served_projects += pt.served_projects;
     report.served_joins += pt.served_joins;
@@ -227,6 +225,7 @@ OpenLoopReport RunOpenLoopLoad(ShardedQueryServer* server,
     report.join_latency.Merge(pt.join_latency);
     report.queue_delay.Merge(pt.queue_delay);
     report.shed_latency.Merge(pt.shed_latency);
+    report.vo.Merge(pt.vo);
   }
   report.served =
       report.served_selects + report.served_projects + report.served_joins;

@@ -415,11 +415,32 @@ TEST_F(BatchExecTest, MetricsAccountShardVisitsAndFinalizes) {
   EXPECT_LE(delta.exec.shard_visits, server_->shard_count());
   ASSERT_EQ(delta.exec.shard_busy.size(), server_->shard_count());
   uint64_t visit_us = 0;
-  for (const auto& kb : delta.exec.shard_busy) visit_us += kb.visit_us;
+  for (const auto& kb : delta.exec.shard_busy) {
+    visit_us += kb.visit_us;
+    // Per-kind slices are parts of the visit, rounded once per visit.
+    EXPECT_LE(kb.select_us + kb.project_us + kb.join_us, kb.visit_us);
+  }
   EXPECT_GT(visit_us, 0u);
   // Exactly the one batch-level answer finalize ran: visits never finalize.
   EXPECT_EQ(delta.exec.batch_finalizes, 1u);
   EXPECT_EQ(delta.exec.last_epoch, batched[0].value().served_epoch);
+
+  // Each join probe walk takes well under a microsecond; a join-only
+  // batch of 512 probe values must still register join busy time.
+  std::vector<int64_t> probes;
+  for (int64_t b = 1; b <= 512; ++b) probes.push_back(b);
+  const ServerMetrics before_join = server_->Metrics();
+  auto joined = server_->ExecuteBatch(
+      PlanBatch::Of({Query::Join(probes, JoinMethod::kBoundaryValues)}));
+  ASSERT_TRUE(joined[0].ok());
+  const ServerMetrics join_delta = server_->Metrics().Delta(before_join);
+  uint64_t join_us = 0;
+  for (const auto& kb : join_delta.exec.shard_busy) {
+    join_us += kb.join_us;
+    EXPECT_EQ(kb.select_us + kb.project_us, 0u);
+    EXPECT_LE(kb.join_us, kb.visit_us);
+  }
+  EXPECT_GT(join_us, 0u);
 }
 
 // Selections and projections spanning three or more chunks on both shards

@@ -18,7 +18,7 @@
 #include "core/verifier.h"
 #include "server/shard_executor.h"
 #include "server/sharded_query_server.h"
-#include "sim/multi_client.h"
+#include "sim/load_driver.h"
 
 namespace authdb {
 namespace {
@@ -237,7 +237,7 @@ TEST_F(ConcurrencyTest, ThreadsInterleavingReadsAndUpdatesStayCorrect) {
   EXPECT_TRUE(verifier.VerifySelectionStatic(0, 127, ans.value()).ok());
 }
 
-TEST_F(ConcurrencyTest, MultiClientDriverSmoke) {
+TEST_F(ConcurrencyTest, ClosedLoopReadsRaceAWriterSmoke) {
   auto server = MakeServer(4, 2, 256);
   std::vector<SignedRecordUpdate> updates;
   for (int i = 0; i < 20; ++i) {
@@ -246,22 +246,27 @@ TEST_F(ConcurrencyTest, MultiClientDriverSmoke) {
     ASSERT_TRUE(msg.ok());
     updates.push_back(std::move(msg.value()));
   }
-  MultiClientOptions opts;
-  opts.clients = 3;
-  opts.ops_per_client = 30;
-  opts.update_fraction = 0.2;
+  std::thread writer([&] {
+    for (const SignedRecordUpdate& u : updates)
+      EXPECT_TRUE(server->ApplyUpdate(u).ok());
+  });
+  LoadOptions opts;
+  opts.arrivals = LoadOptions::Arrivals::kClosed;
+  opts.dispatch_threads = 3;
+  opts.total_arrivals = 3 * 30;
   opts.key_lo = 0;
   opts.key_hi = 255;
   opts.query_span = 8;
-  MultiClientReport report = RunMultiClientLoad(server.get(),
-                                               std::move(updates), opts);
-  EXPECT_EQ(report.queries + report.updates, 90u);
+  LoadReport report = RunLoad(server.get(), opts);
+  writer.join();
   EXPECT_EQ(report.failures, 0u);
-  EXPECT_GT(report.ops_per_second, 0.0);
-  EXPECT_EQ(report.query_latency.count(), report.queries);
-  EXPECT_EQ(report.update_latency.count(), report.updates);
-  EXPECT_GE(report.query_latency.PercentileMicros(0.99),
-            report.query_latency.PercentileMicros(0.50));
+  EXPECT_EQ(report.served + report.shed + report.not_found, report.offered);
+  EXPECT_EQ(report.offered, 90u);
+  EXPECT_GT(report.goodput_qps, 0.0);
+  EXPECT_EQ(report.select_latency.count(), report.served_selects);
+  EXPECT_EQ(report.served_selects, report.served);  // selections only
+  EXPECT_GE(report.select_latency.PercentileMicros(0.99),
+            report.select_latency.PercentileMicros(0.50));
 }
 
 TEST(LatencyHistogramTest, PercentilesAndMerge) {

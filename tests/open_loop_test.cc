@@ -1,8 +1,9 @@
-// Open-loop overload harness + admission control tests.
+// Load driver (open and closed loop) + admission control tests.
 //
-// Covers the four contracts the overload path is built on: (1) the arrival
+// Covers the contracts the load path is built on: (1) the arrival
 // schedule is a pure function of options + seed (determinism is what makes
-// overload runs comparable across commits), (2) the client verifier
+// overload runs comparable across commits), and a closed-loop run accounts
+// for every plan in full batches, (2) the client verifier
 // distinguishes an honest shed from a tampered or stale answer, (3) the
 // admission controller's starvation bound really lets bulk work through
 // under sustained priority pressure, and (4) ServerMetrics snapshots stay
@@ -18,11 +19,12 @@
 #include <vector>
 
 #include "core/data_aggregator.h"
+#include "core/join.h"
 #include "core/verifier.h"
 #include "server/admission.h"
 #include "server/sharded_query_server.h"
 #include "server/update_stream.h"
-#include "sim/open_loop.h"
+#include "sim/load_driver.h"
 
 namespace authdb {
 namespace {
@@ -32,9 +34,9 @@ using HashMode = BasContext::HashMode;
 // ---------------------------------------------------------------------------
 // Schedule determinism (no server needed)
 
-OpenLoopOptions ScheduleOptions(OpenLoopOptions::Arrivals arrivals,
+LoadOptions ScheduleOptions(LoadOptions::Arrivals arrivals,
                                 uint64_t seed) {
-  OpenLoopOptions o;
+  LoadOptions o;
   o.arrivals = arrivals;
   o.target_qps = 5000.0;
   o.total_arrivals = 400;
@@ -65,9 +67,9 @@ void ExpectSameSchedule(const std::vector<Arrival>& a,
 }
 
 TEST(OpenLoopScheduleTest, SameSeedSameOptionsSameSchedule) {
-  for (auto arrivals : {OpenLoopOptions::Arrivals::kPoisson,
-                        OpenLoopOptions::Arrivals::kBurst}) {
-    OpenLoopOptions o = ScheduleOptions(arrivals, 42);
+  for (auto arrivals : {LoadOptions::Arrivals::kPoisson,
+                        LoadOptions::Arrivals::kBurst}) {
+    LoadOptions o = ScheduleOptions(arrivals, 42);
     std::vector<Arrival> first = BuildArrivalSchedule(o);
     std::vector<Arrival> second = BuildArrivalSchedule(o);
     ASSERT_EQ(first.size(), o.total_arrivals);
@@ -76,7 +78,7 @@ TEST(OpenLoopScheduleTest, SameSeedSameOptionsSameSchedule) {
 }
 
 TEST(OpenLoopScheduleTest, DifferentSeedsDiverge) {
-  OpenLoopOptions o = ScheduleOptions(OpenLoopOptions::Arrivals::kPoisson, 1);
+  LoadOptions o = ScheduleOptions(LoadOptions::Arrivals::kPoisson, 1);
   std::vector<Arrival> a = BuildArrivalSchedule(o);
   o.seed = 2;
   std::vector<Arrival> b = BuildArrivalSchedule(o);
@@ -88,9 +90,9 @@ TEST(OpenLoopScheduleTest, DifferentSeedsDiverge) {
 }
 
 TEST(OpenLoopScheduleTest, ArrivalsSortedAndNearTargetRate) {
-  for (auto arrivals : {OpenLoopOptions::Arrivals::kPoisson,
-                        OpenLoopOptions::Arrivals::kBurst}) {
-    OpenLoopOptions o = ScheduleOptions(arrivals, 7);
+  for (auto arrivals : {LoadOptions::Arrivals::kPoisson,
+                        LoadOptions::Arrivals::kBurst}) {
+    LoadOptions o = ScheduleOptions(arrivals, 7);
     o.total_arrivals = 4000;
     std::vector<Arrival> sched = BuildArrivalSchedule(o);
     for (size_t i = 1; i < sched.size(); ++i)
@@ -106,22 +108,34 @@ TEST(OpenLoopScheduleTest, ArrivalsSortedAndNearTargetRate) {
 }
 
 TEST(OpenLoopScheduleTest, PlanMixMatchesFractions) {
-  OpenLoopOptions o = ScheduleOptions(OpenLoopOptions::Arrivals::kPoisson, 3);
-  o.total_arrivals = 2000;
-  std::vector<Arrival> sched = BuildArrivalSchedule(o);
-  size_t joins = 0, projects = 0, selects = 0;
-  for (const Arrival& a : sched) {
-    switch (a.plan.kind) {
-      case QueryKind::kSelect: ++selects; break;
-      case QueryKind::kProject: ++projects; break;
-      case QueryKind::kJoin: ++joins; break;
+  for (auto arrivals : {LoadOptions::Arrivals::kPoisson,
+                        LoadOptions::Arrivals::kClosed}) {
+    LoadOptions o = ScheduleOptions(arrivals, 3);
+    o.total_arrivals = 2000;
+    std::vector<Arrival> sched = BuildArrivalSchedule(o);
+    size_t joins = 0, projects = 0, selects = 0;
+    for (const Arrival& a : sched) {
+      switch (a.plan.kind) {
+        case QueryKind::kSelect: ++selects; break;
+        case QueryKind::kProject: ++projects; break;
+        case QueryKind::kJoin: ++joins; break;
+      }
     }
+    const double n = static_cast<double>(sched.size());
+    EXPECT_NEAR(joins / n, o.join_fraction, 0.05);
+    EXPECT_NEAR(projects / n, o.projection_fraction, 0.05);
+    EXPECT_NEAR(selects / n, 1.0 - o.join_fraction - o.projection_fraction,
+                0.05);
   }
-  const double n = static_cast<double>(sched.size());
-  EXPECT_NEAR(joins / n, o.join_fraction, 0.05);
-  EXPECT_NEAR(projects / n, o.projection_fraction, 0.05);
-  EXPECT_NEAR(selects / n, 1.0 - o.join_fraction - o.projection_fraction,
-              0.05);
+}
+
+TEST(OpenLoopScheduleTest, ClosedScheduleIsDueAtOnceAndDeterministic) {
+  LoadOptions o = ScheduleOptions(LoadOptions::Arrivals::kClosed, 42);
+  o.target_qps = 0;  // closed loop neither reads nor checks the rate
+  std::vector<Arrival> first = BuildArrivalSchedule(o);
+  ASSERT_EQ(first.size(), o.total_arrivals);
+  for (const Arrival& a : first) EXPECT_EQ(a.due_micros, 0u);
+  ExpectSameSchedule(first, BuildArrivalSchedule(o));
 }
 
 // ---------------------------------------------------------------------------
@@ -267,7 +281,7 @@ std::shared_ptr<const BasContext>* OpenLoopTest::ctx_ = nullptr;
 
 TEST_F(OpenLoopTest, RunAccountsEveryArrivalWithoutAdmission) {
   auto server = MakeServer(Config(2), 2, 64);
-  OpenLoopOptions o;
+  LoadOptions o;
   o.target_qps = 20000.0;  // fast test; the tiny relation keeps up
   o.total_arrivals = 200;
   o.contexts = 500;
@@ -279,7 +293,7 @@ TEST_F(OpenLoopTest, RunAccountsEveryArrivalWithoutAdmission) {
   o.projection_fraction = 0.2;
   o.projection_attrs = {1};
   o.seed = 5;
-  OpenLoopReport rep = RunOpenLoopLoad(server.get(), o);
+  LoadReport rep = RunLoad(server.get(), o);
   EXPECT_EQ(rep.offered, o.total_arrivals);
   EXPECT_EQ(rep.offered,
             rep.offered_selects + rep.offered_projects + rep.offered_joins);
@@ -291,6 +305,63 @@ TEST_F(OpenLoopTest, RunAccountsEveryArrivalWithoutAdmission) {
   EXPECT_GT(rep.goodput_qps, 0.0);
   EXPECT_EQ(rep.server.admission.enabled, false);
   EXPECT_EQ(rep.server.exec.plans, rep.offered);
+}
+
+// Closed loop over all three plan kinds on a composite-keyed relation:
+// every arrival is accounted for, the histograms and VO tallies match the
+// served counts, and each dispatcher's batches of eight are full except
+// at most its last.
+TEST_F(OpenLoopTest, ClosedLoopAccountsEveryPlanAndFillsBatches) {
+  std::vector<Record> records;
+  for (int64_t b = 0; b < 64; ++b) {
+    for (uint32_t d = 0; d <= b % 3; ++d) {
+      Record r;
+      r.attrs = {JoinCompositeKey(b, d), b};
+      records.push_back(r);
+    }
+  }
+  auto loaded = da_->BulkLoad(std::move(records));
+  ASSERT_TRUE(loaded.ok());
+  da_->EnableJoinPartitions(/*values_per_partition=*/8,
+                            /*bits_per_value=*/8.0);
+  const int64_t key_hi = JoinCompositeKey(63, kJoinMaxDup);
+  ShardedQueryServer server(*ctx_, ShardRouter::Uniform(2, 0, key_hi),
+                            Config(2));
+  for (const auto& msg : loaded.value())
+    ASSERT_TRUE(server.ApplyUpdate(msg).ok());
+  server.SetJoinPartitions(da_->join_partitions());
+
+  LoadOptions o;
+  o.arrivals = LoadOptions::Arrivals::kClosed;
+  o.dispatch_threads = 3;
+  o.total_arrivals = 3 * 41;  // not a multiple of the batch size
+  o.batch_size = 8;
+  o.key_lo = 0;
+  o.key_hi = key_hi;
+  o.query_span = static_cast<uint64_t>(JoinCompositeKey(4, 0));
+  o.join_fraction = 0.25;
+  o.projection_fraction = 0.25;
+  o.join_b_lo = 0;
+  o.join_b_hi = 127;
+  o.seed = 9;
+  LoadReport rep = RunLoad(&server, o);
+
+  EXPECT_EQ(rep.offered, o.total_arrivals);
+  EXPECT_EQ(rep.failures, 0u);
+  EXPECT_EQ(rep.served + rep.shed + rep.not_found + rep.failures, rep.offered);
+  EXPECT_GT(rep.served_joins, 0u);
+  EXPECT_EQ(rep.select_latency.count(), rep.served_selects);
+  EXPECT_EQ(rep.project_latency.count(), rep.served_projects);
+  EXPECT_EQ(rep.join_latency.count(), rep.served_joins);
+  EXPECT_EQ(rep.queue_delay.count(), 0u);
+  EXPECT_EQ(rep.vo.select_answers, rep.served_selects);
+  EXPECT_EQ(rep.vo.project_answers, rep.served_projects);
+  EXPECT_EQ(rep.vo.join_answers, rep.served_joins);
+  EXPECT_GT(rep.vo.join_bytes, 0u);
+
+  const uint64_t full_batches = (rep.offered + o.batch_size - 1) / o.batch_size;
+  EXPECT_GE(rep.server.exec.batches, full_batches);
+  EXPECT_LE(rep.server.exec.batches, full_batches + o.dispatch_threads);
 }
 
 TEST_F(OpenLoopTest, VerifierDistinguishesShedFromTamperedAndStale) {
@@ -337,7 +408,7 @@ TEST_F(OpenLoopTest, OverloadShedsBulkFirstAndCountsAgree) {
   cfg.admission.retry_after_micros = 200;
   auto server = MakeServer(cfg, 2, 64);
 
-  OpenLoopOptions o;
+  LoadOptions o;
   o.target_qps = 50000.0;  // far past a 2-slot server: must shed
   o.total_arrivals = 600;
   o.contexts = 2000;
@@ -349,7 +420,7 @@ TEST_F(OpenLoopTest, OverloadShedsBulkFirstAndCountsAgree) {
   o.projection_fraction = 0.4;
   o.projection_attrs = {1};
   o.seed = 11;
-  OpenLoopReport rep = RunOpenLoopLoad(server.get(), o);
+  LoadReport rep = RunLoad(server.get(), o);
   EXPECT_EQ(rep.offered, o.total_arrivals);
   EXPECT_EQ(rep.failures, 0u);
   EXPECT_EQ(rep.served + rep.shed + rep.not_found, rep.offered);
