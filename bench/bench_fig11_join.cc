@@ -17,6 +17,7 @@
 #include "common/clock.h"
 #include "core/data_aggregator.h"
 #include "core/join.h"
+#include "core/verifier.h"
 #include "crypto/bloom.h"
 #include "server/sharded_query_server.h"
 #include "workload/tpce.h"
@@ -32,7 +33,8 @@ struct JoinBench {
   std::unique_ptr<ShardedQueryServer> server;
   std::unique_ptr<JoinAuthority> authority;
   std::unique_ptr<TpceJoinWorkload> workload;
-  std::unique_ptr<JoinVerifier> verifier;
+  VarintGapCodec codec;
+  std::unique_ptr<ClientVerifier> verifier;
   SizeModel sm;
 
   explicit JoinBench(uint64_t scale) {
@@ -57,8 +59,8 @@ struct JoinBench {
       AUTHDB_CHECK(server->ApplyToShardDeferred(0, msg).ok());
     authority = std::make_unique<JoinAuthority>(ctx, da->private_key(),
                                                 BasContext::HashMode::kFast);
-    verifier = std::make_unique<JoinVerifier>(&da->public_key(),
-                                              BasContext::HashMode::kFast);
+    verifier = std::make_unique<ClientVerifier>(
+        &da->public_key(), &codec, BasContext::HashMode::kFast);
   }
 
   std::vector<CertifiedPartition> Partitions(size_t ib_over_p,
@@ -72,12 +74,14 @@ struct JoinBench {
       const std::vector<int64_t>& r_values,
       const std::vector<CertifiedPartition>& parts) {
     server->SetJoinPartitions(parts);
-    auto bv =
-        server->Execute(Query::Join(r_values, JoinMethod::kBoundaryValues));
-    auto bf = server->Execute(Query::Join(r_values, JoinMethod::kBloomFilter));
+    const Query bv_q = Query::Join(r_values, JoinMethod::kBoundaryValues);
+    const Query bf_q = Query::Join(r_values, JoinMethod::kBloomFilter);
+    auto bv = server->Execute(bv_q);
+    auto bf = server->Execute(bf_q);
     AUTHDB_CHECK(bv.ok() && bf.ok());
-    AUTHDB_CHECK(verifier->Verify(r_values, bv.value().join).ok());
-    AUTHDB_CHECK(verifier->Verify(r_values, bf.value().join).ok());
+    const uint64_t now = clock.NowMicros();
+    AUTHDB_CHECK(verifier->VerifyAnswerFresh(bv_q, bv.value(), now, 0).ok());
+    AUTHDB_CHECK(verifier->VerifyAnswerFresh(bf_q, bf.value(), now, 0).ok());
     return {bv.value().join.vo_size_paper(sm) / 1024.0,
             bf.value().join.vo_size_paper(sm) / 1024.0};
   }

@@ -99,13 +99,15 @@ void Run(bool smoke) {
     // Queries + verification.
     for (int i = 0; i < reps; ++i) {
       auto [lo, hi] = workload.NextRangeWithCardinality(q);
+      const Query bq = Query::Select(lo, hi);
       Stopwatch sw;
-      auto bans = qs.Select(lo, hi);
+      auto bans = qs.Execute(bq);
       bas_row.query_ms += sw.ElapsedMillis();
       AUTHDB_CHECK(bans.ok());
-      bas_row.vo_bytes += bans.value().vo_size(sm);
+      bas_row.vo_bytes += bans.value().vo_bytes(sm);
       sw.Reset();
-      Status vs = client.VerifySelectionStatic(lo, hi, bans.value());
+      Status vs = client.VerifyAnswerFresh(bq, bans.value(), clock.NowMicros(),
+                                           /*min_epoch=*/0);
       // Fast-mode verification measured; add the secure-mode hash-to-point
       // work the paper's client would do (README "Substitutions" #2).
       bas_row.verify_ms +=

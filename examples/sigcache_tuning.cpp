@@ -86,7 +86,8 @@ int main() {
         static_cast<size_t>(lo), static_cast<size_t>(hi), &stats);
     *model_adds += stats.point_adds;
     const ServerMetrics before = qs.Metrics();
-    auto ans = qs.Select(lo, hi);
+    const Query q = Query::Select(lo, hi);
+    auto ans = qs.Execute(q);
     if (!ans.ok()) {
       std::printf("select failed: %s\n", ans.status().ToString().c_str());
       return false;
@@ -94,12 +95,13 @@ int main() {
     const ServerMetrics d = qs.Metrics().Delta(before);
     *server_adds += d.exec.agg_point_adds;
     *span_hits += d.exec.agg_span_hits;
-    if (!curve.Equal(modelled.point, ans.value().agg_sig.point)) {
+    if (!curve.Equal(modelled.point, ans.value().selection.agg_sig.point)) {
       std::printf("cache aggregate differs from the server's on [%lld, %lld]\n",
                   static_cast<long long>(lo), static_cast<long long>(hi));
       return false;
     }
-    Status ok = client.VerifySelectionStatic(lo, hi, ans.value());
+    Status ok = client.VerifyAnswerFresh(q, ans.value(), clock.NowMicros(),
+                                         /*min_epoch=*/0);
     if (!ok.ok()) {
       std::printf("verification failed: %s\n", ok.ToString().c_str());
       return false;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -125,111 +123,6 @@ bool ApplyPartitionRefresh(const PartitionRefresh& refresh,
     target->sig = d.sig;
   }
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// JoinVerifier
-
-Status JoinVerifier::Verify(const std::vector<int64_t>& r_values,
-                            const JoinAnswer& ans) const {
-  std::vector<int64_t> values = r_values;
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  std::set<int64_t> pending(values.begin(), values.end());
-
-  std::set<int64_t> included_keys;
-  std::vector<ByteBuffer> messages;
-  auto include_message = [&](int64_t key, const Digest160& digest,
-                             int64_t left, int64_t right) {
-    if (included_keys.insert(key).second)
-      messages.push_back(ChainMessage(key, digest, left, right));
-  };
-
-  // 1. Match groups: every row's B must equal a_value; keys strictly
-  //    ascending; boundaries enclose the value's composite range.
-  for (const JoinMatch& m : ans.matches) {
-    if (!pending.erase(m.a_value))
-      return Status::VerificationFailed("match for unqueried value");
-    if (m.s_records.empty())
-      return Status::VerificationFailed("empty match group");
-    if (m.left_key != kChainMinusInf &&
-        JoinBValue(m.left_key) >= m.a_value)
-      return Status::VerificationFailed("match left boundary inside group");
-    if (m.right_key != kChainPlusInf && JoinBValue(m.right_key) <= m.a_value)
-      return Status::VerificationFailed("match right boundary inside group");
-    for (size_t i = 0; i < m.s_records.size(); ++i) {
-      const Record& r = m.s_records[i];
-      if (JoinBValue(r.key()) != m.a_value)
-        return Status::VerificationFailed("match row with wrong B value");
-      if (i > 0 && m.s_records[i - 1].key() >= r.key())
-        return Status::VerificationFailed("match rows out of order");
-      int64_t left = i == 0 ? m.left_key : m.s_records[i - 1].key();
-      int64_t right =
-          i + 1 == m.s_records.size() ? m.right_key : m.s_records[i + 1].key();
-      include_message(r.key(), r.Digest(), left, right);
-    }
-  }
-
-  // 2. Negative probes: the certified filter must actually answer "no" —
-  //    re-probed through the same batched path the prover used.
-  std::map<const CertifiedPartition*, std::vector<int64_t>> probes_by_part;
-  for (const auto& [a, pidx] : ans.negative_probes) {
-    if (!pending.erase(a))
-      return Status::VerificationFailed("negative probe for unqueried value");
-    const CertifiedPartition* part = nullptr;
-    for (const auto& p : ans.partitions) {
-      if (p.idx == pidx) {
-        part = &p;
-        break;
-      }
-    }
-    if (part == nullptr)
-      return Status::VerificationFailed("probe against missing partition");
-    if (a < part->lo_b || a > part->hi_b)
-      return Status::VerificationFailed("probe outside partition range");
-    probes_by_part[part].push_back(a);
-  }
-  for (const auto& [part, keys] : probes_by_part) {
-    std::vector<uint8_t> results(keys.size());
-    part->filter.ProbeMany(keys.data(), keys.size(), results.data());
-    for (uint8_t maybe : results) {
-      if (maybe)
-        return Status::VerificationFailed(
-            "filter contains a value claimed absent");
-    }
-  }
-
-  // 3. Absence witnesses: the witness chain must bracket the value.
-  for (const AbsenceProof& p : ans.absence_proofs) {
-    if (!pending.erase(p.a_value))
-      return Status::VerificationFailed("absence proof for unqueried value");
-    int64_t wb = JoinBValue(p.rec_key);
-    bool left_witness =
-        wb < p.a_value &&
-        (p.right_key == kChainPlusInf || JoinBValue(p.right_key) > p.a_value);
-    bool right_witness =
-        wb > p.a_value &&
-        (p.left_key == kChainMinusInf || JoinBValue(p.left_key) < p.a_value);
-    if (!left_witness && !right_witness)
-      return Status::VerificationFailed("witness does not bracket the value");
-    include_message(p.rec_key, p.rec_digest, p.left_key, p.right_key);
-  }
-
-  if (!pending.empty())
-    return Status::VerificationFailed(
-        std::to_string(pending.size()) + " R values unaccounted for");
-
-  // 4. One aggregate over every chained record + partition certification.
-  std::vector<Slice> views;
-  views.reserve(messages.size() + ans.partitions.size());
-  for (const ByteBuffer& m : messages) views.push_back(m.AsSlice());
-  std::vector<ByteBuffer> part_msgs;
-  part_msgs.reserve(ans.partitions.size());
-  for (const auto& p : ans.partitions) part_msgs.push_back(p.SignedMessage());
-  for (const ByteBuffer& m : part_msgs) views.push_back(m.AsSlice());
-  if (!da_pub_->VerifyAggregate(views, ans.agg_sig, mode_))
-    return Status::VerificationFailed("join aggregate signature mismatch");
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
 #include "core/record.h"
 #include "core/vo_size.h"
 #include "crypto/bas.h"
@@ -166,7 +165,7 @@ class JoinAuthority {
 /// cannot recompute the digest from them), the same trust position as the
 /// epoch stamp: replayed genuine answers carry genuine rid/ts and are
 /// caught by the summary bitmaps; a server forging them is caught by the
-/// epoch cross-check (see ClientVerifier::VerifyJoinFresh).
+/// epoch cross-check (see ClientVerifier).
 struct AbsenceProof {
   int64_t a_value = 0;          ///< the unmatched R.A value proven absent
   int64_t rec_key = 0;          ///< composite key of the witness record
@@ -213,22 +212,6 @@ struct JoinAnswer {
   size_t vo_boundary_bytes(const SizeModel& sm) const;
   /// Actual bytes our wire format would ship for the proof artifacts.
   size_t wire_size(const SizeModel& sm) const;
-};
-
-/// Client-side join verification: every R.A value must be accounted for by
-/// exactly one proof (match group, negative probe, or absence witness), and
-/// the single aggregate signature must cover every artifact.
-class JoinVerifier {
- public:
-  JoinVerifier(const BasPublicKey* da_pub, BasContext::HashMode mode)
-      : da_pub_(da_pub), mode_(mode) {}
-
-  Status Verify(const std::vector<int64_t>& r_values,
-                const JoinAnswer& ans) const;
-
- private:
-  const BasPublicKey* da_pub_;
-  BasContext::HashMode mode_;
 };
 
 }  // namespace authdb

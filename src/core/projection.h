@@ -2,13 +2,9 @@
 #define AUTHDB_CORE_PROJECTION_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
-#include "common/status.h"
-#include "core/record.h"
 #include "core/vo_size.h"
 #include "crypto/bas.h"
 #include "crypto/sha.h"
@@ -17,10 +13,9 @@ namespace authdb {
 
 /// Authenticated projection (Section 3.4): each attribute value carries its
 /// own signature sign(h(rid | i | Ai | ts)); the record signature is their
-/// aggregation. A projected answer ships only the requested values plus ONE
-/// aggregate signature — dropped attributes impose no VO cost, and binding
-/// (rid, i) into each message defeats value-swapping between records or
-/// positions.
+/// aggregation. A projected answer ships only the requested values —
+/// dropped attributes impose no VO cost, and binding (rid, i) into each
+/// message defeats value-swapping between records or positions.
 
 /// One projected tuple: the retained positions and values.
 struct ProjectedTuple {
@@ -28,14 +23,6 @@ struct ProjectedTuple {
   uint64_t ts = 0;
   std::vector<uint32_t> attr_indices;
   std::vector<int64_t> values;
-};
-
-struct ProjectionAnswer {
-  std::vector<ProjectedTuple> tuples;
-  BasSignature agg_sig;
-
-  /// VO = one aggregate signature, independent of M (Section 3.4).
-  size_t vo_size(const SizeModel& sm) const { return sm.signature_bytes; }
 };
 
 /// Chain evidence for a record whose content is not shipped: enough to
@@ -77,36 +64,6 @@ struct ProjectedRangeAnswer {
     if (proof) bytes += sm.digest_bytes + sm.key_bytes;
     return bytes;
   }
-};
-
-/// Server-side proof construction. `attr_sigs[t][i]` is the DA's signature
-/// for attribute i of tuple t (from DataAggregator::SignAttributes).
-class ProjectionProver {
- public:
-  explicit ProjectionProver(std::shared_ptr<const BasContext> ctx)
-      : ctx_(std::move(ctx)) {}
-
-  ProjectionAnswer Project(
-      const std::vector<Record>& tuples,
-      const std::vector<std::vector<BasSignature>>& attr_sigs,
-      const std::vector<uint32_t>& projected_indices) const;
-
- private:
-  std::shared_ptr<const BasContext> ctx_;
-};
-
-/// Client-side verification: recomputes each attribute message and checks
-/// the single aggregate.
-class ProjectionVerifier {
- public:
-  ProjectionVerifier(const BasPublicKey* da_pub, BasContext::HashMode mode)
-      : da_pub_(da_pub), mode_(mode) {}
-
-  Status Verify(const ProjectionAnswer& ans) const;
-
- private:
-  const BasPublicKey* da_pub_;
-  BasContext::HashMode mode_;
 };
 
 }  // namespace authdb

@@ -49,6 +49,7 @@ struct SignedRecordUpdate {
 /// QS -> user selection answer (Section 3.3). The VO is one aggregate
 /// signature plus the boundary index-attribute values; for empty results a
 /// single proof record demonstrates adjacency across the queried range.
+/// The epoch stamp and freshness evidence ride in the QueryAnswer envelope.
 struct SelectionAnswer {
   std::vector<Record> records;
   BasSignature agg_sig;
@@ -56,24 +57,11 @@ struct SelectionAnswer {
   int64_t right_key = 0;  ///< index value right of the range (or +inf)
   /// Set when `records` is empty: a record proving no key lies in [lo, hi].
   std::optional<Record> proof_record;
-  /// Freshness evidence: summaries since the oldest result signature.
-  std::vector<UpdateSummary> summaries;
-  /// Freshness epoch the answer was served under: latest summary seq + 1
-  /// (0 = none yet). On the epoch-pinned sharded path this is exact — the
-  /// whole answer is a snapshot of precisely this published epoch, so it
-  /// can only carry summaries with seq < served_epoch (the verifier's
-  /// mixed-generation check relies on that). Unsigned metadata — the
-  /// verifier treats it as a claim to cross-check against its own view of
-  /// the summary stream; the signed bitmaps remain the actual staleness
-  /// proof (see ClientVerifier::VerifySelectionFresh).
-  uint64_t served_epoch = 0;
 
   /// VO size under the paper's constants: one aggregate signature + two
   /// boundary values (independent of selectivity — Section 3.3).
   size_t vo_size(const SizeModel& sm) const {
-    size_t bytes = sm.signature_bytes + 2 * sm.key_bytes;
-    for (const auto& s : summaries) bytes += s.wire_size();
-    return bytes;
+    return sm.signature_bytes + 2 * sm.key_bytes;
   }
 };
 
@@ -177,9 +165,8 @@ inline std::vector<uint32_t> EffectiveProjectionAttrs(
 enum class AnswerOutcome { kServed, kShedRetryAfter };
 
 /// One answer envelope for every plan kind, uniformly epoch-stamped so
-/// ClientVerifier::VerifyAnswerFresh applies the same freshness discipline
-/// to joins and projections as to selections. Exactly the member matching
-/// `kind` is meaningful.
+/// ClientVerifier applies one freshness discipline to every kind. Exactly
+/// the member matching `kind` is meaningful.
 struct QueryAnswer {
   QueryKind kind = QueryKind::kSelect;
   AnswerOutcome outcome = AnswerOutcome::kServed;
@@ -188,12 +175,17 @@ struct QueryAnswer {
   SelectionAnswer selection;
   ProjectedRangeAnswer projection;
   JoinAnswer join;
-  /// Freshness evidence for kProject / kJoin (kSelect carries its own
-  /// inside `selection`): every summary published at/after the oldest
+  /// Freshness evidence: every summary published at/after the oldest
   /// cited record certification.
   std::vector<UpdateSummary> summaries;
-  /// Freshness epoch the answer was served under — same contract as
-  /// SelectionAnswer::served_epoch, mirrored there for kSelect.
+  /// Freshness epoch the answer was served under: latest summary seq + 1
+  /// (0 = none yet). On the epoch-pinned sharded path this is exact — the
+  /// whole answer is a snapshot of precisely this published epoch, so it
+  /// can only carry summaries with seq < served_epoch (the verifier's
+  /// mixed-generation check relies on that). Unsigned metadata — the
+  /// verifier treats it as a claim to cross-check against its own view of
+  /// the summary stream; the signed bitmaps remain the actual staleness
+  /// proof (see ClientVerifier).
   uint64_t served_epoch = 0;
 
   /// Per-kind VO accounting (paper constants), freshness evidence
@@ -202,7 +194,8 @@ struct QueryAnswer {
     size_t bytes = 0;
     switch (kind) {
       case QueryKind::kSelect:
-        return selection.vo_size(sm);  // summaries counted inside
+        bytes = selection.vo_size(sm);
+        break;
       case QueryKind::kProject:
         bytes = projection.vo_size(sm);
         break;
@@ -224,7 +217,6 @@ inline QueryAnswer MakeShedAnswer(QueryKind kind, uint64_t served_epoch,
   a.outcome = AnswerOutcome::kShedRetryAfter;
   a.retry_after_micros = retry_after_micros;
   a.served_epoch = served_epoch;
-  a.selection.served_epoch = served_epoch;
   return a;
 }
 

@@ -1,9 +1,10 @@
 #include "core/verifier.h"
 
-#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/chain.h"
@@ -13,17 +14,91 @@ namespace authdb {
 
 namespace {
 
-/// Everything VerifySelectionStatic checks short of the aggregate
-/// signature itself: structural completeness, then the chain messages the
-/// signature must cover. Shared by the sequential path (which verifies the
-/// aggregate inline) and VerifyAnswerBatch (which defers every answer's
-/// aggregate into one shared-inversion check).
-Status BuildSelectionMessages(int64_t lo, int64_t hi,
-                              const SelectionAnswer& ans,
+// ---------------------------------------------------------------------------
+// Phase 1: the envelope gate, then one claim builder per answer kind. Each
+// builder runs the kind's structural completeness checks and emits the
+// messages the answer's one aggregate signature must cover; the aggregate
+// itself is checked in phase 2, batched with every other answer's.
+
+/// The kind/shed/epoch/splice gate. Returns OK when the answer's claim
+/// should be built; any other status is the answer's final verdict.
+Status EnvelopePrecheck(const Query& query, const QueryAnswer& ans,
+                        uint64_t min_epoch) {
+  // The answer kind is server-controlled: dispatching on it without this
+  // check would let a server answer a join with an honest *selection*
+  // (verifying fine) while the join member the client reads stays empty —
+  // a verified-yet-incomplete answer.
+  if (ans.kind != query.kind)
+    return Status::VerificationFailed("answer kind does not match the query");
+  if (ans.outcome == AnswerOutcome::kShedRetryAfter) {
+    // An admission-control shed is an honest refusal, never a result: any
+    // payload riding on one — in any kind's member or in the envelope — is
+    // a server trying to pass off unverified (or stale) data under the
+    // shed banner, so it is treated as tampering, not as overload.
+    const SelectionAnswer& sel = ans.selection;
+    const ProjectedRangeAnswer& proj = ans.projection;
+    const JoinAnswer& join = ans.join;
+    const bool payload_free =
+        sel.records.empty() && !sel.proof_record && proj.tuples.empty() &&
+        proj.digests.empty() && !proj.proof && join.matches.empty() &&
+        join.negative_probes.empty() && join.partitions.empty() &&
+        join.absence_proofs.empty() && ans.summaries.empty();
+    if (!payload_free) {
+      return Status::VerificationFailed(
+          "shed answer carries payload — a shed is a refusal, not a result");
+    }
+    return Status::ResourceExhausted(
+        "query shed by server admission control (retry after " +
+        std::to_string(ans.retry_after_micros) + "us)");
+  }
+  if (ans.served_epoch < min_epoch) {
+    return Status::VerificationFailed(
+        "answer served under epoch " + std::to_string(ans.served_epoch) +
+        " but the summary stream has reached epoch " +
+        std::to_string(min_epoch));
+  }
+  // An answer pinned to epoch e is a snapshot of periods 0..e-1 and can
+  // only carry summaries with seq < e. A summary from a later period
+  // spliced onto an older answer — the mixed-generation forgery: old-epoch
+  // chain state presented with new-epoch freshness evidence — is
+  // inconsistent on its face and rejected before any bitmap work.
+  for (const UpdateSummary& s : ans.summaries) {
+    if (s.seq + 1 > ans.served_epoch) {
+      return Status::VerificationFailed(
+          "mixed-generation answer: claims serving epoch " +
+          std::to_string(ans.served_epoch) + " but carries summary seq " +
+          std::to_string(s.seq) + " from a later period");
+    }
+  }
+  return Status::OK();
+}
+
+/// Range plans (selections and projections) need a range the chain
+/// sentinels can bracket...
+Status CheckQueryRange(const Query& query) {
+  if (query.lo > query.hi || query.lo == kChainMinusInf ||
+      query.hi == kChainPlusInf)
+    return Status::InvalidArgument("bad query range");
+  return Status::OK();
+}
+
+/// ...and a non-empty result whose boundary keys enclose it.
+Status CheckEnclosure(const Query& query, int64_t left_key,
+                      int64_t right_key) {
+  if (left_key >= query.lo)
+    return Status::VerificationFailed("left boundary inside range");
+  if (right_key <= query.hi)
+    return Status::VerificationFailed("right boundary inside range");
+  return Status::OK();
+}
+
+/// Selection claim: boundaries enclose the range, results are in range,
+/// sorted and chained gaplessly (or one proof record spans an empty range).
+Status BuildSelectionMessages(const Query& query, const SelectionAnswer& ans,
                               std::vector<ByteBuffer>* messages_out) {
   std::vector<ByteBuffer>& messages = *messages_out;
-  if (lo > hi || lo == kChainMinusInf || hi == kChainPlusInf)
-    return Status::InvalidArgument("bad query range");
+  const int64_t lo = query.lo, hi = query.hi;
+  AUTHDB_RETURN_NOT_OK(CheckQueryRange(query));
 
   if (ans.records.empty()) {
     // Empty result: the proof record's chain must span the whole range.
@@ -38,10 +113,7 @@ Status BuildSelectionMessages(int64_t lo, int64_t hi,
     messages.push_back(ChainMessage(pr, ans.left_key, ans.right_key));
   } else {
     // Completeness: boundaries enclose the range...
-    if (ans.left_key >= lo)
-      return Status::VerificationFailed("left boundary inside range");
-    if (ans.right_key <= hi)
-      return Status::VerificationFailed("right boundary inside range");
+    AUTHDB_RETURN_NOT_OK(CheckEnclosure(query, ans.left_key, ans.right_key));
     // ...and the results are sorted, in-range, and chained gaplessly.
     for (size_t i = 0; i < ans.records.size(); ++i) {
       int64_t k = ans.records[i].key();
@@ -65,101 +137,14 @@ Status BuildSelectionMessages(int64_t lo, int64_t hi,
   return Status::OK();
 }
 
-std::vector<Slice> MessageViews(const std::vector<ByteBuffer>& messages) {
-  std::vector<Slice> views;
-  views.reserve(messages.size());
-  for (const ByteBuffer& m : messages) views.push_back(m.AsSlice());
-  return views;
-}
-
-}  // namespace
-
-Status ClientVerifier::VerifySelectionStatic(int64_t lo, int64_t hi,
-                                             const SelectionAnswer& ans) const {
-  std::vector<ByteBuffer> messages;
-  AUTHDB_RETURN_NOT_OK(BuildSelectionMessages(lo, hi, ans, &messages));
-  if (!da_pub_->VerifyAggregate(MessageViews(messages), ans.agg_sig, mode_))
-    return Status::VerificationFailed("aggregate signature mismatch");
-  return Status::OK();
-}
-
-Status ClientVerifier::VerifySelection(int64_t lo, int64_t hi,
-                                       const SelectionAnswer& ans,
-                                       uint64_t now) {
-  AUTHDB_RETURN_NOT_OK(VerifySelectionStatic(lo, hi, ans));
-  for (const UpdateSummary& s : ans.summaries) {
-    Status st = freshness_.AddSummary(s);
-    if (!st.ok()) return st;
-  }
-  auto check = [&](const Record& r) {
-    return freshness_.CheckRecord(r.rid, r.ts, now);
-  };
-  for (const Record& r : ans.records) AUTHDB_RETURN_NOT_OK(check(r));
-  if (ans.proof_record) AUTHDB_RETURN_NOT_OK(check(*ans.proof_record));
-  return Status::OK();
-}
-
-namespace {
-
-/// An answer pinned to epoch e is a snapshot of periods 0..e-1 and can only
-/// carry summaries with seq < e. A summary from a later period spliced onto
-/// an older answer — the mixed-generation forgery: old-epoch chain state
-/// presented with new-epoch freshness evidence — is inconsistent on its
-/// face and rejected before any bitmap work.
-Status CheckEpochSummaryConsistency(uint64_t served_epoch,
-                                    const std::vector<UpdateSummary>& sums) {
-  for (const UpdateSummary& s : sums) {
-    if (s.seq + 1 > served_epoch) {
-      return Status::VerificationFailed(
-          "mixed-generation answer: claims serving epoch " +
-          std::to_string(served_epoch) + " but carries summary seq " +
-          std::to_string(s.seq) + " from a later period");
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status ClientVerifier::VerifySelectionFresh(int64_t lo, int64_t hi,
-                                            const SelectionAnswer& ans,
-                                            uint64_t now, uint64_t min_epoch) {
-  if (ans.served_epoch < min_epoch) {
-    return Status::VerificationFailed(
-        "answer served under epoch " + std::to_string(ans.served_epoch) +
-        " but the summary stream has reached epoch " +
-        std::to_string(min_epoch));
-  }
-  AUTHDB_RETURN_NOT_OK(
-      CheckEpochSummaryConsistency(ans.served_epoch, ans.summaries));
-  return VerifySelection(lo, hi, ans, now);
-}
-
-std::vector<uint64_t> ClientVerifier::StaleRids(const SelectionAnswer& ans,
-                                                uint64_t now) const {
-  std::vector<uint64_t> stale;
-  auto probe = [&](const Record& r) {
-    if (!freshness_.CheckRecord(r.rid, r.ts, now).ok()) stale.push_back(r.rid);
-  };
-  for (const Record& r : ans.records) probe(r);
-  if (ans.proof_record) probe(*ans.proof_record);
-  return stale;
-}
-
-// ---------------------------------------------------------------------------
-// Projection
-
-namespace {
-
-/// Projection twin of BuildSelectionMessages: spine + attribute messages,
-/// aggregate check deferred to the caller.
+/// Projection claim: the digest spine proves range completeness as for a
+/// selection, and every projected value contributes its attribute message.
 Status BuildProjectionMessages(const Query& query,
                                const ProjectedRangeAnswer& ans,
                                std::vector<ByteBuffer>* messages_out) {
   std::vector<ByteBuffer>& messages = *messages_out;
   const int64_t lo = query.lo, hi = query.hi;
-  if (lo > hi || lo == kChainMinusInf || hi == kChainPlusInf)
-    return Status::InvalidArgument("bad query range");
+  AUTHDB_RETURN_NOT_OK(CheckQueryRange(query));
   const std::vector<uint32_t> attrs =
       EffectiveProjectionAttrs(query.attr_indices);
   size_t index_pos = attrs.size();
@@ -184,10 +169,7 @@ Status BuildProjectionMessages(const Query& query,
   } else {
     if (ans.digests.size() != ans.tuples.size())
       return Status::VerificationFailed("digest spine length mismatch");
-    if (ans.left_key >= lo)
-      return Status::VerificationFailed("left boundary inside range");
-    if (ans.right_key <= hi)
-      return Status::VerificationFailed("right boundary inside range");
+    AUTHDB_RETURN_NOT_OK(CheckEnclosure(query, ans.left_key, ans.right_key));
     // Each tuple must project exactly the agreed attribute set; its signed
     // index-attribute value is the key that ties it to its spine entry.
     std::vector<int64_t> keys;
@@ -219,139 +201,257 @@ Status BuildProjectionMessages(const Query& query,
   return Status::OK();
 }
 
+/// Join claim (Section 3.5): every R.A value must be accounted for by
+/// exactly one proof — match group, negative probe, or absence witness —
+/// and the one aggregate covers every chained record and every shipped
+/// partition certificate.
+Status BuildJoinMessages(const Query& query, const JoinAnswer& ans,
+                         std::vector<ByteBuffer>* messages_out) {
+  std::vector<ByteBuffer>& messages = *messages_out;
+  std::set<int64_t> pending(query.join_values.begin(),
+                            query.join_values.end());
+
+  // 1. Match groups: every row's B must equal a_value; keys strictly
+  //    ascending; boundaries enclose the value's composite range.
+  std::vector<const Record*> rows;
+  std::vector<std::pair<int64_t, int64_t>> row_neighbors;
+  for (const JoinMatch& m : ans.matches) {
+    if (!pending.erase(m.a_value))
+      return Status::VerificationFailed("match for unqueried value");
+    if (m.s_records.empty())
+      return Status::VerificationFailed("empty match group");
+    if (m.left_key != kChainMinusInf &&
+        JoinBValue(m.left_key) >= m.a_value)
+      return Status::VerificationFailed("match left boundary inside group");
+    if (m.right_key != kChainPlusInf && JoinBValue(m.right_key) <= m.a_value)
+      return Status::VerificationFailed("match right boundary inside group");
+    for (size_t i = 0; i < m.s_records.size(); ++i) {
+      const Record& r = m.s_records[i];
+      if (JoinBValue(r.key()) != m.a_value)
+        return Status::VerificationFailed("match row with wrong B value");
+      if (i > 0 && m.s_records[i - 1].key() >= r.key())
+        return Status::VerificationFailed("match rows out of order");
+      int64_t left = i == 0 ? m.left_key : m.s_records[i - 1].key();
+      int64_t right =
+          i + 1 == m.s_records.size() ? m.right_key : m.s_records[i + 1].key();
+      rows.push_back(&r);
+      row_neighbors.emplace_back(left, right);
+    }
+  }
+
+  // 2. Negative probes: the certified filter must actually answer "no" —
+  //    re-probed through the same batched path the prover used.
+  std::map<const CertifiedPartition*, std::vector<int64_t>> probes_by_part;
+  for (const auto& [a, pidx] : ans.negative_probes) {
+    if (!pending.erase(a))
+      return Status::VerificationFailed("negative probe for unqueried value");
+    const CertifiedPartition* part = nullptr;
+    for (const auto& p : ans.partitions) {
+      if (p.idx == pidx) {
+        part = &p;
+        break;
+      }
+    }
+    if (part == nullptr)
+      return Status::VerificationFailed("probe against missing partition");
+    if (a < part->lo_b || a > part->hi_b)
+      return Status::VerificationFailed("probe outside partition range");
+    probes_by_part[part].push_back(a);
+  }
+  for (const auto& [part, keys] : probes_by_part) {
+    std::vector<uint8_t> results(keys.size());
+    part->filter.ProbeMany(keys.data(), keys.size(), results.data());
+    for (uint8_t maybe : results) {
+      if (maybe)
+        return Status::VerificationFailed(
+            "filter contains a value claimed absent");
+    }
+  }
+
+  // 3. Absence witnesses: the witness chain must bracket the value.
+  for (const AbsenceProof& p : ans.absence_proofs) {
+    if (!pending.erase(p.a_value))
+      return Status::VerificationFailed("absence proof for unqueried value");
+    int64_t wb = JoinBValue(p.rec_key);
+    bool left_witness =
+        wb < p.a_value &&
+        (p.right_key == kChainPlusInf || JoinBValue(p.right_key) > p.a_value);
+    bool right_witness =
+        wb > p.a_value &&
+        (p.left_key == kChainMinusInf || JoinBValue(p.left_key) < p.a_value);
+    if (!left_witness && !right_witness)
+      return Status::VerificationFailed("witness does not bracket the value");
+  }
+
+  if (!pending.empty())
+    return Status::VerificationFailed(
+        std::to_string(pending.size()) + " R values unaccounted for");
+
+  // 4. The messages: match rows (digested in one multi-buffer pass), then
+  //    absence witnesses, each chained record once, then every partition
+  //    certification.
+  std::vector<Digest160> digests(rows.size());
+  RecordDigestMany(rows.data(), rows.size(), digests.data());
+  std::set<int64_t> linked;
+  auto link = [&](int64_t key, const Digest160& digest, int64_t left,
+                  int64_t right) {
+    if (linked.insert(key).second)
+      messages.push_back(ChainMessage(key, digest, left, right));
+  };
+  for (size_t i = 0; i < rows.size(); ++i) {
+    link(rows[i]->key(), digests[i], row_neighbors[i].first,
+         row_neighbors[i].second);
+  }
+  for (const AbsenceProof& p : ans.absence_proofs)
+    link(p.rec_key, p.rec_digest, p.left_key, p.right_key);
+  for (const CertifiedPartition& p : ans.partitions)
+    messages.push_back(p.SignedMessage());
+  return Status::OK();
+}
+
+/// One answer's claim for phase 2, and what phase 3 bounds by age.
+struct Claim {
+  std::vector<ByteBuffer> messages;
+  const BasSignature* agg = nullptr;
+  const char* mismatch = nullptr;
+  /// Joins only: the shipped Bloom partitions, whose certification age
+  /// the freshness walk bounds (filters carry no rids to walk).
+  const std::vector<CertifiedPartition>* partitions = nullptr;
+};
+
+Status BuildClaim(const Query& query, const QueryAnswer& ans, Claim* claim) {
+  switch (ans.kind) {
+    case QueryKind::kSelect:
+      claim->agg = &ans.selection.agg_sig;
+      claim->mismatch = "aggregate signature mismatch";
+      return BuildSelectionMessages(query, ans.selection, &claim->messages);
+    case QueryKind::kProject:
+      claim->agg = &ans.projection.agg_sig;
+      claim->mismatch = "projection aggregate mismatch";
+      return BuildProjectionMessages(query, ans.projection, &claim->messages);
+    case QueryKind::kJoin:
+      claim->agg = &ans.join.agg_sig;
+      claim->mismatch = "join aggregate signature mismatch";
+      claim->partitions = &ans.join.partitions;
+      return BuildJoinMessages(query, ans.join, &claim->messages);
+  }
+  return Status::InvalidArgument("unknown answer kind");
+}
+
+/// Every record version the answer cites, as (rid, ts): the input of the
+/// freshness walk and of StaleRids.
+std::vector<std::pair<uint64_t, uint64_t>> CitedVersions(
+    const QueryAnswer& ans) {
+  std::vector<std::pair<uint64_t, uint64_t>> cited;
+  switch (ans.kind) {
+    case QueryKind::kSelect:
+      for (const Record& r : ans.selection.records)
+        cited.emplace_back(r.rid, r.ts);
+      if (ans.selection.proof_record) {
+        cited.emplace_back(ans.selection.proof_record->rid,
+                           ans.selection.proof_record->ts);
+      }
+      break;
+    case QueryKind::kProject:
+      for (const ProjectedTuple& t : ans.projection.tuples)
+        cited.emplace_back(t.rid, t.ts);
+      if (ans.projection.proof) {
+        cited.emplace_back(ans.projection.proof->rid,
+                           ans.projection.proof->ts);
+      }
+      break;
+    case QueryKind::kJoin:
+      for (const JoinMatch& m : ans.join.matches) {
+        for (const Record& r : m.s_records) cited.emplace_back(r.rid, r.ts);
+      }
+      for (const AbsenceProof& p : ans.join.absence_proofs)
+        cited.emplace_back(p.rec_rid, p.rec_ts);
+      break;
+  }
+  return cited;
+}
+
 }  // namespace
 
-Status ClientVerifier::VerifyProjectionStatic(
-    const Query& query, const ProjectedRangeAnswer& ans) const {
-  std::vector<ByteBuffer> messages;
-  AUTHDB_RETURN_NOT_OK(BuildProjectionMessages(query, ans, &messages));
-  if (!da_pub_->VerifyAggregate(MessageViews(messages), ans.agg_sig, mode_))
-    return Status::VerificationFailed("projection aggregate mismatch");
-  return Status::OK();
-}
+std::vector<Status> ClientVerifier::Verify(const Query* plans,
+                                           const QueryAnswer* const* answers,
+                                           size_t n, uint64_t now,
+                                           uint64_t min_epoch,
+                                           uint64_t max_partition_age_micros,
+                                           BatchVerifyStats* stats) {
+  std::vector<Status> out(n, Status::OK());
+  std::vector<Claim> claims(n);
 
-Status ClientVerifier::VerifyProjection(const Query& query,
-                                        const QueryAnswer& ans, uint64_t now) {
-  AUTHDB_RETURN_NOT_OK(VerifyProjectionStatic(query, ans.projection));
-  for (const UpdateSummary& s : ans.summaries) {
-    Status st = freshness_.AddSummary(s);
-    if (!st.ok()) return st;
+  // Phase 1 — envelope gate and claim builders. Nothing here touches
+  // freshness_.
+  for (size_t i = 0; i < n; ++i) {
+    if (answers[i] == nullptr) continue;
+    out[i] = EnvelopePrecheck(plans[i], *answers[i], min_epoch);
+    if (out[i].ok()) out[i] = BuildClaim(plans[i], *answers[i], &claims[i]);
   }
-  for (const ProjectedTuple& t : ans.projection.tuples)
-    AUTHDB_RETURN_NOT_OK(freshness_.CheckRecord(t.rid, t.ts, now));
-  if (ans.projection.proof) {
-    AUTHDB_RETURN_NOT_OK(freshness_.CheckRecord(ans.projection.proof->rid,
-                                                ans.projection.proof->ts,
-                                                now));
-  }
-  return Status::OK();
-}
 
-// ---------------------------------------------------------------------------
-// Join
-
-Status ClientVerifier::VerifyJoinStatic(const Query& query,
-                                        const JoinAnswer& ans) const {
-  return JoinVerifier(da_pub_, mode_).Verify(query.join_values, ans);
-}
-
-Status ClientVerifier::VerifyJoin(const Query& query, const QueryAnswer& ans,
-                                  uint64_t now,
-                                  uint64_t max_partition_age_micros) {
-  AUTHDB_RETURN_NOT_OK(VerifyJoinStatic(query, ans.join));
-  for (const UpdateSummary& s : ans.summaries) {
-    Status st = freshness_.AddSummary(s);
-    if (!st.ok()) return st;
+  // Phase 2 — every answer's aggregate in ONE shared-inversion pass.
+  std::vector<BasAggregateClaim> batch;
+  std::vector<size_t> owner;
+  for (size_t i = 0; i < n; ++i) {
+    if (answers[i] == nullptr || !out[i].ok()) continue;
+    BasAggregateClaim claim;
+    claim.messages.reserve(claims[i].messages.size());
+    for (const ByteBuffer& m : claims[i].messages)
+      claim.messages.push_back(m.AsSlice());
+    claim.agg = *claims[i].agg;
+    batch.push_back(std::move(claim));
+    owner.push_back(i);
   }
-  for (const JoinMatch& m : ans.join.matches) {
-    for (const Record& r : m.s_records)
-      AUTHDB_RETURN_NOT_OK(freshness_.CheckRecord(r.rid, r.ts, now));
+  if (!batch.empty()) {
+    std::vector<bool> ok = da_pub_->VerifyAggregateBatch(batch, mode_);
+    for (size_t k = 0; k < batch.size(); ++k) {
+      if (!ok[k])
+        out[owner[k]] = Status::VerificationFailed(claims[owner[k]].mismatch);
+    }
   }
-  for (const AbsenceProof& p : ans.join.absence_proofs)
-    AUTHDB_RETURN_NOT_OK(freshness_.CheckRecord(p.rec_rid, p.rec_ts, now));
-  if (max_partition_age_micros > 0) {
+  if (stats != nullptr) {
+    stats->answers = n;
+    stats->aggregate_claims = batch.size();
+    stats->shared_inversions = batch.empty() ? 0 : 1;
+  }
+
+  // Phase 3 — freshness, strictly serial in answer order: summaries an
+  // earlier answer ingests are visible to every later walk.
+  auto walk = [&](const QueryAnswer& ans, const Claim& claim) -> Status {
+    for (const UpdateSummary& s : ans.summaries)
+      AUTHDB_RETURN_NOT_OK(freshness_.AddSummary(s));
+    for (const auto& [rid, ts] : CitedVersions(ans))
+      AUTHDB_RETURN_NOT_OK(freshness_.CheckRecord(rid, ts, now));
+    if (claim.partitions == nullptr || max_partition_age_micros == 0)
+      return Status::OK();
     // Filters carry no rids, so the bitmap walk cannot indict them; bound
     // their age against the newest summary this checker holds instead.
-    uint64_t latest = freshness_.latest_publish_ts();
-    for (const CertifiedPartition& p : ans.join.partitions) {
+    const uint64_t latest = freshness_.latest_publish_ts();
+    for (const CertifiedPartition& p : *claim.partitions) {
       if (p.ts + max_partition_age_micros < latest) {
         return Status::VerificationFailed(
-            "partition filter certified " +
-            std::to_string(latest - p.ts) +
+            "partition filter certified " + std::to_string(latest - p.ts) +
             "us before the latest summary (bound " +
             std::to_string(max_partition_age_micros) + "us)");
       }
     }
+    return Status::OK();
+  };
+  for (size_t i = 0; i < n; ++i) {
+    if (answers[i] != nullptr && out[i].ok())
+      out[i] = walk(*answers[i], claims[i]);
   }
-  return Status::OK();
+  return out;
 }
-
-// ---------------------------------------------------------------------------
-// Unified envelope
-
-namespace {
-
-/// The kind/shed/epoch/splice gate of VerifyAnswerFresh, shared verbatim
-/// with VerifyAnswerBatch. Returns OK when the per-kind pipeline should
-/// run; any other status is the answer's final verdict.
-Status EnvelopePrecheck(const Query& query, const QueryAnswer& ans,
-                        uint64_t min_epoch) {
-  // The answer kind is server-controlled: dispatching on it without this
-  // check would let a server answer a join with an honest *selection*
-  // (verifying fine) while the join member the client reads stays empty —
-  // a verified-yet-incomplete answer.
-  if (ans.kind != query.kind)
-    return Status::VerificationFailed("answer kind does not match the query");
-  if (ans.outcome == AnswerOutcome::kShedRetryAfter) {
-    // An admission-control shed is an honest refusal, never a result: any
-    // payload riding on one is a server trying to pass off unverified (or
-    // stale) data under the shed banner, so it is treated as tampering,
-    // not as overload.
-    const bool payload_free =
-        ans.selection.records.empty() && !ans.selection.proof_record &&
-        ans.selection.summaries.empty() && ans.projection.tuples.empty() &&
-        !ans.projection.proof && ans.join.matches.empty() &&
-        ans.join.absence_proofs.empty() && ans.join.partitions.empty() &&
-        ans.summaries.empty();
-    if (!payload_free) {
-      return Status::VerificationFailed(
-          "shed answer carries payload — a shed is a refusal, not a result");
-    }
-    return Status::ResourceExhausted(
-        "query shed by server admission control (retry after " +
-        std::to_string(ans.retry_after_micros) + "us)");
-  }
-  if (ans.served_epoch < min_epoch) {
-    return Status::VerificationFailed(
-        "answer served under epoch " + std::to_string(ans.served_epoch) +
-        " but the summary stream has reached epoch " +
-        std::to_string(min_epoch));
-  }
-  // Reject mixed-generation splices (old-epoch content + later-period
-  // summaries) uniformly across every plan kind.
-  return CheckEpochSummaryConsistency(ans.served_epoch, ans.summaries);
-}
-
-}  // namespace
 
 Status ClientVerifier::VerifyAnswerFresh(const Query& query,
                                          const QueryAnswer& ans, uint64_t now,
                                          uint64_t min_epoch,
                                          uint64_t max_partition_age_micros) {
-  AUTHDB_RETURN_NOT_OK(EnvelopePrecheck(query, ans, min_epoch));
-  switch (ans.kind) {
-    case QueryKind::kSelect:
-      // The selection member carries its own stamp + summaries (mirrored
-      // into the envelope); route through the shared selection path so
-      // the epoch and splice checks run against the real data once.
-      return VerifySelectionFresh(query.lo, query.hi, ans.selection, now,
-                                  min_epoch);
-    case QueryKind::kProject:
-      return VerifyProjection(query, ans, now);
-    case QueryKind::kJoin:
-      return VerifyJoin(query, ans, now, max_partition_age_micros);
-  }
-  return Status::InvalidArgument("unknown answer kind");
+  const QueryAnswer* one = &ans;
+  return Verify(&query, &one, 1, now, min_epoch, max_partition_age_micros,
+                nullptr)[0];
 }
 
 std::vector<Status> ClientVerifier::VerifyAnswerBatch(
@@ -359,191 +459,19 @@ std::vector<Status> ClientVerifier::VerifyAnswerBatch(
     uint64_t now, uint64_t min_epoch, const BatchVerifyOptions& opts,
     BatchVerifyStats* stats) {
   const size_t n = batch.plans.size();
-  std::vector<Status> out(n, Status::OK());
   if (answers.size() != n) {
-    for (Status& s : out)
-      s = Status::InvalidArgument("answer count does not match the batch");
-    return out;
+    return std::vector<Status>(
+        n, Status::InvalidArgument("answer count does not match the batch"));
   }
-  if (stats != nullptr) *stats = BatchVerifyStats{};
-  if (stats != nullptr) stats->answers = n;
-
-  /// One answer's deferred work: the chain messages whose aggregate still
-  /// needs checking (selections/projections), and whether the serial
-  /// freshness walk should run.
-  struct Pending {
-    std::vector<ByteBuffer> messages;
-    const BasSignature* agg = nullptr;
-    const char* mismatch = nullptr;
-    bool freshness = false;
-  };
-  std::vector<Pending> pend(n);
-
-  // Phase 1 — stateless, answer-parallel: envelope gate, structural
-  // checks, message building; joins run their whole static pipeline here
-  // (their aggregates are heterogeneous per proof, verified inside
-  // JoinVerifier). Nothing in this phase touches freshness_, so striping
-  // answers across workers cannot reorder anything observable.
-  auto static_one = [&](size_t i) {
-    if (!answers[i].ok()) {
-      out[i] = answers[i].status();
-      return;
-    }
-    const Query& q = batch.plans[i];
-    const QueryAnswer& ans = answers[i].value();
-    out[i] = EnvelopePrecheck(q, ans, min_epoch);
-    if (!out[i].ok()) return;
-    switch (ans.kind) {
-      case QueryKind::kSelect: {
-        // Mirror VerifySelectionFresh: the selection member carries its
-        // own stamp and summary run.
-        const SelectionAnswer& sel = ans.selection;
-        if (sel.served_epoch < min_epoch) {
-          out[i] = Status::VerificationFailed(
-              "answer served under epoch " +
-              std::to_string(sel.served_epoch) +
-              " but the summary stream has reached epoch " +
-              std::to_string(min_epoch));
-          return;
-        }
-        out[i] = CheckEpochSummaryConsistency(sel.served_epoch,
-                                              sel.summaries);
-        if (!out[i].ok()) return;
-        out[i] = BuildSelectionMessages(q.lo, q.hi, sel, &pend[i].messages);
-        if (!out[i].ok()) return;
-        pend[i].agg = &sel.agg_sig;
-        pend[i].mismatch = "aggregate signature mismatch";
-        return;
-      }
-      case QueryKind::kProject:
-        out[i] = BuildProjectionMessages(q, ans.projection,
-                                         &pend[i].messages);
-        if (!out[i].ok()) return;
-        pend[i].agg = &ans.projection.agg_sig;
-        pend[i].mismatch = "projection aggregate mismatch";
-        return;
-      case QueryKind::kJoin:
-        out[i] = VerifyJoinStatic(q, ans.join);
-        if (out[i].ok()) pend[i].freshness = true;
-        return;
-    }
-    out[i] = Status::InvalidArgument("unknown answer kind");
-  };
-  const size_t workers = std::min(opts.worker_threads, n);
-  if (workers > 1) {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t t = 0; t < workers; ++t) {
-      pool.emplace_back([&, t] {
-        for (size_t i = t; i < n; i += workers) static_one(i);
-      });
-    }
-    for (std::thread& th : pool) th.join();
-  } else {
-    for (size_t i = 0; i < n; ++i) static_one(i);
-  }
-
-  // Phase 2 — every deferred aggregate in ONE shared-inversion pass.
-  std::vector<BasAggregateClaim> claims;
-  std::vector<size_t> owner;
+  std::vector<const QueryAnswer*> served(n, nullptr);
   for (size_t i = 0; i < n; ++i) {
-    if (!out[i].ok() || pend[i].agg == nullptr) continue;
-    BasAggregateClaim claim;
-    claim.messages = MessageViews(pend[i].messages);
-    claim.agg = *pend[i].agg;
-    claims.push_back(std::move(claim));
-    owner.push_back(i);
+    if (answers[i].ok()) served[i] = &answers[i].value();
   }
-  if (!claims.empty()) {
-    std::vector<bool> ok = da_pub_->VerifyAggregateBatch(claims, mode_);
-    for (size_t k = 0; k < claims.size(); ++k) {
-      if (ok[k]) {
-        pend[owner[k]].freshness = true;
-      } else {
-        out[owner[k]] = Status::VerificationFailed(pend[owner[k]].mismatch);
-      }
-    }
-    if (stats != nullptr) {
-      stats->aggregate_claims = claims.size();
-      stats->shared_inversions = 1;
-    }
-  }
-
-  // Phase 3 — freshness, strictly serial in answer order: summaries an
-  // earlier answer ingests are visible to every later walk, exactly as in
-  // the sequential loop.
+  std::vector<Status> out =
+      Verify(batch.plans.data(), served.data(), n, now, min_epoch,
+             opts.max_partition_age_micros, stats);
   for (size_t i = 0; i < n; ++i) {
-    if (!out[i].ok() || !pend[i].freshness) continue;
-    const QueryAnswer& ans = answers[i].value();
-    switch (ans.kind) {
-      case QueryKind::kSelect: {
-        const SelectionAnswer& sel = ans.selection;
-        for (const UpdateSummary& s : sel.summaries) {
-          out[i] = freshness_.AddSummary(s);
-          if (!out[i].ok()) break;
-        }
-        if (!out[i].ok()) break;
-        for (const Record& r : sel.records) {
-          out[i] = freshness_.CheckRecord(r.rid, r.ts, now);
-          if (!out[i].ok()) break;
-        }
-        if (out[i].ok() && sel.proof_record) {
-          out[i] = freshness_.CheckRecord(sel.proof_record->rid,
-                                          sel.proof_record->ts, now);
-        }
-        break;
-      }
-      case QueryKind::kProject: {
-        for (const UpdateSummary& s : ans.summaries) {
-          out[i] = freshness_.AddSummary(s);
-          if (!out[i].ok()) break;
-        }
-        if (!out[i].ok()) break;
-        for (const ProjectedTuple& t : ans.projection.tuples) {
-          out[i] = freshness_.CheckRecord(t.rid, t.ts, now);
-          if (!out[i].ok()) break;
-        }
-        if (out[i].ok() && ans.projection.proof) {
-          out[i] = freshness_.CheckRecord(ans.projection.proof->rid,
-                                          ans.projection.proof->ts, now);
-        }
-        break;
-      }
-      case QueryKind::kJoin: {
-        for (const UpdateSummary& s : ans.summaries) {
-          out[i] = freshness_.AddSummary(s);
-          if (!out[i].ok()) break;
-        }
-        if (!out[i].ok()) break;
-        for (const JoinMatch& m : ans.join.matches) {
-          for (const Record& r : m.s_records) {
-            out[i] = freshness_.CheckRecord(r.rid, r.ts, now);
-            if (!out[i].ok()) break;
-          }
-          if (!out[i].ok()) break;
-        }
-        if (out[i].ok()) {
-          for (const AbsenceProof& p : ans.join.absence_proofs) {
-            out[i] = freshness_.CheckRecord(p.rec_rid, p.rec_ts, now);
-            if (!out[i].ok()) break;
-          }
-        }
-        if (out[i].ok() && opts.max_partition_age_micros > 0) {
-          uint64_t latest = freshness_.latest_publish_ts();
-          for (const CertifiedPartition& p : ans.join.partitions) {
-            if (p.ts + opts.max_partition_age_micros < latest) {
-              out[i] = Status::VerificationFailed(
-                  "partition filter certified " +
-                  std::to_string(latest - p.ts) +
-                  "us before the latest summary (bound " +
-                  std::to_string(opts.max_partition_age_micros) + "us)");
-              break;
-            }
-          }
-        }
-        break;
-      }
-    }
+    if (!answers[i].ok()) out[i] = answers[i].status();
   }
   return out;
 }
@@ -551,25 +479,8 @@ std::vector<Status> ClientVerifier::VerifyAnswerBatch(
 std::vector<uint64_t> ClientVerifier::StaleRids(const QueryAnswer& ans,
                                                 uint64_t now) const {
   std::vector<uint64_t> stale;
-  auto probe = [&](uint64_t rid, uint64_t ts) {
+  for (const auto& [rid, ts] : CitedVersions(ans)) {
     if (!freshness_.CheckRecord(rid, ts, now).ok()) stale.push_back(rid);
-  };
-  switch (ans.kind) {
-    case QueryKind::kSelect:
-      return StaleRids(ans.selection, now);
-    case QueryKind::kProject:
-      for (const ProjectedTuple& t : ans.projection.tuples)
-        probe(t.rid, t.ts);
-      if (ans.projection.proof)
-        probe(ans.projection.proof->rid, ans.projection.proof->ts);
-      break;
-    case QueryKind::kJoin:
-      for (const JoinMatch& m : ans.join.matches) {
-        for (const Record& r : m.s_records) probe(r.rid, r.ts);
-      }
-      for (const AbsenceProof& p : ans.join.absence_proofs)
-        probe(p.rec_rid, p.rec_ts);
-      break;
   }
   return stale;
 }

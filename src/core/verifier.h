@@ -2,7 +2,6 @@
 #define AUTHDB_CORE_VERIFIER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -19,11 +18,26 @@ namespace authdb {
 ///                    is accounted for, and the chain is gapless;
 ///  * freshness     — no cited record is marked in any summary published
 ///                    after its certification (Section 3.1), and the
-///                    claimed serving epoch is not behind the client's
+///                    envelope's `served_epoch` is not behind the client's
 ///                    view of the summary stream.
-/// VerifyAnswerFresh is the uniform entry point over QueryAnswer; the
-/// per-kind methods remain available for callers driving pieces
-/// themselves.
+///
+/// There is one pipeline, VerifyAnswerBatch; VerifyAnswerFresh is a batch
+/// of one. It runs in three phases:
+///  1. the envelope gate (kind, shed, epoch stamp, mixed-generation
+///     splice), then a per-kind claim builder: structural completeness
+///     checks and the messages the answer's one aggregate must cover;
+///  2. ONE BasPublicKey::VerifyAggregateBatch over every answer's claim;
+///  3. a serial freshness walk: the envelope's summaries are ingested,
+///     then every cited (rid, ts) version is checked against the held
+///     bitmaps, and joins bound their partitions' age.
+///
+/// Mixed-generation defense: with epoch-pinned serving, an answer served
+/// under epoch e is a snapshot of periods 0..e-1, so it can only carry
+/// summaries with seq < e. An answer gluing an old-epoch chain onto a
+/// newer summary (to look fresh to a client without an independent feed)
+/// is rejected for that inconsistency alone; if the server also forges
+/// the stamp upward, the glued summary's own bitmap indicts the stale
+/// records — either way the splice fails.
 class ClientVerifier {
  public:
   ClientVerifier(const BasPublicKey* da_pub, const BitmapCodec* codec,
@@ -32,65 +46,30 @@ class ClientVerifier {
         mode_(mode),
         freshness_(da_pub, codec, mode) {}
 
-  /// Full pipeline for one answer. `now` is the verification time;
-  /// summaries attached to the answer are ingested first.
-  Status VerifySelection(int64_t lo, int64_t hi, const SelectionAnswer& ans,
-                         uint64_t now);
-
-  /// Live-stream variant: everything VerifySelection checks, plus the epoch
-  /// cross-check of the streaming pipeline. A client following the DA's
-  /// summary feed knows the latest epoch independently of the server; an
-  /// answer claiming an older `served_epoch` is rejected outright (a lagging
-  /// or replaying server), and a forged epoch is still caught by the
-  /// per-record bitmap walk because the checker already holds the newer
-  /// summaries the answer pretends do not exist.
-  ///
-  /// Mixed-generation defense: with epoch-pinned serving, an answer served
-  /// under epoch e is a snapshot of periods 0..e-1, so it can only carry
-  /// summaries with seq < e. An answer gluing an old-epoch chain onto a
-  /// newer summary (to look fresh to a client without an independent feed)
-  /// is rejected for that inconsistency alone; if the server also forges
-  /// the stamp upward, the glued summary's own bitmap indicts the stale
-  /// records — either way the splice fails.
-  Status VerifySelectionFresh(int64_t lo, int64_t hi,
-                              const SelectionAnswer& ans, uint64_t now,
-                              uint64_t min_epoch);
-
-  /// Diagnostic companion for attack harnesses: the rids in `ans` whose
-  /// returned version is superseded according to the currently held
-  /// summaries (per-rid decompressed-bitmap walk).
-  std::vector<uint64_t> StaleRids(const SelectionAnswer& ans,
-                                  uint64_t now) const;
-
-  /// Authenticity + completeness only (no freshness), for callers driving
-  /// the freshness checker themselves.
-  Status VerifySelectionStatic(int64_t lo, int64_t hi,
-                               const SelectionAnswer& ans) const;
-
-  /// Uniform freshness-checked entry point over the unified answer
-  /// envelope: the epoch cross-check of VerifySelectionFresh generalized
-  /// to every plan kind, then the kind's full pipeline. For joins,
-  /// `max_partition_age_micros` (when non-zero) additionally rejects
-  /// shipped Bloom partitions certified more than that long before the
-  /// latest summary this checker holds — the partition analogue of the
-  /// bitmap walk, since filters carry no rids (a lagging filter could
+  /// Verify one answer: a batch of one (VerifyAnswerBatch). `now` is the
+  /// verification time. A client following the DA's summary feed passes
+  /// the latest epoch it knows as `min_epoch`: an answer stamped older is
+  /// rejected outright (a lagging or replaying server), and a forged
+  /// stamp is still caught by the bitmap walk because the checker already
+  /// holds the newer summaries the answer pretends do not exist.
+  /// `max_partition_age_micros` (when non-zero) rejects join answers whose
+  /// shipped Bloom partitions were certified more than that long before
+  /// the latest summary this checker holds — the partition analogue of
+  /// the bitmap walk, since filters carry no rids (a lagging filter could
   /// otherwise "prove" a freshly inserted value absent).
   Status VerifyAnswerFresh(const Query& query, const QueryAnswer& ans,
                            uint64_t now, uint64_t min_epoch,
                            uint64_t max_partition_age_micros = 0);
 
   struct BatchVerifyOptions {
-    /// Worker threads for the stateless phase (structural checks, message
-    /// building, join static pipelines). 0 = run inline on the caller.
-    size_t worker_threads = 0;
     /// Join partition-age bound, as in VerifyAnswerFresh.
     uint64_t max_partition_age_micros = 0;
   };
   struct BatchVerifyStats {
     size_t answers = 0;
     /// Aggregate-signature claims folded into the one shared-inversion
-    /// check (selections + projections; join aggregates verify inside
-    /// their static pipelines).
+    /// check: one per answer that passed its envelope and structural
+    /// checks, whatever its kind.
     size_t aggregate_claims = 0;
     /// Shared batch finalizations performed (1 when any claims, else 0) —
     /// the client-side mirror of the server's exec.batch.finalizes.
@@ -98,16 +77,13 @@ class ClientVerifier {
   };
 
   /// Verify a PlanBatch's answers — verdict-for-verdict identical to
-  /// calling VerifyAnswerFresh(plans[i], answers[i], ...) in order, but
-  /// with the crypto batched: every selection and projection aggregate
-  /// check in the batch shares ONE Montgomery batch inversion
-  /// (BasPublicKey::VerifyAggregateBatch, the client-side mirror of the
-  /// server's FinalizeBatch), and the stateless phase optionally fans out
-  /// across opts.worker_threads. Freshness ingestion stays strictly
+  /// calling VerifyAnswerFresh(plans[i], answers[i], ...) in order, with
+  /// every aggregate check in the batch sharing ONE Montgomery batch
+  /// inversion (BasPublicKey::VerifyAggregateBatch, the client-side mirror
+  /// of the server's FinalizeBatch). Freshness ingestion stays strictly
   /// serial in answer order — summaries an earlier answer carries are
-  /// visible to every later answer's freshness walk, exactly as in the
-  /// sequential loop — and an answer that fails its structural or
-  /// aggregate check ingests nothing, also as in the sequential loop.
+  /// visible to every later answer's freshness walk — and an answer that
+  /// fails its structural or aggregate check ingests nothing.
   std::vector<Status> VerifyAnswerBatch(
       const PlanBatch& batch, const std::vector<Result<QueryAnswer>>& answers,
       uint64_t now, uint64_t min_epoch, const BatchVerifyOptions& opts,
@@ -119,29 +95,23 @@ class ClientVerifier {
                              BatchVerifyOptions());
   }
 
-  /// Served-projection pipeline: digest-spine completeness + attribute
-  /// authenticity (one aggregate), then the per-tuple freshness walk over
-  /// the answer's attached summaries.
-  Status VerifyProjection(const Query& query, const QueryAnswer& ans,
-                          uint64_t now);
-  /// Authenticity + completeness of the digest spine only (no freshness).
-  Status VerifyProjectionStatic(const Query& query,
-                                const ProjectedRangeAnswer& ans) const;
-
-  /// Served-join pipeline: the JoinVerifier static checks, then the
-  /// freshness walk over match rows and absence witnesses (and the
-  /// optional partition-age bound — see VerifyAnswerFresh).
-  Status VerifyJoin(const Query& query, const QueryAnswer& ans, uint64_t now,
-                    uint64_t max_partition_age_micros = 0);
-  Status VerifyJoinStatic(const Query& query, const JoinAnswer& ans) const;
-
-  /// StaleRids generalized over the answer envelope: every cited rid whose
-  /// returned version is superseded by the currently held summaries.
+  /// Diagnostic companion for attack harnesses: every cited rid whose
+  /// returned version is superseded according to the currently held
+  /// summaries.
   std::vector<uint64_t> StaleRids(const QueryAnswer& ans, uint64_t now) const;
 
   FreshnessChecker& freshness() { return freshness_; }
 
  private:
+  /// The pipeline behind both entry points, over answers[0..n) answering
+  /// plans[0..n). A null answers[i] is skipped and its verdict left OK for
+  /// the caller to fill.
+  std::vector<Status> Verify(const Query* plans,
+                             const QueryAnswer* const* answers, size_t n,
+                             uint64_t now, uint64_t min_epoch,
+                             uint64_t max_partition_age_micros,
+                             BatchVerifyStats* stats);
+
   const BasPublicKey* da_pub_;
   BasContext::HashMode mode_;
   FreshnessChecker freshness_;

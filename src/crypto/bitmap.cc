@@ -93,6 +93,8 @@ Result<Bitmap> VarintGapCodec::Decode(Slice data) const {
   uint64_t nbits = 0;
   if (!GetVarint(data.data(), data.size(), &pos, &nbits))
     return Status::Corruption("varint-gap bitmap: bad size varint");
+  if (nbits > kMaxBitmapBits)
+    return Status::Corruption("varint-gap bitmap: size over the cap");
   Bitmap bm(nbits);
   uint64_t cur = 0;
   bool first = true;
@@ -162,6 +164,8 @@ Result<Bitmap> WahCodec::Decode(Slice data) const {
     return Status::Corruption("wah bitmap: bad size varint");
   if ((data.size() - pos) % 4 != 0)
     return Status::Corruption("wah bitmap: truncated word");
+  if (nbits > kMaxBitmapBits)
+    return Status::Corruption("wah bitmap: size over the cap");
   Bitmap bm(nbits);
   uint64_t bit = 0;
   while (pos < data.size()) {

@@ -39,6 +39,16 @@ class Bitmap {
   std::vector<uint64_t> words_;
 };
 
+/// Largest declared size, in bits, a codec decodes: 2^26 bits, 8 MiB of
+/// words. Decode allocates the declared size before it reads a single bit,
+/// and that size is untrusted (under kFast anyone can sign a summary), so
+/// an unchecked one could ask for exabytes. A summary holds one bit per
+/// rid; the largest relation the repo certifies is bench_table4_standalone's
+/// 1M records at paper scale (the TPC-E Holding table of bench_fig11_join
+/// has 894K rows), and even the 10M-record row of bench_table1_height is
+/// far below the cap.
+constexpr uint64_t kMaxBitmapBits = uint64_t{1} << 26;
+
 /// Sparse-bitmap compressor interface. Two codecs are provided, matching
 /// the compression-technique citations in the paper ([14], [30]): a
 /// varint gap coder and a word-aligned hybrid (WAH) run-length coder.
@@ -46,8 +56,9 @@ class BitmapCodec {
  public:
   virtual ~BitmapCodec() = default;
   virtual std::vector<uint8_t> Encode(const Bitmap& bm) const = 0;
-  /// Decodes untrusted bytes: a truncated encoding or a set bit at or past
-  /// the declared size is Corruption, never a crash.
+  /// Decodes untrusted bytes: a truncated encoding, a declared size above
+  /// kMaxBitmapBits, or a set bit at or past the declared size is
+  /// Corruption, never a crash.
   virtual Result<Bitmap> Decode(Slice data) const = 0;
   virtual const char* name() const = 0;
 };

@@ -1,5 +1,5 @@
 // The batched execution engine behind ShardedQueryServer's read path
-// (ExecuteBatch; Select and Execute are batches of one).
+// (ExecuteBatch; Execute is a batch of one).
 //
 // Batch shape: the whole PlanBatch pins ONE EpochDescriptor, so every
 // answer is the same serializable cut. Planning splits each valid plan
@@ -382,8 +382,7 @@ Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,
     *needs_final = true;  // agg_sig lands with the batch-level inversion
   }
 
-  ShardedQueryServer::AttachSummaries(desc_, oldest_ts, &out.summaries);
-  out.served_epoch = desc_.epoch;
+  ShardedQueryServer::AttachSummaries(desc_, oldest_ts, &answer.summaries);
   answer.served_epoch = desc_.epoch;
   return answer;
 }
@@ -713,11 +712,11 @@ std::vector<Result<QueryAnswer>> BatchEngine::Run(const PlanBatch& batch,
 }
 
 // ---------------------------------------------------------------------------
-// The public read surface: ExecuteBatch, with Execute and Select as
-// batches of one. Admission control (when enabled) wraps the engine here:
-// plans are routed through the two-lane controller, refused plans come
-// back as epoch-stamped shed answers in plan order, and the engine only
-// ever sees the admitted sub-batch.
+// The public read surface: ExecuteBatch, with Execute as a batch of one.
+// Admission control (when enabled) wraps the engine here: plans are routed
+// through the two-lane controller, refused plans come back as
+// epoch-stamped shed answers in plan order, and the engine only ever sees
+// the admitted sub-batch.
 
 std::vector<Result<QueryAnswer>> ShardedQueryServer::ExecuteBatch(
     const PlanBatch& batch) const {
@@ -778,18 +777,6 @@ Result<QueryAnswer> ShardedQueryServer::Execute(const Query& query) const {
   std::vector<Result<QueryAnswer>> out = ExecuteBatch(PlanBatch::Of({query}));
   AUTHDB_CHECK(out.size() == 1);
   return std::move(out[0]);
-}
-
-Result<SelectionAnswer> ShardedQueryServer::Select(int64_t lo,
-                                                   int64_t hi) const {
-  Result<QueryAnswer> r = Execute(Query::Select(lo, hi));
-  if (!r.ok()) return r.status();
-  if (r.value().outcome == AnswerOutcome::kShedRetryAfter) {
-    // SelectionAnswer has no outcome channel; surface the shed as the
-    // same status the verifier maps it to.
-    return Status::ResourceExhausted("selection shed by admission control");
-  }
-  return std::move(r.value().selection);
 }
 
 }  // namespace authdb

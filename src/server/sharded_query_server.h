@@ -56,9 +56,9 @@ struct EpochDescriptor {
 /// keys by probing the adjacent shards' snapshots.
 ///
 /// Consistency model — per-epoch snapshots, not seqlocks:
-///  * Every read (Select / Execute) pins ONE EpochDescriptor for its whole
-///    fan-out + stitch, including the global boundary probes and cross-
-///    shard join stitching. The answer is a true serializable snapshot of
+///  * Every read (Execute / ExecuteBatch) pins ONE EpochDescriptor for its
+///    whole fan-out + stitch, including the global boundary probes and
+///    cross-shard join stitching. The answer is a true serializable snapshot of
 ///    one published epoch: it can never mix pre- and post-update chain
 ///    generations, no matter how ingest races it. There is no retry loop,
 ///    no restitching, and no exclusive fallback — reads never contend
@@ -186,13 +186,6 @@ class ShardedQueryServer {
   /// quantity max_pinned_epochs bounds). Diagnostics; approximate under
   /// concurrent publication.
   size_t pinned_epochs() const EXCLUDES(publish_mu_);
-
-  /// Range selection with proof, stitched across the covered shards of
-  /// one pinned epoch snapshot — wait-free under ingest, and always a
-  /// serializable cut the unmodified verifier accepts. With admission
-  /// enabled, a shed selection returns ResourceExhausted (SelectionAnswer
-  /// has no outcome channel of its own).
-  Result<SelectionAnswer> Select(int64_t lo, int64_t hi) const;
 
   /// Execute one query plan — the unified read path. Every plan kind
   /// (selection, projection, equi-join) runs against the same pinned

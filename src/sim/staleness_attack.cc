@@ -100,36 +100,31 @@ StalenessAttackReport RunStalenessAttack(
     const uint64_t epoch_at_start = history.size();
 
     // The malicious server captures the answers it will later replay:
-    // point selections of the records about to be superseded.
+    // point selections of the records about to be superseded and, in join
+    // mode, joins over the victims' B values — their match rows are about
+    // to be superseded too.
     struct Captured {
-      int64_t key;
-      SelectionAnswer ans;
+      Query query;
+      QueryAnswer ans;
+    };
+    auto capture = [&](Query q) {
+      Result<QueryAnswer> ans = server.Execute(q);
+      AUTHDB_CHECK(ans.ok());
+      return Captured{std::move(q), std::move(ans.value())};
     };
     std::vector<Captured> captured;
     const int64_t victim_lo =
         static_cast<int64_t>(p * opt.victims_per_period);
     for (size_t v = 0; v < opt.victims_per_period; ++v) {
       int64_t key = record_key(victim_lo + static_cast<int64_t>(v));
-      Result<SelectionAnswer> ans = server.Select(key, key);
-      AUTHDB_CHECK(ans.ok());
-      captured.push_back(Captured{key, std::move(ans.value())});
+      captured.push_back(capture(Query::Select(key, key)));
     }
-    // Join mode: also capture pre-update *join* answers over the victims'
-    // B values — their match rows are about to be superseded.
-    struct CapturedJoin {
-      Query query;
-      QueryAnswer ans;
-    };
-    std::vector<CapturedJoin> captured_joins;
+    std::vector<Captured> captured_joins;
     for (size_t v = 0;
          v < std::min(opt.join_replays_per_period, opt.victims_per_period);
          ++v) {
-      Query q = Query::Join({victim_lo + static_cast<int64_t>(v)},
-                            JoinMethod::kBloomFilter);
-      Result<QueryAnswer> ans = server.Execute(q);
-      AUTHDB_CHECK(ans.ok());
-      captured_joins.push_back(
-          CapturedJoin{std::move(q), std::move(ans.value())});
+      captured_joins.push_back(capture(Query::Join(
+          {victim_lo + static_cast<int64_t>(v)}, JoinMethod::kBloomFilter)));
     }
 
     // Honest clients read and verify while the ingest below runs. Each
@@ -171,11 +166,10 @@ StalenessAttackReport RunStalenessAttack(
                   ? JoinCompositeKey(lo_k + static_cast<int64_t>(span) - 1,
                                      kJoinMaxDup)
                   : lo + static_cast<int64_t>(span) - 1;
-          Result<SelectionAnswer> ans = server.Select(lo, hi);
+          Query q = Query::Select(lo, hi);
+          Result<QueryAnswer> ans = server.Execute(q);
           if (!ans.ok()) continue;
-          if (verifier
-                  .VerifySelectionFresh(lo, hi, ans.value(), now,
-                                        epoch_at_start)
+          if (verifier.VerifyAnswerFresh(q, ans.value(), now, epoch_at_start)
                   .ok()) {
             ++accepted;
           }
@@ -187,8 +181,9 @@ StalenessAttackReport RunStalenessAttack(
     // superseded; background churn hits the non-victim tail of the key
     // space (repeats there exercise the multi-update re-certification).
     for (const Captured& c : captured) {
+      const int64_t key = c.query.lo;
       Result<SignedRecordUpdate> msg =
-          da.ModifyRecord(c.key, {c.key, static_cast<int64_t>(1000 + p)});
+          da.ModifyRecord(key, {key, static_cast<int64_t>(1000 + p)});
       AUTHDB_CHECK(msg.ok());
       stream.PushUpdate(std::move(msg.value()));
     }
@@ -220,12 +215,10 @@ StalenessAttackReport RunStalenessAttack(
     const uint64_t epoch_now = history.size();
     for (const Captured& c : captured) {
       ++report.replayed_answers;
-      if (!judge.VerifySelectionFresh(c.key, c.key, c.ans, now_post, epoch_now)
-               .ok()) {
+      if (!judge.VerifyAnswerFresh(c.query, c.ans, now_post, epoch_now).ok())
         ++report.replays_rejected;
-      }
       // Epoch stamp forged/ignored: the bitmaps alone must still catch it.
-      if (!judge.VerifySelectionFresh(c.key, c.key, c.ans, now_post, 0).ok())
+      if (!judge.VerifyAnswerFresh(c.query, c.ans, now_post, 0).ok())
         ++report.replays_rejected_bitmap_only;
       if (!judge.StaleRids(c.ans, now_post).empty())
         ++report.replays_stale_rid_flagged;
@@ -237,26 +230,33 @@ StalenessAttackReport RunStalenessAttack(
     // own evidence: the epoch/summary-seq inconsistency when the stamp is
     // left at the capture epoch, and the glued summary's own bitmap
     // (which marks every victim) when the stamp is forged upward.
-    for (const Captured& c : captured) {
-      // A fresh verifier per forgery: it holds nothing but what the answer
-      // ships, so acceptance would mean the splice is self-consistent.
-      SelectionAnswer glued = c.ans;
+    auto splice = [&](const Captured& c, size_t* answers, size_t* rejected) {
+      QueryAnswer glued = c.ans;
       glued.summaries.push_back(history.back());
-      ++report.mixed_generation_answers;
-      ClientVerifier naive1(&da.public_key(), &codec, da.hash_mode());
-      if (!naive1.VerifySelectionFresh(c.key, c.key, glued, now_post, 0).ok())
-        ++report.mixed_generation_rejected;
-      SelectionAnswer forged = glued;
+      QueryAnswer forged = glued;
       forged.served_epoch = epoch_now;
-      ++report.mixed_generation_answers;
-      ClientVerifier naive2(&da.public_key(), &codec, da.hash_mode());
-      if (!naive2.VerifySelectionFresh(c.key, c.key, forged, now_post, 0).ok())
-        ++report.mixed_generation_rejected;
+      for (const QueryAnswer* forgery : {&glued, &forged}) {
+        // A fresh verifier per forgery: it holds nothing but what the
+        // answer ships, so acceptance would mean the splice is
+        // self-consistent.
+        ClientVerifier naive(&da.public_key(), &codec, da.hash_mode());
+        ++*answers;
+        if (!naive.VerifyAnswerFresh(c.query, *forgery, now_post, 0).ok())
+          ++*rejected;
+      }
+    };
+    for (const Captured& c : captured) {
+      splice(c, &report.mixed_generation_answers,
+             &report.mixed_generation_rejected);
+    }
+    for (const Captured& c : captured_joins) {
+      splice(c, &report.join_mixed_generation_answers,
+             &report.join_mixed_generation_rejected);
     }
     // The join replays: every captured match row is superseded, so the
     // generalized verifier must reject with the full check and with the
     // epoch stamp deliberately ignored (the bitmap walk alone).
-    for (const CapturedJoin& c : captured_joins) {
+    for (const Captured& c : captured_joins) {
       ++report.join_replayed_answers;
       if (!judge
                .VerifyAnswerFresh(c.query, c.ans, now_post, epoch_now,
@@ -272,7 +272,7 @@ StalenessAttackReport RunStalenessAttack(
     }
     // Honest re-joins of the same probe values: the current versions
     // verify under the advanced epoch and the partition-age bound.
-    for (const CapturedJoin& c : captured_joins) {
+    for (const Captured& c : captured_joins) {
       Result<QueryAnswer> ans = server.Execute(c.query);
       ++report.join_honest_answers;
       if (ans.ok() && judge
@@ -286,11 +286,11 @@ StalenessAttackReport RunStalenessAttack(
     // Honest re-reads of the same records: the *current* versions verify,
     // so the rejections above are staleness detection, not noise.
     for (const Captured& c : captured) {
-      Result<SelectionAnswer> ans = server.Select(c.key, c.key);
+      Result<QueryAnswer> ans = server.Execute(c.query);
       ++report.honest_answers;
-      if (ans.ok() && judge.VerifySelectionFresh(c.key, c.key, ans.value(),
-                                                 now_post, epoch_now)
-                          .ok()) {
+      if (ans.ok() &&
+          judge.VerifyAnswerFresh(c.query, ans.value(), now_post, epoch_now)
+              .ok()) {
         ++report.honest_accepted;
       }
     }

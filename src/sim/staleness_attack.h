@@ -75,6 +75,9 @@ struct StalenessAttackReport {
   /// rows / witnesses alone must still catch every replay.
   size_t join_replays_rejected_bitmap_only = 0;
   size_t join_replays_stale_rid_flagged = 0;
+  /// The mixed-generation splices above, run on the captured joins.
+  size_t join_mixed_generation_answers = 0;
+  size_t join_mixed_generation_rejected = 0;
   size_t join_honest_answers = 0;   ///< post-period re-joins verified
   size_t join_honest_accepted = 0;  ///< must equal join_honest_answers
 
@@ -85,6 +88,7 @@ struct StalenessAttackReport {
            mixed_generation_rejected == mixed_generation_answers &&
            join_replays_rejected == join_replayed_answers &&
            join_replays_rejected_bitmap_only == join_replayed_answers &&
+           join_mixed_generation_rejected == join_mixed_generation_answers &&
            join_honest_accepted == join_honest_answers;
   }
 };

@@ -133,8 +133,6 @@ class BatchExecTest : public ::testing::Test {
       EXPECT_EQ(*a.proof_record, *b.proof_record);
     }
     EXPECT_TRUE(PointsEqual(a.agg_sig, b.agg_sig));
-    EXPECT_EQ(a.summaries.size(), b.summaries.size());
-    EXPECT_EQ(a.served_epoch, b.served_epoch);
   }
 
   void ExpectSameProjection(const ProjectedRangeAnswer& a,
@@ -239,13 +237,18 @@ TEST_F(BatchExecTest, BatchVerifyMatchesSequentialVerdictsFieldForField) {
   std::vector<Query> plans = MixedPlans();
   auto answers = server_->ExecuteBatch(PlanBatch::Of(plans));
   ASSERT_EQ(answers.size(), plans.size());
-  // Tamper with one selection (drop a record) and one projection (flip a
-  // projected value) so failing verdicts are compared too, not only
-  // passing ones.
+  // Tamper with one selection (drop a record), one projection (flip a
+  // projected value), one join (drop a match row) and another join (swap
+  // in a different answer's aggregate) so failing verdicts are compared
+  // too, not only passing ones.
   ASSERT_GE(answers[0].value().selection.records.size(), 2u);
   answers[0].value().selection.records.pop_back();
   ASSERT_FALSE(answers[4].value().projection.tuples.empty());
   answers[4].value().projection.tuples[0].values.back() ^= 1;
+  ASSERT_FALSE(answers[6].value().join.matches.empty());
+  ASSERT_GE(answers[6].value().join.matches[0].s_records.size(), 2u);
+  answers[6].value().join.matches[0].s_records.pop_back();
+  answers[9].value().join.agg_sig = answers[7].value().join.agg_sig;
 
   // The sequential reference: one fresh verifier driving VerifyAnswerFresh
   // answer by answer.
@@ -256,28 +259,44 @@ TEST_F(BatchExecTest, BatchVerifyMatchesSequentialVerdictsFieldForField) {
       seq.push_back(v.VerifyAnswerFresh(plans[i], answers[i].value(), Now(),
                                         /*min_epoch=*/0));
   }
-  EXPECT_FALSE(seq[0].ok());
-  EXPECT_FALSE(seq[4].ok());
-
-  for (size_t threads : {size_t{0}, size_t{3}}) {
-    SCOPED_TRACE("worker_threads " + std::to_string(threads));
-    ClientVerifier v(&da_->public_key(), &codec_, HashMode::kFast);
-    ClientVerifier::BatchVerifyOptions opts;
-    opts.worker_threads = threads;
-    ClientVerifier::BatchVerifyStats stats;
-    std::vector<Status> got = v.VerifyAnswerBatch(
-        PlanBatch::Of(plans), answers, Now(), /*min_epoch=*/0, opts, &stats);
-    ASSERT_EQ(got.size(), seq.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      SCOPED_TRACE("plan " + std::to_string(i));
-      EXPECT_EQ(got[i].code(), seq[i].code());
-      EXPECT_EQ(got[i].ToString(), seq[i].ToString());
-    }
-    EXPECT_EQ(stats.answers, plans.size());
-    // Selections + projections fold into ONE shared-inversion pass.
-    EXPECT_EQ(stats.aggregate_claims, 6u);
-    EXPECT_EQ(stats.shared_inversions, 1u);
+  for (size_t i : {0, 4, 6, 9}) {
+    EXPECT_EQ(seq[i].code(), StatusCode::kVerificationFailed) << i;
   }
+  EXPECT_EQ(seq[6].message(), "join aggregate signature mismatch");
+  EXPECT_EQ(seq[9].message(), "join aggregate signature mismatch");
+
+  // N batches of one, through one verifier.
+  std::vector<Status> ones;
+  {
+    ClientVerifier v(&da_->public_key(), &codec_, HashMode::kFast);
+    for (size_t i = 0; i < plans.size(); ++i) {
+      std::vector<Status> one = v.VerifyAnswerBatch(
+          PlanBatch::Of({plans[i]}), {answers[i]}, Now(), /*min_epoch=*/0);
+      ASSERT_EQ(one.size(), 1u);
+      ones.push_back(one[0]);
+    }
+  }
+
+  // One batch of N.
+  ClientVerifier v(&da_->public_key(), &codec_, HashMode::kFast);
+  ClientVerifier::BatchVerifyStats stats;
+  std::vector<Status> got =
+      v.VerifyAnswerBatch(PlanBatch::Of(plans), answers, Now(),
+                          /*min_epoch=*/0, {}, &stats);
+  ASSERT_EQ(got.size(), seq.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("plan " + std::to_string(i));
+    EXPECT_EQ(got[i].code(), seq[i].code());
+    EXPECT_EQ(got[i].ToString(), seq[i].ToString());
+    EXPECT_EQ(ones[i].code(), got[i].code());
+    EXPECT_EQ(ones[i].ToString(), got[i].ToString());
+  }
+  EXPECT_EQ(stats.answers, plans.size());
+  // Every kind, joins included, folds into ONE shared-inversion pass: all
+  // ten answers pass their structural checks, the four tampered ones then
+  // fail their aggregate.
+  EXPECT_EQ(stats.aggregate_claims, plans.size());
+  EXPECT_EQ(stats.shared_inversions, 1u);
 }
 
 TEST_F(BatchExecTest, HostileAggregatePointsFailVerificationNotTheProcess) {

@@ -147,12 +147,20 @@ TEST(BitmapCodecMalformedTest, WahRejectsEveryMalformedCase) {
       {"literal after the last group",
        {0x1F, 0x01, 0x00, 0x00, 0x80, 0x01, 0x00, 0x00, 0x00}},
       {"trailing partial word", {0x03, 0x01, 0x00}},
+      // nbits = 2^62: a size no rid space comes near, declared to make
+      // the decoder allocate before it reads a bit.
+      {"hostile declared size",
+       {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}},
+      {"size one past the cap", {0x81, 0x80, 0x80, 0x20}},
   };
   for (const auto& [what, bytes] : cases) {
     Result<Bitmap> r = wah.Decode(Slice(bytes));
     ASSERT_FALSE(r.ok()) << what;
     EXPECT_TRUE(r.status().IsCorruption()) << what;
   }
+  // A size exactly at the cap (2^26 bits, no set bits) still decodes.
+  const std::vector<uint8_t> at_cap = {0x80, 0x80, 0x80, 0x20};
+  EXPECT_TRUE(wah.Decode(Slice(at_cap)).ok());
 }
 
 TEST(BitmapCodecMalformedTest, VarintGapRejectsEveryMalformedCase) {
@@ -169,12 +177,20 @@ TEST(BitmapCodecMalformedTest, VarintGapRejectsEveryMalformedCase) {
       {"wrapping gap",
        {0x0A, 0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
         0x01}},
+      // nbits = 2^62: a size no rid space comes near, declared to make
+      // the decoder allocate before it reads a bit.
+      {"hostile declared size",
+       {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}},
+      {"size one past the cap", {0x81, 0x80, 0x80, 0x20}},
   };
   for (const auto& [what, bytes] : cases) {
     Result<Bitmap> r = gap.Decode(Slice(bytes));
     ASSERT_FALSE(r.ok()) << what;
     EXPECT_TRUE(r.status().IsCorruption()) << what;
   }
+  // A size exactly at the cap (2^26 bits, no set bits) still decodes.
+  const std::vector<uint8_t> at_cap = {0x80, 0x80, 0x80, 0x20};
+  EXPECT_TRUE(gap.Decode(Slice(at_cap)).ok());
 }
 
 }  // namespace

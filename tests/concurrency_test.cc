@@ -63,6 +63,8 @@ class ConcurrencyTest : public ::testing::Test {
     return server;
   }
 
+  uint64_t Now() const { return clock_.NowMicros(); }
+
   static std::shared_ptr<const BasContext>* ctx_;
   ManualClock clock_;
   std::unique_ptr<Rng> rng_;
@@ -139,24 +141,23 @@ TEST(ShardExecutorTest, ConcurrentRunVisitsCallersShareTheLanes) {
 
 TEST_F(ConcurrencyTest, ParallelReadersAcrossShards) {
   auto server = MakeServer(4, 4, 256);
-  ClientVerifier verifier(&da_->public_key(), &codec_, HashMode::kFast);
   std::atomic<size_t> failures{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&, t] {
+      ClientVerifier verifier(&da_->public_key(), &codec_, HashMode::kFast);
       Rng rng(100 + t);
       for (int i = 0; i < 40; ++i) {
         int64_t lo = static_cast<int64_t>(rng.Uniform(240));
         int64_t hi = lo + static_cast<int64_t>(rng.Uniform(64));
-        auto ans = server->Select(lo, hi);
+        const Query q = Query::Select(lo, hi);
+        auto ans = server->Execute(q);
         if (!ans.ok()) {
           ++failures;
           continue;
         }
         // The relation is quiescent, so every concurrent answer verifies.
-        if (!verifier
-                 .VerifySelectionStatic(lo, hi, ans.value())
-                 .ok())
+        if (!verifier.VerifyAnswerFresh(q, ans.value(), Now(), 0).ok())
           ++failures;
       }
     });
@@ -184,7 +185,7 @@ TEST_F(ConcurrencyTest, ReadersWithConcurrentSingleShardUpdates) {
       Rng rng(200 + t);
       while (!done.load(std::memory_order_relaxed)) {
         int64_t lo = static_cast<int64_t>(rng.Uniform(250));
-        auto ans = server->Select(lo, lo + 5);
+        auto ans = server->Execute(Query::Select(lo, lo + 5));
         if (!ans.ok()) ++read_errors;
       }
     });
@@ -196,11 +197,11 @@ TEST_F(ConcurrencyTest, ReadersWithConcurrentSingleShardUpdates) {
   EXPECT_EQ(read_errors.load(), 0u);
   // Quiesced: the final state serves verifiable answers everywhere.
   ClientVerifier verifier(&da_->public_key(), &codec_, HashMode::kFast);
-  auto ans = server->Select(0, 255);
+  const Query all = Query::Select(0, 255);
+  auto ans = server->Execute(all);
   ASSERT_TRUE(ans.ok());
-  EXPECT_EQ(ans.value().records.size(), 256u);
-  EXPECT_TRUE(
-      verifier.VerifySelectionStatic(0, 255, ans.value()).ok());
+  EXPECT_EQ(ans.value().selection.records.size(), 256u);
+  EXPECT_TRUE(verifier.VerifyAnswerFresh(all, ans.value(), Now(), 0).ok());
 }
 
 TEST_F(ConcurrencyTest, ThreadsInterleavingReadsAndUpdatesStayCorrect) {
@@ -223,7 +224,7 @@ TEST_F(ConcurrencyTest, ThreadsInterleavingReadsAndUpdatesStayCorrect) {
           EXPECT_TRUE(server->ApplyUpdate(updates[u]).ok());
         } else {
           int64_t lo = static_cast<int64_t>(rng.Uniform(120));
-          auto ans = server->Select(lo, lo + 7);
+          auto ans = server->Execute(Query::Select(lo, lo + 7));
           EXPECT_TRUE(ans.ok());
         }
       }
@@ -232,9 +233,10 @@ TEST_F(ConcurrencyTest, ThreadsInterleavingReadsAndUpdatesStayCorrect) {
   for (auto& t : threads) t.join();
   // Quiesced correctness after the interleaved run.
   ClientVerifier verifier(&da_->public_key(), &codec_, HashMode::kFast);
-  auto ans = server->Select(0, 127);
+  const Query all = Query::Select(0, 127);
+  auto ans = server->Execute(all);
   ASSERT_TRUE(ans.ok());
-  EXPECT_TRUE(verifier.VerifySelectionStatic(0, 127, ans.value()).ok());
+  EXPECT_TRUE(verifier.VerifyAnswerFresh(all, ans.value(), Now(), 0).ok());
 }
 
 TEST_F(ConcurrencyTest, ClosedLoopReadsRaceAWriterSmoke) {

@@ -168,13 +168,14 @@ TEST_F(FreshnessPipelineTest, StreamAppliesUpdatesAndPublishesEpoch) {
   EXPECT_EQ(m.epoch.current, 2u);
 
   // Answers are stamped with the published epoch and still verify.
-  auto ans = server->Select(0, 63);
+  const Query q = Query::Select(0, 63);
+  auto ans = server->Execute(q);
   ASSERT_TRUE(ans.ok());
   EXPECT_EQ(ans.value().served_epoch, 2u);
   ClientVerifier verifier(&da_->public_key(), &codec_, da_->hash_mode());
   EXPECT_TRUE(verifier
-                  .VerifySelectionFresh(0, 63, ans.value(), clock_.NowMicros(),
-                                        /*min_epoch=*/2)
+                  .VerifyAnswerFresh(q, ans.value(), clock_.NowMicros(),
+                                     /*min_epoch=*/2)
                   .ok());
 }
 
@@ -214,10 +215,10 @@ TEST_F(FreshnessPipelineTest, SummaryBarrierWaitsForEveryShard) {
   stream.Flush();
 
   ASSERT_EQ(server->freshness_tracker().current_epoch(), 2u);
-  auto ans = server->Select(0, 63);
+  auto ans = server->Execute(Query::Select(0, 63));
   ASSERT_TRUE(ans.ok());
-  ASSERT_EQ(ans.value().records.size(), 64u);
-  for (const Record& r : ans.value().records)
+  ASSERT_EQ(ans.value().selection.records.size(), 64u);
+  for (const Record& r : ans.value().selection.records)
     EXPECT_EQ(r.attrs[1], 9000 + r.key());
 }
 
@@ -248,17 +249,18 @@ TEST_F(FreshnessPipelineTest, VerifierRejectsStaleEpochClaim) {
 
   // Served before any summary: epoch 0. A client that has seen epoch 1
   // must reject it even though the content is authentic.
-  auto ans = server->Select(4, 9);
+  const Query q = Query::Select(4, 9);
+  auto ans = server->Execute(q);
   ASSERT_TRUE(ans.ok());
   EXPECT_EQ(ans.value().served_epoch, 0u);
   EXPECT_TRUE(verifier
-                  .VerifySelectionFresh(4, 9, ans.value(), clock_.NowMicros(),
-                                        /*min_epoch=*/1)
+                  .VerifyAnswerFresh(q, ans.value(), clock_.NowMicros(),
+                                     /*min_epoch=*/1)
                   .IsVerificationFailed());
   // The same answer is fine for a client with no fresher knowledge.
   EXPECT_TRUE(verifier
-                  .VerifySelectionFresh(4, 9, ans.value(), clock_.NowMicros(),
-                                        /*min_epoch=*/0)
+                  .VerifyAnswerFresh(q, ans.value(), clock_.NowMicros(),
+                                     /*min_epoch=*/0)
                   .ok());
 }
 
@@ -278,7 +280,7 @@ TEST_F(FreshnessPipelineTest, ConcurrentIngestAndEpochVerifiedReads) {
       Rng rng(700 + t);
       while (!done.load(std::memory_order_relaxed)) {
         int64_t lo = static_cast<int64_t>(rng.Uniform(120));
-        auto ans = server->Select(lo, lo + 7);
+        auto ans = server->Execute(Query::Select(lo, lo + 7));
         if (!ans.ok() || ans.value().served_epoch < 1) ++read_failures;
       }
     });
@@ -300,11 +302,12 @@ TEST_F(FreshnessPipelineTest, ConcurrentIngestAndEpochVerifiedReads) {
   EXPECT_EQ(server->freshness_tracker().current_epoch(), 4u);
   // Quiesced: the final state verifies under the final epoch.
   ClientVerifier verifier(&da_->public_key(), &codec_, da_->hash_mode());
-  auto ans = server->Select(0, 127);
+  const Query q = Query::Select(0, 127);
+  auto ans = server->Execute(q);
   ASSERT_TRUE(ans.ok());
   EXPECT_TRUE(verifier
-                  .VerifySelectionFresh(0, 127, ans.value(),
-                                        clock_.NowMicros(), /*min_epoch=*/4)
+                  .VerifyAnswerFresh(q, ans.value(), clock_.NowMicros(),
+                                     /*min_epoch=*/4)
                   .ok());
 }
 
@@ -328,6 +331,8 @@ TEST_F(FreshnessPipelineTest, CrossSeamChurnServesPinnedSnapshots) {
   // the main thread's DeleteRecord/InsertRecord calls on da_.
   const BasPublicKey* da_pub = &da_->public_key();
   const BasContext::HashMode hash_mode = da_->hash_mode();
+  // Readers verify at a fixed time: the main thread moves the clock.
+  const uint64_t now = clock_.NowMicros();
 
   std::atomic<bool> done{false};
   std::atomic<size_t> read_errors{0};
@@ -342,12 +347,13 @@ TEST_F(FreshnessPipelineTest, CrossSeamChurnServesPinnedSnapshots) {
       uint64_t last_epoch = 0;
       while (!done.load(std::memory_order_relaxed)) {
         int64_t lo = 10 + static_cast<int64_t>(rng.Uniform(40));
-        auto ans = server->Select(lo, lo + 12);  // spans a seam
+        const Query q = Query::Select(lo, lo + 12);  // spans a seam
+        auto ans = server->Execute(q);
         if (!ans.ok()) {
           ++read_errors;
           continue;
         }
-        if (!verifier.VerifySelectionStatic(lo, lo + 12, ans.value()).ok())
+        if (!verifier.VerifyAnswerFresh(q, ans.value(), now, 0).ok())
           ++verify_failures;
         // Pinned epochs are monotone per reader: descriptor swaps never
         // hand back an older epoch.
@@ -379,10 +385,11 @@ TEST_F(FreshnessPipelineTest, CrossSeamChurnServesPinnedSnapshots) {
   EXPECT_EQ(stream.Metrics().ingest.apply_failures, 0u);
   // Quiesced: the churned state is complete and verifiable.
   ClientVerifier verifier(&da_->public_key(), &codec_, da_->hash_mode());
-  auto ans = server->Select(0, 63);
+  const Query q = Query::Select(0, 63);
+  auto ans = server->Execute(q);
   ASSERT_TRUE(ans.ok());
-  EXPECT_EQ(ans.value().records.size(), 64u);
-  EXPECT_TRUE(verifier.VerifySelectionStatic(0, 63, ans.value()).ok());
+  EXPECT_EQ(ans.value().selection.records.size(), 64u);
+  EXPECT_TRUE(verifier.VerifyAnswerFresh(q, ans.value(), now, 0).ok());
 }
 
 TEST_F(FreshnessPipelineTest, MidPeriodUpdatesInvisibleUntilBarrier) {
@@ -396,9 +403,10 @@ TEST_F(FreshnessPipelineTest, MidPeriodUpdatesInvisibleUntilBarrier) {
   StreamPeriod(&stream);  // summary 0 certifies the bulk load
   stream.Flush();
 
-  auto before = server->Select(5, 5);
+  const Query q = Query::Select(5, 5);
+  auto before = server->Execute(q);
   ASSERT_TRUE(before.ok());
-  const int64_t old_value = before.value().records[0].attrs[1];
+  const int64_t old_value = before.value().selection.records[0].attrs[1];
   ASSERT_EQ(before.value().served_epoch, 1u);
 
   clock_.AdvanceMicros(250'000);
@@ -407,30 +415,28 @@ TEST_F(FreshnessPipelineTest, MidPeriodUpdatesInvisibleUntilBarrier) {
   stream.PushUpdate(std::move(msg.value()));
   stream.Flush();  // applied to the next-epoch builder — not published
 
-  auto mid = server->Select(5, 5);
+  auto mid = server->Execute(q);
   ASSERT_TRUE(mid.ok());
   EXPECT_EQ(mid.value().served_epoch, 1u);
-  EXPECT_EQ(mid.value().records[0].attrs[1], old_value)
+  EXPECT_EQ(mid.value().selection.records[0].attrs[1], old_value)
       << "mid-period update leaked into the pinned epoch";
 
   StreamPeriod(&stream);
   stream.Flush();
-  auto after = server->Select(5, 5);
+  auto after = server->Execute(q);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().served_epoch, 2u);
-  EXPECT_EQ(after.value().records[0].attrs[1], 4242);
+  EXPECT_EQ(after.value().selection.records[0].attrs[1], 4242);
 
   // The pre-barrier answer still verifies for a client at epoch 1 and is
   // rejected by a client that has seen epoch 2's summary (the update's
   // period closed, so the old version is provably superseded).
   ClientVerifier verifier(&da_->public_key(), &codec_, da_->hash_mode());
   uint64_t now = clock_.NowMicros();
-  EXPECT_TRUE(
-      verifier.VerifySelectionFresh(5, 5, mid.value(), now, 1).ok());
-  EXPECT_TRUE(verifier.VerifySelectionFresh(5, 5, mid.value(), now, 2)
+  EXPECT_TRUE(verifier.VerifyAnswerFresh(q, mid.value(), now, 1).ok());
+  EXPECT_TRUE(verifier.VerifyAnswerFresh(q, mid.value(), now, 2)
                   .IsVerificationFailed());
-  EXPECT_TRUE(
-      verifier.VerifySelectionFresh(5, 5, after.value(), now, 2).ok());
+  EXPECT_TRUE(verifier.VerifyAnswerFresh(q, after.value(), now, 2).ok());
 }
 
 TEST_F(FreshnessPipelineTest, BoundaryProbesServeFromPinnedSnapshot) {
@@ -451,6 +457,8 @@ TEST_F(FreshnessPipelineTest, BoundaryProbesServeFromPinnedSnapshot) {
   }
   const BasPublicKey* da_pub = &da_->public_key();
   const BasContext::HashMode hash_mode = da_->hash_mode();
+  const Query gap = Query::Select(25, 26);
+  const uint64_t now = clock_.NowMicros();
 
   std::atomic<bool> done{false};
   std::atomic<size_t> failures{0};
@@ -460,9 +468,9 @@ TEST_F(FreshnessPipelineTest, BoundaryProbesServeFromPinnedSnapshot) {
       VarintGapCodec codec;
       ClientVerifier verifier(da_pub, &codec, hash_mode);
       while (!done.load(std::memory_order_relaxed)) {
-        auto ans = server->Select(25, 26);
+        auto ans = server->Execute(gap);
         if (!ans.ok() ||
-            !verifier.VerifySelectionStatic(25, 26, ans.value()).ok())
+            !verifier.VerifyAnswerFresh(gap, ans.value(), now, 0).ok())
           ++failures;
       }
     });
@@ -517,9 +525,10 @@ TEST_F(FreshnessPipelineTest, MultiUpdateRecertifiedAcrossConsecutivePeriods) {
   ClientVerifier verifier(&da_->public_key(), &codec_, da_->hash_mode());
   uint64_t now = clock_.NowMicros();
   // Prime the checker through a live answer (carries summaries 0..1).
-  auto live = server->Select(7, 7);
+  const Query q = Query::Select(7, 7);
+  auto live = server->Execute(q);
   ASSERT_TRUE(live.ok());
-  ASSERT_TRUE(verifier.VerifySelection(7, 7, live.value(), now).ok());
+  ASSERT_TRUE(verifier.VerifyAnswerFresh(q, live.value(), now, 0).ok());
   // After summary 1 alone, the intermediate version v1 hides inside its own
   // period's mark — not yet provably stale (the 2*rho window).
   Record v1_rec = v1.value().record->record;
@@ -543,11 +552,10 @@ TEST_F(FreshnessPipelineTest, MultiUpdateRecertifiedAcrossConsecutivePeriods) {
   EXPECT_TRUE(verifier.freshness()
                   .CheckRecord(v2_rec.rid, v2_rec.ts, now)
                   .IsVerificationFailed());
-  auto current = server->Select(7, 7);
+  auto current = server->Execute(q);
   ASSERT_TRUE(current.ok());
-  EXPECT_TRUE(verifier
-                  .VerifySelectionFresh(7, 7, current.value(), now,
-                                        /*min_epoch=*/3)
+  EXPECT_TRUE(verifier.VerifyAnswerFresh(q, current.value(), now,
+                                         /*min_epoch=*/3)
                   .ok());
 }
 
@@ -571,6 +579,8 @@ TEST_F(FreshnessPipelineTest, JoinChurnAcrossSeamsServesVerifiableAnswers) {
 
   const BasPublicKey* da_pub = &da_->public_key();
   const BasContext::HashMode hash_mode = da_->hash_mode();
+  // Readers verify at a fixed time: the main thread moves the clock.
+  const uint64_t now = clock_.NowMicros();
 
   // B values owning the first key of shards 1..3: deleting / re-inserting
   // their first duplicate re-chains records across the seam.
@@ -591,34 +601,24 @@ TEST_F(FreshnessPipelineTest, JoinChurnAcrossSeamsServesVerifiableAnswers) {
       while (!done.load(std::memory_order_relaxed)) {
         int64_t b = seam_bs[rng.Uniform(seam_bs.size())];
         project = !project;
-        if (project) {
-          // A projection whose range straddles the churned seam.
-          Query q = Query::Project(JoinCompositeKey(b - 2, 0),
-                                   JoinCompositeKey(b + 2, kJoinMaxDup),
-                                   {1});
-          auto ans = server->Execute(q);
-          if (!ans.ok()) {
-            ++read_errors;
-            continue;
-          }
-          if (!verifier.VerifyProjectionStatic(q, ans.value().projection)
-                   .ok())
-            ++verify_failures;
-          continue;
-        }
-        // Matched neighbors, the churned value itself, and a far-away
-        // absent value: match groups, witnesses, and filter probes in one
-        // plan, straddling the seam.
-        Query q = Query::Join({b - 1, b, b + 1, b + 100},
-                              rng.Uniform(2) == 0
-                                  ? JoinMethod::kBloomFilter
-                                  : JoinMethod::kBoundaryValues);
+        // Either a projection whose range straddles the churned seam, or
+        // a join over matched neighbors, the churned value itself, and a
+        // far-away absent value: match groups, witnesses, and filter
+        // probes in one plan, straddling the seam.
+        const Query q =
+            project ? Query::Project(JoinCompositeKey(b - 2, 0),
+                                     JoinCompositeKey(b + 2, kJoinMaxDup),
+                                     {1})
+                    : Query::Join({b - 1, b, b + 1, b + 100},
+                                  rng.Uniform(2) == 0
+                                      ? JoinMethod::kBloomFilter
+                                      : JoinMethod::kBoundaryValues);
         auto ans = server->Execute(q);
         if (!ans.ok()) {
           ++read_errors;
           continue;
         }
-        if (!verifier.VerifyJoinStatic(q, ans.value().join).ok())
+        if (!verifier.VerifyAnswerFresh(q, ans.value(), now, 0).ok())
           ++verify_failures;
       }
     });
@@ -684,6 +684,8 @@ TEST_F(FreshnessPipelineTest, BloomProbesRaceDeltaRefreshAtEpochBarrier) {
 
   const BasPublicKey* da_pub = &da_->public_key();
   const BasContext::HashMode hash_mode = da_->hash_mode();
+  // Readers verify at a fixed time: the main thread moves the clock.
+  const uint64_t now = clock_.NowMicros();
 
   std::atomic<bool> done{false};
   std::atomic<size_t> read_errors{0};
@@ -707,7 +709,7 @@ TEST_F(FreshnessPipelineTest, BloomProbesRaceDeltaRefreshAtEpochBarrier) {
           ++read_errors;
           continue;
         }
-        if (!verifier.VerifyJoinStatic(q, ans.value().join).ok())
+        if (!verifier.VerifyAnswerFresh(q, ans.value(), now, 0).ok())
           ++verify_failures;
       }
     });
@@ -774,6 +776,12 @@ TEST_F(FreshnessPipelineTest, StalenessAttackJoinReplaysCaught) {
             report.join_replayed_answers);
   EXPECT_EQ(report.join_replays_stale_rid_flagged,
             report.join_replayed_answers);
+  // The mixed-generation splices, run on the captured joins: both the
+  // stamp-consistent and the stamp-forged variant are rejected 100%.
+  EXPECT_EQ(report.join_mixed_generation_answers,
+            2 * report.join_replayed_answers);
+  EXPECT_EQ(report.join_mixed_generation_rejected,
+            report.join_mixed_generation_answers);
   EXPECT_EQ(report.join_honest_accepted, report.join_honest_answers);
   EXPECT_GT(report.join_honest_answers, 0u);
   // The selection-side guarantees hold unchanged in join mode.

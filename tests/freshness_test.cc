@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -89,24 +91,33 @@ TEST_F(FreshnessTest, TamperedSummaryRejected) {
 
 TEST_F(FreshnessTest, SignedMalformedBitmapRejectedNotFatal) {
   // Anyone holding the signing capability (under kFast, anyone at all) can
-  // sign a summary whose bitmap is malformed: size 3, then a 1-fill of 4
-  // groups. The checker must reject it, not abort on the decode.
+  // sign a summary whose bitmap is malformed. The checker must reject it,
+  // not abort on the decode.
+  WahCodec wah;
+  // A 9-byte size varint declaring 2^62 bits: must not be allocated.
+  const std::vector<uint8_t> huge = {0x80, 0x80, 0x80, 0x80, 0x80,
+                                     0x80, 0x80, 0x80, 0x40};
+  const std::vector<std::pair<const BitmapCodec*, std::vector<uint8_t>>>
+      cases = {
+          // Size 3, then a 1-fill of 4 groups.
+          {&wah, {0x03, 0x04, 0x00, 0x00, 0xC0}},
+          // Size 10, then a bit at position 10.
+          {&codec_, {0x0A, 0x0A}},
+          {&wah, huge},
+          {&codec_, huge},
+      };
   SummaryBuilder builder(&codec_);
   UpdateSummary summary = Publish(&builder, 0, 1000);
-  WahCodec wah;
-  summary.compressed_bitmap = {0x03, 0x04, 0x00, 0x00, 0xC0};
-  summary.sig = key_->Sign(summary.SignedMessage().AsSlice(), HashMode::kFast);
-  FreshnessChecker wah_checker(&key_->public_key(), &wah, HashMode::kFast);
-  Status s = wah_checker.AddSummary(summary);
-  EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
-  EXPECT_EQ(wah_checker.summary_count(), 0u);
-  // The same for the gap coder: size 10, then a bit at position 10.
-  summary.compressed_bitmap = {0x0A, 0x0A};
-  summary.sig = key_->Sign(summary.SignedMessage().AsSlice(), HashMode::kFast);
-  FreshnessChecker checker(&key_->public_key(), &codec_, HashMode::kFast);
-  s = checker.AddSummary(summary);
-  EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
-  EXPECT_EQ(checker.summary_count(), 0u);
+  for (const auto& [codec, bytes] : cases) {
+    summary.compressed_bitmap = bytes;
+    summary.sig =
+        key_->Sign(summary.SignedMessage().AsSlice(), HashMode::kFast);
+    FreshnessChecker checker(&key_->public_key(), codec, HashMode::kFast);
+    Status s = checker.AddSummary(summary);
+    EXPECT_TRUE(s.IsVerificationFailed()) << codec->name() << ": "
+                                          << s.ToString();
+    EXPECT_EQ(checker.summary_count(), 0u);
+  }
 }
 
 TEST_F(FreshnessTest, DuplicateSummariesIgnored) {

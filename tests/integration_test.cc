@@ -159,30 +159,31 @@ TEST(IntegrationTest, MixedWorkloadStaysVerifiable) {
     } else {  // range query, verified and checked against the model
       int64_t lo = static_cast<int64_t>(wrng.Uniform(600));
       int64_t hi = lo + static_cast<int64_t>(wrng.Uniform(80));
-      auto ans = sys.qs_->Select(lo, hi);
+      const Query q = Query::Select(lo, hi);
+      auto ans = sys.qs_->Execute(q);
       ASSERT_TRUE(ans.ok());
-      Status v = client.VerifySelection(lo, hi, ans.value(),
-                                        sys.clock_.NowMicros());
+      Status v = client.VerifyAnswerFresh(q, ans.value(),
+                                          sys.clock_.NowMicros(), 0);
       ASSERT_TRUE(v.ok()) << v.ToString() << " range " << lo << ".." << hi;
       auto mlo = sys.model_.lower_bound(lo);
       auto mhi = sys.model_.upper_bound(hi);
-      ASSERT_EQ(ans.value().records.size(),
+      ASSERT_EQ(ans.value().selection.records.size(),
                 static_cast<size_t>(std::distance(mlo, mhi)));
       size_t i = 0;
       for (auto it = mlo; it != mhi; ++it, ++i) {
-        EXPECT_EQ(ans.value().records[i].key(), it->first);
-        EXPECT_EQ(ans.value().records[i].attrs[1], it->second);
+        EXPECT_EQ(ans.value().selection.records[i].key(), it->first);
+        EXPECT_EQ(ans.value().selection.records[i].attrs[1], it->second);
       }
     }
   }
   // Final sanity: a full scan verifies and matches the model exactly.
-  auto all = sys.qs_->Select(0, 10'000);
+  const Query scan = Query::Select(0, 10'000);
+  auto all = sys.qs_->Execute(scan);
   ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all.value().records.size(), sys.model_.size());
-  EXPECT_TRUE(client
-                  .VerifySelection(0, 10'000, all.value(),
-                                   sys.clock_.NowMicros())
-                  .ok());
+  EXPECT_EQ(all.value().selection.records.size(), sys.model_.size());
+  EXPECT_TRUE(
+      client.VerifyAnswerFresh(scan, all.value(), sys.clock_.NowMicros(), 0)
+          .ok());
 }
 
 // --- Parameterized adversary sweep ----------------------------------------
@@ -210,12 +211,14 @@ TEST_P(AdversaryTest, EveryTamperIsDetected) {
   static VarintGapCodec codec;
   ClientVerifier client(&sys.da_->public_key(), &codec, HashMode::kFast);
   const int64_t lo = 60, hi = 150;  // keys are multiples of 3
-  auto genuine = sys.qs_->Select(lo, hi);
+  const Query q = Query::Select(lo, hi);
+  auto genuine = sys.qs_->Execute(q);
   ASSERT_TRUE(genuine.ok());
   ASSERT_TRUE(
-      client.VerifySelection(lo, hi, genuine.value(), sys.clock_.NowMicros())
+      client.VerifyAnswerFresh(q, genuine.value(), sys.clock_.NowMicros(), 0)
           .ok());
-  SelectionAnswer ans = genuine.value();
+  QueryAnswer forged = genuine.value();
+  SelectionAnswer& ans = forged.selection;
   switch (GetParam()) {
     case Attack::kDropRecord:
       ans.records.erase(ans.records.begin() + ans.records.size() / 2);
@@ -257,17 +260,17 @@ TEST_P(AdversaryTest, EveryTamperIsDetected) {
       break;
     case Attack::kForeignAggregate: {
       // Substitute an aggregate from a *different* (genuine) answer.
-      auto other = sys.qs_->Select(300, 330);
+      auto other = sys.qs_->Execute(Query::Select(300, 330));
       ASSERT_TRUE(other.ok());
-      ans.agg_sig = other.value().agg_sig;
+      ans.agg_sig = other.value().selection.agg_sig;
       break;
     }
     case Attack::kEmptyClaim:
       ans.records.clear();
-      ans.proof_record = genuine.value().records[0];
+      ans.proof_record = genuine.value().selection.records[0];
       break;
   }
-  Status s = client.VerifySelection(lo, hi, ans, sys.clock_.NowMicros());
+  Status s = client.VerifyAnswerFresh(q, forged, sys.clock_.NowMicros(), 0);
   EXPECT_FALSE(s.ok()) << "attack was not detected";
 }
 

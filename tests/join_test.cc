@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/data_aggregator.h"
+#include "core/verifier.h"
 #include "server/sharded_query_server.h"
 
 namespace authdb {
@@ -60,8 +61,8 @@ class JoinTest : public ::testing::Test {
                                               /*bits_per_value=*/8.0,
                                               clock_.NowMicros());
     server_->SetJoinPartitions(partitions_);
-    verifier_ = std::make_unique<JoinVerifier>(&da_->public_key(),
-                                               HashMode::kFast);
+    verifier_ = std::make_unique<ClientVerifier>(&da_->public_key(), &codec_,
+                                                 HashMode::kFast);
   }
 
   /// The server's join answer for `r_values`.
@@ -72,6 +73,15 @@ class JoinTest : public ::testing::Test {
     return std::move(ans.join);
   }
 
+  /// The client's verdict on a join answer for `r_values`.
+  Status Verify(const std::vector<int64_t>& r_values, const JoinAnswer& join) {
+    QueryAnswer ans;
+    ans.kind = QueryKind::kJoin;
+    ans.join = join;
+    return verifier_->VerifyAnswerFresh(Query::Join(r_values, join.method),
+                                        ans, clock_.NowMicros(), 0);
+  }
+
   static std::shared_ptr<const BasContext>* ctx_;
   ManualClock clock_;
   std::unique_ptr<Rng> rng_;
@@ -80,7 +90,8 @@ class JoinTest : public ::testing::Test {
   std::vector<int64_t> distinct_b_;
   std::unique_ptr<JoinAuthority> authority_;
   std::vector<CertifiedPartition> partitions_;
-  std::unique_ptr<JoinVerifier> verifier_;
+  VarintGapCodec codec_;
+  std::unique_ptr<ClientVerifier> verifier_;
 };
 std::shared_ptr<const BasContext>* JoinTest::ctx_ = nullptr;
 
@@ -90,7 +101,7 @@ TEST_F(JoinTest, MatchedValuesReturnAllDuplicates) {
   ASSERT_EQ(ans.value().matches.size(), 2u);
   EXPECT_EQ(ans.value().matches[0].s_records.size(), 3u);  // B=10 x3
   EXPECT_EQ(ans.value().matches[1].s_records.size(), 2u);  // B=30 x2
-  EXPECT_TRUE(verifier_->Verify({10, 30}, ans.value()).ok());
+  EXPECT_TRUE(Verify({10, 30}, ans.value()).ok());
 }
 
 TEST_F(JoinTest, MixedMatchedAndUnmatchedVerifies) {
@@ -100,7 +111,7 @@ TEST_F(JoinTest, MixedMatchedAndUnmatchedVerifies) {
     auto ans = Join(r_values, method);
     ASSERT_TRUE(ans.ok());
     EXPECT_EQ(ans.value().matches.size(), 3u);  // 10, 20, 70
-    EXPECT_TRUE(verifier_->Verify(r_values, ans.value()).ok());
+    EXPECT_TRUE(Verify(r_values, ans.value()).ok());
   }
 }
 
@@ -119,8 +130,8 @@ TEST_F(JoinTest, BloomNegativesAvoidBoundaryProofs) {
   EXPECT_EQ(bv.value().absence_proofs.size(), unmatched.size());
   EXPECT_LT(bf.value().absence_proofs.size(), unmatched.size());
   EXPECT_GT(bf.value().negative_probes.size(), 0u);
-  EXPECT_TRUE(verifier_->Verify(unmatched, bf.value()).ok());
-  EXPECT_TRUE(verifier_->Verify(unmatched, bv.value()).ok());
+  EXPECT_TRUE(Verify(unmatched, bf.value()).ok());
+  EXPECT_TRUE(Verify(unmatched, bv.value()).ok());
 }
 
 TEST_F(JoinTest, FalsePositiveFallsBackToBoundaryProof) {
@@ -142,14 +153,14 @@ TEST_F(JoinTest, FalsePositiveFallsBackToBoundaryProof) {
   ASSERT_TRUE(ans.ok());
   EXPECT_EQ(ans.value().absence_proofs.size(), 1u);
   EXPECT_TRUE(ans.value().negative_probes.empty());
-  EXPECT_TRUE(verifier_->Verify({fp_value}, ans.value()).ok());
+  EXPECT_TRUE(Verify({fp_value}, ans.value()).ok());
 }
 
 TEST_F(JoinTest, DuplicateRValuesDeduplicated) {
   auto ans = Join({10, 10, 10, 15, 15}, JoinMethod::kBloomFilter);
   ASSERT_TRUE(ans.ok());
   EXPECT_EQ(ans.value().matches.size(), 1u);
-  EXPECT_TRUE(verifier_->Verify({10, 10, 10, 15, 15}, ans.value()).ok());
+  EXPECT_TRUE(Verify({10, 10, 10, 15, 15}, ans.value()).ok());
 }
 
 // --- Adversarial servers -------------------------------------------------
@@ -159,7 +170,7 @@ TEST_F(JoinTest, HiddenMatchRowDetected) {
   ASSERT_TRUE(ans.ok());
   auto tampered = ans.value();
   tampered.matches[0].s_records.pop_back();
-  EXPECT_FALSE(verifier_->Verify({10}, tampered).ok());
+  EXPECT_FALSE(Verify({10}, tampered).ok());
 }
 
 TEST_F(JoinTest, ModifiedMatchRowDetected) {
@@ -167,7 +178,7 @@ TEST_F(JoinTest, ModifiedMatchRowDetected) {
   ASSERT_TRUE(ans.ok());
   auto tampered = ans.value();
   tampered.matches[0].s_records[0].attrs[2] = 666;
-  EXPECT_FALSE(verifier_->Verify({20}, tampered).ok());
+  EXPECT_FALSE(Verify({20}, tampered).ok());
 }
 
 TEST_F(JoinTest, ClaimingMatchedValueAbsentDetected) {
@@ -185,7 +196,7 @@ TEST_F(JoinTest, ClaimingMatchedValueAbsentDetected) {
   tampered.partitions = {*part};
   tampered.negative_probes = {{20, part->idx}};
   tampered.agg_sig = part->sig;
-  EXPECT_FALSE(verifier_->Verify({20}, tampered).ok());
+  EXPECT_FALSE(Verify({20}, tampered).ok());
 }
 
 TEST_F(JoinTest, ForgedFilterDetected) {
@@ -204,7 +215,7 @@ TEST_F(JoinTest, ForgedFilterDetected) {
   tampered.partitions = {forged};
   tampered.negative_probes = {{20, 77}};
   tampered.agg_sig = forged.sig;
-  EXPECT_FALSE(verifier_->Verify({20}, tampered).ok());
+  EXPECT_FALSE(Verify({20}, tampered).ok());
 }
 
 TEST_F(JoinTest, NonBracketingWitnessDetected) {
@@ -212,14 +223,14 @@ TEST_F(JoinTest, NonBracketingWitnessDetected) {
   ASSERT_TRUE(ans.ok());
   auto tampered = ans.value();
   // Shift the claimed value: witness for 15 cannot prove absence of 25.
-  EXPECT_FALSE(verifier_->Verify({25}, tampered).ok());
+  EXPECT_FALSE(Verify({25}, tampered).ok());
 }
 
 TEST_F(JoinTest, UnaccountedValueDetected) {
   auto ans = Join({15}, JoinMethod::kBloomFilter);
   ASSERT_TRUE(ans.ok());
   // The verifier expects proofs for both 15 and 25.
-  EXPECT_FALSE(verifier_->Verify({15, 25}, ans.value()).ok());
+  EXPECT_FALSE(Verify({15, 25}, ans.value()).ok());
 }
 
 TEST_F(JoinTest, PartitionRebuildAfterDeletion) {
@@ -325,8 +336,8 @@ TEST_F(JoinTest, VoSizeBfSmallerThanBvWhenMostlyUnmatched) {
   auto bf = Join(unmatched, JoinMethod::kBloomFilter);
   auto bv = Join(unmatched, JoinMethod::kBoundaryValues);
   ASSERT_TRUE(bf.ok() && bv.ok());
-  EXPECT_TRUE(verifier_->Verify(unmatched, bf.value()).ok());
-  EXPECT_TRUE(verifier_->Verify(unmatched, bv.value()).ok());
+  EXPECT_TRUE(Verify(unmatched, bf.value()).ok());
+  EXPECT_TRUE(Verify(unmatched, bv.value()).ok());
   // All 50 probes hit the rightmost partition; one small filter beats 50
   // boundary-value proofs under wire accounting.
   EXPECT_LT(bf.value().wire_size(sm), bv.value().wire_size(sm));

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/data_aggregator.h"
@@ -384,13 +385,41 @@ TEST_F(OpenLoopTest, VerifierDistinguishesShedFromTamperedAndStale) {
   EXPECT_FALSE(s.ok());
   EXPECT_TRUE(s.IsResourceExhausted());
 
-  // Tampering disguised as a shed: any payload under the shed banner is a
+  // Tampering disguised as a shed: any payload under the shed banner —
+  // each payload member of every kind, or the envelope's summaries — is a
   // verification failure, NOT a retryable overload signal.
-  QueryAnswer tampered = MakeShedAnswer(q.kind, epoch, 250);
-  tampered.selection.records = served.value().selection.records;
-  s = verifier.VerifyAnswerFresh(q, tampered, now, epoch);
-  EXPECT_FALSE(s.ok());
-  EXPECT_FALSE(s.IsResourceExhausted());
+  using AddPayload = void (*)(QueryAnswer*);
+  const std::vector<std::pair<const char*, AddPayload>> members = {
+      {"selection.records",
+       [](QueryAnswer* a) { a->selection.records.emplace_back(); }},
+      {"selection.proof_record",
+       [](QueryAnswer* a) { a->selection.proof_record = Record(); }},
+      {"projection.tuples",
+       [](QueryAnswer* a) { a->projection.tuples.emplace_back(); }},
+      {"projection.digests",
+       [](QueryAnswer* a) { a->projection.digests.emplace_back(); }},
+      {"projection.proof",
+       [](QueryAnswer* a) { a->projection.proof = DigestWitness(); }},
+      {"join.matches", [](QueryAnswer* a) { a->join.matches.emplace_back(); }},
+      {"join.negative_probes",
+       [](QueryAnswer* a) { a->join.negative_probes.emplace_back(7, 0); }},
+      {"join.partitions",
+       [](QueryAnswer* a) { a->join.partitions.emplace_back(); }},
+      {"join.absence_proofs",
+       [](QueryAnswer* a) { a->join.absence_proofs.emplace_back(); }},
+      {"summaries", [](QueryAnswer* a) { a->summaries.emplace_back(); }},
+  };
+  for (QueryKind kind :
+       {QueryKind::kSelect, QueryKind::kProject, QueryKind::kJoin}) {
+    Query kq;
+    kq.kind = kind;
+    for (const auto& [member, add] : members) {
+      QueryAnswer tampered = MakeShedAnswer(kind, epoch, 250);
+      add(&tampered);
+      s = verifier.VerifyAnswerFresh(kq, tampered, now, epoch);
+      EXPECT_TRUE(s.IsVerificationFailed()) << member << ": " << s.ToString();
+    }
+  }
 
   // Stale served answer (older epoch than the summary stream reached):
   // also a verification failure, not a shed.

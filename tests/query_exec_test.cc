@@ -127,10 +127,10 @@ TEST_F(QueryExecTest, SelectPlanMatchesDirectSelect) {
   int64_t lo = JoinCompositeKey(10, 0), hi = JoinCompositeKey(50, 1);
   Query q = Query::Select(lo, hi);
   auto plan = server_->Execute(q);
-  auto direct = server_->Select(lo, hi);
+  auto direct = reference_->Execute(q);
   ASSERT_TRUE(plan.ok() && direct.ok());
   EXPECT_EQ(plan.value().kind, QueryKind::kSelect);
-  EXPECT_EQ(plan.value().selection.records, direct.value().records);
+  EXPECT_EQ(plan.value().selection.records, direct.value().selection.records);
   EXPECT_TRUE(
       verifier_->VerifyAnswerFresh(q, plan.value(), Now(), /*min_epoch=*/0)
           .ok());
@@ -336,8 +336,7 @@ TEST_F(QueryExecTest, ProjectionTamperDetected) {
                            {1});
   auto ans = server_->Execute(q);
   ASSERT_TRUE(ans.ok());
-  ASSERT_TRUE(verifier_->VerifyProjectionStatic(q, ans.value().projection)
-                  .ok());
+  ASSERT_TRUE(verifier_->VerifyAnswerFresh(q, ans.value(), Now(), 0).ok());
   {  // A swapped value (still genuinely signed, for another record):
      // tuples 0 and 3 have different B values, so the swap changes both
      // attribute messages.
@@ -347,20 +346,20 @@ TEST_F(QueryExecTest, ProjectionTamperDetected) {
               t.projection.tuples[3].values[1]);
     std::swap(t.projection.tuples[0].values[1],
               t.projection.tuples[3].values[1]);
-    EXPECT_TRUE(verifier_->VerifyProjectionStatic(q, t.projection)
+    EXPECT_TRUE(verifier_->VerifyAnswerFresh(q, t, Now(), 0)
                     .IsVerificationFailed());
   }
   {  // A dropped tuple (and its spine entry).
     QueryAnswer t = ans.value();
     t.projection.tuples.pop_back();
     t.projection.digests.pop_back();
-    EXPECT_TRUE(verifier_->VerifyProjectionStatic(q, t.projection)
+    EXPECT_TRUE(verifier_->VerifyAnswerFresh(q, t, Now(), 0)
                     .IsVerificationFailed());
   }
   {  // A forged digest breaks the chain aggregate.
     QueryAnswer t = ans.value();
     t.projection.digests[0] = Digest160{};
-    EXPECT_TRUE(verifier_->VerifyProjectionStatic(q, t.projection)
+    EXPECT_TRUE(verifier_->VerifyAnswerFresh(q, t, Now(), 0)
                     .IsVerificationFailed());
   }
 }

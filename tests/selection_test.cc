@@ -74,6 +74,17 @@ class SelectionTest : public ::testing::Test {
 
   uint64_t Now() { return clock_.NowMicros(); }
 
+  Result<QueryAnswer> Serve(int64_t lo, int64_t hi) {
+    return qs_->Execute(Query::Select(lo, hi));
+  }
+  /// The verdict of `client` (default: the fixture's) on a selection
+  /// answer, with no epoch floor.
+  Status Check(int64_t lo, int64_t hi, const QueryAnswer& ans,
+               ClientVerifier* client = nullptr) {
+    if (client == nullptr) client = verifier_.get();
+    return client->VerifyAnswerFresh(Query::Select(lo, hi), ans, Now(), 0);
+  }
+
   static std::shared_ptr<const BasContext>* ctx_;
   ManualClock clock_;
   std::unique_ptr<Rng> rng_;
@@ -85,108 +96,108 @@ class SelectionTest : public ::testing::Test {
 std::shared_ptr<const BasContext>* SelectionTest::ctx_ = nullptr;
 
 TEST_F(SelectionTest, RangeAnswerVerifies) {
-  auto ans = qs_->Select(50, 120);
+  auto ans = Serve(50, 120);
   ASSERT_TRUE(ans.ok());
-  EXPECT_EQ(ans.value().records.size(), 36u);  // keys 50..120 even
-  EXPECT_TRUE(verifier_->VerifySelection(50, 120, ans.value(), Now()).ok());
+  EXPECT_EQ(ans.value().selection.records.size(), 36u);  // keys 50..120 even
+  EXPECT_TRUE(Check(50, 120, ans.value()).ok());
 }
 
 TEST_F(SelectionTest, PointAnswerVerifies) {
-  auto ans = qs_->Select(42, 42);
+  auto ans = Serve(42, 42);
   ASSERT_TRUE(ans.ok());
-  EXPECT_EQ(ans.value().records.size(), 1u);
-  EXPECT_TRUE(verifier_->VerifySelection(42, 42, ans.value(), Now()).ok());
+  EXPECT_EQ(ans.value().selection.records.size(), 1u);
+  EXPECT_TRUE(Check(42, 42, ans.value()).ok());
 }
 
 TEST_F(SelectionTest, EmptyRangeProvenByAdjacency) {
-  auto ans = qs_->Select(43, 43);  // between keys 42 and 44
+  auto ans = Serve(43, 43);  // between keys 42 and 44
   ASSERT_TRUE(ans.ok());
-  EXPECT_TRUE(ans.value().records.empty());
-  ASSERT_TRUE(ans.value().proof_record.has_value());
-  EXPECT_TRUE(verifier_->VerifySelection(43, 43, ans.value(), Now()).ok());
+  EXPECT_TRUE(ans.value().selection.records.empty());
+  ASSERT_TRUE(ans.value().selection.proof_record.has_value());
+  EXPECT_TRUE(Check(43, 43, ans.value()).ok());
 }
 
 TEST_F(SelectionTest, RangeBeyondDomainEdges) {
-  auto below = qs_->Select(-100, -50);
+  auto below = Serve(-100, -50);
   ASSERT_TRUE(below.ok());
-  EXPECT_TRUE(verifier_->VerifySelection(-100, -50, below.value(), Now()).ok());
-  auto above = qs_->Select(500, 600);
+  EXPECT_TRUE(Check(-100, -50, below.value()).ok());
+  auto above = Serve(500, 600);
   ASSERT_TRUE(above.ok());
-  EXPECT_TRUE(verifier_->VerifySelection(500, 600, above.value(), Now()).ok());
-  auto spanning = qs_->Select(-100, 600);
+  EXPECT_TRUE(Check(500, 600, above.value()).ok());
+  auto spanning = Serve(-100, 600);
   ASSERT_TRUE(spanning.ok());
-  EXPECT_EQ(spanning.value().records.size(), 100u);
-  EXPECT_TRUE(
-      verifier_->VerifySelection(-100, 600, spanning.value(), Now()).ok());
+  EXPECT_EQ(spanning.value().selection.records.size(), 100u);
+  EXPECT_TRUE(Check(-100, 600, spanning.value()).ok());
 }
 
 TEST_F(SelectionTest, VoSizeIndependentOfSelectivity) {
   SizeModel sm;
-  auto small = qs_->Select(0, 10);
-  auto large = qs_->Select(0, 190);
+  auto small = Serve(0, 10);
+  auto large = Serve(0, 190);
   ASSERT_TRUE(small.ok() && large.ok());
-  EXPECT_EQ(small.value().vo_size(sm), large.value().vo_size(sm));
-  EXPECT_EQ(small.value().vo_size(sm),
+  EXPECT_EQ(small.value().vo_bytes(sm), large.value().vo_bytes(sm));
+  EXPECT_EQ(small.value().vo_bytes(sm),
             sm.signature_bytes + 2 * sm.key_bytes);  // 28 bytes, cf. Table 4
 }
 
 // --- Adversarial servers -------------------------------------------------
 
 TEST_F(SelectionTest, DroppedRecordDetected) {
-  auto ans = qs_->Select(50, 120);
+  auto ans = Serve(50, 120);
   ASSERT_TRUE(ans.ok());
   auto tampered = ans.value();
-  tampered.records.erase(tampered.records.begin() + 5);
-  EXPECT_FALSE(verifier_->VerifySelection(50, 120, tampered, Now()).ok());
+  tampered.selection.records.erase(tampered.selection.records.begin() + 5);
+  EXPECT_FALSE(Check(50, 120, tampered).ok());
 }
 
 TEST_F(SelectionTest, ModifiedValueDetected) {
-  auto ans = qs_->Select(50, 120);
+  auto ans = Serve(50, 120);
   ASSERT_TRUE(ans.ok());
   auto tampered = ans.value();
-  tampered.records[3].attrs[1] = 987654;
-  EXPECT_FALSE(verifier_->VerifySelection(50, 120, tampered, Now()).ok());
+  tampered.selection.records[3].attrs[1] = 987654;
+  EXPECT_FALSE(Check(50, 120, tampered).ok());
 }
 
 TEST_F(SelectionTest, InjectedRecordDetected) {
-  auto ans = qs_->Select(50, 120);
+  auto ans = Serve(50, 120);
   ASSERT_TRUE(ans.ok());
   auto tampered = ans.value();
   Record fake;
   fake.rid = 99999;
   fake.ts = Now();
   fake.attrs = {51, 1, 1};  // odd key: not a real record
-  tampered.records.insert(tampered.records.begin() + 1, fake);
-  EXPECT_FALSE(verifier_->VerifySelection(50, 120, tampered, Now()).ok());
+  auto& records = tampered.selection.records;
+  records.insert(records.begin() + 1, fake);
+  EXPECT_FALSE(Check(50, 120, tampered).ok());
 }
 
 TEST_F(SelectionTest, TruncatedTailWithForgedBoundaryDetected) {
-  auto ans = qs_->Select(50, 120);
+  auto ans = Serve(50, 120);
   ASSERT_TRUE(ans.ok());
   auto tampered = ans.value();
-  tampered.right_key = tampered.records.back().key();
-  tampered.records.pop_back();
-  EXPECT_FALSE(verifier_->VerifySelection(50, 120, tampered, Now()).ok());
+  tampered.selection.right_key = tampered.selection.records.back().key();
+  tampered.selection.records.pop_back();
+  EXPECT_FALSE(Check(50, 120, tampered).ok());
 }
 
 TEST_F(SelectionTest, FakeEmptyAnswerDetected) {
   // The range does contain records; the server claims it is empty using a
   // genuine record as "proof".
-  auto real = qs_->Select(40, 40);
+  auto real = Serve(40, 40);
   ASSERT_TRUE(real.ok());
-  SelectionAnswer fake;
-  fake.proof_record = real.value().records[0];
-  fake.left_key = 38;
-  fake.right_key = 42;
-  fake.agg_sig = real.value().agg_sig;
-  EXPECT_FALSE(verifier_->VerifySelection(50, 60, fake, Now()).ok());
+  QueryAnswer fake;
+  fake.selection.proof_record = real.value().selection.records[0];
+  fake.selection.left_key = 38;
+  fake.selection.right_key = 42;
+  fake.selection.agg_sig = real.value().selection.agg_sig;
+  EXPECT_FALSE(Check(50, 60, fake).ok());
 }
 
 TEST_F(SelectionTest, StaleVersionDetectedViaSummaries) {
   // Capture the answer before an update.
-  auto stale = qs_->Select(100, 100);
+  auto stale = Serve(100, 100);
   ASSERT_TRUE(stale.ok());
-  EXPECT_TRUE(verifier_->VerifySelection(100, 100, stale.value(), Now()).ok());
+  EXPECT_TRUE(Check(100, 100, stale.value()).ok());
   // The DA updates record 100 and closes the period. The bulk-load mark
   // plus this modification make the record multi-updated in period 0, so
   // the DA re-certifies it in period 1 (Section 3.1); the period-1 summary
@@ -200,18 +211,16 @@ TEST_F(SelectionTest, StaleVersionDetectedViaSummaries) {
   // A fresh client that received the new summaries must reject the stale
   // answer replayed by a lazy/compromised server.
   ClientVerifier fresh_client(&da_->public_key(), &codec_, HashMode::kFast);
-  auto current = qs_->Select(0, 0);  // carries the summaries
+  auto current = Serve(0, 0);  // carries the summaries
   ASSERT_TRUE(current.ok());
-  ASSERT_TRUE(
-      fresh_client.VerifySelection(0, 0, current.value(), Now()).ok());
-  Status s = fresh_client.VerifySelection(100, 100, stale.value(), Now());
+  ASSERT_TRUE(Check(0, 0, current.value(), &fresh_client).ok());
+  Status s = Check(100, 100, stale.value(), &fresh_client);
   EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
   // The genuinely fresh answer passes.
-  auto fresh = qs_->Select(100, 100);
+  auto fresh = Serve(100, 100);
   ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(fresh.value().records[0].attrs[1], 31337);
-  EXPECT_TRUE(
-      fresh_client.VerifySelection(100, 100, fresh.value(), Now()).ok());
+  EXPECT_EQ(fresh.value().selection.records[0].attrs[1], 31337);
+  EXPECT_TRUE(Check(100, 100, fresh.value(), &fresh_client).ok());
 }
 
 TEST_F(SelectionTest, InsertThenQueryVerifies) {
@@ -219,10 +228,10 @@ TEST_F(SelectionTest, InsertThenQueryVerifies) {
   ASSERT_TRUE(msg.ok());
   ASSERT_TRUE(qs_->ApplyUpdate(msg.value()).ok());
   // Neighbors 42 and 44 were re-chained; range answers must still verify.
-  auto ans = qs_->Select(40, 48);
+  auto ans = Serve(40, 48);
   ASSERT_TRUE(ans.ok());
-  EXPECT_EQ(ans.value().records.size(), 6u);  // 40 42 43 44 46 48
-  EXPECT_TRUE(verifier_->VerifySelection(40, 48, ans.value(), Now()).ok());
+  EXPECT_EQ(ans.value().selection.records.size(), 6u);  // 40 42 43 44 46 48
+  EXPECT_TRUE(Check(40, 48, ans.value()).ok());
 }
 
 TEST_F(SelectionTest, InsertHiddenByServerDetected) {
@@ -238,9 +247,9 @@ TEST_F(SelectionTest, InsertHiddenByServerDetected) {
   clock_.AdvanceSeconds(0.7);
   auto period = da_->PublishSummary();
   qs_->AddSummary(period.summary);
-  auto ans = qs_->Select(43, 43);  // server claims: empty range
+  auto ans = Serve(43, 43);  // server claims: empty range
   ASSERT_TRUE(ans.ok());
-  Status s = verifier_->VerifySelection(43, 43, ans.value(), Now());
+  Status s = Check(43, 43, ans.value());
   EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
 }
 
@@ -248,14 +257,14 @@ TEST_F(SelectionTest, DeleteThenQueryVerifies) {
   auto msg = da_->DeleteRecord(42);
   ASSERT_TRUE(msg.ok());
   ASSERT_TRUE(qs_->ApplyUpdate(msg.value()).ok());
-  auto ans = qs_->Select(40, 46);
+  auto ans = Serve(40, 46);
   ASSERT_TRUE(ans.ok());
-  EXPECT_EQ(ans.value().records.size(), 3u);  // 40 44 46
-  EXPECT_TRUE(verifier_->VerifySelection(40, 46, ans.value(), Now()).ok());
-  auto gone = qs_->Select(42, 42);
+  EXPECT_EQ(ans.value().selection.records.size(), 3u);  // 40 44 46
+  EXPECT_TRUE(Check(40, 46, ans.value()).ok());
+  auto gone = Serve(42, 42);
   ASSERT_TRUE(gone.ok());
-  EXPECT_TRUE(gone.value().records.empty());
-  EXPECT_TRUE(verifier_->VerifySelection(42, 42, gone.value(), Now()).ok());
+  EXPECT_TRUE(gone.value().selection.records.empty());
+  EXPECT_TRUE(Check(42, 42, gone.value()).ok());
 }
 
 TEST_F(SelectionTest, MultiUpdateInPeriodRecertified) {
@@ -269,10 +278,10 @@ TEST_F(SelectionTest, MultiUpdateInPeriodRecertified) {
   PublishPeriod();  // emits the re-certification for record 100
   clock_.AdvanceSeconds(1.0);
   PublishPeriod();
-  auto ans = qs_->Select(100, 100);
+  auto ans = Serve(100, 100);
   ASSERT_TRUE(ans.ok());
-  EXPECT_EQ(ans.value().records[0].attrs[1], 222);
-  EXPECT_TRUE(verifier_->VerifySelection(100, 100, ans.value(), Now()).ok());
+  EXPECT_EQ(ans.value().selection.records[0].attrs[1], 222);
+  EXPECT_TRUE(Check(100, 100, ans.value()).ok());
 }
 
 TEST_F(SelectionTest, BackgroundRenewalRefreshesOldSignatures) {
@@ -280,12 +289,12 @@ TEST_F(SelectionTest, BackgroundRenewalRefreshesOldSignatures) {
   auto renewals = da_->BackgroundRenewal(10);
   EXPECT_EQ(renewals.size(), 10u);
   for (const auto& msg : renewals) ASSERT_TRUE(qs_->ApplyUpdate(msg).ok());
-  auto ans = qs_->Select(0, 20);
+  auto ans = Serve(0, 20);
   ASSERT_TRUE(ans.ok());
-  EXPECT_TRUE(verifier_->VerifySelection(0, 20, ans.value(), Now()).ok());
+  EXPECT_TRUE(Check(0, 20, ans.value()).ok());
   // Renewed records now carry recent timestamps.
   bool some_renewed = false;
-  for (const auto& r : ans.value().records)
+  for (const auto& r : ans.value().selection.records)
     some_renewed |= r.ts >= Now() - 1'000'000;
   EXPECT_TRUE(some_renewed);
 }
@@ -308,12 +317,12 @@ TEST_F(SelectionTest, SecureHashModeEndToEnd) {
   ASSERT_TRUE(stream.ok());
   for (const auto& msg : stream.value()) ASSERT_TRUE(qs.ApplyUpdate(msg).ok());
   ClientVerifier client(&da.public_key(), &codec_, HashMode::kSecure);
-  auto ans = qs.Select(2, 7);
+  auto ans = qs.Execute(Query::Select(2, 7));
   ASSERT_TRUE(ans.ok());
-  EXPECT_TRUE(client.VerifySelection(2, 7, ans.value(), Now()).ok());
+  EXPECT_TRUE(Check(2, 7, ans.value(), &client).ok());
   auto tampered = ans.value();
-  tampered.records[0].attrs[1] = 12345;
-  EXPECT_FALSE(client.VerifySelection(2, 7, tampered, Now()).ok());
+  tampered.selection.records[0].attrs[1] = 12345;
+  EXPECT_FALSE(Check(2, 7, tampered, &client).ok());
 }
 
 }  // namespace

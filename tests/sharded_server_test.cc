@@ -86,22 +86,34 @@ class ShardedServerTest : public ::testing::Test {
   /// The stitched answer must verify and agree record-for-record (and
   /// aggregate-for-aggregate) with the one-shard answer.
   void ExpectMatchesReference(int64_t lo, int64_t hi) {
-    auto sharded = server_->Select(lo, hi);
-    auto single = reference_->Select(lo, hi);
+    auto sharded = Serve(*server_, lo, hi);
+    auto single = Serve(*reference_, lo, hi);
     ASSERT_EQ(sharded.ok(), single.ok()) << lo << ".." << hi;
     if (!sharded.ok()) return;
-    const SelectionAnswer& a = sharded.value();
-    const SelectionAnswer& b = single.value();
+    const SelectionAnswer& a = sharded.value().selection;
+    const SelectionAnswer& b = single.value().selection;
     EXPECT_EQ(a.records, b.records);
     EXPECT_EQ(a.left_key, b.left_key);
     EXPECT_EQ(a.right_key, b.right_key);
     EXPECT_EQ(a.proof_record.has_value(), b.proof_record.has_value());
     EXPECT_TRUE((*ctx_)->curve().Equal(a.agg_sig.point, b.agg_sig.point));
-    EXPECT_TRUE(verifier_->VerifySelection(lo, hi, a, Now()).ok())
+    EXPECT_TRUE(Check(lo, hi, sharded.value()).ok())
         << lo << ".." << hi;
   }
 
   uint64_t Now() { return clock_.NowMicros(); }
+
+  static Result<QueryAnswer> Serve(const ShardedQueryServer& server,
+                                   int64_t lo, int64_t hi) {
+    return server.Execute(Query::Select(lo, hi));
+  }
+  /// The verdict of `client` (default: the fixture's) on a selection
+  /// answer, with no epoch floor.
+  Status Check(int64_t lo, int64_t hi, const QueryAnswer& ans,
+               ClientVerifier* client = nullptr) {
+    if (client == nullptr) client = verifier_.get();
+    return client->VerifyAnswerFresh(Query::Select(lo, hi), ans, Now(), 0);
+  }
 
   static std::shared_ptr<const BasContext>* ctx_;
   ManualClock clock_;
@@ -116,21 +128,21 @@ std::shared_ptr<const BasContext>* ShardedServerTest::ctx_ = nullptr;
 
 TEST_F(ShardedServerTest, SingleShardRangeVerifies) {
   Load(4, EvenKeys());
-  auto ans = server_->Select(60, 80);  // interior to shard 1 = [50, 99]
+  auto ans = Serve(*server_, 60, 80);  // interior to shard 1 = [50, 99]
   ASSERT_TRUE(ans.ok());
-  EXPECT_EQ(ans.value().records.size(), 11u);
-  EXPECT_TRUE(verifier_->VerifySelection(60, 80, ans.value(), Now()).ok());
+  EXPECT_EQ(ans.value().selection.records.size(), 11u);
+  EXPECT_TRUE(Check(60, 80, ans.value()).ok());
 }
 
 TEST_F(ShardedServerTest, SeamSpanningRangeVerifies) {
   Load(4, EvenKeys());
   const ServerMetrics before = server_->Metrics();
-  auto ans = server_->Select(40, 110);  // shards 0, 1, 2
+  auto ans = Serve(*server_, 40, 110);  // shards 0, 1, 2
   ASSERT_TRUE(ans.ok());
   const ServerMetrics delta = server_->Metrics().Delta(before);
   EXPECT_EQ(delta.exec.shards_queried, 3u);
-  EXPECT_EQ(ans.value().records.size(), 36u);  // even keys 40..110
-  EXPECT_TRUE(verifier_->VerifySelection(40, 110, ans.value(), Now()).ok());
+  EXPECT_EQ(ans.value().selection.records.size(), 36u);  // even keys 40..110
+  EXPECT_TRUE(Check(40, 110, ans.value()).ok());
 }
 
 TEST_F(ShardedServerTest, AllShardRangeAndDomainEdges) {
@@ -153,24 +165,25 @@ TEST_F(ShardedServerTest, RandomRangesMatchSingleServer) {
 
 TEST_F(ShardedServerTest, EmptyRangeWithinOneShardVerifies) {
   Load(4, EvenKeys());
-  auto ans = server_->Select(61, 61);  // between keys 60 and 62, shard 1
+  auto ans = Serve(*server_, 61, 61);  // between keys 60 and 62, shard 1
   ASSERT_TRUE(ans.ok());
-  EXPECT_TRUE(ans.value().records.empty());
-  ASSERT_TRUE(ans.value().proof_record.has_value());
-  EXPECT_TRUE(verifier_->VerifySelection(61, 61, ans.value(), Now()).ok());
+  EXPECT_TRUE(ans.value().selection.records.empty());
+  ASSERT_TRUE(ans.value().selection.proof_record.has_value());
+  EXPECT_TRUE(Check(61, 61, ans.value()).ok());
 }
 
 TEST_F(ShardedServerTest, EmptyRangeAcrossEmptyShardsVerifies) {
   // Data only near the domain edges: shards 1 and 2 of the 4-way split
   // hold nothing, so emptiness proofs must chain across whole shards.
   Load(4, {2, 4, 6, 190, 192, 194});
-  auto ans = server_->Select(10, 180);  // covers all four shards, no hits
+  auto ans = Serve(*server_, 10, 180);  // covers all four shards, no hits
   ASSERT_TRUE(ans.ok());
-  EXPECT_TRUE(ans.value().records.empty());
-  ASSERT_TRUE(ans.value().proof_record.has_value());
-  EXPECT_EQ(ans.value().proof_record->key(), 6);    // global predecessor
-  EXPECT_EQ(ans.value().right_key, 190);            // global successor
-  EXPECT_TRUE(verifier_->VerifySelection(10, 180, ans.value(), Now()).ok());
+  EXPECT_TRUE(ans.value().selection.records.empty());
+  ASSERT_TRUE(ans.value().selection.proof_record.has_value());
+  // The global predecessor and successor of the empty range.
+  EXPECT_EQ(ans.value().selection.proof_record->key(), 6);
+  EXPECT_EQ(ans.value().selection.right_key, 190);
+  EXPECT_TRUE(Check(10, 180, ans.value()).ok());
   ExpectMatchesReference(10, 180);
 }
 
@@ -178,10 +191,10 @@ TEST_F(ShardedServerTest, ResultsSeparatedByEmptyShardsChainAcrossSeam) {
   Load(4, {2, 4, 6, 190, 192, 194});
   // Hits on both edges with two empty shards between them: the chain seam
   // 6 -> 190 crosses three shard boundaries and must still verify.
-  auto ans = server_->Select(4, 192);
+  auto ans = Serve(*server_, 4, 192);
   ASSERT_TRUE(ans.ok());
-  EXPECT_EQ(ans.value().records.size(), 4u);  // 4, 6, 190, 192
-  EXPECT_TRUE(verifier_->VerifySelection(4, 192, ans.value(), Now()).ok());
+  EXPECT_EQ(ans.value().selection.records.size(), 4u);  // 4, 6, 190, 192
+  EXPECT_TRUE(Check(4, 192, ans.value()).ok());
   ExpectMatchesReference(4, 192);
 }
 
@@ -189,16 +202,16 @@ TEST_F(ShardedServerTest, BoundaryProbeReachesAcrossShards) {
   // First result sits at the very bottom of shard 2; its chain predecessor
   // lives two shards down — the stitcher must find it by probing.
   Load(4, {2, 4, 120, 122});
-  auto ans = server_->Select(100, 130);  // shard 2 = [100, 149]
+  auto ans = Serve(*server_, 100, 130);  // shard 2 = [100, 149]
   ASSERT_TRUE(ans.ok());
-  EXPECT_EQ(ans.value().records.size(), 2u);
-  EXPECT_EQ(ans.value().left_key, 4);  // probed from shard 0
-  EXPECT_TRUE(verifier_->VerifySelection(100, 130, ans.value(), Now()).ok());
+  EXPECT_EQ(ans.value().selection.records.size(), 2u);
+  EXPECT_EQ(ans.value().selection.left_key, 4);  // probed from shard 0
+  EXPECT_TRUE(Check(100, 130, ans.value()).ok());
 }
 
 TEST_F(ShardedServerTest, EmptyRelationReportsNotFound) {
   Load(4, {});
-  auto ans = server_->Select(10, 20);
+  auto ans = Serve(*server_, 10, 20);
   ASSERT_FALSE(ans.ok());
   EXPECT_TRUE(ans.status().IsNotFound());
 }
@@ -208,10 +221,10 @@ TEST_F(ShardedServerTest, ModifyRoutedToOwnerShard) {
   auto msg = da_->ModifyRecord(100, {100, 31337, 0});
   ASSERT_TRUE(msg.ok());
   Apply(msg.value());
-  auto ans = server_->Select(100, 100);
+  auto ans = Serve(*server_, 100, 100);
   ASSERT_TRUE(ans.ok());
-  EXPECT_EQ(ans.value().records[0].attrs[1], 31337);
-  EXPECT_TRUE(verifier_->VerifySelection(100, 100, ans.value(), Now()).ok());
+  EXPECT_EQ(ans.value().selection.records[0].attrs[1], 31337);
+  EXPECT_TRUE(Check(100, 100, ans.value()).ok());
 }
 
 TEST_F(ShardedServerTest, InsertAtSeamRechainsNeighborsOnBothShards) {
@@ -224,9 +237,9 @@ TEST_F(ShardedServerTest, InsertAtSeamRechainsNeighborsOnBothShards) {
   EXPECT_FALSE(msg.value().recertified.empty());
   Apply(msg.value());
   ExpectMatchesReference(44, 54);
-  auto ans = server_->Select(44, 54);
+  auto ans = Serve(*server_, 44, 54);
   ASSERT_TRUE(ans.ok());
-  EXPECT_EQ(ans.value().records.size(), 7u);  // 44 46 48 49 50 52 54
+  EXPECT_EQ(ans.value().selection.records.size(), 7u);  // 44 46 48 49 50 52 54
 }
 
 TEST_F(ShardedServerTest, DeleteAtSeamRechainsAcrossShards) {
@@ -235,17 +248,17 @@ TEST_F(ShardedServerTest, DeleteAtSeamRechainsAcrossShards) {
   ASSERT_TRUE(msg.ok());
   Apply(msg.value());
   ExpectMatchesReference(44, 56);
-  auto gone = server_->Select(50, 50);
+  auto gone = Serve(*server_, 50, 50);
   ASSERT_TRUE(gone.ok());
-  EXPECT_TRUE(gone.value().records.empty());
-  EXPECT_TRUE(verifier_->VerifySelection(50, 50, gone.value(), Now()).ok());
+  EXPECT_TRUE(gone.value().selection.records.empty());
+  EXPECT_TRUE(Check(50, 50, gone.value()).ok());
 }
 
 TEST_F(ShardedServerTest, FreshnessSummariesIndictStaleReplay) {
   Load(4, EvenKeys());
-  auto stale = server_->Select(100, 100);
+  auto stale = Serve(*server_, 100, 100);
   ASSERT_TRUE(stale.ok());
-  EXPECT_TRUE(verifier_->VerifySelection(100, 100, stale.value(), Now()).ok());
+  EXPECT_TRUE(Check(100, 100, stale.value()).ok());
   clock_.AdvanceSeconds(0.5);
   auto msg = da_->ModifyRecord(100, {100, 999, 0});
   ASSERT_TRUE(msg.ok());
@@ -257,15 +270,15 @@ TEST_F(ShardedServerTest, FreshnessSummariesIndictStaleReplay) {
   // A fresh client pulls current summaries through any answer, then must
   // reject the pre-update answer replayed by a stale/compromised server.
   ClientVerifier fresh(&da_->public_key(), &codec_, HashMode::kFast);
-  auto current = server_->Select(0, 0);
+  auto current = Serve(*server_, 0, 0);
   ASSERT_TRUE(current.ok());
   EXPECT_FALSE(current.value().summaries.empty());
-  ASSERT_TRUE(fresh.VerifySelection(0, 0, current.value(), Now()).ok());
-  Status s = fresh.VerifySelection(100, 100, stale.value(), Now());
+  ASSERT_TRUE(Check(0, 0, current.value(), &fresh).ok());
+  Status s = Check(100, 100, stale.value(), &fresh);
   EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
-  auto fresh_ans = server_->Select(100, 100);
+  auto fresh_ans = Serve(*server_, 100, 100);
   ASSERT_TRUE(fresh_ans.ok());
-  EXPECT_TRUE(fresh.VerifySelection(100, 100, fresh_ans.value(), Now()).ok());
+  EXPECT_TRUE(Check(100, 100, fresh_ans.value(), &fresh).ok());
 }
 
 TEST_F(ShardedServerTest, RangesBeforeAndAfterAModifyMatchSingleServer) {

@@ -469,7 +469,8 @@ TEST_F(SnapshotGcTest, PinnedReaderSurvivesLaterPublications) {
   // stalls across two further publications.
   std::shared_ptr<const EpochDescriptor> pin = server->PinCurrentEpoch();
   ASSERT_EQ(pin->epoch, 1u);
-  auto pinned_answer = server->Select(10, 20);
+  const Query q = Query::Select(10, 20);
+  auto pinned_answer = server->Execute(q);
   ASSERT_TRUE(pinned_answer.ok());
   ASSERT_EQ(pinned_answer.value().served_epoch, 1u);
   std::vector<UpdateSummary> epoch1_feed(pin->summaries->begin(),
@@ -498,21 +499,20 @@ TEST_F(SnapshotGcTest, PinnedReaderSurvivesLaterPublications) {
   for (const UpdateSummary& s : epoch1_feed)
     ASSERT_TRUE(epoch1_client.freshness().AddSummary(s).ok());
   EXPECT_TRUE(epoch1_client
-                  .VerifySelectionFresh(10, 20, pinned_answer.value(),
-                                        clock_.NowMicros(), /*min_epoch=*/1)
+                  .VerifyAnswerFresh(q, pinned_answer.value(),
+                                     clock_.NowMicros(), /*min_epoch=*/1)
                   .ok());
   // An up-to-date client (epoch 3 feed) rejects the same answer: its
   // records were superseded in the meantime.
   ClientVerifier fresh_client(&da_->public_key(), &codec_, da_->hash_mode());
-  auto fresh = server->Select(10, 20);
+  auto fresh = server->Execute(q);
   ASSERT_TRUE(fresh.ok());
-  ASSERT_TRUE(fresh_client
-                  .VerifySelectionFresh(10, 20, fresh.value(),
-                                        clock_.NowMicros(), 3)
-                  .ok());
+  ASSERT_TRUE(
+      fresh_client.VerifyAnswerFresh(q, fresh.value(), clock_.NowMicros(), 3)
+          .ok());
   EXPECT_TRUE(fresh_client
-                  .VerifySelectionFresh(10, 20, pinned_answer.value(),
-                                        clock_.NowMicros(), 3)
+                  .VerifyAnswerFresh(q, pinned_answer.value(),
+                                     clock_.NowMicros(), 3)
                   .IsVerificationFailed());
 }
 
