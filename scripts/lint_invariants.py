@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Structural invariant linter for the authdb tree.
 
-Nine rules, each protecting a contract the compiler cannot see:
+Six rules, each protecting a contract the compiler cannot see:
 
 * ``epoch-pin`` — read paths must reach per-shard snapshot state only
   through a pinned ``EpochDescriptor``. The read paths are the ``const``
@@ -32,22 +32,6 @@ Nine rules, each protecting a contract the compiler cannot see:
   bench gate consumes those JSON artifacts; a bench without them is
   invisible to the regression gate.
 
-* ``batch-path`` — the batched executor
-  (``src/server/batch_exec.cc``) must not dispatch shard work from a
-  per-plan loop: a ``for``/``while`` whose header mentions ``plan`` may
-  stitch and aggregate, but a shard dispatch call (``RunVisits`` /
-  ``Execute`` / ``ExecuteBatch`` / ``Select`` / ``ScanShard`` /
-  ``Visit``) inside it reintroduces one-visit-per-plan — exactly the
-  hand-off the PlanBatch envelope exists to amortize away (one visit per
-  covered shard per batch).
-
-* ``stats-surface`` — every ``struct *Stats`` in ``src/server`` must be
-  surfaced through the unified ``ServerMetrics`` snapshot (defined in, or
-  at least referenced by, ``src/server/metrics.h``). ServerMetrics is the
-  single serving-side telemetry surface; a stats struct it never folds is
-  a second, drifting surface that benches and tests will reach for
-  directly.
-
 * ``metrics-doc`` — every dotted counter name quoted in
   ``src/server/metrics.cc`` (the stable ``Flatten()`` contract) must
   appear in the README metrics table. The names are a published API;
@@ -67,16 +51,6 @@ Nine rules, each protecting a contract the compiler cannot see:
   costs a bench run. Genuinely single-shot sites (a lone join witness,
   one boundary record) take the allow-escape with a comment saying why
   the batch cannot apply.
-
-* ``bloom-batch`` — the join hot-path files (``core/join.cc``,
-  ``server/batch_exec.cc``) must not probe the certified Bloom
-  partitions one key at a time: per-key ``MayContain`` /
-  ``MayContainInt64`` re-hashes and cache-misses per value what
-  ``BloomFilter::ProbeMany`` batches (bulk hashing plus a block
-  prefetch sweep over the cache-line-blocked layout). Group a plan's
-  unmatched probe values by covering partition and issue one ProbeMany
-  per group. A deliberate scalar site takes the allow-escape with a
-  comment saying why.
 
 Escape hatch: a violating line is accepted when it (or the line directly
 above it) carries ``// authdb-lint: allow(<rule>)`` — use sparingly and
@@ -295,77 +269,6 @@ def check_bench_json(files):
 
 
 # --------------------------------------------------------------------------
-# Rule: batch-path
-
-LOOP_HEADER_RE = re.compile(r"\b(for|while)\s*\(")
-BATCH_DISPATCH_RE = re.compile(
-    r"\b(RunVisits|ExecuteBatch|Execute|Select|ScanShard|Visit)\s*\(")
-
-
-def check_batch_path(relpath, text):
-    findings = []
-    orig_lines = text.splitlines()
-    stripped = "\n".join(_strip_line_comment(ln) for ln in orig_lines)
-    for m in LOOP_HEADER_RE.finditer(stripped):
-        paren_close = _match_forward(stripped, m.end() - 1, "(", ")")
-        if paren_close < 0:
-            continue
-        if not re.search(r"plan", stripped[m.start():paren_close],
-                         re.IGNORECASE):
-            continue
-        rest = stripped[paren_close:].lstrip()
-        if rest.startswith("{"):
-            brace = stripped.index("{", paren_close)
-            body_end = _match_forward(stripped, brace, "{", "}")
-            if body_end < 0:
-                continue
-            body_start, body = brace, stripped[brace:body_end]
-        else:  # single-statement loop body
-            semi = stripped.find(";", paren_close)
-            if semi < 0:
-                continue
-            body_start, body = paren_close, stripped[paren_close:semi + 1]
-        for hit in BATCH_DISPATCH_RE.finditer(body):
-            line = _line_of(stripped, body_start + hit.start())
-            if not _allowed(orig_lines, line - 1, "batch-path"):
-                findings.append(Finding(
-                    "batch-path", relpath, line,
-                    "per-plan loop dispatches %s — the batched executor "
-                    "must visit each shard once per batch, not once per "
-                    "plan" % hit.group(1)))
-    return findings
-
-
-# --------------------------------------------------------------------------
-# Rule: stats-surface
-
-STATS_STRUCT_RE = re.compile(r"\bstruct\s+(\w*Stats)\b")
-
-
-def check_stats_surface(server_files, metrics_text):
-    """`server_files` is a list of (relpath, text) for src/server/*.{h,cc};
-    `metrics_text` is the concatenated text of server/metrics.{h,cc}."""
-    findings = []
-    for relpath, text in server_files:
-        if relpath.endswith("server/metrics.h"):
-            continue  # the surface itself
-        lines = text.splitlines()
-        stripped = "\n".join(_strip_line_comment(ln) for ln in lines)
-        for m in STATS_STRUCT_RE.finditer(stripped):
-            name = m.group(1)
-            line = _line_of(stripped, m.start())
-            if re.search(r"\b%s\b" % re.escape(name), metrics_text):
-                continue
-            if not _allowed(lines, line - 1, "stats-surface"):
-                findings.append(Finding(
-                    "stats-surface", relpath, line,
-                    "struct %s is not surfaced through ServerMetrics "
-                    "(server/metrics.h) — serving-side telemetry has ONE "
-                    "snapshot surface" % name))
-    return findings
-
-
-# --------------------------------------------------------------------------
 # Rule: metrics-doc
 
 METRIC_NAME_RE = re.compile(
@@ -428,31 +331,6 @@ def check_crypto_batch(relpath, text):
 
 
 # --------------------------------------------------------------------------
-# Rule: bloom-batch
-
-BLOOM_BATCH_FILES = (
-    "src/core/join.cc",
-    "src/server/batch_exec.cc",
-)
-BLOOM_SCALAR_RE = re.compile(r"(?:->|\.)\s*MayContain(?:Int64)?\s*\(")
-
-
-def check_bloom_batch(relpath, text):
-    findings = []
-    lines = text.splitlines()
-    for idx, line in enumerate(lines):
-        code = _strip_line_comment(line)
-        if BLOOM_SCALAR_RE.search(code) and not _allowed(lines, idx,
-                                                         "bloom-batch"):
-            findings.append(Finding(
-                "bloom-batch", relpath, idx + 1,
-                "per-key Bloom probe on the join hot path — group values "
-                "by covering partition and batch through "
-                "BloomFilter::ProbeMany"))
-    return findings
-
-
-# --------------------------------------------------------------------------
 # Driver
 
 CXX_DIRS = ("src", "tests", "bench", "examples")
@@ -486,11 +364,6 @@ def lint_tree(root):
                 server_cc.relative_to(root).as_posix(),
                 server_cc.read_text()))
 
-    batch_cc = root / "src/server/batch_exec.cc"
-    if batch_cc.is_file():
-        findings.extend(check_batch_path(
-            batch_cc.relative_to(root).as_posix(), batch_cc.read_text()))
-
     tests_cmake = root / "tests/CMakeLists.txt"
     if tests_cmake.is_file():
         findings.extend(check_test_labels(
@@ -500,18 +373,6 @@ def lint_tree(root):
     bench_files = [(p.relative_to(root).as_posix(), p.read_text())
                    for p in sorted((root / "bench").glob("bench_*.cc"))]
     findings.extend(check_bench_json(bench_files))
-
-    server_dir = root / "src/server"
-    if server_dir.is_dir():
-        metrics_text = ""
-        for name in ("src/server/metrics.h", "src/server/metrics.cc"):
-            p = root / name
-            if p.is_file():
-                metrics_text += p.read_text()
-        server_files = [(p.relative_to(root).as_posix(), p.read_text())
-                        for p in sorted(server_dir.rglob("*"))
-                        if p.suffix in (".h", ".cc")]
-        findings.extend(check_stats_surface(server_files, metrics_text))
 
     metrics_cc = root / "src/server/metrics.cc"
     readme = root / "README.md"
@@ -524,12 +385,6 @@ def lint_tree(root):
         p = root / name
         if p.is_file():
             findings.extend(check_crypto_batch(
-                p.relative_to(root).as_posix(), p.read_text()))
-
-    for name in BLOOM_BATCH_FILES:
-        p = root / name
-        if p.is_file():
-            findings.extend(check_bloom_batch(
                 p.relative_to(root).as_posix(), p.read_text()))
     return findings
 
@@ -589,41 +444,10 @@ SELFTEST_BENCH = [
     ("bench/bench_naked.cc", "int main() { printf(\"fast\\n\"); }"),
 ]
 
-SELFTEST_BATCH_PATH = """\
-void BatchEngine::Bad(const PlanBatch& batch) {
-  for (const Query& plan : batch.plans) {
-    srv_.Execute(plan);
-  }
-  for (size_t s = 0; s < shards; ++s) {
-    RunVisits(visits);  // not a per-plan loop: must NOT be flagged
-  }
-  for (size_t p = 0; p < plans.size(); ++p) {
-    results.push_back(StitchSelect(p));  // stitch call: must NOT be flagged
-  }
-  for (const Query& plan : batch.plans) {
-    // authdb-lint: allow(batch-path)
-    srv_.Execute(plan);
-  }
-}
-"""
-
-
-SELFTEST_STATS_SURFACE = [
-    ("src/server/orphan.h", "struct OrphanStats { uint64_t hits = 0; };"),
-    ("src/server/folded.h", "struct FoldedStats { uint64_t hits = 0; };"),
-    ("src/server/escaped.h",
-     "// authdb-lint: allow(stats-surface)\n"
-     "struct InternalScratchStats { uint64_t hits = 0; };"),
-]
-SELFTEST_STATS_METRICS_TEXT = """\
-struct ServerMetrics { };
-void Fold(const FoldedStats& s);
-"""
-
 SELFTEST_METRICS_DOC_CC = """\
-  put("exec.batches", static_cast<double>(exec.batches));
-  put("exec.undocumented_thing", 0.0);
-  out.emplace_back(std::string("exec.batch.shard_busy_us.") + sfx, 0.0);
+    {"exec.batches", &Exec::batches, kSum},
+    {"exec.undocumented_thing", &Exec::undocumented_thing, kSum},
+    {"exec.batch.shard_busy_us.", &ShardBusy::visit_us, kSum},
 """
 SELFTEST_METRICS_DOC_README = """\
 | `exec.batches` | ExecuteBatch calls served |
@@ -640,17 +464,6 @@ void Hot(const Record* recs, size_t n, Digest160* out) {
   auto sigs = ctx->FinalizeBatch(accs);           // batched: silent
   // authdb-lint: allow(crypto-batch) lone boundary witness
   Digest160 d3 = recs[n - 1].Digest();            // escaped: silent
-}
-"""
-
-
-SELFTEST_BLOOM_BATCH = """\
-void Stitch(const CertifiedPartition* part, int64_t a) {
-  bool hit = part->filter.MayContainInt64(a);       // flagged
-  bool hit2 = part->filter.MayContain(key);         // flagged
-  part->filter.ProbeMany(keys.data(), n, out);      // batched: silent
-  // authdb-lint: allow(bloom-batch) ablation-only scalar probe path
-  bool hit3 = part->filter.MayContainInt64(a);      // escaped: silent
 }
 """
 
@@ -687,18 +500,6 @@ def self_test():
     naked = check_bench_json(SELFTEST_BENCH)
     if naked and naked[0].path != "bench/bench_naked.cc":
         failures.append("bench-json flagged the wrong file: %r" % (naked,))
-    # Seeded per-plan dispatch is caught once; the per-shard loop, the
-    # stitch call, and the allow-escaped loop all stay silent.
-    expect("seeded batch-path",
-           check_batch_path("fake.cc", SELFTEST_BATCH_PATH),
-           "batch-path", 1)
-    # Orphan stats struct caught; the folded one and the allow-escape stay
-    # silent.
-    stats = check_stats_surface(SELFTEST_STATS_SURFACE,
-                                SELFTEST_STATS_METRICS_TEXT)
-    expect("seeded orphan stats struct", stats, "stats-surface", 1)
-    if stats and stats[0].path != "src/server/orphan.h":
-        failures.append("stats-surface flagged the wrong file: %r" % (stats,))
     # Undocumented metric name caught; the documented scalar and the
     # per-shard prefix (matched with its '.' suffix trimmed) stay silent.
     expect("seeded undocumented metric",
@@ -710,11 +511,6 @@ def self_test():
     expect("seeded scalar crypto",
            check_crypto_batch("fake.cc", SELFTEST_CRYPTO_BATCH),
            "crypto-batch", 3)
-    # Two per-key probes caught; the ProbeMany call and the allow-escaped
-    # ablation site stay silent.
-    expect("seeded scalar bloom probe",
-           check_bloom_batch("fake.cc", SELFTEST_BLOOM_BATCH),
-           "bloom-batch", 2)
 
     if failures:
         for f in failures:
@@ -744,8 +540,7 @@ def main(argv):
         print("%d invariant violation(s)" % len(findings), file=sys.stderr)
         return 1
     print("invariants ok: epoch-pin, raw-mutex, test-labels, bench-json, "
-          "batch-path, stats-surface, metrics-doc, crypto-batch, "
-          "bloom-batch")
+          "metrics-doc, crypto-batch")
     return 0
 
 

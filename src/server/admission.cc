@@ -24,31 +24,31 @@ bool AdmissionController::TurnOfLocked(Lane lane) const {
 void AdmissionController::GrantLocked(Lane lane) {
   ++inflight_;
   if (lane == Lane::kPriority) {
-    ++priority_grants_;
+    ++counters_.priority_grants;
     ++priority_streak_;
   } else {
-    ++bulk_grants_;
+    ++counters_.bulk_grants;
     if (priority_waiting_ > 0 && priority_streak_ >= starvation_bound_)
-      ++starvation_grants_;
+      ++counters_.starvation_grants;
     priority_streak_ = 0;
   }
 }
 
 void AdmissionController::CountAdmitLocked(QueryKind kind) {
-  ++admitted_total_;
+  ++counters_.admitted_total;
   switch (kind) {
-    case QueryKind::kSelect: ++select_admitted_; break;
-    case QueryKind::kProject: ++project_admitted_; break;
-    case QueryKind::kJoin: ++join_admitted_; break;
+    case QueryKind::kSelect: ++counters_.select_admitted; break;
+    case QueryKind::kProject: ++counters_.project_admitted; break;
+    case QueryKind::kJoin: ++counters_.join_admitted; break;
   }
 }
 
 void AdmissionController::CountShedLocked(QueryKind kind) {
-  ++shed_total_;
+  ++counters_.shed_total;
   switch (kind) {
-    case QueryKind::kSelect: ++select_shed_; break;
-    case QueryKind::kProject: ++project_shed_; break;
-    case QueryKind::kJoin: ++join_shed_; break;
+    case QueryKind::kSelect: ++counters_.select_shed; break;
+    case QueryKind::kProject: ++counters_.project_shed; break;
+    case QueryKind::kJoin: ++counters_.join_shed; break;
   }
 }
 
@@ -77,11 +77,11 @@ size_t AdmissionController::AdmitPlans(const std::vector<QueryKind>& kinds,
     CondVar& cv = lane == Lane::kPriority ? priority_cv_ : bulk_cv_;
     const uint64_t t0 = MonotonicMicros();
     ++waiting;
-    if (priority_waiting_ + bulk_waiting_ > queue_depth_max_)
-      queue_depth_max_ = priority_waiting_ + bulk_waiting_;
+    if (priority_waiting_ + bulk_waiting_ > counters_.queue_depth_max)
+      counters_.queue_depth_max = priority_waiting_ + bulk_waiting_;
     while (!(inflight_ < max_inflight_ && TurnOfLocked(lane))) cv.Wait(mu_);
     --waiting;
-    queue_wait_us_ += MonotonicMicros() - t0;
+    counters_.queue_wait_us += MonotonicMicros() - t0;
     GrantLocked(lane);
     CountAdmitLocked(kinds[i]);
     (*admitted)[i] = 1;
@@ -109,20 +109,8 @@ void AdmissionController::Release(size_t n) {
 
 void AdmissionController::Snapshot(ServerMetrics::Admission* out) const {
   MutexLock lock(mu_);
+  *out = counters_;
   out->enabled = true;
-  out->admitted_total = admitted_total_;
-  out->shed_total = shed_total_;
-  out->select_admitted = select_admitted_;
-  out->select_shed = select_shed_;
-  out->project_admitted = project_admitted_;
-  out->project_shed = project_shed_;
-  out->join_admitted = join_admitted_;
-  out->join_shed = join_shed_;
-  out->priority_grants = priority_grants_;
-  out->bulk_grants = bulk_grants_;
-  out->starvation_grants = starvation_grants_;
-  out->queue_wait_us = queue_wait_us_;
-  out->queue_depth_max = queue_depth_max_;
 }
 
 }  // namespace authdb

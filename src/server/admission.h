@@ -88,20 +88,8 @@ class AdmissionController {
   /// starvation_bound_ with bulk waiters present flips the turn.
   size_t priority_streak_ GUARDED_BY(mu_) = 0;
 
-  // Counters (all GUARDED_BY(mu_); snapshots take the lock briefly).
-  uint64_t admitted_total_ GUARDED_BY(mu_) = 0;
-  uint64_t shed_total_ GUARDED_BY(mu_) = 0;
-  uint64_t select_admitted_ GUARDED_BY(mu_) = 0;
-  uint64_t select_shed_ GUARDED_BY(mu_) = 0;
-  uint64_t project_admitted_ GUARDED_BY(mu_) = 0;
-  uint64_t project_shed_ GUARDED_BY(mu_) = 0;
-  uint64_t join_admitted_ GUARDED_BY(mu_) = 0;
-  uint64_t join_shed_ GUARDED_BY(mu_) = 0;
-  uint64_t priority_grants_ GUARDED_BY(mu_) = 0;
-  uint64_t bulk_grants_ GUARDED_BY(mu_) = 0;
-  uint64_t starvation_grants_ GUARDED_BY(mu_) = 0;
-  uint64_t queue_wait_us_ GUARDED_BY(mu_) = 0;
-  uint64_t queue_depth_max_ GUARDED_BY(mu_) = 0;
+  /// The admission counters (snapshots take the lock briefly).
+  ServerMetrics::Admission counters_ GUARDED_BY(mu_);
 };
 
 }  // namespace authdb

@@ -51,13 +51,13 @@ const std::vector<uint32_t> kChainColumn = {0};
 
 class BatchEngine {
  public:
-  BatchEngine(const ShardedQueryServer& srv, const EpochDescriptor& desc)
-      : srv_(srv), desc_(desc), curve_(srv.ctx_->curve()) {}
+  /// Counts into `tally` (one call's counters — the caller folds them
+  /// into the server's cumulative MetricsCore).
+  BatchEngine(const ShardedQueryServer& srv, const EpochDescriptor& desc,
+              ServerMetrics::Exec* tally)
+      : srv_(srv), desc_(desc), curve_(srv.ctx_->curve()), tally_(*tally) {}
 
-  /// Execute the batch, filling `stats` (one call's tally — the caller
-  /// folds it into the server's cumulative MetricsCore).
-  std::vector<Result<QueryAnswer>> Run(const PlanBatch& batch,
-                                       BatchExecStats* stats);
+  std::vector<Result<QueryAnswer>> Run(const PlanBatch& batch);
 
  private:
   /// One selection/projection sub-range on one shard (a router cover
@@ -110,18 +110,16 @@ class BatchEngine {
              const std::vector<size_t>& pr, ShardBusy* busy);
 
   Result<QueryAnswer> StitchSelect(size_t p, const Query& q,
-                                   BasAccumulator* acc, bool* needs_final,
-                                   BatchExecStats* bs);
+                                   BasAccumulator* acc, bool* needs_final);
   Result<QueryAnswer> StitchProject(size_t p, const Query& q,
-                                    BasAccumulator* acc, bool* needs_final,
-                                    BatchExecStats* bs);
+                                    BasAccumulator* acc, bool* needs_final);
   Result<QueryAnswer> StitchJoin(size_t p, const Query& q,
-                                 BasAccumulator* acc, bool* needs_final,
-                                 BatchExecStats* bs);
+                                 BasAccumulator* acc, bool* needs_final);
 
   const ShardedQueryServer& srv_;
   const EpochDescriptor& desc_;
   const CurveGroup& curve_;
+  ServerMetrics::Exec& tally_;
 
   std::vector<PlanWork> work_;
   std::vector<std::vector<uint32_t>> plan_attrs_;  ///< projection plans
@@ -312,8 +310,7 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
 
 Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,
                                               BasAccumulator* acc,
-                                              bool* needs_final,
-                                              BatchExecStats* bs) {
+                                              bool* needs_final) {
   const PlanWork& work = work_[p];
   QueryAnswer answer;
   answer.kind = QueryKind::kSelect;
@@ -327,9 +324,9 @@ Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,
   bool any = false;
   for (size_t ri : work.range_reqs) {
     RangeRes& sub = range_res_[ri];
-    bs->agg_point_adds += sub.agg_stats.point_adds;
-    bs->agg_leaf_fetches += sub.agg_stats.leaf_fetches;
-    bs->agg_span_hits += sub.agg_stats.span_hits;
+    tally_.agg_point_adds += sub.agg_stats.point_adds;
+    tally_.agg_leaf_fetches += sub.agg_stats.leaf_fetches;
+    tally_.agg_span_hits += sub.agg_stats.span_hits;
     if (!sub.nonempty) continue;
     if (!any) {
       any = true;
@@ -389,8 +386,7 @@ Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,
 
 Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
                                                BasAccumulator* acc,
-                                               bool* needs_final,
-                                               BatchExecStats* bs) {
+                                               bool* needs_final) {
   const PlanWork& work = work_[p];
   QueryAnswer answer;
   answer.kind = QueryKind::kProject;
@@ -400,9 +396,9 @@ Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
   bool any = false;
   for (size_t ri : work.range_reqs) {
     RangeRes& sub = range_res_[ri];
-    bs->agg_project_point_adds += sub.proj_stats.point_adds;
-    bs->agg_project_leaf_fetches += sub.proj_stats.leaf_fetches;
-    bs->agg_project_span_hits += sub.proj_stats.span_hits;
+    tally_.agg_project_point_adds += sub.proj_stats.point_adds;
+    tally_.agg_project_leaf_fetches += sub.proj_stats.leaf_fetches;
+    tally_.agg_project_span_hits += sub.proj_stats.span_hits;
     if (!sub.error.ok()) return sub.error;
     if (!sub.nonempty) continue;
     if (!any) {
@@ -417,7 +413,7 @@ Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
                        std::make_move_iterator(sub.tuples.end()));
     proj.digests.insert(proj.digests.end(), sub.digests.begin(),
                         sub.digests.end());
-    bs->digests_hashed += sub.digests.size();
+    tally_.digests_hashed += sub.digests.size();
     acc->jac = curve_.JacAdd(acc->jac, sub.proj_agg);
     ++acc->count;
     oldest_ts = std::min(oldest_ts, sub.oldest_ts);
@@ -464,8 +460,7 @@ Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
 
 Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
                                             BasAccumulator* acc,
-                                            bool* needs_final,
-                                            BatchExecStats* bs) {
+                                            bool* needs_final) {
   const PlanWork& work = work_[p];
   static const std::vector<CertifiedPartition> kNoPartitions;
   const std::vector<CertifiedPartition>& partitions =
@@ -498,13 +493,13 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
       by_part[part].push_back(vi);
     }
     for (const auto& [part, vis] : by_part) {
-      bs->bloom_probes += vis.size();
+      tally_.bloom_probes += vis.size();
       std::vector<int64_t> keys(vis.size());
       for (size_t i = 0; i < vis.size(); ++i) keys[i] = work.values[vis[i]];
       std::vector<uint8_t> hits(vis.size());
       part->filter.ProbeMany(keys.data(), keys.size(), hits.data());
       for (size_t i = 0; i < vis.size(); ++i) maybe[vis[i]] = hits[i];
-      for (size_t vi : vis) bs->bloom_block_hits += maybe[vi];
+      for (size_t vi : vis) tally_.bloom_block_hits += maybe[vi];
     }
   }
 
@@ -569,7 +564,7 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
         need_boundary = false;
       } else {
         // False positive — fall back to the boundary proof below.
-        ++bs->bloom_fp_fallbacks;
+        ++tally_.bloom_fp_fallbacks;
       }
     }
     if (need_boundary) {
@@ -613,15 +608,14 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
   return answer;
 }
 
-std::vector<Result<QueryAnswer>> BatchEngine::Run(const PlanBatch& batch,
-                                                  BatchExecStats* stats) {
+std::vector<Result<QueryAnswer>> BatchEngine::Run(const PlanBatch& batch) {
   const std::vector<Query>& plans = batch.plans;
   const size_t n_shards = desc_.shards.size();
 
-  BatchExecStats& bs = *stats;
-  bs.epoch = desc_.epoch;
-  bs.plans = plans.size();
-  bs.shard_busy.resize(n_shards);
+  tally_.batches = 1;
+  tally_.last_epoch = desc_.epoch;
+  tally_.plans = plans.size();
+  tally_.shard_busy.resize(n_shards);
 
   work_.resize(plans.size());
   plan_attrs_.resize(plans.size());
@@ -629,8 +623,8 @@ std::vector<Result<QueryAnswer>> BatchEngine::Run(const PlanBatch& batch,
   std::vector<Status> invalid(plans.size(), Status::OK());
   for (size_t p = 0; p < plans.size(); ++p) {
     invalid[p] = ValidateAndPlan(plans[p], p);
-    if (!invalid[p].ok()) ++bs.invalid_plans;
-    bs.shards_queried += work_[p].shards_queried;
+    if (!invalid[p].ok()) ++tally_.invalid_plans;
+    tally_.shards_queried += work_[p].shards_queried;
   }
   range_res_.resize(range_reqs_.size());
   probe_res_.resize(probe_reqs_.size());
@@ -646,11 +640,11 @@ std::vector<Result<QueryAnswer>> BatchEngine::Run(const PlanBatch& batch,
   for (size_t s = 0; s < n_shards; ++s) {
     if (shard_rr[s].empty() && shard_pr[s].empty()) continue;
     visits.push_back(ShardExecutor::Visit{
-        s, [this, s, &shard_rr, &shard_pr, &bs] {
-          Visit(s, shard_rr[s], shard_pr[s], &bs.shard_busy[s]);
+        s, [this, s, &shard_rr, &shard_pr] {
+          Visit(s, shard_rr[s], shard_pr[s], &tally_.shard_busy[s]);
         }});
   }
-  bs.shard_visits = visits.size();
+  tally_.shard_visits = visits.size();
   srv_.exec_.RunVisits(std::move(visits));
 
   // Per-plan stitch. This loops over plans at the FRONT END only — all
@@ -668,13 +662,13 @@ std::vector<Result<QueryAnswer>> BatchEngine::Run(const PlanBatch& batch,
     bool nf = false;
     switch (plans[p].kind) {
       case QueryKind::kSelect:
-        results.push_back(StitchSelect(p, plans[p], &plan_acc[p], &nf, &bs));
+        results.push_back(StitchSelect(p, plans[p], &plan_acc[p], &nf));
         break;
       case QueryKind::kProject:
-        results.push_back(StitchProject(p, plans[p], &plan_acc[p], &nf, &bs));
+        results.push_back(StitchProject(p, plans[p], &plan_acc[p], &nf));
         break;
       case QueryKind::kJoin:
-        results.push_back(StitchJoin(p, plans[p], &plan_acc[p], &nf, &bs));
+        results.push_back(StitchJoin(p, plans[p], &plan_acc[p], &nf));
         break;
     }
     needs_final[p] = nf && results.back().ok();
@@ -691,7 +685,7 @@ std::vector<Result<QueryAnswer>> BatchEngine::Run(const PlanBatch& batch,
   }
   if (!accs.empty()) {
     std::vector<BasSignature> sigs = srv_.ctx_->FinalizeBatch(accs);
-    ++bs.batch_finalizes;
+    ++tally_.batch_finalizes;
     for (size_t k = 0; k < acc_plan.size(); ++k) {
       QueryAnswer& ans = results[acc_plan[k]].value();
       switch (ans.kind) {
@@ -721,49 +715,39 @@ std::vector<Result<QueryAnswer>> BatchEngine::Run(const PlanBatch& batch,
 std::vector<Result<QueryAnswer>> ShardedQueryServer::ExecuteBatch(
     const PlanBatch& batch) const {
   std::shared_ptr<const EpochDescriptor> desc = PinCurrentEpoch();
-  if (admission_ == nullptr) {
-    BatchExecStats bs;
-    BatchEngine engine(*this, *desc);
-    std::vector<Result<QueryAnswer>> out = engine.Run(batch, &bs);
-    metrics_.FoldBatch(bs);
-    return out;
+  const size_t n = batch.plans.size();
+  std::vector<uint8_t> admitted;  // filled only under admission control
+  size_t granted = n;
+  if (admission_ != nullptr) {
+    std::vector<QueryKind> kinds;
+    kinds.reserve(n);
+    for (const Query& q : batch.plans) kinds.push_back(q.kind);
+    granted = admission_->AdmitPlans(kinds, &admitted);
   }
 
-  std::vector<QueryKind> kinds;
-  kinds.reserve(batch.plans.size());
-  for (const Query& q : batch.plans) kinds.push_back(q.kind);
-  std::vector<uint8_t> admitted;
-  const size_t granted = admission_->AdmitPlans(kinds, &admitted);
-  const uint64_t retry_us = admission_->retry_after_micros();
-
-  if (granted == batch.plans.size()) {
-    BatchExecStats bs;
-    BatchEngine engine(*this, *desc);
-    std::vector<Result<QueryAnswer>> out = engine.Run(batch, &bs);
-    metrics_.FoldBatch(bs);
-    admission_->Release(granted);
-    return out;
-  }
-
+  // The engine runs once over the admitted plans — unless a non-empty
+  // batch was shed whole, which runs (and counts) no batch at all.
   std::vector<Result<QueryAnswer>> ran;
-  if (granted > 0) {
+  if (granted > 0 || n == 0) {
     PlanBatch sub;
-    sub.plans.reserve(granted);
-    for (size_t i = 0; i < batch.plans.size(); ++i) {
-      if (admitted[i]) sub.plans.push_back(batch.plans[i]);
+    if (granted < n) {
+      for (size_t i = 0; i < n; ++i)
+        if (admitted[i]) sub.plans.push_back(batch.plans[i]);
     }
-    BatchExecStats bs;
-    BatchEngine engine(*this, *desc);
-    ran = engine.Run(sub, &bs);
-    metrics_.FoldBatch(bs);
-    admission_->Release(granted);
+    ServerMetrics tally;
+    BatchEngine engine(*this, *desc, &tally.exec);
+    ran = engine.Run(granted == n ? batch : sub);
+    metrics_.Add(tally);
+    if (admission_ != nullptr) admission_->Release(granted);
   }
+  if (granted == n) return ran;
 
   // Weave the shed answers back so results stay aligned with plan order.
+  const uint64_t retry_us = admission_->retry_after_micros();
   std::vector<Result<QueryAnswer>> out;
-  out.reserve(batch.plans.size());
+  out.reserve(n);
   size_t next_ran = 0;
-  for (size_t i = 0; i < batch.plans.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     if (admitted[i]) {
       out.push_back(std::move(ran[next_ran++]));
     } else {

@@ -23,37 +23,22 @@ struct ShardBusy {
   uint64_t visit_us = 0;    ///< whole-visit wall time
 };
 
-/// One ExecuteBatch call's execution tally, produced by the BatchEngine
-/// and folded into the server's cumulative MetricsCore. Internal plumbing
-/// of src/server/ — external consumers read ServerMetrics snapshots, never
-/// this struct.
-struct BatchExecStats {
-  uint64_t epoch = 0;           ///< the epoch the whole batch pinned
-  uint64_t plans = 0;           ///< plans submitted (valid or not)
-  uint64_t invalid_plans = 0;   ///< rejected by plan validation
-  uint64_t shards_queried = 0;  ///< per-plan sub-ranges fanned out, summed
-  uint64_t shard_visits = 0;    ///< shard visits dispatched (<= shards)
-  /// Shared-inversion finalizations: the one batch-level answer finalize
-  /// (0 when no plan aggregates). Shard visits never finalize.
-  uint64_t batch_finalizes = 0;
-  uint64_t agg_point_adds = 0;
-  uint64_t agg_leaf_fetches = 0;
-  uint64_t agg_span_hits = 0;   ///< precomputed chunk prefixes used
-  /// Projection folds, kept apart from the selection agg_* counters.
-  uint64_t agg_project_point_adds = 0;
-  uint64_t agg_project_leaf_fetches = 0;
-  uint64_t agg_project_span_hits = 0;  ///< chunk column aggregates used
-  uint64_t digests_hashed = 0;  ///< tuple digests via multi-buffer SHA
-  uint64_t bloom_probes = 0;    ///< join values probed against a filter
-  uint64_t bloom_block_hits = 0;    ///< probes answered "maybe present"
-  uint64_t bloom_fp_fallbacks = 0;  ///< positives resolved by absence proof
-  std::vector<ShardBusy> shard_busy;  ///< indexed by shard id
-};
-
 /// One consistent snapshot of every serving-side counter — the single
 /// telemetry surface of the server layer. Producers:
 ///   * ShardedQueryServer::Metrics() fills `exec`, `admission`, `epoch`;
 ///   * UpdateStream::Metrics() additionally fills `ingest`.
+/// The same sections are also the producers' own tallies: one ExecuteBatch
+/// call tallies into an `Exec`, the admission controller counts into an
+/// `Admission`, and each ingest queue into an `Ingest`.
+///
+/// Each counter is declared once, in a table per section (and one for
+/// ShardBusy) in metrics.cc: its dotted name, its field, and its merge
+/// rule — *sum* for monotonic counters, *max* for high-water marks.
+/// Flatten(), Delta(), the Add() merges and the server's cumulative
+/// MetricsCore all walk those tables. Point-in-time values
+/// (`admission.enabled`, `epoch.current`, `epoch.pinned`) are in no table:
+/// the producers fill them at snapshot time.
+///
 /// Consumers (sim drivers, benches, tests) read the typed sections or the
 /// Flatten() view; the dotted names Flatten() emits are a STABLE contract
 /// (pinned by tests/metrics_test.cc and the README metrics table, which
@@ -94,8 +79,12 @@ struct ServerMetrics {
     /// full certified rebuilds (delete-dirty or wholesale installs).
     uint64_t bloom_delta_merges = 0;
     uint64_t bloom_full_rebuilds = 0;
-    uint64_t last_epoch = 0;      ///< epoch the most recent batch pinned
+    uint64_t last_epoch = 0;      ///< highest epoch any batch pinned
     std::vector<ShardBusy> shard_busy;  ///< cumulative, indexed by shard
+
+    /// Merge `other` in, counter by counter by its rule (the shard_busy
+    /// entries sum, growing this vector to `other`'s length).
+    void Add(const Exec& other);
   } exec;
 
   struct Admission {
@@ -115,6 +104,8 @@ struct ServerMetrics {
     uint64_t starvation_grants = 0;
     uint64_t queue_wait_us = 0;    ///< total intake-queue wait time
     uint64_t queue_depth_max = 0;  ///< high-water mark, both lanes
+
+    void Add(const Admission& other);  ///< `enabled` is left as is
   } admission;
 
   struct Epoch {
@@ -124,13 +115,15 @@ struct ServerMetrics {
     /// Time publishers spent blocked on the max_pinned_epochs budget —
     /// the stalled-reader backpressure that propagates into ingest.
     uint64_t publish_backpressure_us = 0;
+
+    void Add(const Epoch& other);  ///< `current`, `pinned` left as is
   } epoch;
 
   struct Ingest {
     uint64_t updates_pushed = 0;       ///< PushUpdate calls
     uint64_t pieces_applied = 0;       ///< per-shard apply operations
     uint64_t summaries_published = 0;  ///< epoch barriers completed
-    uint64_t apply_failures = 0;       ///< rejected by a shard (logged)
+    uint64_t apply_failures = 0;       ///< pieces a shard rejected
     uint64_t queue_depth_max = 0;      ///< high-water mark across shards
     /// Producer-side backpressure: time PushUpdate/PushSummary spent
     /// blocked on a full shard queue.
@@ -138,6 +131,8 @@ struct ServerMetrics {
     /// PushSummary -> epoch publication, summed over barriers (epoch
     /// publication wait as seen by the ingest pipeline).
     uint64_t publish_wait_us = 0;
+
+    void Add(const Ingest& other);
   } ingest;
 
   /// The stable dotted-name view: one (name, value) pair per counter,
@@ -149,18 +144,20 @@ struct ServerMetrics {
   double Value(const std::string& name) const;
 
   /// Counter difference `*this - since` for windowed measurement (a load
-  /// run brackets itself with two snapshots). Monotonic counters subtract;
-  /// point-in-time values (admission.enabled, epoch.current, epoch.pinned,
-  /// exec.last_epoch) and high-water marks keep this snapshot's value.
+  /// run brackets itself with two snapshots). *Sum* counters subtract;
+  /// *max* counters (high-water marks, exec.last_epoch) and point-in-time
+  /// values keep this snapshot's value.
   ServerMetrics Delta(const ServerMetrics& since) const;
 };
 
-/// Lock-free cumulative execution counters embedded in ShardedQueryServer:
-/// ExecuteBatch folds one BatchExecStats per call with relaxed atomic adds
-/// (read paths never take a lock for telemetry), publishers record epoch
-/// installs, and Snapshot() materializes the `exec` + publication slices
-/// of a ServerMetrics. Snapshots are monotonic but not a cross-counter
-/// atomic cut — each counter is individually exact.
+/// Lock-free cumulative counters embedded in ShardedQueryServer: one
+/// relaxed atomic per entry of the `exec` and `epoch` tables (plus the
+/// ShardBusy table per shard), so read paths never take a lock for
+/// telemetry. Producers fold partial tallies in through Add() — one
+/// ExecuteBatch call's `exec`, one publication's `epoch`, one partition
+/// refresh's bloom counts — and Snapshot() materializes the same slices of
+/// a ServerMetrics. Snapshots are monotonic but not a cross-counter atomic
+/// cut — each counter is individually exact.
 class MetricsCore {
  public:
   explicit MetricsCore(size_t shards);
@@ -168,45 +165,18 @@ class MetricsCore {
   MetricsCore(const MetricsCore&) = delete;
   MetricsCore& operator=(const MetricsCore&) = delete;
 
-  void FoldBatch(const BatchExecStats& batch);
-  void RecordPublish(uint64_t backpressure_us);
-  /// A partition refresh installed `delta_merges` merged deltas and
-  /// `full_rebuilds` full certified filters.
-  void RecordPartitionRefresh(uint64_t delta_merges, uint64_t full_rebuilds);
+  /// Fold `partial.exec` and `partial.epoch` in, each counter by its rule
+  /// (a *max* counter only ever rises). Zero entries cost nothing; the
+  /// other sections are ignored.
+  void Add(const ServerMetrics& partial);
 
-  /// Fill `out->exec` and the publication counters of `out->epoch`.
+  /// Fill `out->exec` and the counters of `out->epoch`.
   void Snapshot(ServerMetrics* out) const;
 
  private:
-  struct BusyCell {
-    std::atomic<uint64_t> select_us{0};
-    std::atomic<uint64_t> project_us{0};
-    std::atomic<uint64_t> join_us{0};
-    std::atomic<uint64_t> visit_us{0};
-  };
-
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> plans_{0};
-  std::atomic<uint64_t> invalid_plans_{0};
-  std::atomic<uint64_t> shards_queried_{0};
-  std::atomic<uint64_t> shard_visits_{0};
-  std::atomic<uint64_t> batch_finalizes_{0};
-  std::atomic<uint64_t> agg_point_adds_{0};
-  std::atomic<uint64_t> agg_leaf_fetches_{0};
-  std::atomic<uint64_t> agg_span_hits_{0};
-  std::atomic<uint64_t> agg_project_point_adds_{0};
-  std::atomic<uint64_t> agg_project_leaf_fetches_{0};
-  std::atomic<uint64_t> agg_project_span_hits_{0};
-  std::atomic<uint64_t> digests_hashed_{0};
-  std::atomic<uint64_t> bloom_probes_{0};
-  std::atomic<uint64_t> bloom_block_hits_{0};
-  std::atomic<uint64_t> bloom_fp_fallbacks_{0};
-  std::atomic<uint64_t> bloom_delta_merges_{0};
-  std::atomic<uint64_t> bloom_full_rebuilds_{0};
-  std::atomic<uint64_t> last_epoch_{0};
-  std::atomic<uint64_t> published_total_{0};
-  std::atomic<uint64_t> publish_backpressure_us_{0};
-  std::vector<BusyCell> shard_busy_;
+  std::vector<std::atomic<uint64_t>> exec_;   ///< one per `exec` entry
+  std::vector<std::atomic<uint64_t>> epoch_;  ///< one per `epoch` entry
+  std::vector<std::atomic<uint64_t>> busy_;   ///< shard-major ShardBusy
 };
 
 }  // namespace authdb

@@ -110,7 +110,8 @@ size_t ShardedQueryServer::LivePinnedLocked() const {
 }
 
 void ShardedQueryServer::InstallDescriptorLocked(
-    std::vector<std::shared_ptr<const EpochSnapshot>> snaps) {
+    std::vector<std::shared_ptr<const EpochSnapshot>> snaps,
+    ServerMetrics published) {
   auto* raw = new EpochDescriptor;
   raw->epoch = tracker_.current_epoch();
   raw->total_size = 0;
@@ -139,9 +140,11 @@ void ShardedQueryServer::InstallDescriptorLocked(
     // never runs the backpressure prune).
     if (retired_.size() > 64) LivePinnedLocked();
   }
+  ++published.epoch.published_total;
+  metrics_.Add(published);
 }
 
-void ShardedQueryServer::RepublishLocked() {
+void ShardedQueryServer::RepublishLocked(ServerMetrics published) {
   std::vector<std::shared_ptr<const EpochSnapshot>> snaps;
   snaps.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -149,8 +152,7 @@ void ShardedQueryServer::RepublishLocked() {
     MutexLock lock(sh.mu);
     snaps.push_back(sh.builder.Freeze());
   }
-  InstallDescriptorLocked(std::move(snaps));
-  metrics_.RecordPublish(0);  // direct path never waits on the pin budget
+  InstallDescriptorLocked(std::move(snaps), std::move(published));
 }
 
 void ShardedQueryServer::PublishEpoch(
@@ -159,7 +161,7 @@ void ShardedQueryServer::PublishEpoch(
     PartitionRefresh partition_refresh) {
   AUTHDB_CHECK(snaps.size() == shards_.size());
   MutexLock pub(publish_mu_);
-  uint64_t backpressure_us = 0;
+  ServerMetrics published;
   if (config_.serving.max_pinned_epochs > 0) {
     // Backpressure against stalled readers: wait until fewer than the
     // budget of superseded epochs is still pinned. publish_mu_ stays held
@@ -171,7 +173,7 @@ void ShardedQueryServer::PublishEpoch(
       const uint64_t t0 = MonotonicMicros();
       while (LivePinnedLocked() >= config_.serving.max_pinned_epochs)
         pin_sync_->cv.Wait(pin_sync_->mu);
-      backpressure_us = MonotonicMicros() - t0;
+      published.epoch.publish_backpressure_us = MonotonicMicros() - t0;
     }
   }
   // Monotonicity guard: if a direct-path publication (ApplyUpdate /
@@ -201,8 +203,8 @@ void ShardedQueryServer::PublishEpoch(
     // geometry mismatch) is a protocol violation from the DA feed; the
     // CHECK keeps a corrupt join state out of every future epoch.
     AUTHDB_CHECK(ApplyPartitionRefresh(partition_refresh, &next));
-    metrics_.RecordPartitionRefresh(partition_refresh.deltas.size(),
-                                    partition_refresh.full.size());
+    published.exec.bloom_delta_merges = partition_refresh.deltas.size();
+    published.exec.bloom_full_rebuilds = partition_refresh.full.size();
     partitions_ = std::make_shared<const std::vector<CertifiedPartition>>(
         std::move(next));
   }
@@ -211,8 +213,7 @@ void ShardedQueryServer::PublishEpoch(
   sums->push_back(std::move(summary));
   while (sums->size() > config_.node.summaries_retained) sums->pop_front();
   summaries_ = std::move(sums);
-  InstallDescriptorLocked(std::move(snaps));
-  metrics_.RecordPublish(backpressure_us);
+  InstallDescriptorLocked(std::move(snaps), std::move(published));
 }
 
 void ShardedQueryServer::AddSummary(UpdateSummary summary) {
@@ -231,10 +232,11 @@ void ShardedQueryServer::AddSummary(UpdateSummary summary,
 void ShardedQueryServer::SetJoinPartitions(
     std::vector<CertifiedPartition> partitions) {
   MutexLock pub(publish_mu_);
-  metrics_.RecordPartitionRefresh(0, partitions.size());
+  ServerMetrics refresh;
+  refresh.exec.bloom_full_rebuilds = partitions.size();
   partitions_ = std::make_shared<const std::vector<CertifiedPartition>>(
       std::move(partitions));
-  RepublishLocked();
+  RepublishLocked(std::move(refresh));
 }
 
 std::shared_ptr<const EpochDescriptor> ShardedQueryServer::PinCurrentEpoch()

@@ -254,12 +254,15 @@ class ShardedQueryServer {
                               std::vector<UpdateSummary>* out);
 
   /// Build + install a descriptor from `snaps` under publish_mu_ (held by
-  /// the caller), retiring the previous descriptor into the GC list.
+  /// the caller), retiring the previous descriptor into the GC list, and
+  /// add `published` — this install counted in — to the metrics.
   void InstallDescriptorLocked(
-      std::vector<std::shared_ptr<const EpochSnapshot>> snaps)
+      std::vector<std::shared_ptr<const EpochSnapshot>> snaps,
+      ServerMetrics published) REQUIRES(publish_mu_);
+  /// Freeze every shard and republish the current epoch (direct path; it
+  /// never waits on the pin budget), counting `published` with it.
+  void RepublishLocked(ServerMetrics published = ServerMetrics())
       REQUIRES(publish_mu_);
-  /// Freeze every shard and republish the current epoch (direct path).
-  void RepublishLocked() REQUIRES(publish_mu_);
   /// Superseded-but-pinned epoch count; prunes dead entries. Held under
   /// pin_sync_->mu, not publish_mu_, so it stays callable while a
   /// backpressured publisher holds the publish lock.
@@ -271,8 +274,9 @@ class ShardedQueryServer {
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable ShardExecutor exec_;
   FreshnessTracker tracker_;
-  /// Cumulative execution counters (relaxed atomics; ExecuteBatch folds
-  /// one BatchExecStats per call, Metrics() snapshots).
+  /// Cumulative execution and publication counters (relaxed atomics;
+  /// ExecuteBatch adds one ServerMetrics::Exec tally per call, publishers
+  /// add their epoch counts, Metrics() snapshots).
   mutable MetricsCore metrics_;
   /// Present iff config_.admission.enabled.
   std::unique_ptr<AdmissionController> admission_;

@@ -30,11 +30,12 @@ void UpdateStream::Enqueue(size_t shard, Event event) {
     // as ingest.push_block_us instead of silent lost throughput.
     const uint64_t t0 = MonotonicMicros();
     while (q.q.size() >= max_queue_depth_) q.progress.Wait(q.mu);
-    q.push_block_us += MonotonicMicros() - t0;
+    q.ingest.push_block_us += MonotonicMicros() - t0;
   }
   q.q.push_back(std::move(event));
   ++q.enqueued;
-  if (q.q.size() > q.max_depth_seen) q.max_depth_seen = q.q.size();
+  if (q.q.size() > q.ingest.queue_depth_max)
+    q.ingest.queue_depth_max = q.q.size();
   q.ready.NotifyOne();
 }
 
@@ -125,8 +126,8 @@ void UpdateStream::WorkerLoop(size_t shard) {
     }
 
     q.mu.Lock();
-    q.pieces_applied += applied;
-    q.apply_failures += failures;
+    q.ingest.pieces_applied += applied;
+    q.ingest.apply_failures += failures;
     ++q.drained;
     q.progress.NotifyAll();
     q.mu.Unlock();
@@ -171,17 +172,11 @@ ServerMetrics UpdateStream::Metrics() const {
   ServerMetrics m = server_->Metrics();
   {
     MutexLock lock(tally_mu_);
-    m.ingest.updates_pushed = tally_.updates_pushed;
-    m.ingest.summaries_published = tally_.summaries_published;
-    m.ingest.publish_wait_us = tally_.publish_wait_us;
+    m.ingest = tally_;
   }
   for (const auto& q : queues_) {
     MutexLock lk(q->mu);
-    m.ingest.pieces_applied += q->pieces_applied;
-    m.ingest.apply_failures += q->apply_failures;
-    m.ingest.push_block_us += q->push_block_us;
-    if (q->max_depth_seen > m.ingest.queue_depth_max)
-      m.ingest.queue_depth_max = q->max_depth_seen;
+    m.ingest.Add(q->ingest);
   }
   return m;
 }

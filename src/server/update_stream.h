@@ -132,14 +132,11 @@ class UpdateStream {
     std::deque<Event> q GUARDED_BY(mu);
     uint64_t enqueued GUARDED_BY(mu) = 0;
     uint64_t drained GUARDED_BY(mu) = 0;
-    // Hot-path counters live here — under the mutex the worker and
-    // Enqueue already hold — so the per-event path never touches the
-    // global stats lock; stats() merges across shards.
-    uint64_t pieces_applied GUARDED_BY(mu) = 0;
-    uint64_t apply_failures GUARDED_BY(mu) = 0;
-    size_t max_depth_seen GUARDED_BY(mu) = 0;
-    /// Producer block time on this queue's backpressure bound.
-    uint64_t push_block_us GUARDED_BY(mu) = 0;
+    /// This queue's ingest counters (pieces applied and failed, depth
+    /// high-water mark, producer block time) — under the mutex the worker
+    /// and Enqueue already hold, so the per-event path never touches the
+    /// producer tally's lock; Metrics() merges them across shards.
+    ServerMetrics::Ingest ingest GUARDED_BY(mu);
     std::thread worker;
   };
 
@@ -154,16 +151,10 @@ class UpdateStream {
   std::atomic<bool> stop_{false};
   bool closed_ GUARDED_BY(push_mu_) = false;
 
-  /// Producer-side and per-publication tallies — all off the per-event
-  /// path (hot-path counters live on the shard queues, under the mutex
-  /// those paths already hold).
-  struct ProducerTally {
-    uint64_t updates_pushed = 0;
-    uint64_t summaries_published = 0;
-    uint64_t publish_wait_us = 0;  ///< PushSummary -> epoch publication
-  };
+  /// Producer-side and per-publication counters (updates pushed,
+  /// summaries published, publish wait) — all off the per-event path.
   mutable Mutex tally_mu_;
-  ProducerTally tally_ GUARDED_BY(tally_mu_);
+  ServerMetrics::Ingest tally_ GUARDED_BY(tally_mu_);
 };
 
 }  // namespace authdb

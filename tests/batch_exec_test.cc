@@ -429,9 +429,9 @@ TEST_F(BatchExecTest, MetricsAccountShardVisitsAndFinalizes) {
   EXPECT_EQ(delta.exec.batches, 1u);
   EXPECT_EQ(delta.exec.plans, plans.size());
   EXPECT_EQ(delta.exec.invalid_plans, 0u);
-  // One visit per covered shard per batch — never one per plan.
-  EXPECT_GE(delta.exec.shard_visits, 1u);
-  EXPECT_LE(delta.exec.shard_visits, server_->shard_count());
+  // One visit per covered shard per batch — never one per plan: the mixed
+  // batch covers all four shards, ten plans among them.
+  EXPECT_EQ(delta.exec.shard_visits, 4u);
   ASSERT_EQ(delta.exec.shard_busy.size(), server_->shard_count());
   uint64_t visit_us = 0;
   for (const auto& kb : delta.exec.shard_busy) {
@@ -443,6 +443,19 @@ TEST_F(BatchExecTest, MetricsAccountShardVisitsAndFinalizes) {
   // Exactly the one batch-level answer finalize ran: visits never finalize.
   EXPECT_EQ(delta.exec.batch_finalizes, 1u);
   EXPECT_EQ(delta.exec.last_epoch, batched[0].value().served_epoch);
+
+  // Three plans of every range kind, all inside shard 0: one visit.
+  const ServerMetrics before_one = server_->Metrics();
+  auto one_shard = server_->ExecuteBatch(PlanBatch::Of(
+      {Query::Select(JoinCompositeKey(10, 0), JoinCompositeKey(10, 2)),
+       Query::Project(JoinCompositeKey(10, 1), JoinCompositeKey(20, 0), {1}),
+       Query::Select(JoinCompositeKey(20, 0), JoinCompositeKey(30, 0)),
+       Query::Join({10, 20}, JoinMethod::kBoundaryValues)}));
+  for (const auto& r : one_shard) ASSERT_TRUE(r.ok());
+  const ServerMetrics one_delta = server_->Metrics().Delta(before_one);
+  EXPECT_EQ(one_delta.exec.plans, 4u);
+  EXPECT_EQ(one_delta.exec.shards_queried, 4u);
+  EXPECT_EQ(one_delta.exec.shard_visits, 1u);
 
   // Each join probe walk takes well under a microsecond; a join-only
   // batch of 512 probe values must still register join busy time.
