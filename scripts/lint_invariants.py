@@ -38,13 +38,14 @@ Six rules, each protecting a contract the compiler cannot see:
   an undocumented one is unfindable and gets renamed by accident.
 
 * ``crypto-batch`` — the crypto hot-path files (``core/chain.h``,
-  ``core/sigcache.cc``, ``core/verifier.cc``,
-  ``server/batch_exec.cc``) must not fold digests or finalize
-  signatures one message at a time where a batched variant exists:
-  single-message ``Sha1::Hash``/``Sha256::Hash`` (use
-  ``Sha*::HashMany``), per-record ``.Digest()`` (use
-  ``RecordDigestMany``), and scalar ``Finalize(`` (use
-  ``FinalizeBatch`` / ``ToAffineBatch``). One stray scalar call in a
+  ``core/epoch_snapshot.cc``, ``core/sigcache.cc``,
+  ``core/verifier.cc``, ``server/batch_exec.cc``) must not fold
+  digests or finalize signatures one message at a time where a
+  batched variant exists: single-message ``Sha1::Hash``/
+  ``Sha256::Hash`` (use ``Sha*::HashMany``), per-record ``.Digest()``
+  (use ``RecordDigestMany``, or the barrier's ``SnapshotItem::digest``),
+  and scalar ``Finalize(`` (use ``FinalizeBatch`` /
+  ``ToAffineBatch``). One stray scalar call in a
   per-tuple loop quietly serializes what the SIMD front end and the
   shared Montgomery inversions batch — exactly the regression the
   crypto-bench speedup gate exists to catch, caught here before it
@@ -298,6 +299,7 @@ def check_metrics_doc(relpath, metrics_cc_text, readme_text):
 
 CRYPTO_BATCH_FILES = (
     "src/core/chain.h",
+    "src/core/epoch_snapshot.cc",
     "src/core/sigcache.cc",
     "src/core/verifier.cc",
     "src/server/batch_exec.cc",

@@ -71,6 +71,19 @@ void EpochSnapshot::FoldColumns(size_t rank_lo, size_t rank_hi,
     ++terms;
     if (!p.infinity) *acc = curve.JacAddAffine(*acc, p);
   };
+  auto fold_items = [&](const Chunk& c, size_t from, size_t to, bool negate) {
+    for (size_t o = from; o < to; ++o) {
+      for (uint32_t col : columns) {
+        const ECPoint& p = ColumnOf(c[o], col).point;
+        if (negate) {
+          add(curve.Negate(p));
+        } else {
+          add(p);
+        }
+      }
+    }
+    stats->leaf_fetches += (to - from) * columns.size();
+  };
   size_t ci = static_cast<size_t>(
       std::upper_bound(starts_.begin(), starts_.end(), rank_lo) -
       starts_.begin() - 1);
@@ -80,15 +93,16 @@ void EpochSnapshot::FoldColumns(size_t rank_lo, size_t rank_hi,
     const size_t end = std::min(c.size(), rank_hi - starts_[ci] + 1);
     const ColumnAggregates* cols =
         chunk_aggs_.empty() ? nullptr : chunk_aggs_[ci].get();
-    if (begin == 0 && end == c.size() && cols != nullptr &&
-        max_column < cols->size()) {
+    if (cols != nullptr && max_column < cols->size() &&
+        2 * (end - begin) > c.size()) {
+      // The complement is the smaller side: the chunk's aggregates minus
+      // the items outside the span (none when it is covered whole).
       for (uint32_t col : columns) add((*cols)[col]);
       stats->span_hits += columns.size();
+      fold_items(c, 0, begin, /*negate=*/true);
+      fold_items(c, end, c.size(), /*negate=*/true);
     } else {
-      for (size_t o = begin; o < end; ++o) {
-        for (uint32_t col : columns) add(ColumnOf(c[o], col).point);
-      }
-      stats->leaf_fetches += (end - begin) * columns.size();
+      fold_items(c, begin, end, /*negate=*/false);
     }
     r = starts_[ci] + end;
   }
@@ -274,13 +288,14 @@ Status ShardVersionBuilder::ApplyInsert(const CertifiedRecord& cr) {
   const int64_t key = cr.record.key();
   if (chunks_.empty()) {
     auto c = std::make_shared<Chunk>();
-    c->push_back(SnapshotItem{cr.record, cr.sig, cr.attr_sigs});
+    c->push_back(SnapshotItem{cr.record, cr.sig, cr.attr_sigs, {}});
     chunks_.push_back(std::move(c));
     ChunkMeta fresh;
     fresh.owned = true;
     fresh.rebuild = true;
     meta_.push_back(std::move(fresh));
     first_keys_.push_back(key);
+    stale_digests_.push_back(key);
     ++size_;
     return Status::OK();
   }
@@ -292,8 +307,9 @@ Status ShardVersionBuilder::ApplyInsert(const CertifiedRecord& cr) {
   if (it != c->end() && it->key() == key)
     return Status::AlreadyExists("insert of existing key " +
                                  std::to_string(key));
-  it = c->insert(it, SnapshotItem{cr.record, cr.sig, cr.attr_sigs});
+  it = c->insert(it, SnapshotItem{cr.record, cr.sig, cr.attr_sigs, {}});
   AddToDelta(ci, *it, +1, /*attrs=*/true);
+  stale_digests_.push_back(key);
   ++size_;
   Rebalance(ci);
   return Status::OK();
@@ -319,6 +335,7 @@ Status ShardVersionBuilder::ApplyReplace(const CertifiedRecord& cr) {
   it->sig = cr.sig;
   if (attrs) it->attr_sigs = cr.attr_sigs;
   AddToDelta(ci, *it, +1, attrs);
+  stale_digests_.push_back(key);
   return Status::OK();
 }
 
@@ -363,6 +380,34 @@ Status ShardVersionBuilder::Apply(const SignedRecordUpdate& piece) {
     AUTHDB_RETURN_NOT_OK(ApplyReplace(cr));
   }
   return Status::OK();
+}
+
+void ShardVersionBuilder::RefreshDigests() {
+  if (stale_digests_.empty()) return;
+  std::sort(stale_digests_.begin(), stale_digests_.end());
+  stale_digests_.erase(
+      std::unique(stale_digests_.begin(), stale_digests_.end()),
+      stale_digests_.end());
+  std::vector<SnapshotItem*> items;
+  std::vector<const Record*> records;
+  items.reserve(stale_digests_.size());
+  records.reserve(stale_digests_.size());
+  for (int64_t key : stale_digests_) {
+    if (chunks_.empty()) break;
+    const size_t ci = ChunkOf(key);
+    AUTHDB_DCHECK(meta_[ci].owned);  // written since the last Freeze
+    Chunk* c = const_cast<Chunk*>(chunks_[ci].get());
+    auto it = std::lower_bound(
+        c->begin(), c->end(), key,
+        [](const SnapshotItem& a, int64_t k) { return a.key() < k; });
+    if (it == c->end() || it->key() != key) continue;  // deleted since
+    items.push_back(&*it);
+    records.push_back(&it->record);
+  }
+  stale_digests_.clear();
+  std::vector<Digest160> digests(records.size());
+  RecordDigestMany(records.data(), records.size(), digests.data());
+  for (size_t i = 0; i < items.size(); ++i) items[i]->digest = digests[i];
 }
 
 void ShardVersionBuilder::PrecomputeChunkAggregates() {
@@ -419,6 +464,7 @@ std::shared_ptr<const EpochSnapshot> ShardVersionBuilder::Freeze() {
   if (!changed_ && last_frozen_ != nullptr) return last_frozen_;
   if (changed_) ++generation_;
   changed_ = false;
+  RefreshDigests();
   PrecomputeChunkAggregates();
   std::vector<std::shared_ptr<const ColumnAggregates>> aggs;
   if (barrier_ctx_ != nullptr) aggs.reserve(meta_.size());

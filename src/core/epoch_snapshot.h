@@ -18,11 +18,14 @@ namespace authdb {
 /// One certified record as stored in an immutable epoch snapshot: the
 /// record, its current chain signature, and — when the DA signs attribute
 /// messages (Section 3.4) — the per-attribute signatures projection plans
-/// serve from.
+/// serve from. `digest` is record.Digest(), hashed once at the barrier
+/// (ShardVersionBuilder::Freeze) so digest spines and witnesses copy it
+/// instead of re-hashing the record on every query.
 struct SnapshotItem {
   Record record;
   BasSignature sig;
   std::vector<BasSignature> attr_sigs;  ///< one per attribute, or empty
+  Digest160 digest;                     ///< record.Digest(), once frozen
 
   int64_t key() const { return record.key(); }
 };
@@ -51,8 +54,12 @@ class EpochSnapshot {
   /// chunk carries the same number of attribute signatures.
   using ColumnAggregates = std::vector<ECPoint>;
 
-  /// What a span fold did: signatures pulled one item at a time, whole
-  /// chunk column aggregates used, and EC additions (terms - 1).
+  /// What a span fold did: signatures pulled one item at a time
+  /// (`leaf_fetches`: an edge item added, or an item outside the span
+  /// subtracted from its chunk's aggregate — one per item and column
+  /// either way), chunk column aggregates used (`span_hits`, one per chunk
+  /// and column), and EC additions (`point_adds`: terms - 1, so
+  /// point_adds + 1 == leaf_fetches + span_hits).
   struct FoldStats {
     size_t point_adds = 0;
     size_t leaf_fetches = 0;
@@ -126,11 +133,14 @@ class EpochSnapshot {
 
   /// Add every item's signatures in `columns` (0 = chain signature,
   /// 1 + a = attr_sigs[a]) over ranks [rank_lo, rank_hi] (inclusive,
-  /// within [0, size())) into `*acc`. A chunk the span covers whole and
-  /// whose aggregates hold every column costs one addition per column;
-  /// the other (edge) items are folded leaf by leaf, chunk by chunk. Every
-  /// item in the span must carry the requested attribute signatures. The
-  /// sum is that of the leaf fold, so finalized bytes are identical.
+  /// within [0, size())) into `*acc`. Each chunk the span touches is
+  /// folded from the smaller side: when its aggregates hold every column
+  /// and the span covers more than half of it, the chunk's column
+  /// aggregates are added and the items outside the span subtracted (a
+  /// chunk covered whole costs one addition per column); otherwise its
+  /// covered items are folded leaf by leaf. Every item in the span must
+  /// carry the requested attribute signatures. The sum is that of the
+  /// leaf fold, so finalized bytes are identical.
   void FoldColumns(size_t rank_lo, size_t rank_hi,
                    const std::vector<uint32_t>& columns,
                    const CurveGroup& curve, CurveGroup::Jacobian* acc,
@@ -184,6 +194,11 @@ class EpochSnapshot {
 /// barriers costs O(log n) per piece after the first touch of a chunk.
 /// Freeze() is O(chunk count) and returns the cached previous snapshot
 /// when the delta was empty.
+///
+/// Record digests are refreshed the same way: every item an insert,
+/// modify or re-certification wrote since the last Freeze is re-hashed in
+/// one multi-buffer pass (RecordDigestMany) at the next Freeze, and
+/// untouched items keep the digest their chunk already carries.
 ///
 /// Column aggregates are maintained by delta, not recomputed: a touched
 /// chunk keeps its last frozen aggregates as a base, and every piece adds
@@ -266,6 +281,9 @@ class ShardVersionBuilder {
   Status ApplyReplace(const CertifiedRecord& cr);  // modify / re-certify
   Status ApplyDelete(int64_t key);
 
+  /// Hash the record of every item written since the last Freeze into its
+  /// `digest`, in one RecordDigestMany pass.
+  void RefreshDigests();
   /// Publish the column aggregates of every chunk the delta touched —
   /// base + delta where valid, a leaf-by-leaf rebuild otherwise — all
   /// finalized with ONE shared batch inversion. No-op without a barrier
@@ -277,6 +295,9 @@ class ShardVersionBuilder {
   std::vector<std::shared_ptr<const Chunk>> chunks_;
   std::vector<ChunkMeta> meta_;  ///< parallel to chunks_
   std::vector<int64_t> first_keys_;
+  /// Keys inserted or rewritten since the last Freeze (may repeat, or name
+  /// keys deleted since): their items' digests are stale.
+  std::vector<int64_t> stale_digests_;
   uint64_t size_ = 0;
   uint64_t generation_ = 0;
   bool changed_ = false;

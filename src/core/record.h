@@ -20,16 +20,24 @@ struct Record {
 
   int64_t key() const { return attrs.empty() ? 0 : attrs[0]; }
 
-  /// Canonical byte string h(.) is computed over: rid | A1 | ... | AM | ts.
-  ByteBuffer CanonicalBytes() const {
-    ByteBuffer buf;
-    buf.PutU64(rid);
-    for (int64_t a : attrs) buf.PutI64(a);
-    buf.PutU64(ts);
-    return buf;
+  /// Length of the canonical byte string h(.) is computed over:
+  /// rid | A1 | ... | AM | ts, each 8 bytes little-endian.
+  size_t CanonicalSize() const { return 8 * (attrs.size() + 2); }
+  /// Write the canonical byte string to `out` (CanonicalSize() bytes).
+  void WriteCanonical(uint8_t* out) const {
+    auto put = [&out](uint64_t v) {
+      for (int i = 0; i < 8; ++i) *out++ = static_cast<uint8_t>(v >> (8 * i));
+    };
+    put(rid);
+    for (int64_t a : attrs) put(static_cast<uint64_t>(a));
+    put(ts);
   }
 
-  Digest160 Digest() const { return Sha1::Hash(CanonicalBytes().AsSlice()); }
+  Digest160 Digest() const {
+    std::vector<uint8_t> buf(CanonicalSize());
+    WriteCanonical(buf.data());
+    return Sha1::Hash(Slice(buf));
+  }
 
   /// Fixed-width serialization padded to `record_len` bytes (the paper's
   /// RecLen, default 512). Layout: u64 rid | u64 ts | u32 nattrs | attrs.
@@ -45,18 +53,22 @@ struct Record {
 };
 
 /// Batched Record::Digest over an array of record pointers: every canonical
-/// byte string crosses the multi-buffer SHA front end (Sha1::HashMany) in
-/// one pass. Digest spines and chain-message walks should prefer this over
-/// per-record Digest() calls.
+/// byte string, written back to back into one buffer, crosses the
+/// multi-buffer SHA front end (Sha1::HashMany) in one pass. Digest spines
+/// and chain-message walks should prefer this over per-record Digest()
+/// calls.
 inline void RecordDigestMany(const Record* const* recs, size_t count,
                              Digest160* out) {
-  std::vector<ByteBuffer> bufs;
-  bufs.reserve(count);
+  size_t total = 0;
+  for (size_t i = 0; i < count; ++i) total += recs[i]->CanonicalSize();
+  std::vector<uint8_t> flat(total);
   std::vector<Slice> views;
   views.reserve(count);
+  uint8_t* at = flat.data();
   for (size_t i = 0; i < count; ++i) {
-    bufs.push_back(recs[i]->CanonicalBytes());
-    views.push_back(bufs.back().AsSlice());
+    recs[i]->WriteCanonical(at);
+    views.emplace_back(at, recs[i]->CanonicalSize());
+    at += recs[i]->CanonicalSize();
   }
   Sha1::HashMany(views.data(), count, out);
 }

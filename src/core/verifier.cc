@@ -39,10 +39,12 @@ Status EnvelopePrecheck(const Query& query, const QueryAnswer& ans,
     const ProjectedRangeAnswer& proj = ans.projection;
     const JoinAnswer& join = ans.join;
     const bool payload_free =
-        sel.records.empty() && !sel.proof_record && proj.tuples.empty() &&
-        proj.digests.empty() && !proj.proof && join.matches.empty() &&
-        join.negative_probes.empty() && join.partitions.empty() &&
-        join.absence_proofs.empty() && ans.summaries.empty();
+        sel.records.empty() && !sel.proof_record &&
+        proj.attr_indices.empty() && proj.rids.empty() && proj.ts.empty() &&
+        proj.values.empty() && proj.digests.empty() && !proj.proof &&
+        join.matches.empty() && join.negative_probes.empty() &&
+        join.partitions.empty() && join.absence_proofs.empty() &&
+        ans.summaries.empty();
     if (!payload_free) {
       return Status::VerificationFailed(
           "shed answer carries payload — a shed is a refusal, not a result");
@@ -153,8 +155,19 @@ Status BuildProjectionMessages(const Query& query,
   }
   if (index_pos == attrs.size())
     return Status::VerificationFailed("projection lost the index attribute");
+  // The columns, once per answer: every row projects exactly the agreed
+  // attribute set, and every column has one entry per row.
+  if (ans.attr_indices != attrs)
+    return Status::VerificationFailed("tuple attribute set mismatch");
+  const size_t rows = ans.rids.size();
+  const size_t width = attrs.size();
+  if (ans.ts.size() != rows || ans.values.size() % width != 0 ||
+      ans.values.size() / width != rows)
+    return Status::VerificationFailed("projection column length mismatch");
+  if (ans.digests.size() != rows)
+    return Status::VerificationFailed("digest spine length mismatch");
 
-  if (ans.tuples.empty()) {
+  if (rows == 0) {
     // Empty result: the witness's chain must span the whole range. Its
     // content enters through the shipped digest, as in [24].
     if (!ans.proof)
@@ -167,34 +180,28 @@ Status BuildProjectionMessages(const Query& query,
     messages.push_back(ChainMessage(ans.proof->key, ans.proof->digest,
                                     ans.left_key, ans.right_key));
   } else {
-    if (ans.digests.size() != ans.tuples.size())
-      return Status::VerificationFailed("digest spine length mismatch");
     AUTHDB_RETURN_NOT_OK(CheckEnclosure(query, ans.left_key, ans.right_key));
-    // Each tuple must project exactly the agreed attribute set; its signed
-    // index-attribute value is the key that ties it to its spine entry.
-    std::vector<int64_t> keys;
-    keys.reserve(ans.tuples.size());
-    for (const ProjectedTuple& t : ans.tuples) {
-      if (t.attr_indices != attrs || t.values.size() != attrs.size())
-        return Status::VerificationFailed("tuple attribute set mismatch");
-      keys.push_back(t.values[index_pos]);
-    }
+    // Each row's signed index-attribute value is the key that ties it to
+    // its spine entry.
+    std::vector<int64_t> keys(rows);
+    for (size_t r = 0; r < rows; ++r)
+      keys[r] = ans.values[r * width + index_pos];
     for (size_t i = 0; i < keys.size(); ++i) {
       if (keys[i] < lo || keys[i] > hi)
         return Status::VerificationFailed("tuple outside query range");
       if (i > 0 && keys[i - 1] >= keys[i])
         return Status::VerificationFailed("tuples not in key order");
     }
-    for (size_t i = 0; i < ans.tuples.size(); ++i) {
+    for (size_t i = 0; i < rows; ++i) {
       int64_t left = i == 0 ? ans.left_key : keys[i - 1];
-      int64_t right = i + 1 == ans.tuples.size() ? ans.right_key : keys[i + 1];
+      int64_t right = i + 1 == rows ? ans.right_key : keys[i + 1];
       messages.push_back(
           ChainMessage(keys[i], ans.digests[i], left, right));
     }
-    for (const ProjectedTuple& t : ans.tuples) {
-      for (size_t i = 0; i < t.attr_indices.size(); ++i) {
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t i = 0; i < width; ++i) {
         messages.push_back(DataAggregator::AttributeMessage(
-            t.rid, t.attr_indices[i], t.values[i], t.ts));
+            ans.rids[r], attrs[i], ans.values[r * width + i], ans.ts[r]));
       }
     }
   }
@@ -353,8 +360,8 @@ std::vector<std::pair<uint64_t, uint64_t>> CitedVersions(
       }
       break;
     case QueryKind::kProject:
-      for (const ProjectedTuple& t : ans.projection.tuples)
-        cited.emplace_back(t.rid, t.ts);
+      for (size_t r = 0; r < ans.projection.rids.size(); ++r)
+        cited.emplace_back(ans.projection.rids[r], ans.projection.ts[r]);
       if (ans.projection.proof) {
         cited.emplace_back(ans.projection.proof->rid,
                            ans.projection.proof->ts);

@@ -11,9 +11,13 @@
 // selection and projection sub-range into a Jacobian accumulator from the
 // epoch-barrier column aggregates of the chunks it covers whole plus edge
 // leaves (EpochSnapshot::FoldColumns: column 0 for selections, the chain
-// plus each projected attribute column for projections). The front end
-// stitches per-plan answers and finalizes every plan-level aggregate with
-// one shared batch inversion (BasContext::FinalizeBatch).
+// plus each projected attribute column for projections). The visit also
+// copies out everything the answer ships — selected records, projection
+// columns, and digest spines read from SnapshotItem::digest (hashed once
+// at the epoch barrier, never per query) — so the front end only splices
+// per-shard results into per-plan answers by move, then finalizes every
+// plan-level aggregate with one shared batch inversion
+// (BasContext::FinalizeBatch).
 //
 // Equivalence contract: answers are byte-for-byte the answers the
 // sequential path produced — EC point addition is commutative and
@@ -47,6 +51,18 @@ uint64_t ToMicros(Clock::duration d) {
 
 /// A selection's one aggregate column: the chain signatures.
 const std::vector<uint32_t> kChainColumn = {0};
+
+/// Append `src` to `*dst` by move (a plain move when `*dst` is empty, the
+/// one-shard case); `src` is dead afterwards.
+template <typename T>
+void Splice(std::vector<T>* dst, std::vector<T>* src) {
+  if (dst->empty()) {
+    *dst = std::move(*src);
+  } else {
+    dst->insert(dst->end(), std::make_move_iterator(src->begin()),
+                std::make_move_iterator(src->end()));
+  }
+}
 }  // namespace
 
 class BatchEngine {
@@ -68,21 +84,24 @@ class BatchEngine {
     int64_t lo = 0, hi = 0;
     bool project = false;
   };
+  /// Everything a sub-range's visit produced, copied on the shard worker
+  /// so the front end only splices.
   struct RangeRes {
     bool nonempty = false;
     int64_t left_key = kChainMinusInf;
     int64_t right_key = kChainPlusInf;
-    // Selection: matched items plus the sub-range's chain aggregate.
-    std::vector<const SnapshotItem*> items;
+    uint64_t oldest_ts = ~uint64_t{0};
+    // The deferred aggregate: chain column for a selection, chain plus
+    // projected attribute columns for a projection.
     CurveGroup::Jacobian agg{};
     EpochSnapshot::FoldStats agg_stats;
-    // Projection: tuples + digest spine + deferred attr/chain aggregate.
+    // Selection: the matched records.
+    std::vector<Record> records;
+    // Projection: the answer's columns and digest spine.
     Status error = Status::OK();
-    std::vector<ProjectedTuple> tuples;
+    std::vector<uint64_t> rids, ts;
+    std::vector<int64_t> values;
     std::vector<Digest160> digests;
-    CurveGroup::Jacobian proj_agg{};
-    EpochSnapshot::FoldStats proj_stats;
-    uint64_t oldest_ts = ~uint64_t{0};
   };
   /// One join probe value's sub-range on one shard.
   struct ProbeReq {
@@ -246,10 +265,12 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
     res.nonempty = true;
     if (lo_r > 0) res.left_key = snap.ItemAt(lo_r - 1).key();
     if (hi_r < snap.size()) res.right_key = snap.ItemAt(hi_r).key();
+    const size_t n = hi_r - lo_r;
     if (!req.project) {
-      res.items.reserve(hi_r - lo_r);
+      res.records.reserve(n);
       snap.ForEachItem(lo_r, hi_r - 1, [&res](const SnapshotItem& item) {
-        res.items.push_back(&item);
+        res.records.push_back(item.record);
+        res.oldest_ts = std::min(res.oldest_ts, item.record.ts);
       });
       // Finalized with the plan's shared inversion.
       snap.FoldColumns(lo_r, hi_r - 1, kChainColumn, curve_, &res.agg,
@@ -257,46 +278,40 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
       select_t += Clock::now() - t0;
     } else {
       const std::vector<uint32_t>& attrs = plan_attrs_[req.plan];
-      bool failed = false;
-      // Records visited by the walk; their digest spine is computed after
-      // the walk in one multi-buffer SHA pass (the items live in the
-      // pinned snapshot, so the pointers stay valid).
-      std::vector<const Record*> spine;
+      res.rids.reserve(n);
+      res.ts.reserve(n);
+      res.values.reserve(n * attrs.size());
+      res.digests.reserve(n);
+      // The digest spine is a copy: each item's digest was hashed once,
+      // when the barrier froze it.
       snap.ForEachItem(lo_r, hi_r - 1, [&](const SnapshotItem& item) {
-        if (failed) return;  // already failed: skip the rest
+        if (!res.error.ok()) return;  // already failed: skip the rest
         const Record& rec = item.record;
         if (item.attr_sigs.empty()) {
           res.error = Status::InvalidArgument(
               "projection unavailable: no attribute signatures for key " +
               std::to_string(rec.key()));
-          failed = true;
           return;
         }
-        ProjectedTuple tuple;
-        tuple.rid = rec.rid;
-        tuple.ts = rec.ts;
         for (uint32_t a : attrs) {
           if (a >= rec.attrs.size() || a >= item.attr_sigs.size()) {
             res.error =
                 Status::InvalidArgument("projected attribute out of range");
-            failed = true;
             return;
           }
-          tuple.attr_indices.push_back(a);
-          tuple.values.push_back(rec.attrs[a]);
+          res.values.push_back(rec.attrs[a]);
         }
-        res.tuples.push_back(std::move(tuple));
-        spine.push_back(&rec);
+        res.rids.push_back(rec.rid);
+        res.ts.push_back(rec.ts);
+        res.digests.push_back(item.digest);
         res.oldest_ts = std::min(res.oldest_ts, rec.ts);
       });
-      if (!failed) {
+      if (res.error.ok()) {
         // Every item carries the projected attribute signatures: fold them
-        // and the chain signatures (the completeness spine) by whole-chunk
-        // column aggregates plus edge leaves.
+        // and the chain signatures (the completeness spine) from the
+        // chunks' column aggregates plus edge leaves.
         snap.FoldColumns(lo_r, hi_r - 1, plan_columns_[req.plan], curve_,
-                         &res.proj_agg, &res.proj_stats);
-        res.digests.resize(spine.size());
-        RecordDigestMany(spine.data(), spine.size(), res.digests.data());
+                         &res.agg, &res.agg_stats);
       }
       project_t += Clock::now() - t0;
     }
@@ -333,10 +348,8 @@ Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,
       out.left_key = sub.left_key;
     }
     out.right_key = sub.right_key;
-    for (const SnapshotItem* item : sub.items) {
-      out.records.push_back(item->record);
-      oldest_ts = std::min(oldest_ts, item->record.ts);
-    }
+    Splice(&out.records, &sub.records);
+    oldest_ts = std::min(oldest_ts, sub.oldest_ts);
     acc->jac = curve_.JacAdd(acc->jac, sub.agg);
     ++acc->count;
   }
@@ -391,14 +404,15 @@ Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
   QueryAnswer answer;
   answer.kind = QueryKind::kProject;
   ProjectedRangeAnswer& proj = answer.projection;
+  proj.attr_indices = plan_attrs_[p];
 
   uint64_t oldest_ts = ~uint64_t{0};
   bool any = false;
   for (size_t ri : work.range_reqs) {
     RangeRes& sub = range_res_[ri];
-    tally_.agg_project_point_adds += sub.proj_stats.point_adds;
-    tally_.agg_project_leaf_fetches += sub.proj_stats.leaf_fetches;
-    tally_.agg_project_span_hits += sub.proj_stats.span_hits;
+    tally_.agg_project_point_adds += sub.agg_stats.point_adds;
+    tally_.agg_project_leaf_fetches += sub.agg_stats.leaf_fetches;
+    tally_.agg_project_span_hits += sub.agg_stats.span_hits;
     if (!sub.error.ok()) return sub.error;
     if (!sub.nonempty) continue;
     if (!any) {
@@ -406,15 +420,13 @@ Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
       proj.left_key = sub.left_key;
     }
     proj.right_key = sub.right_key;
-    // Tuples carry per-attribute value and index vectors — splice them by
-    // move; the per-shard sub-results are dead after this stitch.
-    proj.tuples.insert(proj.tuples.end(),
-                       std::make_move_iterator(sub.tuples.begin()),
-                       std::make_move_iterator(sub.tuples.end()));
-    proj.digests.insert(proj.digests.end(), sub.digests.begin(),
-                        sub.digests.end());
+    // The per-shard sub-results are dead after this stitch.
     tally_.digests_hashed += sub.digests.size();
-    acc->jac = curve_.JacAdd(acc->jac, sub.proj_agg);
+    Splice(&proj.rids, &sub.rids);
+    Splice(&proj.ts, &sub.ts);
+    Splice(&proj.values, &sub.values);
+    Splice(&proj.digests, &sub.digests);
+    acc->jac = curve_.JacAdd(acc->jac, sub.agg);
     ++acc->count;
     oldest_ts = std::min(oldest_ts, sub.oldest_ts);
   }
@@ -426,10 +438,9 @@ Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
     if (pred == nullptr && succ == nullptr)
       return Status::NotFound("empty relation");
     const SnapshotItem* witness = pred != nullptr ? pred : succ;
-    proj.proof = DigestWitness{
-        witness->key(), witness->record.rid, witness->record.ts,
-        // authdb-lint: allow(crypto-batch) one witness digest per empty answer
-        witness->record.Digest()};
+    proj.proof = DigestWitness{witness->key(), witness->record.rid,
+                               witness->record.ts, witness->digest};
+    ++tally_.digests_hashed;
     proj.agg_sig = witness->sig;
     if (pred != nullptr) {
       const SnapshotItem* pp = srv_.GlobalPredecessor(desc_, pred->key());
@@ -581,8 +592,8 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
       proof.rec_key = witness->key();
       proof.rec_rid = witness->record.rid;
       proof.rec_ts = witness->record.ts;
-      // authdb-lint: allow(crypto-batch) one witness digest per absent value
-      proof.rec_digest = witness->record.Digest();
+      proof.rec_digest = witness->digest;
+      ++tally_.digests_hashed;
       const SnapshotItem* wl = srv_.GlobalPredecessor(desc_, witness->key());
       const SnapshotItem* wr = srv_.GlobalSuccessor(desc_, witness->key());
       proof.left_key = wl != nullptr ? wl->key() : kChainMinusInf;

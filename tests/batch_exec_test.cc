@@ -137,13 +137,10 @@ class BatchExecTest : public ::testing::Test {
 
   void ExpectSameProjection(const ProjectedRangeAnswer& a,
                             const ProjectedRangeAnswer& b) {
-    ASSERT_EQ(a.tuples.size(), b.tuples.size());
-    for (size_t i = 0; i < a.tuples.size(); ++i) {
-      EXPECT_EQ(a.tuples[i].rid, b.tuples[i].rid);
-      EXPECT_EQ(a.tuples[i].ts, b.tuples[i].ts);
-      EXPECT_EQ(a.tuples[i].attr_indices, b.tuples[i].attr_indices);
-      EXPECT_EQ(a.tuples[i].values, b.tuples[i].values);
-    }
+    EXPECT_EQ(a.attr_indices, b.attr_indices);
+    EXPECT_EQ(a.rids, b.rids);
+    EXPECT_EQ(a.ts, b.ts);
+    EXPECT_EQ(a.values, b.values);
     EXPECT_EQ(a.digests, b.digests);
     EXPECT_EQ(a.left_key, b.left_key);
     EXPECT_EQ(a.right_key, b.right_key);
@@ -243,8 +240,10 @@ TEST_F(BatchExecTest, BatchVerifyMatchesSequentialVerdictsFieldForField) {
   // too, not only passing ones.
   ASSERT_GE(answers[0].value().selection.records.size(), 2u);
   answers[0].value().selection.records.pop_back();
-  ASSERT_FALSE(answers[4].value().projection.tuples.empty());
-  answers[4].value().projection.tuples[0].values.back() ^= 1;
+  ASSERT_FALSE(answers[4].value().projection.rids.empty());
+  // The last projected value of the first row.
+  answers[4].value().projection.values[
+      answers[4].value().projection.attr_indices.size() - 1] ^= 1;
   ASSERT_FALSE(answers[6].value().join.matches.empty());
   ASSERT_GE(answers[6].value().join.matches[0].s_records.size(), 2u);
   answers[6].value().join.matches[0].s_records.pop_back();
@@ -534,7 +533,7 @@ TEST_F(BatchExecTest, ProjectionsMatchLeafSumsOfTheDAsRecordsAcrossEpochs) {
       }
       const QueryAnswer& ans = answers[i].value();
       if (project) {
-        ASSERT_EQ(ans.projection.tuples.size(), scan.items.size());
+        ASSERT_EQ(ans.projection.rids.size(), scan.items.size());
         EXPECT_TRUE(
             curve.Equal(ans.projection.agg_sig.point, curve.Sum(leaves)));
       } else {

@@ -394,8 +394,14 @@ TEST_F(OpenLoopTest, VerifierDistinguishesShedFromTamperedAndStale) {
        [](QueryAnswer* a) { a->selection.records.emplace_back(); }},
       {"selection.proof_record",
        [](QueryAnswer* a) { a->selection.proof_record = Record(); }},
-      {"projection.tuples",
-       [](QueryAnswer* a) { a->projection.tuples.emplace_back(); }},
+      {"projection.attr_indices",
+       [](QueryAnswer* a) { a->projection.attr_indices.push_back(0); }},
+      {"projection.rids",
+       [](QueryAnswer* a) { a->projection.rids.emplace_back(); }},
+      {"projection.ts",
+       [](QueryAnswer* a) { a->projection.ts.emplace_back(); }},
+      {"projection.values",
+       [](QueryAnswer* a) { a->projection.values.emplace_back(); }},
       {"projection.digests",
        [](QueryAnswer* a) { a->projection.digests.emplace_back(); }},
       {"projection.proof",

@@ -305,11 +305,12 @@ TEST_F(QueryExecTest, ProjectionServedAcrossShardsVerifies) {
   auto ans = server_->Execute(q);
   ASSERT_TRUE(ans.ok());
   const ProjectedRangeAnswer& proj = ans.value().projection;
-  EXPECT_EQ(proj.tuples.size(), 10u);  // 3+1+3+2+1 records in [10, 70]
+  EXPECT_EQ(proj.rids.size(), 10u);  // 3+1+3+2+1 records in [10, 70]
   EXPECT_GT(server_->Metrics().Delta(before).exec.shards_queried, 1u);
-  ASSERT_FALSE(proj.tuples.empty());
-  EXPECT_EQ(proj.tuples[0].attr_indices.front(), 0u);  // forced index attr
-  EXPECT_EQ(proj.tuples[0].attr_indices.size(), 3u);
+  ASSERT_FALSE(proj.rids.empty());
+  EXPECT_EQ(proj.attr_indices.front(), 0u);  // forced index attr
+  EXPECT_EQ(proj.attr_indices.size(), 3u);
+  EXPECT_EQ(proj.values.size(), 3 * proj.rids.size());
   EXPECT_TRUE(verifier_->VerifyAnswerFresh(q, ans.value(), Now(), 0).ok());
   // Reference answer aggregates identically.
   auto ref = reference_->Execute(q);
@@ -325,7 +326,7 @@ TEST_F(QueryExecTest, ProjectionEmptyRangeProvenByWitness) {
                            {1});
   auto ans = server_->Execute(q);
   ASSERT_TRUE(ans.ok());
-  EXPECT_TRUE(ans.value().projection.tuples.empty());
+  EXPECT_TRUE(ans.value().projection.rids.empty());
   ASSERT_TRUE(ans.value().projection.proof.has_value());
   EXPECT_TRUE(verifier_->VerifyAnswerFresh(q, ans.value(), Now(), 0).ok());
 }
@@ -341,18 +342,21 @@ TEST_F(QueryExecTest, ProjectionTamperDetected) {
      // tuples 0 and 3 have different B values, so the swap changes both
      // attribute messages.
     QueryAnswer t = ans.value();
-    ASSERT_GE(t.projection.tuples.size(), 4u);
-    ASSERT_NE(t.projection.tuples[0].values[1],
-              t.projection.tuples[3].values[1]);
-    std::swap(t.projection.tuples[0].values[1],
-              t.projection.tuples[3].values[1]);
+    ProjectedRangeAnswer& p = t.projection;
+    const size_t w = p.attr_indices.size();  // {0, 1}: value 1 is B
+    ASSERT_GE(p.rids.size(), 4u);
+    ASSERT_NE(p.values[0 * w + 1], p.values[3 * w + 1]);
+    std::swap(p.values[0 * w + 1], p.values[3 * w + 1]);
     EXPECT_TRUE(verifier_->VerifyAnswerFresh(q, t, Now(), 0)
                     .IsVerificationFailed());
   }
   {  // A dropped tuple (and its spine entry).
     QueryAnswer t = ans.value();
-    t.projection.tuples.pop_back();
-    t.projection.digests.pop_back();
+    ProjectedRangeAnswer& p = t.projection;
+    p.rids.pop_back();
+    p.ts.pop_back();
+    p.values.resize(p.values.size() - p.attr_indices.size());
+    p.digests.pop_back();
     EXPECT_TRUE(verifier_->VerifyAnswerFresh(q, t, Now(), 0)
                     .IsVerificationFailed());
   }
@@ -543,7 +547,7 @@ TEST_F(QueryExecTest, VoAccountingSplitsBloomAndBoundaryBytes) {
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p.value().projection.vo_size(sm),
             sm.signature_bytes + 2 * sm.key_bytes +
-                p.value().projection.tuples.size() * sm.digest_bytes);
+                p.value().projection.rids.size() * sm.digest_bytes);
 }
 
 }  // namespace

@@ -48,6 +48,16 @@ SignedRecordUpdate MakeModify(int64_t key, int64_t payload, uint64_t ts = 2) {
   return msg;
 }
 
+/// Record::Digest spelled out independently of record.h: SHA-1 over
+/// rid | A1 | ... | AM | ts, each a little-endian u64.
+Digest160 ReferenceDigest(const Record& r) {
+  ByteBuffer buf;
+  buf.PutU64(r.rid);
+  for (int64_t a : r.attrs) buf.PutI64(a);
+  buf.PutU64(r.ts);
+  return Sha1::Hash(buf.AsSlice());
+}
+
 SignedRecordUpdate MakeDelete(int64_t key) {
   SignedRecordUpdate msg;
   msg.kind = SignedRecordUpdate::Kind::kDelete;
@@ -148,8 +158,10 @@ TEST(ShardVersionBuilderTest, FreezeSharesUntouchedChunksAcrossEpochs) {
 // deletes, re-certifications, insert bursts that split chunks, delete runs
 // that empty them, and a mix of attribute widths. After every Freeze each
 // chunk's every column must equal a leaf-by-leaf CurveGroup::Sum, chunks
-// the delta never touched must keep the very same aggregate object, and
-// ColumnAggregateAt / FoldColumns must agree with leaf folds.
+// the delta never touched must keep the very same aggregate object,
+// ColumnAggregateAt / FoldColumns must agree with leaf folds, and every
+// item's barrier digest must be its record's digest. The signature pool
+// holds each point's negation too, so sums cancel to infinity.
 class ColumnAggregateTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -160,6 +172,8 @@ class ColumnAggregateTest : public ::testing::Test {
     pool_ = new std::vector<ECPoint>{(*ctx_)->generator()};
     while (pool_->size() < 40)
       pool_->push_back(curve.Add(pool_->back(), (*ctx_)->generator()));
+    for (size_t i = 0; i < 40; ++i)
+      pool_->push_back(curve.Negate((*pool_)[i]));
   }
 
   /// A random signature: a pool point, occasionally the infinity point.
@@ -195,13 +209,16 @@ class ColumnAggregateTest : public ::testing::Test {
 
   void Insert(int64_t key) {
     if (reference_.count(key) != 0) return;
+    Insert(Certified(key, Width()));
+  }
+  void Insert(const CertifiedRecord& cr) {
     SignedRecordUpdate msg;
     msg.kind = SignedRecordUpdate::Kind::kInsert;
-    msg.key = key;
-    msg.record = Certified(key, Width());
+    msg.key = cr.record.key();
+    msg.record = cr;
     ASSERT_TRUE(builder_->Apply(msg).ok());
-    const CertifiedRecord& cr = *msg.record;
-    reference_[key] = SnapshotItem{cr.record, cr.sig, cr.attr_sigs};
+    reference_[msg.key] = SnapshotItem{cr.record, cr.sig, cr.attr_sigs,
+                                       ReferenceDigest(cr.record)};
   }
 
   /// The new contents of `key`; when `keep_attrs`, the message ships no
@@ -212,6 +229,7 @@ class ColumnAggregateTest : public ::testing::Test {
     ref.record = cr.record;
     ref.sig = cr.sig;
     if (!cr.attr_sigs.empty()) ref.attr_sigs = cr.attr_sigs;
+    ref.digest = ReferenceDigest(cr.record);
     return cr;
   }
 
@@ -286,6 +304,9 @@ class ColumnAggregateTest : public ::testing::Test {
       ASSERT_EQ(item.key(), key);
       ASSERT_TRUE(curve.Equal(item.sig.point, ref.sig.point));
       ASSERT_EQ(item.attr_sigs.size(), ref.attr_sigs.size());
+      ASSERT_EQ(item.record, ref.record);
+      ASSERT_EQ(item.digest, item.record.Digest()) << "key " << key;
+      ASSERT_EQ(item.digest, ref.digest) << "key " << key;
     }
     if (snap.size() == 0) return;
     const size_t last = snap.size() - 1;
@@ -358,6 +379,97 @@ class ColumnAggregateTest : public ::testing::Test {
     }
   }
 
+  /// Fold every span [lo, hi] of `snap` over the chain column, and over
+  /// the chain plus every attribute column all of the span's items carry,
+  /// against running leaf sums. span_hits must be exactly what the
+  /// smaller-side rule predicts: one per column for each chunk whose
+  /// aggregates hold the columns and which the span covers more than half.
+  void SweepEverySpan(const EpochSnapshot& snap) {
+    const CurveGroup& curve = (*ctx_)->curve();
+    const size_t n = snap.size();
+    std::vector<size_t> starts;  ///< chunk start ranks, then n
+    for (size_t pos = 0; pos < n;) {
+      starts.push_back(pos);
+      ECPoint agg;
+      const size_t len = snap.ColumnAggregateAt(pos, n - 1, 0, &agg);
+      ASSERT_GT(len, 0u);
+      pos += len;
+    }
+    starts.push_back(n);
+    auto leaf = [](const SnapshotItem& item, size_t col) -> const ECPoint& {
+      return col == 0 ? item.sig.point : item.attr_sigs[col - 1].point;
+    };
+    for (size_t lo = 0; lo < n; ++lo) {
+      size_t min_width = ~size_t{0};
+      std::vector<CurveGroup::Jacobian> sums(4);  // per column over [lo, hi]
+      for (size_t hi = lo; hi < n; ++hi) {
+        const SnapshotItem& item = snap.ItemAt(hi);
+        min_width = std::min(min_width, item.attr_sigs.size());
+        ASSERT_LT(min_width, sums.size());
+        for (size_t col = 0; col <= min_width; ++col) {
+          const ECPoint& p = leaf(item, col);
+          if (!p.infinity) sums[col] = curve.JacAddAffine(sums[col], p);
+        }
+        std::vector<std::vector<uint32_t>> column_sets = {{0}};
+        if (min_width > 0) {
+          column_sets.push_back({0});
+          for (uint32_t a = 1; a <= min_width; ++a)
+            column_sets.back().push_back(a);
+        }
+        for (const std::vector<uint32_t>& columns : column_sets) {
+          CurveGroup::Jacobian want{};
+          for (uint32_t col : columns) want = curve.JacAdd(want, sums[col]);
+          const ECPoint want_affine = curve.ToAffine(want);
+          CurveGroup::Jacobian acc{};
+          EpochSnapshot::FoldStats stats;
+          snap.FoldColumns(lo, hi, columns, curve, &acc, &stats);
+          ASSERT_TRUE(curve.Equal(curve.ToAffine(acc), want_affine))
+              << "ranks [" << lo << ", " << hi << "], " << columns.size()
+              << " columns";
+          size_t want_hits = 0;
+          for (size_t ci = 0; ci + 1 < starts.size(); ++ci) {
+            const size_t from = std::max(lo, starts[ci]);
+            const size_t to = std::min(hi + 1, starts[ci + 1]);
+            if (from >= to) continue;
+            const size_t size = starts[ci + 1] - starts[ci];
+            const EpochSnapshot::ColumnAggregates* cols =
+                snap.chunk_columns(ci);
+            if (columns.back() < cols->size() && 2 * (to - from) > size) {
+              want_hits += columns.size();
+              if (to - from < size) ++complement_folds_;
+              if (cols->size() == 1 && columns.size() == 1 &&
+                  snap.ItemAt(starts[ci]).attr_sigs.size() != 0)
+                ++mixed_width_folds_;
+            }
+          }
+          EXPECT_EQ(stats.span_hits, want_hits)
+              << "ranks [" << lo << ", " << hi << "]";
+          EXPECT_LE(stats.leaf_fetches, (hi - lo + 1) * columns.size());
+          EXPECT_EQ(stats.point_adds + 1,
+                    stats.leaf_fetches + stats.span_hits);
+          if (want_affine.infinity) ++cancelled_spans_;
+        }
+      }
+    }
+  }
+
+  /// Sweep item `i`'s signature for column `col`: consecutive items pair
+  /// up as P, -P (they cancel) and Q, Q (they double), shifted per column,
+  /// with an occasional infinity.
+  BasSignature Patterned(size_t i, size_t col) {
+    const size_t k = i + 3 * col;
+    if (k % 13 == 12) return BasSignature{};
+    const size_t j = (k / 4) % 40;
+    switch (k % 4) {
+      case 0:
+        return BasSignature{(*pool_)[j]};
+      case 1:
+        return BasSignature{(*pool_)[40 + j]};  // -(case 0)
+      default:
+        return BasSignature{(*pool_)[(j + 1) % 40]};
+    }
+  }
+
   static constexpr uint64_t kKeySpace = 300;
   static std::shared_ptr<const BasContext>* ctx_;
   static std::vector<ECPoint>* pool_;
@@ -367,6 +479,9 @@ class ColumnAggregateTest : public ::testing::Test {
   std::map<int64_t, SnapshotItem> reference_;
   size_t shared_chunks_ = 0;
   size_t fold_span_hits_ = 0;
+  size_t complement_folds_ = 0;
+  size_t mixed_width_folds_ = 0;
+  size_t cancelled_spans_ = 0;
 };
 std::shared_ptr<const BasContext>* ColumnAggregateTest::ctx_ = nullptr;
 std::vector<ECPoint>* ColumnAggregateTest::pool_ = nullptr;
@@ -394,6 +509,113 @@ TEST_F(ColumnAggregateTest, FreezeKeepsEveryColumnEqualToItsLeafSum) {
   // The run exercised what it claims to.
   EXPECT_GT(shared_chunks_, 0u);
   EXPECT_GT(fold_span_hits_, 0u);
+}
+
+// Every [lo, hi] span of a multi-chunk snapshot folds to its leaf sum —
+// whole chunks, partial chunks folded leaf by leaf, and partial chunks
+// folded as the chunk aggregate minus the items outside the span — over
+// chunks of uniform and of mixed attribute width, with signatures that
+// cancel and double inside the accumulator; then again after a delta
+// reshapes the chunks.
+TEST_F(ColumnAggregateTest, EverySpanFoldsToItsLeafSum) {
+  for (size_t chunk_target : {4, 8}) {
+    SCOPED_TRACE("chunk_target " + std::to_string(chunk_target));
+    builder_ = std::make_unique<ShardVersionBuilder>(chunk_target, *ctx_);
+    reference_.clear();
+    auto width_of = [](int64_t key) -> size_t {
+      if (key == 46) return 0;                // a chain-only item
+      return key >= 20 && key < 34 ? 2 : 3;   // a narrower run
+    };
+    auto certified = [&](int64_t key, size_t i) {
+      CertifiedRecord cr;
+      cr.record.rid = static_cast<uint64_t>(key);
+      cr.record.ts = ++ts_;
+      cr.record.attrs = {key, key * 7, -key};
+      cr.sig = Patterned(i, 0);
+      for (size_t a = 0; a < width_of(key); ++a)
+        cr.attr_sigs.push_back(Patterned(i, 1 + a));
+      return cr;
+    };
+    for (int64_t key = 0; key < 96; key += 2)
+      Insert(certified(key, static_cast<size_t>(key / 2)));
+    std::shared_ptr<const EpochSnapshot> snap = builder_->Freeze();
+    ASSERT_GT(snap->chunk_count(), 4u);
+    SweepEverySpan(*snap);
+    if (HasFatalFailure()) return;
+
+    // A delta: odd keys fill one region (splitting its chunk), a run of
+    // deletes shrinks another, and a modify narrows one item's width.
+    for (int64_t key = 61; key < 75; key += 2)
+      Insert(certified(key, static_cast<size_t>(key)));
+    for (int64_t key = 8; key < 14; key += 2) Delete(key);
+    SignedRecordUpdate narrow;
+    narrow.kind = SignedRecordUpdate::Kind::kModify;
+    narrow.key = 80;
+    narrow.record = certified(80, 5);
+    narrow.record->attr_sigs.resize(1);
+    SnapshotItem& ref = reference_[80];
+    ref.record = narrow.record->record;
+    ref.sig = narrow.record->sig;
+    ref.attr_sigs = narrow.record->attr_sigs;
+    ref.digest = ReferenceDigest(narrow.record->record);
+    ASSERT_TRUE(builder_->Apply(narrow).ok());
+    snap = builder_->Freeze();
+    CheckSnapshot(*snap, {});
+    if (HasFatalFailure()) return;
+    SweepEverySpan(*snap);
+    if (HasFatalFailure()) return;
+  }
+  // The sweep reached every branch it claims to.
+  EXPECT_GT(complement_folds_, 0u);
+  EXPECT_GT(mixed_width_folds_, 0u);
+  EXPECT_GT(cancelled_spans_, 0u);
+}
+
+// Each item's digest is hashed at the barrier that froze its current
+// record, and a snapshot pinned before a later write keeps its own.
+TEST_F(ColumnAggregateTest, DigestIsHashedOnceAtTheBarrier) {
+  builder_ = std::make_unique<ShardVersionBuilder>(/*chunk_target=*/4, *ctx_);
+  for (int64_t k = 0; k < 40; k += 2) Insert(k);
+  std::shared_ptr<const EpochSnapshot> v1 = builder_->Freeze();
+  CheckSnapshot(*v1, {});
+  if (HasFatalFailure()) return;
+
+  // A modify that ships no attribute signatures.
+  SignedRecordUpdate modify;
+  modify.kind = SignedRecordUpdate::Kind::kModify;
+  modify.key = 10;
+  modify.record = Replacement(10, /*keep_attrs=*/true);
+  ASSERT_TRUE(modify.record->attr_sigs.empty());
+  ASSERT_TRUE(builder_->Apply(modify).ok());
+  std::shared_ptr<const EpochSnapshot> v2 = builder_->Freeze();
+  CheckSnapshot(*v2, {});
+  if (HasFatalFailure()) return;
+  // The older pinned snapshot keeps its record and its digest.
+  EXPECT_EQ(v1->Get(10)->digest, ReferenceDigest(v1->Get(10)->record));
+  EXPECT_NE(v1->Get(10)->digest, v2->Get(10)->digest);
+
+  // A re-certification of three neighbors.
+  SignedRecordUpdate recert;
+  recert.kind = SignedRecordUpdate::Kind::kRecertify;
+  recert.key = 12;
+  for (int64_t k : {12, 14, 16})
+    recert.recertified.push_back(Replacement(k, /*keep_attrs=*/false));
+  ASSERT_TRUE(builder_->Apply(recert).ok());
+  std::shared_ptr<const EpochSnapshot> v3 = builder_->Freeze();
+  CheckSnapshot(*v3, {});
+  if (HasFatalFailure()) return;
+  for (int64_t k : {12, 14, 16}) {
+    EXPECT_NE(v2->Get(k)->digest, v3->Get(k)->digest) << k;
+    EXPECT_EQ(v2->Get(k)->digest, ReferenceDigest(v2->Get(k)->record)) << k;
+  }
+
+  // A burst into one gap splits its chunk; every item, moved or not,
+  // keeps a coherent digest.
+  const size_t chunks = v3->chunk_count();
+  for (int64_t k = 21; k < 34; k += 2) Insert(k);
+  std::shared_ptr<const EpochSnapshot> v4 = builder_->Freeze();
+  EXPECT_GT(v4->chunk_count(), chunks);
+  CheckSnapshot(*v4, {});
 }
 
 class SnapshotGcTest : public ::testing::Test {
