@@ -38,15 +38,6 @@ inline ByteBuffer ChainMessage(int64_t key, const Digest160& record_digest,
   return buf;
 }
 
-/// Single-record convenience overload for signing/update paths; bulk
-/// message building precomputes digests via RecordDigestMany and calls
-/// the Digest160 overload above.
-inline ByteBuffer ChainMessage(const Record& r, int64_t left_key,
-                               int64_t right_key) {
-  // authdb-lint: allow(crypto-batch) one record per call by design
-  return ChainMessage(r.key(), r.Digest(), left_key, right_key);
-}
-
 }  // namespace authdb
 
 #endif  // AUTHDB_CORE_CHAIN_H_

@@ -54,13 +54,20 @@ CertifiedRecord DataAggregator::SignRecord(const Record& rec, int64_t left,
 std::vector<CertifiedRecord> DataAggregator::SignRecords(
     const std::vector<ChainLinks>& batch) {
   signatures_issued_ += batch.size();
+  // Every record of the batch is digested in one multi-buffer SHA pass.
+  std::vector<const Record*> recs;
+  recs.reserve(batch.size());
+  for (const ChainLinks& c : batch) recs.push_back(c.rec);
+  std::vector<Digest160> digests(batch.size());
+  RecordDigestMany(recs.data(), recs.size(), digests.data());
   std::vector<ByteBuffer> msgs;
-  for (const ChainLinks& c : batch) {
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const ChainLinks& c = batch[i];
     if (options_.sign_attributes) {
       for (ByteBuffer& m : AttributeMessages(*c.rec))
         msgs.push_back(std::move(m));
     }
-    msgs.push_back(ChainMessage(*c.rec, c.left, c.right));
+    msgs.push_back(ChainMessage(c.rec->key(), digests[i], c.left, c.right));
   }
   std::vector<BasSignature> sigs =
       key_.SignBatch(SlicesOf(msgs), options_.hash_mode);

@@ -90,7 +90,6 @@ class DataAggregator {
   const BasPrivateKey* private_key() const { return &key_; }
   const AuthTable& table() const { return table_; }
   BasContext::HashMode hash_mode() const { return options_.hash_mode; }
-  const BasContext& context() const { return *ctx_; }
   uint64_t signatures_issued() const { return signatures_issued_; }
 
   /// Canonical attribute-signature message (shared with the verifier).

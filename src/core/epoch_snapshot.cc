@@ -35,22 +35,6 @@ EpochSnapshot::EpochSnapshot(
   total_ = rank;
 }
 
-size_t EpochSnapshot::ColumnAggregateAt(size_t pos, size_t hi, size_t column,
-                                        ECPoint* agg) const {
-  if (chunk_aggs_.empty() || pos >= total_) return 0;
-  size_t ci = static_cast<size_t>(
-      std::upper_bound(starts_.begin(), starts_.end(), pos) -
-      starts_.begin() - 1);
-  // Only a span starting exactly at a chunk boundary is precomputed.
-  const ColumnAggregates* cols = chunk_aggs_[ci].get();
-  if (starts_[ci] != pos || cols == nullptr || column >= cols->size())
-    return 0;
-  size_t len = chunks_[ci]->size();
-  if (pos + len - 1 > hi) return 0;
-  *agg = (*cols)[column];
-  return len;
-}
-
 namespace {
 /// Column `column` of `item`: 0 is the chain signature, 1 + a attribute a.
 const BasSignature& ColumnOf(const SnapshotItem& item, uint32_t column) {

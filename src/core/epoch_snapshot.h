@@ -70,7 +70,7 @@ class EpochSnapshot {
   EpochSnapshot(std::vector<std::shared_ptr<const Chunk>> chunks,
                 uint64_t generation);
   /// As above, with barrier-precomputed column aggregates (parallel to
-  /// `chunks`; entries may be null). See ColumnAggregateAt.
+  /// `chunks`; entries may be null). See chunk_columns.
   EpochSnapshot(
       std::vector<std::shared_ptr<const Chunk>> chunks,
       std::vector<std::shared_ptr<const ColumnAggregates>> chunk_aggs,
@@ -114,19 +114,9 @@ class EpochSnapshot {
 
   size_t chunk_count() const { return chunks_.size(); }
 
-  /// Barrier-precomputed aggregate spans: when a whole chunk starts
-  /// exactly at rank `pos`, ends at/before rank `hi` (inclusive), and its
-  /// aggregate for `column` was precomputed, stores that column aggregate
-  /// (see ColumnAggregates) in `*agg` and returns the chunk's length;
-  /// returns 0 otherwise. Aggregates are computed at
-  /// ShardVersionBuilder::Freeze and shared across epochs exactly like the
-  /// chunks themselves, so a selection or projection over a frozen shard
-  /// starts from precomputed prefixes instead of refetching every leaf
-  /// signature.
-  size_t ColumnAggregateAt(size_t pos, size_t hi, size_t column,
-                           ECPoint* agg) const;
   /// Chunk `ci`'s column aggregates, or null when none were precomputed.
-  /// Shared with every snapshot that shares the chunk.
+  /// They are computed at ShardVersionBuilder::Freeze and shared with every
+  /// snapshot that shares the chunk; FoldColumns reads them.
   const ColumnAggregates* chunk_columns(size_t ci) const {
     return chunk_aggs_.empty() ? nullptr : chunk_aggs_[ci].get();
   }
@@ -218,8 +208,8 @@ class ShardVersionBuilder {
   /// `barrier_ctx` (optional): when set, Freeze() publishes every dirty
   /// chunk's column aggregates (EpochSnapshot::ColumnAggregates), all
   /// finalized with one shared batch inversion and shared across epochs
-  /// like the chunk itself. Null skips them (snapshots then answer
-  /// ColumnAggregateAt with 0).
+  /// like the chunk itself. Null skips them (chunk_columns is then null
+  /// and FoldColumns folds leaf by leaf).
   explicit ShardVersionBuilder(
       size_t chunk_target = 128,
       std::shared_ptr<const BasContext> barrier_ctx = nullptr);
@@ -237,7 +227,6 @@ class ShardVersionBuilder {
   std::shared_ptr<const EpochSnapshot> Freeze();
 
   uint64_t size() const { return size_; }
-  bool changed_since_freeze() const { return changed_; }
   uint64_t generation() const { return generation_; }
 
  private:

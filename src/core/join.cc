@@ -83,13 +83,7 @@ PartitionDelta JoinAuthority::RefreshWithDelta(
     out.delta =
         BloomFilter(live->filter.bit_count(), live->filter.hash_count());
     for (int64_t v : new_values) out.delta.AddInt64(v);
-    // Merge into the shadow buffer, then flip: the DA's own readers (none
-    // today, but the contract is the same as the server's epoch swap)
-    // never see a half-merged filter.
-    DoubleBufferedBloom buffers(std::move(live->filter));
-    AUTHDB_CHECK(buffers.MergeIntoShadow(out.delta));
-    buffers.SwitchCurrent();
-    live->filter = buffers.TakeCurrent();
+    AUTHDB_CHECK(live->filter.Merge(out.delta));
   }
   live->ts = ts;
   live->sig = BasSignature{};  // the pre-merge certificate no longer holds

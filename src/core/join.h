@@ -136,8 +136,9 @@ class JoinAuthority {
 
   /// Refresh a live partition in place from an insert-only update set:
   /// builds a same-geometry delta filter over `new_values`, merges it
-  /// into the live filter double-buffered (readers of the old buffer are
-  /// unaffected until the switch) and stamps `ts`. The returned delta is
+  /// into the live filter in place (the DA has no concurrent readers of
+  /// it; servers install refreshes through their epoch swap) and stamps
+  /// `ts`. The returned delta is
   /// what ships to the server — merging it there must reproduce these
   /// exact bits for the signature to verify client-side. Its `sig` is the
   /// post-merge certificate: copy `live->sig` into it once Certify has

@@ -94,58 +94,81 @@ Status CheckEnclosure(const Query& query, int64_t left_key,
   return Status::OK();
 }
 
-/// Selection claim: boundaries enclose the range, results are in range,
-/// sorted and chained gaplessly (or one proof record spans an empty range).
-Status BuildSelectionMessages(const Query& query, const SelectionAnswer& ans,
-                              std::vector<ByteBuffer>* messages_out) {
-  std::vector<ByteBuffer>& messages = *messages_out;
-  const int64_t lo = query.lo, hi = query.hi;
-  AUTHDB_RETURN_NOT_OK(CheckQueryRange(query));
+/// An empty range's witness: its key and the record digest its chain
+/// message binds.
+struct RangeWitness {
+  int64_t key;
+  Digest160 digest;
+};
 
-  if (ans.records.empty()) {
-    // Empty result: the proof record's chain must span the whole range.
-    if (!ans.proof_record)
-      return Status::VerificationFailed("empty answer without proof record");
-    const Record& pr = *ans.proof_record;
-    bool left_of_range = pr.key() < lo && ans.right_key > hi;
-    bool right_of_range = pr.key() > hi && ans.left_key < lo;
+/// The range-chain claim selections and projections share: a non-empty
+/// result's `keys` (with their record digests) lie in the range in strictly
+/// ascending order and chain gaplessly between boundary keys enclosing it;
+/// an empty result needs a `witness` (null when none shipped) whose chain
+/// spans the whole range.
+Status BuildRangeChainMessages(const Query& query,
+                               const std::vector<int64_t>& keys,
+                               const std::vector<Digest160>& digests,
+                               int64_t left_key, int64_t right_key,
+                               const RangeWitness* witness,
+                               std::vector<ByteBuffer>* messages) {
+  const int64_t lo = query.lo, hi = query.hi;
+  if (keys.empty()) {
+    if (witness == nullptr)
+      return Status::VerificationFailed("empty answer without witness");
+    bool left_of_range = witness->key < lo && right_key > hi;
+    bool right_of_range = witness->key > hi && left_key < lo;
     if (!left_of_range && !right_of_range)
       return Status::VerificationFailed(
-          "proof record does not demonstrate an empty range");
-    messages.push_back(ChainMessage(pr, ans.left_key, ans.right_key));
-  } else {
-    // Completeness: boundaries enclose the range...
-    AUTHDB_RETURN_NOT_OK(CheckEnclosure(query, ans.left_key, ans.right_key));
-    // ...and the results are sorted, in-range, and chained gaplessly.
-    for (size_t i = 0; i < ans.records.size(); ++i) {
-      int64_t k = ans.records[i].key();
-      if (k < lo || k > hi)
-        return Status::VerificationFailed("record outside query range");
-      if (i > 0 && ans.records[i - 1].key() >= k)
-        return Status::VerificationFailed("records not in key order");
-    }
-    // One multi-buffer SHA pass over every record's canonical bytes; the
-    // chain messages are then assembled from the precomputed digests.
-    std::vector<Digest160> digests(ans.records.size());
-    RecordDigestMany(ans.records.data(), ans.records.size(), digests.data());
-    for (size_t i = 0; i < ans.records.size(); ++i) {
-      int64_t left = i == 0 ? ans.left_key : ans.records[i - 1].key();
-      int64_t right = i + 1 == ans.records.size() ? ans.right_key
-                                                  : ans.records[i + 1].key();
-      messages.push_back(
-          ChainMessage(ans.records[i].key(), digests[i], left, right));
-    }
+          "witness does not demonstrate an empty range");
+    messages->push_back(
+        ChainMessage(witness->key, witness->digest, left_key, right_key));
+    return Status::OK();
+  }
+  // Completeness: boundaries enclose the range...
+  AUTHDB_RETURN_NOT_OK(CheckEnclosure(query, left_key, right_key));
+  // ...and the rows are sorted, in-range, and chained gaplessly.
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i] < lo || keys[i] > hi)
+      return Status::VerificationFailed("row outside query range");
+    if (i > 0 && keys[i - 1] >= keys[i])
+      return Status::VerificationFailed("rows not in key order");
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    int64_t left = i == 0 ? left_key : keys[i - 1];
+    int64_t right = i + 1 == keys.size() ? right_key : keys[i + 1];
+    messages->push_back(ChainMessage(keys[i], digests[i], left, right));
   }
   return Status::OK();
+}
+
+/// Selection claim: the records' range chain, or one proof record whose
+/// chain spans an empty range. Every record is digested in one
+/// multi-buffer SHA pass.
+Status BuildSelectionMessages(const Query& query, const SelectionAnswer& ans,
+                              std::vector<ByteBuffer>* messages) {
+  AUTHDB_RETURN_NOT_OK(CheckQueryRange(query));
+  std::vector<int64_t> keys;
+  keys.reserve(ans.records.size());
+  for (const Record& r : ans.records) keys.push_back(r.key());
+  std::vector<Digest160> digests(ans.records.size());
+  RecordDigestMany(ans.records.data(), ans.records.size(), digests.data());
+  RangeWitness witness{};
+  if (ans.proof_record) {
+    witness.key = ans.proof_record->key();
+    RecordDigestMany(&*ans.proof_record, 1, &witness.digest);
+  }
+  return BuildRangeChainMessages(query, keys, digests, ans.left_key,
+                                 ans.right_key,
+                                 ans.proof_record ? &witness : nullptr,
+                                 messages);
 }
 
 /// Projection claim: the digest spine proves range completeness as for a
 /// selection, and every projected value contributes its attribute message.
 Status BuildProjectionMessages(const Query& query,
                                const ProjectedRangeAnswer& ans,
-                               std::vector<ByteBuffer>* messages_out) {
-  std::vector<ByteBuffer>& messages = *messages_out;
-  const int64_t lo = query.lo, hi = query.hi;
+                               std::vector<ByteBuffer>* messages) {
   AUTHDB_RETURN_NOT_OK(CheckQueryRange(query));
   const std::vector<uint32_t> attrs =
       EffectiveProjectionAttrs(query.attr_indices);
@@ -167,42 +190,21 @@ Status BuildProjectionMessages(const Query& query,
   if (ans.digests.size() != rows)
     return Status::VerificationFailed("digest spine length mismatch");
 
-  if (rows == 0) {
-    // Empty result: the witness's chain must span the whole range. Its
-    // content enters through the shipped digest, as in [24].
-    if (!ans.proof)
-      return Status::VerificationFailed("empty answer without witness");
-    bool left_of_range = ans.proof->key < lo && ans.right_key > hi;
-    bool right_of_range = ans.proof->key > hi && ans.left_key < lo;
-    if (!left_of_range && !right_of_range)
-      return Status::VerificationFailed(
-          "witness does not demonstrate an empty range");
-    messages.push_back(ChainMessage(ans.proof->key, ans.proof->digest,
-                                    ans.left_key, ans.right_key));
-  } else {
-    AUTHDB_RETURN_NOT_OK(CheckEnclosure(query, ans.left_key, ans.right_key));
-    // Each row's signed index-attribute value is the key that ties it to
-    // its spine entry.
-    std::vector<int64_t> keys(rows);
-    for (size_t r = 0; r < rows; ++r)
-      keys[r] = ans.values[r * width + index_pos];
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (keys[i] < lo || keys[i] > hi)
-        return Status::VerificationFailed("tuple outside query range");
-      if (i > 0 && keys[i - 1] >= keys[i])
-        return Status::VerificationFailed("tuples not in key order");
-    }
-    for (size_t i = 0; i < rows; ++i) {
-      int64_t left = i == 0 ? ans.left_key : keys[i - 1];
-      int64_t right = i + 1 == rows ? ans.right_key : keys[i + 1];
-      messages.push_back(
-          ChainMessage(keys[i], ans.digests[i], left, right));
-    }
-    for (size_t r = 0; r < rows; ++r) {
-      for (size_t i = 0; i < width; ++i) {
-        messages.push_back(DataAggregator::AttributeMessage(
-            ans.rids[r], attrs[i], ans.values[r * width + i], ans.ts[r]));
-      }
+  // Each row's signed index-attribute value is the key that ties it to
+  // its spine entry; an empty result's witness enters through its shipped
+  // digest, as in [24].
+  std::vector<int64_t> keys(rows);
+  for (size_t r = 0; r < rows; ++r)
+    keys[r] = ans.values[r * width + index_pos];
+  RangeWitness witness{};
+  if (ans.proof) witness = RangeWitness{ans.proof->key, ans.proof->digest};
+  AUTHDB_RETURN_NOT_OK(BuildRangeChainMessages(
+      query, keys, ans.digests, ans.left_key, ans.right_key,
+      ans.proof ? &witness : nullptr, messages));
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t i = 0; i < width; ++i) {
+      messages->push_back(DataAggregator::AttributeMessage(
+          ans.rids[r], attrs[i], ans.values[r * width + i], ans.ts[r]));
     }
   }
   return Status::OK();

@@ -147,10 +147,6 @@ BasSignature BasContext::Remove(const BasSignature& acc,
   return BasSignature{curve_->Add(acc.point, curve_->Negate(s.point))};
 }
 
-BasSignature BasContext::Finalize(const BasAccumulator& acc) const {
-  return BasSignature{curve_->ToAffine(acc.jac)};
-}
-
 std::vector<BasSignature> BasContext::FinalizeBatch(
     const std::vector<const BasAccumulator*>& accs) const {
   std::vector<CurveGroup::Jacobian> js;

@@ -108,8 +108,6 @@ class BasContext {
   /// Remove one component: acc -= s (used by SigCache eager refresh).
   BasSignature Remove(const BasSignature& acc, const BasSignature& s) const;
 
-  /// Finalize one accumulator (one inversion). Prefer FinalizeBatch.
-  BasSignature Finalize(const BasAccumulator& acc) const;
   /// Finalize every accumulator with one shared field inversion
   /// (CurveGroup::ToAffineBatch); accs[i] may be null (skipped). Null and
   /// empty accumulators finalize to the infinity signature.
@@ -171,7 +169,6 @@ class BasPublicKey {
       BasContext::HashMode mode = BasContext::HashMode::kSecure) const;
 
   const ECPoint& point() const { return pk_; }
-  const BasContext& context() const { return *ctx_; }
 
  private:
   std::shared_ptr<const BasContext> ctx_;

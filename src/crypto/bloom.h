@@ -125,38 +125,6 @@ class BloomFilter {
   std::vector<uint8_t> bits_;
 };
 
-/// Double-buffered filter pair in the style of Greengage's
-/// bloom_merge/bloom_switch_current: writers prepare the next generation
-/// in the shadow buffer (copy of current + merged delta) while readers
-/// keep probing the current one, then flip. The flip itself is not
-/// internally synchronized — callers publish it through their own barrier
-/// (here: the server's EpochDescriptor swap, so readers on a pinned epoch
-/// never observe a half-merged filter).
-class DoubleBufferedBloom {
- public:
-  explicit DoubleBufferedBloom(BloomFilter initial)
-      : bufs_{std::move(initial), BloomFilter()} {}
-
-  const BloomFilter& Current() const { return bufs_[current_]; }
-  BloomFilter& Shadow() { return bufs_[1 - current_]; }
-
-  /// Shadow := Current | delta. Returns false on geometry mismatch (the
-  /// shadow is left equal to Current).
-  bool MergeIntoShadow(const BloomFilter& delta) {
-    bufs_[1 - current_] = bufs_[current_];
-    return bufs_[1 - current_].Merge(delta);
-  }
-
-  void SwitchCurrent() { current_ = 1 - current_; }
-
-  /// Move the current buffer out (ends this pair's useful life).
-  BloomFilter TakeCurrent() { return std::move(bufs_[current_]); }
-
- private:
-  BloomFilter bufs_[2];
-  int current_ = 0;
-};
-
 }  // namespace authdb
 
 #endif  // AUTHDB_CRYPTO_BLOOM_H_

@@ -2,28 +2,35 @@
 // (ExecuteBatch; Execute is a batch of one).
 //
 // Batch shape: the whole PlanBatch pins ONE EpochDescriptor, so every
-// answer is the same serializable cut. Planning splits each valid plan
-// into per-shard requests — selection/projection sub-ranges and per-value
-// join probes — and each covered shard is then visited exactly once per
-// batch on its shard-affine worker. A visit sorts its requests by low key
-// and walks the immutable snapshot forward once (EpochSnapshot::
-// ForwardCursor: galloping rank lookups in key order), and folds every
-// selection and projection sub-range into a Jacobian accumulator from the
-// epoch-barrier column aggregates of the chunks it covers whole plus edge
-// leaves (EpochSnapshot::FoldColumns: column 0 for selections, the chain
-// plus each projected attribute column for projections). The visit also
-// copies out everything the answer ships — selected records, projection
-// columns, and digest spines read from SnapshotItem::digest (hashed once
-// at the epoch barrier, never per query) — so the front end only splices
-// per-shard results into per-plan answers by move, then finalizes every
-// plan-level aggregate with one shared batch inversion
-// (BasContext::FinalizeBatch).
+// answer is the same serializable cut. Planning splits each valid plan's
+// key ranges — a selection's or projection's [lo, hi], or each join probe
+// value's composite range — into one range unit per covered shard (a
+// router cover entry), and each covered shard is then visited exactly
+// once per batch on its shard-affine worker. A visit sorts its units by
+// low key and walks the immutable snapshot forward once (EpochSnapshot::
+// ForwardCursor: galloping rank lookups in key order). Every unit records
+// its shard-local chain neighbors, matched or not, and copies out its
+// kind's payload: selected records plus the chain-column fold, projection
+// columns and digest spines (read from SnapshotItem::digest, hashed once
+// at the epoch barrier) plus the chain-and-attribute fold
+// (EpochSnapshot::FoldColumns over the chunks' column aggregates and edge
+// leaves), or a join value's matched items. The front end splices the
+// units into per-plan answers by move, then finalizes every plan-level
+// aggregate with one shared batch inversion (BasContext::FinalizeBatch).
+//
+// One boundary rule serves every answer (RangeBounds, EmptyRangeWitness):
+// a range's global neighbors are its first unit's left neighbor and its
+// last unit's right neighbor, falling back to a global probe of the
+// pinned snapshots when that unit has none; an empty range is proved by
+// its left neighbor, else its right one, chained to its own neighbors.
+// Only the cover's edge units can hold a neighbor: the partition is
+// contiguous, so a unit that is not first starts at its shard's lower
+// bound and has nothing to its left in that shard (likewise on the right).
 //
 // Equivalence contract: answers are byte-for-byte the answers the
 // sequential path produced — EC point addition is commutative and
-// associative, affine coordinates are a unique representation, and the
-// stitch logic below mirrors the per-plan logic statement for statement —
-// so the unmodified ClientVerifier::VerifyAnswerFresh accepts them.
+// associative, and affine coordinates are a unique representation — so
+// the unmodified ClientVerifier::VerifyAnswerFresh accepts them.
 
 #include <algorithm>
 #include <chrono>
@@ -63,6 +70,11 @@ void Splice(std::vector<T>* dst, std::vector<T>* src) {
                 std::make_move_iterator(src->end()));
   }
 }
+
+/// `item`'s key, or `sentinel` where there is no item (the domain edge).
+int64_t KeyOr(const SnapshotItem* item, int64_t sentinel) {
+  return item != nullptr ? item->key() : sentinel;
+}
 }  // namespace
 
 class BatchEngine {
@@ -76,20 +88,21 @@ class BatchEngine {
   std::vector<Result<QueryAnswer>> Run(const PlanBatch& batch);
 
  private:
-  /// One selection/projection sub-range on one shard (a router cover
-  /// entry of its plan's key range).
+  /// One shard visit unit: a key range of plan `plan` clamped to one
+  /// shard, tagged with the plan's kind.
   struct RangeReq {
     size_t plan = 0;
     size_t shard = 0;
     int64_t lo = 0, hi = 0;
-    bool project = false;
+    QueryKind kind = QueryKind::kSelect;
   };
-  /// Everything a sub-range's visit produced, copied on the shard worker
-  /// so the front end only splices.
+  /// Everything a unit's visit produced, copied on the shard worker so
+  /// the front end only splices.
   struct RangeRes {
-    bool nonempty = false;
-    int64_t left_key = kChainMinusInf;
-    int64_t right_key = kChainPlusInf;
+    /// Shard-local chain neighbors of the unit's range; null where the
+    /// shard has no item beyond it.
+    const SnapshotItem* left = nullptr;
+    const SnapshotItem* right = nullptr;
     uint64_t oldest_ts = ~uint64_t{0};
     // The deferred aggregate: chain column for a selection, chain plus
     // projected attribute columns for a projection.
@@ -102,31 +115,35 @@ class BatchEngine {
     std::vector<uint64_t> rids, ts;
     std::vector<int64_t> values;
     std::vector<Digest160> digests;
-  };
-  /// One join probe value's sub-range on one shard.
-  struct ProbeReq {
-    size_t plan = 0;
-    size_t value = 0;  ///< index into the plan's deduplicated probe values
-    size_t shard = 0;
-    int64_t lo = 0, hi = 0;
-    bool first = false, last = false;  ///< cover-edge flags for boundaries
-  };
-  struct ProbeRes {
+    // Join: the matched items (the aggregate is built by the stitch).
     std::vector<const SnapshotItem*> items;
-    const SnapshotItem* left_b = nullptr;   ///< set on the first cover edge
-    const SnapshotItem* right_b = nullptr;  ///< set on the last cover edge
   };
   struct PlanWork {
-    bool valid = false;
-    std::vector<size_t> range_reqs;               ///< cover order
-    std::vector<int64_t> values;                  ///< join probes, dedup'd
-    std::vector<std::vector<size_t>> probe_reqs;  ///< per value, cover order
+    /// Per key range, its units in cover order: one range for a selection
+    /// or projection, one per deduplicated probe value for a join.
+    std::vector<std::vector<size_t>> covers;
+    std::vector<int64_t> values;  ///< join probes, dedup'd
     size_t shards_queried = 0;
+  };
+  /// A key range's global chain neighbors (null at the domain edge).
+  struct Bounds {
+    const SnapshotItem* left;
+    const SnapshotItem* right;
+  };
+  /// An empty range's witness record and its chain neighbors' keys; a
+  /// null item means the relation is empty.
+  struct Witness {
+    const SnapshotItem* item = nullptr;
+    int64_t left_key = kChainMinusInf;
+    int64_t right_key = kChainPlusInf;
   };
 
   Status ValidateAndPlan(const Query& q, size_t p);
-  void Visit(size_t shard, const std::vector<size_t>& rr,
-             const std::vector<size_t>& pr, ShardBusy* busy);
+  void Visit(size_t shard, std::vector<size_t>* units, ShardBusy* busy);
+
+  Bounds RangeBounds(const std::vector<size_t>& cover, int64_t lo,
+                     int64_t hi) const;
+  Witness EmptyRangeWitness(const Bounds& bounds) const;
 
   Result<QueryAnswer> StitchSelect(size_t p, const Query& q,
                                    BasAccumulator* acc, bool* needs_final);
@@ -146,15 +163,14 @@ class BatchEngine {
   std::vector<std::vector<uint32_t>> plan_columns_;
   std::vector<RangeReq> range_reqs_;
   std::vector<RangeRes> range_res_;
-  std::vector<ProbeReq> probe_reqs_;
-  std::vector<ProbeRes> probe_res_;
 };
 
 Status BatchEngine::ValidateAndPlan(const Query& q, size_t p) {
   PlanWork& work = work_[p];
+  std::vector<std::pair<int64_t, int64_t>> ranges;
   switch (q.kind) {
     case QueryKind::kSelect:
-    case QueryKind::kProject: {
+    case QueryKind::kProject:
       if (q.lo > q.hi) return Status::InvalidArgument("lo > hi");
       if (q.lo == kChainMinusInf || q.hi == kChainPlusInf)
         return Status::InvalidArgument("range touches chain sentinels");
@@ -163,110 +179,64 @@ Status BatchEngine::ValidateAndPlan(const Query& q, size_t p) {
         plan_columns_[p] = kChainColumn;
         for (uint32_t a : plan_attrs_[p]) plan_columns_[p].push_back(1 + a);
       }
-      const std::vector<ShardRouter::SubRange> cover =
-          srv_.router_.Cover(q.lo, q.hi);
-      work.shards_queried = cover.size();
-      for (const ShardRouter::SubRange& sr : cover) {
-        work.range_reqs.push_back(range_reqs_.size());
-        range_reqs_.push_back(RangeReq{p, sr.shard, sr.lo, sr.hi,
-                                       q.kind == QueryKind::kProject});
-      }
-      work.valid = true;
-      return Status::OK();
-    }
-    case QueryKind::kJoin: {
+      ranges.emplace_back(q.lo, q.hi);
+      break;
+    case QueryKind::kJoin:
       if (q.join_values.empty())
         return Status::InvalidArgument("join without probe values");
-      std::vector<int64_t> values = q.join_values;
-      std::sort(values.begin(), values.end());
-      values.erase(std::unique(values.begin(), values.end()), values.end());
-      for (int64_t a : values) {
+      work.values = q.join_values;
+      std::sort(work.values.begin(), work.values.end());
+      work.values.erase(std::unique(work.values.begin(), work.values.end()),
+                        work.values.end());
+      for (int64_t a : work.values) {
         if (!JoinBValueInDomain(a))
           return Status::InvalidArgument("join probe value outside B domain");
+        ranges.emplace_back(JoinCompositeKey(a, 0),
+                            JoinCompositeKey(a, kJoinMaxDup));
       }
-      std::vector<bool> touched(desc_.shards.size(), false);
-      work.probe_reqs.resize(values.size());
-      for (size_t vi = 0; vi < values.size(); ++vi) {
-        const int64_t clo = JoinCompositeKey(values[vi], 0);
-        const int64_t chi = JoinCompositeKey(values[vi], kJoinMaxDup);
-        const std::vector<ShardRouter::SubRange> cover =
-            srv_.router_.Cover(clo, chi);
-        for (size_t i = 0; i < cover.size(); ++i) {
-          const ShardRouter::SubRange& sr = cover[i];
-          touched[sr.shard] = true;
-          work.probe_reqs[vi].push_back(probe_reqs_.size());
-          probe_reqs_.push_back(ProbeReq{p, vi, sr.shard, sr.lo, sr.hi,
-                                         i == 0, i + 1 == cover.size()});
-        }
-      }
-      for (bool t : touched) work.shards_queried += t ? 1 : 0;
-      work.values = std::move(values);
-      work.valid = true;
-      return Status::OK();
+      break;
+    default:
+      return Status::InvalidArgument("unknown query kind");
+  }
+  std::vector<bool> touched(desc_.shards.size(), false);
+  for (const auto& [lo, hi] : ranges) {
+    std::vector<size_t>& cover = work.covers.emplace_back();
+    for (const ShardRouter::SubRange& sr : srv_.router_.Cover(lo, hi)) {
+      touched[sr.shard] = true;
+      cover.push_back(range_reqs_.size());
+      range_reqs_.push_back(RangeReq{p, sr.shard, sr.lo, sr.hi, q.kind});
     }
   }
-  return Status::InvalidArgument("unknown query kind");
+  work.shards_queried = std::count(touched.begin(), touched.end(), true);
+  return Status::OK();
 }
 
-void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
-                        const std::vector<size_t>& pr, ShardBusy* busy) {
+void BatchEngine::Visit(size_t shard, std::vector<size_t>* units,
+                        ShardBusy* busy) {
   const Clock::time_point visit_start = Clock::now();
   const EpochSnapshot& snap = *desc_.shards[shard];
 
-  // The batch's one walk order over this snapshot: every request sorted by
+  // The batch's one walk order over this snapshot: every unit sorted by
   // low key, so the forward cursor only ever gallops ahead.
-  struct Unit {
-    int64_t lo;
-    bool probe;
-    size_t idx;
-  };
-  std::vector<Unit> units;
-  units.reserve(rr.size() + pr.size());
-  for (size_t i : rr) units.push_back(Unit{range_reqs_[i].lo, false, i});
-  for (size_t i : pr) units.push_back(Unit{probe_reqs_[i].lo, true, i});
-  std::sort(units.begin(), units.end(), [](const Unit& a, const Unit& b) {
-    if (a.lo != b.lo) return a.lo < b.lo;
-    if (a.probe != b.probe) return !a.probe;  // deterministic tie-break
-    return a.idx < b.idx;
+  std::sort(units->begin(), units->end(), [this](size_t a, size_t b) {
+    const int64_t lo_a = range_reqs_[a].lo, lo_b = range_reqs_[b].lo;
+    return lo_a != lo_b ? lo_a < lo_b : a < b;
   });
 
   EpochSnapshot::ForwardCursor cur(snap);
   // Summed at clock resolution and rounded down once per visit: most
   // units take well under a microsecond.
   Clock::duration select_t{}, project_t{}, join_t{};
-  for (const Unit& u : units) {
+  for (size_t u : *units) {
     const Clock::time_point t0 = Clock::now();
-    if (u.probe) {
-      const ProbeReq& req = probe_reqs_[u.idx];
-      ProbeRes& res = probe_res_[u.idx];
-      size_t lo_r = cur.LowerBound(req.lo);
-      size_t hi_r = cur.UpperBoundFrom(lo_r, req.hi);
-      // The cover-edge sub-scans also report the shard-local boundary
-      // items (the global chain neighbors when present).
-      if (req.first && lo_r > 0) res.left_b = &snap.ItemAt(lo_r - 1);
-      if (req.last && hi_r < snap.size()) res.right_b = &snap.ItemAt(hi_r);
-      if (lo_r < hi_r) {
-        res.items.reserve(hi_r - lo_r);
-        snap.ForEachItem(lo_r, hi_r - 1, [&res](const SnapshotItem& item) {
-          res.items.push_back(&item);
-        });
-      }
-      join_t += Clock::now() - t0;
-      continue;
-    }
-    const RangeReq& req = range_reqs_[u.idx];
-    RangeRes& res = range_res_[u.idx];
-    size_t lo_r = cur.LowerBound(req.lo);
-    size_t hi_r = cur.UpperBoundFrom(lo_r, req.hi);
-    if (lo_r == hi_r) {  // no hits in this shard
-      (req.project ? project_t : select_t) += Clock::now() - t0;
-      continue;
-    }
-    res.nonempty = true;
-    if (lo_r > 0) res.left_key = snap.ItemAt(lo_r - 1).key();
-    if (hi_r < snap.size()) res.right_key = snap.ItemAt(hi_r).key();
+    const RangeReq& req = range_reqs_[u];
+    RangeRes& res = range_res_[u];
+    const size_t lo_r = cur.LowerBound(req.lo);
+    const size_t hi_r = cur.UpperBoundFrom(lo_r, req.hi);
+    if (lo_r > 0) res.left = &snap.ItemAt(lo_r - 1);
+    if (hi_r < snap.size()) res.right = &snap.ItemAt(hi_r);
     const size_t n = hi_r - lo_r;
-    if (!req.project) {
+    if (n > 0 && req.kind == QueryKind::kSelect) {
       res.records.reserve(n);
       snap.ForEachItem(lo_r, hi_r - 1, [&res](const SnapshotItem& item) {
         res.records.push_back(item.record);
@@ -275,8 +245,7 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
       // Finalized with the plan's shared inversion.
       snap.FoldColumns(lo_r, hi_r - 1, kChainColumn, curve_, &res.agg,
                        &res.agg_stats);
-      select_t += Clock::now() - t0;
-    } else {
+    } else if (n > 0 && req.kind == QueryKind::kProject) {
       const std::vector<uint32_t>& attrs = plan_attrs_[req.plan];
       res.rids.reserve(n);
       res.ts.reserve(n);
@@ -313,8 +282,15 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
         snap.FoldColumns(lo_r, hi_r - 1, plan_columns_[req.plan], curve_,
                          &res.agg, &res.agg_stats);
       }
-      project_t += Clock::now() - t0;
+    } else if (n > 0) {
+      res.items.reserve(n);
+      snap.ForEachItem(lo_r, hi_r - 1, [&res](const SnapshotItem& item) {
+        res.items.push_back(&item);
+      });
     }
+    (req.kind == QueryKind::kSelect    ? select_t
+     : req.kind == QueryKind::kProject ? project_t
+                                       : join_t) += Clock::now() - t0;
   }
 
   busy->select_us += ToMicros(select_t);
@@ -323,72 +299,73 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
   busy->visit_us += ToMicros(Clock::now() - visit_start);
 }
 
+BatchEngine::Bounds BatchEngine::RangeBounds(const std::vector<size_t>& cover,
+                                             int64_t lo, int64_t hi) const {
+  // A shard-local neighbor is already the global one (contiguous
+  // partition); without one the neighbor lives on another shard the
+  // visit never saw, resolved from the SAME pinned snapshots, so the probe
+  // can never disagree with the visit.
+  Bounds b{range_res_[cover.front()].left, range_res_[cover.back()].right};
+  if (b.left == nullptr) b.left = srv_.GlobalPredecessor(desc_, lo);
+  if (b.right == nullptr) b.right = srv_.GlobalSuccessor(desc_, hi);
+  return b;
+}
+
+BatchEngine::Witness BatchEngine::EmptyRangeWitness(
+    const Bounds& bounds) const {
+  // The left neighbor's chain runs across the empty range to the right
+  // one; with nothing to the left, the right neighbor is the first record
+  // and its chain starts at the sentinel.
+  if (bounds.left != nullptr) {
+    return Witness{
+        bounds.left,
+        KeyOr(srv_.GlobalPredecessor(desc_, bounds.left->key()),
+              kChainMinusInf),
+        KeyOr(bounds.right, kChainPlusInf)};
+  }
+  if (bounds.right != nullptr) {
+    return Witness{bounds.right, kChainMinusInf,
+                   KeyOr(srv_.GlobalSuccessor(desc_, bounds.right->key()),
+                         kChainPlusInf)};
+  }
+  return Witness{};
+}
+
 Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,
                                               BasAccumulator* acc,
                                               bool* needs_final) {
-  const PlanWork& work = work_[p];
+  const std::vector<size_t>& cover = work_[p].covers.front();
   QueryAnswer answer;
   answer.kind = QueryKind::kSelect;
   SelectionAnswer& out = answer.selection;
 
-  // Stitch: concatenate the per-shard results (shard order == key order),
-  // sum the per-shard aggregates, keep the outermost boundaries. Empty
-  // sub-answers contribute nothing — their shard-local proofs are replaced
-  // by global boundary probes where needed.
+  // Stitch: concatenate the per-shard results (shard order == key order)
+  // and sum the per-shard aggregates.
   uint64_t oldest_ts = ~uint64_t{0};
-  bool any = false;
-  for (size_t ri : work.range_reqs) {
+  for (size_t ri : cover) {
     RangeRes& sub = range_res_[ri];
     tally_.agg_point_adds += sub.agg_stats.point_adds;
     tally_.agg_leaf_fetches += sub.agg_stats.leaf_fetches;
     tally_.agg_span_hits += sub.agg_stats.span_hits;
-    if (!sub.nonempty) continue;
-    if (!any) {
-      any = true;
-      out.left_key = sub.left_key;
-    }
-    out.right_key = sub.right_key;
+    if (sub.records.empty()) continue;
     Splice(&out.records, &sub.records);
     oldest_ts = std::min(oldest_ts, sub.oldest_ts);
     acc->jac = curve_.JacAdd(acc->jac, sub.agg);
     ++acc->count;
   }
 
-  if (!any) {
-    // Empty result across every covered shard: prove it with the global
-    // boundary record, exactly as a single server would.
-    const SnapshotItem* pred = srv_.GlobalPredecessor(desc_, q.lo);
-    const SnapshotItem* succ = srv_.GlobalSuccessor(desc_, q.hi);
-    if (pred == nullptr && succ == nullptr)
-      return Status::NotFound("empty relation");
-    if (pred != nullptr) {
-      out.proof_record = pred->record;
-      out.agg_sig = pred->sig;
-      const SnapshotItem* pp = srv_.GlobalPredecessor(desc_, pred->key());
-      out.left_key = pp != nullptr ? pp->key() : kChainMinusInf;
-      out.right_key = succ != nullptr ? succ->key() : kChainPlusInf;
-      oldest_ts = pred->record.ts;
-    } else {
-      out.proof_record = succ->record;
-      out.agg_sig = succ->sig;
-      out.left_key = kChainMinusInf;  // no key below lo, hence none below
-      const SnapshotItem* ss = srv_.GlobalSuccessor(desc_, succ->key());
-      out.right_key = ss != nullptr ? ss->key() : kChainPlusInf;
-      oldest_ts = succ->record.ts;
-    }
+  const Bounds bounds = RangeBounds(cover, q.lo, q.hi);
+  if (out.records.empty()) {
+    const Witness w = EmptyRangeWitness(bounds);
+    if (w.item == nullptr) return Status::NotFound("empty relation");
+    out.proof_record = w.item->record;
+    out.agg_sig = w.item->sig;
+    out.left_key = w.left_key;
+    out.right_key = w.right_key;
+    oldest_ts = w.item->record.ts;
   } else {
-    // A finite shard-local boundary is already the global chain neighbor
-    // (contiguous partition); a sentinel means the neighbor lives on an
-    // adjacent shard the sub-scan never saw — resolved from the SAME
-    // pinned snapshots, so the probe can never disagree with the scan.
-    if (out.left_key == kChainMinusInf) {
-      const SnapshotItem* pred = srv_.GlobalPredecessor(desc_, q.lo);
-      if (pred != nullptr) out.left_key = pred->key();
-    }
-    if (out.right_key == kChainPlusInf) {
-      const SnapshotItem* succ = srv_.GlobalSuccessor(desc_, q.hi);
-      if (succ != nullptr) out.right_key = succ->key();
-    }
+    out.left_key = KeyOr(bounds.left, kChainMinusInf);
+    out.right_key = KeyOr(bounds.right, kChainPlusInf);
     *needs_final = true;  // agg_sig lands with the batch-level inversion
   }
 
@@ -400,26 +377,20 @@ Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,
 Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
                                                BasAccumulator* acc,
                                                bool* needs_final) {
-  const PlanWork& work = work_[p];
+  const std::vector<size_t>& cover = work_[p].covers.front();
   QueryAnswer answer;
   answer.kind = QueryKind::kProject;
   ProjectedRangeAnswer& proj = answer.projection;
   proj.attr_indices = plan_attrs_[p];
 
   uint64_t oldest_ts = ~uint64_t{0};
-  bool any = false;
-  for (size_t ri : work.range_reqs) {
+  for (size_t ri : cover) {
     RangeRes& sub = range_res_[ri];
     tally_.agg_project_point_adds += sub.agg_stats.point_adds;
     tally_.agg_project_leaf_fetches += sub.agg_stats.leaf_fetches;
     tally_.agg_project_span_hits += sub.agg_stats.span_hits;
     if (!sub.error.ok()) return sub.error;
-    if (!sub.nonempty) continue;
-    if (!any) {
-      any = true;
-      proj.left_key = sub.left_key;
-    }
-    proj.right_key = sub.right_key;
+    if (sub.rids.empty()) continue;
     // The per-shard sub-results are dead after this stitch.
     tally_.digests_hashed += sub.digests.size();
     Splice(&proj.rids, &sub.rids);
@@ -431,36 +402,21 @@ Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
     oldest_ts = std::min(oldest_ts, sub.oldest_ts);
   }
 
-  if (!any) {
-    // Empty result: one global boundary witness proves it, digest-only.
-    const SnapshotItem* pred = srv_.GlobalPredecessor(desc_, q.lo);
-    const SnapshotItem* succ = srv_.GlobalSuccessor(desc_, q.hi);
-    if (pred == nullptr && succ == nullptr)
-      return Status::NotFound("empty relation");
-    const SnapshotItem* witness = pred != nullptr ? pred : succ;
-    proj.proof = DigestWitness{witness->key(), witness->record.rid,
-                               witness->record.ts, witness->digest};
+  const Bounds bounds = RangeBounds(cover, q.lo, q.hi);
+  if (proj.rids.empty()) {
+    // One boundary witness proves the empty result, digest-only.
+    const Witness w = EmptyRangeWitness(bounds);
+    if (w.item == nullptr) return Status::NotFound("empty relation");
+    proj.proof = DigestWitness{w.item->key(), w.item->record.rid,
+                               w.item->record.ts, w.item->digest};
     ++tally_.digests_hashed;
-    proj.agg_sig = witness->sig;
-    if (pred != nullptr) {
-      const SnapshotItem* pp = srv_.GlobalPredecessor(desc_, pred->key());
-      proj.left_key = pp != nullptr ? pp->key() : kChainMinusInf;
-      proj.right_key = succ != nullptr ? succ->key() : kChainPlusInf;
-    } else {
-      proj.left_key = kChainMinusInf;  // no key below lo, hence none below
-      const SnapshotItem* ss = srv_.GlobalSuccessor(desc_, succ->key());
-      proj.right_key = ss != nullptr ? ss->key() : kChainPlusInf;
-    }
-    oldest_ts = witness->record.ts;
+    proj.agg_sig = w.item->sig;
+    proj.left_key = w.left_key;
+    proj.right_key = w.right_key;
+    oldest_ts = w.item->record.ts;
   } else {
-    if (proj.left_key == kChainMinusInf) {
-      const SnapshotItem* pred = srv_.GlobalPredecessor(desc_, q.lo);
-      if (pred != nullptr) proj.left_key = pred->key();
-    }
-    if (proj.right_key == kChainPlusInf) {
-      const SnapshotItem* succ = srv_.GlobalSuccessor(desc_, q.hi);
-      if (succ != nullptr) proj.right_key = succ->key();
-    }
+    proj.left_key = KeyOr(bounds.left, kChainMinusInf);
+    proj.right_key = KeyOr(bounds.right, kChainPlusInf);
     *needs_final = true;
   }
 
@@ -481,26 +437,26 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
   JoinAnswer& ans = answer.join;
   ans.method = q.join_method;
 
+  auto matched = [&](size_t vi) {
+    for (size_t ri : work.covers[vi])
+      if (!range_res_[ri].items.empty()) return true;
+    return false;
+  };
+
   // Batched Bloom pre-pass (the join hot path): every unmatched probe
   // value is grouped by its covering partition and the group goes through
   // ONE ProbeMany call — bulk hashing plus a block-prefetch sweep over
   // the filter — before the stitch walk below consumes the verdicts.
-  std::vector<const CertifiedPartition*> cover(work.values.size(), nullptr);
+  std::vector<const CertifiedPartition*> part_of(work.values.size(), nullptr);
   std::vector<uint8_t> maybe(work.values.size(), 0);
   if (q.join_method == JoinMethod::kBloomFilter && !partitions.empty()) {
     std::map<const CertifiedPartition*, std::vector<size_t>> by_part;
     for (size_t vi = 0; vi < work.values.size(); ++vi) {
-      bool matched = false;
-      for (size_t pi : work.probe_reqs[vi])
-        if (!probe_res_[pi].items.empty()) {
-          matched = true;  // match groups never consult the filter
-          break;
-        }
-      if (matched) continue;
+      if (matched(vi)) continue;  // match groups never consult the filter
       const CertifiedPartition* part =
           FindCoveringPartition(partitions, work.values[vi]);
       if (part == nullptr) continue;
-      cover[vi] = part;
+      part_of[vi] = part;
       by_part[part].push_back(vi);
     }
     for (const auto& [part, vis] : by_part) {
@@ -528,79 +484,49 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
 
   for (size_t vi = 0; vi < work.values.size(); ++vi) {
     const int64_t a = work.values[vi];
-    const int64_t clo = JoinCompositeKey(a, 0);
-    const int64_t chi = JoinCompositeKey(a, kJoinMaxDup);
-    // Recombine the value's per-shard probe results in cover order.
-    std::vector<const SnapshotItem*> items;
-    const SnapshotItem* left_b = nullptr;
-    const SnapshotItem* right_b = nullptr;
-    for (size_t pi : work.probe_reqs[vi]) {
-      const ProbeRes& res = probe_res_[pi];
-      if (res.left_b != nullptr) left_b = res.left_b;
-      if (res.right_b != nullptr) right_b = res.right_b;
-      items.insert(items.end(), res.items.begin(), res.items.end());
-    }
-
-    if (!items.empty()) {
-      // Match group: stitch its boundary keys across seams exactly like
-      // selection boundaries — a shard-local boundary is already the
-      // global neighbor; a sentinel means it lives on another shard.
+    auto bounds = [&] {
+      return RangeBounds(work.covers[vi], JoinCompositeKey(a, 0),
+                         JoinCompositeKey(a, kJoinMaxDup));
+    };
+    if (matched(vi)) {
+      // Match group: the value's units in cover order.
       JoinMatch match;
       match.a_value = a;
-      if (left_b != nullptr) {
-        match.left_key = left_b->key();
-      } else {
-        const SnapshotItem* pred = srv_.GlobalPredecessor(desc_, clo);
-        match.left_key = pred != nullptr ? pred->key() : kChainMinusInf;
-      }
-      if (right_b != nullptr) {
-        match.right_key = right_b->key();
-      } else {
-        const SnapshotItem* succ = srv_.GlobalSuccessor(desc_, chi);
-        match.right_key = succ != nullptr ? succ->key() : kChainPlusInf;
-      }
-      for (const SnapshotItem* item : items) {
-        match.s_records.push_back(item->record);
-        include_item(*item);
+      const Bounds b = bounds();
+      match.left_key = KeyOr(b.left, kChainMinusInf);
+      match.right_key = KeyOr(b.right, kChainPlusInf);
+      for (size_t ri : work.covers[vi]) {
+        for (const SnapshotItem* item : range_res_[ri].items) {
+          match.s_records.push_back(item->record);
+          include_item(*item);
+        }
       }
       ans.matches.push_back(std::move(match));
       continue;
     }
 
-    bool need_boundary = true;
-    if (const CertifiedPartition* part = cover[vi]; part != nullptr) {
+    if (const CertifiedPartition* part = part_of[vi]; part != nullptr) {
       used_partitions.insert(part->idx);
       if (maybe[vi] == 0) {
         ans.negative_probes.push_back({a, part->idx});
-        need_boundary = false;
-      } else {
-        // False positive — fall back to the boundary proof below.
-        ++tally_.bloom_fp_fallbacks;
+        continue;
       }
+      // False positive — fall back to the absence witness below.
+      ++tally_.bloom_fp_fallbacks;
     }
-    if (need_boundary) {
-      // Absence witness adjacent to the gap, possibly on another shard;
-      // its own chain neighbors stitch across seams via global probes
-      // against the same pinned snapshots.
-      const SnapshotItem* witness = left_b;
-      if (witness == nullptr) witness = srv_.GlobalPredecessor(desc_, clo);
-      if (witness == nullptr) witness = right_b;
-      if (witness == nullptr) witness = srv_.GlobalSuccessor(desc_, chi);
-      if (witness == nullptr) return Status::NotFound("S is empty");
-      AbsenceProof proof;
-      proof.a_value = a;
-      proof.rec_key = witness->key();
-      proof.rec_rid = witness->record.rid;
-      proof.rec_ts = witness->record.ts;
-      proof.rec_digest = witness->digest;
-      ++tally_.digests_hashed;
-      const SnapshotItem* wl = srv_.GlobalPredecessor(desc_, witness->key());
-      const SnapshotItem* wr = srv_.GlobalSuccessor(desc_, witness->key());
-      proof.left_key = wl != nullptr ? wl->key() : kChainMinusInf;
-      proof.right_key = wr != nullptr ? wr->key() : kChainPlusInf;
-      include_item(*witness);
-      ans.absence_proofs.push_back(std::move(proof));
-    }
+    const Witness w = EmptyRangeWitness(bounds());
+    if (w.item == nullptr) return Status::NotFound("S is empty");
+    AbsenceProof proof;
+    proof.a_value = a;
+    proof.rec_key = w.item->key();
+    proof.rec_rid = w.item->record.rid;
+    proof.rec_ts = w.item->record.ts;
+    proof.rec_digest = w.item->digest;
+    ++tally_.digests_hashed;
+    proof.left_key = w.left_key;
+    proof.right_key = w.right_key;
+    include_item(*w.item);
+    ans.absence_proofs.push_back(std::move(proof));
   }
 
   for (uint32_t idx : used_partitions) {
@@ -638,22 +564,18 @@ std::vector<Result<QueryAnswer>> BatchEngine::Run(const PlanBatch& batch) {
     tally_.shards_queried += work_[p].shards_queried;
   }
   range_res_.resize(range_reqs_.size());
-  probe_res_.resize(probe_reqs_.size());
 
-  // One visit per covered shard for the WHOLE batch: group every request
-  // by shard, dispatch each group to its shard-affine worker once.
-  std::vector<std::vector<size_t>> shard_rr(n_shards), shard_pr(n_shards);
+  // One visit per covered shard for the WHOLE batch: group every unit by
+  // shard, dispatch each group to its shard-affine worker once.
+  std::vector<std::vector<size_t>> shard_units(n_shards);
   for (size_t i = 0; i < range_reqs_.size(); ++i)
-    shard_rr[range_reqs_[i].shard].push_back(i);
-  for (size_t i = 0; i < probe_reqs_.size(); ++i)
-    shard_pr[probe_reqs_[i].shard].push_back(i);
+    shard_units[range_reqs_[i].shard].push_back(i);
   std::vector<ShardExecutor::Visit> visits;
   for (size_t s = 0; s < n_shards; ++s) {
-    if (shard_rr[s].empty() && shard_pr[s].empty()) continue;
-    visits.push_back(ShardExecutor::Visit{
-        s, [this, s, &shard_rr, &shard_pr] {
-          Visit(s, shard_rr[s], shard_pr[s], &tally_.shard_busy[s]);
-        }});
+    if (shard_units[s].empty()) continue;
+    visits.push_back(ShardExecutor::Visit{s, [this, s, &shard_units] {
+      Visit(s, &shard_units[s], &tally_.shard_busy[s]);
+    }});
   }
   tally_.shard_visits = visits.size();
   srv_.exec_.RunVisits(std::move(visits));

@@ -46,7 +46,6 @@ class ShardExecutor {
   void RunVisits(std::vector<Visit> visits);
 
   size_t shard_count() const { return lanes_.size(); }
-  bool threaded() const { return threaded_; }
 
  private:
   struct Latch {

@@ -51,9 +51,14 @@ struct EpochDescriptor {
 /// also its global predecessor, sub-answers from consecutive shards abut
 /// exactly at the signed chain links, and the aggregate of the per-shard
 /// BAS aggregates equals the aggregate the single-server path would have
-/// produced. The only information a shard lacks is the chain neighbor that
-/// lives *outside* its interval; the stitcher resolves those few boundary
-/// keys by probing the adjacent shards' snapshots.
+/// produced. Every plan — selection, projection, or one join probe value —
+/// is visited as one range unit per covered shard, and one boundary rule
+/// closes every answer: the range's neighbors are the first unit's left
+/// and the last unit's right shard-local neighbor, and an empty range is
+/// witnessed by the left neighbor, else the right one. Only those edge
+/// units can hold a neighbor (every inner unit spans its whole shard
+/// interval); where an edge unit has none, the neighbor lives on another
+/// shard and the stitcher probes the adjacent shards' pinned snapshots.
 ///
 /// Consistency model — per-epoch snapshots, not seqlocks:
 ///  * Every read (Execute / ExecuteBatch) pins ONE EpochDescriptor for its
@@ -200,7 +205,7 @@ class ShardedQueryServer {
   /// path. The whole batch pins a single EpochDescriptor (every answer is
   /// the same serializable cut), visits each covered shard once (per-shard
   /// task queues, shard-affine workers), walks each shard's snapshot
-  /// forward once over the batch's sorted sub-ranges and join probes, and
+  /// forward once over the batch's range units sorted by low key, and
   /// finalizes the batch's aggregate signatures with shared batch
   /// inversions. Answers are byte-for-byte the answers the one-at-a-time
   /// Execute path produces, in plan order — each independently acceptable

@@ -75,8 +75,8 @@ class BatchExecTest : public ::testing::Test {
     server_ = MakeServer(/*worker_threads=*/2);
   }
 
-  /// A fresh 4-shard server over the loaded stream; worker_threads = 0
-  /// exercises the inline (caller-thread) ShardExecutor path.
+  /// worker_threads = 0 exercises the inline (caller-thread)
+  /// ShardExecutor path.
   static ServerConfig Config(size_t worker_threads) {
     ServerConfig cfg;
     cfg.node.record_len = 128;
@@ -84,12 +84,15 @@ class BatchExecTest : public ::testing::Test {
     return cfg;
   }
 
-  std::unique_ptr<ShardedQueryServer> MakeServer(size_t worker_threads) {
+  /// A fresh server over the loaded stream, by default on the 4-shard
+  /// router.
+  std::unique_ptr<ShardedQueryServer> MakeServer(
+      size_t worker_threads,
+      ShardRouter router = ShardRouter({JoinCompositeKey(30, 1),
+                                        JoinCompositeKey(50, 0),
+                                        JoinCompositeKey(75, 0)})) {
     auto server = std::make_unique<ShardedQueryServer>(
-        *ctx_,
-        ShardRouter({JoinCompositeKey(30, 1), JoinCompositeKey(50, 0),
-                     JoinCompositeKey(75, 0)}),
-        Config(worker_threads));
+        *ctx_, std::move(router), Config(worker_threads));
     for (const auto& msg : msgs_) EXPECT_TRUE(server->ApplyUpdate(msg).ok());
     server->SetJoinPartitions(da_->join_partitions());
     return server;
@@ -415,6 +418,65 @@ TEST_F(BatchExecTest, InlineExecutorMatchesThreadedExecutor) {
     SCOPED_TRACE("plan " + std::to_string(i));
     ASSERT_TRUE(threaded[i].ok() && inlined[i].ok());
     ExpectSameAnswer(threaded[i].value(), inlined[i].value());
+  }
+}
+
+// One boundary rule for every answer, wherever the seams fall: each answer
+// (records, columns, boundary keys, witnesses, partitions, aggregate) is
+// the same on one shard, on the fixture's four, and on five shards seamed
+// inside the B=30 and B=50 duplicate runs with an empty shard (B 40..44)
+// between them. The extra plans put empty ranges inside the empty shard
+// and below the smallest key, projections past the largest key, and join
+// probe values of both methods into the empty shard and beyond both ends
+// of S.
+TEST_F(BatchExecTest, ShardCountDoesNotChangeAnswers) {
+  Load(DefaultS());
+  auto one = MakeServer(/*worker_threads=*/0, ShardRouter({}));
+  auto five = MakeServer(
+      /*worker_threads=*/2,
+      ShardRouter({JoinCompositeKey(30, 1), JoinCompositeKey(40, 0),
+                   JoinCompositeKey(45, 0), JoinCompositeKey(50, 1)}));
+  std::vector<Query> plans = MixedPlans();
+  const std::vector<int64_t> edge_values = {1, 5, 42, 43, 95, 200};
+  const std::vector<Query> extra = {
+      Query::Select(JoinCompositeKey(41, 0), JoinCompositeKey(43, 0)),
+      Query::Project(JoinCompositeKey(41, 0), JoinCompositeKey(43, 0), {1}),
+      Query::Select(JoinCompositeKey(1, 0), JoinCompositeKey(5, 0)),
+      Query::Project(JoinCompositeKey(1, 0), JoinCompositeKey(5, 0), {2}),
+      Query::Project(JoinCompositeKey(95, 0), JoinCompositeKey(120, 0),
+                     {1, 2}),
+      Query::Project(JoinCompositeKey(90, 1), JoinCompositeKey(120, 0), {}),
+      Query::Join(edge_values, JoinMethod::kBoundaryValues),
+      Query::Join(edge_values, JoinMethod::kBloomFilter),
+  };
+  plans.insert(plans.end(), extra.begin(), extra.end());
+  auto want = one->ExecuteBatch(PlanBatch::Of(plans));
+  ASSERT_EQ(want.size(), plans.size());
+  for (const auto& r : want) ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // The extra plans prove what they claim to: the empty ranges by a
+  // witness, each edge value of the boundary-values join by an absence
+  // proof.
+  const size_t base = MixedPlans().size();
+  EXPECT_TRUE(want[base].value().selection.proof_record.has_value());
+  EXPECT_TRUE(want[base + 1].value().projection.proof.has_value());
+  EXPECT_TRUE(want[base + 2].value().selection.proof_record.has_value());
+  EXPECT_TRUE(want[base + 3].value().projection.proof.has_value());
+  EXPECT_TRUE(want[base + 4].value().projection.proof.has_value());
+  EXPECT_EQ(want[base + 6].value().join.absence_proofs.size(),
+            edge_values.size());
+  for (const auto& [name, server] :
+       {std::pair<const char*, ShardedQueryServer*>{"four", server_.get()},
+        std::pair<const char*, ShardedQueryServer*>{"five", five.get()}}) {
+    auto got = server->ExecuteBatch(PlanBatch::Of(plans));
+    ASSERT_EQ(got.size(), plans.size());
+    for (size_t i = 0; i < plans.size(); ++i) {
+      SCOPED_TRACE(std::string(name) + " shards, plan " + std::to_string(i));
+      ASSERT_TRUE(got[i].ok()) << got[i].status().ToString();
+      ExpectSameAnswer(got[i].value(), want[i].value());
+      EXPECT_TRUE(
+          verifier_->VerifyAnswerFresh(plans[i], got[i].value(), Now(), 0)
+              .ok());
+    }
   }
 }
 

@@ -183,23 +183,6 @@ TEST(BloomFilterTest, MergeGeometryAndEmptyCases) {
   EXPECT_TRUE(from_empty.SameGeometry(a));
 }
 
-TEST(DoubleBufferedBloomTest, ShadowMergeInvisibleUntilSwitch) {
-  BloomFilter initial(2048, 4);
-  initial.AddInt64(1);
-  DoubleBufferedBloom pair(initial);
-  BloomFilter delta(2048, 4);
-  delta.AddInt64(2);
-  ASSERT_TRUE(pair.MergeIntoShadow(delta));
-  // Readers of Current see the old generation until the flip.
-  EXPECT_TRUE(pair.Current().MayContainInt64(1));
-  EXPECT_FALSE(pair.Current().MayContainInt64(2));
-  pair.SwitchCurrent();
-  EXPECT_TRUE(pair.Current().MayContainInt64(1));
-  EXPECT_TRUE(pair.Current().MayContainInt64(2));
-  BloomFilter taken = pair.TakeCurrent();
-  EXPECT_TRUE(taken.MayContainInt64(2));
-}
-
 TEST(BloomFilterTest, CertificationDigestCoversGeometry) {
   // Same insertions, different geometry -> different digests: the signed
   // digest pins (layout, m, k), not just the raw bits.

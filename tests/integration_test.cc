@@ -109,7 +109,10 @@ TEST(IntegrationTest, ChunkedBulkLoadSignsLikeSingleSigns) {
     const int64_t right = i + 1 < 600 ? cert.record.key() + 5 : kChainPlusInf;
     EXPECT_TRUE(curve.Equal(
         cert.sig.point,
-        key.Sign(ChainMessage(cert.record, left, right).AsSlice(), mode)
+        key.Sign(ChainMessage(cert.record.key(), cert.record.Digest(), left,
+                              right)
+                     .AsSlice(),
+                 mode)
             .point));
     ASSERT_EQ(cert.attr_sigs.size(), cert.record.attrs.size());
     for (size_t a = 0; a < cert.attr_sigs.size(); ++a) {

@@ -5,6 +5,7 @@
 // columns), so tampering is tried on the values and on the column shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -246,6 +247,48 @@ TEST_F(ProjectionTest, MalformedEmptyAnswerRejected) {
     ans.projection.digests.emplace_back();
     EXPECT_EQ(Verify(ans).message(), "digest spine length mismatch");
   }
+}
+
+// The range-chain checks projections share with selections, each pinned
+// to its verdict.
+TEST_F(ProjectionTest, RangeChainVerdictsArePinned) {
+  const QueryAnswer rows = Project({1});
+  const Query rows_query = query_;
+  ASSERT_TRUE(Verify(rows).ok());
+  query_ = Query::Project(100, 200, {1});
+  auto served = qs_->Execute(query_);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const QueryAnswer empty = served.MoveValue();
+  ASSERT_TRUE(Verify(empty).ok());
+  {
+    QueryAnswer ans = empty;
+    ans.projection.proof.reset();
+    EXPECT_EQ(Verify(ans).message(), "empty answer without witness");
+  }
+  {
+    // The witness key 7 lies below the range, but its chain claims to end
+    // inside it.
+    QueryAnswer ans = empty;
+    ans.projection.right_key = 150;
+    EXPECT_EQ(Verify(ans).message(),
+              "witness does not demonstrate an empty range");
+  }
+  query_ = rows_query;
+  {
+    QueryAnswer ans = rows;
+    ProjectedRangeAnswer& p = ans.projection;
+    const size_t w = p.attr_indices.size();
+    std::swap(p.rids[2], p.rids[3]);
+    std::swap(p.ts[2], p.ts[3]);
+    std::swap_ranges(p.values.begin() + 2 * w, p.values.begin() + 3 * w,
+                     p.values.begin() + 3 * w);
+    std::swap(p.digests[2], p.digests[3]);
+    EXPECT_EQ(Verify(ans).message(), "rows not in key order");
+  }
+  // Row 0 lies below the narrower range, whose boundaries (the chain
+  // sentinels) still enclose it.
+  query_ = Query::Project(1, 7, {1});
+  EXPECT_EQ(Verify(rows).message(), "row outside query range");
 }
 
 }  // namespace

@@ -193,6 +193,38 @@ TEST_F(SelectionTest, FakeEmptyAnswerDetected) {
   EXPECT_FALSE(Check(50, 60, fake).ok());
 }
 
+// The range-chain checks selections share with projections, each pinned
+// to its verdict.
+TEST_F(SelectionTest, RangeChainVerdictsArePinned) {
+  auto range = Serve(50, 120);
+  auto empty = Serve(43, 43);
+  ASSERT_TRUE(range.ok() && empty.ok());
+  ASSERT_TRUE(Check(50, 120, range.value()).ok());
+  ASSERT_TRUE(Check(43, 43, empty.value()).ok());
+  {
+    QueryAnswer ans = empty.value();
+    ans.selection.proof_record.reset();
+    EXPECT_EQ(Check(43, 43, ans).message(), "empty answer without witness");
+  }
+  {
+    // The witness key 42 lies below the range, but its chain claims to
+    // end inside it.
+    QueryAnswer ans = empty.value();
+    ans.selection.right_key = 43;
+    EXPECT_EQ(Check(43, 43, ans).message(),
+              "witness does not demonstrate an empty range");
+  }
+  // Record 50 lies below the narrower range, whose boundaries still
+  // enclose it.
+  EXPECT_EQ(Check(52, 120, range.value()).message(),
+            "row outside query range");
+  {
+    QueryAnswer ans = range.value();
+    std::swap(ans.selection.records[2], ans.selection.records[3]);
+    EXPECT_EQ(Check(50, 120, ans).message(), "rows not in key order");
+  }
+}
+
 TEST_F(SelectionTest, StaleVersionDetectedViaSummaries) {
   // Capture the answer before an update.
   auto stale = Serve(100, 100);

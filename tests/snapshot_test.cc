@@ -159,9 +159,9 @@ TEST(ShardVersionBuilderTest, FreezeSharesUntouchedChunksAcrossEpochs) {
 // that empty them, and a mix of attribute widths. After every Freeze each
 // chunk's every column must equal a leaf-by-leaf CurveGroup::Sum, chunks
 // the delta never touched must keep the very same aggregate object,
-// ColumnAggregateAt / FoldColumns must agree with leaf folds, and every
-// item's barrier digest must be its record's digest. The signature pool
-// holds each point's negation too, so sums cancel to infinity.
+// FoldColumns must agree with leaf folds, and every item's barrier digest
+// must be its record's digest. The signature pool holds each point's
+// negation too, so sums cancel to infinity.
 class ColumnAggregateTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -289,6 +289,20 @@ class ColumnAggregateTest : public ::testing::Test {
     }
   }
 
+  /// Length of the chunk starting at rank `pos`: the one span from `pos`
+  /// that FoldColumns answers from a single chunk aggregate and no leaf;
+  /// 0 when no chunk with aggregates starts there.
+  static size_t ChunkLength(const EpochSnapshot& snap, size_t pos) {
+    for (size_t len = 1; pos + len <= snap.size(); ++len) {
+      CurveGroup::Jacobian acc{};
+      EpochSnapshot::FoldStats stats;
+      snap.FoldColumns(pos, pos + len - 1, {0}, (*ctx_)->curve(), &acc,
+                       &stats);
+      if (stats.span_hits == 1 && stats.leaf_fetches == 0) return len;
+    }
+    return 0;
+  }
+
   /// Every check of the header comment against one frozen snapshot;
   /// `prev_cols` maps the first item of each chunk of the previous
   /// snapshot to that chunk's aggregates.
@@ -309,11 +323,9 @@ class ColumnAggregateTest : public ::testing::Test {
       ASSERT_EQ(item.digest, ref.digest) << "key " << key;
     }
     if (snap.size() == 0) return;
-    const size_t last = snap.size() - 1;
     size_t pos = 0;
     for (size_t ci = 0; ci < snap.chunk_count(); ++ci) {
-      ECPoint agg;
-      const size_t len = snap.ColumnAggregateAt(pos, last, 0, &agg);
+      const size_t len = ChunkLength(snap, pos);
       ASSERT_GT(len, 0u) << "chunk " << ci << " has no aggregates";
       const EpochSnapshot::ColumnAggregates* cols = snap.chunk_columns(ci);
       ASSERT_NE(cols, nullptr);
@@ -331,14 +343,14 @@ class ColumnAggregateTest : public ::testing::Test {
         }
         EXPECT_TRUE(curve.Equal((*cols)[col], curve.Sum(leaves)))
             << "chunk " << ci << " column " << col;
-        ASSERT_EQ(snap.ColumnAggregateAt(pos, last, col, &agg), len);
-        EXPECT_TRUE(curve.Equal(agg, (*cols)[col]));
-      }
-      // Only chunk-aligned, fully covered spans of existing columns.
-      EXPECT_EQ(snap.ColumnAggregateAt(pos, last, cols->size(), &agg), 0u);
-      if (len > 1) {
-        EXPECT_EQ(snap.ColumnAggregateAt(pos + 1, last, 0, &agg), 0u);
-        EXPECT_EQ(snap.ColumnAggregateAt(pos, pos + len - 2, 0, &agg), 0u);
+        // The chunk covered whole folds to exactly its column aggregate.
+        CurveGroup::Jacobian acc{};
+        EpochSnapshot::FoldStats stats;
+        snap.FoldColumns(pos, pos + len - 1, {static_cast<uint32_t>(col)},
+                         curve, &acc, &stats);
+        EXPECT_EQ(stats.span_hits, 1u);
+        EXPECT_EQ(stats.leaf_fetches, 0u);
+        EXPECT_TRUE(curve.Equal(curve.ToAffine(acc), (*cols)[col]));
       }
       // Write-once sharing: an untouched chunk keeps its aggregates.
       auto shared = prev_cols.find(&snap.ItemAt(pos));
@@ -390,8 +402,7 @@ class ColumnAggregateTest : public ::testing::Test {
     std::vector<size_t> starts;  ///< chunk start ranks, then n
     for (size_t pos = 0; pos < n;) {
       starts.push_back(pos);
-      ECPoint agg;
-      const size_t len = snap.ColumnAggregateAt(pos, n - 1, 0, &agg);
+      const size_t len = ChunkLength(snap, pos);
       ASSERT_GT(len, 0u);
       pos += len;
     }
@@ -502,8 +513,7 @@ TEST_F(ColumnAggregateTest, FreezeKeepsEveryColumnEqualToItsLeafSum) {
     size_t pos = 0;
     for (size_t ci = 0; ci < snap->chunk_count(); ++ci) {
       prev[&snap->ItemAt(pos)] = snap->chunk_columns(ci);
-      ECPoint agg;
-      pos += snap->ColumnAggregateAt(pos, snap->size() - 1, 0, &agg);
+      pos += ChunkLength(*snap, pos);
     }
   }
   // The run exercised what it claims to.
