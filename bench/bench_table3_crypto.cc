@@ -3,7 +3,10 @@
 // the library's own implementations. Also reports the multi-buffer SHA
 // front end's speedup over the forced-scalar tier: a same-run quotient
 // (machine-independent enough to gate) with an absolute >= 1.5x floor in
-// compare_bench.py — the crypto hot path must actually buy its keep.
+// compare_bench.py — the crypto hot path must actually buy its keep. And it
+// reports the F_p multiply tiers (crypto/fp.h) side by side: ns per
+// dependent multiply and us per pairing check for each, with their
+// same-run quotient (informational: no baseline entry gates them).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -15,6 +18,9 @@
 #include "common/random.h"
 #include "common/slice.h"
 #include "crypto/bas.h"
+#include "crypto/ec.h"
+#include "crypto/fp.h"
+#include "crypto/pairing.h"
 #include "crypto/simd/cpu_features.h"
 #include "crypto/simd/sha_multibuf.h"
 #include "sim/calibration.h"
@@ -68,6 +74,60 @@ double FastSignBatchMicros(const std::shared_ptr<const BasContext>& ctx,
     if (r == 0 || s < best) best = s;
   }
   return best * 1e6 / kSignBatchSize;
+}
+
+/// One F_p multiply tier's costs on the default parameters.
+struct FieldTierCost {
+  PrimeField::MulTier ran;  // kPortable when kAdx cannot run here
+  double mul_ns;            // per multiply, in a chain of dependent ones
+  double check_us;          // per TatePairing::PairingsEqualFixed
+};
+
+/// Builds the default curve again over a field of the given tier (same p,
+/// so the default context's Montgomery-form points are valid on it) and
+/// times both figures, best of `reps` passes each.
+FieldTierCost MeasureFieldTier(const std::shared_ptr<const BasContext>& ctx,
+                               PrimeField::MulTier tier, int reps) {
+  const CurveGroup& dc = ctx->curve();
+  CurveGroup curve(dc.field().p(), /*a=*/1, /*b=*/0, dc.order(), dc.cofactor(),
+                   tier);
+  const PrimeField& f = curve.field();
+  FieldTierCost out{f.mul_tier(), 0, 0};
+
+  constexpr int kChain = 100000;
+  Fp acc = f.FromU64(3);
+  const Fp m = f.FromU64(0x5eed);
+  for (int r = 0; r < reps; ++r) {
+    auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kChain; ++i) acc = f.Mul(acc, m);
+    double ns = SecondsSince(t0) * 1e9 / kChain;
+    if (r == 0 || ns < out.mul_ns) out.mul_ns = ns;
+  }
+  AUTHDB_CHECK(!acc.IsZero());
+
+  // One valid kFast claim: sigma = x*H(m) against pk's fixed lines.
+  Rng rng(0x7a1e);
+  const BasPrivateKey key = BasPrivateKey::Generate(ctx, &rng);
+  const uint8_t msg[] = "fixed-argument pairing check";
+  const Slice s(msg, sizeof(msg));
+  const BasSignature sig = key.Sign(s, BasContext::HashMode::kFast);
+  const ECPoint h = ctx->HashToPoint(s, BasContext::HashMode::kFast);
+  TatePairing pairing(&curve);
+  const auto lines = pairing.Precompute(key.public_key().point());
+  AUTHDB_CHECK(lines != nullptr);
+  for (int r = 0; r < reps; ++r) {
+    auto t0 = std::chrono::steady_clock::now();
+    const bool ok =
+        pairing.PairingsEqualFixed(sig.point, ctx->generator(), *lines, h);
+    double us = SecondsSince(t0) * 1e6;
+    AUTHDB_CHECK(ok);
+    if (r == 0 || us < out.check_us) out.check_us = us;
+  }
+  return out;
+}
+
+const char* MulTierName(PrimeField::MulTier tier) {
+  return tier == PrimeField::MulTier::kAdx ? "adx" : "portable";
 }
 
 void Run(bench::BenchRun* run) {
@@ -151,6 +211,31 @@ void Run(bench::BenchRun* run) {
   run->Metric("sha256_scalar_digests_per_s", sha256_scalar);
   run->Metric("sha1_multibuf_speedup", sha1_speedup);
   run->Metric("sha256_multibuf_speedup", sha256_speedup);
+
+  // ---- F_p multiply tiers --------------------------------------------
+  // Both tiers in the same process; their quotient is the per-layer
+  // number behind the client's pairing check.
+  const int tier_reps = smoke ? 9 : 31;
+  const FieldTierCost portable =
+      MeasureFieldTier(ctx, PrimeField::MulTier::kPortable, tier_reps);
+  const FieldTierCost adx =
+      MeasureFieldTier(ctx, PrimeField::MulTier::kAdx, tier_reps);
+  const double mul_speedup = adx.mul_ns > 0 ? portable.mul_ns / adx.mul_ns : 0;
+  const char* note = "";
+  if (adx.ran != PrimeField::MulTier::kAdx)
+    note = "; MULX/ADX unavailable, its row runs portable";
+  std::printf("\nF_p multiply tiers (default tier: %s%s)\n",
+              MulTierName(PrimeField::BestMulTier()), note);
+  for (const FieldTierCost* t : {&portable, &adx}) {
+    std::printf("  %-8s %8.1f ns/dependent mul   %8.1f us/PairingsEqualFixed\n",
+                MulTierName(t->ran), t->mul_ns, t->check_us);
+  }
+  std::printf("  adx speedup per multiply  %.2fx\n", mul_speedup);
+  run->Metric("fp_mul_ns_portable", portable.mul_ns);
+  run->Metric("fp_mul_ns_adx", adx.mul_ns);
+  run->Metric("pairing_check_us_portable", portable.check_us);
+  run->Metric("pairing_check_us_adx", adx.check_us);
+  run->Metric("fp_mul_adx_speedup", mul_speedup);
 
   std::printf("\nShape checks vs paper: RSA verify << BAS verify; "
               "aggregation cheap for both; hashing orders of magnitude "

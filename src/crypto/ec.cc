@@ -9,8 +9,9 @@
 namespace authdb {
 
 CurveGroup::CurveGroup(const BigInt& p, uint64_t a, uint64_t b,
-                       const BigInt& order_r, const BigInt& cofactor)
-    : fp_(std::make_shared<PrimeField>(p)),
+                       const BigInt& order_r, const BigInt& cofactor,
+                       PrimeField::MulTier tier)
+    : fp_(std::make_shared<PrimeField>(p, tier)),
       a_(fp_->FromU64(a)),
       b_(fp_->FromU64(b)),
       r_(order_r),

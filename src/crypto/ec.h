@@ -25,8 +25,10 @@ struct ECPoint {
 /// and the distortion map (x,y) -> (-x, i*y) gives a usable pairing.
 class CurveGroup {
  public:
+  /// `tier` picks the field's multiply kernel (PrimeField::MulTier).
   CurveGroup(const BigInt& p, uint64_t a, uint64_t b, const BigInt& order_r,
-             const BigInt& cofactor);
+             const BigInt& cofactor,
+             PrimeField::MulTier tier = PrimeField::BestMulTier());
 
   const PrimeField& field() const { return *fp_; }
   const BigInt& order() const { return r_; }

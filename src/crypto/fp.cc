@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "crypto/simd/cpu_features.h"
 
 namespace authdb {
 
@@ -49,14 +50,18 @@ void Fp::ToBytes(uint8_t* out, size_t width) const {
   }
 }
 
-PrimeField::PrimeField(const BigInt& p) : p_big_(p) {
+PrimeField::MulTier PrimeField::BestMulTier() {
+  if (AUTHDB_FP_ADX_KERNEL && simd::UseAdxFieldMul()) return MulTier::kAdx;
+  return MulTier::kPortable;
+}
+
+PrimeField::PrimeField(const BigInt& p, MulTier tier)
+    : p_big_(p),
+      adx_(AUTHDB_FP_ADX_KERNEL && tier == MulTier::kAdx &&
+           simd::CpuHasBmi2Adx()) {
   AUTHDB_CHECK(p.IsOdd() && p.BitLength() <= 256);
   p_ = Fp::FromBigInt(p);
-  // -p^-1 mod 2^64 by Newton iteration: p*p = 1 (mod 8) seeds 3 correct
-  // bits and each step doubles them.
-  uint64_t inv = p_.limb[0];
-  for (int i = 0; i < 5; ++i) inv *= 2 - p_.limb[0] * inv;
-  n0_inv_ = ~inv + 1;
+  n0_inv_ = fp_internal::MontgomeryN0(p_.limb[0]);
   BigInt r = BigInt::Mod(BigInt::ShiftLeft(BigInt(1), 256), p);
   one_ = Fp::FromBigInt(r);
   rr_ = Fp::FromBigInt(BigInt::Mod(BigInt::Mul(r, r), p));
@@ -95,12 +100,7 @@ void PrimeField::InvBatch(std::vector<Fp>* v) const {
 }
 
 Fp PrimeField::Exp(const Fp& a, const Fp& e) const {
-  Fp acc = one_;
-  for (int i = e.BitLength() - 1; i >= 0; --i) {
-    acc = Sqr(acc);
-    if (e.Bit(i)) acc = Mul(acc, a);
-  }
-  return acc;
+  return fp_internal::WindowedExp(*this, a, e);
 }
 
 }  // namespace authdb

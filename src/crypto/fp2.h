@@ -66,14 +66,9 @@ class Fp2Field {
     return Fp2Elem{fp_->Mul(a.re, ni), fp_->Mul(fp_->Neg(a.im), ni)};
   }
 
-  /// a^e for a plain exponent e.
+  /// a^e for a plain exponent e (fp_internal::WindowedExp).
   Fp2Elem Exp(const Fp2Elem& a, const Fp& e) const {
-    Fp2Elem acc = One();
-    for (int i = e.BitLength() - 1; i >= 0; --i) {
-      acc = Sqr(acc);
-      if (e.Bit(i)) acc = Mul(acc, a);
-    }
-    return acc;
+    return fp_internal::WindowedExp(*this, a, e);
   }
 
   const PrimeField& fp() const { return *fp_; }

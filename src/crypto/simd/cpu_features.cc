@@ -45,14 +45,26 @@ bool ProbeShaNi() {
   if (!CpuidLeaf7(&ebx7)) return false;
   return (ebx7 & (1u << 29)) != 0;  // SHA
 }
+
+bool ProbeBmi2Adx() {
+  unsigned int ebx7 = 0;
+  if (!CpuidLeaf7(&ebx7)) return false;
+  return (ebx7 & (1u << 8)) != 0 && (ebx7 & (1u << 19)) != 0;  // BMI2, ADX
+}
 #else
 bool ProbeAvx2() { return false; }
 bool ProbeShaNi() { return false; }
+bool ProbeBmi2Adx() { return false; }
 #endif
 
+bool ForcedScalar() {
+  const char* env = std::getenv("AUTHDB_SHA_DISPATCH");
+  return env != nullptr && std::strcmp(env, "scalar") == 0;
+}
+
 ShaDispatch Select() {
-  const bool avx2 = ProbeAvx2();
-  const bool shani = ProbeShaNi();
+  const bool avx2 = CpuHasAvx2();
+  const bool shani = CpuHasShaNi();
   ShaDispatch best = ShaDispatch::kScalar;
   if (avx2) best = ShaDispatch::kAvx2;
   if (shani) best = ShaDispatch::kShaNi;
@@ -92,8 +104,26 @@ const char* ShaDispatchName(ShaDispatch d) {
   return "unknown";
 }
 
-bool CpuHasAvx2() { return ProbeAvx2(); }
-bool CpuHasShaNi() { return ProbeShaNi(); }
+// Function-local statics: each probe runs once, thread-safe.
+bool CpuHasAvx2() {
+  static const bool has = ProbeAvx2();
+  return has;
+}
+
+bool CpuHasShaNi() {
+  static const bool has = ProbeShaNi();
+  return has;
+}
+
+bool CpuHasBmi2Adx() {
+  static const bool has = ProbeBmi2Adx();
+  return has;
+}
+
+bool UseAdxFieldMul() {
+  static const bool use = CpuHasBmi2Adx() && !ForcedScalar();
+  return use;
+}
 
 }  // namespace simd
 }  // namespace authdb

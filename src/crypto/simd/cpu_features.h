@@ -32,17 +32,33 @@ enum class ShaDispatch {
 /// A requested tier the CPU cannot run falls back to the best supported
 /// tier at or below it — so CI can force the scalar leg on any hardware,
 /// and "shani" on a SHA-NI-less box degrades to AVX2/scalar instead of
-/// crashing on an illegal instruction.
+/// crashing on an illegal instruction. "scalar" also forces the portable
+/// field multiply (UseAdxFieldMul below).
 ShaDispatch ActiveShaDispatch();
 
 /// Human-readable tier name ("scalar" / "avx2" / "shani") for logs, bench
 /// JSON, and the ablation artifact.
 const char* ShaDispatchName(ShaDispatch d);
 
-/// Raw capability probes (CPUID on x86-64, false elsewhere). Exposed for
-/// tests and bench reporting; ActiveShaDispatch is the product-code entry.
+/// Capability probes (CPUID on x86-64, false elsewhere). Each runs CPUID
+/// once per process and caches the answer: CPUID traps to the hypervisor
+/// on virtual machines (about 2 us a call), far too slow for the per-batch
+/// tier checks in the hashing front end. Exposed for tests and bench
+/// reporting; ActiveShaDispatch and UseAdxFieldMul are the product-code
+/// entries.
 bool CpuHasAvx2();
 bool CpuHasShaNi();
+/// BMI2 (MULX) and ADX (ADCX/ADOX): CPUID leaf 7, EBX bits 8 and 19.
+bool CpuHasBmi2Adx();
+
+/// Whether fields built with the default tier take the MULX/ADCX/ADOX
+/// Montgomery multiply (PrimeField::MulTier::kAdx in crypto/fp.h) rather
+/// than the portable 128-bit-product loop. Decided once per process: true
+/// when the CPU has BMI2 and ADX, unless AUTHDB_SHA_DISPATCH=scalar, which
+/// forces the portable tier of the field multiply as well as of SHA — so
+/// the forced-scalar CI legs run every portable crypto kernel, and every
+/// other value of the variable leaves the best tier in place.
+bool UseAdxFieldMul();
 
 }  // namespace simd
 }  // namespace authdb

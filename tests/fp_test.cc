@@ -1,18 +1,23 @@
 // Differential tests of the fixed-width field types against BigInt's
 // schoolbook modular arithmetic, on a 96-bit prime (R = 2^256 is far above
 // p) and on the 256-bit default prime (top bit set, so a + b can carry out
-// of the top limb).
+// of the top limb), in both multiply tiers; and of the MULX/ADX multiply
+// kernel against the portable one.
 #include "crypto/fp.h"
 
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "crypto/bas.h"
 #include "crypto/fp2.h"
+#include "crypto/simd/cpu_features.h"
 
 namespace authdb {
 namespace {
@@ -23,6 +28,132 @@ BigInt TestPrime96() {
   while (BigInt::Mod(p, BigInt(4)).ToU64() != 3)
     p = BigInt::GeneratePrime(96, &rng);
   return p;
+}
+
+// The default parameters' p and r, spelled out so that the kernel tests
+// build no BasContext: with a broken multiply, building one never ends.
+// FpTierTest checks them against BasContext::Default().
+constexpr char kDefaultP[] =
+    "8d568edb6ffe8b04d3b73cefe89e290c776c32105abbfba76ae9a6e7ed319c13";
+constexpr char kDefaultR[] = "922e0aa4b960c8a62dd28ed139095d5f7956a495";
+
+/// One modulus for the multiply kernels, called as free functions.
+struct KernelModulus {
+  explicit KernelModulus(const BigInt& modulus)
+      : p_big(modulus),
+        p(Fp::FromBigInt(modulus)),
+        n0(fp_internal::MontgomeryN0(p.limb[0])) {}
+
+  Fp Portable(const Fp& a, const Fp& b) const {
+    return fp_internal::MulPortable(a, b, p, n0);
+  }
+
+  /// The edges: 0, 1, p-1, R mod p and R^2 mod p.
+  std::vector<Fp> Edges() const {
+    const BigInt r_mod_p =
+        BigInt::Mod(BigInt::ShiftLeft(BigInt(1), 256), p_big);
+    std::vector<Fp> out = {Fp{}, Fp{{1, 0, 0, 0}}};
+    out.push_back(Fp::FromBigInt(BigInt::Sub(p_big, BigInt(1))));
+    out.push_back(Fp::FromBigInt(r_mod_p));
+    out.push_back(Fp::FromBigInt(BigInt::MulMod(r_mod_p, r_mod_p, p_big)));
+    return out;
+  }
+
+  /// First operands in [p, 2^256): its two ends, p + 1 and random.
+  std::vector<Fp> Unreduced(Rng* rng) const {
+    const BigInt two256 = BigInt::ShiftLeft(BigInt(1), 256);
+    const BigInt span = BigInt::Sub(two256, p_big);
+    std::vector<Fp> out = {p};
+    out.push_back(Fp::FromBigInt(BigInt::Add(p_big, BigInt(1))));
+    out.push_back(Fp::FromBigInt(BigInt::Sub(two256, BigInt(1))));
+    for (int i = 0; i < 64; ++i)
+      out.push_back(
+          Fp::FromBigInt(BigInt::Add(p_big, BigInt::RandomBelow(span, rng))));
+    return out;
+  }
+
+  BigInt p_big;
+  Fp p;
+  uint64_t n0;
+};
+
+/// The default p, r and the 96-bit test prime. These tests are plain TESTs
+/// defined first, so they run before any test that builds a BasContext.
+std::vector<KernelModulus> KernelModuli() {
+  return {KernelModulus(BigInt::FromHex(kDefaultP)),
+          KernelModulus(BigInt::FromHex(kDefaultR)),
+          KernelModulus(TestPrime96())};
+}
+
+TEST(FpKernelTest, PortableMatchesBigInt) {
+  // a*b/R mod p, for reduced pairs and for unreduced first operands.
+  Rng rng(31);
+  for (const KernelModulus& m : KernelModuli()) {
+    SCOPED_TRACE(m.p_big.ToHex());
+    const BigInt r_inv = BigInt::ModInverse(
+        BigInt::Mod(BigInt::ShiftLeft(BigInt(1), 256), m.p_big), m.p_big);
+    auto expect = [&](const Fp& a, const Fp& b) {
+      const BigInt ab =
+          BigInt::Mod(BigInt::Mul(a.ToBigInt(), b.ToBigInt()), m.p_big);
+      const BigInt want = BigInt::MulMod(ab, r_inv, m.p_big);
+      EXPECT_EQ(m.Portable(a, b).ToBigInt().ToHex(), want.ToHex())
+          << a.ToBigInt().ToHex() << " * " << b.ToBigInt().ToHex();
+    };
+    const std::vector<Fp> edges = m.Edges();
+    for (const Fp& a : edges)
+      for (const Fp& b : edges) expect(a, b);
+    for (const Fp& a : m.Unreduced(&rng))
+      for (const Fp& b : edges) expect(a, b);
+    for (int i = 0; i < 200; ++i)
+      expect(Fp::FromBigInt(BigInt::RandomBelow(m.p_big, &rng)),
+             Fp::FromBigInt(BigInt::RandomBelow(m.p_big, &rng)));
+  }
+}
+
+TEST(FpKernelTest, AdxMatchesPortable) {
+#if AUTHDB_FP_ADX_KERNEL
+  if (!simd::CpuHasBmi2Adx()) GTEST_SKIP() << "CPU lacks BMI2/ADX";
+  Rng rng(32);
+  for (const KernelModulus& m : KernelModuli()) {
+    SCOPED_TRACE(m.p_big.ToHex());
+    auto adx = [&m](const Fp& a, const Fp& b) {
+      return fp_internal::MulAdx(a, b, m.p, m.n0);
+    };
+    const std::vector<Fp> edges = m.Edges();
+    for (const Fp& a : edges)
+      for (const Fp& b : edges) EXPECT_EQ(adx(a, b), m.Portable(a, b));
+    for (const Fp& a : m.Unreduced(&rng))
+      for (const Fp& b : edges) EXPECT_EQ(adx(a, b), m.Portable(a, b));
+    // 10^5 random reduced pairs. Each operand is the return value of the
+    // previous multiply, still in registers when the next one starts: a
+    // kernel that does not declare its memory reads then reads stale bytes.
+    Fp x = Fp::FromBigInt(BigInt::RandomBelow(m.p_big, &rng));
+    Fp y = Fp::FromBigInt(BigInt::RandomBelow(m.p_big, &rng));
+    int mismatches = 0;
+    for (int i = 0; i < 100000; ++i) {
+      const Fp got = adx(x, y);
+      const Fp want = m.Portable(x, y);
+      mismatches += got == want ? 0 : 1;
+      x = adx(want, y);
+      y = m.Portable(got, x);
+    }
+    EXPECT_EQ(mismatches, 0);
+    // Unreduced first operands produced in registers: a product with its
+    // top limb saturated, which is above every modulus here.
+    ASSERT_NE(m.p.limb[3], ~uint64_t{0});
+    mismatches = 0;
+    for (int i = 0; i < 1000; ++i) {
+      Fp big = x;
+      big.limb[3] = ~uint64_t{0};
+      mismatches += adx(big, y) == m.Portable(big, y) ? 0 : 1;
+      x = adx(x, y);
+      y = m.Portable(y, x);
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
+#else
+  GTEST_SKIP() << "no MULX/ADX kernel in this build";
+#endif
 }
 
 /// Plain operands: the edge values, values whose sum passes 2^256 when p
@@ -40,19 +171,28 @@ std::vector<BigInt> Operands(const BigInt& p, Rng* rng) {
   return out;
 }
 
-class FpDifferentialTest : public ::testing::TestWithParam<int> {
+using MulTier = PrimeField::MulTier;
+
+/// (prime bits, kAdx tier). A kAdx field on a CPU without BMI2/ADX runs
+/// the portable tier, so that case repeats the portable one.
+class FpDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {
  protected:
+  int Bits() const { return std::get<0>(GetParam()); }
+  MulTier Tier() const {
+    return std::get<1>(GetParam()) ? MulTier::kAdx : MulTier::kPortable;
+  }
   BigInt Prime() const {
-    return GetParam() == 96 ? TestPrime96()
-                            : BasContext::Default()->curve().field().p();
+    return Bits() == 96 ? TestPrime96()
+                        : BasContext::Default()->curve().field().p();
   }
 };
 
 TEST_P(FpDifferentialTest, ArithmeticMatchesBigInt) {
   const BigInt p = Prime();
-  PrimeField f(p);
+  PrimeField f(p, Tier());
   auto plain = [&](const Fp& x) { return f.ToPlain(x).ToHex(); };
-  Rng rng(GetParam());
+  Rng rng(Bits());
   const std::vector<BigInt> ops = Operands(p, &rng);
   if (p.BitLength() == 256) {
     // The default prime's top bit is set: (p-1) + (p-1) passes 2^256.
@@ -98,10 +238,10 @@ TEST_P(FpDifferentialTest, ArithmeticMatchesBigInt) {
 
 TEST_P(FpDifferentialTest, Fp2MatchesSchoolbookFormulas) {
   const BigInt p = Prime();
-  PrimeField f(p);
+  PrimeField f(p, Tier());
   Fp2Field f2(&f);
   auto plain = [&](const Fp& x) { return f.ToPlain(x).ToHex(); };
-  Rng rng(GetParam() + 1);
+  Rng rng(Bits() + 1);
   const std::vector<BigInt> ops = Operands(p, &rng);
   for (size_t i = 0; i + 3 < ops.size(); i += 2) {
     const BigInt& a = ops[i];
@@ -133,8 +273,79 @@ TEST_P(FpDifferentialTest, Fp2MatchesSchoolbookFormulas) {
   }
 }
 
+/// Square-and-multiply, the exponentiation WindowedExp replaced.
+template <typename Field, typename Elem>
+Elem BitwiseExp(const Field& f, const Elem& a, const Fp& e) {
+  Elem acc = f.One();
+  for (int i = e.BitLength() - 1; i >= 0; --i) {
+    acc = f.Sqr(acc);
+    if (e.Bit(i)) acc = f.Mul(acc, a);
+  }
+  return acc;
+}
+
+TEST_P(FpDifferentialTest, WindowedExpMatchesSquareAndMultiply) {
+  const BigInt p = Prime();
+  PrimeField f(p, Tier());
+  Fp2Field f2(&f);
+  Rng rng(Bits() + 2);
+  // Exponents: empty, one window, window edges, every digit in the top
+  // window, the field's own exponents, the curve cofactor and random.
+  std::vector<BigInt> exps;
+  for (uint64_t v : {0u, 1u, 15u, 16u, 17u, 0xf0f0u}) exps.emplace_back(v);
+  exps.push_back(BigInt::Sub(p, BigInt(2)));
+  exps.push_back(BigInt::ShiftRight(BigInt::Add(p, BigInt(1)), 2));
+  exps.push_back(BigInt::Sub(BigInt::ShiftLeft(BigInt(1), 256), BigInt(1)));
+  if (Bits() == 256) exps.push_back(BasContext::Default()->curve().cofactor());
+  for (int i = 0; i < 8; ++i)
+    exps.push_back(
+        BigInt::Random(1 + static_cast<int>(rng.Uniform(256)), &rng));
+  const std::vector<BigInt> ops = Operands(p, &rng);
+  for (const BigInt& eb : exps) {
+    SCOPED_TRACE(eb.ToHex());
+    const Fp e = Fp::FromBigInt(eb);
+    for (size_t i = 0; i + 1 < ops.size(); i += 3) {
+      const Fp a = f.FromPlain(ops[i]);
+      EXPECT_EQ(f.Exp(a, e), BitwiseExp(f, a, e));
+      const Fp2Elem x = f2.Make(a, f.FromPlain(ops[i + 1]));
+      EXPECT_TRUE(f2.Equal(f2.Exp(x, e), BitwiseExp(f2, x, e)));
+    }
+  }
+}
+
+std::string PrimeAndTier(
+    const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+  const char* tier = std::get<1>(info.param) ? "_adx" : "_portable";
+  return std::to_string(std::get<0>(info.param)) + tier;
+}
+
+using ::testing::Bool;
+using ::testing::Combine;
+using ::testing::Values;
 INSTANTIATE_TEST_SUITE_P(Primes, FpDifferentialTest,
-                         ::testing::Values(96, 256));
+                         Combine(Values(96, 256), Bool()), PrimeAndTier);
+
+TEST(FpTierTest, TierFollowsTheProbeAndTheScalarOverride) {
+  const BigInt& p = BasContext::Default()->curve().field().p();
+  const char* env = std::getenv("AUTHDB_SHA_DISPATCH");
+  const bool forced_scalar = env != nullptr && std::strcmp(env, "scalar") == 0;
+  const bool adx = AUTHDB_FP_ADX_KERNEL && simd::CpuHasBmi2Adx();
+  EXPECT_EQ(simd::UseAdxFieldMul(), simd::CpuHasBmi2Adx() && !forced_scalar);
+  const MulTier best =
+      adx && !forced_scalar ? MulTier::kAdx : MulTier::kPortable;
+  EXPECT_EQ(PrimeField::BestMulTier(), best);
+  EXPECT_EQ(PrimeField(p).mul_tier(), PrimeField::BestMulTier());
+  EXPECT_EQ(PrimeField(p, MulTier::kPortable).mul_tier(), MulTier::kPortable);
+  EXPECT_EQ(PrimeField(p, MulTier::kAdx).mul_tier(),
+            adx ? MulTier::kAdx : MulTier::kPortable);
+  // Every field of the default context takes the default tier.
+  auto ctx = BasContext::Default();
+  EXPECT_EQ(ctx->curve().field().p().ToHex(), kDefaultP);
+  EXPECT_EQ(ctx->order().ToHex(), kDefaultR);
+  EXPECT_EQ(ctx->curve().field().mul_tier(), PrimeField::BestMulTier());
+  EXPECT_EQ(ctx->scalars().mul_tier(), PrimeField::BestMulTier());
+}
+
 
 TEST(FpScalarTest, PlainScalarArithmeticModR) {
   // Z_r keeps scalars plain: Reduce is v mod r for any 256-bit v, and the
