@@ -6,11 +6,14 @@
 // compare_bench.py — the crypto hot path must actually buy its keep. And it
 // reports the F_p multiply tiers (crypto/fp.h) side by side: ns per
 // dependent multiply and us per pairing check for each, with their
-// same-run quotient (informational: no baseline entry gates them).
+// same-run quotient, and kFast signing per message on both fixed-base
+// paths at batch sizes 8 to 256 (informational: no baseline entry gates
+// them).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -52,18 +55,24 @@ double TierDigestsPerSec(simd::ShaDispatch tier, const Slice* msgs,
 
 constexpr size_t kSignBatchSize = 256;
 
+/// n distinct 64-byte messages over `buf`.
+std::vector<Slice> SignMessages(size_t n, std::vector<uint8_t>* buf) {
+  buf->resize(n * 64);
+  for (size_t i = 0; i < buf->size(); ++i)
+    (*buf)[i] = static_cast<uint8_t>(i * 2654435761u >> 11);
+  std::vector<Slice> msgs(n);
+  for (size_t i = 0; i < n; ++i) msgs[i] = Slice(buf->data() + i * 64, 64);
+  return msgs;
+}
+
 /// kFast BasPrivateKey::SignBatch cost per message over kSignBatchSize
 /// 64-byte messages, in microseconds (best of `reps` batches).
 double FastSignBatchMicros(const std::shared_ptr<const BasContext>& ctx,
                            int reps) {
   Rng rng(0x5167);
   const BasPrivateKey key = BasPrivateKey::Generate(ctx, &rng);
-  std::vector<uint8_t> buf(kSignBatchSize * 64);
-  for (size_t i = 0; i < buf.size(); ++i)
-    buf[i] = static_cast<uint8_t>(i * 2654435761u >> 11);
-  std::vector<Slice> msgs(kSignBatchSize);
-  for (size_t i = 0; i < kSignBatchSize; ++i)
-    msgs[i] = Slice(buf.data() + i * 64, 64);
+  std::vector<uint8_t> buf;
+  const std::vector<Slice> msgs = SignMessages(kSignBatchSize, &buf);
   double best = 0;
   for (int r = 0; r < reps; ++r) {
     auto t0 = std::chrono::steady_clock::now();
@@ -74,6 +83,43 @@ double FastSignBatchMicros(const std::shared_ptr<const BasContext>& ctx,
     if (r == 0 || s < best) best = s;
   }
   return best * 1e6 / kSignBatchSize;
+}
+
+/// The two fixed-base paths under BasContext::FixedBaseMultMany.
+enum class FixedBasePath { kJacobian, kPairwise };
+
+/// kFast SignBatch's body with its fixed-base path pinned: one
+/// multi-buffer hash pass, x * h mod r per message, then either
+/// FixedBaseMultJac per scalar and one ToAffineBatch or one
+/// FixedBaseMultPairwise. Microseconds per message over n 64-byte
+/// messages, best of `reps` batches.
+double SignPathMicros(const std::shared_ptr<const BasContext>& ctx, size_t n,
+                      FixedBasePath path, int reps) {
+  Rng rng(0x5168);
+  const PrimeField& zr = ctx->scalars();
+  const Fp x_mont =
+      zr.ToMont(Fp::FromBigInt(BigInt::RandomBelow(ctx->order(), &rng)));
+  std::vector<uint8_t> buf;
+  const std::vector<Slice> msgs = SignMessages(n, &buf);
+  std::vector<Fp> hs(n);
+  std::vector<ECPoint> out(n);
+  double best = 0;
+  for (int r = 0; r < reps; ++r) {
+    auto t0 = std::chrono::steady_clock::now();
+    ctx->HashToScalarMany(msgs.data(), n, hs.data());
+    for (Fp& h : hs) h = zr.Mul(x_mont, h);
+    if (path == FixedBasePath::kPairwise) {
+      ctx->FixedBaseMultPairwise(hs.data(), n, out.data());
+    } else {
+      std::vector<CurveGroup::Jacobian> js(n);
+      for (size_t i = 0; i < n; ++i) js[i] = ctx->FixedBaseMultJac(hs[i]);
+      out = ctx->curve().ToAffineBatch(js);
+    }
+    double s = SecondsSince(t0);
+    AUTHDB_CHECK(!out[n - 1].infinity);
+    if (r == 0 || s < best) best = s;
+  }
+  return best * 1e6 / static_cast<double>(n);
 }
 
 /// One F_p multiply tier's costs on the default parameters.
@@ -150,6 +196,26 @@ void Run(bench::BenchRun* run) {
   const double sign_batch_us = FastSignBatchMicros(ctx, smoke ? 5 : 9);
   std::printf("  kFast SignBatch (x%zu)    %10.3f us/message\n",
               kSignBatchSize, sign_batch_us);
+  // Both fixed-base paths per message at each batch size, from this run:
+  // the numbers behind BasContext::kFixedBaseBatchCrossover
+  // (informational; no baseline entry gates them).
+  std::printf("  kFast signing by fixed-base path (crossover: %zu)\n",
+              BasContext::kFixedBaseBatchCrossover);
+  double quotient_256 = 0;
+  for (size_t n : {size_t{8}, size_t{32}, size_t{64}, size_t{256}}) {
+    const int path_reps = (smoke ? 2048 : 8192) / static_cast<int>(n) + 3;
+    const double jac =
+        SignPathMicros(ctx, n, FixedBasePath::kJacobian, path_reps);
+    const double pair =
+        SignPathMicros(ctx, n, FixedBasePath::kPairwise, path_reps);
+    std::printf("    n=%-4zu jacobian %7.2f  pairwise %7.2f us/message  "
+                "(%.2fx)\n",
+                n, jac, pair, pair > 0 ? jac / pair : 0);
+    run->Metric("bas_sign_fast_jacobian_us_n" + std::to_string(n), jac);
+    run->Metric("bas_sign_fast_pairwise_us_n" + std::to_string(n), pair);
+    if (n == 256) quotient_256 = pair > 0 ? jac / pair : 0;
+  }
+  run->Metric("bas_sign_fast_pairwise_speedup_n256", quotient_256);
   std::printf("Condensed RSA (1024-bit)\n");
   std::printf("  Individual signing        %10.3f ms\n", c.rsa_sign * 1e3);
   std::printf("  Individual verification   %10.3f ms\n", c.rsa_verify * 1e3);

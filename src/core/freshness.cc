@@ -1,5 +1,6 @@
 #include "core/freshness.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -82,7 +83,8 @@ Status FreshnessChecker::AddSummary(const UpdateSummary& summary) {
                                       bitmap.status().message());
   Held held;
   held.publish_ts = summary.publish_ts;
-  held.bitmap = bitmap.MoveValue();
+  held.marks = bitmap.value().OnesPositions();
+  held.marks.shrink_to_fit();
   summaries_.emplace(summary.seq, std::move(held));
   return Status::OK();
 }
@@ -119,7 +121,8 @@ Status FreshnessChecker::CheckRecord(uint64_t rid, uint64_t record_ts,
       return Status::VerificationFailed(
           "summary coverage gap between seq " + std::to_string(prev_seq) +
           " and " + std::to_string(seq));
-    if (s.bitmap.Get(rid) && prev_publish_ts > record_ts) {
+    if (prev_publish_ts > record_ts &&
+        std::binary_search(s.marks.begin(), s.marks.end(), rid)) {
       return Status::VerificationFailed(
           "record " + std::to_string(rid) +
           " was updated after its returned version (summary seq " +

@@ -102,9 +102,10 @@ class FreshnessChecker {
                             BasContext::HashMode mode)
       : da_pub_(da_pub), codec_(codec), mode_(mode) {}
 
-  /// Verify the signature; decompress and retain. Idempotent: summaries
-  /// already held (same seq) are ignored, so servers may re-attach
-  /// overlapping summary runs to successive answers.
+  /// Verify the signature; decompress and retain the marked rids (sorted:
+  /// 8 bytes per mark rather than nbits / 8 per summary). Idempotent:
+  /// summaries already held (same seq) are ignored, so servers may
+  /// re-attach overlapping summary runs to successive answers.
   Status AddSummary(const UpdateSummary& summary);
 
   /// Freshness rule of Section 3.1:
@@ -128,7 +129,7 @@ class FreshnessChecker {
   BasContext::HashMode mode_;
   struct Held {
     uint64_t publish_ts;
-    Bitmap bitmap;
+    std::vector<uint64_t> marks;  // Bitmap::OnesPositions, sorted
   };
   std::map<uint64_t, Held> summaries_;  // seq -> summary
 };

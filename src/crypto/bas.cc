@@ -1,5 +1,7 @@
 #include "crypto/bas.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -74,18 +76,51 @@ void BasContext::BuildFixedBaseTable() {
   fixed_base_ = curve_->ToAffineBatch(js);
 }
 
-CurveGroup::Jacobian BasContext::FixedBaseMultJac(const Fp& k) const {
+template <typename Fn>
+void BasContext::ForEachWindowEntry(const Fp& k, Fn&& fn) const {
   const Fp scalar = scalars_->IsReduced(k) ? k : scalars_->Reduce(k);
-  CurveGroup::Jacobian acc = curve_->ToJacobian(ECPoint{});
   const size_t windows = fixed_base_.size() / kWindowPoints;
   for (size_t w = 0; w < windows; ++w) {
     const size_t bit = w * kWindowBits;
     const size_t digit = (scalar.limb[bit / 64] >> (bit % 64)) & kWindowPoints;
-    if (digit != 0)
-      acc = curve_->JacAddAffine(acc,
-                                 fixed_base_[w * kWindowPoints + digit - 1]);
+    if (digit != 0) fn(fixed_base_[w * kWindowPoints + digit - 1]);
   }
+}
+
+CurveGroup::Jacobian BasContext::FixedBaseMultJac(const Fp& k) const {
+  CurveGroup::Jacobian acc = curve_->ToJacobian(ECPoint{});
+  ForEachWindowEntry(
+      k, [&](const ECPoint& entry) { acc = curve_->JacAddAffine(acc, entry); });
   return acc;
+}
+
+void BasContext::FixedBaseMultMany(const Fp* ks, size_t n,
+                                   ECPoint* out) const {
+  if (n < kFixedBaseBatchCrossover) {
+    std::vector<CurveGroup::Jacobian> js(n);
+    for (size_t i = 0; i < n; ++i) js[i] = FixedBaseMultJac(ks[i]);
+    const std::vector<ECPoint> pts = curve_->ToAffineBatch(js);
+    std::copy(pts.begin(), pts.end(), out);
+    return;
+  }
+  // Even slices: 257 scalars run as 129 + 128, not 256 + 1.
+  const size_t slices = (n + kFixedBaseSlice - 1) / kFixedBaseSlice;
+  const size_t per = (n + slices - 1) / slices;
+  for (size_t at = 0; at < n; at += per)
+    FixedBaseMultPairwise(ks + at, std::min(per, n - at), out + at);
+}
+
+void BasContext::FixedBaseMultPairwise(const Fp* ks, size_t n,
+                                       ECPoint* out) const {
+  std::vector<const ECPoint*> entries;
+  entries.reserve(n * fixed_base_.size() / kWindowPoints);
+  std::vector<size_t> offsets(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    ForEachWindowEntry(
+        ks[i], [&](const ECPoint& entry) { entries.push_back(&entry); });
+    offsets[i + 1] = entries.size();
+  }
+  curve_->SumGroups(entries.data(), offsets.data(), n, out);
 }
 
 ECPoint BasContext::FixedBaseMult(const Fp& k) const {
@@ -190,12 +225,10 @@ std::vector<BasSignature> BasPrivateKey::SignBatch(
     // to x * H(m) with H(m) = h * G.
     std::vector<Fp> hs(messages.size());
     ctx_->HashToScalarMany(messages.data(), messages.size(), hs.data());
-    std::vector<CurveGroup::Jacobian> js;
-    js.reserve(hs.size());
-    for (const Fp& h : hs)
-      js.push_back(ctx_->FixedBaseMultJac(ctx_->scalars().Mul(x_mont_, h)));
-    for (const ECPoint& p : ctx_->curve().ToAffineBatch(js))
-      out.push_back(BasSignature{p});
+    for (Fp& h : hs) h = ctx_->scalars().Mul(x_mont_, h);
+    std::vector<ECPoint> pts(hs.size());
+    ctx_->FixedBaseMultMany(hs.data(), hs.size(), pts.data());
+    for (ECPoint& p : pts) out.push_back(BasSignature{p});
     return out;
   }
   for (const Slice& m : messages) {
@@ -228,36 +261,36 @@ std::vector<bool> BasPublicKey::VerifyAggregateBatch(
   std::vector<bool> ok(claims.size(), false);
   if (claims.empty() || lines_ == nullptr) return ok;
   const CurveGroup& curve = ctx_->curve();
-  // Per-claim hash-sum accumulators; the affine conversion is deferred and
-  // shared below.
-  std::vector<CurveGroup::Jacobian> sums;
-  sums.reserve(claims.size());
+  std::vector<ECPoint> h_sums(claims.size());
   if (mode == BasContext::HashMode::kFast) {
-    // Flatten every claim's messages into one multi-buffer SHA pass.
+    // Flatten every claim's messages into one multi-buffer SHA pass; a
+    // claim's hash sum is then (sum_i h_i) * G.
     std::vector<Slice> flat;
     for (const auto& c : claims)
       flat.insert(flat.end(), c.messages.begin(), c.messages.end());
     std::vector<Fp> hs(flat.size());
     ctx_->HashToScalarMany(flat.data(), flat.size(), hs.data());
     const PrimeField& zr = ctx_->scalars();
+    std::vector<Fp> sums(claims.size());
     size_t at = 0;
-    for (const auto& c : claims) {
-      Fp sum;
-      for (size_t i = 0; i < c.messages.size(); ++i)
-        sum = zr.Add(sum, hs[at++]);
-      sums.push_back(ctx_->FixedBaseMultJac(sum));
+    for (size_t c = 0; c < claims.size(); ++c) {
+      for (size_t i = 0; i < claims[c].messages.size(); ++i)
+        sums[c] = zr.Add(sums[c], hs[at++]);
     }
+    ctx_->FixedBaseMultMany(sums.data(), sums.size(), h_sums.data());
   } else {
+    // Per-claim Jacobian accumulators, finalized with ONE Montgomery batch
+    // inversion across every claim.
+    std::vector<CurveGroup::Jacobian> sums;
+    sums.reserve(claims.size());
     for (const auto& c : claims) {
       CurveGroup::Jacobian acc = curve.ToJacobian(ECPoint{});
       for (const Slice& m : c.messages)
         acc = curve.JacAddAffine(acc, ctx_->HashToPoint(m, mode));
       sums.push_back(acc);
     }
+    h_sums = curve.ToAffineBatch(sums);
   }
-  // ONE Montgomery batch inversion across every claim's hash sum — the
-  // client-side mirror of FinalizeBatch on the server.
-  std::vector<ECPoint> h_sums = curve.ToAffineBatch(sums);
   // e(sigma, G) == e(pk, H) = e(H, pk): sigma stays the checked Miller
   // point, so a sigma outside the order-r subgroup is rejected by the loop
   // itself; pk's side runs on its precomputed lines. The hash sum is the

@@ -97,9 +97,26 @@ class BasContext {
   /// under the default parameters: one per nonzero byte of k), for a plain
   /// scalar k (reduced mod r first when k >= r). Allocation-free.
   ECPoint FixedBaseMult(const Fp& k) const;
-  /// k * G left as a Jacobian accumulator (no inversion): callers doing
-  /// many multiplications batch the affine conversion via ToAffineBatch.
+  /// k * G left as a Jacobian accumulator (no inversion). Allocation-free.
   CurveGroup::Jacobian FixedBaseMultJac(const Fp& k) const;
+  /// out[i] = ks[i] * G for n plain scalars (each reduced mod r first when
+  /// >= r), affine; the one fixed-base batch path. Below
+  /// kFixedBaseBatchCrossover scalars it runs FixedBaseMultJac per scalar
+  /// and one ToAffineBatch; from there on FixedBaseMultPairwise, over
+  /// even slices of at most kFixedBaseSlice scalars so its scratch stays
+  /// bounded. Both paths return the same (canonical) points.
+  void FixedBaseMultMany(const Fp* ks, size_t n, ECPoint* out) const;
+  /// FixedBaseMultMany's batch-affine path at any n, in one slice: each
+  /// scalar's nonzero window entries of the table, read in place, form one
+  /// group of CurveGroup::SumGroups, so an entry costs about 6 multiplies
+  /// instead of 11 and the batch pays one inversion per tree level (5
+  /// under the default parameters). Public so benches can time it below
+  /// the crossover.
+  void FixedBaseMultPairwise(const Fp* ks, size_t n, ECPoint* out) const;
+  /// Batch size from which FixedBaseMultPairwise is the cheaper path
+  /// (bench_table3_crypto prints both paths per message at n = 8 .. 256).
+  static constexpr size_t kFixedBaseBatchCrossover = 24;
+  static constexpr size_t kFixedBaseSlice = 256;
 
   /// Aggregate signatures by point addition (associative & commutative).
   BasSignature Aggregate(const std::vector<BasSignature>& sigs) const;
@@ -117,6 +134,10 @@ class BasContext {
  private:
   BasContext() = default;
   void BuildFixedBaseTable();
+  /// Calls fn(entry) on the table entry of every nonzero window digit of k
+  /// (reduced mod r first when k >= r), lowest window first.
+  template <typename Fn>
+  void ForEachWindowEntry(const Fp& k, Fn&& fn) const;
 
   std::unique_ptr<CurveGroup> curve_;
   std::unique_ptr<PrimeField> scalars_;
@@ -158,8 +179,9 @@ class BasPublicKey {
 
   /// Verify many aggregate claims at once, each claim independently: all
   /// messages cross the multi-buffer SHA front end in one pass (kFast),
-  /// the per-claim hash-sum points are finalized with ONE shared
-  /// Montgomery batch inversion — the client-side mirror of
+  /// the per-claim hash-sum points come out of one
+  /// BasContext::FixedBaseMultMany (kFast) or one shared Montgomery batch
+  /// inversion (kSecure) — the client-side mirror of
   /// BasContext::FinalizeBatch — and each claim then costs one
   /// TatePairing::PairingsEqualFixed against pk's precomputed lines. A
   /// signature point outside the order-r subgroup (or off the curve)
@@ -187,9 +209,9 @@ class BasPrivateKey {
                         BasContext::HashMode::kSecure) const;
 
   /// Sign every message; out[i] signs messages[i]. kFast hashes all
-  /// messages in one multi-buffer pass and converts every signature to
-  /// affine with ONE shared inversion (CurveGroup::ToAffineBatch) — the
-  /// signing mirror of VerifyAggregateBatch. kSecure signs one by one.
+  /// messages in one multi-buffer pass and multiplies G by every x * h in
+  /// one BasContext::FixedBaseMultMany — the signing mirror of
+  /// VerifyAggregateBatch. kSecure signs one by one.
   std::vector<BasSignature> SignBatch(
       const std::vector<Slice>& messages,
       BasContext::HashMode mode = BasContext::HashMode::kSecure) const;

@@ -1,5 +1,7 @@
 #include "crypto/ec.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -166,20 +168,80 @@ ECPoint CurveGroup::Sum(const std::vector<ECPoint>& points) const {
   return ToAffine(acc);
 }
 
+ECPoint CurveGroup::AddWithInverse(const ECPoint& a, const ECPoint& b,
+                                   const Fp& inv) const {
+  if (a.infinity) return b;
+  if (b.infinity) return a;
+  if (inv.IsZero()) return ToAffine(JacAddAffine(ToJacobian(a), b));
+  const PrimeField& f = *fp_;
+  const Fp lambda = f.Mul(f.Sub(b.y, a.y), inv);
+  const Fp x3 = f.Sub(f.Sub(f.Sqr(lambda), a.x), b.x);
+  return ECPoint{x3, f.Sub(f.Mul(lambda, f.Sub(a.x, x3)), a.y), false};
+}
+
+void CurveGroup::SumGroups(const ECPoint* const* points, const size_t* offsets,
+                           size_t groups, ECPoint* out) const {
+  // Group g keeps its partial sums in sums[start[g]], ..., one per pair of
+  // the level above: a level writes sum i from elements 2i and 2i + 1 (an
+  // odd tail moves down alone), in place from the second level on.
+  std::vector<size_t> start(groups), size(groups);
+  size_t total = 0, widest = 0;
+  for (size_t g = 0; g < groups; ++g) {
+    size[g] = offsets[g + 1] - offsets[g];
+    start[g] = total;
+    total += (size[g] + 1) / 2;
+    widest = std::max(widest, size[g]);
+  }
+  std::vector<ECPoint> sums(total);
+  std::vector<Fp> inv;  // one 1/dx per pair of the level
+  const auto level = [&](const auto& at) {
+    inv.clear();
+    for (size_t g = 0; g < groups; ++g) {
+      for (size_t i = 0; i + 1 < size[g]; i += 2) {
+        const ECPoint& a = at(g, i);
+        const ECPoint& b = at(g, i + 1);
+        // dx = 0 and infinity operands stay 0 through InvBatch.
+        inv.push_back(a.infinity || b.infinity ? Fp{} : fp_->Sub(b.x, a.x));
+      }
+    }
+    fp_->InvBatch(&inv);  // the level's one inversion
+    const Fp* next = inv.data();
+    for (size_t g = 0; g < groups; ++g) {
+      ECPoint* dst = sums.data() + start[g];
+      const size_t m = size[g];
+      for (size_t i = 0; i + 1 < m; i += 2)
+        dst[i / 2] = AddWithInverse(at(g, i), at(g, i + 1), *next++);
+      if (m % 2 == 1) dst[m / 2] = at(g, m - 1);
+      size[g] = (m + 1) / 2;
+    }
+  };
+  level([&](size_t g, size_t i) -> const ECPoint& {
+    return *points[offsets[g] + i];
+  });
+  for (widest = (widest + 1) / 2; widest > 1; widest = (widest + 1) / 2) {
+    level([&](size_t g, size_t i) -> const ECPoint& {
+      return sums[start[g] + i];
+    });
+  }
+  for (size_t g = 0; g < groups; ++g)
+    out[g] = size[g] == 0 ? ECPoint{} : sums[start[g]];
+}
+
 ECPoint CurveGroup::FindGenerator() const {
   const PrimeField& f = *fp_;
-  for (uint64_t xi = 1;; ++xi) {
+  ECPoint g;  // infinity until a candidate survives cofactor clearing
+  for (uint64_t xi = 1; g.infinity && xi <= kMaxGeneratorCandidates; ++xi) {
     Fp x = f.FromU64(xi);
     Fp rhs = CurveRhs(x);
     Fp y;
     if (rhs.IsZero() || !f.SqrtIfSquare(rhs, &y)) continue;
     ECPoint pt{x, y, false};
     AUTHDB_CHECK(IsOnCurve(pt));
-    ECPoint g = ScalarMult(pt, cofactor_);
-    if (g.infinity) continue;
-    // g has order dividing r; r prime and g != O, so order is exactly r.
-    return g;
+    g = ScalarMult(pt, cofactor_);
   }
+  // g has order dividing r; r prime and g != O, so order is exactly r.
+  AUTHDB_CHECK(!g.infinity);
+  return g;
 }
 
 std::vector<uint8_t> CurveGroup::Serialize(const ECPoint& pt) const {

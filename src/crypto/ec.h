@@ -1,6 +1,7 @@
 #ifndef AUTHDB_CRYPTO_EC_H_
 #define AUTHDB_CRYPTO_EC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -49,9 +50,27 @@ class CurveGroup {
   /// inversion, so aggregating n signatures costs n point additions.
   ECPoint Sum(const std::vector<ECPoint>& points) const;
 
+  /// Sums of many independent groups of affine points in one pass: group g
+  /// is *points[offsets[g]] .. *points[offsets[g + 1] - 1] (read through
+  /// the pointers, so callers sum table entries without copying them), and
+  /// its sum goes to out[g]; offsets holds groups + 1 entries. The groups
+  /// are summed as pairwise trees in affine form (lambda = dy/dx), and all
+  /// additions of one tree level share ONE field inversion
+  /// (PrimeField::InvBatch): an addition costs about 6 multiplies against
+  /// JacAddAffine's 11, and a batch pays one inversion per level. A pair
+  /// with dx = 0 (P + P or P + (-P)) takes the exact JacAddAffine path
+  /// instead, and an infinity operand passes the other one through. The
+  /// inversions make this dearer than JacAddAffine + ToAffineBatch for a
+  /// few groups; it pays off over dozens (BasContext::FixedBaseMultMany).
+  void SumGroups(const ECPoint* const* points, const size_t* offsets,
+                 size_t groups, ECPoint* out) const;
+
   /// Deterministically derive a generator of the order-r subgroup: first
-  /// valid x on the curve, cofactor-cleared.
+  /// valid x on the curve, cofactor-cleared. CHECK-fails after
+  /// kMaxGeneratorCandidates values of x rather than spinning (a wrong
+  /// cofactor, or a broken field multiply, clears every point).
   ECPoint FindGenerator() const;
+  static constexpr uint64_t kMaxGeneratorCandidates = uint64_t{1} << 16;
 
   /// Map y^2 = rhs(x): returns rhs = x^3 + a*x + b (Montgomery form).
   Fp CurveRhs(const Fp& x) const;
@@ -85,6 +104,11 @@ class CurveGroup {
   bool JacIsInfinity(const Jacobian& j) const { return j.Z.IsZero(); }
 
  private:
+  /// a + b given inv = 1 / (b.x - a.x), or inv = 0 when the x coordinates
+  /// are equal (then the exact JacAddAffine path). SumGroups' pair adder.
+  ECPoint AddWithInverse(const ECPoint& a, const ECPoint& b,
+                         const Fp& inv) const;
+
   std::shared_ptr<PrimeField> fp_;
   Fp a_, b_;  // curve coefficients, Montgomery form
   BigInt r_, cofactor_;

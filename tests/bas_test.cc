@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -70,6 +72,26 @@ void ExpectBatchMatchesPairReference(
   }
 }
 
+/// Both batch paths — FixedBaseMultMany (which picks one by size) and
+/// FixedBaseMultPairwise (forced, at any size) — against FixedBaseMultJac
+/// per scalar, finalized by ToAffineBatch.
+void ExpectFixedBaseManyMatchesJac(const std::shared_ptr<const BasContext>& ctx,
+                                   const std::vector<Fp>& ks) {
+  std::vector<CurveGroup::Jacobian> js;
+  for (const Fp& k : ks) js.push_back(ctx->FixedBaseMultJac(k));
+  const std::vector<ECPoint> want = ctx->curve().ToAffineBatch(js);
+  std::vector<ECPoint> many(ks.size()), pairwise(ks.size());
+  ctx->FixedBaseMultMany(ks.data(), ks.size(), many.data());
+  ctx->FixedBaseMultPairwise(ks.data(), ks.size(), pairwise.data());
+  size_t wrong_many = 0, wrong_pairwise = 0;
+  for (size_t i = 0; i < ks.size(); ++i) {
+    if (!ctx->curve().Equal(many[i], want[i])) ++wrong_many;
+    if (!ctx->curve().Equal(pairwise[i], want[i])) ++wrong_pairwise;
+  }
+  EXPECT_EQ(wrong_many, 0u) << "of " << ks.size();
+  EXPECT_EQ(wrong_pairwise, 0u) << "of " << ks.size();
+}
+
 /// FixedBaseMult against the double-and-add reference at the edges of the
 /// table's 8-bit windows: empty and full bytes, every byte boundary inside
 /// the order, the top bit, r - 1, and scalars >= r (reduced first).
@@ -89,11 +111,40 @@ void ExpectFixedBaseWindowBoundaries(
   ks.push_back(r);
   ks.push_back(BigInt::Add(r, one));
   ks.push_back(BigInt::Add(BigInt::Mul(r, BigInt(3)), BigInt(255)));
+  std::vector<Fp> fks;
   for (const BigInt& k : ks) {
     SCOPED_TRACE("k = 0x" + k.ToHex());
     EXPECT_TRUE(curve.Equal(ctx->FixedBaseMult(Fp::FromBigInt(k)),
                             curve.ScalarMult(ctx->generator(), k)));
+    fks.push_back(Fp::FromBigInt(k));
   }
+  // The same scalars through the batch paths, as one batch and as
+  // batches of one.
+  ExpectFixedBaseManyMatchesJac(ctx, fks);
+  for (const Fp& k : fks) ExpectFixedBaseManyMatchesJac(ctx, {k});
+}
+
+/// Scalars for the batch paths: 0, 1, r - 1, r and values >= r
+/// (unreduced, up to 2^256 - 1), then `random` scalars below r, every
+/// fourth one with only its low 16 bits kept so that most of its windows
+/// are empty.
+std::vector<Fp> EdgeAndRandomScalars(
+    const std::shared_ptr<const BasContext>& ctx, size_t random,
+    uint64_t seed) {
+  const BigInt& r = ctx->order();
+  const BigInt one(1);
+  std::vector<Fp> ks;
+  for (const BigInt& k :
+       {BigInt(0), one, BigInt::Sub(r, one), r, BigInt::Add(r, one),
+        BigInt::Add(r, r), BigInt::Sub(BigInt::ShiftLeft(one, 256), one)})
+    ks.push_back(Fp::FromBigInt(k));
+  Rng rng(seed);
+  for (size_t i = 0; i < random; ++i) {
+    Fp k = Fp::FromBigInt(BigInt::RandomBelow(r, &rng));
+    if (i % 4 == 0) k = Fp{{k.limb[0] & 0xffff, 0, 0, 0}};
+    ks.push_back(k);
+  }
+  return ks;
 }
 
 class BasTest : public ::testing::Test {
@@ -159,12 +210,16 @@ TEST_F(BasTest, VerifyAggregateBatchMatchesSequential) {
   // VerifyAggregate — including a tampered claim in the middle and an
   // empty claim against the infinity aggregate.
   for (HashMode mode : {HashMode::kSecure, HashMode::kFast}) {
+    // More claims than the fixed-base crossover, so kFast's hash sums take
+    // the pairwise path; claims 0, 5, 10, ... are empty.
+    const int kClaims =
+        static_cast<int>(BasContext::kFixedBaseBatchCrossover) + 6;
     std::vector<std::vector<std::string>> bufs;
     std::vector<BasAggregateClaim> claims;
-    for (int c = 0; c < 5; ++c) {
+    for (int c = 0; c < kClaims; ++c) {
       bufs.emplace_back();
       std::vector<BasSignature> sigs;
-      for (int i = 0; i < c; ++i) {
+      for (int i = 0; i < c % 5; ++i) {
         bufs.back().push_back("claim-" + std::to_string(c) + "-tuple-" +
                               std::to_string(i));
         sigs.push_back(key_->Sign(Slice(bufs.back().back()), mode));
@@ -333,20 +388,42 @@ TEST_F(BasTest, HashToPointIsDeterministic) {
   EXPECT_TRUE((*ctx_)->curve().Equal(h1, h2));
 }
 
+TEST_F(BasTest, FixedBaseMultManyMatchesJacobian) {
+  // Edges and 10^4 random scalars: FixedBaseMultMany slices this into
+  // batches of at most kFixedBaseSlice on the pairwise path.
+  const std::vector<Fp> ks = EdgeAndRandomScalars(*ctx_, 10000, 56);
+  ExpectFixedBaseManyMatchesJac(*ctx_, ks);
+  // The edges alone, below the crossover, on both paths.
+  ExpectFixedBaseManyMatchesJac(*ctx_, std::vector<Fp>(ks.begin(),
+                                                       ks.begin() + 7));
+}
+
 TEST_F(BasTest, SignBatchMatchesSign) {
-  // One shared inversion per batch (kFast) must not change any signature.
-  std::vector<std::string> bufs = {"chain", "attr-0", "attr-1", "attr-2"};
-  std::vector<Slice> msgs(bufs.begin(), bufs.end());
+  // Whichever fixed-base path a batch takes (kFast), every signature must
+  // be the per-message one, byte for byte.
+  constexpr size_t kCross = BasContext::kFixedBaseBatchCrossover;
+  std::vector<std::string> bufs;
+  for (size_t i = 0; i < 1280; ++i) bufs.push_back("msg-" + std::to_string(i));
   for (HashMode mode : {HashMode::kSecure, HashMode::kFast}) {
-    std::vector<BasSignature> batch = key_->SignBatch(msgs, mode);
-    ASSERT_EQ(batch.size(), msgs.size());
-    for (size_t i = 0; i < msgs.size(); ++i) {
-      EXPECT_TRUE((*ctx_)->curve().Equal(batch[i].point,
-                                         key_->Sign(msgs[i], mode).point))
-          << "mode=" << static_cast<int>(mode) << " i=" << i;
-      EXPECT_TRUE(key_->public_key().Verify(msgs[i], batch[i], mode));
+    for (size_t n : {size_t{0}, size_t{1}, size_t{4}, kCross - 1, kCross,
+                     size_t{256}, size_t{257}, size_t{1280}}) {
+      // kSecure signs one by one whatever the size.
+      if (mode == HashMode::kSecure && n > 257) continue;
+      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
+                   " n=" + std::to_string(n));
+      const std::vector<Slice> msgs(bufs.begin(), bufs.begin() + n);
+      const std::vector<BasSignature> batch = key_->SignBatch(msgs, mode);
+      ASSERT_EQ(batch.size(), n);
+      size_t wrong = 0;
+      for (size_t i = 0; i < n; ++i) {
+        if ((*ctx_)->curve().Serialize(batch[i].point) !=
+            (*ctx_)->curve().Serialize(key_->Sign(msgs[i], mode).point))
+          ++wrong;
+      }
+      EXPECT_EQ(wrong, 0u);
+      for (size_t i = 0; i < std::min<size_t>(n, 4); ++i)
+        EXPECT_TRUE(key_->public_key().Verify(msgs[i], batch[i], mode));
     }
-    EXPECT_TRUE(key_->SignBatch({}, mode).empty());
   }
 }
 
@@ -421,6 +498,14 @@ TEST(BasDefaultParamsTest, KnownAnswerBytes) {
 
 TEST(BasDefaultParamsTest, FixedBaseMultAtWindowBoundaries) {
   ExpectFixedBaseWindowBoundaries(BasContext::Default());
+}
+
+TEST(BasDefaultParamsTest, FixedBaseMultManyMatchesJacobian) {
+  // 20 windows here (8 in the 96-bit suite), so the pairwise trees run
+  // five levels deep.
+  ExpectFixedBaseManyMatchesJac(
+      BasContext::Default(),
+      EdgeAndRandomScalars(BasContext::Default(), 1000, 57));
 }
 
 TEST(BasDefaultParamsTest, BatchMatchesPairReference) {

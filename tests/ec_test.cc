@@ -1,6 +1,7 @@
 #include "crypto/ec.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -116,6 +117,104 @@ TEST_F(EcTest, SumSkipsInfinity) {
   std::vector<ECPoint> pts = {ECPoint{}, p, ECPoint{}};
   EXPECT_TRUE(curve().Equal(curve().Sum(pts), p));
   EXPECT_TRUE(curve().Sum({}).infinity);
+}
+
+/// CurveGroup::SumGroups over `groups` (points stored by value here)
+/// against the reference: iterated JacAddAffine from infinity, skipping
+/// infinity entries, and one ToAffine per group.
+void ExpectSumGroupsMatchesIteratedAdd(
+    const CurveGroup& curve, const std::vector<std::vector<ECPoint>>& groups) {
+  std::vector<const ECPoint*> points;
+  std::vector<size_t> offsets = {0};
+  for (const auto& g : groups) {
+    for (const ECPoint& p : g) points.push_back(&p);
+    offsets.push_back(points.size());
+  }
+  std::vector<ECPoint> got(groups.size());
+  curve.SumGroups(points.data(), offsets.data(), groups.size(), got.data());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    CurveGroup::Jacobian acc = curve.ToJacobian(ECPoint{});
+    for (const ECPoint& p : groups[g]) {
+      if (!p.infinity) acc = curve.JacAddAffine(acc, p);
+    }
+    const ECPoint want = curve.ToAffine(acc);
+    EXPECT_TRUE(curve.Equal(got[g], want))
+        << "group " << g << " of size " << groups[g].size();
+    EXPECT_TRUE(curve.IsOnCurve(got[g])) << "group " << g;
+  }
+}
+
+TEST_F(EcTest, SumGroupsMatchesIteratedAddOverMixedSizes) {
+  Rng rng(13);
+  const auto random_point = [&] {
+    return curve().ScalarMult(G(), BigInt(1 + rng.Uniform(1u << 30)));
+  };
+  // Empty, single, pair, odd and even groups of every size up to 21 in one
+  // call, so odd tails appear at every tree level.
+  std::vector<std::vector<ECPoint>> groups;
+  for (size_t size : {0, 1, 2, 3, 0, 5, 8, 7, 1, 4, 9, 16, 17, 20, 21, 6,
+                      10, 11, 12, 13, 14, 15, 18, 19}) {
+    groups.emplace_back();
+    for (size_t i = 0; i < size; ++i) groups.back().push_back(random_point());
+  }
+  ExpectSumGroupsMatchesIteratedAdd(curve(), groups);
+  ExpectSumGroupsMatchesIteratedAdd(curve(), {});
+  ExpectSumGroupsMatchesIteratedAdd(curve(), {{}});
+  ExpectSumGroupsMatchesIteratedAdd(curve(), {{random_point()}});
+}
+
+TEST_F(EcTest, SumGroupsDoublesAndCancelsAtEveryLevel) {
+  // Pairs with equal x take the exact JacAddAffine path (dx = 0 has no
+  // inverse), whether they meet at the first level or as partial sums
+  // further down the tree.
+  const ECPoint p = curve().ScalarMult(G(), BigInt(1234567));
+  const ECPoint q = curve().ScalarMult(G(), BigInt(7654321));
+  const ECPoint np = curve().Negate(p);
+  const ECPoint nq = curve().Negate(q);
+  const PrimeField& f = curve().field();
+  // (0, 0) is on y^2 = x^3 + x with order 2: doubling it gives infinity.
+  const ECPoint t{f.Zero(), f.Zero(), false};
+  ASSERT_TRUE(curve().IsOnCurve(t));
+  ExpectSumGroupsMatchesIteratedAdd(
+      curve(), {
+                   {p, p},            // P + P at level 1
+                   {p, np},           // P + (-P) at level 1
+                   {t, t},            // doubling a y = 0 point
+                   {p, q, p, q},      // (P+Q) + (P+Q) at level 2
+                   {p, q, np, nq},    // (P+Q) + (-(P+Q)) at level 2
+                   {p, np, q},        // infinity meets an odd tail
+                   {p, np, q, nq},    // infinity + infinity at level 2
+                   {p, q, p, q, p, q, p, q},     // doubling at level 3
+                   {p, q, p, q, np, nq, np, nq},  // cancelling at level 3
+                   {p, p, p},         // 2P + P
+                   {q, p, q, p, q},   // mixed, odd
+               });
+}
+
+TEST_F(EcTest, SumGroupsPassesInfinityEntriesThrough) {
+  const ECPoint o;
+  const ECPoint p = curve().ScalarMult(G(), BigInt(99));
+  const ECPoint q = curve().ScalarMult(G(), BigInt(12345));
+  ExpectSumGroupsMatchesIteratedAdd(curve(), {
+                                                 {o},
+                                                 {o, o},
+                                                 {o, p},
+                                                 {p, o},
+                                                 {p, o, q},
+                                                 {o, o, o, p, o},
+                                                 {p, q, o, o, q},
+                                             });
+}
+
+TEST(CurveGroupDeathTest, FindGeneratorAbortsWhenNoCandidateSurvives) {
+  // #E = p + 1 on y^2 = x^3 + x for p = 3 (mod 4), so a cofactor of p + 1
+  // sends every point to infinity: the search must stop at its bound and
+  // abort, not spin.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const BigInt p(1019);
+  const CurveGroup curve(p, /*a=*/1, /*b=*/0, /*order_r=*/BigInt(1),
+                         /*cofactor=*/BigInt::Add(p, BigInt(1)));
+  EXPECT_DEATH(curve.FindGenerator(), "check failed: !g.infinity");
 }
 
 TEST_F(EcTest, SerializeRoundtrip) {

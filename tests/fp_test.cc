@@ -156,6 +156,32 @@ TEST(FpKernelTest, AdxMatchesPortable) {
 #endif
 }
 
+TEST(FpKernelTest, LimbChainsMatchPortable) {
+  // SubLimbs and AddLimbs (ADC/SBB intrinsics on x86-64) against their
+  // loop forms, carry and borrow out included: every modulus's edges and
+  // unreduced values, the moduli themselves, and random 256-bit words.
+  Rng rng(33);
+  std::vector<Fp> ops;
+  for (const KernelModulus& m : KernelModuli()) {
+    for (const Fp& e : m.Edges()) ops.push_back(e);
+    for (const Fp& u : m.Unreduced(&rng)) ops.push_back(u);
+    ops.push_back(m.p);
+  }
+  for (int i = 0; i < 64; ++i)
+    ops.push_back(Fp::FromBigInt(BigInt::Random(256, &rng)));
+  for (const Fp& a : ops) {
+    for (const Fp& b : ops) {
+      Fp got, want;
+      EXPECT_EQ(fp_internal::SubLimbs(a, b, &got),
+                fp_internal::SubLimbsPortable(a, b, &want));
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(fp_internal::AddLimbs(a, b, &got),
+                fp_internal::AddLimbsPortable(a, b, &want));
+      EXPECT_EQ(got, want);
+    }
+  }
+}
+
 /// Plain operands: the edge values, values whose sum passes 2^256 when p
 /// is that wide, and random residues.
 std::vector<BigInt> Operands(const BigInt& p, Rng* rng) {

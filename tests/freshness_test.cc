@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -206,6 +207,43 @@ TEST_F(FreshnessTest, SummarySizeTracksUpdateCount) {
   EXPECT_LT(small.compressed_bitmap.size(), large.compressed_bitmap.size());
   // Size is proportional to updates, insensitive to the 1M-record domain.
   EXPECT_LT(large.compressed_bitmap.size(), 4096u);
+}
+
+TEST_F(FreshnessTest, HeldMarksMatchTheDecodedBitmap) {
+  // The checker keeps each summary's marks as a sorted rid list, not as the
+  // decoded bitmap. Over random bitmaps (random sizes, densities from empty
+  // to full, both codecs) its verdicts must be the bitmap's own Get: a
+  // record certified before the period that marks it is stale, every
+  // other rid is fresh, including rids at or past nbits.
+  WahCodec wah;
+  Rng rng(0x6d61726b);
+  for (int round = 0; round < 40; ++round) {
+    const BitmapCodec* codec = round % 2 == 0
+                                   ? static_cast<const BitmapCodec*>(&codec_)
+                                   : &wah;
+    const uint64_t nbits = 1 + rng.Uniform(700);
+    const uint64_t density = rng.Uniform(101);  // percent of rids marked
+    SummaryBuilder builder(codec);
+    FreshnessChecker checker(&key_->public_key(), codec, HashMode::kFast);
+    ASSERT_TRUE(checker.AddSummary(Publish(&builder, 0, 1000, nbits)).ok());
+    for (uint64_t rid = 0; rid < nbits + 64; ++rid) {
+      if (rng.Uniform(100) < density) builder.MarkUpdated(rid);
+    }
+    const UpdateSummary marked = Publish(&builder, 1, 2000, nbits);
+    ASSERT_TRUE(checker.AddSummary(marked).ok());
+    Result<Bitmap> bitmap = codec->Decode(Slice(marked.compressed_bitmap));
+    ASSERT_TRUE(bitmap.ok());
+    ASSERT_EQ(bitmap.value().size(), nbits);
+    for (uint64_t rid = 0; rid < nbits + 64; ++rid) {
+      SCOPED_TRACE("round " + std::to_string(round) + " rid " +
+                   std::to_string(rid) + " nbits " + std::to_string(nbits));
+      // Certified at ts 500, inside period 0: period 1 began after it.
+      EXPECT_EQ(checker.CheckRecord(rid, 500, 2500).IsVerificationFailed(),
+                bitmap.value().Get(rid));
+      // Certified inside period 1: its own period's mark is expected.
+      EXPECT_TRUE(checker.CheckRecord(rid, 1500, 2500).ok());
+    }
+  }
 }
 
 TEST_F(FreshnessTest, NoSummariesMeansEverythingFresh) {
