@@ -6,9 +6,10 @@
 // compare_bench.py — the crypto hot path must actually buy its keep. And it
 // reports the F_p multiply tiers (crypto/fp.h) side by side: ns per
 // dependent multiply and us per pairing check for each, with their
-// same-run quotient, and kFast signing per message on both fixed-base
-// paths at batch sizes 8 to 256 (informational: no baseline entry gates
-// them).
+// same-run quotient, kFast signing per message on both fixed-base paths
+// at batch sizes 8 to 256, the batch inversion's cost per element, and a
+// period close's partition certification split into message build and
+// signing (informational: no baseline entry gates them).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/slice.h"
+#include "core/join.h"
 #include "crypto/bas.h"
 #include "crypto/ec.h"
 #include "crypto/fp.h"
@@ -122,6 +124,68 @@ double SignPathMicros(const std::shared_ptr<const BasContext>& ctx, size_t n,
   return best * 1e6 / static_cast<double>(n);
 }
 
+/// PrimeField::InvBatch over `n` random nonzero elements of the curve
+/// field, in nanoseconds per element (best of `reps` batches).
+double InvBatchNsPerElem(const std::shared_ptr<const BasContext>& ctx,
+                         size_t n, int reps) {
+  const PrimeField& f = ctx->curve().field();
+  Rng rng(0x1ba7);
+  std::vector<Fp> xs(n);
+  for (Fp& x : xs) x = f.FromPlain(BigInt::RandomBelow(f.p(), &rng));
+  double best = 0;
+  for (int r = 0; r < reps; ++r) {
+    std::vector<Fp> v = xs;
+    auto t0 = std::chrono::steady_clock::now();
+    f.InvBatch(&v);
+    double s = SecondsSince(t0);
+    AUTHDB_CHECK(f.Mul(v[0], xs[0]) == f.One());
+    if (r == 0 || s < best) best = s;
+  }
+  return best * 1e9 / static_cast<double>(n);
+}
+
+/// A period close's partition certification: kSignBatchSize partitions of
+/// 8 values at 8 bits per value (one 64-byte filter block each), timed as
+/// JoinAuthority::Certify runs it: the PartitionMessages build, then the
+/// one SignBatch. Microseconds per certificate, best of `reps` closes.
+struct CertifyCost {
+  double build_us;
+  double sign_us;
+};
+CertifyCost PartitionCertifyMicros(const std::shared_ptr<const BasContext>& ctx,
+                                   int reps) {
+  Rng rng(0xce27);
+  const BasPrivateKey key = BasPrivateKey::Generate(ctx, &rng);
+  const JoinAuthority authority(ctx, &key, BasContext::HashMode::kFast);
+  std::vector<int64_t> values(8 * kSignBatchSize);
+  for (size_t i = 0; i < values.size(); ++i)
+    values[i] = static_cast<int64_t>(3 * i);
+  std::vector<CertifiedPartition> parts = authority.BuildPartitions(
+      values, /*values_per_partition=*/8, /*bits_per_value=*/8.0, /*ts=*/1);
+  AUTHDB_CHECK(parts.size() == kSignBatchSize);
+  std::vector<const CertifiedPartition*> ptrs;
+  for (const CertifiedPartition& p : parts) ptrs.push_back(&p);
+  CertifyCost best{0, 0};
+  for (int r = 0; r < reps; ++r) {
+    auto t0 = std::chrono::steady_clock::now();
+    const ByteBuffer msgs = PartitionMessages(ptrs.data(), ptrs.size());
+    std::vector<Slice> views(ptrs.size());
+    for (size_t i = 0; i < ptrs.size(); ++i)
+      views[i] = PartitionMessageAt(msgs, i);
+    const double build = SecondsSince(t0);
+    t0 = std::chrono::steady_clock::now();
+    std::vector<BasSignature> sigs =
+        key.SignBatch(views, BasContext::HashMode::kFast);
+    const double sign = SecondsSince(t0);
+    AUTHDB_CHECK(sigs.size() == parts.size());
+    if (r == 0 || build < best.build_us) best.build_us = build;
+    if (r == 0 || sign < best.sign_us) best.sign_us = sign;
+  }
+  best.build_us *= 1e6 / kSignBatchSize;
+  best.sign_us *= 1e6 / kSignBatchSize;
+  return best;
+}
+
 /// One F_p multiply tier's costs on the default parameters.
 struct FieldTierCost {
   PrimeField::MulTier ran;  // kPortable when kAdx cannot run here
@@ -216,6 +280,19 @@ void Run(bench::BenchRun* run) {
     if (n == 256) quotient_256 = pair > 0 ? jac / pair : 0;
   }
   run->Metric("bas_sign_fast_pairwise_speedup_n256", quotient_256);
+  // The shared inversion under every SumGroups level and ToAffineBatch,
+  // and the partition certificates of one period close.
+  const double inv_ns = InvBatchNsPerElem(ctx, kSignBatchSize, smoke ? 64 : 256);
+  std::printf("  InvBatch (x%zu, %zu lanes)  %10.1f ns/element\n",
+              kSignBatchSize, PrimeField::kInvBatchLanes, inv_ns);
+  run->Metric("inv_batch_ns_per_elem", inv_ns);
+  const CertifyCost certify = PartitionCertifyMicros(ctx, smoke ? 5 : 15);
+  std::printf("  Partition certify (x%zu)  %10.3f us/certificate "
+              "(message build %.3f + sign %.3f)\n",
+              kSignBatchSize, certify.build_us + certify.sign_us,
+              certify.build_us, certify.sign_us);
+  run->Metric("partition_certify_build_us_n256", certify.build_us);
+  run->Metric("partition_certify_sign_us_n256", certify.sign_us);
   std::printf("Condensed RSA (1024-bit)\n");
   std::printf("  Individual signing        %10.3f ms\n", c.rsa_sign * 1e3);
   std::printf("  Individual verification   %10.3f ms\n", c.rsa_verify * 1e3);

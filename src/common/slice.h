@@ -47,16 +47,26 @@ class Slice {
 /// build canonical byte strings for hashing and signing.
 class ByteBuffer {
  public:
+  ByteBuffer() = default;
+  /// An empty buffer with room for `capacity` bytes: a builder that knows
+  /// its message size allocates once instead of growing field by field.
+  explicit ByteBuffer(size_t capacity) { bytes_.reserve(capacity); }
+
   void PutU8(uint8_t v) { bytes_.push_back(v); }
   void PutU32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) bytes_.push_back((v >> (8 * i)) & 0xff);
+    uint8_t le[4];
+    for (int i = 0; i < 4; ++i) le[i] = static_cast<uint8_t>(v >> (8 * i));
+    PutBytes(Slice(le, sizeof(le)));
   }
   void PutU64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) bytes_.push_back((v >> (8 * i)) & 0xff);
+    uint8_t le[8];
+    for (int i = 0; i < 8; ++i) le[i] = static_cast<uint8_t>(v >> (8 * i));
+    PutBytes(Slice(le, sizeof(le)));
   }
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutBytes(Slice s) { bytes_.insert(bytes_.end(), s.data(), s.data() + s.size()); }
   void PutString(const std::string& s) { PutBytes(Slice(s)); }
+  void PutString(const char* s) { PutBytes(Slice(s, std::strlen(s))); }
 
   Slice AsSlice() const { return Slice(bytes_); }
   const std::vector<uint8_t>& bytes() const { return bytes_; }

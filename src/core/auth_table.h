@@ -57,6 +57,11 @@ class AuthTable {
 
   /// Every item in key order.
   std::vector<Item> ScanAll() const;
+  /// The indexed keys in [lo, hi], ascending, without loading a record or
+  /// decoding a signature (what Scan(lo, hi).items would carry as keys).
+  std::vector<int64_t> KeysIn(int64_t lo, int64_t hi) const {
+    return index_.KeysIn(lo, hi);
+  }
 
   uint64_t size() const { return index_.size(); }
   uint32_t index_height() const { return index_.height(); }

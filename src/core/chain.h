@@ -29,7 +29,7 @@ constexpr int64_t kChainPlusInf = std::numeric_limits<int64_t>::max();
 /// root bottleneck).
 inline ByteBuffer ChainMessage(int64_t key, const Digest160& record_digest,
                                int64_t left_key, int64_t right_key) {
-  ByteBuffer buf;
+  ByteBuffer buf(5 + 8 + sizeof(record_digest.bytes) + 8 + 8);
   buf.PutString("chain");
   buf.PutI64(key);
   buf.PutBytes(record_digest.AsSlice());

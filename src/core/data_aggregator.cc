@@ -44,6 +44,13 @@ std::vector<Slice> SlicesOf(const std::vector<ByteBuffer>& bufs) {
   for (const ByteBuffer& b : bufs) out.push_back(b.AsSlice());
   return out;
 }
+
+/// The distinct B values of ascending composite keys, in place.
+std::vector<int64_t> DistinctBValues(std::vector<int64_t> keys) {
+  for (int64_t& k : keys) k = JoinBValue(k);
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
 }  // namespace
 
 CertifiedRecord DataAggregator::SignRecord(const Record& rec, int64_t left,
@@ -108,25 +115,16 @@ std::vector<int64_t> DataAggregator::DistinctBValuesIn(
   int64_t hi = p.hi_b == std::numeric_limits<int64_t>::max()
                    ? kChainPlusInf - 1
                    : JoinCompositeKey(p.hi_b, (1u << kJoinDupShift) - 1);
-  std::vector<int64_t> out;
-  for (const AuthTable::Item& item : table_.Scan(lo, hi).items) {
-    int64_t b = JoinBValue(item.record.key());
-    if (out.empty() || out.back() != b) out.push_back(b);
-  }
-  return out;
+  return DistinctBValues(table_.KeysIn(lo, hi));
 }
 
 const std::vector<CertifiedPartition>& DataAggregator::EnableJoinPartitions(
     size_t values_per_partition, double bits_per_value) {
   join_authority_ = std::make_unique<JoinAuthority>(ctx_, &key_,
                                                     options_.hash_mode);
-  std::vector<int64_t> distinct_b;
-  for (const AuthTable::Item& item : table_.ScanAll()) {
-    int64_t b = JoinBValue(item.record.key());
-    if (distinct_b.empty() || distinct_b.back() != b) distinct_b.push_back(b);
-  }
   join_partitions_ = join_authority_->BuildPartitions(
-      distinct_b, values_per_partition, bits_per_value, clock_->NowMicros());
+      DistinctBValues(table_.KeysIn(kChainMinusInf, kChainPlusInf)),
+      values_per_partition, bits_per_value, clock_->NowMicros());
   pending_insert_b_.clear();
   delete_dirty_.clear();
   return join_partitions_;
@@ -299,6 +297,7 @@ DataAggregator::PeriodOutput DataAggregator::PublishSummary() {
     static const std::vector<int64_t> kNoValues;
     std::vector<CertifiedPartition*> touched;
     touched.reserve(join_partitions_.size());
+    out.partition_refresh.deltas.reserve(join_partitions_.size());
     for (CertifiedPartition& p : join_partitions_) {
       if (delete_dirty_.count(p.idx) > 0) {
         p = join_authority_->RebuildPartition(p, DistinctBValuesIn(p), now);
@@ -353,7 +352,7 @@ std::vector<SignedRecordUpdate> DataAggregator::BackgroundRenewal(
 
 ByteBuffer DataAggregator::AttributeMessage(uint64_t rid, uint32_t attr_index,
                                             int64_t value, uint64_t ts) {
-  ByteBuffer buf;
+  ByteBuffer buf(4 + 8 + 4 + 8 + 8);
   buf.PutString("attr");
   buf.PutU64(rid);
   buf.PutU32(attr_index);

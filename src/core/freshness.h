@@ -25,7 +25,7 @@ struct UpdateSummary {
   BasSignature sig;
 
   ByteBuffer SignedMessage() const {
-    ByteBuffer buf;
+    ByteBuffer buf(7 + 3 * 8 + compressed_bitmap.size());
     buf.PutString("summary");
     buf.PutU64(seq);
     buf.PutU64(publish_ts);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -13,16 +12,62 @@
 namespace authdb {
 
 // ---------------------------------------------------------------------------
+// Partition certificate messages
+
+ByteBuffer PartitionMessages(const CertifiedPartition* const* parts,
+                             size_t n) {
+  // Every certification preimage back to back, then one multi-buffer pass.
+  size_t preimage_bytes = 0;
+  for (size_t i = 0; i < n; ++i)
+    preimage_bytes += parts[i]->filter.certification_preimage_size();
+  ByteBuffer preimages(preimage_bytes);
+  for (size_t i = 0; i < n; ++i)
+    parts[i]->filter.AppendCertificationPreimage(&preimages);
+  std::vector<Slice> views(n);
+  const uint8_t* at = preimages.bytes().data();
+  for (size_t i = 0; i < n; ++i) {
+    views[i] = Slice(at, parts[i]->filter.certification_preimage_size());
+    at += views[i].size();
+  }
+  std::vector<Digest160> digests(n);
+  Sha1::HashMany(views.data(), n, digests.data());
+
+  ByteBuffer out(n * kPartitionMessageBytes);
+  for (size_t i = 0; i < n; ++i) {
+    const CertifiedPartition& p = *parts[i];
+    out.PutString("bfpart");
+    out.PutU32(p.idx);
+    out.PutI64(p.lo_b);
+    out.PutI64(p.hi_b);
+    out.PutU64(p.ts);
+    out.PutU64(p.filter.bit_count());
+    out.PutU32(static_cast<uint32_t>(p.filter.hash_count()));
+    out.PutBytes(digests[i].AsSlice());
+  }
+  AUTHDB_DCHECK(out.size() == n * kPartitionMessageBytes);
+  return out;
+}
+
+ByteBuffer PartitionMessages(const std::vector<CertifiedPartition>& parts) {
+  std::vector<const CertifiedPartition*> ptrs(parts.size());
+  for (size_t i = 0; i < parts.size(); ++i) ptrs[i] = &parts[i];
+  return PartitionMessages(ptrs.data(), ptrs.size());
+}
+
+ByteBuffer CertifiedPartition::SignedMessage() const {
+  const CertifiedPartition* self = this;
+  return PartitionMessages(&self, 1);
+}
+
+// ---------------------------------------------------------------------------
 // JoinAuthority
 
 void JoinAuthority::Certify(
     const std::vector<CertifiedPartition*>& parts) const {
-  std::vector<ByteBuffer> msgs;
-  msgs.reserve(parts.size());
-  for (const CertifiedPartition* p : parts) msgs.push_back(p->SignedMessage());
-  std::vector<Slice> views;
-  views.reserve(msgs.size());
-  for (const ByteBuffer& m : msgs) views.push_back(m.AsSlice());
+  const ByteBuffer msgs = PartitionMessages(parts.data(), parts.size());
+  std::vector<Slice> views(parts.size());
+  for (size_t i = 0; i < parts.size(); ++i)
+    views[i] = PartitionMessageAt(msgs, i);
   std::vector<BasSignature> sigs = key_->SignBatch(views, mode_);
   for (size_t i = 0; i < parts.size(); ++i) parts[i]->sig = sigs[i];
 }
@@ -90,27 +135,32 @@ PartitionDelta JoinAuthority::RefreshWithDelta(
   return out;
 }
 
+namespace {
+/// The partition with `idx`, or nullptr: its own slot when the vector is
+/// in idx order (the DA builds it so), else a linear search.
+CertifiedPartition* FindPartition(std::vector<CertifiedPartition>* partitions,
+                                  uint32_t idx) {
+  if (idx < partitions->size() && (*partitions)[idx].idx == idx)
+    return &(*partitions)[idx];
+  for (CertifiedPartition& p : *partitions) {
+    if (p.idx == idx) return &p;
+  }
+  return nullptr;
+}
+}  // namespace
+
 bool ApplyPartitionRefresh(const PartitionRefresh& refresh,
                            std::vector<CertifiedPartition>* partitions) {
   for (const CertifiedPartition& f : refresh.full) {
-    bool replaced = false;
-    for (CertifiedPartition& p : *partitions) {
-      if (p.idx == f.idx) {
-        p = f;
-        replaced = true;
-        break;
-      }
+    CertifiedPartition* target = FindPartition(partitions, f.idx);
+    if (target != nullptr) {
+      *target = f;
+    } else {
+      partitions->push_back(f);
     }
-    if (!replaced) partitions->push_back(f);
   }
   for (const PartitionDelta& d : refresh.deltas) {
-    CertifiedPartition* target = nullptr;
-    for (CertifiedPartition& p : *partitions) {
-      if (p.idx == d.idx) {
-        target = &p;
-        break;
-      }
-    }
+    CertifiedPartition* target = FindPartition(partitions, d.idx);
     if (target == nullptr) return false;
     if (!target->filter.Merge(d.delta)) return false;
     target->ts = d.ts;
@@ -122,42 +172,53 @@ bool ApplyPartitionRefresh(const PartitionRefresh& refresh,
 // ---------------------------------------------------------------------------
 // VO sizes
 
+namespace {
+/// Number of distinct values in `v` (sorts it).
+size_t CountDistinct(std::vector<int64_t>* v) {
+  std::sort(v->begin(), v->end());
+  return static_cast<size_t>(std::unique(v->begin(), v->end()) - v->begin());
+}
+}  // namespace
+
 size_t JoinAnswer::vo_boundary_bytes(const SizeModel& sm) const {
   // The BV-style accounting of [24]: each boundary witness contributes its
   // content digest (the verifier rebuilds the chain message from it) plus
   // the bracketing S.B values; witnesses shared between adjacent unmatched
   // values are deduplicated. Match groups add their two boundary values.
-  std::set<int64_t> boundary_vals;
+  std::vector<int64_t> boundary_vals;
+  boundary_vals.reserve(2 * matches.size() + 3 * absence_proofs.size());
   auto add_key = [&](int64_t composite) {
     if (composite != kChainMinusInf && composite != kChainPlusInf)
-      boundary_vals.insert(JoinBValue(composite));
+      boundary_vals.push_back(JoinBValue(composite));
   };
   for (const JoinMatch& m : matches) {
     add_key(m.left_key);
     add_key(m.right_key);
   }
-  std::set<int64_t> witnesses;
+  std::vector<int64_t> witnesses;
+  witnesses.reserve(absence_proofs.size());
   for (const AbsenceProof& p : absence_proofs) {
-    witnesses.insert(p.rec_key);
+    witnesses.push_back(p.rec_key);
     add_key(p.rec_key);
     add_key(p.left_key);
     add_key(p.right_key);
   }
-  return boundary_vals.size() * sm.join_attr_bytes +
-         witnesses.size() * sm.digest_bytes;
+  return CountDistinct(&boundary_vals) * sm.join_attr_bytes +
+         CountDistinct(&witnesses) * sm.digest_bytes;
 }
 
 size_t JoinAnswer::vo_bloom_bytes(const SizeModel& sm) const {
   size_t bytes = 0;
-  std::set<int64_t> part_bounds;
+  std::vector<int64_t> part_bounds;
+  part_bounds.reserve(2 * partitions.size());
   for (const CertifiedPartition& p : partitions) {
     bytes += (p.filter.bit_count() + 7) / 8;
     if (p.lo_b != std::numeric_limits<int64_t>::min())
-      part_bounds.insert(p.lo_b);
+      part_bounds.push_back(p.lo_b);
     if (p.hi_b != std::numeric_limits<int64_t>::max())
-      part_bounds.insert(p.hi_b);
+      part_bounds.push_back(p.hi_b);
   }
-  return bytes + part_bounds.size() * sm.join_attr_bytes;
+  return bytes + CountDistinct(&part_bounds) * sm.join_attr_bytes;
 }
 
 size_t JoinAnswer::vo_size_paper(const SizeModel& sm) const {

@@ -49,19 +49,28 @@ struct CertifiedPartition {
   BloomFilter filter;
   BasSignature sig;
 
-  ByteBuffer SignedMessage() const {
-    ByteBuffer buf;
-    buf.PutString("bfpart");
-    buf.PutU32(idx);
-    buf.PutI64(lo_b);
-    buf.PutI64(hi_b);
-    buf.PutU64(ts);
-    buf.PutU64(filter.bit_count());
-    buf.PutU32(static_cast<uint32_t>(filter.hash_count()));
-    buf.PutBytes(filter.CertificationDigest().AsSlice());
-    return buf;
-  }
+  /// The certificate message the DA signs:
+  ///   "bfpart" | idx | lo_b | hi_b | ts | m | k | CertificationDigest
+  /// A batch of one through PartitionMessages.
+  ByteBuffer SignedMessage() const;
 };
+
+/// Bytes of one partition certificate message.
+constexpr size_t kPartitionMessageBytes = 6 + 4 + 8 + 8 + 8 + 8 + 4 + 20;
+
+/// The SignedMessage of each of `n` partitions, back to back
+/// (kPartitionMessageBytes each, in order) in one buffer sized once. Every
+/// filter's certification preimage is laid out first and hashed in one
+/// Sha1::HashMany. The one builder of partition messages: the DA's Certify
+/// and the client's join claim both call it.
+ByteBuffer PartitionMessages(const CertifiedPartition* const* parts, size_t n);
+/// Contiguous-array convenience overload.
+ByteBuffer PartitionMessages(const std::vector<CertifiedPartition>& parts);
+/// Message `i` of a PartitionMessages buffer.
+inline Slice PartitionMessageAt(const ByteBuffer& msgs, size_t i) {
+  return Slice(msgs.bytes().data() + i * kPartitionMessageBytes,
+               kPartitionMessageBytes);
+}
 
 /// An insert-only refresh of one partition: a small delta filter with the
 /// live partition's geometry, plus the DA's signature over the POST-merge
@@ -91,6 +100,9 @@ struct PartitionRefresh {
 /// Apply one refresh to a partitions vector in place: full rebuilds
 /// replace the matching partition by idx (or append a new one), deltas
 /// merge into the matching filter and install the post-merge ts + sig.
+/// Partitions are normally stored in idx order, so partition `idx` is
+/// looked up at position idx first and searched for only when that slot
+/// holds another partition.
 /// Returns false when a delta references a missing partition or its
 /// geometry mismatches — the caller should treat the refresh as
 /// corrupt and keep its previous state.

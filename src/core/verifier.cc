@@ -213,9 +213,11 @@ Status BuildProjectionMessages(const Query& query,
 /// Join claim (Section 3.5): every R.A value must be accounted for by
 /// exactly one proof — match group, negative probe, or absence witness —
 /// and the one aggregate covers every chained record and every shipped
-/// partition certificate.
+/// partition certificate. The certificate messages come back as one
+/// PartitionMessages block in `partition_messages`.
 Status BuildJoinMessages(const Query& query, const JoinAnswer& ans,
-                         std::vector<ByteBuffer>* messages_out) {
+                         std::vector<ByteBuffer>* messages_out,
+                         ByteBuffer* partition_messages) {
   std::vector<ByteBuffer>& messages = *messages_out;
   std::set<int64_t> pending(query.join_values.begin(),
                             query.join_values.end());
@@ -313,14 +315,16 @@ Status BuildJoinMessages(const Query& query, const JoinAnswer& ans,
   }
   for (const AbsenceProof& p : ans.absence_proofs)
     link(p.rec_key, p.rec_digest, p.left_key, p.right_key);
-  for (const CertifiedPartition& p : ans.partitions)
-    messages.push_back(p.SignedMessage());
+  *partition_messages = PartitionMessages(ans.partitions);
   return Status::OK();
 }
 
 /// One answer's claim for phase 2, and what phase 3 bounds by age.
 struct Claim {
   std::vector<ByteBuffer> messages;
+  /// Joins only: the shipped partitions' certificate messages, signed
+  /// after `messages` (a PartitionMessages block).
+  ByteBuffer partition_messages;
   const BasSignature* agg = nullptr;
   const char* mismatch = nullptr;
   /// Joins only: the shipped Bloom partitions, whose certification age
@@ -342,7 +346,8 @@ Status BuildClaim(const Query& query, const QueryAnswer& ans, Claim* claim) {
       claim->agg = &ans.join.agg_sig;
       claim->mismatch = "join aggregate signature mismatch";
       claim->partitions = &ans.join.partitions;
-      return BuildJoinMessages(query, ans.join, &claim->messages);
+      return BuildJoinMessages(query, ans.join, &claim->messages,
+                               &claim->partition_messages);
   }
   return Status::InvalidArgument("unknown answer kind");
 }
@@ -405,9 +410,14 @@ std::vector<Status> ClientVerifier::Verify(const Query* plans,
   for (size_t i = 0; i < n; ++i) {
     if (answers[i] == nullptr || !out[i].ok()) continue;
     BasAggregateClaim claim;
-    claim.messages.reserve(claims[i].messages.size());
+    const size_t n_parts =
+        claims[i].partition_messages.size() / kPartitionMessageBytes;
+    claim.messages.reserve(claims[i].messages.size() + n_parts);
     for (const ByteBuffer& m : claims[i].messages)
       claim.messages.push_back(m.AsSlice());
+    for (size_t p = 0; p < n_parts; ++p)
+      claim.messages.push_back(
+          PartitionMessageAt(claims[i].partition_messages, p));
     claim.agg = *claims[i].agg;
     batch.push_back(std::move(claim));
     owner.push_back(i);

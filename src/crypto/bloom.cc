@@ -171,15 +171,17 @@ size_t BloomFilter::ones() const {
 
 void BloomFilter::Clear() { std::fill(bits_.begin(), bits_.end(), 0); }
 
+void BloomFilter::AppendCertificationPreimage(ByteBuffer* out) const {
+  out->PutU32(kBlockedLayoutTag);
+  out->PutU64(m_bits_);
+  out->PutU32(static_cast<uint32_t>(k_));
+  out->PutBytes(Slice(bits_));
+}
+
 Digest160 BloomFilter::CertificationDigest() const {
-  Sha1 h;
-  ByteBuffer header;
-  header.PutU32(kBlockedLayoutTag);
-  header.PutU64(m_bits_);
-  header.PutU32(static_cast<uint32_t>(k_));
-  h.Update(header.AsSlice());
-  h.Update(Slice(bits_));
-  return h.Finish();
+  ByteBuffer preimage(certification_preimage_size());
+  AppendCertificationPreimage(&preimage);
+  return Sha1::Hash(preimage.AsSlice());
 }
 
 }  // namespace authdb

@@ -110,6 +110,14 @@ class BloomFilter {
   /// signs. The layout tag pins the blocked geometry: a verifier replaying
   /// this digest over a differently-laid-out bit array must fail.
   Digest160 CertificationDigest() const;
+  /// CertificationDigest's preimage: a 16-byte header (layout tag as u32,
+  /// m as u64, k as u32, little-endian) followed by the bit array. Batch
+  /// builders append many preimages and hash them in one Sha1::HashMany.
+  static constexpr size_t kCertificationHeaderBytes = 16;
+  size_t certification_preimage_size() const {
+    return kCertificationHeaderBytes + bits_.size();
+  }
+  void AppendCertificationPreimage(ByteBuffer* out) const;
 
  private:
   size_t BlockOf(uint64_t h1) const {

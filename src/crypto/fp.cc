@@ -76,25 +76,52 @@ Fp PrimeField::FromPlain(const BigInt& a) const {
 }
 
 void PrimeField::InvBatch(std::vector<Fp>* v) const {
-  // Prefix-multiply the nonzero elements, invert the single running
-  // product, then peel per-element inverses off backwards.
+  // Montgomery's trick: prefix-multiply the nonzero elements, invert the
+  // running product once, then peel per-element inverses off backwards.
+  // From kInvBatchLanedMin elements on, the prefix runs as kInvBatchLanes
+  // interleaved chains (element i in lane i % kInvBatchLanes): a step
+  // depends only on the previous step of its own lane, so the lanes'
+  // multiplies overlap in the pipeline instead of waiting on one another.
+  // Below it the single chain stays, as it needs no lane combining.
   std::vector<Fp>& x = *v;
-  std::vector<Fp> prefix(x.size());  // prefix[i] = product of x[0..i] != 0
-  Fp running = one_;
+  const size_t lanes = x.size() < kInvBatchLanedMin ? 1 : kInvBatchLanes;
+  const size_t lane_mask = lanes - 1;  // both lane counts are powers of 2
+  // prefix[i] = product of the nonzero x[j], j <= i, j = i (mod lanes)
+  std::vector<Fp> prefix(x.size());
+  Fp running[kInvBatchLanes];
+  for (size_t l = 0; l < lanes; ++l) running[l] = one_;
   bool any = false;
   for (size_t i = 0; i < x.size(); ++i) {
+    Fp& r = running[i & lane_mask];
     if (!x[i].IsZero()) {
-      running = Mul(running, x[i]);
+      r = Mul(r, x[i]);
       any = true;
     }
-    prefix[i] = running;
+    prefix[i] = r;
   }
   if (!any) return;
-  Fp inv = Inv(running);  // the batch's one inversion
+  // inv[l] = 1 / running[l]: one inversion of the product of the lane
+  // totals, then each lane's inverse is that times the other lanes' totals.
+  Fp inv[kInvBatchLanes];
+  if (lanes == 1) {
+    inv[0] = Inv(running[0]);
+  } else {
+    static_assert(kInvBatchLanes == 4, "lane combine below is for 4 lanes");
+    const Fp t01 = Mul(running[0], running[1]);
+    const Fp t23 = Mul(running[2], running[3]);
+    const Fp inv_all = Inv(Mul(t01, t23));  // the batch's one inversion
+    const Fp inv01 = Mul(inv_all, t23);
+    const Fp inv23 = Mul(inv_all, t01);
+    inv[0] = Mul(inv01, running[1]);
+    inv[1] = Mul(inv01, running[0]);
+    inv[2] = Mul(inv23, running[3]);
+    inv[3] = Mul(inv23, running[2]);
+  }
   for (size_t i = x.size(); i-- > 0;) {
     if (x[i].IsZero()) continue;
-    Fp xi = i == 0 ? inv : Mul(inv, prefix[i - 1]);
-    inv = Mul(inv, x[i]);  // running inverse of the shorter prefix
+    Fp& lane_inv = inv[i & lane_mask];
+    Fp xi = i < lanes ? lane_inv : Mul(lane_inv, prefix[i - lanes]);
+    lane_inv = Mul(lane_inv, x[i]);  // inverse of the lane's shorter prefix
     x[i] = xi;
   }
 }

@@ -121,8 +121,13 @@ class PrimeField {
 
   /// Replaces every nonzero element of `v` by its inverse with ONE field
   /// inversion (Montgomery's batch-inversion trick); zeros stay zero. The
-  /// one operation here that allocates (its prefix products).
+  /// one operation here that allocates (its prefix products). From
+  /// kInvBatchLanedMin elements on, the prefix products run as
+  /// kInvBatchLanes independent chains whose multiplies overlap; the
+  /// inverses are unique, so the outputs do not depend on the split.
   void InvBatch(std::vector<Fp>* v) const;
+  static constexpr size_t kInvBatchLanes = 4;
+  static constexpr size_t kInvBatchLanedMin = 8;
 
   /// Square root for p = 3 (mod 4) with one exponentiation:
   /// y = a^((p+1)/4) squares back to `a` iff `a` is a quadratic residue

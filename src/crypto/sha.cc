@@ -25,6 +25,19 @@ inline void StoreBE32(uint8_t* p, uint32_t v) {
 
 const char* kHexDigits = "0123456789abcdef";
 
+/// FIPS 180 padding for a message of `length` bytes: 0x80, zeros up to 56
+/// mod 64, then the 64-bit big-endian bit length. Writes 9 to 72 bytes to
+/// `pad` and returns how many, so Finish appends it in one Update.
+size_t Padding(uint64_t length, uint8_t pad[72]) {
+  const size_t rem = length % 64;
+  const size_t zeros = (rem < 56 ? 56 : 120) - rem - 1;
+  pad[0] = 0x80;
+  std::memset(pad + 1, 0, zeros);
+  const uint64_t bit_len = length * 8;
+  for (int i = 0; i < 8; ++i) pad[1 + zeros + i] = bit_len >> (56 - 8 * i);
+  return 1 + zeros + 8;
+}
+
 template <size_t N>
 std::string BytesToHex(const std::array<uint8_t, N>& b) {
   std::string out;
@@ -115,14 +128,8 @@ void Sha1::Update(Slice data) {
 }
 
 Digest160 Sha1::Finish() {
-  uint64_t bit_len = length_ * 8;
-  uint8_t pad = 0x80;
-  Update(Slice(&pad, 1));
-  uint8_t zero = 0;
-  while (buffered_ != 56) Update(Slice(&zero, 1));
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = bit_len >> (56 - 8 * i);
-  Update(Slice(len_be, 8));
+  uint8_t pad[72];
+  Update(Slice(pad, Padding(length_, pad)));
   Digest160 out;
   for (int i = 0; i < 5; ++i) StoreBE32(out.bytes.data() + 4 * i, h_[i]);
   Reset();
@@ -130,9 +137,9 @@ Digest160 Sha1::Finish() {
 }
 
 Digest160 Sha1::Hash(Slice data) {
-  Sha1 h;
-  h.Update(data);
-  return h.Finish();
+  Digest160 out;
+  simd::Sha1HashMany(&data, 1, &out);
+  return out;
 }
 
 void Sha1::HashMany(const Slice* msgs, size_t count, Digest160* out) {
@@ -140,10 +147,10 @@ void Sha1::HashMany(const Slice* msgs, size_t count, Digest160* out) {
 }
 
 Digest160 Sha1::HashPair(const Digest160& a, const Digest160& b) {
-  Sha1 h;
-  h.Update(a.AsSlice());
-  h.Update(b.AsSlice());
-  return h.Finish();
+  uint8_t pair[2 * sizeof(a.bytes)];
+  std::memcpy(pair, a.bytes.data(), sizeof(a.bytes));
+  std::memcpy(pair + sizeof(a.bytes), b.bytes.data(), sizeof(b.bytes));
+  return Hash(Slice(pair, sizeof(pair)));
 }
 
 // ---------------------------------------------------------------------------
@@ -240,14 +247,8 @@ void Sha256::Update(Slice data) {
 }
 
 Digest256 Sha256::Finish() {
-  uint64_t bit_len = length_ * 8;
-  uint8_t pad = 0x80;
-  Update(Slice(&pad, 1));
-  uint8_t zero = 0;
-  while (buffered_ != 56) Update(Slice(&zero, 1));
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = bit_len >> (56 - 8 * i);
-  Update(Slice(len_be, 8));
+  uint8_t pad[72];
+  Update(Slice(pad, Padding(length_, pad)));
   Digest256 out;
   for (int i = 0; i < 8; ++i) StoreBE32(out.bytes.data() + 4 * i, h_[i]);
   Reset();
@@ -255,9 +256,9 @@ Digest256 Sha256::Finish() {
 }
 
 Digest256 Sha256::Hash(Slice data) {
-  Sha256 h;
-  h.Update(data);
-  return h.Finish();
+  Digest256 out;
+  simd::Sha256HashMany(&data, 1, &out);
+  return out;
 }
 
 void Sha256::HashMany(const Slice* msgs, size_t count, Digest256* out) {

@@ -38,7 +38,7 @@ class Sha1 {
   void Update(Slice data);
   Digest160 Finish();
 
-  /// Convenience one-shot hash.
+  /// One-shot hash: a batch of one through HashMany's dispatched tier.
   static Digest160 Hash(Slice data);
   /// Hash the concatenation of two digests: h(a | b), the Merkle node rule.
   static Digest160 HashPair(const Digest160& a, const Digest160& b);
@@ -64,6 +64,7 @@ class Sha256 {
   void Update(Slice data);
   Digest256 Finish();
 
+  /// One-shot hash: a batch of one through HashMany's dispatched tier.
   static Digest256 Hash(Slice data);
   /// Batched one-shot hashing; see Sha1::HashMany.
   static void HashMany(const Slice* msgs, size_t count, Digest256* out);

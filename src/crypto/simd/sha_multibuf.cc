@@ -86,12 +86,23 @@ const uint8_t* LaneBlockPtr(const LaneSrc& lane, size_t b) {
   return lane.tail + (b - lane.data_blocks) * 64;
 }
 
+// The scalar tier hashes through the incremental objects: Sha1::Hash and
+// Sha256::Hash are batches of one through this dispatch, so calling them
+// here would recurse.
 void ScalarSha1Many(const Slice* msgs, size_t count, Digest160* out) {
-  for (size_t i = 0; i < count; ++i) out[i] = Sha1::Hash(msgs[i]);
+  Sha1 h;
+  for (size_t i = 0; i < count; ++i) {
+    h.Update(msgs[i]);
+    out[i] = h.Finish();
+  }
 }
 
 void ScalarSha256Many(const Slice* msgs, size_t count, Digest256* out) {
-  for (size_t i = 0; i < count; ++i) out[i] = Sha256::Hash(msgs[i]);
+  Sha256 h;
+  for (size_t i = 0; i < count; ++i) {
+    h.Update(msgs[i]);
+    out[i] = h.Finish();
+  }
 }
 
 #if defined(AUTHDB_SIMD_X86)

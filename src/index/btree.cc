@@ -388,15 +388,21 @@ Status BPlusTree::Delete(int64_t key) {
 // ---------------------------------------------------------------------------
 // Lookups
 
-BPlusTree::Node BPlusTree::FindLeaf(int64_t key) const {
-  Node node = LoadNode(root_);
-  while (!node.is_leaf) {
+PageId BPlusTree::FindLeafId(int64_t key) const {
+  PageId id = root_;
+  for (uint32_t level = 1; level < height_; ++level) {
+    Node node = LoadNode(id);
+    AUTHDB_DCHECK(!node.is_leaf);
     size_t idx =
         std::upper_bound(node.keys.begin(), node.keys.end(), key) -
         node.keys.begin();
-    node = LoadNode(node.children[idx]);
+    id = node.children[idx];
   }
-  return node;
+  return id;
+}
+
+BPlusTree::Node BPlusTree::FindLeaf(int64_t key) const {
+  return LoadNode(FindLeafId(key));
 }
 
 Result<std::vector<uint8_t>> BPlusTree::Get(int64_t key) const {
@@ -441,6 +447,31 @@ BPlusTree::ScanResult BPlusTree::Scan(int64_t lo, int64_t hi) const {
     }
     out.entries.push_back(Entry{leaf.keys[pos], leaf.payloads[pos]});
     ++pos;
+  }
+  return out;
+}
+
+std::vector<int64_t> BPlusTree::KeysIn(int64_t lo, int64_t hi) const {
+  std::vector<int64_t> out;
+  if (lo > hi) return out;
+  PageId id = FindLeafId(lo);
+  while (id != kInvalidPageId) {
+    Page* page = pool_->Fetch(id);
+    const uint16_t count = page->ReadAt<uint16_t>(2);
+    const size_t stride = 8 + payload_size_;
+    bool past_hi = false;
+    for (uint16_t i = 0; i < count; ++i) {
+      const int64_t key = page->ReadAt<int64_t>(kNodeHeader + i * stride);
+      if (key > hi) {
+        past_hi = true;
+        break;
+      }
+      if (key >= lo) out.push_back(key);
+    }
+    const PageId next = page->ReadAt<PageId>(8);
+    pool_->Unpin(page, false);
+    if (past_hi) break;
+    id = next;
   }
   return out;
 }

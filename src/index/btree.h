@@ -52,6 +52,9 @@ class BPlusTree {
   ScanResult Scan(int64_t lo, int64_t hi) const;
   /// All entries in key order (used by joins and bulk certification).
   std::vector<Entry> ScanAll() const;
+  /// The keys in [lo, hi], ascending, read straight off the leaf pages:
+  /// no payload is copied and no boundary entry is looked up.
+  std::vector<int64_t> KeysIn(int64_t lo, int64_t hi) const;
 
   uint64_t size() const { return num_entries_; }
   uint32_t height() const { return height_; }
@@ -90,6 +93,8 @@ class BPlusTree {
 
   /// Leaf that would contain `key` (first leaf with last key >= key).
   Node FindLeaf(int64_t key) const;
+  /// FindLeaf's page id, without decoding the leaf.
+  PageId FindLeafId(int64_t key) const;
 
   BufferPool* pool_;
   uint32_t payload_size_;

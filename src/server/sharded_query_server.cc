@@ -18,7 +18,7 @@ ShardedQueryServer::ShardedQueryServer(std::shared_ptr<const BasContext> ctx,
       exec_(router_.shard_count(), config.serving.worker_threads > 0),
       metrics_(router_.shard_count()),
       pin_sync_(std::make_shared<PinSync>()),
-      summaries_(std::make_shared<const std::deque<UpdateSummary>>()) {
+      summaries_(config.node.summaries_retained) {
   Result<ServerConfig> checked = config.Validated();
   AUTHDB_CHECK(checked.ok() && "invalid ServerConfig");
   if (config_.admission.enabled)
@@ -117,7 +117,7 @@ void ShardedQueryServer::InstallDescriptorLocked(
   raw->total_size = 0;
   for (const auto& s : snaps) raw->total_size += s->size();
   raw->shards = std::move(snaps);
-  raw->summaries = summaries_;
+  raw->summaries = summaries_.run();
   raw->partitions = partitions_;
   // The deleter fires when the last reader unpins a superseded epoch —
   // that retires the snapshot set (chunks shared with newer epochs
@@ -209,10 +209,7 @@ void ShardedQueryServer::PublishEpoch(
         std::move(next));
   }
   tracker_.Publish(summary.seq, summary.publish_ts);
-  auto sums = std::make_shared<std::deque<UpdateSummary>>(*summaries_);
-  sums->push_back(std::move(summary));
-  while (sums->size() > config_.node.summaries_retained) sums->pop_front();
-  summaries_ = std::move(sums);
+  summaries_.Append(std::move(summary));
   InstallDescriptorLocked(std::move(snaps), std::move(published));
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "server/metrics.h"
 #include "server/shard_executor.h"
 #include "server/shard_router.h"
+#include "server/summary_run.h"
 
 namespace authdb {
 
@@ -31,8 +31,9 @@ namespace authdb {
 struct EpochDescriptor {
   uint64_t epoch = 0;
   std::vector<std::shared_ptr<const EpochSnapshot>> shards;
-  /// Retained summary run (ascending seq, bounded by summaries_retained).
-  std::shared_ptr<const std::deque<UpdateSummary>> summaries;
+  /// Retained summary run (ascending seq, bounded by summaries_retained),
+  /// sharing its summaries with the runs of neighbouring epochs.
+  std::shared_ptr<const SummaryRun> summaries;
   /// Certified Bloom partitions over S.B installed at this epoch's barrier
   /// (or by a direct SetJoinPartitions); may be null when joins are off.
   std::shared_ptr<const std::vector<CertifiedPartition>> partitions;
@@ -308,8 +309,7 @@ class ShardedQueryServer {
 
   /// Publication-side state the next descriptor is assembled from
   /// (guarded by publish_mu_).
-  std::shared_ptr<const std::deque<UpdateSummary>> summaries_
-      GUARDED_BY(publish_mu_);
+  SummaryLog summaries_ GUARDED_BY(publish_mu_);
   std::shared_ptr<const std::vector<CertifiedPartition>> partitions_
       GUARDED_BY(publish_mu_);
 };

@@ -262,6 +262,53 @@ TEST_P(FpDifferentialTest, ArithmeticMatchesBigInt) {
   for (const Fp& z : zeros) EXPECT_TRUE(z.IsZero());
 }
 
+// InvBatch runs one prefix chain below kInvBatchLanedMin elements and
+// kInvBatchLanes interleaved chains from there on; either way every
+// element must come back as its own inverse and every zero as zero: with
+// no zeros, with a zero at every position (so in every lane and at every
+// lane offset), and with whole lanes of zeros.
+TEST_P(FpDifferentialTest, InvBatchMatchesInvAtEveryLength) {
+  const BigInt p = Prime();
+  PrimeField f(p, Tier());
+  Rng rng(Bits() + 3);
+  constexpr size_t kMaxLen = 40;
+  static_assert(kMaxLen > 2 * PrimeField::kInvBatchLanedMin,
+                "cover both sides of the single-chain cutoff");
+  std::vector<Fp> base(kMaxLen), inverse(kMaxLen);
+  for (size_t i = 0; i < kMaxLen; ++i) {
+    BigInt a = BigInt::RandomBelow(BigInt::Sub(p, BigInt(1)), &rng);
+    base[i] = f.FromPlain(BigInt::Add(a, BigInt(1)));  // nonzero
+    inverse[i] = f.Inv(base[i]);
+  }
+  constexpr size_t kLanes = PrimeField::kInvBatchLanes;
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    // Zero masks: none, each single position, each whole lane, two
+    // lanes, every lane but one, everything.
+    std::vector<std::vector<bool>> masks;
+    masks.emplace_back(len, false);
+    for (size_t z = 0; z < len; ++z) {
+      masks.emplace_back(len, false);
+      masks.back()[z] = true;
+    }
+    for (unsigned lanes : {0b0001u, 0b0010u, 0b0100u, 0b1000u, 0b0101u,
+                           0b1110u, 0b1011u, 0b1111u}) {
+      masks.emplace_back(len, false);
+      for (size_t i = 0; i < len; ++i)
+        masks.back()[i] = (lanes >> (i % kLanes)) & 1;
+    }
+    for (const std::vector<bool>& zero : masks) {
+      std::vector<Fp> v(len);
+      for (size_t i = 0; i < len; ++i) v[i] = zero[i] ? Fp{} : base[i];
+      f.InvBatch(&v);
+      for (size_t i = 0; i < len; ++i) {
+        SCOPED_TRACE("length " + std::to_string(len) + ", element " +
+                     std::to_string(i));
+        EXPECT_TRUE(v[i] == (zero[i] ? Fp{} : inverse[i]));
+      }
+    }
+  }
+}
+
 TEST_P(FpDifferentialTest, Fp2MatchesSchoolbookFormulas) {
   const BigInt p = Prime();
   PrimeField f(p, Tier());

@@ -315,6 +315,107 @@ TEST_F(JoinTest, ApplyPartitionRefreshMergesDeltasAndReplacesFulls) {
   EXPECT_FALSE(ApplyPartitionRefresh(mismatch, &live));
 }
 
+/// A partition's certificate message built field by field, with the
+/// filter digest from the scalar CertificationDigest: the reference the
+/// batch builder must reproduce byte for byte.
+std::vector<uint8_t> ReferenceMessage(const CertifiedPartition& p) {
+  ByteBuffer buf;
+  buf.PutString(std::string("bfpart"));
+  buf.PutU32(p.idx);
+  buf.PutI64(p.lo_b);
+  buf.PutI64(p.hi_b);
+  buf.PutU64(p.ts);
+  buf.PutU64(p.filter.bit_count());
+  buf.PutU32(static_cast<uint32_t>(p.filter.hash_count()));
+  buf.PutBytes(p.filter.CertificationDigest().AsSlice());
+  return buf.bytes();
+}
+
+TEST_F(JoinTest, PartitionMessagesMatchPerPartitionMessages) {
+  // Built, rebuilt and delta-refreshed partitions, a null-geometry filter
+  // and a multi-block filter (a preimage longer than one SHA block).
+  std::vector<CertifiedPartition> parts = partitions_;
+  parts.push_back(authority_->RebuildPartition(partitions_[1], {30},
+                                               clock_.NowMicros() + 1));
+  CertifiedPartition refreshed = partitions_[2];
+  authority_->RefreshWithDelta(&refreshed, {55, 60}, clock_.NowMicros() + 2);
+  parts.push_back(refreshed);
+  CertifiedPartition recertified = partitions_[0];
+  authority_->RefreshWithDelta(&recertified, {}, clock_.NowMicros() + 3);
+  parts.push_back(recertified);
+  parts.push_back(CertifiedPartition{});
+  CertifiedPartition wide;
+  wide.idx = 7;
+  wide.lo_b = -5;
+  wide.hi_b = 5;
+  wide.ts = 42;
+  wide.filter = BloomFilter::WithBitsPerKey(200, 10.0);
+  for (int64_t v = -5; v <= 5; ++v) wide.filter.AddInt64(v);
+  ASSERT_GT(wide.filter.byte_size(), BloomFilter::kBlockBytes);
+  parts.push_back(wide);
+  ASSERT_EQ(parts[parts.size() - 2].filter.bit_count(), 0u);
+
+  std::vector<uint8_t> expected;
+  for (const CertifiedPartition& p : parts) {
+    const std::vector<uint8_t> ref = ReferenceMessage(p);
+    ASSERT_EQ(ref.size(), kPartitionMessageBytes);
+    expected.insert(expected.end(), ref.begin(), ref.end());
+    EXPECT_EQ(p.SignedMessage().bytes(), ref) << "partition " << p.idx;
+  }
+  const ByteBuffer batch = PartitionMessages(parts);
+  EXPECT_EQ(batch.bytes(), expected);
+  std::vector<const CertifiedPartition*> ptrs;
+  for (const CertifiedPartition& p : parts) ptrs.push_back(&p);
+  const ByteBuffer via_ptrs = PartitionMessages(ptrs.data(), ptrs.size());
+  EXPECT_EQ(via_ptrs.bytes(), expected);
+  for (size_t i = 0; i < parts.size(); ++i) {
+    EXPECT_EQ(PartitionMessageAt(batch, i).ToBytes(),
+              ReferenceMessage(parts[i]));
+  }
+  EXPECT_EQ(PartitionMessages(nullptr, 0).size(), 0u);
+}
+
+TEST_F(JoinTest, ApplyPartitionRefreshFindsPartitionsOutOfIdxOrder) {
+  // Reversed: every partition sits outside its own idx slot except the
+  // middle one, so only the fallback search finds most of them.
+  std::vector<CertifiedPartition> live(partitions_.rbegin(),
+                                       partitions_.rend());
+  ASSERT_EQ(live.size(), 3u);
+  ASSERT_EQ(live[0].idx, 2u);
+  PartitionRefresh refresh;
+  CertifiedPartition merged = partitions_[0];
+  refresh.deltas.push_back(authority_->RefreshWithDelta(
+      &merged, {5}, clock_.NowMicros() + 1));
+  authority_->Certify({&merged});
+  refresh.deltas.back().sig = merged.sig;
+  refresh.full.push_back(authority_->RebuildPartition(
+      partitions_[2], {70}, clock_.NowMicros() + 1));
+  ASSERT_TRUE(ApplyPartitionRefresh(refresh, &live));
+  ASSERT_EQ(live.size(), 3u);
+  EXPECT_EQ(live[2].idx, 0u);
+  EXPECT_EQ(live[2].filter.bytes(), merged.filter.bytes());
+  EXPECT_EQ(live[2].ts, merged.ts);
+  EXPECT_EQ(live[0].idx, 2u);
+  EXPECT_EQ(live[0].filter.bytes(), refresh.full[0].filter.bytes());
+  EXPECT_EQ(live[1].filter.bytes(), partitions_[1].filter.bytes());
+
+  // A missing idx is rejected even when its slot is occupied by another
+  // partition (here idx 2 sits in slot 1 after idx 1 is dropped).
+  std::vector<CertifiedPartition> gap = {partitions_[0], partitions_[2]};
+  PartitionRefresh missing;
+  missing.deltas.push_back(PartitionDelta{});
+  missing.deltas.back().idx = 1;
+  EXPECT_FALSE(ApplyPartitionRefresh(missing, &gap));
+  // ... while the partition that sits in the wrong slot is still found.
+  PartitionRefresh present;
+  present.deltas.push_back(PartitionDelta{});
+  present.deltas.back().idx = 2;
+  present.deltas.back().ts = 77;
+  ASSERT_TRUE(ApplyPartitionRefresh(present, &gap));
+  EXPECT_EQ(gap[1].ts, 77u);
+  EXPECT_EQ(gap[0].ts, partitions_[0].ts);
+}
+
 TEST_F(JoinTest, TamperedDeltaMergedFilterDetected) {
   // The server merges the certified delta but then flips a bit: the
   // signature over the post-merge SignedMessage must fail.

@@ -75,6 +75,56 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   }
 }
 
+/// Every length from 0 to 200 bytes plus the block boundaries beyond:
+/// each padding shape (one or two tail blocks, 0 to 63 bytes left over).
+std::vector<size_t> LengthsAcrossBlockBoundaries() {
+  std::vector<size_t> out;
+  for (size_t len = 0; len <= 200; ++len) out.push_back(len);
+  for (size_t block : {4, 8, 16}) {
+    for (size_t len : {64 * block - 9, 64 * block - 8, 64 * block - 1,
+                       64 * block, 64 * block + 1})
+      out.push_back(len);
+  }
+  return out;
+}
+
+// One-shot Hash runs the dispatched tier (a batch of one); the incremental
+// object is the portable code. Run once as is and once under
+// AUTHDB_SHA_DISPATCH=scalar, where the one-shot path itself goes through
+// the incremental object (and must not recurse).
+template <typename H>
+void ExpectOneShotMatchesIncremental() {
+  Rng rng(14);
+  for (size_t len : LengthsAcrossBlockBoundaries()) {
+    std::vector<uint8_t> msg(len);
+    for (uint8_t& c : msg) c = static_cast<uint8_t>(rng.Uniform(256));
+    H whole;
+    whole.Update(Slice(msg));
+    H bytewise;
+    for (uint8_t c : msg) bytewise.Update(Slice(&c, 1));
+    const auto oneshot = H::Hash(Slice(msg));
+    EXPECT_EQ(whole.Finish(), oneshot) << "length " << len;
+    EXPECT_EQ(bytewise.Finish(), oneshot) << "length " << len;
+  }
+}
+
+TEST(Sha1Test, OneShotMatchesIncrementalAcrossBlockBoundaries) {
+  ExpectOneShotMatchesIncremental<Sha1>();
+}
+
+TEST(Sha256Test, OneShotMatchesIncrementalAcrossBlockBoundaries) {
+  ExpectOneShotMatchesIncremental<Sha256>();
+}
+
+TEST(Sha1Test, HashPairIsTheHashOfTheConcatenation) {
+  const Digest160 a = Sha1::Hash(Slice(std::string("left")));
+  const Digest160 b = Sha1::Hash(Slice(std::string("right")));
+  Sha1 h;
+  h.Update(a.AsSlice());
+  h.Update(b.AsSlice());
+  EXPECT_EQ(Sha1::HashPair(a, b), h.Finish());
+}
+
 TEST(Sha1Test, ReuseAfterFinish) {
   Sha1 h;
   h.Update(Slice(std::string("abc")));

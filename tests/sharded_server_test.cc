@@ -7,13 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/data_aggregator.h"
 #include "core/verifier.h"
+#include "server/summary_run.h"
 
 namespace authdb {
 namespace {
@@ -293,6 +297,101 @@ TEST_F(ShardedServerTest, RangesBeforeAndAfterAModifyMatchSingleServer) {
   ASSERT_TRUE(msg.ok());
   Apply(msg.value());
   ExpectMatchesReference(50, 70);
+}
+
+/// (seq, publish_ts, bitmap) of every summary, in order.
+using SummaryKeys =
+    std::vector<std::tuple<uint64_t, uint64_t, std::vector<uint8_t>>>;
+template <typename Summaries>
+SummaryKeys KeysOf(const Summaries& summaries) {
+  SummaryKeys out;
+  for (const UpdateSummary& s : summaries)
+    out.emplace_back(s.seq, s.publish_ts, s.compressed_bitmap);
+  return out;
+}
+
+TEST(SummaryLogTest, HeldRunsKeepTheirOwnSummaries) {
+  constexpr size_t kRetained = 3;
+  SummaryLog log(kRetained);
+  EXPECT_EQ(log.run()->size(), 0u);
+  std::vector<std::shared_ptr<const SummaryRun>> held;
+  for (uint64_t seq = 0; seq < 3 * SummaryRun::kChunkSlots + 5; ++seq) {
+    UpdateSummary s;
+    s.seq = seq;
+    s.publish_ts = 1000 + seq;
+    s.compressed_bitmap = {static_cast<uint8_t>(seq)};
+    log.Append(std::move(s));
+    held.push_back(log.run());
+  }
+  // Run k ends with seq k and holds min(k + 1, kRetained) summaries, in
+  // ascending order, however many appends followed it.
+  for (uint64_t k = 0; k < held.size(); ++k) {
+    SCOPED_TRACE("run " + std::to_string(k));
+    const SummaryRun& run = *held[k];
+    const size_t want = std::min<size_t>(k + 1, kRetained);
+    ASSERT_EQ(run.size(), want);
+    size_t i = 0;
+    for (const UpdateSummary& s : run) {
+      const uint64_t seq = k + 1 - want + i;
+      EXPECT_EQ(s.seq, seq);
+      EXPECT_EQ(s.publish_ts, 1000 + seq);
+      EXPECT_EQ(s.compressed_bitmap,
+                std::vector<uint8_t>{static_cast<uint8_t>(seq)});
+      EXPECT_EQ(&run[i], &s);
+      ++i;
+    }
+    EXPECT_EQ(i, want);
+  }
+}
+
+TEST_F(ShardedServerTest, PinnedEpochKeepsItsSummariesPastTheRetentionBound) {
+  ServerConfig cfg;
+  cfg.node.record_len = 128;
+  cfg.node.summaries_retained = 5;
+  cfg.serving.worker_threads = 0;
+  server_ = std::make_unique<ShardedQueryServer>(
+      *ctx_, ShardRouter::Uniform(2, 0, 198), cfg);
+  std::vector<Record> records;
+  for (int64_t k : EvenKeys()) {
+    Record r;
+    r.attrs = {k, k * 100, k};
+    records.push_back(r);
+  }
+  auto stream = da_->BulkLoad(std::move(records));
+  ASSERT_TRUE(stream.ok());
+  for (const auto& msg : stream.value())
+    ASSERT_TRUE(server_->ApplyUpdate(msg).ok());
+  auto publish = [&] {
+    clock_.AdvanceSeconds(1.0);
+    server_->AddSummary(da_->PublishSummary().summary);
+  };
+  for (int i = 0; i < 3; ++i) publish();
+
+  std::shared_ptr<const EpochDescriptor> pin = server_->PinCurrentEpoch();
+  const SummaryKeys pinned = KeysOf(*pin->summaries);
+  ASSERT_EQ(pinned.size(), 3u);
+  auto before = Serve(*server_, 10, 20);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(KeysOf(before.value().summaries), pinned);
+
+  // Well past the bound and across several summary chunks.
+  for (size_t i = 0; i < 2 * SummaryRun::kChunkSlots + 7; ++i) publish();
+  EXPECT_EQ(KeysOf(*pin->summaries), pinned);
+  EXPECT_EQ(KeysOf(before.value().summaries), pinned);
+
+  // The current epoch carries the newest five, ascending; an answer
+  // attaches every one of them (the records predate all five).
+  std::shared_ptr<const EpochDescriptor> now = server_->PinCurrentEpoch();
+  ASSERT_EQ(now->summaries->size(), cfg.node.summaries_retained);
+  const uint64_t last = (*now->summaries)[now->summaries->size() - 1].seq;
+  EXPECT_EQ(last, 3 + 2 * SummaryRun::kChunkSlots + 7 - 1);
+  for (size_t i = 0; i < now->summaries->size(); ++i)
+    EXPECT_EQ((*now->summaries)[i].seq, last - 4 + i);
+  auto after = Serve(*server_, 10, 20);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(KeysOf(after.value().summaries), KeysOf(*now->summaries));
+  ClientVerifier fresh(&da_->public_key(), &codec_, HashMode::kFast);
+  EXPECT_TRUE(Check(10, 20, after.value(), &fresh).ok());
 }
 
 }  // namespace

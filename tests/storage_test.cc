@@ -2,10 +2,14 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "core/auth_table.h"
+#include "crypto/bas.h"
 #include "storage/buffer_pool.h"
 #include "storage/record_file.h"
 
@@ -209,6 +213,56 @@ TEST(RecordFileTest, ReattachRecoversState) {
     EXPECT_GT(rid3, rid1);
   }
   std::remove(path.c_str());
+}
+
+// AuthTable::KeysIn reads keys off the index leaves only; it must list
+// exactly the keys Scan(lo, hi) loads records for.
+TEST(AuthTableTest, KeysInMatchesScanKeys) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto ctx = BasContext::Default();
+  DiskManager data_dm(""), index_dm("");
+  BufferPool data_pool(&data_dm, 64), index_pool(&index_dm, 64);
+  AuthTable table(&data_pool, &index_pool, &ctx->curve(), 64);
+  auto scan_keys = [&](int64_t lo, int64_t hi) {
+    std::vector<int64_t> keys;
+    for (const AuthTable::Item& item : table.Scan(lo, hi).items)
+      keys.push_back(item.record.key());
+    return keys;
+  };
+  auto expect_same = [&](int64_t lo, int64_t hi) {
+    SCOPED_TRACE("[" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    EXPECT_EQ(table.KeysIn(lo, hi), scan_keys(lo, hi));
+  };
+  // Empty table.
+  expect_same(kMin, kMax);
+  expect_same(0, 10);
+
+  // Keys 0, 7, 14, ... across many leaves, plus both sentinel values as
+  // stored keys; then delete every third so leaves merge and rebalance.
+  std::vector<int64_t> keys = {kMin, kMax};
+  for (int64_t k = 0; k < 7 * 1500; k += 7) keys.push_back(k);
+  for (int64_t k : keys) {
+    Record r;
+    r.attrs = {k, k / 7};
+    ASSERT_TRUE(table.Insert(r, BasSignature{}).ok());
+  }
+  for (int64_t k = 0; k < 7 * 1500; k += 21) ASSERT_TRUE(table.Delete(k).ok());
+  ASSERT_GT(table.index_height(), 1u);
+
+  const std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {kMin, kMax},     {kMin, kMin},     {kMax, kMax},
+      {kMin + 1, kMax - 1}, {kMin, -1},   {7 * 1000, kMax},
+      {7, 7},           {21, 21},         {8, 13},
+      {100, 99},        {kMax, kMin},     {-50, 0},
+      {7 * 1499, 7 * 1600}, {7 * 1500, kMax - 1}};
+  for (const auto& [lo, hi] : ranges) expect_same(lo, hi);
+  Rng rng(0x6b1);
+  for (int i = 0; i < 200; ++i) {
+    int64_t lo = static_cast<int64_t>(rng.Uniform(7 * 1600)) - 100;
+    int64_t hi = lo + static_cast<int64_t>(rng.Uniform(700));
+    expect_same(lo, hi);
+  }
 }
 
 }  // namespace
