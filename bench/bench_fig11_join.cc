@@ -3,6 +3,8 @@
 // style Security >< Holding workload:
 //   (a) match ratio alpha sweep      (b) filter bits per value m/IB
 //   (c) partition size IB/p (+ filter update time)   (d) R selectivity
+// and, beyond the figure: (e) delta refresh vs rebuild, (f) batched probe
+// throughput, (g) the period close against its dirty-partition count.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -304,6 +306,59 @@ void Run(bench::BenchRun* run) {
         speedup);
     run->Metric("join_probe_throughput_speedup", speedup);
     run->Metric("join_probe_batched_mprobe_per_s", batched_mps);
+  }
+
+  // (g) Period close against the dirty set: a DA serving 256 partitions of
+  // 8 B values each closes periods in which 0, 8, 64 or all 256
+  // partitions took one insert. The close certifies only the dirty
+  // partitions, so its cost should scale with that count (plus the one
+  // summary signature), not with 256. Informational, not gated.
+  {
+    constexpr size_t kParts = 256, kValuesPer = 8;
+    const int kReps = smoke ? 5 : 15;
+    ManualClock clock(1'000'000);
+    Rng rng(0xc105e);
+    DataAggregator::Options opt;
+    opt.record_len = 64;
+    opt.piggyback_renewal = false;
+    DataAggregator da(b.ctx, &clock, &rng, opt);
+    std::vector<Record> rows(kParts * kValuesPer);
+    for (size_t v = 0; v < rows.size(); ++v) {
+      const int64_t bv = static_cast<int64_t>(v);
+      rows[v].attrs = {JoinCompositeKey(bv, 0), bv};
+    }
+    AUTHDB_CHECK(da.BulkLoad(std::move(rows)).ok());
+    da.EnableJoinPartitions(kValuesPer, 8.0);
+    AUTHDB_CHECK(da.join_partitions().size() == kParts);
+    uint32_t dup = 0;
+    std::printf("\n(g) Period close with k of %zu partitions dirty "
+                "(median of %d closes):\n", kParts, kReps);
+    for (size_t dirty : {size_t{0}, size_t{8}, size_t{64}, kParts}) {
+      std::vector<double> close_us;
+      size_t shipped = 0;
+      for (int rep = 0; rep < kReps; ++rep) {
+        ++dup;
+        for (size_t i = 0; i < dirty; ++i) {
+          // The first B value of every (kParts / dirty)-th partition.
+          const int64_t bv =
+              static_cast<int64_t>(i * (kParts / dirty) * kValuesPer);
+          AUTHDB_CHECK(da.InsertRecord({JoinCompositeKey(bv, dup), bv}).ok());
+        }
+        clock.AdvanceMicros(1'000'000);
+        Stopwatch sw;
+        DataAggregator::PeriodOutput out = da.PublishSummary();
+        close_us.push_back(sw.ElapsedMicros());
+        shipped = out.partition_refresh.deltas.size() +
+                  out.partition_refresh.full.size();
+      }
+      AUTHDB_CHECK(shipped == dirty);
+      std::sort(close_us.begin(), close_us.end());
+      const double median = close_us[close_us.size() / 2];
+      std::printf("    %3zu dirty: PublishSummary %8.1f usec\n", dirty,
+                  median);
+      run->Metric("close_us_dirty_" + std::to_string(dirty) + "_of_256",
+                  median);
+    }
   }
 }
 

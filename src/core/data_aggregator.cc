@@ -91,17 +91,13 @@ std::vector<CertifiedRecord> DataAggregator::SignRecords(
 }
 
 void DataAggregator::MarkJoinDirty(int64_t composite_key, bool is_delete) {
-  if (join_partitions_.empty()) return;
-  int64_t b = JoinBValue(composite_key);
-  for (const CertifiedPartition& p : join_partitions_) {
-    if (p.lo_b <= b && b <= p.hi_b) {
-      if (is_delete) {
-        delete_dirty_.insert(p.idx);
-      } else {
-        pending_insert_b_[p.idx].push_back(b);
-      }
-      return;
-    }
+  const int64_t b = JoinBValue(composite_key);
+  const CertifiedPartition* p = FindCoveringPartition(join_partitions_, b);
+  if (p == nullptr) return;
+  if (is_delete) {
+    delete_dirty_.insert(p->idx);
+  } else {
+    pending_insert_b_[p->idx].push_back(b);
   }
 }
 
@@ -270,10 +266,20 @@ void DataAggregator::PiggybackRenewal(uint64_t around_rid,
 
 DataAggregator::PeriodOutput DataAggregator::PublishSummary() {
   PeriodOutput out;
+  // One time for the whole close: the summary's publish_ts is also the
+  // stamp of every certificate the close issues, so the summary that
+  // issues a certificate never indicts it (FreshnessChecker).
+  const uint64_t now = clock_->NowMicros();
   std::vector<uint64_t> multi = summary_.MultiUpdatedRids();
-  out.summary = summary_.BuildAndSign(summary_seq_++, clock_->NowMicros(),
+  // The join partitions whose filter changed this period: the summary
+  // marks them, and only they (plus certificates older than rho') are
+  // certified anew below.
+  Bitmap changed(join_authority_ != nullptr ? join_partitions_.size() : 0);
+  for (uint32_t idx : delete_dirty_) changed.Set(idx);
+  for (const auto& [idx, values] : pending_insert_b_) changed.Set(idx);
+  out.summary = summary_.BuildAndSign(summary_seq_++, now,
                                       table_.records().rid_upper_bound(),
-                                      key_, options_.hash_mode);
+                                      key_, options_.hash_mode, &changed);
   // Re-certify multi-updated records in the new period so their stale
   // intermediate versions are invalidated by the next summary.
   for (uint64_t rid : multi) {
@@ -287,34 +293,39 @@ DataAggregator::PeriodOutput DataAggregator::PublishSummary() {
     if (!msg.recertified.empty()) out.recertifications.push_back(std::move(msg));
   }
   // Join state rides the same cadence. Delete-dirty partitions are rebuilt
-  // from a table scan (a delete left a B value the filter cannot forget);
-  // everything else ships a cheap delta — a small filter over the period's
-  // inserted B values, or an empty recertification — that skips both the
-  // scan and the full re-hash, so refreshes stay cheap as partitions grow.
-  // Every certificate of the period is then signed in one batch.
+  // from a key scan (a delete left a B value the filter cannot forget);
+  // insert-dirty ones ship a small delta filter over the period's inserted
+  // B values; clean ones keep their certificate unless it is older than
+  // rho', which renews it with an empty delta. Every certificate of the
+  // period is then signed in one batch.
   if (join_authority_ != nullptr) {
-    uint64_t now = clock_->NowMicros();
     static const std::vector<int64_t> kNoValues;
     std::vector<CertifiedPartition*> touched;
-    touched.reserve(join_partitions_.size());
-    out.partition_refresh.deltas.reserve(join_partitions_.size());
+    std::vector<bool> rebuilt;
     for (CertifiedPartition& p : join_partitions_) {
-      if (delete_dirty_.count(p.idx) > 0) {
+      const bool deleted = delete_dirty_.count(p.idx) > 0;
+      auto inserted = pending_insert_b_.find(p.idx);
+      if (deleted) {
         p = join_authority_->RebuildPartition(p, DistinctBValuesIn(p), now);
-      } else {
-        auto it = pending_insert_b_.find(p.idx);
+      } else if (inserted != pending_insert_b_.end() ||
+                 now - p.ts > options_.rho_prime_micros) {
         out.partition_refresh.deltas.push_back(join_authority_->RefreshWithDelta(
-            &p, it == pending_insert_b_.end() ? kNoValues : it->second, now));
+            &p,
+            inserted != pending_insert_b_.end() ? inserted->second : kNoValues,
+            now));
+      } else {
+        continue;
       }
       touched.push_back(&p);
+      rebuilt.push_back(deleted);
     }
     join_authority_->Certify(touched);
     auto delta = out.partition_refresh.deltas.begin();
-    for (const CertifiedPartition& p : join_partitions_) {
-      if (delete_dirty_.count(p.idx) > 0) {
-        out.partition_refresh.full.push_back(p);
+    for (size_t i = 0; i < touched.size(); ++i) {
+      if (rebuilt[i]) {
+        out.partition_refresh.full.push_back(*touched[i]);
       } else {
-        (delta++)->sig = p.sig;
+        (delta++)->sig = touched[i]->sig;
       }
     }
     pending_insert_b_.clear();

@@ -52,11 +52,16 @@ class DataAggregator {
   /// Close the current rho-period: emit the certified summary plus the
   /// re-certification messages for records updated multiple times in the
   /// closed period (Section 3.1), plus — when join partitions are enabled —
-  /// the period's partition maintenance: delete-dirty partitions are
-  /// rebuilt from the table and ship as full certified filters; insert-only
-  /// and untouched partitions ship cheap deltas (a small same-geometry
-  /// filter over the period's new B values, or an empty recertification)
-  /// that the servers merge into their live filters at the epoch barrier.
+  /// the period's partition maintenance, at dirty-set cost. The summary
+  /// marks every partition whose filter changed this period, and only
+  /// those are certified anew: delete-dirty partitions are rebuilt from
+  /// the table and ship as full certified filters; insert-only ones ship a
+  /// small same-geometry delta filter over the period's new B values that
+  /// the servers merge into their live filters at the epoch barrier. A
+  /// clean partition keeps its certificate (the unmarked summary keeps it
+  /// fresh) until it is older than rho', when an empty delta renews it.
+  /// Every certificate the close issues is stamped with the summary's
+  /// publish_ts.
   struct PeriodOutput {
     UpdateSummary summary;
     std::vector<SignedRecordUpdate> recertifications;
@@ -67,8 +72,8 @@ class DataAggregator {
   /// Treat the relation as the join's S table (composite keys, Section
   /// 3.5): build certified Bloom partitions over the current distinct B
   /// values and keep them current — inserts/deletes mark the covering
-  /// partition dirty, and every PublishSummary re-certifies the set on the
-  /// rho-period cadence. Returns the initial partitions (also available
+  /// partition dirty, and the next PublishSummary marks it in the summary
+  /// and re-certifies it. Returns the initial partitions (also available
   /// via join_partitions()).
   const std::vector<CertifiedPartition>& EnableJoinPartitions(
       size_t values_per_partition, double bits_per_value);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -135,36 +136,55 @@ PartitionDelta JoinAuthority::RefreshWithDelta(
   return out;
 }
 
+PartitionSet SharePartitions(std::vector<CertifiedPartition> parts) {
+  PartitionSet out;
+  out.reserve(parts.size());
+  for (CertifiedPartition& p : parts)
+    out.push_back(std::make_shared<const CertifiedPartition>(std::move(p)));
+  return out;
+}
+
 namespace {
-/// The partition with `idx`, or nullptr: its own slot when the vector is
-/// in idx order (the DA builds it so), else a linear search.
-CertifiedPartition* FindPartition(std::vector<CertifiedPartition>* partitions,
-                                  uint32_t idx) {
-  if (idx < partitions->size() && (*partitions)[idx].idx == idx)
+/// The slot holding partition `idx`, or nullptr: its own slot when the set
+/// is in idx order (the DA builds it so), else a linear search.
+std::shared_ptr<const CertifiedPartition>* FindPartition(
+    PartitionSet* partitions, uint32_t idx) {
+  if (idx < partitions->size() && (*partitions)[idx]->idx == idx)
     return &(*partitions)[idx];
-  for (CertifiedPartition& p : *partitions) {
-    if (p.idx == idx) return &p;
+  for (std::shared_ptr<const CertifiedPartition>& p : *partitions) {
+    if (p->idx == idx) return &p;
   }
   return nullptr;
 }
 }  // namespace
 
 bool ApplyPartitionRefresh(const PartitionRefresh& refresh,
-                           std::vector<CertifiedPartition>* partitions) {
+                           PartitionSet* partitions) {
   for (const CertifiedPartition& f : refresh.full) {
-    CertifiedPartition* target = FindPartition(partitions, f.idx);
-    if (target != nullptr) {
-      *target = f;
+    auto rebuilt = std::make_shared<const CertifiedPartition>(f);
+    if (std::shared_ptr<const CertifiedPartition>* target =
+            FindPartition(partitions, f.idx)) {
+      *target = std::move(rebuilt);
     } else {
-      partitions->push_back(f);
+      // A new partition joins at its lo_b position, keeping the set
+      // sorted for FindCoveringPartition.
+      auto at = std::upper_bound(
+          partitions->begin(), partitions->end(), f.lo_b,
+          [](int64_t lo_b, const std::shared_ptr<const CertifiedPartition>& p) {
+            return lo_b < p->lo_b;
+          });
+      partitions->insert(at, std::move(rebuilt));
     }
   }
   for (const PartitionDelta& d : refresh.deltas) {
-    CertifiedPartition* target = FindPartition(partitions, d.idx);
+    std::shared_ptr<const CertifiedPartition>* target =
+        FindPartition(partitions, d.idx);
     if (target == nullptr) return false;
-    if (!target->filter.Merge(d.delta)) return false;
-    target->ts = d.ts;
-    target->sig = d.sig;
+    auto merged = std::make_shared<CertifiedPartition>(**target);
+    if (!merged->filter.Merge(d.delta)) return false;
+    merged->ts = d.ts;
+    merged->sig = d.sig;
+    *target = std::move(merged);
   }
   return true;
 }

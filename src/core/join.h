@@ -45,6 +45,8 @@ inline bool JoinBValueInDomain(int64_t b) {
 struct CertifiedPartition {
   uint32_t idx = 0;
   int64_t lo_b = 0, hi_b = 0;  ///< inclusive range of B values covered
+  /// Certification time: the publish_ts of the summary whose period close
+  /// issued it (the build time for the initial set).
   uint64_t ts = 0;
   BloomFilter filter;
   BasSignature sig;
@@ -90,16 +92,29 @@ struct PartitionDelta {
 
 /// One rho-period's worth of partition maintenance, shipped DA -> server
 /// at the epoch barrier: full rebuilds for delete-dirty partitions, cheap
-/// deltas (merge or recertify) for everything else.
+/// deltas for insert-dirty ones (a merge) and for clean ones whose
+/// certificate outlived rho' (a recertification). Every other partition
+/// keeps its certificate: the period's summary leaves it unmarked, which
+/// is what keeps an older certificate fresh (FreshnessChecker).
 struct PartitionRefresh {
   std::vector<CertifiedPartition> full;
   std::vector<PartitionDelta> deltas;
   bool empty() const { return full.empty() && deltas.empty(); }
 };
 
-/// Apply one refresh to a partitions vector in place: full rebuilds
-/// replace the matching partition by idx (or append a new one), deltas
-/// merge into the matching filter and install the post-merge ts + sig.
+/// The server's partition set: each certified partition behind its own
+/// immutable shared pointer, so an epoch that refreshes a few filters
+/// copies the pointers and rebuilds only those filters, and every other
+/// partition is shared with the epochs before it.
+using PartitionSet = std::vector<std::shared_ptr<const CertifiedPartition>>;
+
+/// `parts` as a PartitionSet (one shared pointer per partition).
+PartitionSet SharePartitions(std::vector<CertifiedPartition> parts);
+
+/// Apply one refresh to a partition set in place: full rebuilds replace
+/// the matching partition by idx (or join the set at their lo_b position),
+/// deltas merge into a copy of the matching filter and install the
+/// post-merge ts + sig. Untouched partitions keep their pointers.
 /// Partitions are normally stored in idx order, so partition `idx` is
 /// looked up at position idx first and searched for only when that slot
 /// holds another partition.
@@ -107,16 +122,39 @@ struct PartitionRefresh {
 /// geometry mismatches — the caller should treat the refresh as
 /// corrupt and keep its previous state.
 bool ApplyPartitionRefresh(const PartitionRefresh& refresh,
-                           std::vector<CertifiedPartition>* partitions);
+                           PartitionSet* partitions);
+
+/// The partition an element of a partition vector or of a PartitionSet
+/// holds, so FindCoveringPartition serves both.
+inline const CertifiedPartition& PartitionOf(const CertifiedPartition& p) {
+  return p;
+}
+inline const CertifiedPartition& PartitionOf(
+    const std::shared_ptr<const CertifiedPartition>& p) {
+  return *p;
+}
 
 /// The (unique) partition whose [lo_b, hi_b] range covers `b`, or nullptr
-/// when none does.
-inline const CertifiedPartition* FindCoveringPartition(
-    const std::vector<CertifiedPartition>& partitions, int64_t b) {
-  for (const CertifiedPartition& p : partitions) {
-    if (p.lo_b <= b && b <= p.hi_b) return &p;
+/// when none does. `parts` (a vector of partitions or a PartitionSet) must
+/// be sorted by lo_b with disjoint ranges, as BuildPartitions lays them
+/// out: one binary search over lo_b.
+template <typename Parts>
+const CertifiedPartition* FindCoveringPartition(const Parts& parts,
+                                                int64_t b) {
+  // The first partition starting past b; its predecessor is the only
+  // candidate.
+  size_t lo = 0, hi = parts.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (PartitionOf(parts[mid]).lo_b <= b) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
   }
-  return nullptr;
+  if (lo == 0) return nullptr;
+  const CertifiedPartition& p = PartitionOf(parts[lo - 1]);
+  return b <= p.hi_b ? &p : nullptr;
 }
 
 /// DA-side partition construction and maintenance. Certify is the one

@@ -319,7 +319,7 @@ Status BuildJoinMessages(const Query& query, const JoinAnswer& ans,
   return Status::OK();
 }
 
-/// One answer's claim for phase 2, and what phase 3 bounds by age.
+/// One answer's claim for phase 2, and the partitions phase 3 walks.
 struct Claim {
   std::vector<ByteBuffer> messages;
   /// Joins only: the shipped partitions' certificate messages, signed
@@ -327,8 +327,8 @@ struct Claim {
   ByteBuffer partition_messages;
   const BasSignature* agg = nullptr;
   const char* mismatch = nullptr;
-  /// Joins only: the shipped Bloom partitions, whose certification age
-  /// the freshness walk bounds (filters carry no rids to walk).
+  /// Joins only: the shipped Bloom partitions, whose certificates the
+  /// freshness walk checks against the summaries' partition marks.
   const std::vector<CertifiedPartition>* partitions = nullptr;
 };
 
@@ -391,7 +391,6 @@ std::vector<Status> ClientVerifier::Verify(const Query* plans,
                                            const QueryAnswer* const* answers,
                                            size_t n, uint64_t now,
                                            uint64_t min_epoch,
-                                           uint64_t max_partition_age_micros,
                                            BatchVerifyStats* stats) {
   std::vector<Status> out(n, Status::OK());
   std::vector<Claim> claims(n);
@@ -442,18 +441,9 @@ std::vector<Status> ClientVerifier::Verify(const Query* plans,
       AUTHDB_RETURN_NOT_OK(freshness_.AddSummary(s));
     for (const auto& [rid, ts] : CitedVersions(ans))
       AUTHDB_RETURN_NOT_OK(freshness_.CheckRecord(rid, ts, now));
-    if (claim.partitions == nullptr || max_partition_age_micros == 0)
-      return Status::OK();
-    // Filters carry no rids, so the bitmap walk cannot indict them; bound
-    // their age against the newest summary this checker holds instead.
-    const uint64_t latest = freshness_.latest_publish_ts();
-    for (const CertifiedPartition& p : *claim.partitions) {
-      if (p.ts + max_partition_age_micros < latest) {
-        return Status::VerificationFailed(
-            "partition filter certified " + std::to_string(latest - p.ts) +
-            "us before the latest summary (bound " +
-            std::to_string(max_partition_age_micros) + "us)");
-      }
+    if (claim.partitions != nullptr) {
+      for (const CertifiedPartition& p : *claim.partitions)
+        AUTHDB_RETURN_NOT_OK(freshness_.CheckPartition(p.idx, p.ts));
     }
     return Status::OK();
   };
@@ -466,16 +456,14 @@ std::vector<Status> ClientVerifier::Verify(const Query* plans,
 
 Status ClientVerifier::VerifyAnswerFresh(const Query& query,
                                          const QueryAnswer& ans, uint64_t now,
-                                         uint64_t min_epoch,
-                                         uint64_t max_partition_age_micros) {
+                                         uint64_t min_epoch) {
   const QueryAnswer* one = &ans;
-  return Verify(&query, &one, 1, now, min_epoch, max_partition_age_micros,
-                nullptr)[0];
+  return Verify(&query, &one, 1, now, min_epoch, nullptr)[0];
 }
 
 std::vector<Status> ClientVerifier::VerifyAnswerBatch(
     const PlanBatch& batch, const std::vector<Result<QueryAnswer>>& answers,
-    uint64_t now, uint64_t min_epoch, const BatchVerifyOptions& opts,
+    uint64_t now, uint64_t min_epoch, const BatchVerifyOptions& /*opts*/,
     BatchVerifyStats* stats) {
   const size_t n = batch.plans.size();
   if (answers.size() != n) {
@@ -487,8 +475,7 @@ std::vector<Status> ClientVerifier::VerifyAnswerBatch(
     if (answers[i].ok()) served[i] = &answers[i].value();
   }
   std::vector<Status> out =
-      Verify(batch.plans.data(), served.data(), n, now, min_epoch,
-             opts.max_partition_age_micros, stats);
+      Verify(batch.plans.data(), served.data(), n, now, min_epoch, stats);
   for (size_t i = 0; i < n; ++i) {
     if (!answers[i].ok()) out[i] = answers[i].status();
   }

@@ -16,10 +16,11 @@ namespace authdb {
 ///  * authenticity  — the aggregate signature matches the cited messages;
 ///  * completeness  — boundary keys enclose the range / every probe value
 ///                    is accounted for, and the chain is gapless;
-///  * freshness     — no cited record is marked in any summary published
-///                    after its certification (Section 3.1), and the
-///                    envelope's `served_epoch` is not behind the client's
-///                    view of the summary stream.
+///  * freshness     — no cited record, and no shipped join partition, is
+///                    marked in any summary published after its
+///                    certification (Section 3.1), and the envelope's
+///                    `served_epoch` is not behind the client's view of
+///                    the summary stream.
 ///
 /// There is one pipeline, VerifyAnswerBatch; VerifyAnswerFresh is a batch
 /// of one. It runs in three phases:
@@ -29,7 +30,8 @@ namespace authdb {
 ///  2. ONE BasPublicKey::VerifyAggregateBatch over every answer's claim;
 ///  3. a serial freshness walk: the envelope's summaries are ingested,
 ///     then every cited (rid, ts) version is checked against the held
-///     bitmaps, and joins bound their partitions' age.
+///     bitmaps, and every shipped partition certificate against the held
+///     partition sets.
 ///
 /// Mixed-generation defense: with epoch-pinned serving, an answer served
 /// under epoch e is a snapshot of periods 0..e-1, so it can only carry
@@ -51,20 +53,16 @@ class ClientVerifier {
   /// the latest epoch it knows as `min_epoch`: an answer stamped older is
   /// rejected outright (a lagging or replaying server), and a forged
   /// stamp is still caught by the bitmap walk because the checker already
-  /// holds the newer summaries the answer pretends do not exist.
-  /// `max_partition_age_micros` (when non-zero) rejects join answers whose
-  /// shipped Bloom partitions were certified more than that long before
-  /// the latest summary this checker holds — the partition analogue of
-  /// the bitmap walk, since filters carry no rids (a lagging filter could
-  /// otherwise "prove" a freshly inserted value absent).
+  /// holds the newer summaries the answer pretends do not exist. A join's
+  /// Bloom partitions carry no rids, so the summaries also mark the
+  /// partitions whose filter changed: a lagging filter (one that would
+  /// "prove" a freshly inserted value absent) is indicted by the mark of
+  /// the period that changed it.
   Status VerifyAnswerFresh(const Query& query, const QueryAnswer& ans,
-                           uint64_t now, uint64_t min_epoch,
-                           uint64_t max_partition_age_micros = 0);
+                           uint64_t now, uint64_t min_epoch);
 
-  struct BatchVerifyOptions {
-    /// Join partition-age bound, as in VerifyAnswerFresh.
-    uint64_t max_partition_age_micros = 0;
-  };
+  /// Batch verification options; none are defined.
+  struct BatchVerifyOptions {};
   struct BatchVerifyStats {
     size_t answers = 0;
     /// Aggregate-signature claims folded into the one shared-inversion
@@ -109,7 +107,6 @@ class ClientVerifier {
   std::vector<Status> Verify(const Query* plans,
                              const QueryAnswer* const* answers, size_t n,
                              uint64_t now, uint64_t min_epoch,
-                             uint64_t max_partition_age_micros,
                              BatchVerifyStats* stats);
 
   const BasPublicKey* da_pub_;

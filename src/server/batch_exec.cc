@@ -429,8 +429,8 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
                                             BasAccumulator* acc,
                                             bool* needs_final) {
   const PlanWork& work = work_[p];
-  static const std::vector<CertifiedPartition> kNoPartitions;
-  const std::vector<CertifiedPartition>& partitions =
+  static const PartitionSet kNoPartitions;
+  const PartitionSet& partitions =
       desc_.partitions != nullptr ? *desc_.partitions : kNoPartitions;
   QueryAnswer answer;
   answer.kind = QueryKind::kJoin;
@@ -470,7 +470,8 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
     }
   }
 
-  std::set<uint32_t> used_partitions;
+  // The shipped partitions, in idx order.
+  std::map<uint32_t, const CertifiedPartition*> used_partitions;
   // Chain signatures included in the aggregate, deduplicated by composite
   // key across the whole answer (a record may serve several proofs). With
   // every scan and probe reading the same pinned snapshots, the dedup can
@@ -506,7 +507,7 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
     }
 
     if (const CertifiedPartition* part = part_of[vi]; part != nullptr) {
-      used_partitions.insert(part->idx);
+      used_partitions.emplace(part->idx, part);
       if (maybe[vi] == 0) {
         ans.negative_probes.push_back({a, part->idx});
         continue;
@@ -529,14 +530,12 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
     ans.absence_proofs.push_back(std::move(proof));
   }
 
-  for (uint32_t idx : used_partitions) {
-    for (const CertifiedPartition& part : partitions) {
-      if (part.idx == idx) {
-        ans.partitions.push_back(part);
-        acc->Add(curve_, part.sig);
-        break;
-      }
-    }
+  for (const auto& [idx, part] : used_partitions) {
+    ans.partitions.push_back(*part);
+    acc->Add(curve_, part->sig);
+    // The summaries after the certificate's own close are its freshness
+    // evidence (FreshnessChecker::CheckPartition).
+    oldest_ts = std::min(oldest_ts, part->ts + 1);
   }
   *needs_final = true;  // joins always aggregate (infinity when no parts)
 

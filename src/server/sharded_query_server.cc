@@ -192,21 +192,19 @@ void ShardedQueryServer::PublishEpoch(
     }
   }
   if (!partition_refresh.empty()) {
-    // Double-buffered refresh: build the next partitions vector as a copy
-    // of the current one (the shadow), apply full rebuilds and delta
-    // merges there, and let InstallDescriptorLocked's swap publish it.
+    // Double-buffered refresh: the next partition set starts as the
+    // current one's pointers (the shadow), the refresh installs new
+    // partitions there, and InstallDescriptorLocked's swap publishes it.
     // Readers keep probing the filters of their pinned epoch throughout.
-    auto next = partitions_ != nullptr
-                    ? std::vector<CertifiedPartition>(*partitions_)
-                    : std::vector<CertifiedPartition>();
+    PartitionSet next =
+        partitions_ != nullptr ? *partitions_ : PartitionSet();
     // A refresh that fails to apply (delta for a missing partition or a
     // geometry mismatch) is a protocol violation from the DA feed; the
     // CHECK keeps a corrupt join state out of every future epoch.
     AUTHDB_CHECK(ApplyPartitionRefresh(partition_refresh, &next));
     published.exec.bloom_delta_merges = partition_refresh.deltas.size();
     published.exec.bloom_full_rebuilds = partition_refresh.full.size();
-    partitions_ = std::make_shared<const std::vector<CertifiedPartition>>(
-        std::move(next));
+    partitions_ = std::make_shared<const PartitionSet>(std::move(next));
   }
   tracker_.Publish(summary.seq, summary.publish_ts);
   summaries_.Append(std::move(summary));
@@ -228,11 +226,15 @@ void ShardedQueryServer::AddSummary(UpdateSummary summary,
 
 void ShardedQueryServer::SetJoinPartitions(
     std::vector<CertifiedPartition> partitions) {
+  for (size_t i = 1; i < partitions.size(); ++i) {
+    AUTHDB_CHECK(partitions[i - 1].hi_b < partitions[i].lo_b &&
+                 "join partitions must be sorted by lo_b and disjoint");
+  }
   MutexLock pub(publish_mu_);
   ServerMetrics refresh;
   refresh.exec.bloom_full_rebuilds = partitions.size();
-  partitions_ = std::make_shared<const std::vector<CertifiedPartition>>(
-      std::move(partitions));
+  partitions_ = std::make_shared<const PartitionSet>(
+      SharePartitions(std::move(partitions)));
   RepublishLocked(std::move(refresh));
 }
 

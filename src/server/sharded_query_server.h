@@ -35,8 +35,10 @@ struct EpochDescriptor {
   /// sharing its summaries with the runs of neighbouring epochs.
   std::shared_ptr<const SummaryRun> summaries;
   /// Certified Bloom partitions over S.B installed at this epoch's barrier
-  /// (or by a direct SetJoinPartitions); may be null when joins are off.
-  std::shared_ptr<const std::vector<CertifiedPartition>> partitions;
+  /// (or by a direct SetJoinPartitions), sorted by lo_b; may be null when
+  /// joins are off. Partitions the barrier did not refresh are shared
+  /// with the previous epoch.
+  std::shared_ptr<const PartitionSet> partitions;
   uint64_t total_size = 0;  ///< sum of shard snapshot sizes
 };
 
@@ -151,10 +153,11 @@ class ShardedQueryServer {
   /// from `snaps` (one per shard, from FreezeShard), retain `summary` and
   /// advance the freshness epoch, and apply `partition_refresh` (when
   /// non-empty) so join state rides the same cadence and ordering as the
-  /// bitmaps. The refresh is double-buffered: full rebuilds and delta
-  /// merges are applied to a fresh copy of the current partitions vector
-  /// (the shadow), and the descriptor swap is the switch — readers on a
-  /// pinned epoch never observe a half-merged filter. Blocks when
+  /// bitmaps. The refresh is double-buffered: the next partition set
+  /// copies the current one's pointers, full rebuilds and delta merges
+  /// install new partitions in it (a merge copies only its own filter),
+  /// and the descriptor swap is the switch — readers on a pinned epoch
+  /// never observe a half-merged filter. Blocks when
   /// max_pinned_epochs retired epochs are still pinned by readers.
   void PublishEpoch(UpdateSummary summary,
                     std::vector<std::shared_ptr<const EpochSnapshot>> snaps,
@@ -171,9 +174,11 @@ class ShardedQueryServer {
       EXCLUDES(publish_mu_);
 
   /// Install / refresh the DA-certified Bloom partitions over S.B on the
-  /// direct path (republishes the current epoch). The update stream
-  /// installs refreshes through PublishEpoch instead, so a served filter
-  /// is never older than one period behind the answer's epoch.
+  /// direct path (republishes the current epoch). `partitions` must be
+  /// sorted by lo_b with disjoint ranges, as JoinAuthority builds them
+  /// (CHECKed). The update stream installs refreshes through PublishEpoch
+  /// instead, so a served filter is never older than one period behind
+  /// the answer's epoch.
   void SetJoinPartitions(std::vector<CertifiedPartition> partitions)
       EXCLUDES(publish_mu_);
 
@@ -310,8 +315,7 @@ class ShardedQueryServer {
   /// Publication-side state the next descriptor is assembled from
   /// (guarded by publish_mu_).
   SummaryLog summaries_ GUARDED_BY(publish_mu_);
-  std::shared_ptr<const std::vector<CertifiedPartition>> partitions_
-      GUARDED_BY(publish_mu_);
+  std::shared_ptr<const PartitionSet> partitions_ GUARDED_BY(publish_mu_);
 };
 
 }  // namespace authdb

@@ -57,6 +57,7 @@ StalenessAttackReport RunStalenessAttack(
 
   StalenessAttackReport report;
   VarintGapCodec codec;
+  int64_t absent_next = 0;  // next absent B value past the loaded ones
   std::vector<UpdateSummary> history;  // the DA -> client broadcast feed
 
   // Close the DA's current rho-period and push its output through the
@@ -126,6 +127,20 @@ StalenessAttackReport RunStalenessAttack(
       captured_joins.push_back(capture(Query::Join(
           {victim_lo + static_cast<int64_t>(v)}, JoinMethod::kBloomFilter)));
     }
+    // Stale-filter captures: joins over absent B values (past the loaded
+    // ones) that the certified filter answers with a negative probe. The
+    // values are inserted this period, so each captured certificate is
+    // superseded by the close.
+    std::vector<Captured> captured_filters;
+    for (size_t v = 0; v < opt.join_replays_per_period; ++v) {
+      for (;;) {
+        const int64_t b = static_cast<int64_t>(opt.n_records) + absent_next++;
+        Captured c = capture(Query::Join({b}, JoinMethod::kBloomFilter));
+        if (c.ans.join.negative_probes.size() != 1) continue;  // false hit
+        captured_filters.push_back(std::move(c));
+        break;
+      }
+    }
 
     // Honest clients read and verify while the ingest below runs. Each
     // holds its own verifier, primed with the summary feed so far; `now`
@@ -184,6 +199,13 @@ StalenessAttackReport RunStalenessAttack(
       const int64_t key = c.query.lo;
       Result<SignedRecordUpdate> msg =
           da.ModifyRecord(key, {key, static_cast<int64_t>(1000 + p)});
+      AUTHDB_CHECK(msg.ok());
+      stream.PushUpdate(std::move(msg.value()));
+    }
+    for (const Captured& c : captured_filters) {
+      const int64_t b = c.query.join_values[0];
+      Result<SignedRecordUpdate> msg =
+          da.InsertRecord({JoinCompositeKey(b, 0), b * 7});
       AUTHDB_CHECK(msg.ok());
       stream.PushUpdate(std::move(msg.value()));
     }
@@ -258,28 +280,37 @@ StalenessAttackReport RunStalenessAttack(
     // epoch stamp deliberately ignored (the bitmap walk alone).
     for (const Captured& c : captured_joins) {
       ++report.join_replayed_answers;
-      if (!judge
-               .VerifyAnswerFresh(c.query, c.ans, now_post, epoch_now,
-                                  /*max_partition_age_micros=*/
-                                  2 * opt.rho_micros)
-               .ok()) {
+      if (!judge.VerifyAnswerFresh(c.query, c.ans, now_post, epoch_now).ok())
         ++report.join_replays_rejected;
-      }
       if (!judge.VerifyAnswerFresh(c.query, c.ans, now_post, 0).ok())
         ++report.join_replays_rejected_bitmap_only;
       if (!judge.StaleRids(c.ans, now_post).empty())
         ++report.join_replays_stale_rid_flagged;
     }
-    // Honest re-joins of the same probe values: the current versions
-    // verify under the advanced epoch and the partition-age bound.
-    for (const Captured& c : captured_joins) {
-      Result<QueryAnswer> ans = server.Execute(c.query);
-      ++report.join_honest_answers;
-      if (ans.ok() && judge
-                          .VerifyAnswerFresh(c.query, ans.value(), now_post,
-                                             epoch_now, 2 * opt.rho_micros)
-                          .ok()) {
-        ++report.join_honest_accepted;
+    // The stale-filter replays: each answer's only evidence is a
+    // certificate whose partition the closing summary marks, so the
+    // current stamp cannot carry it past the partition walk.
+    for (const Captured& c : captured_filters) {
+      QueryAnswer forged = c.ans;
+      forged.served_epoch = epoch_now;
+      ++report.filter_replayed_answers;
+      if (!judge.VerifyAnswerFresh(c.query, forged, now_post, epoch_now).ok())
+        ++report.filter_replays_rejected;
+      if (!judge.VerifyAnswerFresh(c.query, forged, now_post, 0).ok())
+        ++report.filter_replays_rejected_bitmap_only;
+    }
+    // Honest re-joins of the same probe values (the absent ones now
+    // match): the current versions verify under the advanced epoch.
+    for (const std::vector<Captured>* joins :
+         {&captured_joins, &captured_filters}) {
+      for (const Captured& c : *joins) {
+        Result<QueryAnswer> ans = server.Execute(c.query);
+        ++report.join_honest_answers;
+        if (ans.ok() &&
+            judge.VerifyAnswerFresh(c.query, ans.value(), now_post, epoch_now)
+                .ok()) {
+          ++report.join_honest_accepted;
+        }
       }
     }
 

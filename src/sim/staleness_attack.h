@@ -33,7 +33,10 @@ struct StalenessAttackOptions {
   /// certified Bloom partitions refreshed at every summary barrier, and
   /// each period additionally captures up to this many pre-update *join*
   /// answers over the period's victims, replaying them after the closing
-  /// summary publishes. 0 keeps the selection-only harness.
+  /// summary publishes. It captures as many negative-probe joins over
+  /// absent B values too, inserts those values in the period, and replays
+  /// the pre-insert answers under the new epoch stamp (the stale-filter
+  /// replay). 0 keeps the selection-only harness.
   size_t join_replays_per_period = 0;
   uint64_t seed = 1;
 };
@@ -81,6 +84,16 @@ struct StalenessAttackReport {
   size_t join_honest_answers = 0;   ///< post-period re-joins verified
   size_t join_honest_accepted = 0;  ///< must equal join_honest_answers
 
+  /// Stale-filter replays: a captured negative-probe join (its Bloom
+  /// certificate "proves" value v absent), replayed under the current
+  /// epoch stamp after a period that inserted v. The answer cites no
+  /// record, so only the summary's partition marks can indict it.
+  size_t filter_replayed_answers = 0;
+  size_t filter_replays_rejected = 0;  ///< full check (epoch + marks)
+  /// Epoch floor deliberately ignored (min_epoch = 0): the partition marks
+  /// alone must still catch every replay.
+  size_t filter_replays_rejected_bitmap_only = 0;
+
   bool Clean() const {
     return replayed_answers > 0 && honest_accepted == honest_answers &&
            replays_rejected == replayed_answers &&
@@ -89,7 +102,9 @@ struct StalenessAttackReport {
            join_replays_rejected == join_replayed_answers &&
            join_replays_rejected_bitmap_only == join_replayed_answers &&
            join_mixed_generation_rejected == join_mixed_generation_answers &&
-           join_honest_accepted == join_honest_answers;
+           join_honest_accepted == join_honest_answers &&
+           filter_replays_rejected == filter_replayed_answers &&
+           filter_replays_rejected_bitmap_only == filter_replayed_answers;
   }
 };
 

@@ -756,8 +756,9 @@ TEST_F(FreshnessPipelineTest, BloomProbesRaceDeltaRefreshAtEpochBarrier) {
 TEST_F(FreshnessPipelineTest, StalenessAttackJoinReplaysCaught) {
   // Acceptance criterion: replayed stale *join* answers are rejected 100%
   // — with the full check and with the epoch stamp ignored (bitmap walk
-  // over the match rows alone) — while honest joins racing the ingest and
-  // the post-period re-joins all verify.
+  // over the match rows alone, partition marks for the stale filters) —
+  // while honest joins racing the ingest and the post-period re-joins all
+  // verify.
   StalenessAttackOptions opt;
   opt.shards = 4;
   opt.periods = 3;
@@ -782,8 +783,16 @@ TEST_F(FreshnessPipelineTest, StalenessAttackJoinReplaysCaught) {
             2 * report.join_replayed_answers);
   EXPECT_EQ(report.join_mixed_generation_rejected,
             report.join_mixed_generation_answers);
+  // The stale-filter replays: a negative-probe join captured before the
+  // period inserted its value, stamped with the current epoch, is
+  // rejected 100% — with the epoch floor and on the partition marks
+  // alone. Honest re-joins (the values now match) all verify.
+  EXPECT_EQ(report.filter_replayed_answers, 12u);
+  EXPECT_EQ(report.filter_replays_rejected, report.filter_replayed_answers);
+  EXPECT_EQ(report.filter_replays_rejected_bitmap_only,
+            report.filter_replayed_answers);
+  EXPECT_EQ(report.join_honest_answers, 24u);
   EXPECT_EQ(report.join_honest_accepted, report.join_honest_answers);
-  EXPECT_GT(report.join_honest_answers, 0u);
   // The selection-side guarantees hold unchanged in join mode.
   EXPECT_EQ(report.replays_rejected, report.replayed_answers);
   EXPECT_EQ(report.replays_rejected_bitmap_only, report.replayed_answers);

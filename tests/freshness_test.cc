@@ -1,5 +1,6 @@
 #include "core/freshness.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -25,6 +26,13 @@ class FreshnessTest : public ::testing::Test {
   UpdateSummary Publish(SummaryBuilder* b, uint64_t seq, uint64_t ts,
                         uint64_t nbits = 1000) {
     return b->BuildAndSign(seq, ts, nbits, *key_, HashMode::kFast);
+  }
+  /// A summary over 16 join partitions marking `changed`.
+  UpdateSummary PublishParts(SummaryBuilder* b, uint64_t seq, uint64_t ts,
+                             const std::vector<uint32_t>& changed) {
+    Bitmap parts(16);
+    for (uint32_t idx : changed) parts.Set(idx);
+    return b->BuildAndSign(seq, ts, 1000, *key_, HashMode::kFast, &parts);
   }
   static std::shared_ptr<const BasContext>* ctx_;
   static BasPrivateKey* key_;
@@ -210,8 +218,8 @@ TEST_F(FreshnessTest, SummarySizeTracksUpdateCount) {
 }
 
 TEST_F(FreshnessTest, HeldMarksMatchTheDecodedBitmap) {
-  // The checker keeps each summary's marks as a sorted rid list, not as the
-  // decoded bitmap. Over random bitmaps (random sizes, densities from empty
+  // The checker keeps each summary's marks as a sorted 32-bit rid list, not
+  // as the decoded bitmap. Over random bitmaps (random sizes, densities from empty
   // to full, both codecs) its verdicts must be the bitmap's own Get: a
   // record certified before the period that marks it is stale, every
   // other rid is fresh, including rids at or past nbits.
@@ -244,6 +252,154 @@ TEST_F(FreshnessTest, HeldMarksMatchTheDecodedBitmap) {
       EXPECT_TRUE(checker.CheckRecord(rid, 1500, 2500).ok());
     }
   }
+
+  // Marks are held as 32-bit positions; kMaxBitmapBits bounds what a codec
+  // decodes. At the cap the highest positions must still match the
+  // bitmap (rid and partition marks alike), and a 64-bit rid must not
+  // alias a marked 32-bit one.
+  const uint64_t top = kMaxBitmapBits - 1;
+  const std::vector<uint64_t> marked = {0, 1, top - 64, top - 1, top};
+  const std::vector<uint64_t> probes = {
+      0,        1,         2,           top - 65, top - 64,
+      top - 2,  top - 1,   top,         top + 1,  uint64_t{1} << 32,
+      (uint64_t{1} << 32) + top, ~uint64_t{0}};
+  const BitmapCodec* const codecs[] = {&codec_, &wah};
+  for (const BitmapCodec* codec : codecs) {
+    SCOPED_TRACE(codec->name());
+    SummaryBuilder builder(codec);
+    FreshnessChecker checker(&key_->public_key(), codec, HashMode::kFast);
+    Bitmap parts(kMaxBitmapBits);
+    for (uint64_t pos : marked) {
+      builder.MarkUpdated(pos);
+      parts.Set(pos);
+    }
+    ASSERT_TRUE(checker
+                    .AddSummary(builder.BuildAndSign(0, 1000, kMaxBitmapBits,
+                                                     *key_, HashMode::kFast))
+                    .ok());
+    for (uint64_t pos : marked) builder.MarkUpdated(pos);
+    ASSERT_TRUE(checker
+                    .AddSummary(builder.BuildAndSign(1, 2000, kMaxBitmapBits,
+                                                     *key_, HashMode::kFast,
+                                                     &parts))
+                    .ok());
+    for (uint64_t pos : probes) {
+      SCOPED_TRACE("position " + std::to_string(pos));
+      const bool is_marked =
+          std::find(marked.begin(), marked.end(), pos) != marked.end();
+      EXPECT_EQ(checker.CheckRecord(pos, 500, 2500).IsVerificationFailed(),
+                is_marked);
+      if (pos <= UINT32_MAX) {
+        EXPECT_EQ(checker.CheckPartition(static_cast<uint32_t>(pos), 1000)
+                      .IsVerificationFailed(),
+                  is_marked);
+      }
+    }
+  }
+}
+
+TEST_F(FreshnessTest, PartitionCertificatePassesItsOwnClose) {
+  // The close at 1000 re-certified partition 3 (stamped 1000) and marks
+  // it: that mark is the certificate's own, not evidence against it.
+  SummaryBuilder builder(&codec_);
+  FreshnessChecker checker(&key_->public_key(), &codec_, HashMode::kFast);
+  const UpdateSummary s0 = PublishParts(&builder, 0, 1000, {3});
+  ASSERT_FALSE(s0.compressed_partitions.empty());
+  ASSERT_TRUE(checker.AddSummary(s0).ok());
+  EXPECT_TRUE(checker.CheckPartition(3, 1000).ok());
+  // Later closes that leave it unmarked keep the old certificate fresh.
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 1, 2000, {5})).ok());
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 2, 3000, {})).ok());
+  EXPECT_TRUE(checker.CheckPartition(3, 1000).ok());
+  // A certificate newer than every held summary has nothing against it.
+  EXPECT_TRUE(checker.CheckPartition(5, 3000).ok());
+}
+
+TEST_F(FreshnessTest, LaterPartitionMarkIndictsCertificate) {
+  SummaryBuilder builder(&codec_);
+  FreshnessChecker checker(&key_->public_key(), &codec_, HashMode::kFast);
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 0, 1000, {3})).ok());
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 1, 2000, {})).ok());
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 2, 3000, {3, 9})).ok());
+  // Every certificate of partition 3 issued before 3000 is superseded.
+  EXPECT_TRUE(checker.CheckPartition(3, 1000).IsVerificationFailed());
+  EXPECT_TRUE(checker.CheckPartition(3, 2000).IsVerificationFailed());
+  EXPECT_TRUE(checker.CheckPartition(3, 500).IsVerificationFailed());
+  EXPECT_TRUE(checker.CheckPartition(3, 3000).ok());
+  // Unmarked partitions, and indexes past the set, stay fresh.
+  EXPECT_TRUE(checker.CheckPartition(4, 500).ok());
+  EXPECT_TRUE(checker.CheckPartition(15, 500).ok());
+  EXPECT_TRUE(checker.CheckPartition(1000, 500).ok());
+  // Partition marks and rid marks are separate sets.
+  EXPECT_TRUE(checker.CheckRecord(3, 500, 3500).ok());
+}
+
+TEST_F(FreshnessTest, PartitionCoverageGapRejected) {
+  SummaryBuilder builder(&codec_);
+  FreshnessChecker checker(&key_->public_key(), &codec_, HashMode::kFast);
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 0, 1000, {3})).ok());
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 1, 2000, {})).ok());
+  // seq 2 (published at 3000, perhaps marking partition 3) never arrives.
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 3, 4000, {})).ok());
+  EXPECT_TRUE(checker.CheckPartition(3, 1000).IsVerificationFailed());
+  EXPECT_TRUE(checker.CheckPartition(4, 1000).IsVerificationFailed());
+  // A certificate issued after the gap needs no coverage across it.
+  EXPECT_TRUE(checker.CheckPartition(3, 4000).ok());
+}
+
+TEST_F(FreshnessTest, SignedMalformedPartitionSetRejectedNotFatal) {
+  // A forged summary (under kFast anyone can sign) with a partition set
+  // that does not decode: rejected, never a crash or an allocation of
+  // the declared size.
+  WahCodec wah;
+  const std::vector<uint8_t> huge = {0x80, 0x80, 0x80, 0x80, 0x80,
+                                     0x80, 0x80, 0x80, 0x40};
+  const std::vector<std::pair<const BitmapCodec*, std::vector<uint8_t>>>
+      cases = {
+          {&codec_, {0x10, 0x83}},              // truncated gap varint
+          {&wah, {0x10, 0x01, 0x00, 0x00}},     // truncated word
+          {&codec_, {0x80}},                    // truncated size varint
+          {&codec_, huge},                      // oversized
+          {&wah, huge},                         // oversized
+          {&codec_, {0x04, 0x01, 0x03}},        // bit 4 of 4
+          {&wah, {0x03, 0x08, 0x00, 0x00, 0x00}},  // bit 3 of 3
+      };
+  for (const auto& [codec, bytes] : cases) {
+    SummaryBuilder builder(codec);
+    UpdateSummary summary = PublishParts(&builder, 0, 1000, {2});
+    summary.compressed_partitions = bytes;
+    summary.sig =
+        key_->Sign(summary.SignedMessage().AsSlice(), HashMode::kFast);
+    FreshnessChecker checker(&key_->public_key(), codec, HashMode::kFast);
+    Status s = checker.AddSummary(summary);
+    EXPECT_TRUE(s.IsVerificationFailed()) << codec->name() << ": "
+                                          << s.ToString();
+    EXPECT_EQ(checker.summary_count(), 0u);
+  }
+}
+
+TEST_F(FreshnessTest, PartitionSetIsBoundByTheSignature) {
+  // Moving bytes between the bitmap and the partition set (or erasing a
+  // mark) changes the signed message: the length prefix keeps the split
+  // unambiguous.
+  SummaryBuilder builder(&codec_);
+  builder.MarkUpdated(7);
+  UpdateSummary s = PublishParts(&builder, 0, 1000, {3});
+  FreshnessChecker checker(&key_->public_key(), &codec_, HashMode::kFast);
+  UpdateSummary erased = s;
+  erased.compressed_partitions = codec_.Encode(Bitmap(16));
+  EXPECT_TRUE(checker.AddSummary(erased).IsVerificationFailed());
+  UpdateSummary moved = s;
+  moved.compressed_bitmap.insert(moved.compressed_bitmap.begin(),
+                                 moved.compressed_partitions.back());
+  moved.compressed_partitions.pop_back();
+  EXPECT_NE(moved.SignedMessage().bytes(), s.SignedMessage().bytes());
+  EXPECT_TRUE(checker.AddSummary(moved).IsVerificationFailed());
+  ASSERT_TRUE(checker.AddSummary(s).ok());
+  // Wire accounting counts the partition set.
+  EXPECT_EQ(s.wire_size(), s.compressed_bitmap.size() +
+                               s.compressed_partitions.size() + 24 +
+                               s.sig.wire_bytes());
 }
 
 TEST_F(FreshnessTest, NoSummariesMeansEverythingFresh) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -282,25 +283,38 @@ TEST_F(JoinTest, DeltaRefreshEquivalentToFullRebuildForInserts) {
 }
 
 TEST_F(JoinTest, ApplyPartitionRefreshMergesDeltasAndReplacesFulls) {
-  std::vector<CertifiedPartition> live = partitions_;
-  const uint32_t target = live.back().idx;
-  CertifiedPartition refreshed = live.back();
+  PartitionSet live = SharePartitions(partitions_);
+  const PartitionSet before = live;
+  const uint32_t target = live.back()->idx;
+  CertifiedPartition refreshed = *live.back();
   PartitionRefresh refresh;
   refresh.deltas.push_back(authority_->RefreshWithDelta(
       &refreshed, {65}, clock_.NowMicros() + 1));
   authority_->Certify({&refreshed});
   refresh.deltas.back().sig = refreshed.sig;
   ASSERT_TRUE(ApplyPartitionRefresh(refresh, &live));
-  EXPECT_EQ(live.back().filter.bytes(), refreshed.filter.bytes());
-  EXPECT_EQ(live.back().ts, refreshed.ts);
+  EXPECT_EQ(live.back()->filter.bytes(), refreshed.filter.bytes());
+  EXPECT_EQ(live.back()->ts, refreshed.ts);
+  // The merge copied its own partition; the others are shared, and the
+  // previous set still holds the pre-merge filter.
+  EXPECT_EQ(live.front(), before.front());
+  EXPECT_NE(live.back(), before.back());
+  EXPECT_EQ(before.back()->filter.bytes(), partitions_.back().filter.bytes());
 
   // Full rebuilds replace by idx.
   PartitionRefresh full;
   full.full.push_back(authority_->RebuildPartition(
-      live.front(), {10}, clock_.NowMicros() + 2));
+      *live.front(), {10}, clock_.NowMicros() + 2));
   authority_->Certify({&full.full.back()});
   ASSERT_TRUE(ApplyPartitionRefresh(full, &live));
-  EXPECT_FALSE(live.front().filter.MayContainInt64(20));
+  EXPECT_FALSE(live.front()->filter.MayContainInt64(20));
+  // A full rebuild of an idx the set lacks joins it at its lo_b position.
+  PartitionSet gap = {live[0], live[2]};
+  PartitionRefresh insert;
+  insert.full.push_back(*live[1]);
+  ASSERT_TRUE(ApplyPartitionRefresh(insert, &gap));
+  ASSERT_EQ(gap.size(), 3u);
+  for (size_t i = 0; i < gap.size(); ++i) EXPECT_EQ(gap[i]->idx, i);
 
   // A delta naming a missing partition or the wrong geometry is a
   // protocol violation, not a silent skip.
@@ -378,10 +392,10 @@ TEST_F(JoinTest, PartitionMessagesMatchPerPartitionMessages) {
 TEST_F(JoinTest, ApplyPartitionRefreshFindsPartitionsOutOfIdxOrder) {
   // Reversed: every partition sits outside its own idx slot except the
   // middle one, so only the fallback search finds most of them.
-  std::vector<CertifiedPartition> live(partitions_.rbegin(),
-                                       partitions_.rend());
+  PartitionSet live = SharePartitions(
+      std::vector<CertifiedPartition>(partitions_.rbegin(), partitions_.rend()));
   ASSERT_EQ(live.size(), 3u);
-  ASSERT_EQ(live[0].idx, 2u);
+  ASSERT_EQ(live[0]->idx, 2u);
   PartitionRefresh refresh;
   CertifiedPartition merged = partitions_[0];
   refresh.deltas.push_back(authority_->RefreshWithDelta(
@@ -392,16 +406,16 @@ TEST_F(JoinTest, ApplyPartitionRefreshFindsPartitionsOutOfIdxOrder) {
       partitions_[2], {70}, clock_.NowMicros() + 1));
   ASSERT_TRUE(ApplyPartitionRefresh(refresh, &live));
   ASSERT_EQ(live.size(), 3u);
-  EXPECT_EQ(live[2].idx, 0u);
-  EXPECT_EQ(live[2].filter.bytes(), merged.filter.bytes());
-  EXPECT_EQ(live[2].ts, merged.ts);
-  EXPECT_EQ(live[0].idx, 2u);
-  EXPECT_EQ(live[0].filter.bytes(), refresh.full[0].filter.bytes());
-  EXPECT_EQ(live[1].filter.bytes(), partitions_[1].filter.bytes());
+  EXPECT_EQ(live[2]->idx, 0u);
+  EXPECT_EQ(live[2]->filter.bytes(), merged.filter.bytes());
+  EXPECT_EQ(live[2]->ts, merged.ts);
+  EXPECT_EQ(live[0]->idx, 2u);
+  EXPECT_EQ(live[0]->filter.bytes(), refresh.full[0].filter.bytes());
+  EXPECT_EQ(live[1]->filter.bytes(), partitions_[1].filter.bytes());
 
   // A missing idx is rejected even when its slot is occupied by another
   // partition (here idx 2 sits in slot 1 after idx 1 is dropped).
-  std::vector<CertifiedPartition> gap = {partitions_[0], partitions_[2]};
+  PartitionSet gap = SharePartitions({partitions_[0], partitions_[2]});
   PartitionRefresh missing;
   missing.deltas.push_back(PartitionDelta{});
   missing.deltas.back().idx = 1;
@@ -412,8 +426,66 @@ TEST_F(JoinTest, ApplyPartitionRefreshFindsPartitionsOutOfIdxOrder) {
   present.deltas.back().idx = 2;
   present.deltas.back().ts = 77;
   ASSERT_TRUE(ApplyPartitionRefresh(present, &gap));
-  EXPECT_EQ(gap[1].ts, 77u);
-  EXPECT_EQ(gap[0].ts, partitions_[0].ts);
+  EXPECT_EQ(gap[1]->ts, 77u);
+  EXPECT_EQ(gap[0]->ts, partitions_[0].ts);
+}
+
+/// The covering partition by a linear scan: the reference for the binary
+/// search.
+const CertifiedPartition* LinearCover(
+    const std::vector<CertifiedPartition>& parts, int64_t b) {
+  for (const CertifiedPartition& p : parts) {
+    if (p.lo_b <= b && b <= p.hi_b) return &p;
+  }
+  return nullptr;
+}
+
+TEST(CoveringPartitionTest, BinarySearchMatchesLinearScan) {
+  // Random sorted layouts: contiguous ones as BuildPartitions makes them
+  // (outer partitions open to +-inf), and ones with gaps between ranges
+  // and closed outer edges. Probes hit every boundary, its neighbours,
+  // the gaps, the int64 extremes and random values.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(0xc0fe);
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const size_t n = rng.Uniform(9);
+    const bool contiguous = round % 2 == 0;
+    std::vector<CertifiedPartition> parts(n);
+    int64_t at = -1000 + static_cast<int64_t>(rng.Uniform(200));
+    for (size_t i = 0; i < n; ++i) {
+      parts[i].idx = static_cast<uint32_t>(i);
+      parts[i].lo_b = at;
+      parts[i].hi_b = at + static_cast<int64_t>(rng.Uniform(50));
+      at = parts[i].hi_b + 1 + (contiguous ? 0 : rng.Uniform(3));
+    }
+    if (contiguous && n > 0) {
+      parts.front().lo_b = kMin;
+      parts.back().hi_b = kMax;
+    }
+    const PartitionSet shared = SharePartitions(parts);
+    std::vector<int64_t> probes = {kMin, kMin + 1, kMax - 1, kMax, 0};
+    for (const CertifiedPartition& p : parts) {
+      for (int64_t edge : {p.lo_b, p.hi_b}) {
+        probes.push_back(edge);
+        if (edge != kMin) probes.push_back(edge - 1);
+        if (edge != kMax) probes.push_back(edge + 1);
+      }
+    }
+    for (int i = 0; i < 40; ++i)
+      probes.push_back(-1200 + static_cast<int64_t>(rng.Uniform(2000)));
+    for (int64_t b : probes) {
+      SCOPED_TRACE("b " + std::to_string(b));
+      const CertifiedPartition* want = LinearCover(parts, b);
+      EXPECT_EQ(FindCoveringPartition(parts, b), want);
+      const CertifiedPartition* via_set = FindCoveringPartition(shared, b);
+      ASSERT_EQ(via_set == nullptr, want == nullptr);
+      if (want != nullptr) {
+        EXPECT_EQ(via_set->idx, want->idx);
+      }
+    }
+  }
 }
 
 TEST_F(JoinTest, TamperedDeltaMergedFilterDetected) {
@@ -449,10 +521,12 @@ std::vector<uint8_t> SigBytes(const BasContext& ctx, const BasSignature& s) {
   return ctx.curve().Serialize(s.point);
 }
 
-// The DA signs a period's partition certificates in one batch. Every
-// certificate it ships must be the one an independent single Sign gives,
-// and replaying the shipped refresh over the previous partitions must
-// reproduce the DA's own state bit for bit.
+// The DA certifies, in one batch, exactly the partitions a period changed
+// (plus renewals of certificates older than rho'), and its summary marks
+// exactly the changed ones. Every certificate it ships must be the one an
+// independent single Sign gives, untouched partitions keep their
+// certificates, and replaying the shipped refresh over the previous
+// partitions must reproduce the DA's own state bit for bit.
 class PeriodCloseTest : public ::testing::TestWithParam<HashMode> {};
 
 TEST_P(PeriodCloseTest, BatchedCertificatesAreByteIdentical) {
@@ -477,6 +551,7 @@ TEST_P(PeriodCloseTest, BatchedCertificatesAreByteIdentical) {
   ASSERT_EQ(initial.size(), 5u);
   const BasPrivateKey& key = *da.private_key();
   const BasPublicKey& pk = da.public_key();
+  VarintGapCodec codec;  // the DA's summary codec
 
   auto expect_certificate = [&](const CertifiedPartition& p,
                                 const BasSignature& sig) {
@@ -485,57 +560,91 @@ TEST_P(PeriodCloseTest, BatchedCertificatesAreByteIdentical) {
     EXPECT_EQ(SigBytes(*ctx, sig), SigBytes(*ctx, key.Sign(msg.AsSlice(), mode)));
     EXPECT_TRUE(pk.Verify(msg.AsSlice(), sig, mode));
   };
-  auto close_period = [&](size_t want_full, size_t want_merges) {
-    clock.AdvanceMicros(1'000'000);
-    std::vector<CertifiedPartition> replay = da.join_partitions();
+  // Close a period `advance` micros on and check its refresh: full
+  // rebuilds, merging deltas and empty renewal deltas by idx.
+  auto close_period = [&](uint64_t advance, std::set<uint32_t> want_full,
+                          std::set<uint32_t> want_merged,
+                          std::set<uint32_t> want_renewed) {
+    clock.AdvanceMicros(advance);
+    const std::vector<CertifiedPartition> before = da.join_partitions();
+    PartitionSet replay = SharePartitions(before);
     DataAggregator::PeriodOutput out = da.PublishSummary();
+    const uint64_t publish_ts = out.summary.publish_ts;
+    EXPECT_EQ(publish_ts, clock.NowMicros());
     const PartitionRefresh& refresh = out.partition_refresh;
-    EXPECT_EQ(refresh.full.size(), want_full);
-    EXPECT_EQ(refresh.full.size() + refresh.deltas.size(), initial.size());
-    size_t merges = 0;
-    for (const PartitionDelta& d : refresh.deltas)
-      merges += d.delta.bit_count() > 0 ? 1 : 0;
-    EXPECT_EQ(merges, want_merges);
-    for (const CertifiedPartition& f : refresh.full) expect_certificate(f, f.sig);
+    std::set<uint32_t> full, merged, renewed;
+    for (const CertifiedPartition& f : refresh.full) {
+      full.insert(f.idx);
+      EXPECT_EQ(f.ts, publish_ts);
+      expect_certificate(f, f.sig);
+    }
+    for (const PartitionDelta& d : refresh.deltas) {
+      (d.delta.bit_count() > 0 ? merged : renewed).insert(d.idx);
+      EXPECT_EQ(d.ts, publish_ts);
+    }
+    EXPECT_EQ(full, want_full);
+    EXPECT_EQ(merged, want_merged);
+    EXPECT_EQ(renewed, want_renewed);
+    EXPECT_EQ(refresh.empty(),
+              want_full.empty() && want_merged.empty() && want_renewed.empty());
 
+    // The summary marks exactly the partitions whose filter changed.
+    Result<Bitmap> marks = codec.Decode(Slice(out.summary.compressed_partitions));
+    ASSERT_TRUE(marks.ok());
+    ASSERT_EQ(marks.value().size(), initial.size());
+    for (uint32_t i = 0; i < initial.size(); ++i) {
+      EXPECT_EQ(marks.value().Get(i), full.count(i) + merged.count(i) > 0)
+          << "partition " << i;
+    }
+
+    const PartitionSet shared = replay;
     ASSERT_TRUE(ApplyPartitionRefresh(refresh, &replay));
     for (const PartitionDelta& d : refresh.deltas) {
-      const CertifiedPartition* p = nullptr;
-      for (const CertifiedPartition& q : replay)
-        if (q.idx == d.idx) p = &q;
-      ASSERT_NE(p, nullptr);
-      expect_certificate(*p, d.sig);
+      ASSERT_LT(d.idx, replay.size());
+      expect_certificate(*replay[d.idx], d.sig);
     }
     const std::vector<CertifiedPartition>& live = da.join_partitions();
     ASSERT_EQ(replay.size(), live.size());
     for (size_t i = 0; i < live.size(); ++i) {
       SCOPED_TRACE("partition " + std::to_string(live[i].idx));
-      EXPECT_EQ(replay[i].idx, live[i].idx);
-      EXPECT_EQ(replay[i].lo_b, live[i].lo_b);
-      EXPECT_EQ(replay[i].hi_b, live[i].hi_b);
-      EXPECT_EQ(replay[i].ts, live[i].ts);
-      EXPECT_EQ(replay[i].ts, clock.NowMicros());
-      EXPECT_EQ(replay[i].filter.bit_count(), live[i].filter.bit_count());
-      EXPECT_EQ(replay[i].filter.bytes(), live[i].filter.bytes());
-      EXPECT_EQ(SigBytes(*ctx, replay[i].sig), SigBytes(*ctx, live[i].sig));
+      const CertifiedPartition& r = *replay[i];
+      EXPECT_EQ(r.idx, live[i].idx);
+      EXPECT_EQ(r.lo_b, live[i].lo_b);
+      EXPECT_EQ(r.hi_b, live[i].hi_b);
+      EXPECT_EQ(r.ts, live[i].ts);
+      EXPECT_EQ(r.filter.bit_count(), live[i].filter.bit_count());
+      EXPECT_EQ(r.filter.bytes(), live[i].filter.bytes());
+      EXPECT_EQ(SigBytes(*ctx, r.sig), SigBytes(*ctx, live[i].sig));
+      const uint32_t idx = live[i].idx;
+      if (full.count(idx) + merged.count(idx) + renewed.count(idx) > 0) {
+        EXPECT_EQ(live[i].ts, publish_ts);
+      } else {
+        // Untouched: the same certificate as before the close.
+        EXPECT_EQ(live[i].ts, before[i].ts);
+        EXPECT_EQ(SigBytes(*ctx, live[i].sig), SigBytes(*ctx, before[i].sig));
+        EXPECT_EQ(replay[i], shared[i]);  // and the server's pointer
+      }
     }
   };
 
   // Period 1: partition 0 insert-only, partition 2 delete-dirty, the rest
-  // untouched (recertification deltas).
+  // untouched.
   ASSERT_TRUE(da.InsertRecord({JoinCompositeKey(15, 0), 15}).ok());
   ASSERT_TRUE(da.DeleteRecord(JoinCompositeKey(110, 0)).ok());
-  close_period(/*want_full=*/1, /*want_merges=*/1);
+  close_period(1'000'000, /*want_full=*/{2}, /*want_merged=*/{0}, {});
   // Period 2: two insert-only partitions, and partition 4 both inserted
   // into and delete-dirty (a full rebuild that holds the new value).
   ASSERT_TRUE(da.InsertRecord({JoinCompositeKey(55, 0), 55}).ok());
   ASSERT_TRUE(da.InsertRecord({JoinCompositeKey(135, 0), 135}).ok());
   ASSERT_TRUE(da.InsertRecord({JoinCompositeKey(185, 0), 185}).ok());
   ASSERT_TRUE(da.DeleteRecord(JoinCompositeKey(190, 0)).ok());
-  close_period(/*want_full=*/1, /*want_merges=*/2);
+  close_period(1'000'000, /*want_full=*/{4}, /*want_merged=*/{1, 3}, {});
   EXPECT_TRUE(da.join_partitions()[4].filter.MayContainInt64(185));
-  // Period 3: nothing changed, every partition is recertified.
-  close_period(/*want_full=*/0, /*want_merges=*/0);
+  // Period 3: nothing changed, so nothing is certified or shipped.
+  close_period(1'000'000, {}, {}, {});
+  // Period 4, idle, at 902.5 s: the certificates of 2 s (partitions 0 and
+  // 2) are older than rho' = 900 s and are renewed; those of 3 s are not.
+  close_period(898'500'000, {}, {}, /*want_renewed=*/{0, 2});
 }
 
 INSTANTIATE_TEST_SUITE_P(HashModes, PeriodCloseTest,

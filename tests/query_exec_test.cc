@@ -260,8 +260,8 @@ TEST_F(QueryExecTest, TamperedPartitionSignatureRejected) {
   ASSERT_TRUE(verifier_->VerifyAnswerFresh(q, ans.value(), Now(), 0).ok());
   ClientVerifier fresh(&da_->public_key(), &codec_, HashMode::kFast);
   // The certification binds the partition's full content: a server
-  // advancing the claimed timestamp (to dodge the age bound) no longer
-  // matches the aggregated certification message.
+  // advancing the claimed timestamp (to step past a later partition mark)
+  // no longer matches the aggregated certification message.
   {
     QueryAnswer tampered = ans.value();
     tampered.join.partitions[0].ts += 1;
@@ -480,49 +480,76 @@ TEST_F(QueryExecTest, PartitionRefreshFollowsDeletion) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().join.negative_probes.size(), 1u);
   EXPECT_TRUE(after.value().join.absence_proofs.empty());
-  EXPECT_TRUE(verifier_->VerifyAnswerFresh(q, after.value(), Now(), 0,
-                                           /*max_partition_age_micros=*/
-                                           3'000'000)
-                  .ok());
+  EXPECT_TRUE(verifier_->VerifyAnswerFresh(q, after.value(), Now(), 0).ok());
 }
 
-TEST_F(QueryExecTest, LaggingPartitionRejectedByAgeBound) {
+TEST_F(QueryExecTest, LaggingPartitionRejectedByPartitionMarks) {
   Load(DefaultS());
   PublishPeriod();
   int64_t neg = -1;
   for (int64_t v = 100; v < 200 && neg < 0; ++v) {
-    for (const auto& part : da_->join_partitions()) {
-      if (part.lo_b <= v && v <= part.hi_b &&
-          !part.filter.MayContainInt64(v))
-        neg = v;
-    }
+    const CertifiedPartition* part =
+        FindCoveringPartition(da_->join_partitions(), v);
+    if (part != nullptr && !part->filter.MayContainInt64(v)) neg = v;
   }
   ASSERT_GT(neg, 0);
   Query q = Query::Join({neg}, JoinMethod::kBloomFilter);
   auto ans = server_->Execute(q);
   ASSERT_TRUE(ans.ok());
   ASSERT_EQ(ans.value().join.negative_probes.size(), 1u);
-  ASSERT_TRUE(verifier_->VerifyAnswerFresh(q, ans.value(), Now(), 0,
-                                           3'000'000)
-                  .ok());
-  // Several periods later the captured answer's filter is provably old:
-  // a server replaying it (e.g. to hide an insert of `neg`) fails the
-  // partition-age bound even though every signature checks out.
-  for (int i = 0; i < 4; ++i) {
-    clock_.AdvanceSeconds(1.0);
-    PublishPeriod();
-  }
-  ClientVerifier fresh(&da_->public_key(), &codec_, HashMode::kFast);
-  auto live = server_->Execute(Query::Select(JoinCompositeKey(10, 0),
-                                            JoinCompositeKey(10, 0)));
+  ASSERT_EQ(ans.value().join.partitions.size(), 1u);
+  const CertifiedPartition captured = ans.value().join.partitions[0];
+  ASSERT_TRUE(verifier_->VerifyAnswerFresh(q, ans.value(), Now(), 0).ok());
+
+  // Several periods that leave the partition alone: the DA does not
+  // re-certify it, and its older certificate stays fresh — a client
+  // following the feed accepts the captured answer under the new stamp.
+  for (int i = 0; i < 4; ++i) PublishPeriod();
+  const uint64_t epoch = server_->freshness_tracker().current_epoch();
+  auto idle = server_->Execute(q);
+  ASSERT_TRUE(idle.ok());
+  ASSERT_EQ(idle.value().join.partitions.size(), 1u);
+  EXPECT_EQ(idle.value().join.partitions[0].ts, captured.ts);
+  // A partition-only answer still carries its freshness evidence: every
+  // summary published after the certificate (here all of them).
+  EXPECT_EQ(idle.value().summaries.size(), epoch);
+  for (const UpdateSummary& s : idle.value().summaries)
+    EXPECT_GT(s.publish_ts, captured.ts);
+  const Query probe = Query::Select(JoinCompositeKey(10, 0),
+                                    JoinCompositeKey(10, 0));
+  auto live = server_->Execute(probe);
   ASSERT_TRUE(live.ok());
-  ASSERT_TRUE(fresh
-                  .VerifyAnswerFresh(Query::Select(JoinCompositeKey(10, 0),
-                                                   JoinCompositeKey(10, 0)),
-                                     live.value(), Now(), 0)
+  ClientVerifier follower(&da_->public_key(), &codec_, HashMode::kFast);
+  ASSERT_TRUE(follower.VerifyAnswerFresh(probe, live.value(), Now(), epoch)
                   .ok());
-  EXPECT_TRUE(fresh.VerifyAnswerFresh(q, ans.value(), Now(), 0, 3'000'000)
-                  .IsVerificationFailed());
+  QueryAnswer replay = ans.value();
+  replay.served_epoch = epoch;
+  EXPECT_TRUE(follower.VerifyAnswerFresh(q, replay, Now(), epoch).ok());
+  EXPECT_TRUE(follower.VerifyAnswerFresh(q, idle.value(), Now(), epoch).ok());
+
+  // An insert of `neg` dirties the partition; after the close, the
+  // pre-insert answer (a server hiding the new row) is indicted by the
+  // summary's partition mark even with every signature intact and the
+  // stamp forged to the current epoch.
+  auto ins = da_->InsertRecord({JoinCompositeKey(neg, 0), neg, neg * 11});
+  ASSERT_TRUE(ins.ok());
+  Apply(ins.value());
+  PublishPeriod();
+  const uint64_t after = server_->freshness_tracker().current_epoch();
+  auto now_live = server_->Execute(probe);
+  ASSERT_TRUE(now_live.ok());
+  ASSERT_TRUE(follower.VerifyAnswerFresh(probe, now_live.value(), Now(), after)
+                  .ok());
+  replay.served_epoch = after;
+  Status stale = follower.VerifyAnswerFresh(q, replay, Now(), after);
+  EXPECT_TRUE(stale.IsVerificationFailed()) << stale.ToString();
+  EXPECT_TRUE(
+      follower.VerifyAnswerFresh(q, replay, Now(), 0).IsVerificationFailed());
+  // The honest answer now matches the inserted row and verifies.
+  auto fresh = server_->Execute(q);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh.value().join.matches.size(), 1u);
+  EXPECT_TRUE(follower.VerifyAnswerFresh(q, fresh.value(), Now(), after).ok());
 }
 
 TEST_F(QueryExecTest, VoAccountingSplitsBloomAndBoundaryBytes) {
