@@ -6,6 +6,7 @@
 // trade keys, ~ns/ib rows per security) and updates are quantity
 // modifications of random holdings — the trade-update traffic the paper's
 // freshness guarantee is about.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "core/data_aggregator.h"
+#include "core/summary_run.h"
 #include "server/sharded_query_server.h"
 #include "server/update_stream.h"
 #include "sim/load_driver.h"
@@ -241,6 +243,47 @@ void Run(bench::BenchRun* run) {
     run->Metric("read_qps_idle" + suffix, idle.goodput_qps);
     run->Metric("read_qps_live_ingest" + suffix, live_qps);
     run->Metric("read_retention_pct" + suffix, retained * 100);
+  }
+
+  // Attaching an answer's freshness evidence: the window of a retained run
+  // published since the oldest cited stamp (SummaryRun::Since), against
+  // the deep copy of the same summaries it replaces. Informational.
+  std::printf("\nAttach a run of n summaries to one answer (median of 9):\n");
+  std::printf("%8s %14s %14s\n", "n", "window", "deep copy");
+  for (size_t n : {size_t{1}, size_t{64}, size_t{1024}, size_t{4096}}) {
+    const size_t batch = std::max<size_t>(20, (smoke ? 8192 : 65536) / n);
+    SummaryLog log(n);
+    for (uint64_t seq = 0; seq < n; ++seq) {
+      UpdateSummary s;
+      s.seq = seq;
+      s.publish_ts = 1'000'000 * (seq + 1);
+      s.compressed_bitmap.assign(24, static_cast<uint8_t>(seq));
+      s.compressed_partitions.assign(4, static_cast<uint8_t>(seq));
+      log.Append(std::move(s));
+    }
+    const SummaryRun& full = *log.run();
+    auto median_us = [&](auto&& attach) {
+      std::vector<double> us;
+      for (int rep = 0; rep < 9; ++rep) {
+        Stopwatch sw;
+        for (size_t i = 0; i < batch; ++i) attach();
+        us.push_back(sw.ElapsedMicros() / static_cast<double>(batch));
+      }
+      std::sort(us.begin(), us.end());
+      return us[us.size() / 2];
+    };
+    size_t attached = 0;
+    const double window_us = median_us([&] {
+      SummaryRun w = full.Since(0);
+      attached += w.size();
+    });
+    const double copy_us = median_us([&] {
+      std::vector<UpdateSummary> w(full.begin(), full.end());
+      attached += w.size();
+    });
+    AUTHDB_CHECK(attached == 2 * 9 * batch * n);
+    std::printf("%8zu %11.3f us %11.3f us\n", n, window_us, copy_us);
+    run->Metric("attach_us_per_answer_" + std::to_string(n), window_us);
   }
 }
 

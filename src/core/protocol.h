@@ -12,6 +12,7 @@
 #include "core/join.h"
 #include "core/projection.h"
 #include "core/record.h"
+#include "core/summary_run.h"
 #include "core/vo_size.h"
 #include "crypto/bas.h"
 
@@ -176,8 +177,9 @@ struct QueryAnswer {
   ProjectedRangeAnswer projection;
   JoinAnswer join;
   /// Freshness evidence: every summary published at/after the oldest
-  /// cited record certification.
-  std::vector<UpdateSummary> summaries;
+  /// cited record certification, as a window sharing the served epoch's
+  /// summary run (SummaryRun::Since).
+  SummaryRun summaries;
   /// Freshness epoch the answer was served under: latest summary seq + 1
   /// (0 = none yet). On the epoch-pinned sharded path this is exact — the
   /// whole answer is a snapshot of precisely this published epoch, so it

@@ -1,8 +1,9 @@
-#ifndef AUTHDB_SERVER_SUMMARY_RUN_H_
-#define AUTHDB_SERVER_SUMMARY_RUN_H_
+#ifndef AUTHDB_CORE_SUMMARY_RUN_H_
+#define AUTHDB_CORE_SUMMARY_RUN_H_
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
 #include <memory>
 #include <vector>
@@ -11,23 +12,37 @@
 
 namespace authdb {
 
-/// The retained run of update summaries one epoch carries, in ascending
-/// seq order. Runs of successive epochs share their summaries: a summary
-/// lives in a fixed chunk of kChunkSlots slots that SummaryLog fills once,
-/// in order, and never rewrites, and a run is the list of chunk pointers
-/// plus the window of slots it covers. Publishing an epoch therefore
-/// copies a few chunk pointers, not the summaries, and a pinned run keeps
-/// seeing exactly its own summaries however far publication moves on.
+/// An immutable run of update summaries, in ascending seq order: the
+/// retained run one epoch carries, and the freshness evidence one answer
+/// carries. Runs share their summaries: a summary lives in a fixed chunk of
+/// kChunkSlots slots that SummaryLog fills once, in order, and never
+/// rewrites, and a run is the list of chunk pointers plus the window of
+/// slots it covers. Publishing an epoch or attaching an answer's evidence
+/// therefore copies a few chunk pointers, not the summaries, and a held run
+/// keeps seeing exactly its own summaries however far publication moves on.
+/// A run never reads a slot outside its window: past its end, the log's
+/// writer may be filling the open chunk concurrently.
 class SummaryRun {
  public:
   static constexpr size_t kChunkSlots = 64;
 
+  /// A run of exactly `summaries`, in chunks of its own (shared with no
+  /// log): for builders of arbitrary runs, such as a forged answer.
+  static SummaryRun Of(std::vector<UpdateSummary> summaries);
+
   size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
   /// The i-th oldest summary of the run.
   const UpdateSummary& operator[](size_t i) const {
     const size_t slot = first_ + i;
     return chunks_[slot / kChunkSlots]->slots[slot % kChunkSlots];
   }
+
+  /// The window of every summary published at/after `oldest_ts`, sharing
+  /// this run's chunks. Requires publish_ts to be non-decreasing along the
+  /// run (SummaryLog::Append checks it): a binary search finds the first
+  /// such summary, and only the chunk pointers from there on are copied.
+  SummaryRun Since(uint64_t oldest_ts) const;
 
   class const_iterator {
    public:
@@ -60,6 +75,9 @@ class SummaryRun {
   struct Chunk {
     std::array<UpdateSummary, kChunkSlots> slots;
   };
+  /// The run of its summaries from the i-th oldest on (i <= size()).
+  SummaryRun Suffix(size_t i) const;
+
   /// Slot first_ of chunks_[0] holds the oldest summary; the run covers
   /// size_ consecutive slots from there.
   std::vector<std::shared_ptr<const Chunk>> chunks_;
@@ -80,8 +98,9 @@ class SummaryLog {
   /// can hold slots outside its window.
   explicit SummaryLog(size_t retained);
 
-  /// Append `summary` (the next seq) and make the run ending with it the
-  /// current one.
+  /// Append `summary` and make the run ending with it the current one.
+  /// CHECKs that it is the next seq and not published before the previous
+  /// summary: SummaryRun::Since relies on the order.
   void Append(UpdateSummary summary);
   /// The current run; never null.
   const std::shared_ptr<const SummaryRun>& run() const { return run_; }
@@ -95,4 +114,4 @@ class SummaryLog {
 
 }  // namespace authdb
 
-#endif  // AUTHDB_SERVER_SUMMARY_RUN_H_
+#endif  // AUTHDB_CORE_SUMMARY_RUN_H_

@@ -369,7 +369,7 @@ Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,
     *needs_final = true;  // agg_sig lands with the batch-level inversion
   }
 
-  ShardedQueryServer::AttachSummaries(desc_, oldest_ts, &answer.summaries);
+  answer.summaries = desc_.summaries->Since(oldest_ts);
   answer.served_epoch = desc_.epoch;
   return answer;
 }
@@ -420,7 +420,7 @@ Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
     *needs_final = true;
   }
 
-  ShardedQueryServer::AttachSummaries(desc_, oldest_ts, &answer.summaries);
+  answer.summaries = desc_.summaries->Since(oldest_ts);
   answer.served_epoch = desc_.epoch;
   return answer;
 }
@@ -539,7 +539,7 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
   }
   *needs_final = true;  // joins always aggregate (infinity when no parts)
 
-  ShardedQueryServer::AttachSummaries(desc_, oldest_ts, &answer.summaries);
+  answer.summaries = desc_.summaries->Since(oldest_ts);
   answer.served_epoch = desc_.epoch;
   return answer;
 }

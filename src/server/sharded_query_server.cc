@@ -290,13 +290,4 @@ const SnapshotItem* ShardedQueryServer::GlobalSuccessor(
   return nullptr;
 }
 
-void ShardedQueryServer::AttachSummaries(const EpochDescriptor& desc,
-                                         uint64_t oldest_ts,
-                                         std::vector<UpdateSummary>* out) {
-  if (desc.summaries == nullptr) return;
-  for (const UpdateSummary& s : *desc.summaries) {
-    if (s.publish_ts >= oldest_ts) out->push_back(s);
-  }
-}
-
 }  // namespace authdb

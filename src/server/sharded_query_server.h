@@ -12,12 +12,12 @@
 #include "core/freshness.h"
 #include "core/protocol.h"
 #include "core/sigcache.h"
+#include "core/summary_run.h"
 #include "server/admission.h"
 #include "server/config.h"
 #include "server/metrics.h"
 #include "server/shard_executor.h"
 #include "server/shard_router.h"
-#include "server/summary_run.h"
 
 namespace authdb {
 
@@ -259,10 +259,6 @@ class ShardedQueryServer {
                                         int64_t key) const;
   const SnapshotItem* GlobalSuccessor(const EpochDescriptor& desc,
                                       int64_t key) const;
-
-  /// Attach every retained summary published at/after `oldest_ts`.
-  static void AttachSummaries(const EpochDescriptor& desc, uint64_t oldest_ts,
-                              std::vector<UpdateSummary>* out);
 
   /// Build + install a descriptor from `snaps` under publish_mu_ (held by
   /// the caller), retiring the previous descriptor into the GC list, and

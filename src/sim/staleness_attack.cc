@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/data_aggregator.h"
+#include "core/summary_run.h"
 #include "core/verifier.h"
 #include "server/sharded_query_server.h"
 #include "server/update_stream.h"
@@ -254,7 +255,10 @@ StalenessAttackReport RunStalenessAttack(
     // (which marks every victim) when the stamp is forged upward.
     auto splice = [&](const Captured& c, size_t* answers, size_t* rejected) {
       QueryAnswer glued = c.ans;
-      glued.summaries.push_back(history.back());
+      std::vector<UpdateSummary> spliced(c.ans.summaries.begin(),
+                                         c.ans.summaries.end());
+      spliced.push_back(history.back());
+      glued.summaries = SummaryRun::Of(std::move(spliced));
       QueryAnswer forged = glued;
       forged.served_epoch = epoch_now;
       for (const QueryAnswer* forgery : {&glued, &forged}) {

@@ -29,7 +29,12 @@ Status DiskManager::ReadPage(PageId id, uint8_t* out) {
     return Status::OutOfRange("page " + std::to_string(id));
   ++stats_.reads;
   if (file_ == nullptr) {
-    std::memcpy(out, mem_[id].get(), kPageSize);
+    // A page never written back reads as zeros, as a fresh file page does.
+    if (mem_[id] == nullptr) {
+      std::memset(out, 0, kPageSize);
+    } else {
+      std::memcpy(out, mem_[id].get(), kPageSize);
+    }
     return Status::OK();
   }
   if (std::fseek(file_, static_cast<long>(id) * kPageSize, SEEK_SET) != 0)
@@ -44,6 +49,9 @@ Status DiskManager::WritePage(PageId id, const uint8_t* data) {
     return Status::OutOfRange("page " + std::to_string(id));
   ++stats_.writes;
   if (file_ == nullptr) {
+    if (mem_[id] == nullptr) {
+      mem_[id].reset(new uint8_t[kPageSize]);  // filled just below
+    }
     std::memcpy(mem_[id].get(), data, kPageSize);
     return Status::OK();
   }
@@ -57,8 +65,7 @@ Status DiskManager::WritePage(PageId id, const uint8_t* data) {
 PageId DiskManager::AllocatePage() {
   PageId id = page_count_++;
   if (file_ == nullptr) {
-    mem_.push_back(std::make_unique<uint8_t[]>(kPageSize));
-    std::memset(mem_.back().get(), 0, kPageSize);
+    mem_.emplace_back();  // backed on its first WritePage
   } else {
     uint8_t zeros[kPageSize] = {0};
     std::fseek(file_, static_cast<long>(id) * kPageSize, SEEK_SET);

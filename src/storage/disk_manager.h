@@ -23,7 +23,9 @@ struct IoStats {
 };
 
 /// Page-granularity storage. Backed by a file on disk, or by memory when
-/// constructed with an empty path (used heavily by tests).
+/// constructed with an empty path (used heavily by tests). A memory page
+/// gets its buffer on its first WritePage and reads as zeros before that,
+/// so pages a buffer pool allocates and never evicts cost no heap here.
 class DiskManager {
  public:
   /// `path` empty -> in-memory. An existing file is reopened.
@@ -46,7 +48,7 @@ class DiskManager {
  private:
   std::string path_;
   std::FILE* file_ = nullptr;                      // disk mode
-  std::vector<std::unique_ptr<uint8_t[]>> mem_;    // memory mode
+  std::vector<std::unique_ptr<uint8_t[]>> mem_;    // memory mode; null = zeros
   PageId page_count_ = 0;
   IoStats stats_;
 };

@@ -21,6 +21,7 @@
 
 #include "core/data_aggregator.h"
 #include "core/join.h"
+#include "core/summary_run.h"
 #include "core/verifier.h"
 #include "server/admission.h"
 #include "server/sharded_query_server.h"
@@ -413,7 +414,10 @@ TEST_F(OpenLoopTest, VerifierDistinguishesShedFromTamperedAndStale) {
        [](QueryAnswer* a) { a->join.partitions.emplace_back(); }},
       {"join.absence_proofs",
        [](QueryAnswer* a) { a->join.absence_proofs.emplace_back(); }},
-      {"summaries", [](QueryAnswer* a) { a->summaries.emplace_back(); }},
+      {"summaries",
+       [](QueryAnswer* a) {
+         a->summaries = SummaryRun::Of({UpdateSummary()});
+       }},
   };
   for (QueryKind kind :
        {QueryKind::kSelect, QueryKind::kProject, QueryKind::kJoin}) {

@@ -8,16 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/data_aggregator.h"
+#include "core/summary_run.h"
 #include "core/verifier.h"
-#include "server/summary_run.h"
 
 namespace authdb {
 namespace {
@@ -344,6 +346,60 @@ TEST(SummaryLogTest, HeldRunsKeepTheirOwnSummaries) {
   }
 }
 
+// Since(t) is a binary search on publish_ts plus a chunk-pointer copy; it
+// must attach exactly what the linear filter "publish_ts >= t" over the
+// run would, for windows that start mid-chunk, at a chunk seam and past
+// the run's end, and share the run's summaries rather than copy them.
+TEST(SummaryRunTest, SinceMatchesLinearFilter) {
+  for (size_t retained : {size_t{3}, size_t{64}, size_t{100}}) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                     size_t{65}, size_t{200}}) {
+      SCOPED_TRACE("retained " + std::to_string(retained) + ", " +
+                   std::to_string(n) + " summaries");
+      SummaryLog log(retained);
+      for (uint64_t seq = 0; seq < n; ++seq) {
+        UpdateSummary s;
+        s.seq = seq;
+        s.publish_ts = 100 + 10 * (seq / 3);  // stamps repeat in threes
+        s.compressed_bitmap = {static_cast<uint8_t>(seq)};
+        log.Append(std::move(s));
+      }
+      const SummaryRun& run = *log.run();
+      ASSERT_EQ(run.size(), std::min(n, retained));
+      std::vector<uint64_t> probes = {0, 1'000'000};
+      for (const UpdateSummary& s : run) {
+        for (uint64_t t : {s.publish_ts - 1, s.publish_ts, s.publish_ts + 1})
+          probes.push_back(t);
+      }
+      for (uint64_t t : probes) {
+        SCOPED_TRACE("oldest_ts " + std::to_string(t));
+        std::vector<UpdateSummary> linear;
+        size_t skipped = 0;
+        for (const UpdateSummary& s : run) {
+          if (s.publish_ts >= t) {
+            linear.push_back(s);
+          } else {
+            ++skipped;
+          }
+        }
+        const SummaryRun window = run.Since(t);
+        EXPECT_EQ(KeysOf(window), KeysOf(linear));
+        EXPECT_EQ(window.empty(), linear.empty());
+        for (size_t i = 0; i < window.size(); ++i)
+          EXPECT_EQ(&window[i], &run[skipped + i]);  // shared, not copied
+        // A window of a window is the window of the later stamp.
+        EXPECT_EQ(KeysOf(window.Since(t + 10)), KeysOf(run.Since(t + 10)));
+      }
+      // A run built from a vector answers the same.
+      const SummaryRun copy =
+          SummaryRun::Of(std::vector<UpdateSummary>(run.begin(), run.end()));
+      EXPECT_EQ(KeysOf(copy), KeysOf(run));
+      for (uint64_t t : probes)
+        EXPECT_EQ(KeysOf(copy.Since(t)), KeysOf(run.Since(t)));
+    }
+  }
+}
+
 TEST_F(ShardedServerTest, PinnedEpochKeepsItsSummariesPastTheRetentionBound) {
   ServerConfig cfg;
   cfg.node.record_len = 128;
@@ -392,6 +448,142 @@ TEST_F(ShardedServerTest, PinnedEpochKeepsItsSummariesPastTheRetentionBound) {
   EXPECT_EQ(KeysOf(after.value().summaries), KeysOf(*now->summaries));
   ClientVerifier fresh(&da_->public_key(), &codec_, HashMode::kFast);
   EXPECT_TRUE(Check(10, 20, after.value(), &fresh).ok());
+}
+
+// Readers hold, copy and iterate the summary windows of their answers
+// while the feed appends past them and, with a retention of 3, drops the
+// chunks the windows started in. A window ending inside the log's open
+// chunk must never touch the slots the writer fills next (TSan), and every
+// held window must read the same bytes once the server has moved on.
+TEST_F(ShardedServerTest, HeldAnswerSummariesSurviveConcurrentAppends) {
+  ServerConfig cfg;
+  cfg.node.record_len = 128;
+  cfg.node.summaries_retained = 3;
+  cfg.serving.worker_threads = 2;
+  server_ = std::make_unique<ShardedQueryServer>(
+      *ctx_, ShardRouter::Uniform(2, 0, 198), cfg);
+  std::vector<Record> records;
+  for (int64_t k : EvenKeys()) {
+    Record r;
+    r.attrs = {k, k * 100, k};
+    records.push_back(r);
+  }
+  auto stream = da_->BulkLoad(std::move(records));
+  ASSERT_TRUE(stream.ok());
+  for (const auto& msg : stream.value())
+    ASSERT_TRUE(server_->ApplyUpdate(msg).ok());
+
+  struct Held {
+    QueryAnswer answer;
+    SummaryRun copy;
+    SummaryKeys keys;
+  };
+  constexpr size_t kReaders = 2;
+  constexpr size_t kPublishes = 2 * SummaryRun::kChunkSlots + 9;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> newest_held{0};  // highest epoch any reader holds
+  std::atomic<size_t> running{kReaders};
+  std::vector<std::vector<Held>> held(kReaders);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      uint64_t last_epoch = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        auto ans = Serve(*server_, 20 + 40 * static_cast<int64_t>(r), 90);
+        if (!ans.ok()) {
+          ADD_FAILURE() << ans.status().ToString();
+          break;
+        }
+        SummaryKeys keys = KeysOf(ans.value().summaries);
+        SummaryRun copy = ans.value().summaries;
+        EXPECT_EQ(KeysOf(copy), keys);
+        const uint64_t epoch = ans.value().served_epoch;
+        if (epoch == 0 || epoch == last_epoch) continue;
+        last_epoch = epoch;
+        // The window ends with the epoch's newest summary.
+        if (keys.empty()) {
+          ADD_FAILURE() << "epoch " << epoch << " attached no summaries";
+          break;
+        }
+        EXPECT_EQ(std::get<0>(keys.back()), epoch - 1);
+        held[r].push_back(
+            Held{std::move(ans.value()), std::move(copy), std::move(keys)});
+        uint64_t prev = newest_held.load(std::memory_order_acquire);
+        while (prev < epoch &&
+               !newest_held.compare_exchange_weak(prev, epoch)) {
+        }
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (size_t i = 0; i < kPublishes; ++i) {
+    // Let some reader hold an answer of the current epoch before moving
+    // on, so every epoch is held while the next append lands.
+    const uint64_t epoch = server_->PinCurrentEpoch()->epoch;
+    while (epoch > 0 && newest_held.load(std::memory_order_acquire) < epoch &&
+           running.load(std::memory_order_acquire) > 0) {
+      std::this_thread::yield();
+    }
+    clock_.AdvanceSeconds(1.0);
+    server_->AddSummary(da_->PublishSummary().summary);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  size_t answers = 0;
+  for (const std::vector<Held>& mine : held) {
+    for (const Held& h : mine) {
+      ++answers;
+      EXPECT_LE(h.keys.size(), cfg.node.summaries_retained);
+      EXPECT_EQ(KeysOf(h.answer.summaries), h.keys);
+      EXPECT_EQ(KeysOf(h.copy), h.keys);
+    }
+  }
+  EXPECT_GE(answers, kPublishes - 1);
+}
+
+// A malicious server that glues a summary onto a captured answer builds a
+// run of its own: neither the server's run nor any other answer's window
+// sees the splice, and the client rejects the forged summary.
+TEST_F(ShardedServerTest, GluedSummaryStaysOutOfSharedRuns) {
+  Load(2, EvenKeys());
+  for (int i = 0; i < 3; ++i) {
+    clock_.AdvanceSeconds(1.0);
+    PublishPeriod();
+  }
+  auto captured = Serve(*server_, 10, 20);
+  auto other = Serve(*server_, 30, 40);
+  ASSERT_TRUE(captured.ok());
+  ASSERT_TRUE(other.ok());
+  std::shared_ptr<const EpochDescriptor> pin = server_->PinCurrentEpoch();
+  const SummaryKeys current = KeysOf(*pin->summaries);
+  const SummaryKeys captured_keys = KeysOf(captured.value().summaries);
+  const SummaryKeys other_keys = KeysOf(other.value().summaries);
+  ASSERT_FALSE(captured_keys.empty());
+
+  QueryAnswer glued = captured.value();
+  std::vector<UpdateSummary> spliced(glued.summaries.begin(),
+                                     glued.summaries.end());
+  UpdateSummary forged = spliced.back();
+  ++forged.seq;
+  forged.publish_ts += 1'000'000;
+  forged.compressed_bitmap = {0xFF};
+  spliced.push_back(std::move(forged));
+  glued.summaries = SummaryRun::Of(std::move(spliced));
+  ++glued.served_epoch;
+
+  EXPECT_EQ(glued.summaries.size(), captured_keys.size() + 1);
+  EXPECT_EQ(KeysOf(*pin->summaries), current);
+  EXPECT_EQ(KeysOf(*server_->PinCurrentEpoch()->summaries), current);
+  EXPECT_EQ(KeysOf(captured.value().summaries), captured_keys);
+  EXPECT_EQ(KeysOf(other.value().summaries), other_keys);
+  auto again = Serve(*server_, 30, 40);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(KeysOf(again.value().summaries), other_keys);
+
+  ClientVerifier naive(&da_->public_key(), &codec_, HashMode::kFast);
+  EXPECT_TRUE(Check(10, 20, glued, &naive).IsVerificationFailed());
+  EXPECT_TRUE(Check(30, 40, other.value(), &naive).ok());
 }
 
 }  // namespace

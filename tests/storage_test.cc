@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -32,6 +35,35 @@ TEST(DiskManagerTest, InMemoryReadWrite) {
   EXPECT_EQ(out[kPageSize - 1], 24);
   EXPECT_EQ(dm.stats().reads, 1u);
   EXPECT_EQ(dm.stats().writes, 1u);
+}
+
+TEST(DiskManagerTest, InMemoryPageReadsZerosUntilWritten) {
+  DiskManager dm("");
+  PageId id = dm.AllocatePage();
+  uint8_t out[kPageSize];
+  std::memset(out, 0xAB, kPageSize);
+  ASSERT_TRUE(dm.ReadPage(id, out).ok());
+  EXPECT_EQ(std::count(out, out + kPageSize, 0), std::ptrdiff_t{kPageSize});
+  EXPECT_EQ(dm.stats().reads, 1u);
+  EXPECT_EQ(dm.stats().writes, 0u);
+
+  // Write through a pool of one frame, evict the page, and read it back.
+  BufferPool pool(&dm, 1);
+  Page* p = pool.Fetch(id);
+  p->bytes()[7] = 7;
+  pool.Unpin(p, true);
+  Page* other = pool.New();  // evicts `id`, writing it back
+  pool.Unpin(other, false);
+  EXPECT_EQ(dm.stats().writes, 1u);
+  Page* again = pool.Fetch(id);
+  EXPECT_EQ(again->bytes()[7], 7);
+  EXPECT_EQ(std::count(again->bytes(), again->bytes() + kPageSize, 0),
+            std::ptrdiff_t{kPageSize - 1});
+  pool.Unpin(again, false);
+  // Reads: the direct one and both Fetches. Writes: `id`, then the new
+  // page (born dirty), each once on its eviction.
+  EXPECT_EQ(dm.stats().reads, 3u);
+  EXPECT_EQ(dm.stats().writes, 2u);
 }
 
 TEST(DiskManagerTest, OutOfRangeRejected) {
