@@ -246,8 +246,9 @@ void Run(bench::BenchRun* run) {
   }
 
   // Attaching an answer's freshness evidence: the window of a retained run
-  // published since the oldest cited stamp (SummaryRun::Since), against
-  // the deep copy of the same summaries it replaces. Informational.
+  // from the oldest cited stamp's anchor (SummaryRun::EvidenceFor; stamp 0
+  // predates every summary, so the whole run), against the deep copy of
+  // the same summaries it replaces. Informational.
   std::printf("\nAttach a run of n summaries to one answer (median of 9):\n");
   std::printf("%8s %14s %14s\n", "n", "window", "deep copy");
   for (size_t n : {size_t{1}, size_t{64}, size_t{1024}, size_t{4096}}) {
@@ -274,7 +275,7 @@ void Run(bench::BenchRun* run) {
     };
     size_t attached = 0;
     const double window_us = median_us([&] {
-      SummaryRun w = full.Since(0);
+      SummaryRun w = full.EvidenceFor(0);
       attached += w.size();
     });
     const double copy_us = median_us([&] {

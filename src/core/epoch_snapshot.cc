@@ -11,10 +11,6 @@ namespace authdb {
 // ---------------------------------------------------------------------------
 // EpochSnapshot
 
-EpochSnapshot::EpochSnapshot(std::vector<std::shared_ptr<const Chunk>> chunks,
-                             uint64_t generation)
-    : EpochSnapshot(std::move(chunks), {}, generation) {}
-
 EpochSnapshot::EpochSnapshot(
     std::vector<std::shared_ptr<const Chunk>> chunks,
     std::vector<std::shared_ptr<const ColumnAggregates>> chunk_aggs,
@@ -22,12 +18,13 @@ EpochSnapshot::EpochSnapshot(
     : chunks_(std::move(chunks)),
       chunk_aggs_(std::move(chunk_aggs)),
       generation_(generation) {
-  AUTHDB_CHECK(chunk_aggs_.empty() || chunk_aggs_.size() == chunks_.size());
+  AUTHDB_CHECK(chunk_aggs_.size() == chunks_.size());
   starts_.reserve(chunks_.size());
   first_keys_.reserve(chunks_.size());
   size_t rank = 0;
-  for (const auto& c : chunks_) {
-    AUTHDB_CHECK(c != nullptr && !c->empty());
+  for (size_t ci = 0; ci < chunks_.size(); ++ci) {
+    const auto& c = chunks_[ci];
+    AUTHDB_CHECK(c != nullptr && !c->empty() && chunk_aggs_[ci] != nullptr);
     starts_.push_back(rank);
     first_keys_.push_back(c->front().key());
     rank += c->size();
@@ -75,13 +72,11 @@ void EpochSnapshot::FoldColumns(size_t rank_lo, size_t rank_hi,
     const Chunk& c = *chunks_[ci];
     const size_t begin = r - starts_[ci];
     const size_t end = std::min(c.size(), rank_hi - starts_[ci] + 1);
-    const ColumnAggregates* cols =
-        chunk_aggs_.empty() ? nullptr : chunk_aggs_[ci].get();
-    if (cols != nullptr && max_column < cols->size() &&
-        2 * (end - begin) > c.size()) {
+    const ColumnAggregates& cols = *chunk_aggs_[ci];
+    if (max_column < cols.size() && 2 * (end - begin) > c.size()) {
       // The complement is the smaller side: the chunk's aggregates minus
       // the items outside the span (none when it is covered whole).
-      for (uint32_t col : columns) add((*cols)[col]);
+      for (uint32_t col : columns) add(cols[col]);
       stats->span_hits += columns.size();
       fold_items(c, 0, begin, /*negate=*/true);
       fold_items(c, end, c.size(), /*negate=*/true);
@@ -199,6 +194,7 @@ ShardVersionBuilder::ShardVersionBuilder(
     size_t chunk_target, std::shared_ptr<const BasContext> barrier_ctx)
     : chunk_target_(chunk_target), barrier_ctx_(std::move(barrier_ctx)) {
   AUTHDB_CHECK(chunk_target_ >= 2);
+  AUTHDB_CHECK(barrier_ctx_ != nullptr);
 }
 
 size_t ShardVersionBuilder::ChunkOf(int64_t key) const {
@@ -395,7 +391,6 @@ void ShardVersionBuilder::RefreshDigests() {
 }
 
 void ShardVersionBuilder::PrecomputeChunkAggregates() {
-  if (barrier_ctx_ == nullptr) return;
   const CurveGroup& curve = barrier_ctx_->curve();
   std::vector<size_t> fresh;  ///< touched chunks, in order
   std::vector<CurveGroup::Jacobian> jacs;  ///< their columns, concatenated
@@ -451,12 +446,12 @@ std::shared_ptr<const EpochSnapshot> ShardVersionBuilder::Freeze() {
   RefreshDigests();
   PrecomputeChunkAggregates();
   std::vector<std::shared_ptr<const ColumnAggregates>> aggs;
-  if (barrier_ctx_ != nullptr) aggs.reserve(meta_.size());
+  aggs.reserve(meta_.size());
   for (ChunkMeta& m : meta_) {
     m.owned = false;
     m.rebuild = false;
     m.delta.clear();
-    if (barrier_ctx_ != nullptr) aggs.push_back(m.aggs);
+    aggs.push_back(m.aggs);
   }
   last_frozen_ = std::make_shared<const EpochSnapshot>(
       chunks_, std::move(aggs), generation_);

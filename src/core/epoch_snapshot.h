@@ -67,10 +67,8 @@ class EpochSnapshot {
   };
 
   EpochSnapshot() = default;
-  EpochSnapshot(std::vector<std::shared_ptr<const Chunk>> chunks,
-                uint64_t generation);
-  /// As above, with barrier-precomputed column aggregates (parallel to
-  /// `chunks`; entries may be null). See chunk_columns.
+  /// `chunk_aggs`: the barrier-precomputed column aggregates, parallel to
+  /// `chunks`. See chunk_columns.
   EpochSnapshot(
       std::vector<std::shared_ptr<const Chunk>> chunks,
       std::vector<std::shared_ptr<const ColumnAggregates>> chunk_aggs,
@@ -114,11 +112,11 @@ class EpochSnapshot {
 
   size_t chunk_count() const { return chunks_.size(); }
 
-  /// Chunk `ci`'s column aggregates, or null when none were precomputed.
-  /// They are computed at ShardVersionBuilder::Freeze and shared with every
-  /// snapshot that shares the chunk; FoldColumns reads them.
+  /// Chunk `ci`'s column aggregates. They are computed at
+  /// ShardVersionBuilder::Freeze and shared with every snapshot that shares
+  /// the chunk; FoldColumns reads them.
   const ColumnAggregates* chunk_columns(size_t ci) const {
-    return chunk_aggs_.empty() ? nullptr : chunk_aggs_[ci].get();
+    return chunk_aggs_[ci].get();
   }
 
   /// Add every item's signatures in `columns` (0 = chain signature,
@@ -165,8 +163,8 @@ class EpochSnapshot {
   friend class ShardVersionBuilder;
 
   std::vector<std::shared_ptr<const Chunk>> chunks_;
-  /// Parallel to chunks_ (or empty): each chunk's column aggregates,
-  /// shared across epochs with the chunk.
+  /// Parallel to chunks_: each chunk's column aggregates, shared across
+  /// epochs with the chunk.
   std::vector<std::shared_ptr<const ColumnAggregates>> chunk_aggs_;
   std::vector<size_t> starts_;      ///< starts_[i] = rank of chunks_[i][0]
   std::vector<int64_t> first_keys_; ///< chunks_[i][0].key()
@@ -205,14 +203,12 @@ class EpochSnapshot {
 class ShardVersionBuilder {
  public:
   /// `chunk_target`: preferred items per chunk; chunks split at twice this.
-  /// `barrier_ctx` (optional): when set, Freeze() publishes every dirty
-  /// chunk's column aggregates (EpochSnapshot::ColumnAggregates), all
+  /// `barrier_ctx` (non-null): the curve Freeze() publishes every dirty
+  /// chunk's column aggregates (EpochSnapshot::ColumnAggregates) on, all
   /// finalized with one shared batch inversion and shared across epochs
-  /// like the chunk itself. Null skips them (chunk_columns is then null
-  /// and FoldColumns folds leaf by leaf).
-  explicit ShardVersionBuilder(
-      size_t chunk_target = 128,
-      std::shared_ptr<const BasContext> barrier_ctx = nullptr);
+  /// like the chunk itself.
+  ShardVersionBuilder(size_t chunk_target,
+                      std::shared_ptr<const BasContext> barrier_ctx);
 
   /// Apply one DA update piece (the shard-owned slice of a
   /// SignedRecordUpdate): inserts require a fresh key,
@@ -275,8 +271,7 @@ class ShardVersionBuilder {
   void RefreshDigests();
   /// Publish the column aggregates of every chunk the delta touched —
   /// base + delta where valid, a leaf-by-leaf rebuild otherwise — all
-  /// finalized with ONE shared batch inversion. No-op without a barrier
-  /// context.
+  /// finalized with ONE shared batch inversion.
   void PrecomputeChunkAggregates();
 
   size_t chunk_target_;

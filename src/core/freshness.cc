@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,18 +86,17 @@ bool Marked(std::vector<uint32_t>::const_iterator begin,
 }  // namespace
 
 Status FreshnessChecker::AddSummary(const UpdateSummary& summary) {
-  if (summaries_.count(summary.seq)) return Status::OK();  // already held
+  auto at = std::lower_bound(
+      summaries_.begin(), summaries_.end(), summary.seq,
+      [](const Held& h, uint64_t seq) { return h.seq < seq; });
+  if (at != summaries_.end() && at->seq == summary.seq)
+    return Status::OK();  // already held
   if (!da_pub_->Verify(summary.SignedMessage().AsSlice(), summary.sig, mode_))
     return Status::VerificationFailed("summary signature mismatch");
-  auto after = summaries_.upper_bound(summary.seq);
-  if (after != summaries_.end() &&
-      summary.publish_ts > after->second.publish_ts)
+  if ((at != summaries_.end() && summary.publish_ts > at->publish_ts) ||
+      (at != summaries_.begin() &&
+       summary.publish_ts < std::prev(at)->publish_ts))
     return Status::VerificationFailed("summary timestamp regression");
-  if (after != summaries_.begin()) {
-    auto before = std::prev(after);
-    if (summary.publish_ts < before->second.publish_ts)
-      return Status::VerificationFailed("summary timestamp regression");
-  }
   // Decoded after the signature check, but under kFast anyone can sign a
   // summary: a malformed bitmap is a rejected answer, not a crash.
   Result<Bitmap> bitmap = codec_->Decode(Slice(summary.compressed_bitmap));
@@ -104,6 +104,7 @@ Status FreshnessChecker::AddSummary(const UpdateSummary& summary) {
     return Status::VerificationFailed("summary bitmap malformed: " +
                                       bitmap.status().message());
   Held held;
+  held.seq = summary.seq;
   held.publish_ts = summary.publish_ts;
   AppendMarks(bitmap.value(), &held.marks);
   held.rid_marks = held.marks.size();
@@ -115,87 +116,60 @@ Status FreshnessChecker::AddSummary(const UpdateSummary& summary) {
                                         parts.status().message());
     AppendMarks(parts.value(), &held.marks);
   }
-  summaries_.emplace(summary.seq, std::move(held));
+  summaries_.insert(at, std::move(held));
   return Status::OK();
 }
 
-Status FreshnessChecker::CheckRun(bool in_run, uint64_t prev_seq,
-                                  uint64_t seq) {
-  if (in_run && seq != prev_seq + 1)
+Status FreshnessChecker::Walk(bool partition, uint64_t pos, uint64_t ts,
+                              uint64_t epoch, uint64_t* proven_ts) const {
+  // The first held summary published after ts; the one before it, if
+  // any, is the anchor, and the walk expects the seq after it. Without a
+  // held anchor the run must start at seq 0.
+  const auto first = std::upper_bound(
+      summaries_.begin(), summaries_.end(), ts,
+      [](uint64_t t, const Held& h) { return t < h.publish_ts; });
+  uint64_t next = first == summaries_.begin() ? 0 : std::prev(first)->seq + 1;
+  *proven_ts = ts;
+  for (auto it = first; it != summaries_.end() && it->seq == next;
+       ++it, ++next) {
+    *proven_ts = it->publish_ts;
+    // A record's own certification marks the first summary after its
+    // anchor; a certificate's own mark is its anchor's.
+    if (!partition && it == first) continue;
+    const auto split = it->marks.begin() + it->rid_marks;
+    if (partition ? Marked(split, it->marks.end(), pos)
+                  : Marked(it->marks.begin(), split, pos)) {
+      return Status::VerificationFailed(
+          std::string(partition ? "partition " : "record ") +
+          std::to_string(pos) + " changed after its returned stamp " +
+          std::to_string(ts) + " (summary seq " + std::to_string(it->seq) +
+          ")");
+    }
+  }
+  if (next < epoch) {
     return Status::VerificationFailed(
-        "summary coverage gap between seq " + std::to_string(prev_seq) +
-        " and " + std::to_string(seq));
+        "freshness evidence for stamp " + std::to_string(ts) +
+        " stops before seq " + std::to_string(next) + " of an epoch-" +
+        std::to_string(epoch) + " answer");
+  }
   return Status::OK();
 }
 
 Status FreshnessChecker::CheckRecord(uint64_t rid, uint64_t record_ts,
-                                     uint64_t now,
+                                     uint64_t epoch, uint64_t now,
                                      uint64_t* max_staleness_micros) const {
-  if (summaries_.empty() ||
-      record_ts > summaries_.rbegin()->second.publish_ts) {
-    // Newer than the latest bitmap: fresh, or out-of-date by < rho.
-    if (max_staleness_micros != nullptr)
-      *max_staleness_micros = now > record_ts ? now - record_ts : 0;
-    return Status::OK();
-  }
-  // Walk every summary published at/after the record's certification. The
-  // run must be gapless through the latest summary; a missing period means
-  // we cannot attest that the record was not superseded inside it.
-  //
-  // Mark semantics: a record's own certification necessarily marks the
-  // summary of the period *containing* r.ts, so that mark is expected. Only
-  // a mark in a period that began strictly after r.ts (period start = the
-  // previous summary's publish time) proves a newer version exists. A
-  // second update inside r.ts's own period is caught one period later via
-  // the DA's multi-update re-certification — the paper's 2*rho bound.
-  bool in_run = false;
-  uint64_t prev_seq = 0;
-  uint64_t prev_publish_ts = 0;
-  for (const auto& [seq, s] : summaries_) {
-    if (s.publish_ts < record_ts) {
-      prev_publish_ts = s.publish_ts;
-      continue;
-    }
-    AUTHDB_RETURN_NOT_OK(CheckRun(in_run, prev_seq, seq));
-    if (prev_publish_ts > record_ts &&
-        Marked(s.marks.begin(), s.marks.begin() + s.rid_marks, rid)) {
-      return Status::VerificationFailed(
-          "record " + std::to_string(rid) +
-          " was updated after its returned version (summary seq " +
-          std::to_string(seq) + ")");
-    }
-    in_run = true;
-    prev_seq = seq;
-    prev_publish_ts = s.publish_ts;
-  }
-  if (max_staleness_micros != nullptr) {
-    uint64_t latest = summaries_.rbegin()->second.publish_ts;
-    *max_staleness_micros = now > latest ? now - latest : 0;
-  }
+  uint64_t proven_ts = 0;
+  AUTHDB_RETURN_NOT_OK(
+      Walk(/*partition=*/false, rid, record_ts, epoch, &proven_ts));
+  if (max_staleness_micros != nullptr)
+    *max_staleness_micros = now > proven_ts ? now - proven_ts : 0;
   return Status::OK();
 }
 
-Status FreshnessChecker::CheckPartition(uint32_t idx,
-                                        uint64_t cert_ts) const {
-  // Unlike a record, a certificate is issued AT a period boundary (the
-  // summary's publish_ts), so every summary published after it closes a
-  // period that began at or after the certificate: any mark there means
-  // the filter changed after the shipped version.
-  bool in_run = false;
-  uint64_t prev_seq = 0;
-  for (const auto& [seq, s] : summaries_) {
-    if (s.publish_ts <= cert_ts) continue;
-    AUTHDB_RETURN_NOT_OK(CheckRun(in_run, prev_seq, seq));
-    if (Marked(s.marks.begin() + s.rid_marks, s.marks.end(), idx)) {
-      return Status::VerificationFailed(
-          "partition " + std::to_string(idx) +
-          " changed after its returned certificate (summary seq " +
-          std::to_string(seq) + ")");
-    }
-    in_run = true;
-    prev_seq = seq;
-  }
-  return Status::OK();
+Status FreshnessChecker::CheckPartition(uint32_t idx, uint64_t cert_ts,
+                                        uint64_t epoch) const {
+  uint64_t proven_ts = 0;
+  return Walk(/*partition=*/true, idx, cert_ts, epoch, &proven_ts);
 }
 
 }  // namespace authdb

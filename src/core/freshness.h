@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "common/status.h"
@@ -112,7 +111,15 @@ class FreshnessTracker {
 };
 
 /// Client-side freshness checker. Collects verified summaries and answers:
-/// "is record (rid, ts) fresh as of now, and with what staleness bound?"
+/// "is the version stamped t, cited by an answer of epoch e, fresh?"
+///
+/// The evidence rule (Section 3.1; the server attaches it with
+/// SummaryRun::EvidenceFor): the summary run from t's *anchor* through seq
+/// e-1. The anchor is the last summary published at or before t, or seq 0
+/// when every summary is later than t. Only a gapless run from the anchor
+/// proves that no period since t was left out, so a server cannot pass a
+/// client that holds just the answer's summaries a window cut at either
+/// end.
 class FreshnessChecker {
  public:
   explicit FreshnessChecker(const BasPublicKey* da_pub,
@@ -128,45 +135,48 @@ class FreshnessChecker {
   /// whose bitmap or partition set does not decode is rejected.
   Status AddSummary(const UpdateSummary& summary);
 
-  /// Freshness rule of Section 3.1:
-  ///  * r.ts newer than the latest summary  -> fresh (bound < rho).
-  ///  * else r must be unmarked in every summary published since r.ts;
-  ///    a mark means the server returned a superseded version -> reject.
-  /// The held summaries must cover [record_ts, latest] without sequence
-  /// gaps, otherwise the absence of marks proves nothing.
-  /// `max_staleness_micros` (out, optional) receives the bound.
-  Status CheckRecord(uint64_t rid, uint64_t record_ts, uint64_t now,
+  /// The rule for a record version certified at `record_ts`: the held run
+  /// from its anchor reaches seq epoch-1 without a gap, and no summary in
+  /// it marks `rid` except the first after the anchor. That one closes the
+  /// period containing record_ts, so its mark is the version's own; a
+  /// second update inside that period is caught one period later by the
+  /// DA's multi-update re-certification (the paper's 2*rho bound). Held
+  /// summaries past epoch-1 are walked too while the run stays gapless.
+  /// `max_staleness_micros` (out, optional) receives the bound: the time
+  /// since the newer of record_ts and the last summary walked.
+  Status CheckRecord(uint64_t rid, uint64_t record_ts, uint64_t epoch,
+                     uint64_t now,
                      uint64_t* max_staleness_micros = nullptr) const;
 
-  /// The same rule for a join partition certificate stamped `cert_ts`:
-  /// fresh iff every held summary published strictly after cert_ts leaves
-  /// partition `idx` unmarked, and those summaries run without sequence
-  /// gaps through the latest. Strictly: the close that issued the
-  /// certificate marks the partition it re-certified, and that mark is
-  /// the certificate's own.
-  Status CheckPartition(uint32_t idx, uint64_t cert_ts) const;
+  /// The same rule for a join partition certificate stamped `cert_ts`.
+  /// A certificate is issued AT a close (its publish_ts), so that close is
+  /// its anchor, and no mark after it is skipped.
+  Status CheckPartition(uint32_t idx, uint64_t cert_ts, uint64_t epoch) const;
 
   size_t summary_count() const { return summaries_.size(); }
-  uint64_t latest_publish_ts() const {
-    return summaries_.empty() ? 0 : summaries_.rbegin()->second.publish_ts;
-  }
 
  private:
   struct Held {
+    uint64_t seq;
     uint64_t publish_ts;
     /// The marked rids, then the marked partition idx, each sorted: one
     /// allocation per summary.
     std::vector<uint32_t> marks;
     size_t rid_marks;  ///< marks[0, rid_marks) are the rids
   };
-  /// The gap check both rules share: `seq` must directly follow the
-  /// previous summary of the walk, if any.
-  static Status CheckRun(bool in_run, uint64_t prev_seq, uint64_t seq);
+  /// The one walk behind both rules: finds the anchor of `ts` by binary
+  /// search, walks the gapless held run after it, and fails on a mark of
+  /// `pos` (a partition idx when `partition`, else a rid) or when the run
+  /// stops before seq epoch-1. A record's walk skips the first summary's
+  /// mark. `*proven_ts` receives the newer of ts and the last walked
+  /// summary's publish_ts.
+  Status Walk(bool partition, uint64_t pos, uint64_t ts, uint64_t epoch,
+              uint64_t* proven_ts) const;
 
   const BasPublicKey* da_pub_;
   const BitmapCodec* codec_;
   BasContext::HashMode mode_;
-  std::map<uint64_t, Held> summaries_;  // seq -> summary
+  std::vector<Held> summaries_;  // ascending seq (and publish_ts)
 };
 
 }  // namespace authdb

@@ -176,9 +176,12 @@ struct QueryAnswer {
   SelectionAnswer selection;
   ProjectedRangeAnswer projection;
   JoinAnswer join;
-  /// Freshness evidence: every summary published at/after the oldest
-  /// cited record certification, as a window sharing the served epoch's
-  /// summary run (SummaryRun::Since).
+  /// Freshness evidence: the served epoch's summaries from the anchor of
+  /// the oldest cited stamp (record version or partition certificate)
+  /// through seq served_epoch - 1, as a window sharing the epoch's summary
+  /// run (SummaryRun::EvidenceFor). The anchor is the last summary
+  /// published at or before that stamp, so the window holds every period
+  /// since the stamp; FreshnessChecker rejects a window cut at either end.
   SummaryRun summaries;
   /// Freshness epoch the answer was served under: latest summary seq + 1
   /// (0 = none yet). On the epoch-pinned sharded path this is exact — the

@@ -24,19 +24,19 @@ SummaryRun SummaryRun::Of(std::vector<UpdateSummary> summaries) {
   return run;
 }
 
-SummaryRun SummaryRun::Since(uint64_t oldest_ts) const {
-  // The first summary published at/after oldest_ts; publish_ts is
-  // non-decreasing along the run.
+SummaryRun SummaryRun::EvidenceFor(uint64_t ts) const {
+  // The first summary published after ts; publish_ts is non-decreasing
+  // along the run. The one before it is the anchor.
   size_t lo = 0, hi = size_;
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if ((*this)[mid].publish_ts < oldest_ts) {
+    if ((*this)[mid].publish_ts <= ts) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return Suffix(lo);
+  return Suffix(lo == 0 ? 0 : lo - 1);
 }
 
 SummaryRun SummaryRun::Suffix(size_t i) const {

@@ -38,11 +38,15 @@ class SummaryRun {
     return chunks_[slot / kChunkSlots]->slots[slot % kChunkSlots];
   }
 
-  /// The window of every summary published at/after `oldest_ts`, sharing
-  /// this run's chunks. Requires publish_ts to be non-decreasing along the
-  /// run (SummaryLog::Append checks it): a binary search finds the first
-  /// such summary, and only the chunk pointers from there on are copied.
-  SummaryRun Since(uint64_t oldest_ts) const;
+  /// The freshness evidence for stamp `ts` (FreshnessChecker's rule): the
+  /// window from ts's anchor through the run's end, sharing this run's
+  /// chunks. The anchor is the last summary published at or before ts, or
+  /// the run's first summary when every one is later. Requires publish_ts
+  /// to be non-decreasing along the run (SummaryLog::Append checks it): a
+  /// binary search finds the anchor, and only the chunk pointers from
+  /// there on are copied. A run that no longer starts at seq 0 cannot
+  /// prove a stamp older than its first summary; the client rejects that.
+  SummaryRun EvidenceFor(uint64_t ts) const;
 
   class const_iterator {
    public:
@@ -100,7 +104,7 @@ class SummaryLog {
 
   /// Append `summary` and make the run ending with it the current one.
   /// CHECKs that it is the next seq and not published before the previous
-  /// summary: SummaryRun::Since relies on the order.
+  /// summary: SummaryRun::EvidenceFor relies on the order.
   void Append(UpdateSummary summary);
   /// The current run; never null.
   const std::shared_ptr<const SummaryRun>& run() const { return run_; }

@@ -437,13 +437,14 @@ std::vector<Status> ClientVerifier::Verify(const Query* plans,
   // Phase 3 — freshness, strictly serial in answer order: summaries an
   // earlier answer ingests are visible to every later walk.
   auto walk = [&](const QueryAnswer& ans, const Claim& claim) -> Status {
+    const uint64_t epoch = ans.served_epoch;
     for (const UpdateSummary& s : ans.summaries)
       AUTHDB_RETURN_NOT_OK(freshness_.AddSummary(s));
     for (const auto& [rid, ts] : CitedVersions(ans))
-      AUTHDB_RETURN_NOT_OK(freshness_.CheckRecord(rid, ts, now));
+      AUTHDB_RETURN_NOT_OK(freshness_.CheckRecord(rid, ts, epoch, now));
     if (claim.partitions != nullptr) {
       for (const CertifiedPartition& p : *claim.partitions)
-        AUTHDB_RETURN_NOT_OK(freshness_.CheckPartition(p.idx, p.ts));
+        AUTHDB_RETURN_NOT_OK(freshness_.CheckPartition(p.idx, p.ts, epoch));
     }
     return Status::OK();
   };
@@ -486,7 +487,8 @@ std::vector<uint64_t> ClientVerifier::StaleRids(const QueryAnswer& ans,
                                                 uint64_t now) const {
   std::vector<uint64_t> stale;
   for (const auto& [rid, ts] : CitedVersions(ans)) {
-    if (!freshness_.CheckRecord(rid, ts, now).ok()) stale.push_back(rid);
+    if (!freshness_.CheckRecord(rid, ts, ans.served_epoch, now).ok())
+      stale.push_back(rid);
   }
   return stale;
 }

@@ -16,11 +16,13 @@ namespace authdb {
 ///  * authenticity  — the aggregate signature matches the cited messages;
 ///  * completeness  — boundary keys enclose the range / every probe value
 ///                    is accounted for, and the chain is gapless;
-///  * freshness     — no cited record, and no shipped join partition, is
-///                    marked in any summary published after its
-///                    certification (Section 3.1), and the envelope's
-///                    `served_epoch` is not behind the client's view of
-///                    the summary stream.
+///  * freshness     — the held summaries run gaplessly from the anchor
+///                    of every cited record's and shipped join
+///                    partition's stamp through seq served_epoch - 1, and
+///                    none of them published after the stamp's own
+///                    period marks it (Section 3.1; FreshnessChecker);
+///                    and the envelope's `served_epoch` is not behind the
+///                    client's view of the summary stream.
 ///
 /// There is one pipeline, VerifyAnswerBatch; VerifyAnswerFresh is a batch
 /// of one. It runs in three phases:
@@ -31,7 +33,8 @@ namespace authdb {
 ///  3. a serial freshness walk: the envelope's summaries are ingested,
 ///     then every cited (rid, ts) version is checked against the held
 ///     bitmaps, and every shipped partition certificate against the held
-///     partition sets.
+///     partition sets, each over its evidence window for the answer's
+///     served_epoch.
 ///
 /// Mixed-generation defense: with epoch-pinned serving, an answer served
 /// under epoch e is a snapshot of periods 0..e-1, so it can only carry
@@ -94,8 +97,8 @@ class ClientVerifier {
   }
 
   /// Diagnostic companion for attack harnesses: every cited rid whose
-  /// returned version is superseded according to the currently held
-  /// summaries.
+  /// returned version fails the freshness walk for the answer's
+  /// served_epoch against the currently held summaries.
   std::vector<uint64_t> StaleRids(const QueryAnswer& ans, uint64_t now) const;
 
   FreshnessChecker& freshness() { return freshness_; }

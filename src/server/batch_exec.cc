@@ -369,7 +369,9 @@ Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,
     *needs_final = true;  // agg_sig lands with the batch-level inversion
   }
 
-  answer.summaries = desc_.summaries->Since(oldest_ts);
+  // The oldest stamp's evidence window (from its anchor through seq
+  // epoch-1) holds every newer stamp's window as well.
+  answer.summaries = desc_.summaries->EvidenceFor(oldest_ts);
   answer.served_epoch = desc_.epoch;
   return answer;
 }
@@ -420,7 +422,7 @@ Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
     *needs_final = true;
   }
 
-  answer.summaries = desc_.summaries->Since(oldest_ts);
+  answer.summaries = desc_.summaries->EvidenceFor(oldest_ts);
   answer.served_epoch = desc_.epoch;
   return answer;
 }
@@ -533,13 +535,13 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
   for (const auto& [idx, part] : used_partitions) {
     ans.partitions.push_back(*part);
     acc->Add(curve_, part->sig);
-    // The summaries after the certificate's own close are its freshness
-    // evidence (FreshnessChecker::CheckPartition).
-    oldest_ts = std::min(oldest_ts, part->ts + 1);
+    // A certificate's anchor is the close that issued it (stamped at its
+    // publish_ts), so it takes the same window as a record stamp.
+    oldest_ts = std::min(oldest_ts, part->ts);
   }
   *needs_final = true;  // joins always aggregate (infinity when no parts)
 
-  answer.summaries = desc_.summaries->Since(oldest_ts);
+  answer.summaries = desc_.summaries->EvidenceFor(oldest_ts);
   answer.served_epoch = desc_.epoch;
   return answer;
 }

@@ -60,6 +60,19 @@ StalenessAttackReport RunStalenessAttack(
   VarintGapCodec codec;
   int64_t absent_next = 0;  // next absent B value past the loaded ones
   std::vector<UpdateSummary> history;  // the DA -> client broadcast feed
+  // A client with no independent feed: a fresh verifier holding nothing
+  // but what the answer ships, with no epoch floor.
+  auto feedless_accepts = [&](const Query& q, const QueryAnswer& ans,
+                              uint64_t now) {
+    ClientVerifier naive(&da.public_key(), &codec, da.hash_mode());
+    return naive.VerifyAnswerFresh(q, ans, now, 0).ok();
+  };
+  struct Captured {
+    Query query;
+    QueryAnswer ans;
+  };
+  // Every captured stale answer, for the truncated-evidence replays.
+  std::vector<Captured> stale;
 
   // Close the DA's current rho-period and push its output through the
   // stream: re-certifications first (they belong to the new period), then
@@ -105,10 +118,6 @@ StalenessAttackReport RunStalenessAttack(
     // point selections of the records about to be superseded and, in join
     // mode, joins over the victims' B values — their match rows are about
     // to be superseded too.
-    struct Captured {
-      Query query;
-      QueryAnswer ans;
-    };
     auto capture = [&](Query q) {
       Result<QueryAnswer> ans = server.Execute(q);
       AUTHDB_CHECK(ans.ok());
@@ -262,13 +271,9 @@ StalenessAttackReport RunStalenessAttack(
       QueryAnswer forged = glued;
       forged.served_epoch = epoch_now;
       for (const QueryAnswer* forgery : {&glued, &forged}) {
-        // A fresh verifier per forgery: it holds nothing but what the
-        // answer ships, so acceptance would mean the splice is
-        // self-consistent.
-        ClientVerifier naive(&da.public_key(), &codec, da.hash_mode());
+        // Acceptance would mean the splice is self-consistent.
         ++*answers;
-        if (!naive.VerifyAnswerFresh(c.query, *forgery, now_post, 0).ok())
-          ++*rejected;
+        if (!feedless_accepts(c.query, *forgery, now_post)) ++*rejected;
       }
     };
     for (const Captured& c : captured) {
@@ -310,11 +315,14 @@ StalenessAttackReport RunStalenessAttack(
       for (const Captured& c : *joins) {
         Result<QueryAnswer> ans = server.Execute(c.query);
         ++report.join_honest_answers;
-        if (ans.ok() &&
-            judge.VerifyAnswerFresh(c.query, ans.value(), now_post, epoch_now)
+        ++report.feedless_honest_answers;
+        if (!ans.ok()) continue;
+        if (judge.VerifyAnswerFresh(c.query, ans.value(), now_post, epoch_now)
                 .ok()) {
           ++report.join_honest_accepted;
         }
+        if (feedless_accepts(c.query, ans.value(), now_post))
+          ++report.feedless_honest_accepted;
       }
     }
 
@@ -323,13 +331,41 @@ StalenessAttackReport RunStalenessAttack(
     for (const Captured& c : captured) {
       Result<QueryAnswer> ans = server.Execute(c.query);
       ++report.honest_answers;
-      if (ans.ok() &&
-          judge.VerifyAnswerFresh(c.query, ans.value(), now_post, epoch_now)
+      ++report.feedless_honest_answers;
+      if (!ans.ok()) continue;
+      if (judge.VerifyAnswerFresh(c.query, ans.value(), now_post, epoch_now)
               .ok()) {
         ++report.honest_accepted;
       }
+      if (feedless_accepts(c.query, ans.value(), now_post))
+        ++report.feedless_honest_accepted;
+    }
+    for (std::vector<Captured>* kind :
+         {&captured, &captured_joins, &captured_filters}) {
+      for (Captured& c : *kind) stale.push_back(std::move(c));
     }
     ++report.periods_run;
+  }
+
+  // The truncated-evidence replays. A capture of epoch m is superseded in
+  // period m, so summary m marks it; its true evidence under the final
+  // epoch runs from its stamps' anchor through the last summary.
+  const uint64_t final_epoch = history.size();
+  const uint64_t now_final = clock.NowMicros();
+  for (const Captured& c : stale) {
+    const uint64_t marking = c.ans.served_epoch;
+    QueryAnswer oldest_cut = c.ans;
+    oldest_cut.served_epoch = final_epoch;
+    oldest_cut.summaries = SummaryRun::Of(std::vector<UpdateSummary>(
+        history.begin() + static_cast<ptrdiff_t>(marking) + 1,
+        history.end()));
+    QueryAnswer newest_cut = c.ans;  // evidence through seq marking - 1
+    newest_cut.served_epoch = final_epoch;
+    for (const QueryAnswer* cut : {&oldest_cut, &newest_cut}) {
+      ++report.truncated_answers;
+      if (!feedless_accepts(c.query, *cut, now_final))
+        ++report.truncated_rejected;
+    }
   }
 
   ServerMetrics metrics = stream.Metrics();

@@ -94,6 +94,20 @@ struct StalenessAttackReport {
   /// alone must still catch every replay.
   size_t filter_replays_rejected_bitmap_only = 0;
 
+  /// Truncated-evidence replays, after the last period: every captured
+  /// stale answer above (selection, join and stale filter), stamped with
+  /// the final epoch, its evidence cut once at the oldest end, through the
+  /// summary that marks it (what is left indicts nothing), and once at the
+  /// newest end, just before that summary (its own capture-time window).
+  /// Judged with min_epoch = 0 by verifiers holding nothing beyond the
+  /// answer: the anchored evidence rule alone must reject the cut.
+  size_t truncated_answers = 0;
+  size_t truncated_rejected = 0;
+  /// Each period's honest re-reads and re-joins judged the same way: the
+  /// window the server attaches must prove them fresh on its own.
+  size_t feedless_honest_answers = 0;
+  size_t feedless_honest_accepted = 0;
+
   bool Clean() const {
     return replayed_answers > 0 && honest_accepted == honest_answers &&
            replays_rejected == replayed_answers &&
@@ -104,7 +118,9 @@ struct StalenessAttackReport {
            join_mixed_generation_rejected == join_mixed_generation_answers &&
            join_honest_accepted == join_honest_answers &&
            filter_replays_rejected == filter_replayed_answers &&
-           filter_replays_rejected_bitmap_only == filter_replayed_answers;
+           filter_replays_rejected_bitmap_only == filter_replayed_answers &&
+           truncated_rejected == truncated_answers &&
+           feedless_honest_accepted == feedless_honest_answers;
   }
 };
 

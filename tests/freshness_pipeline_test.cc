@@ -524,16 +524,25 @@ TEST_F(FreshnessPipelineTest, MultiUpdateRecertifiedAcrossConsecutivePeriods) {
 
   ClientVerifier verifier(&da_->public_key(), &codec_, da_->hash_mode());
   uint64_t now = clock_.NowMicros();
-  // Prime the checker through a live answer (carries summaries 0..1).
+  // Prime the checker through a live answer over the relation: its
+  // bulk-loaded records predate summary 0, so it carries summaries 0..1.
+  // Record 7 alone is stamped at summary 1's close, which anchors it: its
+  // own answer carries summary 1 only.
+  const Query all = Query::Select(0, 15);
+  auto primer = server->Execute(all);
+  ASSERT_TRUE(primer.ok());
+  ASSERT_EQ(primer.value().summaries.size(), 2u);
+  ASSERT_TRUE(verifier.VerifyAnswerFresh(all, primer.value(), now, 0).ok());
   const Query q = Query::Select(7, 7);
   auto live = server->Execute(q);
   ASSERT_TRUE(live.ok());
+  ASSERT_EQ(live.value().summaries.size(), 1u);
   ASSERT_TRUE(verifier.VerifyAnswerFresh(q, live.value(), now, 0).ok());
   // After summary 1 alone, the intermediate version v1 hides inside its own
   // period's mark — not yet provably stale (the 2*rho window).
   Record v1_rec = v1.value().record->record;
   EXPECT_TRUE(
-      verifier.freshness().CheckRecord(v1_rec.rid, v1_rec.ts, now).ok());
+      verifier.freshness().CheckRecord(v1_rec.rid, v1_rec.ts, 2, now).ok());
 
   // Close period 2 (no new updates): its summary carries the
   // re-certification mark; v1 and v2 both become provably stale while the
@@ -547,10 +556,10 @@ TEST_F(FreshnessPipelineTest, MultiUpdateRecertifiedAcrossConsecutivePeriods) {
   ASSERT_TRUE(verifier.freshness().AddSummary(p2.summary).ok());
   Record v2_rec = v2.value().record->record;
   EXPECT_TRUE(verifier.freshness()
-                  .CheckRecord(v1_rec.rid, v1_rec.ts, now)
+                  .CheckRecord(v1_rec.rid, v1_rec.ts, 3, now)
                   .IsVerificationFailed());
   EXPECT_TRUE(verifier.freshness()
-                  .CheckRecord(v2_rec.rid, v2_rec.ts, now)
+                  .CheckRecord(v2_rec.rid, v2_rec.ts, 3, now)
                   .IsVerificationFailed());
   auto current = server->Execute(q);
   ASSERT_TRUE(current.ok());
@@ -793,6 +802,14 @@ TEST_F(FreshnessPipelineTest, StalenessAttackJoinReplaysCaught) {
             report.filter_replayed_answers);
   EXPECT_EQ(report.join_honest_answers, 24u);
   EXPECT_EQ(report.join_honest_accepted, report.join_honest_answers);
+  // Every stale capture (18 selections, 12 joins, 12 filters), stamped with
+  // the final epoch and its evidence cut at either end, is rejected by a
+  // client with no feed; the honest re-reads and re-joins verify on the
+  // server's window alone.
+  EXPECT_EQ(report.truncated_answers, 2u * (18 + 12 + 12));
+  EXPECT_EQ(report.truncated_rejected, report.truncated_answers);
+  EXPECT_EQ(report.feedless_honest_answers, 18u + 24u);
+  EXPECT_EQ(report.feedless_honest_accepted, report.feedless_honest_answers);
   // The selection-side guarantees hold unchanged in join mode.
   EXPECT_EQ(report.replays_rejected, report.replayed_answers);
   EXPECT_EQ(report.replays_rejected_bitmap_only, report.replayed_answers);
@@ -827,6 +844,14 @@ TEST_F(FreshnessPipelineTest, StalenessAttackAllReplaysCaught) {
             report.mixed_generation_answers);
   EXPECT_EQ(report.honest_accepted, report.honest_answers);
   EXPECT_GT(report.honest_answers, 0u);
+  // Truncated evidence: each replay stamped with the final epoch, its
+  // window cut at the oldest end through the marking summary and at the
+  // newest end before it, is rejected by a client with no feed. The
+  // honest re-reads verify on the server's window alone.
+  EXPECT_EQ(report.truncated_answers, 2 * report.replayed_answers);
+  EXPECT_EQ(report.truncated_rejected, report.truncated_answers);
+  EXPECT_EQ(report.feedless_honest_answers, report.replayed_answers);
+  EXPECT_EQ(report.feedless_honest_accepted, report.feedless_honest_answers);
   EXPECT_EQ(report.final_epoch, 4u);  // bulk summary + 3 periods
   EXPECT_TRUE(report.Clean());
 }

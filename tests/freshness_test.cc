@@ -47,7 +47,7 @@ TEST_F(FreshnessTest, FreshRecordPasses) {
   ASSERT_TRUE(checker.AddSummary(Publish(&builder, 0, 1000)).ok());
   // Record certified after the summary: fresh by definition.
   uint64_t staleness = 0;
-  EXPECT_TRUE(checker.CheckRecord(5, 1500, 2000, &staleness).ok());
+  EXPECT_TRUE(checker.CheckRecord(5, 1500, 1, 2000, &staleness).ok());
   EXPECT_EQ(staleness, 500u);
 }
 
@@ -58,7 +58,7 @@ TEST_F(FreshnessTest, UnmarkedOldRecordPasses) {
   ASSERT_TRUE(checker.AddSummary(Publish(&builder, 0, 1000)).ok());
   ASSERT_TRUE(checker.AddSummary(Publish(&builder, 1, 2000)).ok());
   uint64_t staleness = 0;
-  EXPECT_TRUE(checker.CheckRecord(5, 500, 2400, &staleness).ok());
+  EXPECT_TRUE(checker.CheckRecord(5, 500, 2, 2400, &staleness).ok());
   EXPECT_EQ(staleness, 400u);  // bounded by the latest summary age
 }
 
@@ -71,7 +71,7 @@ TEST_F(FreshnessTest, StaleRecordDetected) {
   ASSERT_TRUE(checker.AddSummary(Publish(&builder, 1, 2000)).ok());
   // Server returns the version certified at ts=500; the period-1 mark
   // (a period that began after ts=500) proves a newer version exists.
-  Status s = checker.CheckRecord(5, 500, 2500);
+  Status s = checker.CheckRecord(5, 500, 2, 2500);
   EXPECT_TRUE(s.IsVerificationFailed());
 }
 
@@ -84,7 +84,7 @@ TEST_F(FreshnessTest, OwnPeriodMarkIsNotStaleness) {
   builder.MarkUpdated(5);  // the record's own certification at ts=500
   ASSERT_TRUE(checker.AddSummary(Publish(&builder, 0, 1000)).ok());
   ASSERT_TRUE(checker.AddSummary(Publish(&builder, 1, 2000)).ok());
-  EXPECT_TRUE(checker.CheckRecord(5, 500, 2500).ok());
+  EXPECT_TRUE(checker.CheckRecord(5, 500, 2, 2500).ok());
 }
 
 TEST_F(FreshnessTest, TamperedSummaryRejected) {
@@ -145,9 +145,9 @@ TEST_F(FreshnessTest, CoverageGapDetected) {
   // seq 1 (published at 2000) never arrives.
   ASSERT_TRUE(checker.AddSummary(Publish(&builder, 2, 3000)).ok());
   // A record certified at 500 needs coverage across the gap: reject.
-  EXPECT_TRUE(checker.CheckRecord(5, 500, 3500).IsVerificationFailed());
+  EXPECT_TRUE(checker.CheckRecord(5, 500, 3, 3500).IsVerificationFailed());
   // A record newer than the latest summary is still fine.
-  EXPECT_TRUE(checker.CheckRecord(5, 3200, 3500).ok());
+  EXPECT_TRUE(checker.CheckRecord(5, 3200, 3, 3500).ok());
 }
 
 TEST_F(FreshnessTest, MultiUpdateTrackingForRecertification) {
@@ -184,8 +184,8 @@ TEST_F(FreshnessTest, MultiUpdateStateResetsAcrossConsecutivePeriods) {
   FreshnessChecker checker(&key_->public_key(), &codec_, HashMode::kFast);
   ASSERT_TRUE(checker.AddSummary(s0).ok());
   ASSERT_TRUE(checker.AddSummary(s1).ok());
-  EXPECT_TRUE(checker.CheckRecord(3, 500, 2500).IsVerificationFailed());
-  EXPECT_TRUE(checker.CheckRecord(3, 1500, 2500).ok());  // own-period mark
+  EXPECT_TRUE(checker.CheckRecord(3, 500, 2, 2500).IsVerificationFailed());
+  EXPECT_TRUE(checker.CheckRecord(3, 1500, 2, 2500).ok());  // own-period mark
 }
 
 TEST_F(FreshnessTest, WireSizeUsesActualSignatureSize) {
@@ -246,10 +246,10 @@ TEST_F(FreshnessTest, HeldMarksMatchTheDecodedBitmap) {
       SCOPED_TRACE("round " + std::to_string(round) + " rid " +
                    std::to_string(rid) + " nbits " + std::to_string(nbits));
       // Certified at ts 500, inside period 0: period 1 began after it.
-      EXPECT_EQ(checker.CheckRecord(rid, 500, 2500).IsVerificationFailed(),
+      EXPECT_EQ(checker.CheckRecord(rid, 500, 2, 2500).IsVerificationFailed(),
                 bitmap.value().Get(rid));
       // Certified inside period 1: its own period's mark is expected.
-      EXPECT_TRUE(checker.CheckRecord(rid, 1500, 2500).ok());
+      EXPECT_TRUE(checker.CheckRecord(rid, 1500, 2, 2500).ok());
     }
   }
 
@@ -287,10 +287,10 @@ TEST_F(FreshnessTest, HeldMarksMatchTheDecodedBitmap) {
       SCOPED_TRACE("position " + std::to_string(pos));
       const bool is_marked =
           std::find(marked.begin(), marked.end(), pos) != marked.end();
-      EXPECT_EQ(checker.CheckRecord(pos, 500, 2500).IsVerificationFailed(),
+      EXPECT_EQ(checker.CheckRecord(pos, 500, 2, 2500).IsVerificationFailed(),
                 is_marked);
       if (pos <= UINT32_MAX) {
-        EXPECT_EQ(checker.CheckPartition(static_cast<uint32_t>(pos), 1000)
+        EXPECT_EQ(checker.CheckPartition(static_cast<uint32_t>(pos), 1000, 2)
                       .IsVerificationFailed(),
                   is_marked);
       }
@@ -306,13 +306,13 @@ TEST_F(FreshnessTest, PartitionCertificatePassesItsOwnClose) {
   const UpdateSummary s0 = PublishParts(&builder, 0, 1000, {3});
   ASSERT_FALSE(s0.compressed_partitions.empty());
   ASSERT_TRUE(checker.AddSummary(s0).ok());
-  EXPECT_TRUE(checker.CheckPartition(3, 1000).ok());
+  EXPECT_TRUE(checker.CheckPartition(3, 1000, 1).ok());
   // Later closes that leave it unmarked keep the old certificate fresh.
   ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 1, 2000, {5})).ok());
   ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 2, 3000, {})).ok());
-  EXPECT_TRUE(checker.CheckPartition(3, 1000).ok());
+  EXPECT_TRUE(checker.CheckPartition(3, 1000, 3).ok());
   // A certificate newer than every held summary has nothing against it.
-  EXPECT_TRUE(checker.CheckPartition(5, 3000).ok());
+  EXPECT_TRUE(checker.CheckPartition(5, 3000, 3).ok());
 }
 
 TEST_F(FreshnessTest, LaterPartitionMarkIndictsCertificate) {
@@ -322,16 +322,16 @@ TEST_F(FreshnessTest, LaterPartitionMarkIndictsCertificate) {
   ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 1, 2000, {})).ok());
   ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 2, 3000, {3, 9})).ok());
   // Every certificate of partition 3 issued before 3000 is superseded.
-  EXPECT_TRUE(checker.CheckPartition(3, 1000).IsVerificationFailed());
-  EXPECT_TRUE(checker.CheckPartition(3, 2000).IsVerificationFailed());
-  EXPECT_TRUE(checker.CheckPartition(3, 500).IsVerificationFailed());
-  EXPECT_TRUE(checker.CheckPartition(3, 3000).ok());
+  EXPECT_TRUE(checker.CheckPartition(3, 1000, 3).IsVerificationFailed());
+  EXPECT_TRUE(checker.CheckPartition(3, 2000, 3).IsVerificationFailed());
+  EXPECT_TRUE(checker.CheckPartition(3, 500, 3).IsVerificationFailed());
+  EXPECT_TRUE(checker.CheckPartition(3, 3000, 3).ok());
   // Unmarked partitions, and indexes past the set, stay fresh.
-  EXPECT_TRUE(checker.CheckPartition(4, 500).ok());
-  EXPECT_TRUE(checker.CheckPartition(15, 500).ok());
-  EXPECT_TRUE(checker.CheckPartition(1000, 500).ok());
+  EXPECT_TRUE(checker.CheckPartition(4, 500, 3).ok());
+  EXPECT_TRUE(checker.CheckPartition(15, 500, 3).ok());
+  EXPECT_TRUE(checker.CheckPartition(1000, 500, 3).ok());
   // Partition marks and rid marks are separate sets.
-  EXPECT_TRUE(checker.CheckRecord(3, 500, 3500).ok());
+  EXPECT_TRUE(checker.CheckRecord(3, 500, 3, 3500).ok());
 }
 
 TEST_F(FreshnessTest, PartitionCoverageGapRejected) {
@@ -341,10 +341,10 @@ TEST_F(FreshnessTest, PartitionCoverageGapRejected) {
   ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 1, 2000, {})).ok());
   // seq 2 (published at 3000, perhaps marking partition 3) never arrives.
   ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 3, 4000, {})).ok());
-  EXPECT_TRUE(checker.CheckPartition(3, 1000).IsVerificationFailed());
-  EXPECT_TRUE(checker.CheckPartition(4, 1000).IsVerificationFailed());
+  EXPECT_TRUE(checker.CheckPartition(3, 1000, 4).IsVerificationFailed());
+  EXPECT_TRUE(checker.CheckPartition(4, 1000, 4).IsVerificationFailed());
   // A certificate issued after the gap needs no coverage across it.
-  EXPECT_TRUE(checker.CheckPartition(3, 4000).ok());
+  EXPECT_TRUE(checker.CheckPartition(3, 4000, 4).ok());
 }
 
 TEST_F(FreshnessTest, SignedMalformedPartitionSetRejectedNotFatal) {
@@ -402,9 +402,100 @@ TEST_F(FreshnessTest, PartitionSetIsBoundByTheSignature) {
                                s.sig.wire_bytes());
 }
 
+TEST_F(FreshnessTest, EvidenceMissingItsOldestSummariesRejected) {
+  // Summaries 0 and 1 mark rid 5 and partition 3; summary 2 marks nothing.
+  // A client holding the whole run indicts rid 5 certified at ts 500 and
+  // partition 3's certificate of ts 1000. A client holding only what a
+  // server chose to attach (seq 2, which marks nothing) must not accept
+  // them either: neither stamp's anchor is held.
+  SummaryBuilder builder(&codec_);
+  std::vector<UpdateSummary> run;
+  builder.MarkUpdated(5);
+  run.push_back(PublishParts(&builder, 0, 1000, {3}));
+  builder.MarkUpdated(5);
+  run.push_back(PublishParts(&builder, 1, 2000, {3}));
+  run.push_back(PublishParts(&builder, 2, 3000, {}));
+  FreshnessChecker full(&key_->public_key(), &codec_, HashMode::kFast);
+  for (const UpdateSummary& s : run) ASSERT_TRUE(full.AddSummary(s).ok());
+  EXPECT_TRUE(full.CheckRecord(5, 500, 3, 3500).IsVerificationFailed());
+  EXPECT_TRUE(full.CheckPartition(3, 1000, 3).IsVerificationFailed());
+
+  FreshnessChecker feedless(&key_->public_key(), &codec_, HashMode::kFast);
+  ASSERT_TRUE(feedless.AddSummary(run[2]).ok());
+  EXPECT_TRUE(feedless.CheckRecord(5, 500, 3, 3500).IsVerificationFailed());
+  EXPECT_TRUE(feedless.CheckPartition(3, 1000, 3).IsVerificationFailed());
+  // Stamps anchored at the held summary need nothing older.
+  EXPECT_TRUE(feedless.CheckRecord(5, 3000, 3, 3500).ok());
+  EXPECT_TRUE(feedless.CheckPartition(3, 3000, 3).ok());
+}
+
+TEST_F(FreshnessTest, EvidenceStoppingBeforeTheEpochRejected) {
+  // An epoch-3 answer needs its evidence through seq 2. A run that stops
+  // at seq 1 leaves out the period that may mark the version.
+  SummaryBuilder builder(&codec_);
+  FreshnessChecker checker(&key_->public_key(), &codec_, HashMode::kFast);
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 0, 1000, {})).ok());
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 1, 2000, {})).ok());
+  EXPECT_TRUE(checker.CheckRecord(5, 500, 3, 3500).IsVerificationFailed());
+  EXPECT_TRUE(checker.CheckPartition(3, 1000, 3).IsVerificationFailed());
+  EXPECT_TRUE(checker.CheckRecord(5, 500, 2, 3500).ok());
+  EXPECT_TRUE(checker.CheckPartition(3, 1000, 2).ok());
+  // Held summaries past the epoch are walked while the run stays gapless:
+  // seq 2 marks rid 5, so even an epoch-2 answer citing it is stale...
+  builder.MarkUpdated(5);
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 2, 3000, {})).ok());
+  EXPECT_TRUE(checker.CheckRecord(5, 500, 2, 3500).IsVerificationFailed());
+  // ...but a gap past seq epoch-1 only ends the walk: the epoch-2
+  // evidence through seq 1 is complete.
+  FreshnessChecker gapped(&key_->public_key(), &codec_, HashMode::kFast);
+  SummaryBuilder quiet(&codec_);
+  ASSERT_TRUE(gapped.AddSummary(PublishParts(&quiet, 0, 1000, {})).ok());
+  ASSERT_TRUE(gapped.AddSummary(PublishParts(&quiet, 1, 2000, {})).ok());
+  ASSERT_TRUE(gapped.AddSummary(PublishParts(&quiet, 3, 4000, {})).ok());
+  EXPECT_TRUE(gapped.CheckRecord(5, 500, 2, 4500).ok());
+  EXPECT_TRUE(gapped.CheckRecord(5, 500, 4, 4500).IsVerificationFailed());
+}
+
+TEST_F(FreshnessTest, EdgeStampsFollowTheAnchor) {
+  // A record stamped exactly at a close's publish_ts (a re-certification
+  // issued at the close) belongs to the next period: that close is its
+  // anchor and the next summary's mark is its own.
+  SummaryBuilder builder(&codec_);
+  FreshnessChecker checker(&key_->public_key(), &codec_, HashMode::kFast);
+  builder.MarkUpdated(5);
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 0, 1000, {3})).ok());
+  builder.MarkUpdated(5);
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 1, 2000, {})).ok());
+  ASSERT_TRUE(checker.AddSummary(PublishParts(&builder, 2, 3000, {})).ok());
+  EXPECT_TRUE(checker.CheckRecord(5, 1000, 3, 3500).ok());
+  EXPECT_TRUE(checker.CheckRecord(5, 1001, 3, 3500).ok());
+  EXPECT_TRUE(checker.CheckRecord(5, 999, 3, 3500).IsVerificationFailed());
+  // An initial certificate stamped before seq 0 has no anchor summary: its
+  // evidence starts at seq 0, whose mark indicts it...
+  EXPECT_TRUE(checker.CheckPartition(3, 500, 3).IsVerificationFailed());
+  // ...while the certificate that close issued is fresh.
+  EXPECT_TRUE(checker.CheckPartition(3, 1000, 3).ok());
+
+  // A stamp newer than every summary is anchored at seq epoch-1, which
+  // must be held.
+  uint64_t staleness = 0;
+  EXPECT_TRUE(checker.CheckRecord(7, 3200, 3, 3500, &staleness).ok());
+  EXPECT_EQ(staleness, 300u);
+  EXPECT_TRUE(checker.CheckRecord(7, 3200, 4, 3500).IsVerificationFailed());
+  FreshnessChecker oldest_only(&key_->public_key(), &codec_, HashMode::kFast);
+  SummaryBuilder quiet(&codec_);
+  const UpdateSummary s0 = PublishParts(&quiet, 0, 1000, {});
+  const UpdateSummary s1 = PublishParts(&quiet, 1, 2000, {});
+  ASSERT_TRUE(oldest_only.AddSummary(s0).ok());
+  EXPECT_TRUE(oldest_only.CheckRecord(7, 2500, 2, 3000).IsVerificationFailed());
+  FreshnessChecker newest_only(&key_->public_key(), &codec_, HashMode::kFast);
+  ASSERT_TRUE(newest_only.AddSummary(s1).ok());
+  EXPECT_TRUE(newest_only.CheckRecord(7, 2500, 2, 3000).ok());
+}
+
 TEST_F(FreshnessTest, NoSummariesMeansEverythingFresh) {
   FreshnessChecker checker(&key_->public_key(), &codec_, HashMode::kFast);
-  EXPECT_TRUE(checker.CheckRecord(1, 100, 200).ok());
+  EXPECT_TRUE(checker.CheckRecord(1, 100, 0, 200).ok());
 }
 
 }  // namespace

@@ -346,11 +346,12 @@ TEST(SummaryLogTest, HeldRunsKeepTheirOwnSummaries) {
   }
 }
 
-// Since(t) is a binary search on publish_ts plus a chunk-pointer copy; it
-// must attach exactly what the linear filter "publish_ts >= t" over the
-// run would, for windows that start mid-chunk, at a chunk seam and past
-// the run's end, and share the run's summaries rather than copy them.
-TEST(SummaryRunTest, SinceMatchesLinearFilter) {
+// EvidenceFor(t) is a binary search on publish_ts plus a chunk-pointer
+// copy; it must attach exactly the run from t's anchor that a linear search
+// finds, for stamps before every summary, at a publish_ts, mid-chunk, at a
+// chunk seam and past the run's end, and after the anchor was evicted, and
+// share the run's summaries rather than copy them.
+TEST(SummaryRunTest, EvidenceForMatchesLinearAnchor) {
   for (size_t retained : {size_t{3}, size_t{64}, size_t{100}}) {
     for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
                      size_t{65}, size_t{200}}) {
@@ -372,30 +373,50 @@ TEST(SummaryRunTest, SinceMatchesLinearFilter) {
           probes.push_back(t);
       }
       for (uint64_t t : probes) {
-        SCOPED_TRACE("oldest_ts " + std::to_string(t));
-        std::vector<UpdateSummary> linear;
-        size_t skipped = 0;
-        for (const UpdateSummary& s : run) {
-          if (s.publish_ts >= t) {
-            linear.push_back(s);
-          } else {
-            ++skipped;
-          }
+        SCOPED_TRACE("stamp " + std::to_string(t));
+        // The anchor: the last summary published at or before t, or the
+        // run's first when every one is later.
+        size_t anchor = 0;
+        for (size_t i = 0; i < run.size(); ++i) {
+          if (run[i].publish_ts <= t) anchor = i;
         }
-        const SummaryRun window = run.Since(t);
+        std::vector<UpdateSummary> linear;
+        for (size_t i = anchor; i < run.size(); ++i) linear.push_back(run[i]);
+        const SummaryRun window = run.EvidenceFor(t);
         EXPECT_EQ(KeysOf(window), KeysOf(linear));
-        EXPECT_EQ(window.empty(), linear.empty());
         for (size_t i = 0; i < window.size(); ++i)
-          EXPECT_EQ(&window[i], &run[skipped + i]);  // shared, not copied
+          EXPECT_EQ(&window[i], &run[anchor + i]);  // shared, not copied
         // A window of a window is the window of the later stamp.
-        EXPECT_EQ(KeysOf(window.Since(t + 10)), KeysOf(run.Since(t + 10)));
+        EXPECT_EQ(KeysOf(window.EvidenceFor(t + 10)),
+                  KeysOf(run.EvidenceFor(t + 10)));
+      }
+      if (n > 0) {
+        const UpdateSummary& first = run[0];
+        const UpdateSummary& last = run[run.size() - 1];
+        // Before every summary: the whole run. Once seq 0 has left it, the
+        // stamp's anchor is evicted and the window starts later than the
+        // stamp, which a client rejects.
+        EXPECT_EQ(KeysOf(run.EvidenceFor(first.publish_ts - 1)), KeysOf(run));
+        EXPECT_EQ(first.seq == 0, n <= retained);
+        // After every summary: the newest alone, seq epoch-1.
+        const SummaryRun newest = run.EvidenceFor(last.publish_ts + 1);
+        ASSERT_EQ(newest.size(), 1u);
+        EXPECT_EQ(newest[0].seq, n - 1);
+        // At a publish_ts: from the last summary stamped with it.
+        for (size_t i = 0; i < run.size(); ++i) {
+          const SummaryRun at = run.EvidenceFor(run[i].publish_ts);
+          ASSERT_FALSE(at.empty());
+          EXPECT_EQ(at[0].publish_ts, run[i].publish_ts);
+          EXPECT_TRUE(at.size() == 1 ||
+                      at[1].publish_ts > run[i].publish_ts);
+        }
       }
       // A run built from a vector answers the same.
       const SummaryRun copy =
           SummaryRun::Of(std::vector<UpdateSummary>(run.begin(), run.end()));
       EXPECT_EQ(KeysOf(copy), KeysOf(run));
       for (uint64_t t : probes)
-        EXPECT_EQ(KeysOf(copy.Since(t)), KeysOf(run.Since(t)));
+        EXPECT_EQ(KeysOf(copy.EvidenceFor(t)), KeysOf(run.EvidenceFor(t)));
     }
   }
 }
@@ -417,9 +438,11 @@ TEST_F(ShardedServerTest, PinnedEpochKeepsItsSummariesPastTheRetentionBound) {
   ASSERT_TRUE(stream.ok());
   for (const auto& msg : stream.value())
     ASSERT_TRUE(server_->ApplyUpdate(msg).ok());
+  std::vector<UpdateSummary> feed;  // everything the DA published
   auto publish = [&] {
     clock_.AdvanceSeconds(1.0);
-    server_->AddSummary(da_->PublishSummary().summary);
+    feed.push_back(da_->PublishSummary().summary);
+    server_->AddSummary(feed.back());
   };
   for (int i = 0; i < 3; ++i) publish();
 
@@ -436,7 +459,8 @@ TEST_F(ShardedServerTest, PinnedEpochKeepsItsSummariesPastTheRetentionBound) {
   EXPECT_EQ(KeysOf(before.value().summaries), pinned);
 
   // The current epoch carries the newest five, ascending; an answer
-  // attaches every one of them (the records predate all five).
+  // attaches every one of them (the records predate all five, so the
+  // window starts at the run's first summary).
   std::shared_ptr<const EpochDescriptor> now = server_->PinCurrentEpoch();
   ASSERT_EQ(now->summaries->size(), cfg.node.summaries_retained);
   const uint64_t last = (*now->summaries)[now->summaries->size() - 1].seq;
@@ -446,8 +470,15 @@ TEST_F(ShardedServerTest, PinnedEpochKeepsItsSummariesPastTheRetentionBound) {
   auto after = Serve(*server_, 10, 20);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(KeysOf(after.value().summaries), KeysOf(*now->summaries));
-  ClientVerifier fresh(&da_->public_key(), &codec_, HashMode::kFast);
-  EXPECT_TRUE(Check(10, 20, after.value(), &fresh).ok());
+  // The records' anchor is seq 0, which the run no longer holds: a client
+  // with nothing but the answer cannot prove no period before the run's
+  // first summary superseded them. A client holding the run accepts.
+  ClientVerifier feedless(&da_->public_key(), &codec_, HashMode::kFast);
+  EXPECT_TRUE(Check(10, 20, after.value(), &feedless).IsVerificationFailed());
+  ClientVerifier follower(&da_->public_key(), &codec_, HashMode::kFast);
+  for (const UpdateSummary& s : feed)
+    ASSERT_TRUE(follower.freshness().AddSummary(s).ok());
+  EXPECT_TRUE(Check(10, 20, after.value(), &follower).ok());
 }
 
 // Readers hold, copy and iterate the summary windows of their answers

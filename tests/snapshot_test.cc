@@ -65,8 +65,19 @@ SignedRecordUpdate MakeDelete(int64_t key) {
   return msg;
 }
 
+/// The curve the structural tests' builders fold their (unsigned, so
+/// infinity) column aggregates on: small, generated once.
+std::shared_ptr<const BasContext> BarrierContext() {
+  static const std::shared_ptr<const BasContext> ctx = [] {
+    Rng rng(0xC0C0);
+    return BasContext::Generate(96, 64, &rng);
+  }();
+  return ctx;
+}
+
 TEST(ShardVersionBuilderTest, ApplySemanticsMatchReferenceMap) {
-  ShardVersionBuilder builder(/*chunk_target=*/4);  // force chunk churn
+  // chunk_target 4 forces chunk churn.
+  ShardVersionBuilder builder(/*chunk_target=*/4, BarrierContext());
   std::map<int64_t, int64_t> reference;
   Rng rng(11);
   for (int op = 0; op < 600; ++op) {
@@ -128,7 +139,7 @@ TEST(ShardVersionBuilderTest, ApplySemanticsMatchReferenceMap) {
 }
 
 TEST(ShardVersionBuilderTest, FreezeSharesUntouchedChunksAcrossEpochs) {
-  ShardVersionBuilder builder(/*chunk_target=*/8);
+  ShardVersionBuilder builder(/*chunk_target=*/8, BarrierContext());
   for (int64_t k = 0; k < 128; ++k)
     ASSERT_TRUE(builder.Apply(MakeInsert(k, k)).ok());
   auto snap1 = builder.Freeze();
