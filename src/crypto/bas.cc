@@ -42,6 +42,8 @@ std::shared_ptr<const BasContext> BasContext::Generate(int p_bits, int r_bits,
   ctx->pairing_ = std::make_unique<TatePairing>(ctx->curve_.get());
   ctx->generator_ = ctx->curve_->FindGenerator();
   AUTHDB_CHECK(ctx->curve_->ScalarMult(ctx->generator_, r).infinity);
+  ctx->generator_lines_ = ctx->pairing_->Precompute(ctx->generator_);
+  AUTHDB_CHECK(ctx->generator_lines_ != nullptr);
   ctx->BuildFixedBaseTable();
   return ctx;
 }
@@ -291,13 +293,13 @@ std::vector<bool> BasPublicKey::VerifyAggregateBatch(
     }
     h_sums = curve.ToAffineBatch(sums);
   }
-  // e(sigma, G) == e(pk, H) = e(H, pk): sigma stays the checked Miller
-  // point, so a sigma outside the order-r subgroup is rejected by the loop
-  // itself; pk's side runs on its precomputed lines. The hash sum is the
-  // verifier's own order-r point, so it may take the unchecked slot.
+  // e(sigma, G) == e(H, pk) is e(G, sigma) == e(pk, H) on the cyclic
+  // order-r subgroup: both Miller points are fixed, sigma takes the
+  // subgroup-checked slot, and the hash sum, the verifier's own order-r
+  // point, the unchecked one.
   const TatePairing& e = ctx_->pairing();
   for (size_t i = 0; i < claims.size(); ++i) {
-    ok[i] = e.PairingsEqualFixed(claims[i].agg.point, ctx_->generator(),
+    ok[i] = e.PairingsEqualFixed(ctx_->generator_lines(), claims[i].agg.point,
                                  *lines_, h_sums[i]);
   }
   return ok;

@@ -80,6 +80,10 @@ class BasContext {
   const CurveGroup& curve() const { return *curve_; }
   const TatePairing& pairing() const { return *pairing_; }
   const ECPoint& generator() const { return generator_; }
+  /// G's Miller lines (TatePairing::Precompute, about 15 KB under the
+  /// default parameters), built once with the context: the G side of
+  /// every BasPublicKey's pairing check.
+  const FixedMillerLines& generator_lines() const { return *generator_lines_; }
   const BigInt& order() const { return curve_->order(); }
   /// Z_r in the same fixed-width arithmetic as the curve's field. Scalars
   /// are plain residues (not Montgomery form): see PrimeField.
@@ -143,6 +147,7 @@ class BasContext {
   std::unique_ptr<PrimeField> scalars_;
   std::unique_ptr<TatePairing> pairing_;
   ECPoint generator_;
+  std::shared_ptr<const FixedMillerLines> generator_lines_;
   // fixed_base_[255 * w + j - 1] = j * 2^(8w) * G for j in [1, 255], one
   // window per byte of a scalar mod r, affine: 20 x 255 points, about
   // 360 KB under the default parameters. Built in Jacobian form and
@@ -183,9 +188,11 @@ class BasPublicKey {
   /// BasContext::FixedBaseMultMany (kFast) or one shared Montgomery batch
   /// inversion (kSecure) — the client-side mirror of
   /// BasContext::FinalizeBatch — and each claim then costs one
-  /// TatePairing::PairingsEqualFixed against pk's precomputed lines. A
-  /// signature point outside the order-r subgroup (or off the curve)
-  /// fails its claim.
+  /// TatePairing::PairingsEqualFixed, e(G, sigma) == e(pk, H), on G's and
+  /// pk's precomputed lines. sigma is the one point the server chooses, so
+  /// it takes the checked slot: a sigma outside the order-r subgroup (or
+  /// off the curve) fails TatePairing::InSubgroup and its claim, in both
+  /// hash modes.
   std::vector<bool> VerifyAggregateBatch(
       const std::vector<BasAggregateClaim>& claims,
       BasContext::HashMode mode = BasContext::HashMode::kSecure) const;

@@ -17,12 +17,16 @@ CurveGroup::CurveGroup(const BigInt& p, uint64_t a, uint64_t b,
       a_(fp_->FromU64(a)),
       b_(fp_->FromU64(b)),
       r_(order_r),
-      cofactor_(cofactor) {}
+      cofactor_(cofactor) {
+  // JacDouble and CurveRhs drop their multiply by a: every curve here is
+  // y^2 = x^3 + x.
+  AUTHDB_CHECK(a == 1);
+}
 
 Fp CurveGroup::CurveRhs(const Fp& x) const {
   const PrimeField& f = *fp_;
   Fp x3 = f.Mul(f.Sqr(x), x);
-  return f.Add(f.Add(x3, f.Mul(a_, x)), b_);
+  return f.Add(f.Add(x3, x), b_);  // a = 1
 }
 
 bool CurveGroup::IsOnCurve(const ECPoint& pt) const {
@@ -83,7 +87,7 @@ CurveGroup::Jacobian CurveGroup::JacDouble(const Jacobian& p) const {
   Fp s = f.Dbl(f.Dbl(f.Mul(p.X, y2)));  // 4*X*Y^2
   Fp z2 = f.Sqr(p.Z);
   Fp xx = f.Sqr(p.X);
-  Fp m = f.Add(f.Add(f.Dbl(xx), xx), f.Mul(a_, f.Sqr(z2)));
+  Fp m = f.Add(f.Add(f.Dbl(xx), xx), f.Sqr(z2));  // a = 1
   Fp x3 = f.Sub(f.Sqr(m), f.Dbl(s));
   Fp y3 = f.Sub(f.Mul(m, f.Sub(s, x3)), f.Dbl(f.Dbl(f.Dbl(f.Sqr(y2)))));
   Fp z3 = f.Mul(f.Dbl(p.Y), p.Z);

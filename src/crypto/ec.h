@@ -26,7 +26,9 @@ struct ECPoint {
 /// and the distortion map (x,y) -> (-x, i*y) gives a usable pairing.
 class CurveGroup {
  public:
-  /// `tier` picks the field's multiply kernel (PrimeField::MulTier).
+  /// `tier` picks the field's multiply kernel (PrimeField::MulTier). a
+  /// must be 1 (CHECKed): JacDouble and CurveRhs fold it into their
+  /// formulas.
   CurveGroup(const BigInt& p, uint64_t a, uint64_t b, const BigInt& order_r,
              const BigInt& cofactor,
              PrimeField::MulTier tier = PrimeField::BestMulTier());
@@ -97,9 +99,11 @@ class CurveGroup {
   /// batch of n aggregates costs ~1/n of n individual ToAffine calls —
   /// the amortization the batched execution path is built on.
   std::vector<ECPoint> ToAffineBatch(const std::vector<Jacobian>& js) const;
+  /// Exact for every input: O and 2-torsion points (Y = 0) double to O.
   Jacobian JacDouble(const Jacobian& p) const;
   Jacobian JacAdd(const Jacobian& p, const Jacobian& q) const;
-  /// Mixed addition with an affine (non-infinity) second operand.
+  /// Mixed addition with an affine (non-infinity) second operand. Exact
+  /// for every input: T = O gives q, T = q doubles, T = -q gives O.
   Jacobian JacAddAffine(const Jacobian& p, const ECPoint& q) const;
   bool JacIsInfinity(const Jacobian& j) const { return j.Z.IsZero(); }
 

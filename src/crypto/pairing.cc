@@ -1,5 +1,7 @@
 #include "crypto/pairing.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -15,6 +17,21 @@ TatePairing::TatePairing(const CurveGroup* curve)
   // The distortion map needs a = 1 (and b = 0); the doubling step below
   // relies on a = 1 to drop its multiplication by a.
   AUTHDB_CHECK(curve->a_mont() == curve->field().One());
+  // NAF digits of r, least significant first: an odd k takes the digit
+  // d = 2 - (k mod 4), which leaves k - d divisible by 4, so the next
+  // digit is 0.
+  BigInt k = curve->order();
+  AUTHDB_CHECK(k.IsOdd());
+  while (!k.IsZero()) {
+    int8_t digit = 0;
+    if (k.IsOdd()) {
+      digit = k.Bit(1) ? -1 : 1;
+      k = digit > 0 ? BigInt::Sub(k, BigInt(1)) : BigInt::Add(k, BigInt(1));
+    }
+    order_naf_.push_back(digit);
+    k = BigInt::ShiftRight(k, 1);
+  }
+  std::reverse(order_naf_.begin(), order_naf_.end());
 }
 
 Fp2Elem TatePairing::FinalExponentiation(const Fp2Elem& f) const {
@@ -128,37 +145,63 @@ std::shared_ptr<const FixedMillerLines> TatePairing::Precompute(
   return fixed;
 }
 
-bool TatePairing::PairingsEqualFixed(const ECPoint& p, const ECPoint& q,
-                                     const FixedMillerLines& fixed,
-                                     const ECPoint& h) const {
-  // e(P, Q) = 1, so the predicate is e(A, H) == 1: for an order-r A and
-  // H in the order-r subgroup that is H == O (the pairing is
-  // non-degenerate).
-  if (p.infinity || q.infinity) return h.infinity;
-  const PrimeField& f = curve_->field();
-  const FixedMillerLines::Line* fixed_line = fixed.lines.data();
-  const FixedMillerLines::Line* const fixed_end =
-      fixed_line + fixed.lines.size();
-  Fp2Elem acc = fp2_.One();
-  // The fixed lines sit at the same positions of the same loop over r, so
-  // the walk of P consumes exactly one per line of its own; a hostile P
-  // stops early and consumes fewer.
-  const bool ok = WalkChain(p, [&](bool doubling, const LineCoeffs& l) {
-    AUTHDB_DCHECK(fixed_line != fixed_end);
-    if (doubling) acc = fp2_.Sqr(acc);
-    // conj(l_P(psi(Q))): the Miller value of (P, Q) enters conjugated.
-    acc = fp2_.Mul(acc, fp2_.Make(f.Add(f.Mul(l.a, q.x), l.b),
-                                  f.Neg(f.Mul(l.d, q.y))));
-    if (!h.infinity) {
-      acc = fp2_.Mul(acc, fp2_.Make(f.Add(f.Mul(fixed_line->lambda, h.x),
-                                          fixed_line->c),
-                                    h.y));
+bool TatePairing::InSubgroup(const ECPoint& q) const {
+  if (q.infinity) return true;
+  if (!curve_->IsOnCurve(q)) return false;
+  const ECPoint neg_q = curve_->Negate(q);
+  // The leading digit is 1: T starts at Q.
+  CurveGroup::Jacobian t = curve_->ToJacobian(q);
+  for (size_t i = 1; i < order_naf_.size(); ++i) {
+    t = curve_->JacDouble(t);
+    if (order_naf_[i] > 0) {
+      t = curve_->JacAddAffine(t, q);
+    } else if (order_naf_[i] < 0) {
+      t = curve_->JacAddAffine(t, neg_q);
     }
-    ++fixed_line;
-  });
-  // A zero value needs yq == 0 or yh == 0: a Q or H outside the subgroup.
-  if (!ok || fp2_.IsZero(acc)) return false;
-  AUTHDB_DCHECK(fixed_line == fixed_end);
+  }
+  return curve_->JacIsInfinity(t);
+}
+
+bool TatePairing::PairingsEqualFixed(const FixedMillerLines& p_lines,
+                                     const ECPoint& q,
+                                     const FixedMillerLines& a_lines,
+                                     const ECPoint& h) const {
+  // e(P, O) = 1, so the predicate is e(A, H) == 1: for an order-r A and
+  // H in the order-r subgroup that is H == O (the pairing is
+  // non-degenerate). Symmetrically, e(A, O) = 1 != e(P, Q) for Q != O.
+  if (q.infinity) return h.infinity;
+  if (!InSubgroup(q) || h.infinity) return false;
+  AUTHDB_DCHECK(p_lines.lines.size() == a_lines.lines.size());
+  const PrimeField& f = curve_->field();
+  const FixedMillerLines::Line* lp = p_lines.lines.data();
+  const FixedMillerLines::Line* la = a_lines.lines.data();
+  // One step's two lines, conj(l_P(psi(Q))) * l_A(psi(H)) with
+  // u = lambda_P*xq + c_P and v = lambda_A*xh + c_A:
+  //   (u - i*yq)(v + i*yh) = (uv + yq*yh) + i*((u - yq)(v + yh) - uv + yq*yh).
+  const Fp yq_yh = f.Mul(q.y, h.y);
+  const auto step = [&](Fp2Elem* acc) {
+    const Fp u = f.Add(f.Mul(lp->lambda, q.x), lp->c);
+    const Fp v = f.Add(f.Mul(la->lambda, h.x), la->c);
+    ++lp;
+    ++la;
+    const Fp uv = f.Mul(u, v);
+    const Fp cross = f.Mul(f.Sub(u, q.y), f.Add(v, h.y));
+    *acc = fp2_.Mul(*acc, fp2_.Make(f.Add(uv, yq_yh),
+                                    f.Add(f.Sub(cross, uv), yq_yh)));
+  };
+  // The lines sit in loop order: each bit's tangent, then its chord when
+  // the bit is set, with no chord at bit 0 (its vertical line is skipped).
+  const Fp& r = order_;
+  Fp2Elem acc = fp2_.One();
+  for (int i = r.BitLength() - 2; i >= 0; --i) {
+    acc = fp2_.Sqr(acc);
+    step(&acc);
+    if (i > 0 && r.Bit(i)) step(&acc);
+  }
+  AUTHDB_DCHECK(lp == p_lines.lines.data() + p_lines.lines.size());
+  // A zero value needs yh == 0 (yq != 0 for an order-r Q): an H outside
+  // the subgroup.
+  if (fp2_.IsZero(acc)) return false;
   // FE(a) == FE(b) <=> Im((conj(a) * b)^c) == 0 (see the header).
   return fp2_.Exp(acc, cofactor_).im.IsZero();
 }

@@ -1,6 +1,7 @@
 #ifndef AUTHDB_CRYPTO_PAIRING_H_
 #define AUTHDB_CRYPTO_PAIRING_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -44,45 +45,56 @@ struct FixedMillerLines {
 /// 1: those factors, line denominators and the skipped vertical lines all
 /// vanish from the reduced value.
 ///
-/// Subgroup check: the loop walks the bits of r from P, so it meets
-/// T = -P exactly at its last addition iff rP = O. A P that is off the
-/// curve, whose T hits a 2-torsion point or a vertical line early, or
-/// that does not reach -P at the end is not an order-r point and is
-/// rejected — hostile signature points never reach arithmetic that could
-/// fault. Coordinates are canonical residues by construction
-/// (CurveGroup::Deserialize rejects encodings >= p), so no range check is
-/// needed here.
+/// The chain walk (Pair, Precompute) rejects a P that is not an order-r
+/// point: P must be on the curve, T must never be 2-torsion or meet +-P
+/// early, and T must be -P exactly at the last addition (bit 0 of the odd
+/// r), which holds iff rP = O. Coordinates are canonical residues by
+/// construction (CurveGroup::Deserialize rejects encodings >= p), so no
+/// range check is needed here.
 ///
-/// Verification (PairingsEqualFixed) runs ONE loop: the checked point's
-/// Jacobian chain, and the precomputed affine lines of a fixed point
-/// (Costello & Stebila, "Fixed argument pairings", LATINCRYPT 2010), both
-/// folded into one accumulator.
+/// Verification (PairingsEqualFixed) runs on precomputed lines only: both
+/// Miller points are fixed (Costello & Stebila, "Fixed argument pairings",
+/// LATINCRYPT 2010), their lines are evaluated at the two variable points
+/// in one loop, and the variable point that may come from an adversary
+/// passes its own exact subgroup check (InSubgroup) first.
 class TatePairing {
  public:
   /// The curve must have been constructed with a=1, b=0 and cofactor
-  /// c = (p+1)/r.
+  /// c = (p+1)/r. Computes the NAF of r for InSubgroup.
   explicit TatePairing(const CurveGroup* curve);
 
   /// The lines of f_{r,P} for a fixed P, with one shared field inversion
   /// for all of them. Null when P is not an order-r point (infinity
-  /// included): the chain runs the same subgroup checks as the loop.
+  /// included): the chain walk rejects it (see the class comment).
   std::shared_ptr<const FixedMillerLines> Precompute(const ECPoint& p) const;
 
-  /// The verification predicate e(P, Q) == e(A, H), where A is the point
-  /// `fixed` was built from. One loop over the bits of r keeps
+  /// Whether Q is on the curve with rQ = O (infinity included): exactly
+  /// IsOnCurve(q) && ScalarMult(q, r).infinity. A left-to-right ladder over the NAF of r (one doubling
+  /// per digit, one mixed addition of +-Q per nonzero digit: 59 instead of
+  /// the 74 a binary ladder pays under the default r). It runs on
+  /// CurveGroup::JacDouble and JacAddAffine, which are exact for every
+  /// input (T = O, T = +-Q, 2-torsion T), so a point of any order meets
+  /// no shortcut: the ladder computes rQ itself. Allocation-free.
+  bool InSubgroup(const ECPoint& q) const;
+
+  /// The verification predicate e(P, Q) == e(A, H), with P and A given by
+  /// their precomputed lines. One loop over the bits of r keeps
   ///   f <- f^2 * conj(l_P(psi(Q))) * l_A(psi(H)),
   /// i.e. f = conj(a) * b for the Miller values a of (P, Q) and b of
   /// (A, H), and ONE exponentiation by the cofactor c replaces two final
   /// exponentiations:
   ///   FE(a) == FE(b)  <=>  (u / conj(u))^c == 1,  u = conj(a) * b
   ///                   <=>  u^c == conj(u^c)  <=>  Im(u^c) == 0.
-  /// P keeps every subgroup check (see the class comment), so a P outside
-  /// the order-r subgroup is false. H must be an order-r point or
-  /// infinity: it is not checked. An infinity argument pairs to 1, as in
-  /// Pair; with P or Q at infinity the predicate is e(A, H) == 1, which
-  /// for an order-r A holds iff H is infinity. Allocation-free.
-  bool PairingsEqualFixed(const ECPoint& p, const ECPoint& q,
-                          const FixedMillerLines& fixed,
+  /// Both lines of one step are multiplied together first (the product of
+  /// two sparse line values costs 2 multiplies, not 3), so each step pays
+  /// one full F_p^2 multiply into f. Q must pass InSubgroup or the
+  /// predicate is false; H must be an order-r point or infinity: it is not
+  /// checked. An infinity argument pairs to 1, as in Pair: with Q at
+  /// infinity the predicate is e(A, H) == 1, which for an order-r A holds
+  /// iff H is infinity, and with H at infinity it is false for every Q !=
+  /// O (the pairing is non-degenerate). Allocation-free.
+  bool PairingsEqualFixed(const FixedMillerLines& p_lines, const ECPoint& q,
+                          const FixedMillerLines& a_lines,
                           const ECPoint& h) const;
 
   /// The pairing value e(P, Q): 1 (the Fp2 one) if either point is
@@ -117,6 +129,9 @@ class TatePairing {
   Fp2Field fp2_;
   Fp cofactor_;  // the curve's cofactor and order r as plain exponents
   Fp order_;
+  // The NAF of r, most significant digit (always 1) first; digits are
+  // -1, 0 or 1 and no two adjacent digits are nonzero.
+  std::vector<int8_t> order_naf_;
 };
 
 }  // namespace authdb

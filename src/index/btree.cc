@@ -16,7 +16,9 @@ constexpr uint32_t kMagic = 0xADB7EE01;
 constexpr size_t kNodeHeader = 12;  // is_leaf u8, pad u8, count u16, prev, next
 // Meta page offsets.
 constexpr size_t kMetaMagic = 0, kMetaRoot = 4, kMetaHeight = 8,
-                 kMetaPayload = 12, kMetaCount = 16;
+                 kMetaPayload = 12, kMetaCount = 16, kMetaFreeHead = 24;
+// A freed page holds the id of the next free page here.
+constexpr size_t kFreeNext = 0;
 }  // namespace
 
 BPlusTree::BPlusTree(BufferPool* pool, uint32_t payload_size)
@@ -49,6 +51,7 @@ void BPlusTree::LoadMeta() {
   uint32_t stored_payload = meta->ReadAt<uint32_t>(kMetaPayload);
   AUTHDB_CHECK(stored_payload == payload_size_);
   num_entries_ = meta->ReadAt<uint64_t>(kMetaCount);
+  free_head_ = meta->ReadAt<PageId>(kMetaFreeHead);
   pool_->Unpin(meta, false);
 }
 
@@ -59,14 +62,30 @@ void BPlusTree::StoreMeta() const {
   meta->WriteAt<uint32_t>(kMetaHeight, height_);
   meta->WriteAt<uint32_t>(kMetaPayload, payload_size_);
   meta->WriteAt<uint64_t>(kMetaCount, num_entries_);
+  meta->WriteAt<PageId>(kMetaFreeHead, free_head_);
   pool_->Unpin(meta, true);
 }
 
-PageId BPlusTree::AllocNode() const {
+PageId BPlusTree::AllocNode() {
+  if (free_head_ != kNoFreePage) {
+    const PageId id = free_head_;
+    Page* page = pool_->Fetch(id);
+    free_head_ = page->ReadAt<PageId>(kFreeNext);
+    pool_->Unpin(page, false);
+    return id;
+  }
   Page* page = pool_->New();
   PageId id = page->id;
   pool_->Unpin(page, true);
   return id;
+}
+
+void BPlusTree::FreeNode(PageId id) {
+  AUTHDB_DCHECK(id != 0 && id != root_);
+  Page* page = pool_->Fetch(id);
+  page->WriteAt<PageId>(kFreeNext, free_head_);
+  pool_->Unpin(page, true);
+  free_head_ = id;
 }
 
 BPlusTree::Node BPlusTree::LoadNode(PageId id) const {
@@ -294,8 +313,7 @@ void BPlusTree::RebalanceChild(Node* parent, size_t child_idx) {
       return;
     }
   }
-  // Merge. Note: merged-away pages are not recycled (no free list); the
-  // paper's workloads are update-heavy rather than shrink-heavy.
+  // Merge; the merged-away page goes on the free list.
   if (child_idx > 0) {
     // Merge child into its left sibling.
     Node left = LoadNode(parent->children[child_idx - 1]);
@@ -317,6 +335,7 @@ void BPlusTree::RebalanceChild(Node* parent, size_t child_idx) {
     parent->keys.erase(parent->keys.begin() + child_idx - 1);
     parent->children.erase(parent->children.begin() + child_idx);
     StoreNode(left);
+    FreeNode(child.id);
   } else {
     // Merge the right sibling into child.
     Node right = LoadNode(parent->children[child_idx + 1]);
@@ -340,6 +359,7 @@ void BPlusTree::RebalanceChild(Node* parent, size_t child_idx) {
     parent->keys.erase(parent->keys.begin() + child_idx);
     parent->children.erase(parent->children.begin() + child_idx + 1);
     StoreNode(child);
+    FreeNode(right.id);
   }
 }
 
@@ -379,6 +399,7 @@ Status BPlusTree::Delete(int64_t key) {
   if (!root.is_leaf && root.keys.empty()) {
     root_ = root.children[0];
     --height_;
+    FreeNode(root.id);
   }
   --num_entries_;
   StoreMeta();

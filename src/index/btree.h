@@ -22,7 +22,10 @@ namespace authdb {
 /// require.
 ///
 /// Page 0 of the underlying file holds the tree metadata; an existing file
-/// is reopened (payload size must match).
+/// is reopened (payload size must match). Pages freed by merges and by a
+/// collapsed root form a free list, chained through the freed pages with
+/// its head in the metadata, so a reopened tree reuses them too; new nodes
+/// take a free page before the file grows.
 class BPlusTree {
  public:
   BPlusTree(BufferPool* pool, uint32_t payload_size);
@@ -80,7 +83,10 @@ class BPlusTree {
 
   Node LoadNode(PageId id) const;
   void StoreNode(const Node& node) const;
-  PageId AllocNode() const;
+  /// A page for a new node: the free list's head, else a new page.
+  PageId AllocNode();
+  /// Pushes a page no node uses any more onto the free list.
+  void FreeNode(PageId id);
   void LoadMeta();
   void StoreMeta() const;
 
@@ -102,6 +108,10 @@ class BPlusTree {
   PageId root_ = kInvalidPageId;
   uint32_t height_ = 1;       // number of levels (leaf-only tree = 1)
   uint64_t num_entries_ = 0;
+  // Head of the free-page list; page 0 (the metadata) is never free, so
+  // kNoFreePage ends the list.
+  static constexpr PageId kNoFreePage = 0;
+  PageId free_head_ = kNoFreePage;
 };
 
 }  // namespace authdb

@@ -82,27 +82,34 @@ TEST_F(AllocFreeTest, CountingAllocatorSeesAllocations) {
 
 TEST_F(AllocFreeTest, PairingsEqualFixed) {
   const TatePairing& e = ctx_->pairing();
-  const ECPoint& g = ctx_->generator();
+  const FixedMillerLines& g_lines = ctx_->generator_lines();
   // The per-key table is built outside the counted region.
   const std::shared_ptr<const FixedMillerLines> pk_lines =
       e.Precompute(key_->public_key().point());
   ASSERT_NE(pk_lines, nullptr);
   bool honest = false, forged = true, hostile = true;
-  const ECPoint shifted = curve().Add(sigma_, g);
+  bool in_subgroup = false, torsion_in_subgroup = true;
+  const ECPoint shifted = curve().Add(sigma_, ctx_->generator());
+  const ECPoint torsion = CofactorTorsionPoint(curve());
   const long allocs = AllocationsDuring([&] {
-    honest = e.PairingsEqualFixed(sigma_, g, *pk_lines, h_);
-    forged = e.PairingsEqualFixed(shifted, g, *pk_lines, h_);
+    honest = e.PairingsEqualFixed(g_lines, sigma_, *pk_lines, h_);
+    forged = e.PairingsEqualFixed(g_lines, shifted, *pk_lines, h_);
+    in_subgroup = e.InSubgroup(sigma_);
+    torsion_in_subgroup = e.InSubgroup(torsion);
   });
   EXPECT_EQ(allocs, 0);
   for (const NamedPoint& bad : HostilePoints(curve(), sigma_)) {
     SCOPED_TRACE(bad.name);
-    const long hostile_allocs = AllocationsDuring(
-        [&] { hostile = e.PairingsEqualFixed(bad.point, g, *pk_lines, h_); });
+    const long hostile_allocs = AllocationsDuring([&] {
+      hostile = e.PairingsEqualFixed(g_lines, bad.point, *pk_lines, h_);
+    });
     EXPECT_EQ(hostile_allocs, 0);
     EXPECT_FALSE(hostile);
   }
   EXPECT_TRUE(honest);
   EXPECT_FALSE(forged);
+  EXPECT_TRUE(in_subgroup);
+  EXPECT_FALSE(torsion_in_subgroup);
 }
 
 TEST_F(AllocFreeTest, JacobianGroupLaw) {

@@ -270,6 +270,70 @@ TEST(BPlusTreeTest, PersistenceAcrossReopen) {
   std::remove(path.c_str());
 }
 
+TEST(BPlusTreeTest, ChurnAtSteadySizeKeepsThePageCountBounded) {
+  // A sliding window of kLive keys: each round deletes the oldest kStep
+  // and inserts kStep new ones, so leaves empty and merge on the left while
+  // they split on the right. Merged-away pages must be reused, or the file
+  // grows by about one leaf per 64 keys shifted.
+  TreeFixture f;
+  const int64_t kLive = 2000, kStep = 100, kRounds = 200;
+  for (int64_t k = 0; k < kLive; ++k)
+    ASSERT_TRUE(f.tree.Insert(k, Slice(Payload(k))).ok());
+  const PageId filled = f.dm.page_count();
+  for (int64_t round = 0; round < kRounds; ++round) {
+    const int64_t lo = round * kStep;
+    for (int64_t k = lo; k < lo + kStep; ++k) {
+      ASSERT_TRUE(f.tree.Delete(k).ok()) << k;
+      ASSERT_TRUE(f.tree.Insert(k + kLive, Slice(Payload(k + kLive))).ok());
+    }
+  }
+  EXPECT_EQ(f.tree.size(), static_cast<uint64_t>(kLive));
+  f.tree.CheckInvariants();
+  // 20,000 keys moved through the tree; its live size never changed.
+  EXPECT_LE(f.dm.page_count(), 2 * filled) << "filled at " << filled;
+  const auto all = f.tree.ScanAll();
+  ASSERT_EQ(all.size(), static_cast<size_t>(kLive));
+  for (int64_t i = 0; i < kLive; ++i) {
+    EXPECT_EQ(all[i].key, kRounds * kStep + i);
+    EXPECT_EQ(PayloadValue(all[i].payload), kRounds * kStep + i);
+  }
+}
+
+TEST(BPlusTreeTest, ReopenedTreeReusesFreedPages) {
+  std::string path = ::testing::TempDir() + "/authdb_btree_free_list.db";
+  std::remove(path.c_str());
+  PageId pages = 0;
+  {
+    DiskManager dm(path);
+    BufferPool pool(&dm, 32);
+    BPlusTree tree(&pool, 24);
+    for (int64_t k = 0; k < 3000; ++k)
+      ASSERT_TRUE(tree.Insert(k, Slice(Payload(k))).ok());
+    // Emptying most of the tree frees most of its leaves.
+    for (int64_t k = 0; k < 2500; ++k) ASSERT_TRUE(tree.Delete(k).ok());
+    ASSERT_TRUE(pool.FlushAll().ok());
+    pages = dm.page_count();
+  }
+  {
+    DiskManager dm(path);
+    BufferPool pool(&dm, 32);
+    BPlusTree tree(&pool, 24);
+    ASSERT_EQ(dm.page_count(), pages);
+    // 1,000 new keys need about 16 new leaves, all of them from the free
+    // list that the first open of the file left in its metadata.
+    for (int64_t k = 10000; k < 11000; ++k)
+      ASSERT_TRUE(tree.Insert(k, Slice(Payload(k))).ok());
+    EXPECT_EQ(dm.page_count(), pages);
+    EXPECT_EQ(tree.size(), 1500u);
+    tree.CheckInvariants();
+    for (int64_t k = 2500; k < 3000; ++k)
+      EXPECT_EQ(PayloadValue(tree.Get(k).value()), k);
+    for (int64_t k = 10000; k < 11000; ++k)
+      EXPECT_EQ(PayloadValue(tree.Get(k).value()), k);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(BPlusTreeTest, CapacitiesMatchPageMath) {
   TreeFixture f;
   // leaf: (4096-12)/(8+24) = 127, internal: (4096-12-4)/12 = 340

@@ -217,6 +217,44 @@ TEST(CurveGroupDeathTest, FindGeneratorAbortsWhenNoCandidateSurvives) {
   EXPECT_DEATH(curve.FindGenerator(), "check failed: !g.infinity");
 }
 
+TEST(CurveGroupDeathTest, ConstructorRequiresAEqualToOne) {
+  // JacDouble folds a = 1 into its formula, so any other a must be refused
+  // at construction rather than doubled wrongly.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const BigInt p(1019);
+  EXPECT_DEATH(CurveGroup(p, /*a=*/2, /*b=*/0, /*order_r=*/BigInt(5),
+                          /*cofactor=*/BigInt(204)),
+               "check failed: a == 1");
+}
+
+TEST_F(EcTest, JacDoubleMatchesAffineDoublingFormula) {
+  // The affine tangent rule with a read from the curve: lambda =
+  // (3x^2 + a) / 2y, against JacDouble through ToAffine, on Jacobian
+  // inputs with Z != 1 (a sum), where the dropped a*Z^4 term matters.
+  const PrimeField& f = curve().field();
+  Rng rng(17);
+  for (int i = 0; i < 16; ++i) {
+    const BigInt& r = curve().order();
+    const ECPoint a = curve().ScalarMult(G(), BigInt::RandomBelow(r, &rng));
+    const ECPoint b = curve().ScalarMult(G(), BigInt::RandomBelow(r, &rng));
+    const CurveGroup::Jacobian j =
+        curve().JacAddAffine(curve().ToJacobian(a), b);
+    ASSERT_FALSE(j.Z == f.One());
+    const ECPoint p = curve().ToAffine(j);
+    const Fp lambda = f.Mul(f.Add(f.Mul(f.FromU64(3), f.Sqr(p.x)),
+                                  curve().a_mont()),
+                            f.Inv(f.Dbl(p.y)));
+    const Fp x3 = f.Sub(f.Sqr(lambda), f.Dbl(p.x));
+    const Fp y3 = f.Sub(f.Mul(lambda, f.Sub(p.x, x3)), p.y);
+    const ECPoint d = curve().ToAffine(curve().JacDouble(j));
+    EXPECT_TRUE(curve().Equal(d, ECPoint{x3, y3, false})) << i;
+  }
+  // 2-torsion and infinity double to infinity.
+  EXPECT_TRUE(curve().JacIsInfinity(
+      curve().JacDouble(curve().ToJacobian(ECPoint{Fp{}, Fp{}, false}))));
+  EXPECT_TRUE(curve().JacIsInfinity(curve().JacDouble(curve().ToJacobian({}))));
+}
+
 TEST_F(EcTest, SerializeRoundtrip) {
   Rng rng(11);
   for (int i = 0; i < 20; ++i) {

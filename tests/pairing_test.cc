@@ -67,37 +67,139 @@ Fp2Elem ReferencePair(const CurveGroup& curve, const Fp2Field& fp2,
   return fp2.Exp(g, Fp::FromBigInt(curve.cofactor()));
 }
 
+/// The verification predicate as it stood before the checked point left
+/// the Miller slot, kept here as a second reference: sigma's Jacobian
+/// chain walked over the bits of r, its (scaled) lines evaluated at
+/// psi(G) and folded with pk's precomputed lines at psi(H), with the
+/// walk's own subgroup checks (on the curve, no 2-torsion T, no early
+/// +-sigma, T = -sigma exactly at the last addition).
+bool WalkPredicate(const CurveGroup& curve, const Fp2Field& fp2,
+                   const ECPoint& sigma, const ECPoint& g,
+                   const FixedMillerLines& pk_lines, const ECPoint& h) {
+  if (sigma.infinity || g.infinity) return h.infinity;
+  const PrimeField& f = curve.field();
+  if (!curve.IsOnCurve(sigma)) return false;
+  const Fp r = Fp::FromBigInt(curve.order());
+  const FixedMillerLines::Line* fixed = pk_lines.lines.data();
+  Fp2Elem acc = fp2.One();
+  const auto fold = [&](const Fp& a, const Fp& b, const Fp& d) {
+    acc = fp2.Mul(acc, fp2.Make(f.Add(f.Mul(a, g.x), b), f.Neg(f.Mul(d, g.y))));
+    if (!h.infinity) {
+      acc = fp2.Mul(acc, fp2.Make(f.Add(f.Mul(fixed->lambda, h.x), fixed->c),
+                                  h.y));
+    }
+    ++fixed;
+  };
+  Fp X = sigma.x, Y = sigma.y, Z = f.One();
+  bool reached_neg_sigma = false;
+  for (int i = r.BitLength() - 2; i >= 0; --i) {
+    if (Y.IsZero()) return false;
+    Fp xx = f.Sqr(X), yy = f.Sqr(Y), zz = f.Sqr(Z);
+    Fp m = f.Add(f.Add(f.Dbl(xx), xx), f.Sqr(zz));
+    Fp z3 = f.Mul(f.Dbl(Y), Z);
+    Fp dbl_yy = f.Dbl(yy);
+    acc = fp2.Sqr(acc);
+    fold(f.Mul(m, zz), f.Sub(f.Mul(m, X), dbl_yy), f.Mul(z3, zz));
+    Fp s = f.Dbl(f.Dbl(f.Mul(X, yy)));
+    X = f.Sub(f.Sqr(m), f.Dbl(s));
+    Y = f.Sub(f.Mul(m, f.Sub(s, X)), f.Dbl(f.Sqr(dbl_yy)));
+    Z = z3;
+    if (!r.Bit(i)) continue;
+    Fp zz2 = f.Sqr(Z);
+    Fp hh_ = f.Sub(f.Mul(sigma.x, zz2), X);
+    Fp rr = f.Sub(f.Mul(sigma.y, f.Mul(Z, zz2)), Y);
+    if (i == 0) {
+      reached_neg_sigma = hh_.IsZero() && !rr.IsZero();
+      break;
+    }
+    if (hh_.IsZero()) return false;
+    Fp zh = f.Mul(Z, hh_);
+    fold(rr, f.Sub(f.Mul(rr, sigma.x), f.Mul(sigma.y, zh)), zh);
+    Fp hh = f.Sqr(hh_);
+    Fp hhh = f.Mul(hh_, hh);
+    Fp v = f.Mul(X, hh);
+    Fp x3 = f.Sub(f.Sub(f.Sqr(rr), hhh), f.Dbl(v));
+    Y = f.Sub(f.Mul(rr, f.Sub(v, x3)), f.Mul(Y, hhh));
+    X = x3;
+    Z = zh;
+  }
+  if (!reached_neg_sigma || fp2.IsZero(acc)) return false;
+  return fp2.Exp(acc, Fp::FromBigInt(curve.cofactor())).im.IsZero();
+}
+
+/// A point of order exactly n, for a power of two n dividing the cofactor:
+/// (#E / n) * R for the first curve point R with x = 2, 3, ... for which
+/// that multiple is not killed by n / 2.
+ECPoint PointOfOrder(const CurveGroup& curve, uint64_t n) {
+  const PrimeField& f = curve.field();
+  const BigInt m = BigInt::Div(BigInt::Mul(curve.cofactor(), curve.order()),
+                               BigInt(n));
+  for (uint64_t xi = 2;; ++xi) {
+    Fp x = f.FromU64(xi);
+    Fp rhs = curve.CurveRhs(x);
+    Fp y;
+    if (rhs.IsZero() || !f.SqrtIfSquare(rhs, &y)) continue;
+    ECPoint t = curve.ScalarMult(ECPoint{x, y, false}, m);
+    if (!t.infinity && !curve.ScalarMult(t, BigInt(n / 2)).infinity) return t;
+  }
+}
+
+/// The pairing check on one multiply tier: the context's curve rebuilt
+/// over a field of that tier (same p, so Montgomery-form points carry
+/// over), with its own pairing and G's lines.
+struct TierPairing {
+  TierPairing(const CurveGroup& dc, PrimeField::MulTier tier)
+      : curve(dc.field().p(), /*a=*/1, /*b=*/0, dc.order(), dc.cofactor(),
+              tier),
+        e(&curve) {}
+  CurveGroup curve;
+  TatePairing e;
+};
+
 /// Seeded verification claims e(sigma, G) == e(H, pk) — honest, and the
-/// tampered shapes a server could ship — checked three ways: the
-/// reference verdict Equal(Pair(sigma, G), Pair(H, pk)), PairingsEqualFixed
-/// on pk's precomputed lines, and (for the order-r points, where the
-/// affine loop is defined) the Pair values against ReferencePair (the F_p
-/// factors of the projective lines must vanish in the final
-/// exponentiation, so the values agree exactly, not just the verdicts).
+/// tampered shapes a server could ship — checked four ways on each
+/// multiply tier: the reference verdict Equal(Pair(sigma, G), Pair(H,
+/// pk)), PairingsEqualFixed on G's and pk's precomputed lines, the
+/// sigma-walk predicate it replaced (WalkPredicate), and, for the order-r
+/// points, where the affine loop is defined, the Pair values against
+/// ReferencePair (the F_p factors of the projective lines must vanish in
+/// the final exponentiation, so the values agree exactly, not just the
+/// verdicts). Every sigma also checks InSubgroup against ScalarMult.
+/// `random_claims` random claims, half honest and half forged, follow
+/// the fixed shapes of every round.
 void ExpectVerdictEquivalence(const BasContext& ctx, uint64_t seed,
-                              int rounds) {
+                              int rounds, int random_claims) {
   const CurveGroup& curve = ctx.curve();
   const TatePairing& e = ctx.pairing();
   const Fp2Field& fp2 = e.fp2();
   const ECPoint& g = ctx.generator();
+  const ECPoint t2 = PointOfOrder(curve, 2);
+  const ECPoint t4 = PointOfOrder(curve, 4);
+  const ECPoint tc = CofactorTorsionPoint(curve);
+  std::vector<std::unique_ptr<TierPairing>> tiers;
+  for (PrimeField::MulTier tier :
+       {PrimeField::MulTier::kPortable, PrimeField::MulTier::kAdx})
+    tiers.push_back(std::make_unique<TierPairing>(curve, tier));
   Rng rng(seed);
+  const BigInt& r = curve.order();
+  const auto random_point = [&] {
+    return curve.ScalarMult(g, BigInt::RandomBelow(r, &rng));
+  };
+  struct Claim {
+    std::string name;
+    ECPoint sigma, h;
+    bool valid;  // pins the reference itself, so no case is vacuous
+    bool order_r;
+  };
+  int checked = 0;
   for (int round = 0; round < rounds; ++round) {
-    BigInt x = BigInt::RandomBelow(curve.order(), &rng);
+    BigInt x = BigInt::RandomBelow(r, &rng);
     ECPoint pk = curve.ScalarMult(g, x);
-    std::shared_ptr<const FixedMillerLines> pk_lines = e.Precompute(pk);
-    ASSERT_NE(pk_lines, nullptr);
-    ECPoint h = curve.ScalarMult(g, BigInt::RandomBelow(curve.order(), &rng));
-    ECPoint other_h =
-        curve.ScalarMult(g, BigInt::RandomBelow(curve.order(), &rng));
+    ECPoint h = random_point();
+    ECPoint other_h = random_point();
     ECPoint sigma = curve.ScalarMult(h, x);
     ECPoint foreign = curve.ScalarMult(
-        h, BigInt::RandomBelow(curve.order(), &rng));  // another key's sigma
-    struct Claim {
-      std::string name;
-      ECPoint sigma, h;
-      bool valid;  // pins the reference itself, so no case is vacuous
-      bool order_r;
-    };
+        h, BigInt::RandomBelow(r, &rng));  // another key's sigma
     std::vector<Claim> claims = {
         {"honest", sigma, h, true, true},
         {"wrong message", sigma, other_h, false, true},
@@ -107,21 +209,61 @@ void ExpectVerdictEquivalence(const BasContext& ctx, uint64_t seed,
         {"sigma=O", ECPoint{}, h, false, true},
         {"H=O", sigma, ECPoint{}, false, true},
         {"sigma=O,H=O", ECPoint{}, ECPoint{}, true, true},
+        {"sigma+T2", curve.Add(sigma, t2), h, false, false},
+        {"sigma+T4", curve.Add(sigma, t4), h, false, false},
+        {"sigma-T4", curve.Add(sigma, curve.Negate(t4)), h, false, false},
+        {"sigma+Tc", curve.Add(sigma, tc), h, false, false},
+        {"T2", t2, h, false, false},
+        {"T4", t4, h, false, false},
+        {"Tc", tc, h, false, false},
+        {"T4,H=O", t4, ECPoint{}, false, false},
     };
     for (const NamedPoint& bad : HostilePoints(curve, sigma))
       claims.push_back({bad.name, bad.point, h, false, false});
+    for (int i = 0; i < random_claims; ++i) {
+      ECPoint hi = random_point();
+      ECPoint si = curve.ScalarMult(hi, x);
+      if (i % 2 == 0) {
+        claims.push_back({"random honest", si, hi, true, true});
+      } else {
+        // A forged sigma: a random order-r point, off by a random multiple.
+        claims.push_back({"random forged", curve.Add(si, random_point()), hi,
+                          false, true});
+      }
+    }
+    const std::shared_ptr<const FixedMillerLines> pk_lines = e.Precompute(pk);
+    ASSERT_NE(pk_lines, nullptr);
+    std::vector<std::shared_ptr<const FixedMillerLines>> tier_g, tier_pk;
+    for (const auto& t : tiers) {
+      tier_g.push_back(t->e.Precompute(g));
+      tier_pk.push_back(t->e.Precompute(pk));
+      ASSERT_NE(tier_g.back(), nullptr);
+      ASSERT_NE(tier_pk.back(), nullptr);
+    }
     for (const Claim& c : claims) {
       SCOPED_TRACE("round " + std::to_string(round) + " claim " + c.name);
       Fp2Elem lhs = e.Pair(c.sigma, g);
       Fp2Elem rhs = e.Pair(c.h, pk);
       bool want = fp2.Equal(lhs, rhs);
       EXPECT_EQ(want, c.valid);
-      EXPECT_EQ(e.PairingsEqualFixed(c.sigma, g, *pk_lines, c.h), want);
+      EXPECT_EQ(WalkPredicate(curve, fp2, c.sigma, g, *pk_lines, c.h), want);
+      const bool in_subgroup = curve.IsOnCurve(c.sigma) &&
+                               curve.ScalarMult(c.sigma, r).infinity;
+      EXPECT_EQ(in_subgroup, c.order_r);
+      for (size_t t = 0; t < tiers.size(); ++t) {
+        SCOPED_TRACE(t == 0 ? "portable" : "adx");
+        const TatePairing& te = tiers[t]->e;
+        EXPECT_EQ(te.PairingsEqualFixed(*tier_g[t], c.sigma, *tier_pk[t], c.h),
+                  want);
+        EXPECT_EQ(te.InSubgroup(c.sigma), in_subgroup);
+      }
+      ++checked;
       if (!c.order_r) continue;
       EXPECT_TRUE(fp2.Equal(lhs, ReferencePair(curve, fp2, c.sigma, g)));
       EXPECT_TRUE(fp2.Equal(rhs, ReferencePair(curve, fp2, c.h, pk)));
     }
   }
+  EXPECT_GE(checked, rounds * (19 + random_claims));
 }
 
 class PairingTest : public ::testing::Test {
@@ -210,8 +352,8 @@ TEST_F(PairingTest, NegationInvertsPairing) {
 }
 
 TEST_F(PairingTest, Symmetric) {
-  // e(P, Q) == e(Q, P) on the order-r subgroup: PairingsEqualFixed moves
-  // the public key from the second slot to the first on the strength of it.
+  // e(P, Q) == e(Q, P) on the order-r subgroup: the pairing check moves
+  // both G and pk into the Miller slot on the strength of it.
   Rng rng(7);
   for (int i = 0; i < 6; ++i) {
     SCOPED_TRACE("i=" + std::to_string(i));
@@ -225,11 +367,14 @@ TEST_F(PairingTest, Symmetric) {
 }
 
 TEST_F(PairingTest, PairingsEqualFixedMatchesAffineReference) {
-  ExpectVerdictEquivalence(**ctx_, /*seed=*/11, /*rounds=*/6);
+  // 6 rounds of 19 fixed shapes and 84 random claims: 618 claims.
+  ExpectVerdictEquivalence(**ctx_, /*seed=*/11, /*rounds=*/6,
+                           /*random_claims=*/84);
 }
 
 TEST(PairingDefaultParamsTest, PairingsEqualFixedMatchesAffineReference) {
-  ExpectVerdictEquivalence(*BasContext::Default(), /*seed=*/12, /*rounds=*/2);
+  ExpectVerdictEquivalence(*BasContext::Default(), /*seed=*/12, /*rounds=*/2,
+                           /*random_claims=*/4);
 }
 
 TEST(PairingDefaultParamsTest, PairOfGeneratorKnownAnswer) {
@@ -248,19 +393,22 @@ TEST_F(PairingTest, PointsOutsideTheSubgroupAreRejected) {
   Rng rng(6);
   const ECPoint sigma =
       curve().ScalarMult(G(), BigInt::RandomBelow(curve().order(), &rng));
-  // e(sigma, G) == e(G, sigma): G's lines make the honest comparison.
+  // e(G, sigma) == e(G, sigma): G's lines on both sides make the honest
+  // comparison.
   const std::shared_ptr<const FixedMillerLines> g_lines = e().Precompute(G());
   ASSERT_NE(g_lines, nullptr);
   std::vector<NamedPoint> hostile = HostilePoints(curve(), sigma);
   hostile.push_back({"T", CofactorTorsionPoint(curve())});
+  hostile.push_back({"T4", PointOfOrder(curve(), 4)});
   for (const auto& [name, point] : hostile) {
     SCOPED_TRACE(name);
     ASSERT_FALSE(point.infinity);
     ASSERT_FALSE(curve().Equal(point, sigma));
+    EXPECT_FALSE(e().InSubgroup(point));
     // In the checked slot it is never accepted against any right-hand
     // side, including itself.
-    EXPECT_FALSE(e().PairingsEqualFixed(point, G(), *g_lines, sigma));
-    EXPECT_FALSE(e().PairingsEqualFixed(point, G(), *g_lines, point));
+    EXPECT_FALSE(e().PairingsEqualFixed(*g_lines, point, *g_lines, sigma));
+    EXPECT_FALSE(e().PairingsEqualFixed(*g_lines, point, *g_lines, point));
     // As the second Miller point, Pair marks it with zero, which no honest
     // pairing value equals.
     EXPECT_TRUE(fp2().IsZero(e().Pair(point, G())));
@@ -269,8 +417,10 @@ TEST_F(PairingTest, PointsOutsideTheSubgroupAreRejected) {
     EXPECT_EQ(e().Precompute(point), nullptr);
   }
   EXPECT_EQ(e().Precompute(ECPoint{}), nullptr);
-  // The honest point still passes the same check.
-  EXPECT_TRUE(e().PairingsEqualFixed(sigma, G(), *g_lines, sigma));
+  // The honest point still passes the same checks.
+  EXPECT_TRUE(e().InSubgroup(sigma));
+  EXPECT_TRUE(e().InSubgroup(ECPoint{}));
+  EXPECT_TRUE(e().PairingsEqualFixed(*g_lines, sigma, *g_lines, sigma));
 }
 
 TEST(Fp2FieldTest, FieldAxioms) {
