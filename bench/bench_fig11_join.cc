@@ -28,11 +28,14 @@ namespace authdb {
 namespace {
 
 struct JoinBench {
+  /// Holding rows are 62.95 B in the paper.
+  static constexpr uint32_t kRecordLen = 64;
   std::shared_ptr<const BasContext> ctx;
   SystemClock clock;
   Rng rng{11};
   std::unique_ptr<DataAggregator> da;
-  std::unique_ptr<ShardedQueryServer> server;
+  std::vector<SignedRecordUpdate> load;  ///< the bulk load's messages
+  UpdateSummary load_close;              ///< the DA's summary closing it
   std::unique_ptr<JoinAuthority> authority;
   std::unique_ptr<TpceJoinWorkload> workload;
   VarintGapCodec codec;
@@ -42,7 +45,7 @@ struct JoinBench {
   explicit JoinBench(uint64_t scale) {
     ctx = BasContext::Default();
     DataAggregator::Options opt;
-    opt.record_len = 64;  // Holding rows are 62.95 B in the paper
+    opt.record_len = kRecordLen;
     opt.buffer_pages = 4096;
     opt.piggyback_renewal = false;
     da = std::make_unique<DataAggregator>(ctx, &clock, &rng, opt);
@@ -51,18 +54,14 @@ struct JoinBench {
     workload = std::make_unique<TpceJoinWorkload>(wcfg);
     auto stream = da->BulkLoad(workload->MakeHoldingRows());
     AUTHDB_CHECK(stream.ok());
-    // A one-shard server serving inline. The load applies deferred; the
-    // first Measure's SetJoinPartitions publishes it in one epoch swap.
-    ServerConfig cfg;
-    cfg.node.record_len = opt.record_len;
-    cfg.serving.worker_threads = 0;
-    server = std::make_unique<ShardedQueryServer>(ctx, ShardRouter({}), cfg);
-    for (const SignedRecordUpdate& msg : stream.value())
-      AUTHDB_CHECK(server->ApplyToShardDeferred(0, msg).ok());
+    load = std::move(stream.value());
+    load_close = da->PublishSummary().summary;
     authority = std::make_unique<JoinAuthority>(ctx, da->private_key(),
                                                 BasContext::HashMode::kFast);
+    // The one client follows the DA's summary feed.
     verifier = std::make_unique<ClientVerifier>(
         &da->public_key(), &codec, BasContext::HashMode::kFast);
+    AUTHDB_CHECK(verifier->freshness().AddSummary(load_close).ok());
   }
 
   std::vector<CertifiedPartition> Partitions(size_t ib_over_p,
@@ -71,19 +70,37 @@ struct JoinBench {
                                       bits_per_value, clock.NowMicros());
   }
 
+  /// A one-shard server serving inline, holding the load and `parts`:
+  /// the load's close publishes both as epoch 1.
+  std::unique_ptr<ShardedQueryServer> Server(
+      const std::vector<CertifiedPartition>& parts) const {
+    ServerConfig cfg;
+    cfg.node.record_len = kRecordLen;
+    cfg.serving.worker_threads = 0;
+    auto server =
+        std::make_unique<ShardedQueryServer>(ctx, ShardRouter({}), cfg);
+    for (const SignedRecordUpdate& msg : load)
+      AUTHDB_CHECK(server->ApplyUpdate(msg).ok());
+    PartitionRefresh initial;
+    initial.full = parts;
+    server->AddSummary(load_close, std::move(initial));
+    return server;
+  }
+
   /// Returns (BV KB, BF KB), verifying both answers.
-  std::pair<double, double> Measure(
-      const std::vector<int64_t>& r_values,
-      const std::vector<CertifiedPartition>& parts) {
-    server->SetJoinPartitions(parts);
+  std::pair<double, double> Measure(const ShardedQueryServer& server,
+                                    const std::vector<int64_t>& r_values) {
     const Query bv_q = Query::Join(r_values, JoinMethod::kBoundaryValues);
     const Query bf_q = Query::Join(r_values, JoinMethod::kBloomFilter);
-    auto bv = server->Execute(bv_q);
-    auto bf = server->Execute(bf_q);
+    auto bv = server.Execute(bv_q);
+    auto bf = server.Execute(bf_q);
     AUTHDB_CHECK(bv.ok() && bf.ok());
     const uint64_t now = clock.NowMicros();
-    AUTHDB_CHECK(verifier->VerifyAnswerFresh(bv_q, bv.value(), now, 0).ok());
-    AUTHDB_CHECK(verifier->VerifyAnswerFresh(bf_q, bf.value(), now, 0).ok());
+    const uint64_t epoch = load_close.seq + 1;
+    AUTHDB_CHECK(
+        verifier->VerifyAnswerFresh(bv_q, bv.value(), now, epoch).ok());
+    AUTHDB_CHECK(
+        verifier->VerifyAnswerFresh(bf_q, bf.value(), now, epoch).ok());
     return {bv.value().join.vo_size_paper(sm) / 1024.0,
             bf.value().join.vo_size_paper(sm) / 1024.0};
   }
@@ -152,10 +169,12 @@ void Run(bench::BenchRun* run) {
   std::printf("\n(a) VO size vs match ratio alpha (sel 20%%, m/IB=8, "
               "IB/p=4)\n%8s %12s %12s\n", "alpha", "BV (KB)", "BF (KB)");
   auto parts_default = b.Partitions(4, 8.0);
+  const std::unique_ptr<ShardedQueryServer> server_default =
+      b.Server(parts_default);
   std::vector<VoRow> alpha_rows, bits_rows, per_rows, sel_rows;
   for (double alpha : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
     auto values = b.workload->MakeSecurityValues(alpha, nr / 5);
-    auto [bv, bf] = b.Measure(values, parts_default);
+    auto [bv, bf] = b.Measure(*server_default, values);
     std::printf("%8.1f %12.2f %12.2f\n", alpha, bv, bf);
     alpha_rows.push_back({alpha, bv, bf});
   }
@@ -166,7 +185,7 @@ void Run(bench::BenchRun* run) {
   auto values_half = b.workload->MakeSecurityValues(0.5, nr / 5);
   for (double bits : {4.0, 8.0, 12.0, 16.0}) {
     auto parts = b.Partitions(4, bits);
-    auto [bv, bf] = b.Measure(values_half, parts);
+    auto [bv, bf] = b.Measure(*b.Server(parts), values_half);
     std::printf("%8.0f %12.2f %12.2f\n", bits, bv, bf);
     bits_rows.push_back({bits, bv, bf});
   }
@@ -180,7 +199,7 @@ void Run(bench::BenchRun* run) {
                      size_t{512}, size_t{2048}}) {
     size_t clamped = std::min<size_t>(per, b.workload->ib());
     auto parts = b.Partitions(clamped, 8.0);
-    auto [bv, bf] = b.Measure(values_half, parts);
+    auto [bv, bf] = b.Measure(*b.Server(parts), values_half);
     per_rows.push_back({static_cast<double>(clamped), bv, bf});
     // Rebuild the largest partition (a deletion forces this).
     std::vector<int64_t> remaining(
@@ -201,7 +220,7 @@ void Run(bench::BenchRun* run) {
   for (double sel : {0.005, 0.25, 0.50, 0.75, 0.95}) {
     uint64_t n = std::max<uint64_t>(1, static_cast<uint64_t>(sel * nr));
     auto values = b.workload->MakeSecurityValues(0.5, n);
-    auto [bv, bf] = b.Measure(values, parts_default);
+    auto [bv, bf] = b.Measure(*server_default, values);
     std::printf("%8.1f %12.2f %12.2f\n", sel * 100, bv, bf);
     sel_rows.push_back({sel * 100, bv, bf});
   }

@@ -96,9 +96,11 @@ void Run(bench::BenchRun* run) {
       Status s = server.ApplyUpdate(msg);
       AUTHDB_CHECK(s.ok());
     }
-    server.SetJoinPartitions(da.join_partitions());
+    // The load's close carries the initial partition set whole.
     DataAggregator::PeriodOutput p0 = da.PublishSummary();
-    server.AddSummary(p0.summary);
+    PartitionRefresh initial;
+    initial.full = da.join_partitions();
+    server.AddSummary(std::move(p0.summary), std::move(initial));
 
     // Live ingest racing the mixed load: quantity modifications plus the
     // rho-period summary + certified Bloom partition refresh.
@@ -316,6 +318,8 @@ void RunUniformSelections(bench::BenchRun* run) {
   }
   auto bulk = da.BulkLoad(std::move(records));
   AUTHDB_CHECK(bulk.ok());
+  // Every server publishes the load with the same close.
+  const UpdateSummary load_close = da.PublishSummary().summary;
 
   std::printf("\n%8s %12s %12s %12s %12s %10s\n", "shards", "qps", "mean us",
               "p50 us", "p99 us", "speedup");
@@ -330,6 +334,7 @@ void RunUniformSelections(bench::BenchRun* run) {
       Status s = server.ApplyUpdate(msg);
       AUTHDB_CHECK(s.ok());
     }
+    server.AddSummary(load_close);
 
     LoadOptions opts;
     opts.arrivals = LoadOptions::Arrivals::kClosed;

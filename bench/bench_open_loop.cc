@@ -68,6 +68,8 @@ Fixture MakeFixture(bool smoke, SystemClock* clock, Rng* rng) {
   return fx;
 }
 
+/// A server holding the bulk load, published by the DA's next period
+/// close together with its current partition set as a full refresh.
 std::unique_ptr<ShardedQueryServer> MakeServer(const Fixture& fx,
                                                const ServerConfig& cfg) {
   auto server = std::make_unique<ShardedQueryServer>(
@@ -77,7 +79,10 @@ std::unique_ptr<ShardedQueryServer> MakeServer(const Fixture& fx,
     Status s = server->ApplyUpdate(msg);
     AUTHDB_CHECK(s.ok());
   }
-  server->SetJoinPartitions(fx.da->join_partitions());
+  DataAggregator::PeriodOutput p0 = fx.da->PublishSummary();
+  PartitionRefresh initial;
+  initial.full = fx.da->join_partitions();
+  server->AddSummary(std::move(p0.summary), std::move(initial));
   return server;
 }
 
@@ -121,8 +126,6 @@ void Run(bench::BenchRun* run) {
   double capacity_qps = 0;
   {
     auto server = MakeServer(fx, base_cfg);
-    DataAggregator::PeriodOutput p0 = fx.da->PublishSummary();
-    server->AddSummary(p0.summary);
 
     LoadOptions copts;
     copts.arrivals = LoadOptions::Arrivals::kClosed;
@@ -165,8 +168,6 @@ void Run(bench::BenchRun* run) {
                               LoadOptions::Arrivals::kBurst}) {
     const bool poisson = arrivals == LoadOptions::Arrivals::kPoisson;
     auto server = MakeServer(fx, over_cfg);
-    DataAggregator::PeriodOutput p0 = fx.da->PublishSummary();
-    server->AddSummary(p0.summary);
 
     // Live ingest racing the overload: the server sheds reads, never writes.
     UpdateStream stream(server.get(), over_cfg);
@@ -258,16 +259,20 @@ void Run(bench::BenchRun* run) {
   // ---- Shed vs tampered: the verifier tells refusal from fraud ------------
   // An honest shed is payload-free and maps to ResourceExhausted (a serving
   // outcome); a shed CARRYING payload is a forgery attempt and must fail
-  // verification outright. A served answer still verifies fresh.
+  // verification outright. A served answer still verifies fresh. The
+  // phases above moved the DA past the bulk load, so the served answer
+  // comes from a fresh DA whose first close publishes its load: a server
+  // seeded with a later close alone lacks the evidence window from seq 0.
   {
-    auto server = MakeServer(fx, base_cfg);
-    DataAggregator::PeriodOutput p0 = fx.da->PublishSummary();
-    server->AddSummary(p0.summary);
+    Fixture vfx = MakeFixture(smoke, &clock, &rng);
+    auto server = MakeServer(vfx, base_cfg);
     VarintGapCodec codec;
-    ClientVerifier verifier(&fx.da->public_key(), &codec, fx.da->hash_mode());
+    ClientVerifier verifier(&vfx.da->public_key(), &codec,
+                            vfx.da->hash_mode());
     const uint64_t now = clock.NowMicros();
     const uint64_t epoch = server->freshness_tracker().current_epoch();
-    const Query q = Query::Select(fx.key_lo, JoinCompositeKey(8, kJoinMaxDup));
+    const Query q =
+        Query::Select(vfx.key_lo, JoinCompositeKey(8, kJoinMaxDup));
 
     auto served = server->Execute(q);
     AUTHDB_CHECK(served.ok());

@@ -10,6 +10,7 @@
 // at batch sizes 8 to 256, the batch inversion's cost per element, and a
 // period close's partition certification split into message build and
 // signing (informational: no baseline entry gates them).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -190,15 +191,27 @@ CertifyCost PartitionCertifyMicros(const std::shared_ptr<const BasContext>& ctx,
 struct FieldTierCost {
   PrimeField::MulTier ran;  // kPortable when kAdx cannot run here
   double mul_ns;            // per multiply, in a chain of dependent ones
-  double check_us;          // per TatePairing::PairingsEqualFixed
+  double check_us;          // per TatePairing::PairingsEqualFixed call
   double subgroup_us;       // its sigma check alone (TatePairing::InSubgroup)
 };
 
+/// The median of `v` (reordered).
+double MedianOf(std::vector<double>* v) {
+  AUTHDB_CHECK(!v->empty());
+  auto mid = v->begin() + v->size() / 2;
+  std::nth_element(v->begin(), mid, v->end());
+  return *mid;
+}
+
 /// Builds the default curve again over a field of the given tier (same p,
 /// so the default context's Montgomery-form points are valid on it) and
-/// times both figures, best of `reps` passes each.
+/// times it: the multiply as the best of `mul_reps` chains, the pairing
+/// check and its subgroup check as per-call medians over `check_calls`
+/// calls each (a best-of figure on a shared host spreads by tens of
+/// percent between runs of one binary).
 FieldTierCost MeasureFieldTier(const std::shared_ptr<const BasContext>& ctx,
-                               PrimeField::MulTier tier, int reps) {
+                               PrimeField::MulTier tier, int mul_reps,
+                               int check_calls) {
   const CurveGroup& dc = ctx->curve();
   CurveGroup curve(dc.field().p(), /*a=*/1, /*b=*/0, dc.order(), dc.cofactor(),
                    tier);
@@ -208,7 +221,7 @@ FieldTierCost MeasureFieldTier(const std::shared_ptr<const BasContext>& ctx,
   constexpr int kChain = 100000;
   Fp acc = f.FromU64(3);
   const Fp m = f.FromU64(0x5eed);
-  for (int r = 0; r < reps; ++r) {
+  for (int r = 0; r < mul_reps; ++r) {
     auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kChain; ++i) acc = f.Mul(acc, m);
     double ns = SecondsSince(t0) * 1e9 / kChain;
@@ -228,19 +241,22 @@ FieldTierCost MeasureFieldTier(const std::shared_ptr<const BasContext>& ctx,
   const auto g_lines = pairing.Precompute(ctx->generator());
   const auto pk_lines = pairing.Precompute(key.public_key().point());
   AUTHDB_CHECK(g_lines != nullptr && pk_lines != nullptr);
-  for (int r = 0; r < reps; ++r) {
+  std::vector<double> check_us, subgroup_us;
+  check_us.reserve(check_calls);
+  subgroup_us.reserve(check_calls);
+  for (int r = 0; r < check_calls; ++r) {
     auto t0 = std::chrono::steady_clock::now();
     const bool ok =
         pairing.PairingsEqualFixed(*g_lines, sig.point, *pk_lines, h);
-    double us = SecondsSince(t0) * 1e6;
+    check_us.push_back(SecondsSince(t0) * 1e6);
     AUTHDB_CHECK(ok);
-    if (r == 0 || us < out.check_us) out.check_us = us;
     t0 = std::chrono::steady_clock::now();
     const bool in = pairing.InSubgroup(sig.point);
-    us = SecondsSince(t0) * 1e6;
+    subgroup_us.push_back(SecondsSince(t0) * 1e6);
     AUTHDB_CHECK(in);
-    if (r == 0 || us < out.subgroup_us) out.subgroup_us = us;
   }
+  out.check_us = MedianOf(&check_us);
+  out.subgroup_us = MedianOf(&subgroup_us);
   return out;
 }
 
@@ -367,10 +383,11 @@ void Run(bench::BenchRun* run) {
   // Both tiers in the same process; their quotient is the per-layer
   // number behind the client's pairing check.
   const int tier_reps = smoke ? 9 : 31;
-  const FieldTierCost portable =
-      MeasureFieldTier(ctx, PrimeField::MulTier::kPortable, tier_reps);
+  const int check_calls = smoke ? 100 : 1000;
+  const FieldTierCost portable = MeasureFieldTier(
+      ctx, PrimeField::MulTier::kPortable, tier_reps, check_calls);
   const FieldTierCost adx =
-      MeasureFieldTier(ctx, PrimeField::MulTier::kAdx, tier_reps);
+      MeasureFieldTier(ctx, PrimeField::MulTier::kAdx, tier_reps, check_calls);
   const double mul_speedup = adx.mul_ns > 0 ? portable.mul_ns / adx.mul_ns : 0;
   const char* note = "";
   if (adx.ran != PrimeField::MulTier::kAdx)
@@ -379,7 +396,7 @@ void Run(bench::BenchRun* run) {
               MulTierName(PrimeField::BestMulTier()), note);
   // The check's split: the sigma subgroup ladder, and the rest (the
   // fixed-line Miller loop and the cofactor exponentiation) as the
-  // difference of the two best-of-reps figures.
+  // difference of the two per-call medians.
   for (const FieldTierCost* t : {&portable, &adx}) {
     std::printf("  %-8s %8.1f ns/dependent mul   %8.1f us/PairingsEqualFixed "
                 "(subgroup check %.1f + fixed-line loop %.1f)\n",

@@ -40,13 +40,14 @@ int main() {
   // the DA's certified partition filters (one Bloom filter per 4-value
   // partition, 8 bits/value) — the join-serving configuration.
   // The server is one shard owning every key, serving inline. The load
-  // applies deferred; SetJoinPartitions below publishes it.
+  // applies deferred; the DA's period close below publishes it together
+  // with the initial partition set.
   ServerConfig cfg;
   cfg.node.record_len = 64;
   cfg.serving.worker_threads = 0;
   ShardedQueryServer qs(ctx, ShardRouter({}), cfg);
   for (const auto& msg : stream.value()) {
-    Status s = qs.ApplyToShardDeferred(0, msg);
+    Status s = qs.ApplyUpdate(msg);
     if (!s.ok()) {
       std::printf("apply failed: %s\n", s.ToString().c_str());
       return 1;
@@ -58,7 +59,9 @@ int main() {
                                               /*bits_per_value=*/8.0,
                                               clock.NowMicros());
   std::printf("certified %zu partition filters\n", partitions.size());
-  qs.SetJoinPartitions(partitions);
+  PartitionRefresh initial;
+  initial.full = partitions;
+  qs.AddSummary(da.PublishSummary().summary, std::move(initial));
 
   // Watchlist: half the values match, half do not.
   auto watchlist = workload.MakeSecurityValues(/*alpha=*/0.5, /*n=*/40);

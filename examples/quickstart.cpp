@@ -44,6 +44,8 @@ int main() {
 
   // 2. The (untrusted) query server mirrors the certified data: one shard
   // owning every key, with reads served inline on the caller's thread.
+  // Applied messages reach readers when the DA closes the period: its
+  // signed summary publishes the server's next epoch.
   ServerConfig cfg;
   cfg.node.record_len = 128;
   cfg.serving.worker_threads = 0;
@@ -55,6 +57,7 @@ int main() {
       return 1;
     }
   }
+  qs.AddSummary(da.PublishSummary().summary);
   std::printf("loaded %llu certified records at the query server\n",
               static_cast<unsigned long long>(qs.size()));
 
@@ -82,8 +85,15 @@ int main() {
               bad.ToString().c_str());
 
   // 5. Updates flow record-at-a-time; no index-wide lock is ever needed.
+  // The next period close publishes them (its re-certifications belong to
+  // the period after).
   auto upd = da.ModifyRecord(150, {150, 9999, 1});
   if (!upd.ok() || !qs.ApplyUpdate(upd.value()).ok()) return 1;
+  DataAggregator::PeriodOutput period = da.PublishSummary();
+  qs.AddSummary(period.summary);
+  for (const auto& msg : period.recertifications) {
+    if (!qs.ApplyUpdate(msg).ok()) return 1;
+  }
   Query point = Query::Select(150, 150);
   auto fresh = qs.Execute(point);
   if (!fresh.ok() || fresh.value().selection.records.empty()) return 1;

@@ -51,6 +51,7 @@ int main() {
       return 1;
     }
   }
+  qs.AddSummary(da.PublishSummary().summary);  // publishes the load
 
   // 1. Plan against the expected query-cardinality distribution (the
   //    paper's skewed, harmonic profile).
@@ -129,9 +130,11 @@ int main() {
 
   // 4. Updates invalidate the cache lazily: every rank whose signature the
   //    update changed is reported to it, and the next query through that
-  //    interval recomputes. Correctness is unaffected on both sides.
+  //    interval recomputes. Correctness is unaffected on both sides. The
+  //    period close publishes the update.
   auto upd = da.ModifyRecord(2048, {2048, 777});
   if (!upd.ok() || !qs.ApplyUpdate(upd.value()).ok()) return 1;
+  qs.AddSummary(da.PublishSummary().summary);
   std::shared_ptr<const EpochSnapshot> next = qs.PinCurrentEpoch()->shards[0];
   if (next->size() != kN) return 1;
   std::shared_ptr<const EpochSnapshot> prev = std::exchange(snap, next);

@@ -8,7 +8,8 @@ Six rules, each protecting a contract the compiler cannot see:
   member functions of ``ShardedQueryServer`` and every ``BatchEngine::``
   member, in ``src/server/sharded_query_server.cc`` and
   ``src/server/batch_exec.cc``. Concretely: no ``builder`` access, no
-  ``Freeze``/``InstallDescriptor*``/``Republish*`` calls, no
+  ``Freeze``/``InstallDescriptor*``/``PublishEpoch*``/``AddSummary``
+  calls, no ``ApplyUpdate``/``ApplyToShardDeferred`` calls, no
   ``atomic_exchange``/``atomic_store`` on the descriptor head, no raw
   ``current_`` outside ``PinCurrentEpoch``, and no ``shards_[...]``
   indexing at all (``srv_.shards_[...]`` included). This is the
@@ -132,8 +133,10 @@ EPOCH_PIN_FORBIDDEN = [
      "touches a ShardVersionBuilder (next-epoch state) from a read path"),
     (re.compile(r"\bFreeze\w*\s*\("),
      "freezes a snapshot from a read path"),
-    (re.compile(r"\b(InstallDescriptor\w*|Republish\w*)\s*\("),
+    (re.compile(r"\b(InstallDescriptor\w*|PublishEpoch\w*|AddSummary)\s*\("),
      "publishes a descriptor from a read path"),
+    (re.compile(r"\b(ApplyUpdate|ApplyToShardDeferred)\s*\("),
+     "applies an update to next-epoch state from a read path"),
     (re.compile(r"\batomic_(exchange|store)\b"),
      "mutates the descriptor head from a read path"),
 ]
@@ -405,10 +408,14 @@ Result<SelectionAnswer> ShardedQueryServer::Select(int64_t lo,
   Shard& sh = *shards_[0];
   sh.builder.Apply(piece);
   std::shared_ptr<const EpochDescriptor> d = std::atomic_load(&current_);
+  AddSummary(UpdateSummary());
   return FreezeShard(0);
 }
 void ShardedQueryServer::ApplyUpdate(const SignedRecordUpdate& msg) {
   shards_[0]->builder.Apply(msg);  // write path: must NOT be flagged
+}
+void ShardedQueryServer::AddSummary(UpdateSummary summary) {
+  PublishEpochLocked(summary, FreezeAllShards(), {});  // write path: silent
 }
 """
 
@@ -421,6 +428,7 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr) {
 }
 Status BatchEngine::ValidateAndPlan(const Query& q, size_t p) {
   srv_.shards_[0]->builder.Apply(piece);
+  srv_.ApplyToShardDeferred(0, piece);
 }
 """
 
@@ -476,15 +484,17 @@ def self_test():
            check_raw_mutex("fake.cc", SELFTEST_RAW_MUTEX_ALLOWED),
            "raw-mutex", 0)
     # Seeded read path: shards_ deref, builder access, raw current_,
-    # Freeze call — and none from the non-const write path below it.
+    # AddSummary and Freeze calls — and none from the non-const write
+    # paths below it.
     expect("seeded epoch-pin",
-           check_epoch_pin("fake.cc", SELFTEST_EPOCH_PIN), "epoch-pin", 4)
+           check_epoch_pin("fake.cc", SELFTEST_EPOCH_PIN), "epoch-pin", 5)
     # BatchEngine members are read paths whether const or not: the slot
-    # load through srv_.shards_ and the builder reach (shards_ + builder)
-    # are caught; the pinned descriptor and the escaped line stay silent.
+    # load through srv_.shards_, the builder reach (shards_ + builder) and
+    # the deferred apply are caught; the pinned descriptor and the escaped
+    # line stay silent.
     expect("seeded BatchEngine epoch-pin",
            check_epoch_pin("fake.cc", SELFTEST_EPOCH_PIN_BATCH),
-           "epoch-pin", 3)
+           "epoch-pin", 4)
     expect("seeded unlabeled suites",
            check_test_labels("fake.txt", SELFTEST_TEST_LABELS),
            "test-labels", 2)

@@ -13,11 +13,8 @@ namespace authdb {
 
 EpochSnapshot::EpochSnapshot(
     std::vector<std::shared_ptr<const Chunk>> chunks,
-    std::vector<std::shared_ptr<const ColumnAggregates>> chunk_aggs,
-    uint64_t generation)
-    : chunks_(std::move(chunks)),
-      chunk_aggs_(std::move(chunk_aggs)),
-      generation_(generation) {
+    std::vector<std::shared_ptr<const ColumnAggregates>> chunk_aggs)
+    : chunks_(std::move(chunks)), chunk_aggs_(std::move(chunk_aggs)) {
   AUTHDB_CHECK(chunk_aggs_.size() == chunks_.size());
   starts_.reserve(chunks_.size());
   first_keys_.reserve(chunks_.size());
@@ -441,7 +438,6 @@ void ShardVersionBuilder::PrecomputeChunkAggregates() {
 
 std::shared_ptr<const EpochSnapshot> ShardVersionBuilder::Freeze() {
   if (!changed_ && last_frozen_ != nullptr) return last_frozen_;
-  if (changed_) ++generation_;
   changed_ = false;
   RefreshDigests();
   PrecomputeChunkAggregates();
@@ -453,8 +449,8 @@ std::shared_ptr<const EpochSnapshot> ShardVersionBuilder::Freeze() {
     m.delta.clear();
     aggs.push_back(m.aggs);
   }
-  last_frozen_ = std::make_shared<const EpochSnapshot>(
-      chunks_, std::move(aggs), generation_);
+  last_frozen_ =
+      std::make_shared<const EpochSnapshot>(chunks_, std::move(aggs));
   return last_frozen_;
 }
 

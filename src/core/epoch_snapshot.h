@@ -40,10 +40,6 @@ struct SnapshotItem {
 /// snapshot never changes, so a whole multi-shard read — fan-out, stitch,
 /// and global boundary probes — can run lock-free against one snapshot set
 /// and always observes a single serializable cut of the DA's history.
-///
-/// `generation` identifies the chain generation this version belongs to:
-/// it advances whenever a version is frozen with a non-empty delta, so
-/// publication can refuse to replace a shard's snapshot with an older one.
 class EpochSnapshot {
  public:
   using Chunk = std::vector<SnapshotItem>;
@@ -71,11 +67,9 @@ class EpochSnapshot {
   /// `chunks`. See chunk_columns.
   EpochSnapshot(
       std::vector<std::shared_ptr<const Chunk>> chunks,
-      std::vector<std::shared_ptr<const ColumnAggregates>> chunk_aggs,
-      uint64_t generation);
+      std::vector<std::shared_ptr<const ColumnAggregates>> chunk_aggs);
 
   uint64_t size() const { return total_; }
-  uint64_t generation() const { return generation_; }
 
   /// Rank of the first item with key >= / > `key` (size() when none).
   size_t LowerBound(int64_t key) const;
@@ -169,7 +163,6 @@ class EpochSnapshot {
   std::vector<size_t> starts_;      ///< starts_[i] = rank of chunks_[i][0]
   std::vector<int64_t> first_keys_; ///< chunks_[i][0].key()
   uint64_t total_ = 0;
-  uint64_t generation_ = 0;
 };
 
 /// The mutable side of the copy-on-write spine: accumulates a shard's
@@ -217,13 +210,12 @@ class ShardVersionBuilder {
   /// none.
   Status Apply(const SignedRecordUpdate& piece);
 
-  /// Freeze the current state into an immutable snapshot. Advances the
-  /// chain generation iff the delta since the previous Freeze was
-  /// non-empty; otherwise returns the cached previous snapshot unchanged.
+  /// Freeze the current state into an immutable snapshot, or return the
+  /// cached previous snapshot unchanged when the delta since the previous
+  /// Freeze is empty.
   std::shared_ptr<const EpochSnapshot> Freeze();
 
   uint64_t size() const { return size_; }
-  uint64_t generation() const { return generation_; }
 
  private:
   using Chunk = EpochSnapshot::Chunk;
@@ -283,7 +275,6 @@ class ShardVersionBuilder {
   /// keys deleted since): their items' digests are stale.
   std::vector<int64_t> stale_digests_;
   uint64_t size_ = 0;
-  uint64_t generation_ = 0;
   bool changed_ = false;
   std::shared_ptr<const EpochSnapshot> last_frozen_;
 };

@@ -186,6 +186,11 @@ bool ApplyPartitionRefresh(const PartitionRefresh& refresh,
     merged->sig = d.sig;
     *target = std::move(merged);
   }
+  // FindCoveringPartition's binary search needs the set sorted by lo_b
+  // with disjoint ranges; a refresh that breaks either is refused.
+  for (size_t i = 1; i < partitions->size(); ++i) {
+    if ((*partitions)[i - 1]->hi_b >= (*partitions)[i]->lo_b) return false;
+  }
   return true;
 }
 

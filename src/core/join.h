@@ -119,8 +119,10 @@ PartitionSet SharePartitions(std::vector<CertifiedPartition> parts);
 /// looked up at position idx first and searched for only when that slot
 /// holds another partition.
 /// Returns false when a delta references a missing partition or its
-/// geometry mismatches — the caller should treat the refresh as
-/// corrupt and keep its previous state.
+/// geometry mismatches, or when the resulting set is not sorted by lo_b
+/// with disjoint ranges (what FindCoveringPartition relies on) — the
+/// caller should treat the refresh as corrupt and keep its previous
+/// state.
 bool ApplyPartitionRefresh(const PartitionRefresh& refresh,
                            PartitionSet* partitions);
 

@@ -40,8 +40,8 @@ struct ServerConfig {
     /// submitting thread.
     size_t worker_threads = 4;
     /// Epoch GC backpressure: maximum number of *superseded* epochs that
-    /// stalled readers may keep pinned before PublishEpoch blocks waiting
-    /// for one to drain (0 = unbounded). The block propagates through the
+    /// stalled readers may keep pinned before an epoch publication blocks
+    /// waiting for one to drain (0 = unbounded). The block propagates through the
     /// update stream's apply queues to the producer — memory stays bounded
     /// even against a wedged reader.
     size_t max_pinned_epochs = 0;

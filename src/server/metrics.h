@@ -111,7 +111,7 @@ struct ServerMetrics {
   struct Epoch {
     uint64_t current = 0;          ///< currently published epoch
     uint64_t pinned = 0;           ///< superseded epochs still reader-pinned
-    uint64_t published_total = 0;  ///< descriptor installs (republish incl.)
+    uint64_t published_total = 0;  ///< epoch publications (epoch 0 incl.)
     /// Time publishers spent blocked on the max_pinned_epochs budget —
     /// the stalled-reader backpressure that propagates into ingest.
     uint64_t publish_backpressure_us = 0;

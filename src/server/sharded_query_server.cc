@@ -28,7 +28,7 @@ ShardedQueryServer::ShardedQueryServer(std::shared_ptr<const BasContext> ctx,
     shards_.push_back(std::make_unique<Shard>(ctx_));
   // Publish the empty epoch-0 descriptor so readers always have a pin.
   MutexLock pub(publish_mu_);
-  RepublishLocked();
+  InstallDescriptorLocked(FreezeAllShards(), ServerMetrics());
 }
 
 // ---------------------------------------------------------------------------
@@ -72,22 +72,18 @@ Status ShardedQueryServer::ApplyToShardDeferred(
 }
 
 Status ShardedQueryServer::ApplyUpdate(const SignedRecordUpdate& msg) {
-  // publish_mu_ is held across the whole piece-apply loop AND the
-  // republish: a concurrent publisher (another direct apply, AddSummary,
-  // SetJoinPartitions) could otherwise freeze a seam-spanning message
-  // half-applied — shard 0 post-piece, shard 1 pre-piece — into a
-  // descriptor every reader would pin as a torn re-chaining.
+  // publish_mu_ is held across the whole piece-apply loop: a concurrent
+  // AddSummary could otherwise freeze a seam-spanning message half-applied
+  // — shard 0 post-piece, shard 1 pre-piece — into a descriptor every
+  // reader would pin as a torn re-chaining.
   MutexLock pub(publish_mu_);
-  Status st = Status::OK();
   for (const ShardPiece& sp : SplitByOwner(msg)) {
-    st = ApplyToShardDeferred(sp.shard, sp.piece);
     // A piece failing to apply is a protocol violation (the DA's signed
     // messages always apply cleanly); earlier pieces stay in place and the
     // caller must treat the failure as fatal to the replica's integrity.
-    if (!st.ok()) break;
+    AUTHDB_RETURN_NOT_OK(ApplyToShardDeferred(sp.shard, sp.piece));
   }
-  RepublishLocked();
-  return st;
+  return Status::OK();
 }
 
 std::shared_ptr<const EpochSnapshot> ShardedQueryServer::FreezeShard(
@@ -96,6 +92,14 @@ std::shared_ptr<const EpochSnapshot> ShardedQueryServer::FreezeShard(
   Shard& sh = *shards_[shard];
   MutexLock lock(sh.mu);
   return sh.builder.Freeze();
+}
+
+std::vector<std::shared_ptr<const EpochSnapshot>>
+ShardedQueryServer::FreezeAllShards() {
+  std::vector<std::shared_ptr<const EpochSnapshot>> snaps;
+  snaps.reserve(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) snaps.push_back(FreezeShard(s));
+  return snaps;
 }
 
 size_t ShardedQueryServer::LivePinnedLocked() const {
@@ -135,32 +139,28 @@ void ShardedQueryServer::InstallDescriptorLocked(
   if (old != nullptr) {
     MutexLock lk(pin_sync_->mu);
     retired_.emplace_back(old);
-    // Keep the GC list from accumulating dead weak_ptrs on the
-    // direct-apply path (which installs a descriptor per message and
-    // never runs the backpressure prune).
+    // Keep the GC list from accumulating dead weak_ptrs when no pin
+    // budget is set (the backpressure prune then never runs).
     if (retired_.size() > 64) LivePinnedLocked();
   }
   ++published.epoch.published_total;
   metrics_.Add(published);
 }
 
-void ShardedQueryServer::RepublishLocked(ServerMetrics published) {
-  std::vector<std::shared_ptr<const EpochSnapshot>> snaps;
-  snaps.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = *shards_[s];
-    MutexLock lock(sh.mu);
-    snaps.push_back(sh.builder.Freeze());
-  }
-  InstallDescriptorLocked(std::move(snaps), std::move(published));
-}
-
 void ShardedQueryServer::PublishEpoch(
     UpdateSummary summary,
     std::vector<std::shared_ptr<const EpochSnapshot>> snaps,
     PartitionRefresh partition_refresh) {
-  AUTHDB_CHECK(snaps.size() == shards_.size());
   MutexLock pub(publish_mu_);
+  PublishEpochLocked(std::move(summary), std::move(snaps),
+                     std::move(partition_refresh));
+}
+
+void ShardedQueryServer::PublishEpochLocked(
+    UpdateSummary summary,
+    std::vector<std::shared_ptr<const EpochSnapshot>> snaps,
+    PartitionRefresh partition_refresh) {
+  AUTHDB_CHECK(snaps.size() == shards_.size());
   ServerMetrics published;
   if (config_.serving.max_pinned_epochs > 0) {
     // Backpressure against stalled readers: wait until fewer than the
@@ -176,21 +176,6 @@ void ShardedQueryServer::PublishEpoch(
       published.epoch.publish_backpressure_us = MonotonicMicros() - t0;
     }
   }
-  // Monotonicity guard: if a direct-path publication (ApplyUpdate /
-  // SetJoinPartitions / AddSummary) raced this barrier and already
-  // published newer builder state for some shard, keep the newer version
-  // — readers must never watch a record regress to an older generation
-  // at a higher epoch. (Mixing the direct path into a live streaming
-  // period still weakens the stamp's exactness for that period — the
-  // leaked updates ride the earlier epoch — so keep direct publications
-  // to bootstrap/quiesced phases; see the class comment.)
-  {
-    std::shared_ptr<const EpochDescriptor> cur = std::atomic_load(&current_);
-    for (size_t s = 0; s < snaps.size() && s < cur->shards.size(); ++s) {
-      if (cur->shards[s]->generation() > snaps[s]->generation())
-        snaps[s] = cur->shards[s];
-    }
-  }
   if (!partition_refresh.empty()) {
     // Double-buffered refresh: the next partition set starts as the
     // current one's pointers (the shadow), the refresh installs new
@@ -198,9 +183,10 @@ void ShardedQueryServer::PublishEpoch(
     // Readers keep probing the filters of their pinned epoch throughout.
     PartitionSet next =
         partitions_ != nullptr ? *partitions_ : PartitionSet();
-    // A refresh that fails to apply (delta for a missing partition or a
-    // geometry mismatch) is a protocol violation from the DA feed; the
-    // CHECK keeps a corrupt join state out of every future epoch.
+    // A refresh that fails to apply (delta for a missing partition, a
+    // geometry mismatch, or a set no longer sorted and disjoint) is a
+    // protocol violation from the DA feed; the CHECK keeps a corrupt join
+    // state out of every future epoch.
     AUTHDB_CHECK(ApplyPartitionRefresh(partition_refresh, &next));
     published.exec.bloom_delta_merges = partition_refresh.deltas.size();
     published.exec.bloom_full_rebuilds = partition_refresh.full.size();
@@ -211,31 +197,13 @@ void ShardedQueryServer::PublishEpoch(
   InstallDescriptorLocked(std::move(snaps), std::move(published));
 }
 
-void ShardedQueryServer::AddSummary(UpdateSummary summary) {
-  AddSummary(std::move(summary), {});
-}
-
 void ShardedQueryServer::AddSummary(UpdateSummary summary,
                                     PartitionRefresh partition_refresh) {
-  std::vector<std::shared_ptr<const EpochSnapshot>> snaps;
-  snaps.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) snaps.push_back(FreezeShard(s));
-  PublishEpoch(std::move(summary), std::move(snaps),
-               std::move(partition_refresh));
-}
-
-void ShardedQueryServer::SetJoinPartitions(
-    std::vector<CertifiedPartition> partitions) {
-  for (size_t i = 1; i < partitions.size(); ++i) {
-    AUTHDB_CHECK(partitions[i - 1].hi_b < partitions[i].lo_b &&
-                 "join partitions must be sorted by lo_b and disjoint");
-  }
+  // Freeze and publish under one hold of publish_mu_, so no ApplyUpdate
+  // lands between the freeze and the swap half-applied.
   MutexLock pub(publish_mu_);
-  ServerMetrics refresh;
-  refresh.exec.bloom_full_rebuilds = partitions.size();
-  partitions_ = std::make_shared<const PartitionSet>(
-      SharePartitions(std::move(partitions)));
-  RepublishLocked(std::move(refresh));
+  PublishEpochLocked(std::move(summary), FreezeAllShards(),
+                     std::move(partition_refresh));
 }
 
 std::shared_ptr<const EpochDescriptor> ShardedQueryServer::PinCurrentEpoch()

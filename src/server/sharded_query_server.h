@@ -34,10 +34,10 @@ struct EpochDescriptor {
   /// Retained summary run (ascending seq, bounded by summaries_retained),
   /// sharing its summaries with the runs of neighbouring epochs.
   std::shared_ptr<const SummaryRun> summaries;
-  /// Certified Bloom partitions over S.B installed at this epoch's barrier
-  /// (or by a direct SetJoinPartitions), sorted by lo_b; may be null when
-  /// joins are off. Partitions the barrier did not refresh are shared
-  /// with the previous epoch.
+  /// Certified Bloom partitions over S.B installed at this epoch's barrier,
+  /// sorted by lo_b; null until a close carries a partition refresh.
+  /// Partitions the barrier did not refresh are shared with the previous
+  /// epoch.
   std::shared_ptr<const PartitionSet> partitions;
   uint64_t total_size = 0;  ///< sum of shard snapshot sizes
 };
@@ -74,16 +74,19 @@ struct EpochDescriptor {
 ///    aggregate folds the pinned snapshot's barrier-maintained chunk
 ///    column aggregates plus edge leaves (EpochSnapshot::FoldColumns;
 ///    README "Substitutions" #6).
-///  * The update stream builds the next epoch as copy-on-write deltas
-///    against the serving snapshots (ShardVersionBuilder) and publishes it
-///    atomically at the rho-period summary barrier (PublishEpoch): the new
+///  * One publication path. Updates build the next epoch as copy-on-write
+///    deltas against the serving snapshots (ShardVersionBuilder) and stay
+///    invisible until a rho-period close publishes them: the new
 ///    descriptor carries the epoch's snapshots, summaries, and partition
-///    refresh in one shared_ptr swap. Mid-period updates are therefore
-///    invisible until their epoch publishes — `served_epoch` is exact, not
-///    a lower bound.
-///  * The direct ApplyUpdate path (bootstrap, tests, tools) applies and
-///    republishes the current epoch immediately, preserving
-///    read-your-writes for callers that do not run a stream.
+///    refresh in one shared_ptr swap. Two ingest paths share the same
+///    private primitives — the synchronous pair (ApplyUpdate, then
+///    AddSummary) and the UpdateStream (per-shard apply queues, a freeze
+///    per shard at the summary barrier, PublishEpoch). Epoch 0 is the
+///    empty descriptor the constructor installs, and every later
+///    publication advances the epoch by one, so an answer stamped epoch e
+///    reflects exactly the updates applied before the close of summary
+///    seq e − 1: `served_epoch` is exact by construction, not a lower
+///    bound.
 ///  * Epoch GC: a superseded descriptor is retired the moment its last
 ///    reader unpins it (shared_ptr refcount; untouched chunks survive via
 ///    structural sharing with newer epochs).
@@ -107,16 +110,11 @@ class ShardedQueryServer {
   ShardedQueryServer(std::shared_ptr<const BasContext> ctx,
                      ShardRouter router, const ServerConfig& config);
 
-  /// Replay a DA update message on the direct path: the message is split
-  /// by key ownership, applied to every owning shard's builder, and the
-  /// current epoch is republished so the change is immediately visible
-  /// (read-your-writes; the epoch number does not advance). Intended for
-  /// bootstrap, tests, and tools: each call pays one chunk
-  /// copy-on-write + descriptor install (O(chunk + chunks-per-shard)),
-  /// so bulk loads at production scale should prefer the streaming path
-  /// (ApplyToShardDeferred + one epoch publication), and direct
-  /// publications should not run concurrently with a live update
-  /// stream's mid-period ingest — see PublishEpoch's monotonicity guard.
+  /// Apply a DA update message to the next epoch: the message is split by
+  /// key ownership and each piece is applied to its owner shard's builder
+  /// under the publication lock, so no close can freeze a seam-spanning
+  /// message half-applied. Nothing is published: the change becomes
+  /// visible at the next AddSummary, like a stream update at its barrier.
   Status ApplyUpdate(const SignedRecordUpdate& msg) EXCLUDES(publish_mu_);
 
   /// One shard's slice of an update message, produced by SplitByOwner.
@@ -131,59 +129,17 @@ class ShardedQueryServer {
   /// current.
   std::vector<ShardPiece> SplitByOwner(const SignedRecordUpdate& msg) const;
 
-  /// Apply one piece to one shard's next-epoch builder WITHOUT publishing:
-  /// the change becomes visible only when the epoch containing it is
-  /// published (FreezeShard + PublishEpoch — the update stream's summary
-  /// barrier). The piece must only touch keys the shard owns (i.e. come
-  /// from SplitByOwner). Because visibility is deferred to the atomic
-  /// epoch swap, the pieces of a seam-spanning message may be applied
-  /// independently per shard, in any order — no rendezvous, no joint
-  /// lockset, no torn reads.
-  Status ApplyToShardDeferred(size_t shard, const SignedRecordUpdate& piece)
+  /// Close a rho-period on the synchronous path: freeze every shard and
+  /// publish epoch + 1 with `summary` and the period's certified partition
+  /// refresh, all under one hold of the publication lock. The first close
+  /// carries the initial partition set as a full refresh. Blocks like
+  /// PublishEpoch when max_pinned_epochs retired epochs are still pinned.
+  void AddSummary(UpdateSummary summary,
+                  PartitionRefresh partition_refresh = {})
       EXCLUDES(publish_mu_);
 
-  /// Freeze one shard's builder into its next immutable snapshot (cached
-  /// and O(1) when the shard's delta is empty). The update stream calls
-  /// this per shard as each apply queue reaches the summary barrier, so
-  /// snapshot construction parallelizes across shards and the snapshot
-  /// excludes anything pushed after the barrier.
-  std::shared_ptr<const EpochSnapshot> FreezeShard(size_t shard);
-
-  /// The epoch barrier: atomically publish a new EpochDescriptor built
-  /// from `snaps` (one per shard, from FreezeShard), retain `summary` and
-  /// advance the freshness epoch, and apply `partition_refresh` (when
-  /// non-empty) so join state rides the same cadence and ordering as the
-  /// bitmaps. The refresh is double-buffered: the next partition set
-  /// copies the current one's pointers, full rebuilds and delta merges
-  /// install new partitions in it (a merge copies only its own filter),
-  /// and the descriptor swap is the switch — readers on a pinned epoch
-  /// never observe a half-merged filter. Blocks when
-  /// max_pinned_epochs retired epochs are still pinned by readers.
-  void PublishEpoch(UpdateSummary summary,
-                    std::vector<std::shared_ptr<const EpochSnapshot>> snaps,
-                    PartitionRefresh partition_refresh) EXCLUDES(publish_mu_);
-
-  /// Direct-path epoch advance (tests, tools, replayed tapes): freezes
-  /// every shard inline and publishes, equivalent to a stream barrier that
-  /// found every queue drained.
-  void AddSummary(UpdateSummary summary) EXCLUDES(publish_mu_);
-  /// Same, carrying the period's certified partition refresh so direct-path
-  /// callers install filters and epoch in the same descriptor swap, exactly
-  /// like the stream barrier.
-  void AddSummary(UpdateSummary summary, PartitionRefresh partition_refresh)
-      EXCLUDES(publish_mu_);
-
-  /// Install / refresh the DA-certified Bloom partitions over S.B on the
-  /// direct path (republishes the current epoch). `partitions` must be
-  /// sorted by lo_b with disjoint ranges, as JoinAuthority builds them
-  /// (CHECKed). The update stream installs refreshes through PublishEpoch
-  /// instead, so a served filter is never older than one period behind
-  /// the answer's epoch.
-  void SetJoinPartitions(std::vector<CertifiedPartition> partitions)
-      EXCLUDES(publish_mu_);
-
-  /// Epoch bookkeeping: advanced by PublishEpoch/AddSummary, stamped onto
-  /// every answer from the pinned descriptor.
+  /// Epoch bookkeeping: advanced by every publication, stamped onto every
+  /// answer from the pinned descriptor.
   const FreshnessTracker& freshness_tracker() const { return tracker_; }
 
   /// Pin the currently published epoch. Readers do this internally; it is
@@ -251,6 +207,46 @@ class ShardedQueryServer {
   /// batch's per-shard request lists, runs the shard visits, and stitches
   /// the answers from the ShardedQueryServer's private state.
   friend class BatchEngine;
+  /// The streaming ingest path: it applies pieces per shard queue,
+  /// freezes each shard at the summary barrier and publishes through the
+  /// same primitives AddSummary uses, so every publication advances the
+  /// epoch.
+  friend class UpdateStream;
+
+  /// Apply one piece to one shard's next-epoch builder WITHOUT publishing:
+  /// the change becomes visible only when the epoch containing it is
+  /// published. The piece must only touch keys the shard owns (i.e. come
+  /// from SplitByOwner). Because visibility is deferred to the atomic
+  /// epoch swap, the pieces of a seam-spanning message may be applied
+  /// independently per shard, in any order — no rendezvous, no joint
+  /// lockset, no torn reads.
+  Status ApplyToShardDeferred(size_t shard, const SignedRecordUpdate& piece);
+
+  /// Freeze one shard's builder into its next immutable snapshot (cached
+  /// and O(1) when the shard's delta is empty). The update stream calls
+  /// this per shard as each apply queue reaches the summary barrier, so
+  /// snapshot construction parallelizes across shards and the snapshot
+  /// excludes anything pushed after the barrier.
+  std::shared_ptr<const EpochSnapshot> FreezeShard(size_t shard);
+  /// FreezeShard over every shard, in shard order.
+  std::vector<std::shared_ptr<const EpochSnapshot>> FreezeAllShards();
+
+  /// The epoch barrier: atomically publish epoch + 1 from `snaps` (one per
+  /// shard, from FreezeShard), retain `summary`, and apply
+  /// `partition_refresh` (when non-empty) so join state rides the same
+  /// cadence and ordering as the bitmaps. The refresh is double-buffered:
+  /// the next partition set copies the current one's pointers, full
+  /// rebuilds and delta merges install new partitions in it (a merge
+  /// copies only its own filter), and the descriptor swap is the switch —
+  /// readers on a pinned epoch never observe a half-merged filter. Blocks
+  /// when max_pinned_epochs retired epochs are still pinned by readers.
+  void PublishEpoch(UpdateSummary summary,
+                    std::vector<std::shared_ptr<const EpochSnapshot>> snaps,
+                    PartitionRefresh partition_refresh) EXCLUDES(publish_mu_);
+  void PublishEpochLocked(
+      UpdateSummary summary,
+      std::vector<std::shared_ptr<const EpochSnapshot>> snaps,
+      PartitionRefresh partition_refresh) REQUIRES(publish_mu_);
 
   /// Global chain neighbors of `key` within the pinned descriptor,
   /// probing outward from its owner shard. Lock-free: the descriptor is
@@ -266,10 +262,6 @@ class ShardedQueryServer {
   void InstallDescriptorLocked(
       std::vector<std::shared_ptr<const EpochSnapshot>> snaps,
       ServerMetrics published) REQUIRES(publish_mu_);
-  /// Freeze every shard and republish the current epoch (direct path; it
-  /// never waits on the pin budget), counting `published` with it.
-  void RepublishLocked(ServerMetrics published = ServerMetrics())
-      REQUIRES(publish_mu_);
   /// Superseded-but-pinned epoch count; prunes dead entries. Held under
   /// pin_sync_->mu, not publish_mu_, so it stays callable while a
   /// backpressured publisher holds the publish lock.
@@ -297,8 +289,8 @@ class ShardedQueryServer {
   };
   std::shared_ptr<PinSync> pin_sync_;
 
-  /// Serializes publication (stream barriers, direct applies, partition
-  /// installs). Readers never take it — they atomic-load current_.
+  /// Serializes publication (stream barriers, synchronous applies and
+  /// closes). Readers never take it — they atomic-load current_.
   mutable Mutex publish_mu_;
   std::shared_ptr<const EpochDescriptor> current_;  ///< std::atomic_* access
   /// Superseded descriptors, kept weakly for the pinned-epoch accounting;

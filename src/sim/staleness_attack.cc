@@ -77,11 +77,16 @@ StalenessAttackReport RunStalenessAttack(
   // Close the DA's current rho-period and push its output through the
   // stream: re-certifications first (they belong to the new period), then
   // the summary — carrying the period's certified partition refresh — as
-  // the epoch barrier, then wait for the epoch to advance.
-  auto publish_period = [&] {
+  // the epoch barrier, then wait for the epoch to advance. The first close
+  // carries the whole initial partition set as a full refresh instead.
+  auto publish_period = [&](bool first_close) {
     DataAggregator::PeriodOutput out = da.PublishSummary();
     for (const SignedRecordUpdate& msg : out.recertifications)
       stream.PushUpdate(msg);
+    if (first_close) {
+      out.partition_refresh = PartitionRefresh();
+      out.partition_refresh.full = da.join_partitions();
+    }
     history.push_back(out.summary);
     stream.PushSummary(std::move(out.summary),
                        std::move(out.partition_refresh));
@@ -104,10 +109,9 @@ StalenessAttackReport RunStalenessAttack(
   if (join_mode) {
     da.EnableJoinPartitions(/*values_per_partition=*/4,
                             /*bits_per_value=*/8.0);
-    server.SetJoinPartitions(da.join_partitions());
   }
   clock.AdvanceMicros(opt.rho_micros);
-  publish_period();
+  publish_period(/*first_close=*/true);
 
   for (size_t p = 0; p < opt.periods; ++p) {
     clock.AdvanceMicros(opt.rho_micros / 4);  // mid-period update time
@@ -234,7 +238,7 @@ StalenessAttackReport RunStalenessAttack(
     // Close the period: the summary certifying this period's updates
     // publishes, advancing the epoch.
     clock.AdvanceMicros(3 * opt.rho_micros / 4);
-    publish_period();
+    publish_period(/*first_close=*/false);
 
     // The replay attack: the stale answers against a client that followed
     // the summary feed.

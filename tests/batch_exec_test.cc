@@ -72,6 +72,10 @@ class BatchExecTest : public ::testing::Test {
     msgs_ = stream.value();
     da_->EnableJoinPartitions(/*values_per_partition=*/2,
                               /*bits_per_value=*/8.0);
+    // The period close every server publishes the load with: the first
+    // summary, carrying the initial partition set as a full refresh.
+    first_summary_ = da_->PublishSummary().summary;
+    first_refresh_.full = da_->join_partitions();
     server_ = MakeServer(/*worker_threads=*/2);
   }
 
@@ -84,8 +88,8 @@ class BatchExecTest : public ::testing::Test {
     return cfg;
   }
 
-  /// A fresh server over the loaded stream, by default on the 4-shard
-  /// router.
+  /// A fresh server over the loaded stream and its first close (epoch 1),
+  /// by default on the 4-shard router.
   std::unique_ptr<ShardedQueryServer> MakeServer(
       size_t worker_threads,
       ShardRouter router = ShardRouter({JoinCompositeKey(30, 1),
@@ -94,7 +98,7 @@ class BatchExecTest : public ::testing::Test {
     auto server = std::make_unique<ShardedQueryServer>(
         *ctx_, std::move(router), Config(worker_threads));
     for (const auto& msg : msgs_) EXPECT_TRUE(server->ApplyUpdate(msg).ok());
-    server->SetJoinPartitions(da_->join_partitions());
+    server->AddSummary(first_summary_, first_refresh_);
     return server;
   }
 
@@ -209,6 +213,8 @@ class BatchExecTest : public ::testing::Test {
   VarintGapCodec codec_;
   std::unique_ptr<DataAggregator> da_;
   std::vector<SignedRecordUpdate> msgs_;
+  UpdateSummary first_summary_;
+  PartitionRefresh first_refresh_;
   std::unique_ptr<ShardedQueryServer> server_;
   std::unique_ptr<ClientVerifier> verifier_;
 };
@@ -557,6 +563,7 @@ TEST_F(BatchExecTest, ProjectionsMatchLeafSumsOfTheDAsRecordsAcrossEpochs) {
       *ctx_, ShardRouter::Uniform(2, 0, 10 * kRows + 10), Config(2));
   for (const auto& msg : loaded.value())
     ASSERT_TRUE(server->ApplyUpdate(msg).ok());
+  server->AddSummary(da_->PublishSummary().summary);
 
   const std::vector<Query> projections = {
       Query::Project(10, 10 * kRows, {1, 2}),

@@ -60,7 +60,15 @@ class ConcurrencyTest : public ::testing::Test {
     EXPECT_TRUE(stream.ok());
     for (const auto& msg : stream.value())
       EXPECT_TRUE(server->ApplyUpdate(msg).ok());
+    server->AddSummary(ClosePeriod());  // epoch 1: the load
     return server;
+  }
+
+  /// The DA's summary closing the current period, a second after it
+  /// opened; the messages of the period must reach the server before it.
+  UpdateSummary ClosePeriod() {
+    clock_.AdvanceSeconds(1.0);
+    return da_->PublishSummary().summary;
   }
 
   uint64_t Now() const { return clock_.NowMicros(); }
@@ -177,6 +185,7 @@ TEST_F(ConcurrencyTest, ReadersWithConcurrentSingleShardUpdates) {
     ASSERT_TRUE(msg.ok());
     updates.push_back(std::move(msg.value()));
   }
+  UpdateSummary close = ClosePeriod();
   std::atomic<size_t> read_errors{0};
   std::atomic<bool> done{false};
   std::vector<std::thread> readers;
@@ -192,6 +201,7 @@ TEST_F(ConcurrencyTest, ReadersWithConcurrentSingleShardUpdates) {
   }
   for (const auto& msg : updates)
     ASSERT_TRUE(server->ApplyUpdate(msg).ok());
+  server->AddSummary(std::move(close));
   done.store(true);
   for (auto& t : readers) t.join();
   EXPECT_EQ(read_errors.load(), 0u);
@@ -200,6 +210,7 @@ TEST_F(ConcurrencyTest, ReadersWithConcurrentSingleShardUpdates) {
   const Query all = Query::Select(0, 255);
   auto ans = server->Execute(all);
   ASSERT_TRUE(ans.ok());
+  EXPECT_EQ(ans.value().served_epoch, 2u);
   EXPECT_EQ(ans.value().selection.records.size(), 256u);
   EXPECT_TRUE(verifier.VerifyAnswerFresh(all, ans.value(), Now(), 0).ok());
 }
@@ -213,24 +224,31 @@ TEST_F(ConcurrencyTest, ThreadsInterleavingReadsAndUpdatesStayCorrect) {
     ASSERT_TRUE(msg.ok());
     updates.push_back(std::move(msg.value()));
   }
+  UpdateSummary close = ClosePeriod();
   std::atomic<size_t> next{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(300 + t);
       for (int i = 0; i < 60; ++i) {
-        size_t u = next.fetch_add(1);
-        if (u < updates.size() && rng.Uniform(2) == 0) {
-          EXPECT_TRUE(server->ApplyUpdate(updates[u]).ok());
-        } else {
-          int64_t lo = static_cast<int64_t>(rng.Uniform(120));
-          auto ans = server->Execute(Query::Select(lo, lo + 7));
-          EXPECT_TRUE(ans.ok());
+        if (rng.Uniform(2) == 0) {
+          const size_t u = next.fetch_add(1);
+          if (u < updates.size()) {
+            EXPECT_TRUE(server->ApplyUpdate(updates[u]).ok());
+            continue;
+          }
         }
+        int64_t lo = static_cast<int64_t>(rng.Uniform(120));
+        auto ans = server->Execute(Query::Select(lo, lo + 7));
+        EXPECT_TRUE(ans.ok());
       }
     });
   }
   for (auto& t : threads) t.join();
+  // Whatever the threads left unapplied is applied before the close.
+  for (size_t u = next.load(); u < updates.size(); ++u)
+    ASSERT_TRUE(server->ApplyUpdate(updates[u]).ok());
+  server->AddSummary(std::move(close));
   // Quiesced correctness after the interleaved run.
   ClientVerifier verifier(&da_->public_key(), &codec_, HashMode::kFast);
   const Query all = Query::Select(0, 127);
@@ -248,9 +266,11 @@ TEST_F(ConcurrencyTest, ClosedLoopReadsRaceAWriterSmoke) {
     ASSERT_TRUE(msg.ok());
     updates.push_back(std::move(msg.value()));
   }
+  UpdateSummary close = ClosePeriod();
   std::thread writer([&] {
     for (const SignedRecordUpdate& u : updates)
       EXPECT_TRUE(server->ApplyUpdate(u).ok());
+    server->AddSummary(std::move(close));
   });
   LoadOptions opts;
   opts.arrivals = LoadOptions::Arrivals::kClosed;

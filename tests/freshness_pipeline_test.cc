@@ -119,17 +119,24 @@ class FreshnessPipelineTest : public ::testing::Test {
       EXPECT_TRUE(server->ApplyUpdate(msg).ok());
     da_->EnableJoinPartitions(/*values_per_partition=*/4,
                               /*bits_per_value=*/8.0);
-    server->SetJoinPartitions(da_->join_partitions());
+    install_partitions_ = true;
     return server;
   }
 
   /// Close the DA's rho-period into the stream: re-certifications first
   /// (they belong to the new period), then the summary — carrying the
-  /// period's certified partition refresh, if any — as epoch barrier.
+  /// period's certified partition refresh, if any — as epoch barrier. The
+  /// first close after MakeJoinServer carries the initial partition set
+  /// as a full refresh instead.
   void StreamPeriod(UpdateStream* stream, uint64_t advance = 1'000'000) {
     clock_.AdvanceMicros(advance);
     DataAggregator::PeriodOutput out = da_->PublishSummary();
     for (const auto& msg : out.recertifications) stream->PushUpdate(msg);
+    if (install_partitions_) {
+      out.partition_refresh = PartitionRefresh();
+      out.partition_refresh.full = da_->join_partitions();
+      install_partitions_ = false;
+    }
     stream->PushSummary(std::move(out.summary),
                         std::move(out.partition_refresh));
   }
@@ -140,6 +147,8 @@ class FreshnessPipelineTest : public ::testing::Test {
   VarintGapCodec codec_;
   std::unique_ptr<DataAggregator> da_;
   ServerConfig cfg_;  ///< the config MakeServer/MakeJoinServer last used
+  /// Set by MakeJoinServer until the first StreamPeriod installs the set.
+  bool install_partitions_ = false;
 };
 std::shared_ptr<const BasContext>* FreshnessPipelineTest::ctx_ = nullptr;
 
@@ -245,22 +254,24 @@ TEST_F(FreshnessPipelineTest, CloseIsIdempotentAndDrains) {
 
 TEST_F(FreshnessPipelineTest, VerifierRejectsStaleEpochClaim) {
   auto server = MakeServer(2, 32);
+  clock_.AdvanceMicros(1'000'000);
+  server->AddSummary(da_->PublishSummary().summary);
   ClientVerifier verifier(&da_->public_key(), &codec_, da_->hash_mode());
 
-  // Served before any summary: epoch 0. A client that has seen epoch 1
-  // must reject it even though the content is authentic.
+  // Served after the bulk load's close: epoch 1. A client that has seen
+  // epoch 2 must reject it even though the content is authentic.
   const Query q = Query::Select(4, 9);
   auto ans = server->Execute(q);
   ASSERT_TRUE(ans.ok());
-  EXPECT_EQ(ans.value().served_epoch, 0u);
+  EXPECT_EQ(ans.value().served_epoch, 1u);
   EXPECT_TRUE(verifier
                   .VerifyAnswerFresh(q, ans.value(), clock_.NowMicros(),
-                                     /*min_epoch=*/1)
+                                     /*min_epoch=*/2)
                   .IsVerificationFailed());
   // The same answer is fine for a client with no fresher knowledge.
   EXPECT_TRUE(verifier
                   .VerifyAnswerFresh(q, ans.value(), clock_.NowMicros(),
-                                     /*min_epoch=*/0)
+                                     /*min_epoch=*/1)
                   .ok());
 }
 
@@ -442,12 +453,21 @@ TEST_F(FreshnessPipelineTest, MidPeriodUpdatesInvisibleUntilBarrier) {
 TEST_F(FreshnessPipelineTest, BoundaryProbesServeFromPinnedSnapshot) {
   // A proven-empty answer is assembled entirely from boundary probes; the
   // probes read the same pinned descriptor as the (empty) scan, so churn
-  // on the gap's chain neighbors — single-shard deletes/inserts via the
-  // direct apply path, which republishes per call — can never produce a
+  // on the gap's chain neighbors — single-shard deletes/inserts applied
+  // synchronously, one period closed per round — can never produce a
   // predecessor whose refreshed signature binds a different successor
   // than the one the answer cites. Every mid-churn answer verifies.
   // Run under TSan in CI.
   auto server = MakeServer(2, 64);
+  // Apply the period's messages, then close it; the close's
+  // re-certifications belong to the next period.
+  auto close_period = [&] {
+    clock_.AdvanceMicros(1'000'000);
+    DataAggregator::PeriodOutput out = da_->PublishSummary();
+    server->AddSummary(std::move(out.summary));
+    for (const auto& msg : out.recertifications)
+      ASSERT_TRUE(server->ApplyUpdate(msg).ok());
+  };
   // Carve a gap interior to shard 0 so Select(25, 26) is a proven-empty
   // answer assembled entirely from probes.
   for (int64_t key = 24; key <= 27; ++key) {
@@ -455,6 +475,7 @@ TEST_F(FreshnessPipelineTest, BoundaryProbesServeFromPinnedSnapshot) {
     ASSERT_TRUE(del.ok());
     ASSERT_TRUE(server->ApplyUpdate(del.value()).ok());
   }
+  close_period();
   const BasPublicKey* da_pub = &da_->public_key();
   const BasContext::HashMode hash_mode = da_->hash_mode();
   const Query gap = Query::Select(25, 26);
@@ -483,6 +504,7 @@ TEST_F(FreshnessPipelineTest, BoundaryProbesServeFromPinnedSnapshot) {
     auto ins = da_->InsertRecord({key, 9000 + round});
     ASSERT_TRUE(ins.ok());
     ASSERT_TRUE(server->ApplyUpdate(ins.value()).ok());
+    close_period();
   }
   done.store(true);
   for (auto& t : readers) t.join();
@@ -742,8 +764,8 @@ TEST_F(FreshnessPipelineTest, BloomProbesRaceDeltaRefreshAtEpochBarrier) {
   ServerMetrics m = stream.Metrics();
   EXPECT_EQ(m.ingest.apply_failures, 0u);
   // The refreshes really took the delta path (insert-only periods), on
-  // top of the initial SetJoinPartitions full install; the readers'
-  // probes really went through the batched filter path.
+  // top of the first close's full install; the readers' probes really
+  // went through the batched filter path.
   EXPECT_GT(m.exec.bloom_delta_merges, 0u);
   EXPECT_GT(m.exec.bloom_full_rebuilds, 0u);
 

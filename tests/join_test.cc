@@ -61,7 +61,10 @@ class JoinTest : public ::testing::Test {
                                               /*values_per_partition=*/2,
                                               /*bits_per_value=*/8.0,
                                               clock_.NowMicros());
-    server_->SetJoinPartitions(partitions_);
+    // The load's close carries the initial partition set whole (epoch 1).
+    PartitionRefresh initial;
+    initial.full = partitions_;
+    server_->AddSummary(da_->PublishSummary().summary, std::move(initial));
     verifier_ = std::make_unique<ClientVerifier>(&da_->public_key(), &codec_,
                                                  HashMode::kFast);
   }
@@ -327,6 +330,22 @@ TEST_F(JoinTest, ApplyPartitionRefreshMergesDeltasAndReplacesFulls) {
   mismatch.deltas.back().idx = target;
   mismatch.deltas.back().delta = BloomFilter(64, 1);
   EXPECT_FALSE(ApplyPartitionRefresh(mismatch, &live));
+
+  // A refresh whose result overlaps a neighbour's range is refused: a
+  // rebuild that widens its partition, and a new partition landing inside
+  // another one's range.
+  PartitionSet base = SharePartitions(partitions_);
+  PartitionRefresh widened;
+  widened.full.push_back(partitions_[1]);
+  widened.full.back().lo_b = partitions_[0].hi_b;
+  EXPECT_FALSE(ApplyPartitionRefresh(widened, &base));
+  base = SharePartitions(partitions_);
+  PartitionRefresh inside;
+  inside.full.push_back(partitions_[1]);
+  inside.full.back().idx = 99;
+  inside.full.back().lo_b = partitions_[1].lo_b + 1;
+  inside.full.back().hi_b = partitions_[1].lo_b + 2;
+  EXPECT_FALSE(ApplyPartitionRefresh(inside, &base));
 }
 
 /// A partition's certificate message built field by field, with the
@@ -390,20 +409,23 @@ TEST_F(JoinTest, PartitionMessagesMatchPerPartitionMessages) {
 }
 
 TEST_F(JoinTest, ApplyPartitionRefreshFindsPartitionsOutOfIdxOrder) {
-  // Reversed: every partition sits outside its own idx slot except the
-  // middle one, so only the fallback search finds most of them.
-  PartitionSet live = SharePartitions(
-      std::vector<CertifiedPartition>(partitions_.rbegin(), partitions_.rend()));
+  // Sorted by lo_b with every idx relabelled in reverse: only the middle
+  // partition sits in its own idx slot, so only the fallback search finds
+  // the others.
+  std::vector<CertifiedPartition> relabelled = partitions_;
+  for (size_t i = 0; i < relabelled.size(); ++i)
+    relabelled[i].idx = static_cast<uint32_t>(relabelled.size() - 1 - i);
+  PartitionSet live = SharePartitions(relabelled);
   ASSERT_EQ(live.size(), 3u);
   ASSERT_EQ(live[0]->idx, 2u);
   PartitionRefresh refresh;
-  CertifiedPartition merged = partitions_[0];
+  CertifiedPartition merged = relabelled[2];  // idx 0, in slot 2
   refresh.deltas.push_back(authority_->RefreshWithDelta(
-      &merged, {5}, clock_.NowMicros() + 1));
+      &merged, {75}, clock_.NowMicros() + 1));
   authority_->Certify({&merged});
   refresh.deltas.back().sig = merged.sig;
-  refresh.full.push_back(authority_->RebuildPartition(
-      partitions_[2], {70}, clock_.NowMicros() + 1));
+  refresh.full.push_back(authority_->RebuildPartition(  // idx 2, in slot 0
+      relabelled[0], {5}, clock_.NowMicros() + 1));
   ASSERT_TRUE(ApplyPartitionRefresh(refresh, &live));
   ASSERT_EQ(live.size(), 3u);
   EXPECT_EQ(live[2]->idx, 0u);
@@ -412,6 +434,14 @@ TEST_F(JoinTest, ApplyPartitionRefreshFindsPartitionsOutOfIdxOrder) {
   EXPECT_EQ(live[0]->idx, 2u);
   EXPECT_EQ(live[0]->filter.bytes(), refresh.full[0].filter.bytes());
   EXPECT_EQ(live[1]->filter.bytes(), partitions_[1].filter.bytes());
+
+  // A set out of lo_b order is refused, whatever the refresh touches.
+  PartitionSet reversed = SharePartitions(std::vector<CertifiedPartition>(
+      partitions_.rbegin(), partitions_.rend()));
+  PartitionRefresh middle;
+  middle.deltas.push_back(PartitionDelta{});
+  middle.deltas.back().idx = 1;
+  EXPECT_FALSE(ApplyPartitionRefresh(middle, &reversed));
 
   // A missing idx is rejected even when its slot is occupied by another
   // partition (here idx 2 sits in slot 1 after idx 1 is dropped).

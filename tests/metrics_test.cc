@@ -395,6 +395,8 @@ TEST(ServerMetricsTest, LongProjectionReportsItsOwnSpanHits) {
   ShardedQueryServer server(ctx, ShardRouter({}), cfg);
   for (const auto& msg : loaded.value())
     ASSERT_TRUE(server.ApplyUpdate(msg).ok());
+  clock.AdvanceSeconds(1.0);
+  server.AddSummary(da.PublishSummary().summary);
 
   const ServerMetrics before = server.Metrics();
   ASSERT_TRUE(server.Execute(Query::Project(0, 599, {1})).ok());

@@ -263,6 +263,8 @@ class OpenLoopTest : public ::testing::Test {
     EXPECT_TRUE(stream.ok());
     for (const auto& msg : stream.value())
       EXPECT_TRUE(server->ApplyUpdate(msg).ok());
+    clock_.AdvanceSeconds(1.0);
+    server->AddSummary(da_->PublishSummary().summary);  // epoch 1: the load
     return server;
   }
 
@@ -331,7 +333,11 @@ TEST_F(OpenLoopTest, ClosedLoopAccountsEveryPlanAndFillsBatches) {
                             Config(2));
   for (const auto& msg : loaded.value())
     ASSERT_TRUE(server.ApplyUpdate(msg).ok());
-  server.SetJoinPartitions(da_->join_partitions());
+  // The load's close carries the initial partition set whole.
+  clock_.AdvanceSeconds(1.0);
+  PartitionRefresh initial;
+  initial.full = da_->join_partitions();
+  server.AddSummary(da_->PublishSummary().summary, std::move(initial));
 
   LoadOptions o;
   o.arrivals = LoadOptions::Arrivals::kClosed;

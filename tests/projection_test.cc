@@ -49,6 +49,8 @@ class ProjectionTest : public ::testing::Test {
     ASSERT_TRUE(stream.ok());
     for (const auto& msg : stream.value())
       ASSERT_TRUE(qs_->ApplyUpdate(msg).ok());
+    clock_.AdvanceSeconds(1.0);
+    qs_->AddSummary(da_->PublishSummary().summary);  // epoch 1: the load
     verifier_ = std::make_unique<ClientVerifier>(&da_->public_key(), &codec_,
                                                  HashMode::kFast);
   }

@@ -82,8 +82,7 @@ class QueryExecTest : public ::testing::Test {
       ASSERT_TRUE(server_->ApplyUpdate(msg).ok());
       ASSERT_TRUE(reference_->ApplyUpdate(msg).ok());
     }
-    server_->SetJoinPartitions(da_->join_partitions());
-    reference_->SetJoinPartitions(da_->join_partitions());
+    PublishPeriod(/*first_close=*/true);  // summary 0 certifies the load
   }
 
   static std::map<int64_t, int> DefaultS() {
@@ -98,10 +97,15 @@ class QueryExecTest : public ::testing::Test {
   }
   /// Close the rho-period into both servers (summary + re-certifications +
   /// certified partition refresh), advancing the clock by rho first so
-  /// certifications never coincide with the period boundary.
-  void PublishPeriod() {
+  /// certifications never coincide with the period boundary. The first
+  /// close carries the initial partition set as a full refresh.
+  void PublishPeriod(bool first_close = false) {
     clock_.AdvanceSeconds(1.0);
     DataAggregator::PeriodOutput out = da_->PublishSummary();
+    if (first_close) {
+      out.partition_refresh = PartitionRefresh();
+      out.partition_refresh.full = da_->join_partitions();
+    }
     // Both servers install the refresh (delta merges + full rebuilds) in
     // the same descriptor swap as the epoch.
     server_->AddSummary(out.summary, out.partition_refresh);
@@ -386,6 +390,8 @@ TEST_F(QueryExecTest, ProjectionWithoutAttributeSignaturesRefused) {
   ShardedQueryServer qs(*ctx_, ShardRouter({}), NodeConfig());
   for (const auto& msg : stream.value())
     ASSERT_TRUE(qs.ApplyUpdate(msg).ok());
+  clock_.AdvanceSeconds(1.0);
+  qs.AddSummary(da.PublishSummary().summary);
   auto ans = qs.Execute(Query::Project(0, 7, {1}));
   ASSERT_FALSE(ans.ok());
   EXPECT_FALSE(ans.status().IsNotFound());
@@ -421,7 +427,6 @@ TEST_F(QueryExecTest, WrongKindAnswerRejected) {
 
 TEST_F(QueryExecTest, StaleJoinReplayRejectedByBitmapWalk) {
   Load(DefaultS());
-  PublishPeriod();  // summary 0 certifies the bulk load
   // Capture a pre-update join answer citing B=50's rows.
   Query q = Query::Join({50}, JoinMethod::kBloomFilter);
   auto stale = server_->Execute(q);
@@ -459,18 +464,16 @@ TEST_F(QueryExecTest, StaleJoinReplayRejectedByBitmapWalk) {
 
 TEST_F(QueryExecTest, PartitionRefreshFollowsDeletion) {
   Load(DefaultS());
-  PublishPeriod();
-  // Delete every B=20 row; until the refresh lands the old filter still
-  // contains 20, so a join must fall back to the boundary witness — then
-  // the rho-period rebuild restores the negative probe.
+  // Delete every B=20 row: the delete and the rebuilt filter publish in
+  // the same close, so until it lands 20 still matches, and afterwards the
+  // rebuilt filter answers it with a negative probe.
   auto del = da_->DeleteRecord(JoinCompositeKey(20, 0));
   ASSERT_TRUE(del.ok());
   Apply(del.value());
   Query q = Query::Join({20}, JoinMethod::kBloomFilter);
   auto before = server_->Execute(q);
   ASSERT_TRUE(before.ok());
-  EXPECT_TRUE(before.value().join.matches.empty());
-  EXPECT_EQ(before.value().join.absence_proofs.size(), 1u);  // FP fallback
+  EXPECT_EQ(before.value().join.matches.size(), 1u);
   EXPECT_TRUE(
       verifier_->VerifyAnswerFresh(q, before.value(), Now(), 0).ok());
 
@@ -485,7 +488,6 @@ TEST_F(QueryExecTest, PartitionRefreshFollowsDeletion) {
 
 TEST_F(QueryExecTest, LaggingPartitionRejectedByPartitionMarks) {
   Load(DefaultS());
-  PublishPeriod();
   int64_t neg = -1;
   for (int64_t v = 100; v < 200 && neg < 0; ++v) {
     const CertifiedPartition* part =

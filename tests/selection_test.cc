@@ -49,14 +49,18 @@ class SelectionTest : public ::testing::Test {
     ASSERT_TRUE(stream.ok());
     for (const auto& msg : stream.value())
       ASSERT_TRUE(qs_->ApplyUpdate(msg).ok());
+    clock_.AdvanceSeconds(1.0);
+    PublishPeriod();  // epoch 1: the load
   }
 
-  /// DA-side update propagated to the QS.
+  /// DA-side update propagated to the QS (visible from the next close).
   void Modify(int64_t key, int64_t value) {
     auto msg = da_->ModifyRecord(key, {key, value, 0});
     ASSERT_TRUE(msg.ok());
     ASSERT_TRUE(qs_->ApplyUpdate(msg.value()).ok());
   }
+  /// Close the DA's period on the QS; the close's re-certifications
+  /// belong to the next period.
   void PublishPeriod() {
     auto out = da_->PublishSummary();
     qs_->AddSummary(out.summary);
@@ -136,8 +140,12 @@ TEST_F(SelectionTest, VoSizeIndependentOfSelectivity) {
   auto large = Serve(0, 190);
   ASSERT_TRUE(small.ok() && large.ok());
   EXPECT_EQ(small.value().vo_bytes(sm), large.value().vo_bytes(sm));
+  // 28 bytes of proof, cf. Table 4, plus the load's summary as freshness
+  // evidence.
+  ASSERT_EQ(small.value().summaries.size(), 1u);
   EXPECT_EQ(small.value().vo_bytes(sm),
-            sm.signature_bytes + 2 * sm.key_bytes);  // 28 bytes, cf. Table 4
+            sm.signature_bytes + 2 * sm.key_bytes +
+                small.value().summaries[0].wire_size());
 }
 
 // --- Adversarial servers -------------------------------------------------
@@ -230,10 +238,8 @@ TEST_F(SelectionTest, StaleVersionDetectedViaSummaries) {
   auto stale = Serve(100, 100);
   ASSERT_TRUE(stale.ok());
   EXPECT_TRUE(Check(100, 100, stale.value()).ok());
-  // The DA updates record 100 and closes the period. The bulk-load mark
-  // plus this modification make the record multi-updated in period 0, so
-  // the DA re-certifies it in period 1 (Section 3.1); the period-1 summary
-  // then indicts the stale version with the paper's 2*rho bound.
+  // The DA updates record 100 in period 1 and closes it: the period-1
+  // summary marks the record, indicting the captured version.
   clock_.AdvanceSeconds(0.5);
   Modify(100, 31337);
   clock_.AdvanceSeconds(0.6);
@@ -259,6 +265,7 @@ TEST_F(SelectionTest, InsertThenQueryVerifies) {
   auto msg = da_->InsertRecord({43, 7, 7});
   ASSERT_TRUE(msg.ok());
   ASSERT_TRUE(qs_->ApplyUpdate(msg.value()).ok());
+  PublishPeriod();
   // Neighbors 42 and 44 were re-chained; range answers must still verify.
   auto ans = Serve(40, 48);
   ASSERT_TRUE(ans.ok());
@@ -267,9 +274,6 @@ TEST_F(SelectionTest, InsertThenQueryVerifies) {
 }
 
 TEST_F(SelectionTest, InsertHiddenByServerDetected) {
-  // Close the bulk-load period first.
-  clock_.AdvanceSeconds(1.1);
-  PublishPeriod();
   // DA inserts key 43, but the malicious QS suppresses the message and
   // keeps serving the old adjacency 42-44. The next summary marks the
   // re-chained neighbors, indicting their old signatures.
@@ -289,6 +293,7 @@ TEST_F(SelectionTest, DeleteThenQueryVerifies) {
   auto msg = da_->DeleteRecord(42);
   ASSERT_TRUE(msg.ok());
   ASSERT_TRUE(qs_->ApplyUpdate(msg.value()).ok());
+  PublishPeriod();
   auto ans = Serve(40, 46);
   ASSERT_TRUE(ans.ok());
   EXPECT_EQ(ans.value().selection.records.size(), 3u);  // 40 44 46
@@ -321,6 +326,7 @@ TEST_F(SelectionTest, BackgroundRenewalRefreshesOldSignatures) {
   auto renewals = da_->BackgroundRenewal(10);
   EXPECT_EQ(renewals.size(), 10u);
   for (const auto& msg : renewals) ASSERT_TRUE(qs_->ApplyUpdate(msg).ok());
+  PublishPeriod();
   auto ans = Serve(0, 20);
   ASSERT_TRUE(ans.ok());
   EXPECT_TRUE(Check(0, 20, ans.value()).ok());
@@ -348,6 +354,8 @@ TEST_F(SelectionTest, SecureHashModeEndToEnd) {
   auto stream = da.BulkLoad(std::move(records));
   ASSERT_TRUE(stream.ok());
   for (const auto& msg : stream.value()) ASSERT_TRUE(qs.ApplyUpdate(msg).ok());
+  clock_.AdvanceSeconds(1.0);
+  qs.AddSummary(da.PublishSummary().summary);
   ClientVerifier client(&da.public_key(), &codec_, HashMode::kSecure);
   auto ans = qs.Execute(Query::Select(2, 7));
   ASSERT_TRUE(ans.ok());

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -47,7 +48,8 @@ class ShardedServerTest : public ::testing::Test {
   }
 
   /// Build a K-shard server over [0, 198] and a one-shard reference,
-  /// both fed the same bulk stream of records with the given keys.
+  /// both fed the same bulk stream of records with the given keys, and
+  /// close the load's period one second later (epoch 1).
   void Load(size_t shards, const std::vector<int64_t>& keys) {
     ServerConfig cfg;
     cfg.node.record_len = 128;
@@ -69,6 +71,8 @@ class ShardedServerTest : public ::testing::Test {
       ASSERT_TRUE(server_->ApplyUpdate(msg).ok());
       ASSERT_TRUE(reference_->ApplyUpdate(msg).ok());
     }
+    clock_.AdvanceSeconds(1.0);
+    PublishPeriod();
   }
 
   std::vector<int64_t> EvenKeys() {
@@ -77,11 +81,13 @@ class ShardedServerTest : public ::testing::Test {
     return keys;
   }
 
-  /// Apply a DA message to both servers.
+  /// Apply a DA message to both servers (visible from the next close).
   void Apply(const SignedRecordUpdate& msg) {
     ASSERT_TRUE(server_->ApplyUpdate(msg).ok());
     ASSERT_TRUE(reference_->ApplyUpdate(msg).ok());
   }
+  /// Close the DA's period on both servers; the close's re-certifications
+  /// belong to the next period.
   void PublishPeriod() {
     auto out = da_->PublishSummary();
     server_->AddSummary(out.summary);
@@ -227,6 +233,7 @@ TEST_F(ShardedServerTest, ModifyRoutedToOwnerShard) {
   auto msg = da_->ModifyRecord(100, {100, 31337, 0});
   ASSERT_TRUE(msg.ok());
   Apply(msg.value());
+  PublishPeriod();
   auto ans = Serve(*server_, 100, 100);
   ASSERT_TRUE(ans.ok());
   EXPECT_EQ(ans.value().selection.records[0].attrs[1], 31337);
@@ -242,6 +249,7 @@ TEST_F(ShardedServerTest, InsertAtSeamRechainsNeighborsOnBothShards) {
   ASSERT_TRUE(msg.ok());
   EXPECT_FALSE(msg.value().recertified.empty());
   Apply(msg.value());
+  PublishPeriod();
   ExpectMatchesReference(44, 54);
   auto ans = Serve(*server_, 44, 54);
   ASSERT_TRUE(ans.ok());
@@ -253,6 +261,7 @@ TEST_F(ShardedServerTest, DeleteAtSeamRechainsAcrossShards) {
   auto msg = da_->DeleteRecord(50);  // first key of shard 1
   ASSERT_TRUE(msg.ok());
   Apply(msg.value());
+  PublishPeriod();
   ExpectMatchesReference(44, 56);
   auto gone = Serve(*server_, 50, 50);
   ASSERT_TRUE(gone.ok());
@@ -298,7 +307,118 @@ TEST_F(ShardedServerTest, RangesBeforeAndAfterAModifyMatchSingleServer) {
   auto msg = da_->ModifyRecord(60, {60, 5, 5});
   ASSERT_TRUE(msg.ok());
   Apply(msg.value());
+  PublishPeriod();
   ExpectMatchesReference(50, 70);
+}
+
+// One publication path: a seam-spanning ApplyUpdate changes nothing a
+// reader sees — not the pinned descriptor, not the publication count, not
+// an answer — until the next close publishes both shards' pieces at
+// epoch + 1 in one swap.
+TEST_F(ShardedServerTest, SeamSpanningApplyStaysInvisibleUntilTheClose) {
+  Load(4, EvenKeys());
+  const std::shared_ptr<const EpochDescriptor> pin =
+      server_->PinCurrentEpoch();
+  const uint64_t published = server_->Metrics().epoch.published_total;
+  auto before = Serve(*server_, 44, 54);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before.value().served_epoch, pin->epoch);
+
+  clock_.AdvanceSeconds(0.5);
+  auto msg = da_->InsertRecord({49, 7, 7});  // re-chains 48 and 50
+  ASSERT_TRUE(msg.ok());
+  ASSERT_EQ(server_->SplitByOwner(msg.value()).size(), 2u);
+  Apply(msg.value());
+  EXPECT_EQ(server_->PinCurrentEpoch(), pin);
+  EXPECT_EQ(server_->Metrics().epoch.published_total, published);
+  auto mid = Serve(*server_, 44, 54);
+  ASSERT_TRUE(mid.ok());
+  EXPECT_EQ(mid.value().served_epoch, pin->epoch);
+  EXPECT_EQ(mid.value().selection.records, before.value().selection.records);
+  EXPECT_TRUE((*ctx_)->curve().Equal(mid.value().selection.agg_sig.point,
+                                     before.value().selection.agg_sig.point));
+
+  clock_.AdvanceSeconds(0.5);
+  PublishPeriod();
+  EXPECT_EQ(server_->PinCurrentEpoch()->epoch, pin->epoch + 1);
+  EXPECT_EQ(server_->Metrics().epoch.published_total, published + 1);
+  auto after = Serve(*server_, 44, 54);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value().served_epoch, pin->epoch + 1);
+  EXPECT_EQ(after.value().selection.records.size(), 7u);  // 49 joined
+  EXPECT_TRUE(Check(44, 54, after.value()).ok());
+  ExpectMatchesReference(44, 54);
+}
+
+// A writer applies seam-spanning inserts and deletes while the main thread
+// closes periods: AddSummary freezes and publishes under the lock
+// ApplyUpdate holds across its pieces, so no epoch ever carries one
+// shard's half of a re-chain. The closes are certified before the churn,
+// so none of them marks a churned record: every whole prefix of the churn
+// verifies fresh, and only a torn one can fail. Readers verify every
+// answer over the seams, and every close advances the epoch by exactly
+// one. Runs under TSan via the `concurrency` label.
+TEST_F(ShardedServerTest, RacingAppliesNeverPublishAHalfAppliedRechain) {
+  Load(4, EvenKeys());  // shards start at 49, 98 and 147
+  const uint64_t start_epoch = server_->PinCurrentEpoch()->epoch;
+  constexpr size_t kCloses = 24;
+  std::vector<UpdateSummary> closes;
+  for (size_t i = 0; i < kCloses; ++i) {
+    clock_.AdvanceSeconds(1.0);
+    closes.push_back(da_->PublishSummary().summary);
+  }
+  clock_.AdvanceSeconds(0.5);
+  std::vector<SignedRecordUpdate> churn;
+  for (int round = 0; round < 240; ++round) {
+    // Each key's chain neighbours live on two shards.
+    const int64_t key = std::array<int64_t, 3>{49, 97, 147}[round % 3];
+    auto msg = (round / 3) % 2 == 0 ? da_->InsertRecord({key, round, 0})
+                                    : da_->DeleteRecord(key);
+    ASSERT_TRUE(msg.ok());
+    ASSERT_EQ(server_->SplitByOwner(msg.value()).size(), 2u);
+    churn.push_back(std::move(msg.value()));
+  }
+
+  const BasPublicKey* da_pub = &da_->public_key();
+  const uint64_t now = Now();
+  std::atomic<bool> done{false};
+  std::atomic<size_t> applied{0};
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> threads;
+  for (int64_t lo : {44, 92, 142}) {
+    threads.emplace_back([&, lo] {
+      VarintGapCodec codec;
+      ClientVerifier verifier(da_pub, &codec, HashMode::kFast);
+      const Query q = Query::Select(lo, lo + 12);
+      while (!done.load(std::memory_order_acquire)) {
+        auto ans = server_->Execute(q);
+        if (!ans.ok() ||
+            !verifier.VerifyAnswerFresh(q, ans.value(), now, 0).ok()) {
+          ++failures;
+        }
+      }
+    });
+  }
+  std::thread writer([&] {
+    for (const SignedRecordUpdate& msg : churn) {
+      if (!server_->ApplyUpdate(msg).ok()) ++failures;
+      applied.fetch_add(1, std::memory_order_release);
+    }
+  });
+  // Spread the closes over the churn, so each one races the applies.
+  for (size_t i = 0; i < kCloses; ++i) {
+    while (applied.load(std::memory_order_acquire) <
+           i * churn.size() / kCloses) {
+      std::this_thread::yield();
+    }
+    server_->AddSummary(closes[i]);
+  }
+  writer.join();
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(server_->PinCurrentEpoch()->epoch, start_epoch + kCloses);
 }
 
 /// (seq, publish_ts, bitmap) of every summary, in order.
@@ -503,6 +623,8 @@ TEST_F(ShardedServerTest, HeldAnswerSummariesSurviveConcurrentAppends) {
   ASSERT_TRUE(stream.ok());
   for (const auto& msg : stream.value())
     ASSERT_TRUE(server_->ApplyUpdate(msg).ok());
+  clock_.AdvanceSeconds(1.0);
+  server_->AddSummary(da_->PublishSummary().summary);  // epoch 1: the load
 
   struct Held {
     QueryAnswer answer;

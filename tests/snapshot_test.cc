@@ -1,6 +1,6 @@
 // Tests for the epoch-pinned copy-on-write storage spine: the
 // ShardVersionBuilder / EpochSnapshot COW semantics (structural sharing,
-// chunk splits, chain generations), the barrier column aggregates the
+// chunk splits), the barrier column aggregates the
 // builder keeps up to date by delta, and epoch garbage collection on the
 // sharded server — a reader pinning epoch N across later publications
 // keeps its snapshot alive and verifiable, retired snapshots are actually
@@ -149,7 +149,6 @@ TEST(ShardVersionBuilderTest, FreezeSharesUntouchedChunksAcrossEpochs) {
   ASSERT_TRUE(builder.Apply(MakeModify(3, 999)).ok());
   auto snap2 = builder.Freeze();
   ASSERT_EQ(snap2->size(), snap1->size());
-  EXPECT_EQ(snap2->generation(), snap1->generation() + 1);
   EXPECT_EQ(snap2->Get(3)->record.attrs[1], 999);
   EXPECT_EQ(snap1->Get(3)->record.attrs[1], 3)
       << "older epoch mutated — not copy-on-write";
@@ -159,7 +158,7 @@ TEST(ShardVersionBuilderTest, FreezeSharesUntouchedChunksAcrossEpochs) {
   EXPECT_EQ(&snap1->ItemAt(100), &snap2->ItemAt(100));
   EXPECT_NE(snap1->Get(3), snap2->Get(3));
 
-  // An untouched freeze is free: same snapshot object, same generation.
+  // An untouched freeze is free: the same snapshot object.
   auto snap3 = builder.Freeze();
   EXPECT_EQ(snap3.get(), snap2.get());
 }
